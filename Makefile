@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check build vet test race lint fmt-check tools bench bench-compare bench-hotpath bench-transport doc-links fuzz-smoke sweep check-mutations
+.PHONY: check build vet test race lint fmt-check tools bench bench-compare bench-hotpath bench-transport bench-e2e bench-module doc-links fuzz-smoke sweep check-mutations
 
-## check: the full gate — formatting, build, vet, static analysis, and
-## the test suite under the race detector. This is what CI runs (CI's
-## lint job additionally runs govulncheck).
-check: fmt-check build vet lint race
+## check: the full gate — formatting, build, vet, static analysis, the
+## test suite under the race detector, and the benchmark module's own
+## self-checks. This is what CI runs (CI's lint job additionally runs
+## govulncheck).
+check: fmt-check build vet lint race bench-module
 
 build:
 	$(GO) build ./...
@@ -50,10 +51,27 @@ test:
 race:
 	$(GO) test -race ./...
 
-## bench: one benchmark per paper table/figure plus substrate
-## micro-benchmarks (per-message-kind call stats are reported as metrics).
+## bench: one benchmark per paper table/figure, plus the ablation,
+## cut-cost, prefetch and trace-replay comparisons. The substrate
+## micro-benchmarks are rungs of the benchmark module's per-layer ladder
+## (see bench-e2e), where they are tracked.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$'
+
+## bench-module: benchmark/ is a Go module of its own, so the root
+## 'go build ./... && go test ./...' neither builds nor tests it. This
+## runs its fast self-checks against the checkout's facade, so an API
+## change at the root cannot break the benchmark unseen.
+bench-module:
+	cd benchmark && $(GO) test ./...
+
+## bench-e2e: the wall-clock + virtual-time benchmark BENCHMARK.json
+## declares (benchmark/README.md): one run of one workload. Override
+## BENCH_E2E_ARGS for another workload, a traced run (--trace 1), or
+## '--compare out/setA out/setB'.
+BENCH_E2E_ARGS ?= --workload sor_local --seed 1 --seconds 10 --trace 0
+bench-e2e:
+	bash benchmark/run.sh $(BENCH_E2E_ARGS)
 
 ## bench-compare: the benchmark regression gate. Reruns the
 ## demand-vs-prefetch comparison (SOR and Ocean, 8 nodes, test scale),

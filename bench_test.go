@@ -1,18 +1,18 @@
 package actdsm_test
 
-// One benchmark per table and figure of the paper, plus micro-benchmarks
-// for the substrate primitives the experiments stress. By default the
+// One benchmark per table and figure of the paper, plus the ablation,
+// cut-cost, prefetch and trace-replay comparisons. By default the
 // experiment benchmarks run at test scale; set ACT_FULL=1 to use the
-// paper's Table 1 inputs (minutes instead of seconds).
+// paper's Table 1 inputs (minutes instead of seconds). The substrate
+// micro-benchmarks (diff create/apply, warm span, remote miss, barrier,
+// min-cost solve) are rungs of the benchmark module's per-layer ladder
+// (benchmark/ladder_test.go), where they are tracked.
 
 import (
 	"os"
 	"testing"
 
 	"actdsm"
-	"actdsm/internal/dsm"
-	"actdsm/internal/memlayout"
-	"actdsm/internal/vm"
 )
 
 func benchOptions(b *testing.B) actdsm.ExperimentOptions {
@@ -143,134 +143,6 @@ func BenchmarkAblationScaling(b *testing.B) {
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Substrate micro-benchmarks.
-
-// BenchmarkDiffCreate measures twin-vs-page diffing of a page with 10%
-// modified words.
-func BenchmarkDiffCreate(b *testing.B) {
-	twin := make([]byte, memlayout.PageSize)
-	cur := make([]byte, memlayout.PageSize)
-	for i := 0; i < memlayout.PageSize; i += 40 {
-		cur[i] = 1
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if d := dsm.MakeDiff(twin, cur); d == nil {
-			b.Fatal("no diff")
-		}
-	}
-}
-
-// BenchmarkDiffApply measures applying that diff.
-func BenchmarkDiffApply(b *testing.B) {
-	twin := make([]byte, memlayout.PageSize)
-	cur := make([]byte, memlayout.PageSize)
-	for i := 0; i < memlayout.PageSize; i += 40 {
-		cur[i] = 1
-	}
-	diff := dsm.MakeDiff(twin, cur)
-	page := make([]byte, memlayout.PageSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := dsm.ApplyDiff(page, diff); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSpanWarm measures the page-table check on an already-valid
-// span (the common fast path of every shared access).
-func BenchmarkSpanWarm(b *testing.B) {
-	cl, err := dsm.New(dsm.Config{Nodes: 1, Pages: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = cl.Close() }()
-	if _, _, err := cl.Span(0, 0, 0, 4*memlayout.PageSize, vm.Write); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := cl.Span(0, 0, 0, 4*memlayout.PageSize, vm.Read); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// reportCallStats emits the per-message-type transport counters gathered
-// during the benchmark loop as custom metrics: round trips and wire bytes
-// per operation, named by message kind.
-func reportCallStats(b *testing.B, s dsm.Snapshot) {
-	b.Helper()
-	for _, c := range s.Calls {
-		b.ReportMetric(float64(c.Count)/float64(b.N), c.Kind+"/op")
-		b.ReportMetric(float64(c.Bytes)/float64(b.N), c.Kind+"-B/op")
-	}
-}
-
-// BenchmarkRemoteMiss measures a full invalidate/diff-fetch cycle between
-// two nodes and reports which protocol messages it spends.
-func BenchmarkRemoteMiss(b *testing.B) {
-	cl, err := dsm.New(dsm.Config{Nodes: 2, Pages: 1, GCThresholdBytes: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = cl.Close() }()
-	b.ReportAllocs()
-	b.ResetTimer()
-	base := cl.Stats().Snapshot()
-	for i := 0; i < b.N; i++ {
-		// Node 1 writes, barrier invalidates node 0, node 0 re-reads.
-		bs, _, err := cl.Span(1, 8, 0, 4, vm.Write)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bs[0] = byte(i)
-		if _, err := cl.Barrier(); err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := cl.Span(0, 0, 0, 4, vm.Read); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	reportCallStats(b, cl.Stats().Snapshot().Sub(base))
-}
-
-// BenchmarkBarrierFanOut measures one global barrier episode on an
-// eight-node cluster with every node contributing write notices — the
-// broadcast path whose enter and release phases now run their transport
-// calls in parallel — and reports the per-message-type traffic.
-func BenchmarkBarrierFanOut(b *testing.B) {
-	const nodes = 8
-	cl, err := dsm.New(dsm.Config{Nodes: nodes, Pages: nodes, GCThresholdBytes: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = cl.Close() }()
-	b.ReportAllocs()
-	b.ResetTimer()
-	base := cl.Stats().Snapshot()
-	for i := 0; i < b.N; i++ {
-		for node := 0; node < nodes; node++ {
-			bs, _, err := cl.Span(node, node, node*memlayout.PageSize, 4, vm.Write)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bs[0] = byte(i)
-		}
-		if _, err := cl.Barrier(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	reportCallStats(b, cl.Stats().Snapshot().Sub(base))
-}
-
 // BenchmarkCutCost measures cut-cost evaluation on a 64-thread matrix.
 func BenchmarkCutCost(b *testing.B) {
 	m := actdsm.NewMatrix(64)
@@ -285,23 +157,6 @@ func BenchmarkCutCost(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = m.CutCost(assign)
-	}
-}
-
-// BenchmarkMinCost measures the full min-cost heuristic on a 64-thread
-// matrix — the cost of one placement decision.
-func BenchmarkMinCost(b *testing.B) {
-	m := actdsm.NewMatrix(64)
-	rng := actdsm.NewRNG(3)
-	for i := 0; i < 64; i++ {
-		for j := i + 1; j < 64; j++ {
-			m.Set(i, j, int64(rng.Intn(100)))
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = actdsm.MinCost(m, 8)
 	}
 }
 

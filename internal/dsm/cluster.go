@@ -101,14 +101,11 @@ type Config struct {
 	// the pre-decentralization baseline the managers benchmark
 	// compares against. Negative is invalid.
 	LockShards int
-	// BarrierArity selects the barrier topology. 0 keeps the flat
-	// single-manager fan-in/fan-out (every node exchanges directly
-	// with node 0). k >= 2 arranges the nodes as a k-ary tree rooted
-	// at node 0 (children of i are k*i+1 .. k*i+k): enters aggregate
-	// up the tree and releases relay down it, so no node sends or
-	// receives more than k+1 barrier messages per phase and the
-	// barrier's critical-path depth is O(log_k n) instead of O(n) at
-	// the root. 1 and negative values are invalid.
+	// BarrierArity is the arity k of the barrier's k-ary tree (see
+	// Barrier): enters aggregate up it and releases relay down it, so
+	// the critical-path depth is O(log_k n). 0 = arity n-1, the flat
+	// exchange with every node a child of the root. 1 and negative
+	// values are invalid.
 	BarrierArity int
 	// HomeMigration enables the distributed-ownership extensions:
 	// page homes migrate to each page's last writer at every barrier
@@ -146,10 +143,10 @@ type Cluster struct {
 
 	episode int32
 	// barriers accumulates BarrierEnter state, one slot per node (the
-	// flat topology only ever uses slot 0; the tree topology folds
-	// subtree aggregates at every interior node). All slots are
-	// guarded by barrierMu because enters may arrive on transport
-	// server goroutines.
+	// root and every tree position with children fold into theirs; with
+	// BarrierArity 0 that is the root alone). All slots are guarded by
+	// barrierMu because enters may arrive on transport server
+	// goroutines.
 	barrierMu sync.Mutex
 	barriers  []barrierState
 
@@ -182,12 +179,6 @@ type Cluster struct {
 	// release fan-out — overriding the last-writer heuristic's decision
 	// for the same page — and clear once the episode succeeds.
 	queuedHomes map[int32]int32
-	// ftNotices, ftHomeMoved, and ftHomeSkipped stash the latest FT
-	// barrier attempt's notice union and queued-home accounting so the
-	// successful attempt's values are committed exactly once (attempts
-	// recompute them; a crashed attempt's values are overwritten).
-	ftNotices                  []msg.Notice
-	ftHomeMoved, ftHomeSkipped int64
 
 	// viewMu guards the membership view below. Failover routing takes
 	// the read side on protocol paths; refreshView and the rejoin
@@ -209,10 +200,10 @@ type Cluster struct {
 	serviceHold time.Duration
 }
 
-// barrierState accumulates one barrier episode at the manager. entered
-// and have deduplicate re-sent BarrierEnter messages (transport retries
-// and whole-phase barrier retries both re-deliver), so counters and the
-// notice union are exactly-once per episode.
+// barrierState accumulates one barrier episode at a folding tree
+// position. entered and have deduplicate re-sent BarrierEnter messages
+// (transport retries and whole-phase barrier retries both re-deliver), so
+// counters and the notice union are exactly-once per episode.
 type barrierState struct {
 	episode int32
 	entered map[int32]bool
@@ -223,9 +214,9 @@ type barrierState struct {
 	// BarrierEnter.Hot field), consumed by collectPushDiffs to piggyback
 	// the predicted diffs on the release fan-out.
 	hot map[int32][]int32
-	// rel is the release this node received for the episode; the tree
-	// fan-out builds the releases relayed to the node's children from
-	// it. Nil until the node has been released.
+	// rel is the release this node received for the episode; the
+	// release fan-out builds the releases relayed to the node's children
+	// from it. Nil until the node has been released.
 	rel *msg.BarrierRelease
 }
 
@@ -624,56 +615,176 @@ func (c *Cluster) EndTracking(node int) {
 // Tracking reports whether a node is in an active tracking phase.
 func (c *Cluster) Tracking(node int) bool { return c.nodes[node].as.Tracking() }
 
-// Barrier runs one global barrier episode: every node closes its current
-// interval and sends its accumulated write notices to the barrier manager
-// (node 0), which broadcasts the union; every node invalidates accordingly.
-// If the stored diff volume exceeds the GC threshold, a garbage-collection
-// round follows. The returned slice holds each node's virtual-time cost
-// for the episode.
+// Barrier runs one global barrier episode over the membership view (every
+// node, or the alive set under Config.FaultTolerance): each member closes
+// its current interval, the members' write notices fan in to the root
+// (the view's first member), the root broadcasts the sorted union with
+// the episode's home moves and pushed diffs, and every member invalidates
+// accordingly. If the stored diff volume exceeds the GC threshold, a
+// garbage-collection round follows. The returned slice holds each node's
+// virtual-time cost for the episode.
 //
-// Both broadcast phases (enter fan-in and release fan-out) run their
-// transport calls in parallel across nodes — directly against node 0 in
-// the flat topology, level by level along the tree's edges when
-// Config.BarrierArity selects a tree. Each phase is retried up to
-// Config.BarrierRetries additional times on failure: a retried phase
-// re-sends every notice, and receivers deduplicate (the fold by node id
-// and (page, writer, interval); release receivers through the
-// pending-notice dedup), so counters are exactly-once per episode.
-// Phase retries always re-run the whole phase in the same deterministic
-// edge order — never a partial subtree — which keeps the global
-// transport-call numbering under SerialFanOut a pure function of the
-// attempt count (the contract chaos-plan replay depends on; see
-// transport.RecordingPlan).
+// There is one barrier, parameterised by the view and an arity k. The
+// members form a complete k-ary tree over their indices into the view
+// (children of position i are k*i+1 .. k*i+k). Config.BarrierArity 0
+// selects k = len(view)-1: every other member is a leaf under the root,
+// which is the flat single-manager exchange. A position without children
+// forwards its own enter unchanged; a position with children folds its
+// own enter and its children's and forwards the aggregate, so no member
+// exchanges more than k+1 barrier messages per phase.
+//
+// Both phases run their transport calls in parallel within a tree level.
+// Each phase is retried up to Config.BarrierRetries additional times on
+// failure: a retried phase re-sends every notice, and receivers
+// deduplicate (the fold by node id and (page, writer, interval); release
+// receivers through the pending-notice dedup), so counters are
+// exactly-once per episode. Phase retries always re-run the whole phase
+// in the same deterministic edge order — never a partial subtree — which
+// keeps the global transport-call numbering under SerialFanOut a pure
+// function of the attempt count (the contract chaos-plan replay depends
+// on; see transport.RecordingPlan).
+//
+// When a member dies mid-episode the phases re-run over the shrunk view
+// (rerunOnViewChange); without fault tolerance nothing can die and they
+// run once. Re-runs are safe for the same reason phase retries are: every
+// receiver folds idempotently, and a member's fresh/known sets clear only
+// after the whole episode succeeds. For the same reason the application
+// may call Barrier again after an error: the next episode re-sends every
+// notice of the failed one.
 func (c *Cluster) Barrier() ([]sim.Time, error) {
-	if c.cfg.FaultTolerance {
-		return c.barrierFT()
-	}
-	nnodes := c.cfg.Nodes
-	costs := make([]sim.Time, nnodes)
+	costs := make([]sim.Time, c.cfg.Nodes)
 	episode := c.episode
 	c.episode++
-	const mgr = 0
-	tree := c.cfg.BarrierArity >= 2 && nnodes > 1
 
+	// Scheduled restarts arm at the start of their episode.
+	if c.cfg.Chaos != nil {
+		for _, s := range c.cfg.Chaos.Crashes {
+			if s.RestartsAt(int64(episode)) && c.isDead(s.Node) {
+				w, err := c.rejoinNode(s.Node)
+				if err != nil {
+					return nil, err
+				}
+				costs[s.Node] += w
+			}
+		}
+	}
+	if c.refreshView() > 0 {
+		c.stats.RecoveryRounds.Add(1)
+	}
+
+	var ep barrierOutcome
+	err := c.rerunOnViewChange(func() (err error) {
+		ep, err = c.barrierAttempt(episode, costs)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// The episode succeeded: commit exactly the final attempt's notice
+	// union to the write history and consume the queued home moves. A
+	// failed episode commits nothing, so the notices it re-sends next
+	// time are counted once.
+	c.recordWriteHistory(ep.notices)
+	c.commitQueuedHomes(ep.homeMoved, ep.homeSkipped)
+
+	// The episode is fully delivered: every member's notices are now
+	// everywhere, so pending flush state and causal histories restart —
+	// and, under fault tolerance, the per-epoch replication marks and
+	// standby mirrors with them.
+	view := c.aliveList()
+	for _, i := range view {
+		n := c.nodes[i]
+		costs[i] += c.costs.BarrierBase
+		n.lockSync()
+		n.fresh = nil
+		n.known = nil
+		n.knownHave = make(map[[3]int32]bool)
+		for j := range n.sentKnown {
+			n.sentKnown[j] = 0
+		}
+		for j := range n.lockPos {
+			n.lockPos[j] = 0
+		}
+		n.lockMark = make(map[int32]int)
+		if c.cfg.FaultTolerance {
+			n.replSent = 0
+		}
+		n.mu.Unlock()
+		if c.cfg.FaultTolerance {
+			n.lockMgrMu.Lock()
+			n.shadow = make(map[int]*mgrLog)
+			n.lockMgrMu.Unlock()
+			n.replMu.Lock()
+			n.replKnown = make(map[int][]msg.Notice)
+			n.replLockMark = make(map[int]map[int32]int)
+			n.replMu.Unlock()
+		}
+	}
+	c.stats.Barriers.Add(1)
+
+	if c.cfg.GCThresholdBytes >= 0 {
+		var total int64
+		for _, i := range view {
+			total += c.nodes[i].diffBytes.Load()
+		}
+		if total > int64(c.cfg.GCThresholdBytes) {
+			// Re-running a collection is idempotent — consolidation
+			// re-fetches only still-pending diffs and collect re-drops
+			// already-empty stores.
+			if err := c.rerunOnViewChange(func() error { return c.collectGarbage(costs) }); err != nil {
+				return nil, err
+			}
+		}
+	}
+	// A crash whose scheduled call fell inside this episode may never
+	// fail a protocol call — the victim can die after its last
+	// participation (its enter already folded, no release or GC call
+	// addressed it). Reconcile with the chaos layer before threads
+	// resume, so the engine migrates the victim's threads at THIS
+	// barrier and routing sees the death before the first post-barrier
+	// fault, not when a call from the dead node is refused mid-interval.
+	c.refreshView()
+	return costs, nil
+}
+
+// barrierOutcome is what one barrier attempt hands back for Barrier to
+// commit once the episode has succeeded: the sorted notice union (for the
+// write history) and the queued-home accounting. Attempts recompute
+// them; a failed attempt's values are dropped.
+type barrierOutcome struct {
+	notices                []msg.Notice
+	homeMoved, homeSkipped int64
+}
+
+// barrierAttempt runs the barrier's phases once over the current view.
+func (c *Cluster) barrierAttempt(episode int32, costs []sim.Time) (barrierOutcome, error) {
+	var out barrierOutcome
+	view := c.aliveList()
+	if len(view) == 0 {
+		return out, errors.New("dsm: barrier with no alive nodes")
+	}
+	root := view[0]
+	k := c.cfg.BarrierArity
+	if k == 0 {
+		k = len(view) - 1
+	}
+	levels := treeLevels(len(view), k)
+
+	// Fold state is allocated by the first enter a position folds, so
+	// positions without children never pay for it.
 	c.barrierMu.Lock()
 	for i := range c.barriers {
-		c.barriers[i] = barrierState{
-			episode: episode,
-			entered: make(map[int32]bool, nnodes),
-			have:    make(map[[3]int32]bool),
-			hot:     make(map[int32][]int32, nnodes),
-		}
+		c.barriers[i] = barrierState{episode: episode}
 	}
 	c.barrierMu.Unlock()
 
-	// Phase 1 (local, serial): close every node's interval and build its
-	// enter message. fresh/known are cleared only after the whole episode
-	// succeeds, so a retried episode — whether a phase retry below or the
-	// application calling Barrier again after an error — re-sends every
-	// notice; receivers deduplicate.
-	enters := make([]*msg.BarrierEnter, nnodes)
+	// Phase 1 (local, serial): close every member's interval and build
+	// its enter message. fresh/known are cleared only after the whole
+	// episode succeeds, so a re-run re-sends every notice.
+	enters := make([]*msg.BarrierEnter, c.cfg.Nodes)
 	pushEnabled := c.cfg.PrefetchBudget != 0 && c.cfg.Protocol == MultiWriter
-	for i := 0; i < nnodes; i++ {
+	for _, i := range view {
 		n := c.nodes[i]
 		// The predictor may consult the placement engine; compute it
 		// before touching node state to keep lock order one-way.
@@ -681,7 +792,15 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 		if pushEnabled && c.prefetchPredict != nil {
 			pred = c.prefetchPredict(i)
 		}
-		_, diffCost := n.closeInterval()
+		closed, diffCost := n.closeInterval()
+		costs[i] += diffCost
+		if c.cfg.FaultTolerance {
+			w, err := c.replicate(n, closed)
+			if err != nil {
+				return out, err
+			}
+			costs[i] += w
+		}
 		n.lockSync()
 		enters[i] = &msg.BarrierEnter{
 			Node:    int32(i),
@@ -690,47 +809,34 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 			Notices: append([]msg.Notice(nil), n.fresh...),
 		}
 		n.mu.Unlock()
-		costs[i] += diffCost
 		if pushEnabled {
 			// After closeInterval the node's own dirty pages are
 			// clean again, so its prediction covers them too.
 			enters[i].Hot = n.hotPages(pred)
 		}
 	}
-
-	// Phase 2: enter fan-in — flat to the manager, or aggregated up the
-	// tree level by level.
-	var err error
-	if tree {
-		err = c.broadcast(func() error { return c.treeEnterPhase(episode, enters, costs) })
-	} else {
-		err = c.broadcast(func() error {
-			return fanOut(nnodes, c.cfg.SerialFanOut, func(i int) error {
-				if i == mgr {
-					_, err := c.nodes[mgr].serveBarrierEnter(enters[mgr])
-					return err
-				}
-				_, wire, err := c.call(i, mgr, enters[i])
-				if err != nil {
-					return fmt.Errorf("dsm: barrier enter node %d: %w", i, err)
-				}
-				costs[i] += wire
-				return nil
-			})
-		})
+	if c.cfg.FaultTolerance {
+		c.contributeDead(enters)
 	}
+
+	// Phase 2: enter fan-in up the tree.
+	err := c.broadcast(func() error { return c.enterPhase(episode, view, k, levels, enters, costs) })
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 
 	c.barrierMu.Lock()
-	if got := len(c.barriers[mgr].entered); got != nnodes {
-		c.barrierMu.Unlock()
-		return nil, fmt.Errorf("dsm: barrier episode %d: %d/%d entered", episode, got, nnodes)
+	rb := &c.barriers[root]
+	for _, i := range view {
+		if !rb.entered[int32(i)] {
+			got := len(rb.entered)
+			c.barrierMu.Unlock()
+			return out, fmt.Errorf("dsm: barrier episode %d: %d entered, alive node %d missing", episode, got, i)
+		}
 	}
-	notices := append([]msg.Notice(nil), c.barriers[mgr].notices...)
-	lam := c.barriers[mgr].lam
-	hot := c.barriers[mgr].hot
+	notices := append([]msg.Notice(nil), rb.notices...)
+	lam := rb.lam
+	hot := rb.hot
 	c.barrierMu.Unlock()
 	// The parallel fan-in makes arrival order nondeterministic; sort the
 	// union so the release broadcast (and everything downstream of its
@@ -745,117 +851,86 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 		}
 		return a.Page < b.Page
 	})
-	c.recordWriteHistory(notices)
 	// Home migration: derive this episode's ownership moves from the
 	// sorted union; the decisions ride the release fan-out so every
-	// node applies them while its threads are still parked. The
+	// member applies them while its threads are still parked. The
 	// placement controller's explicit moves are folded in on top,
 	// overriding the last-writer heuristic where both speak.
 	var homes []msg.PageHome
 	if c.cfg.HomeMigration {
-		homes = c.migrationDecisions(notices)
+		homes = c.migrationDecisionsAll(c.nodes[root], notices, c.cfg.FaultTolerance)
 	}
-	homes, qMoved, qSkipped := c.queuedHomeDecisions(c.nodes[0], homes)
-	// Piggybacked push: the manager batch-fetches the diffs each node's
-	// prediction (BarrierEnter.Hot) will need — coalesced to at most one
-	// DiffBatchRequest per writer for the whole cluster — and rides them
-	// on the release messages, so served pages cost zero extra round
-	// trips at the readers.
-	var push map[int32][]msg.PushedDiff
-	if pushEnabled {
-		var pcost sim.Time
-		push, pcost, err = c.collectPushDiffs(hot, notices)
-		if err != nil {
-			return nil, fmt.Errorf("dsm: barrier push collect: %w", err)
-		}
-		costs[mgr] += pcost
-	}
+	homes, out.homeMoved, out.homeSkipped = c.queuedHomeDecisions(c.nodes[root], homes)
+	out.notices = notices
 
-	// Phase 3: release fan-out. serveBarrierRelease is idempotent
-	// (pending-notice dedup, max-merge clocks, home stores, push skipped
-	// once a page's pending set is drained), so phase retries that
-	// re-deliver to some nodes are harmless.
-	if tree {
-		err = c.broadcast(func() error {
-			return c.treeReleasePhase(episode, lam, notices, homes, push, costs)
-		})
-	} else {
-		releases := make([]*msg.BarrierRelease, nnodes)
-		for i := 0; i < nnodes; i++ {
-			releases[i] = &msg.BarrierRelease{
-				Episode: episode, Lam: lam, Notices: notices,
-				Push: push[int32(i)], Homes: homes,
+	// The root's release carries every other member's pushed diffs in its
+	// relay table; each edge down lifts the child's own list out of it.
+	rel := &msg.BarrierRelease{Episode: episode, Lam: lam, Notices: notices, Homes: homes}
+	if pushEnabled {
+		// Piggybacked push: the root batch-fetches the diffs each
+		// member's prediction (BarrierEnter.Hot) will need — coalesced to
+		// at most one DiffBatchRequest per writer for the whole cluster —
+		// and rides them on the release messages, so served pages cost
+		// zero extra round trips at the readers.
+		push, pcost, err := c.collectPushDiffs(root, hot, notices)
+		if err != nil {
+			return out, fmt.Errorf("dsm: barrier push collect: %w", err)
+		}
+		costs[root] += pcost
+		rel.Push = push[int32(root)]
+		for _, i := range view[1:] {
+			if len(push[int32(i)]) > 0 {
+				rel.Relay = append(rel.Relay, msg.NodePush{Node: int32(i), Push: push[int32(i)]})
 			}
 		}
-		err = c.broadcast(func() error {
-			return fanOut(nnodes, c.cfg.SerialFanOut, func(i int) error {
-				if i == mgr {
-					_, err := c.nodes[i].serveBarrierRelease(releases[i])
-					return err
-				}
-				_, wire, err := c.call(mgr, i, releases[i])
-				if err != nil {
-					return fmt.Errorf("dsm: barrier release node %d: %w", i, err)
-				}
-				costs[i] += wire
-				return nil
-			})
-		})
 	}
+
+	// Phase 3: release fan-out down the tree. serveBarrierRelease is
+	// idempotent (pending-notice dedup, max-merge clocks, home stores,
+	// push skipped once a page's pending set is drained), so phase
+	// retries that re-deliver to some members are harmless.
+	err = c.broadcast(func() error { return c.releasePhase(view, k, levels, rel, costs) })
 	if err != nil {
-		return nil, err
+		return out, err
 	}
-	c.commitQueuedHomes(qMoved, qSkipped)
 	if pushEnabled {
 		// Applying pushed diffs happened inside serveBarrierRelease;
-		// charge each node's accumulated apply cost to this episode.
-		for i, n := range c.nodes {
+		// charge each member's accumulated apply cost to this episode.
+		for _, i := range view {
+			n := c.nodes[i]
 			n.lockSync()
 			costs[i] += n.pushCost
 			n.pushCost = 0
 			n.mu.Unlock()
 		}
 	}
-	for i := 0; i < nnodes; i++ {
-		costs[i] += c.costs.BarrierBase
-	}
-	// The episode is fully delivered: every node's notices are now
-	// everywhere, so pending flush state and causal histories restart.
-	for _, n := range c.nodes {
-		n.lockSync()
-		n.fresh = nil
-		n.known = nil
-		n.knownHave = make(map[[3]int32]bool)
-		for i := range n.sentKnown {
-			n.sentKnown[i] = 0
-		}
-		for i := range n.lockPos {
-			n.lockPos[i] = 0
-		}
-		n.lockMark = make(map[int32]int)
-		n.mu.Unlock()
-	}
-	c.stats.Barriers.Add(1)
 
-	if c.cfg.GCThresholdBytes >= 0 {
-		var total int64
-		for _, n := range c.nodes {
-			total += n.diffBytes.Load()
-		}
-		if total > int64(c.cfg.GCThresholdBytes) {
-			if err := c.collectGarbage(costs); err != nil {
-				return nil, err
+	if c.cfg.FaultTolerance {
+		// Standby upkeep for migrated homes: the new home's ring successor
+		// must hold a copy (the invariant failover full-fetches rely on); a
+		// successor without one fetches it now, while threads are parked.
+		for _, ph := range homes {
+			h := int(ph.Home)
+			s := c.aliveSucc(h)
+			p := vm.PageID(ph.Page)
+			if s == h || c.nodeHasCopy(s, p) {
+				continue
 			}
+			w, err := c.fetchStandbyCopy(s, p)
+			if err != nil {
+				return out, fmt.Errorf("dsm: standby fetch page %d: %w", p, err)
+			}
+			costs[s] += w
 		}
 	}
-	return costs, nil
+	return out, nil
 }
 
-// treeParent returns node i's parent in the k-ary barrier tree rooted
-// at node 0 (children of i are k*i+1 .. k*i+k).
+// treeParent returns position i's parent in the k-ary barrier tree
+// rooted at position 0 (children of i are k*i+1 .. k*i+k).
 func treeParent(i, k int) int { return (i - 1) / k }
 
-// isDescendant reports whether node x lies in node of's subtree
+// isDescendant reports whether position x lies in position of's subtree
 // (inclusive) of the k-ary barrier tree.
 func isDescendant(x, of, k int) bool {
 	for x > of {
@@ -864,7 +939,12 @@ func isDescendant(x, of, k int) bool {
 	return x == of
 }
 
-// treeLevels partitions nodes 1..n-1 into tree levels, shallowest
+// folds reports whether a position of the k-ary tree over m members
+// folds enters into an aggregate: the root always does, any other
+// position only when it has children.
+func folds(pos, k, m int) bool { return pos == 0 || k*pos+1 < m }
+
+// treeLevels partitions positions 1..n-1 into tree levels, shallowest
 // first. Level d of the heap-numbered complete k-ary tree holds the
 // k^d consecutive indices starting at (k^d - 1) / (k - 1).
 func treeLevels(n, k int) [][]int {
@@ -885,33 +965,34 @@ func treeLevels(n, k int) [][]int {
 	return levels
 }
 
-// treeEnterPhase runs one attempt of the tree barrier's enter fan-in:
-// every node first folds its own enter locally, then each tree level
-// (deepest first, so subtree aggregates are complete before they move
-// up) forwards its aggregate one edge to its parent. Every edge runs
-// even after a failure — a retry then starts from maximal folded
-// progress — and the deepest failing level's lowest-index error wins,
-// keeping failure messages deterministic. The edge order (level, then
-// index) is fixed across attempts, so under SerialFanOut the
+// enterPhase runs one attempt of the barrier's enter fan-in. Tree
+// positions are indices into view. Every folding position first folds its
+// own enter locally, then each tree level (deepest first, so subtree
+// aggregates are complete before they move up) forwards one edge to its
+// parent: a folding position its aggregate, a leaf its own enter as
+// built. Every edge runs even after a failure — a retry then starts from
+// maximal folded progress — and the deepest failing level's lowest-index
+// error wins, keeping failure messages deterministic. The edge order
+// (level, then index) is fixed across attempts, so under SerialFanOut the
 // transport-call sequence of attempt k is identical for every run.
-func (c *Cluster) treeEnterPhase(episode int32, enters []*msg.BarrierEnter, costs []sim.Time) error {
-	nnodes := c.cfg.Nodes
-	k := c.cfg.BarrierArity
-	for i := 0; i < nnodes; i++ {
-		if _, err := c.nodes[i].serveBarrierEnter(enters[i]); err != nil {
+func (c *Cluster) enterPhase(episode int32, view []int, k int, levels [][]int, enters []*msg.BarrierEnter, costs []sim.Time) error {
+	for pos := 0; pos < len(view) && folds(pos, k, len(view)); pos++ {
+		if _, err := c.nodes[view[pos]].serveBarrierEnter(enters[view[pos]]); err != nil {
 			return err
 		}
 	}
-	levels := treeLevels(nnodes, k)
 	var firstErr error
 	for li := len(levels) - 1; li >= 0; li-- {
 		lvl := levels[li]
 		err := fanOut(len(lvl), c.cfg.SerialFanOut, func(j int) error {
-			child := lvl[j]
-			agg := c.buildEnterAggregate(child, episode)
-			_, wire, err := c.call(child, treeParent(child, k), agg)
+			child := view[lvl[j]]
+			enter := enters[child]
+			if folds(lvl[j], k, len(view)) {
+				enter = c.buildEnterAggregate(child, episode)
+			}
+			_, wire, err := c.call(child, view[treeParent(lvl[j], k)], enter)
 			if err != nil {
-				return fmt.Errorf("dsm: barrier enter relay node %d: %w", child, err)
+				return fmt.Errorf("dsm: barrier enter node %d: %w", child, err)
 			}
 			costs[child] += wire
 			return nil
@@ -949,40 +1030,28 @@ func (c *Cluster) buildEnterAggregate(node int, episode int32) *msg.BarrierEnter
 	return agg
 }
 
-// treeReleasePhase runs one attempt of the tree barrier's release
-// fan-out: the root serves its own release — which carries the relay
-// payloads for every descendant with a push — then each level
-// (shallowest first, so every parent has stored its release before its
-// children ask for theirs) relays one edge down. A parent whose stored
-// release is missing or stale means its own inbound edge failed this
-// attempt; the error propagates and the whole phase retries.
-func (c *Cluster) treeReleasePhase(episode, lam int32, notices []msg.Notice, homes []msg.PageHome, push map[int32][]msg.PushedDiff, costs []sim.Time) error {
-	nnodes := c.cfg.Nodes
-	k := c.cfg.BarrierArity
-	rel0 := &msg.BarrierRelease{
-		Episode: episode, Lam: lam, Notices: notices,
-		Push: push[0], Homes: homes,
-	}
-	for i := 1; i < nnodes; i++ {
-		if len(push[int32(i)]) > 0 {
-			rel0.Relay = append(rel0.Relay, msg.NodePush{Node: int32(i), Push: push[int32(i)]})
-		}
-	}
-	if _, err := c.nodes[0].serveBarrierRelease(rel0); err != nil {
+// releasePhase runs one attempt of the barrier's release fan-out: the
+// root serves its own release — which carries the relay payloads for
+// every other member with a push — then each level (shallowest first, so
+// every parent has stored its release before its children ask for theirs)
+// relays one edge down. A parent whose stored release is missing or stale
+// means its own inbound edge failed this attempt; the error propagates
+// and the whole phase retries.
+func (c *Cluster) releasePhase(view []int, k int, levels [][]int, rel *msg.BarrierRelease, costs []sim.Time) error {
+	if _, err := c.nodes[view[0]].serveBarrierRelease(rel); err != nil {
 		return err
 	}
 	var firstErr error
-	for _, lvl := range treeLevels(nnodes, k) {
+	for _, lvl := range levels {
 		err := fanOut(len(lvl), c.cfg.SerialFanOut, func(j int) error {
-			child := lvl[j]
-			parent := treeParent(child, k)
-			rel, err := c.buildChildRelease(parent, child, episode, k)
+			parent, child := view[treeParent(lvl[j], k)], view[lvl[j]]
+			childRel, err := c.buildChildRelease(view, k, parent, lvl[j], rel.Episode)
 			if err != nil {
 				return err
 			}
-			_, wire, err := c.call(parent, child, rel)
+			_, wire, err := c.call(parent, child, childRel)
 			if err != nil {
-				return fmt.Errorf("dsm: barrier release relay node %d: %w", child, err)
+				return fmt.Errorf("dsm: barrier release node %d: %w", child, err)
 			}
 			costs[child] += wire
 			return nil
@@ -994,11 +1063,12 @@ func (c *Cluster) treeReleasePhase(episode, lam int32, notices []msg.Notice, hom
 	return firstErr
 }
 
-// buildChildRelease assembles the release a parent relays to one child:
-// the episode payload (notices, Lamport clock, home moves) from the
-// parent's stored release, the child's own push list lifted out of the
-// relay table, and the relay entries for the child's own subtree.
-func (c *Cluster) buildChildRelease(parent, child int, episode int32, k int) (*msg.BarrierRelease, error) {
+// buildChildRelease assembles the release node parent relays to the
+// member at tree position pos: the episode payload (notices, Lamport
+// clock, home moves) from the parent's stored release, the child's own
+// push list lifted out of the relay table, and the relay entries for the
+// child's own subtree.
+func (c *Cluster) buildChildRelease(view []int, k, parent, pos int, episode int32) (*msg.BarrierRelease, error) {
 	c.barrierMu.Lock()
 	defer c.barrierMu.Unlock()
 	src := c.barriers[parent].rel
@@ -1009,44 +1079,39 @@ func (c *Cluster) buildChildRelease(parent, child int, episode int32, k int) (*m
 		Episode: episode, Lam: src.Lam, Notices: src.Notices, Homes: src.Homes,
 	}
 	for _, np := range src.Relay {
-		switch {
-		case int(np.Node) == child:
+		// The view is sorted, so a member's position is its search index.
+		switch at := sort.SearchInts(view, int(np.Node)); {
+		case at == pos:
 			rel.Push = np.Push
-		case isDescendant(int(np.Node), child, k):
+		case isDescendant(at, pos, k):
 			rel.Relay = append(rel.Relay, np)
 		}
 	}
 	return rel, nil
 }
 
-// migrationDecisions derives the episode's home migrations from the
-// sorted notice union: each written page's home moves to its last
-// writer — the writer of the page's causally latest notice (max
-// Lamport clock, then interval; the lowest writer id breaks exact
-// ties) — so a node that keeps writing a page stops round-tripping its
-// readers through a fixed third-party home. The last writer closed the
-// interval that produced the notice, so it necessarily holds a current
-// copy of its own writes; any other writers' diffs it pulls on demand
-// when first serving the page, exactly as the static manager would.
-func (c *Cluster) migrationDecisions(notices []msg.Notice) []msg.PageHome {
-	return c.migrationDecisionsFrom(c.nodes[0], notices)
-}
-
-// migrationDecisionsFrom is migrationDecisions reading the current home
-// table from an explicit reference node (the FT barrier's root may not
-// be node 0).
-func (c *Cluster) migrationDecisionsFrom(root *node, notices []msg.Notice) []msg.PageHome {
-	return c.migrationDecisionsAll(root, notices, false)
-}
-
-// migrationDecisionsAll is migrationDecisionsFrom with an option to
-// announce every written page's last-writer home, including ones the
-// root's table already records. The FT barrier needs the full set: a
-// crash mid-release leaves the decisions applied on some nodes (the
-// root among them) and not others, and a re-run that filtered against
-// the root's updated table would drop exactly the entries the
+// migrationDecisionsAll derives the episode's home migrations from the
+// sorted notice union, reading the current home table from root (the
+// barrier's root, which need not be node 0): each written page's home
+// moves to its last writer — the writer of the page's causally latest
+// notice (max Lamport clock, then interval; the lowest writer id breaks
+// exact ties) — so a node that keeps writing a page stops round-tripping
+// its readers through a fixed third-party home. The last writer closed
+// the interval that produced the notice, so it necessarily holds a
+// current copy of its own writes; any other writers' diffs it pulls on
+// demand when first serving the page, exactly as the static manager
+// would.
+//
+// With all set, every written page's last-writer home is announced,
+// including ones the root's table already records. Fault tolerance needs
+// the full set: a crash mid-release leaves the decisions applied on some
+// nodes (the root among them) and not others, and a re-run that filtered
+// against the root's updated table would drop exactly the entries the
 // un-released nodes are missing, leaving home directories divergent.
-// HomeMigrations still counts only actual moves.
+// HomeMigrations counts only actual moves, and — because the root
+// applies its own release before any other member is sent one — counts
+// each once even when a re-run or a later episode re-derives the
+// decision.
 func (c *Cluster) migrationDecisionsAll(root *node, notices []msg.Notice, all bool) []msg.PageHome {
 	last := make(map[int32]msg.Notice)
 	for _, nt := range notices {
@@ -1077,9 +1142,9 @@ func (c *Cluster) migrationDecisionsAll(root *node, notices []msg.Notice, all bo
 }
 
 // recordWriteHistory folds one completed episode's sorted notice union
-// into the per-(page, writer) write history. Callers invoke it exactly
-// once per episode (the FT barrier records only the successful attempt),
-// so the history counts each write notice once.
+// into the per-(page, writer) write history. Barrier invokes it once per
+// successful episode, with the final attempt's union, so the history
+// counts each write notice once.
 func (c *Cluster) recordWriteHistory(notices []msg.Notice) {
 	c.histMu.Lock()
 	for _, nt := range notices {
@@ -1154,9 +1219,9 @@ func (c *Cluster) QueueHomeMoves(moves map[int]int) error {
 // queuedHomeDecisions folds the queued explicit home moves into an
 // episode's decision set, reading current homes from root. The queue is
 // left intact (commitQueuedHomes consumes it after the episode
-// succeeds; FT attempts may re-run this). Returns the merged decisions
-// plus how many queued moves actually change a home and how many were
-// dropped (dead target, or target without a page copy).
+// succeeds; barrier attempts may re-run this). Returns the merged
+// decisions plus how many queued moves actually change a home and how
+// many were dropped (dead target, or target without a page copy).
 func (c *Cluster) queuedHomeDecisions(root *node, homes []msg.PageHome) ([]msg.PageHome, int64, int64) {
 	c.histMu.Lock()
 	queued := make([]msg.PageHome, 0, len(c.queuedHomes))
@@ -1215,14 +1280,21 @@ func (c *Cluster) commitQueuedHomes(moved, skipped int64) {
 	c.histMu.Unlock()
 }
 
-// collectGarbage consolidates every page that has stored diffs at its
-// current home, then broadcasts GCCollect: all nodes drop the page's
+// collectGarbage runs one garbage-collection round over the membership
+// view: every page that has stored diffs consolidates at its effective
+// home, then the home broadcasts GCCollect — all members drop the page's
 // diffs and non-home replicas are invalidated (causing the extra remote
-// faults the paper attributes to GC).
+// faults the paper attributes to GC). Under fault tolerance the home's
+// standby refreshes its full copy before the drop broadcast (so the
+// two-copy invariant survives the collection), and the collect spares the
+// standby's page copy while still dropping every stored and replicated
+// diff.
 func (c *Cluster) collectGarbage(costs []sim.Time) error {
 	c.stats.GCRounds.Add(1)
+	view := c.aliveList()
 	pageSet := make(map[vm.PageID]bool)
-	for _, n := range c.nodes {
+	for _, i := range view {
+		n := c.nodes[i]
 		for s := range n.shards {
 			sh := &n.shards[s]
 			sh.mu.RLock()
@@ -1231,6 +1303,14 @@ func (c *Cluster) collectGarbage(costs []sim.Time) error {
 			}
 			sh.mu.RUnlock()
 		}
+		// The replica store is empty without fault tolerance.
+		n.replMu.Lock()
+		for _, pm := range n.replDiffs {
+			for p := range pm {
+				pageSet[p] = true
+			}
+		}
+		n.replMu.Unlock()
 	}
 	pages := make([]vm.PageID, 0, len(pageSet))
 	for p := range pageSet {
@@ -1239,7 +1319,8 @@ func (c *Cluster) collectGarbage(costs []sim.Time) error {
 	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 
 	for _, p := range pages {
-		mgr := c.nodes[c.nodes[0].home(p)]
+		hm := c.nodes[view[0]].effHome(p)
+		mgr := c.nodes[hm]
 		sh := mgr.rlockShard(p)
 		pending := append([]msg.Notice(nil), mgr.pages[p].pending...)
 		sh.runlock()
@@ -1260,20 +1341,33 @@ func (c *Cluster) collectGarbage(costs []sim.Time) error {
 			sh.mu.Unlock()
 		}
 		mgr.setCharge(nil, 0)
-		costs[mgr.id] += ti.Stall + ti.Overhead
+		costs[hm] += ti.Stall + ti.Overhead
+
+		if c.cfg.FaultTolerance {
+			// Refresh the standby's full copy before diffs drop, so a
+			// later failover still finds a current image.
+			if s := c.aliveSucc(hm); s != hm {
+				w, err := c.fetchStandbyCopy(s, p)
+				if err != nil {
+					return fmt.Errorf("dsm: gc standby refresh page %d: %w", p, err)
+				}
+				costs[s] += w
+			}
+		}
 
 		// Parallel collect broadcast. serveGCCollect is idempotent
 		// (dropping absent diffs and re-invalidating are no-ops), so
-		// phase retries that re-deliver to some nodes are harmless and
+		// phase retries that re-deliver to some members are harmless and
 		// GCCollections stays exactly-once per page.
 		collect := &msg.GCCollect{Page: int32(p)}
 		err := c.broadcast(func() error {
-			return fanOut(len(c.nodes), c.cfg.SerialFanOut, func(i int) error {
-				if i == mgr.id {
+			return fanOut(len(view), c.cfg.SerialFanOut, func(j int) error {
+				i := view[j]
+				if i == hm {
 					_, err := c.nodes[i].serveGCCollect(collect)
 					return err
 				}
-				_, wire, err := c.call(mgr.id, i, collect)
+				_, wire, err := c.call(hm, i, collect)
 				if err != nil {
 					return fmt.Errorf("dsm: gc collect page %d node %d: %w", p, i, err)
 				}
@@ -1331,7 +1425,7 @@ func (c *Cluster) AcquireLock(node, tid int, lock int32) (sim.Time, error) {
 		if err == nil {
 			break
 		}
-		if c.cfg.FaultTolerance && isNodeDown(err) && attempt < c.cfg.Nodes && c.refreshView() > 0 {
+		if attempt < c.cfg.Nodes && c.shouldFailOver(err, mgr) {
 			continue // the manager died; re-resolve against the new view
 		}
 		return 0, fmt.Errorf("dsm: node %d acquire lock %d: %w", node, lock, err)
@@ -1412,7 +1506,7 @@ func (c *Cluster) pullLockHistory(node int, lock int32, holder int, seen []int32
 		if err == nil {
 			break
 		}
-		if c.cfg.FaultTolerance && isNodeDown(err) && attempt < c.cfg.Nodes && c.refreshView() > 0 {
+		if attempt < c.cfg.Nodes && c.shouldFailOver(err, target) {
 			continue
 		}
 		return 0, fmt.Errorf("dsm: node %d pull lock %d from holder %d: %w", node, lock, holder, err)
@@ -1456,7 +1550,7 @@ func (c *Cluster) ReleaseLock(node, tid int, lock int32) (sim.Time, error) {
 		mgr := c.effLockManager(lock)
 		wire, err := c.releaseLockTo(n, lock, mgr)
 		if err != nil {
-			if c.cfg.FaultTolerance && isNodeDown(err) && attempt < c.cfg.Nodes && c.refreshView() > 0 {
+			if attempt < c.cfg.Nodes && c.shouldFailOver(err, mgr) {
 				// The manager died mid-release; re-ship to its successor.
 				// Per-target sentKnown marks make the re-send carry
 				// everything the new manager has not yet seen.

@@ -45,7 +45,6 @@ package dsm
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"actdsm/internal/msg"
 	"actdsm/internal/sim"
@@ -149,8 +148,8 @@ func (c *Cluster) AliveSuccessor(i int) int {
 // Callers invoke it when a call fails with ErrNodeDown (and at barrier
 // entry), then re-resolve their target against the updated view.
 func (c *Cluster) refreshView() int {
-	if c.chaos == nil {
-		return 0
+	if !c.cfg.FaultTolerance {
+		return 0 // nothing fails over, so nobody is ever marked dead
 	}
 	var crashed []int
 	c.viewMu.Lock()
@@ -167,6 +166,16 @@ func (c *Cluster) refreshView() int {
 		c.probeNodeCrashed(i)
 	}
 	return len(crashed)
+}
+
+// shouldFailOver reports whether a call to node `to` that failed with err
+// should be re-resolved against the membership view and retried: the
+// refresh just learned of a death, or another caller already recorded
+// that `to` is dead. The second clause matters under concurrency — every
+// caller that resolved the same target before it died lands here, and
+// only the first one's refresh discovers anything.
+func (c *Cluster) shouldFailOver(err error, to int) bool {
+	return c.cfg.FaultTolerance && isNodeDown(err) && (c.refreshView() > 0 || c.isDead(to))
 }
 
 // effLockManager returns the node currently serving a lock's shard: the
@@ -271,7 +280,7 @@ func (c *Cluster) replicate(n *node, notices []msg.Notice) (sim.Time, error) {
 			c.stats.ReplicaBytes.Add(int64(msg.Size(delta)))
 			return wire, nil
 		}
-		if isNodeDown(err) && c.refreshView() > 0 && attempt < c.cfg.Nodes {
+		if attempt < c.cfg.Nodes && c.shouldFailOver(err, succ) {
 			// The standby itself died. The new standby has none of this
 			// epoch's earlier suffixes, so re-ship the full history.
 			succ = c.aliveSucc(n.id)
@@ -476,7 +485,7 @@ func (c *Cluster) shadowRelease(n *node, lock int32, em int) (sim.Time, error) {
 		}
 		_, wire, err := c.call(n.id, t, rel)
 		if err != nil {
-			if isNodeDown(err) && c.refreshView() > 0 {
+			if c.shouldFailOver(err, t) {
 				// The standby died; the next membership change re-
 				// establishes mirrors from the post-barrier reset state.
 				continue
@@ -652,6 +661,18 @@ func (c *Cluster) rejoinNode(d int) (sim.Time, error) {
 	return cost, nil
 }
 
+// fetchStandbyCopy has standby node s pull a full, current copy of page p
+// on the protocol's behalf (application threads are parked) and returns
+// the virtual time the fetch cost it.
+func (c *Cluster) fetchStandbyCopy(s int, p vm.PageID) (sim.Time, error) {
+	sn := c.nodes[s]
+	var ti sim.ThreadInterval
+	sn.setCharge(&ti, -1)
+	err := sn.fetchFullPage(-1, p, ApplyServer)
+	sn.setCharge(nil, 0)
+	return ti.Stall + ti.Overhead, err
+}
+
 // contributeDead folds each dead node's replicated, not-yet-flushed
 // causal history into its successor's barrier enter, so the episode's
 // union still carries every pre-crash write notice (the successor also
@@ -675,134 +696,6 @@ func (c *Cluster) contributeDead(enters []*msg.BarrierEnter) {
 	}
 }
 
-// barrierFT is Barrier under Config.FaultTolerance: the episode runs
-// over the alive set (root = lowest alive id, tree positions = indices
-// into the alive list), scheduled restarts rejoin at the episode start,
-// and a node death mid-phase shrinks the view and re-runs the phases.
-// Phase re-runs are safe for the same reason phase retries are: every
-// receiver folds idempotently, and fresh/known clear only after the
-// whole episode succeeds.
-func (c *Cluster) barrierFT() ([]sim.Time, error) {
-	nnodes := c.cfg.Nodes
-	costs := make([]sim.Time, nnodes)
-	episode := c.episode
-	c.episode++
-
-	// Scheduled restarts arm at the start of their episode.
-	if c.cfg.Chaos != nil {
-		for _, s := range c.cfg.Chaos.Crashes {
-			if s.RestartsAt(int64(episode)) && c.isDead(s.Node) {
-				w, err := c.rejoinNode(s.Node)
-				if err != nil {
-					return nil, err
-				}
-				costs[s.Node] += w
-			}
-		}
-	}
-	if c.refreshView() > 0 {
-		c.stats.RecoveryRounds.Add(1)
-	}
-
-	for attempt := 0; ; attempt++ {
-		ver := c.viewVersion()
-		err := c.barrierFTAttempt(episode, costs)
-		if err == nil {
-			break
-		}
-		// Retry when the view shrank — whether this check discovers the
-		// death or an inner retry (replicate's standby re-ship, a serve
-		// loop) already recorded it and then failed for the same crash.
-		// Gating on refreshView alone would let that inner discovery
-		// consume the retry budget's trigger.
-		if isNodeDown(err) && attempt < nnodes &&
-			(c.refreshView() > 0 || c.viewVersion() != ver) {
-			// A node died mid-phase: re-run the episode's phases over
-			// the shrunk alive set (no BarrierRetries charge — this is
-			// membership change, not a transient fault).
-			c.stats.RecoveryRounds.Add(1)
-			continue
-		}
-		return nil, err
-	}
-
-	// The episode succeeded: commit exactly the final attempt's notice
-	// union to the write history and consume the queued home moves.
-	c.histMu.Lock()
-	notices := c.ftNotices
-	qMoved, qSkipped := c.ftHomeMoved, c.ftHomeSkipped
-	c.ftNotices, c.ftHomeMoved, c.ftHomeSkipped = nil, 0, 0
-	c.histMu.Unlock()
-	c.recordWriteHistory(notices)
-	c.commitQueuedHomes(qMoved, qSkipped)
-
-	alive := c.aliveList()
-	for _, i := range alive {
-		costs[i] += c.costs.BarrierBase
-	}
-	// The episode is fully delivered: pending flush state, causal
-	// histories, and the per-epoch replication marks restart together.
-	for _, i := range alive {
-		n := c.nodes[i]
-		n.lockSync()
-		n.fresh = nil
-		n.known = nil
-		n.knownHave = make(map[[3]int32]bool)
-		for j := range n.sentKnown {
-			n.sentKnown[j] = 0
-		}
-		for j := range n.lockPos {
-			n.lockPos[j] = 0
-		}
-		n.lockMark = make(map[int32]int)
-		n.replSent = 0
-		n.mu.Unlock()
-		n.lockMgrMu.Lock()
-		n.shadow = make(map[int]*mgrLog)
-		n.lockMgrMu.Unlock()
-		n.replMu.Lock()
-		n.replKnown = make(map[int][]msg.Notice)
-		n.replLockMark = make(map[int]map[int32]int)
-		n.replMu.Unlock()
-	}
-	c.stats.Barriers.Add(1)
-
-	if c.cfg.GCThresholdBytes >= 0 {
-		var total int64
-		for _, i := range alive {
-			total += c.nodes[i].diffBytes.Load()
-		}
-		if total > int64(c.cfg.GCThresholdBytes) {
-			for attempt := 0; ; attempt++ {
-				ver := c.viewVersion()
-				err := c.collectGarbageFT(costs)
-				if err == nil {
-					break
-				}
-				if isNodeDown(err) && attempt < nnodes &&
-					(c.refreshView() > 0 || c.viewVersion() != ver) {
-					// A node died mid-collection: re-run over the shrunk
-					// view. Re-running is idempotent — consolidation
-					// re-fetches only still-pending diffs and collect
-					// re-drops already-empty stores.
-					c.stats.RecoveryRounds.Add(1)
-					continue
-				}
-				return nil, err
-			}
-		}
-	}
-	// A crash whose scheduled call fell inside this episode may never
-	// fail a protocol call — the victim can die after its last
-	// participation (its enter already folded, no release or GC call
-	// addressed it). Reconcile with the chaos layer before threads
-	// resume, so the engine migrates the victim's threads at THIS
-	// barrier and routing sees the death before the first post-barrier
-	// fault, not when a call from the dead node is refused mid-interval.
-	c.refreshView()
-	return costs, nil
-}
-
 // viewVersion returns the membership view's change counter; retry loops
 // compare it across an attempt to detect deaths an inner recovery path
 // already folded into the view.
@@ -812,337 +705,27 @@ func (c *Cluster) viewVersion() int64 {
 	return c.viewVer
 }
 
-// barrierFTAttempt runs one attempt of the FT barrier's phases over the
-// current alive set.
-func (c *Cluster) barrierFTAttempt(episode int32, costs []sim.Time) error {
-	nnodes := c.cfg.Nodes
-	alive := c.aliveList()
-	na := len(alive)
-	if na == 0 {
-		return errors.New("dsm: barrier with no alive nodes")
-	}
-	mgr := alive[0]
-	tree := c.cfg.BarrierArity >= 2 && na > 1
-
-	c.barrierMu.Lock()
-	for i := range c.barriers {
-		c.barriers[i] = barrierState{
-			episode: episode,
-			entered: make(map[int32]bool, na),
-			have:    make(map[[3]int32]bool),
-			hot:     make(map[int32][]int32, na),
+// rerunOnViewChange runs a view-wide protocol step (the barrier's
+// phases, a garbage-collection round) and re-runs it over the shrunk view
+// when a member died under it. The step re-runs when the view shrank —
+// whether this check discovers the death or an inner retry (replicate's
+// standby re-ship, a serve loop) already recorded it and then failed for
+// the same crash; gating on refreshView alone would let that inner
+// discovery consume the retry's trigger. A re-run is a membership change,
+// not a transient fault, so it draws no BarrierRetries charge. Without
+// fault tolerance the view never changes and the step runs exactly once.
+func (c *Cluster) rerunOnViewChange(step func() error) error {
+	for attempt := 0; ; attempt++ {
+		ver := c.viewVersion()
+		err := step()
+		if err == nil {
+			return nil
 		}
-	}
-	c.barrierMu.Unlock()
-
-	// Phase 1 (local, serial, alive only): close every interval,
-	// replicate the closed state to the ring successor, build enters.
-	enters := make([]*msg.BarrierEnter, nnodes)
-	for _, i := range alive {
-		n := c.nodes[i]
-		notices, diffCost := n.closeInterval()
-		costs[i] += diffCost
-		w, err := c.replicate(n, notices)
-		if err != nil {
-			return err
-		}
-		costs[i] += w
-		n.lockSync()
-		enters[i] = &msg.BarrierEnter{
-			Node:    int32(i),
-			Episode: episode,
-			Lam:     n.lamport.Load(),
-			Notices: append([]msg.Notice(nil), n.fresh...),
-		}
-		n.mu.Unlock()
-	}
-	c.contributeDead(enters)
-
-	// Phase 2: enter fan-in over the alive set.
-	var err error
-	if tree {
-		err = c.broadcast(func() error { return c.treeEnterPhaseFT(episode, alive, enters, costs) })
-	} else {
-		err = c.broadcast(func() error {
-			return fanOut(na, c.cfg.SerialFanOut, func(j int) error {
-				i := alive[j]
-				if i == mgr {
-					_, err := c.nodes[mgr].serveBarrierEnter(enters[mgr])
-					return err
-				}
-				_, wire, err := c.call(i, mgr, enters[i])
-				if err != nil {
-					return fmt.Errorf("dsm: barrier enter node %d: %w", i, err)
-				}
-				costs[i] += wire
-				return nil
-			})
-		})
-	}
-	if err != nil {
-		return err
-	}
-
-	c.barrierMu.Lock()
-	entered := c.barriers[mgr].entered
-	for _, i := range alive {
-		if !entered[int32(i)] {
-			got := len(entered)
-			c.barrierMu.Unlock()
-			return fmt.Errorf("dsm: barrier episode %d: %d entered, alive node %d missing", episode, got, i)
-		}
-	}
-	notices := append([]msg.Notice(nil), c.barriers[mgr].notices...)
-	lam := c.barriers[mgr].lam
-	c.barrierMu.Unlock()
-	sort.Slice(notices, func(i, j int) bool {
-		a, b := notices[i], notices[j]
-		if a.Writer != b.Writer {
-			return a.Writer < b.Writer
-		}
-		if a.Interval != b.Interval {
-			return a.Interval < b.Interval
-		}
-		return a.Page < b.Page
-	})
-	var homes []msg.PageHome
-	if c.cfg.HomeMigration {
-		homes = c.migrationDecisionsAll(c.nodes[mgr], notices, true)
-	}
-	homes, qMoved, qSkipped := c.queuedHomeDecisions(c.nodes[mgr], homes)
-	// Stash this attempt's notice union and queued-home accounting: the
-	// successful attempt's values are committed once by barrierFT (a
-	// crashed attempt recomputes and overwrites them).
-	c.histMu.Lock()
-	c.ftNotices = notices
-	c.ftHomeMoved, c.ftHomeSkipped = qMoved, qSkipped
-	c.histMu.Unlock()
-
-	// Phase 3: release fan-out over the alive set.
-	if tree {
-		err = c.broadcast(func() error {
-			return c.treeReleasePhaseFT(episode, lam, alive, notices, homes, costs)
-		})
-	} else {
-		err = c.broadcast(func() error {
-			return fanOut(na, c.cfg.SerialFanOut, func(j int) error {
-				i := alive[j]
-				rel := &msg.BarrierRelease{Episode: episode, Lam: lam, Notices: notices, Homes: homes}
-				if i == mgr {
-					_, err := c.nodes[i].serveBarrierRelease(rel)
-					return err
-				}
-				_, wire, err := c.call(mgr, i, rel)
-				if err != nil {
-					return fmt.Errorf("dsm: barrier release node %d: %w", i, err)
-				}
-				costs[i] += wire
-				return nil
-			})
-		})
-	}
-	if err != nil {
-		return err
-	}
-
-	// Standby upkeep for migrated homes: the new home's ring successor
-	// must hold a copy (the invariant failover full-fetches rely on); a
-	// successor without one fetches it now, while threads are parked.
-	for _, ph := range homes {
-		h := int(ph.Home)
-		s := c.aliveSucc(h)
-		if s == h {
+		if isNodeDown(err) && attempt < c.cfg.Nodes &&
+			(c.refreshView() > 0 || c.viewVersion() != ver) {
+			c.stats.RecoveryRounds.Add(1)
 			continue
 		}
-		sn := c.nodes[s]
-		p := vm.PageID(ph.Page)
-		sh := sn.rlockShard(p)
-		has := sn.pages[p].hasCopy
-		sh.runlock()
-		if has {
-			continue
-		}
-		var ti sim.ThreadInterval
-		sn.setCharge(&ti, -1)
-		if err := sn.fetchFullPage(-1, p, ApplyServer); err != nil {
-			sn.setCharge(nil, 0)
-			return fmt.Errorf("dsm: standby fetch page %d: %w", p, err)
-		}
-		sn.setCharge(nil, 0)
-		costs[s] += ti.Stall + ti.Overhead
-	}
-	return nil
-}
-
-// treeEnterPhaseFT is treeEnterPhase over the alive list: tree
-// positions are indices into the alive slice (root = position 0), so
-// the topology stays a complete k-ary tree however membership shrinks.
-func (c *Cluster) treeEnterPhaseFT(episode int32, alive []int, enters []*msg.BarrierEnter, costs []sim.Time) error {
-	k := c.cfg.BarrierArity
-	for _, i := range alive {
-		if _, err := c.nodes[i].serveBarrierEnter(enters[i]); err != nil {
-			return err
-		}
-	}
-	levels := treeLevels(len(alive), k)
-	var firstErr error
-	for li := len(levels) - 1; li >= 0; li-- {
-		lvl := levels[li]
-		err := fanOut(len(lvl), c.cfg.SerialFanOut, func(j int) error {
-			child := alive[lvl[j]]
-			parent := alive[treeParent(lvl[j], k)]
-			agg := c.buildEnterAggregate(child, episode)
-			_, wire, err := c.call(child, parent, agg)
-			if err != nil {
-				return fmt.Errorf("dsm: barrier enter relay node %d: %w", child, err)
-			}
-			costs[child] += wire
-			return nil
-		})
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// treeReleasePhaseFT is treeReleasePhase over the alive list. The FT
-// barrier never carries pushed diffs (prefetch is excluded with fault
-// tolerance), so relays reduce to the episode payload.
-func (c *Cluster) treeReleasePhaseFT(episode, lam int32, alive []int, notices []msg.Notice, homes []msg.PageHome, costs []sim.Time) error {
-	k := c.cfg.BarrierArity
-	rel0 := &msg.BarrierRelease{Episode: episode, Lam: lam, Notices: notices, Homes: homes}
-	if _, err := c.nodes[alive[0]].serveBarrierRelease(rel0); err != nil {
 		return err
 	}
-	var firstErr error
-	for _, lvl := range treeLevels(len(alive), k) {
-		err := fanOut(len(lvl), c.cfg.SerialFanOut, func(j int) error {
-			child := alive[lvl[j]]
-			parent := alive[treeParent(lvl[j], k)]
-			rel, err := c.buildChildReleaseFT(parent, episode)
-			if err != nil {
-				return err
-			}
-			_, wire, err := c.call(parent, child, rel)
-			if err != nil {
-				return fmt.Errorf("dsm: barrier release relay node %d: %w", child, err)
-			}
-			costs[child] += wire
-			return nil
-		})
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// buildChildReleaseFT assembles the release a parent relays down the FT
-// tree from its stored copy of the episode payload.
-func (c *Cluster) buildChildReleaseFT(parent int, episode int32) (*msg.BarrierRelease, error) {
-	c.barrierMu.Lock()
-	defer c.barrierMu.Unlock()
-	src := c.barriers[parent].rel
-	if src == nil || src.Episode != episode {
-		return nil, fmt.Errorf("dsm: barrier release relay: node %d holds no release for episode %d", parent, episode)
-	}
-	return &msg.BarrierRelease{Episode: episode, Lam: src.Lam, Notices: src.Notices, Homes: src.Homes}, nil
-}
-
-// collectGarbageFT is collectGarbage over the alive view: pages
-// consolidate at their effective home, the home's standby refreshes its
-// full copy before the drop broadcast (so the two-copy invariant
-// survives the collection), and the collect spares the standby's page
-// copy while still dropping every stored and replicated diff.
-func (c *Cluster) collectGarbageFT(costs []sim.Time) error {
-	c.stats.GCRounds.Add(1)
-	alive := c.aliveList()
-	pageSet := make(map[vm.PageID]bool)
-	for _, i := range alive {
-		n := c.nodes[i]
-		for s := range n.shards {
-			sh := &n.shards[s]
-			sh.mu.RLock()
-			for p := range sh.diffs {
-				pageSet[p] = true
-			}
-			sh.mu.RUnlock()
-		}
-		n.replMu.Lock()
-		for _, pm := range n.replDiffs {
-			for p := range pm {
-				pageSet[p] = true
-			}
-		}
-		n.replMu.Unlock()
-	}
-	pages := make([]vm.PageID, 0, len(pageSet))
-	for p := range pageSet {
-		pages = append(pages, p)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-
-	for _, p := range pages {
-		ref := c.nodes[alive[0]]
-		hm := ref.effHome(p)
-		mgr := c.nodes[hm]
-		sh := mgr.rlockShard(p)
-		pending := append([]msg.Notice(nil), mgr.pages[p].pending...)
-		sh.runlock()
-		var ti sim.ThreadInterval
-		mgr.setCharge(&ti, -1)
-		if len(pending) > 0 {
-			ok, err := mgr.fetchAndApplyDiffs(-1, p, pending, ApplyServer)
-			if err != nil {
-				mgr.setCharge(nil, 0)
-				return fmt.Errorf("dsm: gc consolidate page %d: %w", p, err)
-			}
-			if !ok {
-				mgr.setCharge(nil, 0)
-				return fmt.Errorf("dsm: gc consolidate page %d: diffs already gone", p)
-			}
-			sh = mgr.lockShard(p)
-			mgr.as.SetProt(p, vm.ProtRead)
-			sh.mu.Unlock()
-		}
-		mgr.setCharge(nil, 0)
-		costs[mgr.id] += ti.Stall + ti.Overhead
-
-		// Refresh the standby's full copy before diffs drop, so a later
-		// failover still finds a current image.
-		if s := c.aliveSucc(hm); s != hm {
-			sn := c.nodes[s]
-			var sti sim.ThreadInterval
-			sn.setCharge(&sti, -1)
-			if err := sn.fetchFullPage(-1, p, ApplyServer); err != nil {
-				sn.setCharge(nil, 0)
-				return fmt.Errorf("dsm: gc standby refresh page %d: %w", p, err)
-			}
-			sn.setCharge(nil, 0)
-			costs[s] += sti.Stall + sti.Overhead
-		}
-
-		collect := &msg.GCCollect{Page: int32(p)}
-		err := c.broadcast(func() error {
-			return fanOut(len(alive), c.cfg.SerialFanOut, func(j int) error {
-				i := alive[j]
-				if i == mgr.id {
-					_, err := c.nodes[i].serveGCCollect(collect)
-					return err
-				}
-				_, wire, err := c.call(mgr.id, i, collect)
-				if err != nil {
-					return fmt.Errorf("dsm: gc collect page %d node %d: %w", p, i, err)
-				}
-				costs[i] += wire
-				return nil
-			})
-		})
-		if err != nil {
-			return err
-		}
-		c.stats.GCCollections.Add(1)
-	}
-	return nil
 }

@@ -570,7 +570,7 @@ func (n *node) fetchFullPage(tid int, p vm.PageID, src ApplySource) error {
 		var err error
 		reply, wire, err = c.call(n.id, mgr, req)
 		if err != nil {
-			if c.cfg.FaultTolerance && isNodeDown(err) && attempt < c.cfg.Nodes && c.refreshView() > 0 {
+			if attempt < c.cfg.Nodes && c.shouldFailOver(err, mgr) {
 				c.stats.Failovers.Add(1)
 				continue // home died mid-fetch: re-resolve to its standby
 			}
@@ -685,7 +685,7 @@ func (n *node) fetchAndApplyDiffs(tid int, p vm.PageID, pending []msg.Notice, sr
 					reply, wire, err = c.call(n.id, target, req)
 				}
 				if err != nil {
-					if c.cfg.FaultTolerance && isNodeDown(err) && attempt < c.cfg.Nodes && c.refreshView() > 0 {
+					if attempt < c.cfg.Nodes && c.shouldFailOver(err, target) {
 						c.stats.Failovers.Add(1)
 						continue
 					}
@@ -888,10 +888,10 @@ func (n *node) serveDiffRequest(req *msg.DiffRequest) (msg.Message, func(), erro
 }
 
 // serveBarrierEnter folds a barrier arrival into this node's episode
-// state. In the flat topology only node 0 receives enters; in the tree
-// topology every interior node folds its children's subtree aggregates
-// (Entered/HotSets non-empty) before forwarding its own aggregate one
-// edge up. The fold is idempotent: entered ids dedup through the
+// state. Only the root and tree positions with children receive enters:
+// a leaf child's own enter, or another folding position's subtree
+// aggregate (Entered/HotSets non-empty). The first arrival of an episode
+// allocates the fold state. The fold is idempotent: entered ids dedup through the
 // entered set and notices through the have map, so re-delivered enters
 // (transport retries, whole-phase barrier retries) — or aggregates that
 // grew between attempts — fold exactly-once per item per episode.
@@ -903,13 +903,9 @@ func (n *node) serveBarrierEnter(req *msg.BarrierEnter) (msg.Message, error) {
 		return &msg.Ack{}, nil // late duplicate of a completed episode
 	}
 	if b.entered == nil {
-		b.entered = make(map[int32]bool)
-	}
-	if b.have == nil {
+		b.entered = make(map[int32]bool, n.c.cfg.Nodes)
 		b.have = make(map[[3]int32]bool)
-	}
-	if b.hot == nil {
-		b.hot = make(map[int32][]int32)
+		b.hot = make(map[int32][]int32, n.c.cfg.Nodes)
 	}
 	ids := req.Entered
 	if len(ids) == 0 {
@@ -970,7 +966,7 @@ func (n *node) serveBarrierRelease(req *msg.BarrierRelease) (msg.Message, error)
 		n.pushedEpoch += pushed
 		n.mu.Unlock()
 	}
-	// Store the release for the tree fan-out: this node relays the
+	// Store the release for the fan-out below this node: it relays the
 	// episode's payload (and the Relay entries for its subtree) to its
 	// children from this copy.
 	n.c.barrierMu.Lock()

@@ -180,15 +180,14 @@ func (n *node) applyPush(push []msg.PushedDiff) (sim.Time, int, error) {
 	return cost, pushed, nil
 }
 
-// collectPushDiffs runs at the barrier manager between the enter fan-in
+// collectPushDiffs runs at the barrier's root between the enter fan-in
 // and the release fan-out: hot maps each node to its predicted pages,
 // notices is the episode's sorted union. It fetches every diff any node's
 // prediction needs — coalesced into at most one DiffBatchRequest per
 // writer for the whole cluster, the coalescing no per-reader pull can
 // achieve — and returns the per-destination push lists plus the
-// manager's wire cost. Budget > 0 caps the pages served per destination.
-func (c *Cluster) collectPushDiffs(hot map[int32][]int32, notices []msg.Notice) (map[int32][]msg.PushedDiff, sim.Time, error) {
-	const mgr = 0
+// root's wire cost. Budget > 0 caps the pages served per destination.
+func (c *Cluster) collectPushDiffs(root int, hot map[int32][]int32, notices []msg.Notice) (map[int32][]msg.PushedDiff, sim.Time, error) {
 	budget := c.cfg.PrefetchBudget
 	byPage := make(map[int32][]msg.Notice)
 	for _, nt := range notices {
@@ -228,7 +227,7 @@ func (c *Cluster) collectPushDiffs(hot map[int32][]int32, notices []msg.Notice) 
 		return nil, 0, nil
 	}
 
-	// One batch per writer for the whole cluster; the manager reads its
+	// One batch per writer for the whole cluster; the root reads its
 	// own diffs locally inside fetchDiffBatches.
 	byWriter := make(map[int32][]msg.Notice)
 	for _, nt := range notices {
@@ -236,7 +235,7 @@ func (c *Cluster) collectPushDiffs(hot map[int32][]int32, notices []msg.Notice) 
 			byWriter[nt.Writer] = append(byWriter[nt.Writer], nt)
 		}
 	}
-	got, wire, _, err := c.nodes[mgr].fetchDiffBatches(byWriter)
+	got, wire, _, err := c.nodes[root].fetchDiffBatches(byWriter)
 	if err != nil {
 		return nil, 0, err
 	}

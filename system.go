@@ -107,8 +107,8 @@ func WithClusterConfig(c ClusterConfig) SystemOption {
 }
 
 // WithConfig replaces the entire SystemConfig at once — the preferred
-// way to set several knobs together now that the per-field options are
-// deprecated. Applied in option order, like WithClusterConfig: it
+// way to set several knobs together, and the only way to set a field
+// that has no option of its own. Applied in option order, like WithClusterConfig: it
 // overwrites everything earlier options set, and later options
 // overwrite its fields.
 func WithConfig(c SystemConfig) SystemOption {
@@ -137,33 +137,9 @@ func WithPlacement(assign []int) SystemOption {
 	return func(c *SystemConfig) { c.Placement = append([]int(nil), assign...) }
 }
 
-// WithShuffle randomizes per-node thread execution order with the seed.
-//
-// Deprecated: set SystemConfig.ShuffleSeed via WithConfig.
-func WithShuffle(seed uint64) SystemOption {
-	return func(c *SystemConfig) { c.ShuffleSeed = seed }
-}
-
-// WithGCThreshold sets the diff garbage-collection threshold in bytes
-// (negative disables GC).
-//
-// Deprecated: set ClusterConfig.GCThresholdBytes via WithClusterConfig
-// or WithConfig.
-func WithGCThreshold(bytes int) SystemOption {
-	return func(c *SystemConfig) { c.Cluster.GCThresholdBytes = bytes }
-}
-
 // WithTCP routes DSM protocol messages over real loopback TCP sockets.
 func WithTCP() SystemOption {
 	return func(c *SystemConfig) { c.Cluster.UseTCP = true }
-}
-
-// WithProtocol selects the coherence protocol (default MultiWriter).
-//
-// Deprecated: set ClusterConfig.Protocol via WithClusterConfig or
-// WithConfig.
-func WithProtocol(p Protocol) SystemOption {
-	return func(c *SystemConfig) { c.Cluster.Protocol = p }
 }
 
 // WithTransportOptions tunes transport resilience: per-call timeouts
@@ -189,64 +165,6 @@ func WithBarrierRetries(n int) SystemOption {
 	return func(c *SystemConfig) { c.Cluster.BarrierRetries = n }
 }
 
-// WithDiffBatching coalesces diff fetches into one DiffBatchRequest per
-// writer node with parallel fan-out (DESIGN.md §7).
-//
-// Deprecated: set ClusterConfig.BatchDiffs via WithClusterConfig or
-// WithConfig.
-func WithDiffBatching() SystemOption {
-	return func(c *SystemConfig) { c.Cluster.BatchDiffs = true }
-}
-
-// WithPrefetchBudget enables correlation-driven prefetch at barrier
-// release: each node pulls the pending diffs of the pages its resident
-// threads are predicted to touch (from the active tracker's bitmaps when
-// tracking ran, else from the node's previous-epoch fault window),
-// batched per writer. budget > 0 caps the pages prefetched per node per
-// round; budget < 0 is unlimited; 0 disables (the default). See
-// DESIGN.md §7.
-//
-// Deprecated: set ClusterConfig.PrefetchBudget via WithClusterConfig
-// or WithConfig.
-func WithPrefetchBudget(budget int) SystemOption {
-	return func(c *SystemConfig) { c.Cluster.PrefetchBudget = budget }
-}
-
-// WithLockShards sets the number of lock-manager shards locks hash
-// into (shard s lives on node s mod Nodes). 0 (the default) spreads one
-// shard per node; 1 centralizes every lock on node 0, the
-// pre-decentralization baseline. See DESIGN.md §10.
-//
-// Deprecated: set ClusterConfig.LockShards via WithClusterConfig or
-// WithConfig.
-func WithLockShards(n int) SystemOption {
-	return func(c *SystemConfig) { c.Cluster.LockShards = n }
-}
-
-// WithBarrierArity arranges barrier traffic as a k-ary tree rooted at
-// node 0 — enters aggregate up the tree, releases relay down it — so
-// the barrier's critical path is O(log_k n) instead of O(n) at the
-// manager. 0 (the default) keeps the flat single-manager barrier; 1 and
-// negative values are invalid. See DESIGN.md §10.
-//
-// Deprecated: set ClusterConfig.BarrierArity via WithClusterConfig or
-// WithConfig.
-func WithBarrierArity(k int) SystemOption {
-	return func(c *SystemConfig) { c.Cluster.BarrierArity = k }
-}
-
-// WithHomeMigration enables the distributed-ownership extensions: page
-// homes migrate to each page's last writer at every barrier, and lock
-// grants forward — the acquirer pulls causal history straight from the
-// previous holder instead of through the manager. Multi-writer protocol
-// only. See DESIGN.md §10.
-//
-// Deprecated: set ClusterConfig.HomeMigration via WithClusterConfig or
-// WithConfig.
-func WithHomeMigration() SystemOption {
-	return func(c *SystemConfig) { c.Cluster.HomeMigration = true }
-}
-
 // WithNodeSpeeds makes the cluster heterogeneous: speeds[n] scales node
 // n's CPU (1.0 = baseline). Combine with CapacitiesForSpeeds-derived
 // placements to exploit the fast nodes.
@@ -262,14 +180,6 @@ func WithNodeSpeeds(speeds []float64) SystemOption {
 // when absent the probe path stays nil checks only.
 func WithObservability() SystemOption {
 	return func(c *SystemConfig) { c.Obs.Enabled = true }
-}
-
-// WithObsConfig sets the full observability configuration (ring
-// capacity, enablement).
-//
-// Deprecated: set SystemConfig.Obs via WithConfig.
-func WithObsConfig(o ObsConfig) SystemOption {
-	return func(c *SystemConfig) { c.Obs = o }
 }
 
 // NewSystem builds a cluster sized for the workload's shared segment
