@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet test race lint fmt-check tools bench bench-compare bench-hotpath bench-transport bench-e2e bench-module doc-links fuzz-smoke sweep check-mutations
+.PHONY: check build vet test race alloc-gate lint fmt-check tools bench bench-compare bench-hotpath bench-transport bench-e2e bench-module doc-links fuzz-smoke sweep check-mutations
 
 ## check: the full gate — formatting, build, vet, static analysis, the
-## test suite under the race detector, and the benchmark module's own
+## test suite under the race detector, the access path's allocation gate
+## (which the race run skips), and the benchmark module's own
 ## self-checks. This is what CI runs (CI's lint job additionally runs
 ## govulncheck).
-check: fmt-check build vet lint race bench-module
+check: fmt-check build vet lint race alloc-gate bench-module
 
 build:
 	$(GO) build ./...
@@ -50,6 +51,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## alloc-gate: the engine-side access path's allocation counts, without
+## the race detector (whose instrumentation allocates, so 'make race'
+## skips these): a warm Span allocates nothing, and a remote miss and a
+## lock hand-off stay under their ceilings (internal/dsm/alloc_test.go).
+## A re-introduced escape fails here, not at the next benchmark run.
+alloc-gate:
+	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestRemoteMissAllocCeiling|TestLockHandoffAllocCeiling' -count=1 -v
 
 ## bench: one benchmark per paper table/figure, plus the ablation,
 ## cut-cost, prefetch and trace-replay comparisons. The substrate

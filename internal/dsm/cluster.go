@@ -1,8 +1,10 @@
 package dsm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -284,7 +286,7 @@ func New(cfg Config) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			reply, release, err := n.serve(from, m)
+			reply, pinned, err := n.serve(from, m)
 			if err != nil {
 				return nil, err
 			}
@@ -294,9 +296,7 @@ func New(cfg Config) (*Cluster, error) {
 			// copied their bytes to the wire) and the reply's pooled
 			// page image.
 			out := msg.EncodeTo(msg.GetBuf(), reply)
-			if release != nil {
-				release()
-			}
+			pinned.release()
 			recycleReply(reply)
 			return out, nil
 		}
@@ -535,35 +535,56 @@ func (c *Cluster) broadcast(phase func() error) error {
 // The window is valid until the next synchronization operation; after a
 // barrier or lock transfer the application must re-acquire its spans.
 func (c *Cluster) Span(node, tid, off, size int, a vm.Access) ([]byte, sim.ThreadInterval, error) {
-	var ti sim.ThreadInterval
 	if size <= 0 || off < 0 || off+size > c.cfg.Pages*memlayout.PageSize {
-		return nil, ti, fmt.Errorf("dsm: span [%d,%d) out of segment", off, off+size)
+		return nil, sim.ThreadInterval{}, fmt.Errorf("dsm: span [%d,%d) out of segment", off, off+size)
 	}
 	n := c.nodes[node]
 	first := vm.PageID(off / memlayout.PageSize)
 	last := vm.PageID((off + size - 1) / memlayout.PageSize)
-	n.setCharge(&ti, tid)
-	// Memory-barrier handshake: server goroutines mutate protocol state
-	// under the page shard locks; taking each page's shard lock once
-	// orders their writes before this span's unlocked protection checks.
-	// The engine guarantees no server-side mutation overlaps the span
-	// itself. The same critical section settles prefetch accounting: the
-	// first touch of a page brought current by a prefetch round is a hit
-	// — a demand miss that did not happen — and feeds the fault-window
-	// predictor so a usefully prefetched page stays in next round's
-	// prediction.
+	n.spanCharge = sim.ThreadInterval{}
+	// Server goroutines mutate what the checks below read unlocked —
+	// protections, prefetched flags, page data — only inside shard
+	// write-sections, and every write-section bumps the node's generation
+	// before it unlocks. This one load therefore orders every section that
+	// has completed before those checks; the engine guarantees that none
+	// overlaps the span itself.
+	n.gen.Load()
+	if n.prefetchedLive.Load() != 0 {
+		n.settlePrefetchHits(first, last)
+	}
+	for p := first; p <= last; p++ {
+		trackF, _, err := n.as.Touch(tid, p, a)
+		if trackF {
+			c.stats.TrackingFaults.Add(1)
+			n.spanCharge.Overhead += c.costs.TrackFault
+		}
+		if err != nil {
+			return nil, n.spanCharge, err
+		}
+		for _, hook := range c.onAccess {
+			hook(node, tid, p, a)
+		}
+	}
+	return n.seg[off : off+size], n.spanCharge, nil
+}
+
+// settlePrefetchHits settles prefetch accounting for a span over
+// [first, last]: the first touch of a page brought current by a prefetch
+// round is a hit — a demand miss that did not happen — and feeds the
+// fault-window predictor, so a usefully prefetched page stays in next
+// round's prediction.
+func (n *node) settlePrefetchHits(first, last vm.PageID) {
 	var hits []vm.PageID
 	for p := first; p <= last; p++ {
 		sh := n.lockShard(p)
-		st := &n.pages[p]
-		if st.prefetched {
-			st.prefetched = false
-			c.stats.PrefetchHits.Add(1)
+		if st := &n.pages[p]; st.prefetched {
+			n.markPrefetched(st, false)
+			n.c.stats.PrefetchHits.Add(1)
 			if n.prefetchOn {
 				hits = append(hits, p)
 			}
 		}
-		sh.mu.Unlock()
+		n.unlockShard(sh)
 	}
 	if len(hits) > 0 {
 		n.lockSync()
@@ -572,22 +593,6 @@ func (c *Cluster) Span(node, tid, off, size int, a vm.Access) ([]byte, sim.Threa
 		}
 		n.mu.Unlock()
 	}
-	for p := first; p <= last; p++ {
-		trackF, _, err := n.as.Touch(tid, p, a)
-		if trackF {
-			c.stats.TrackingFaults.Add(1)
-			ti.Overhead += c.costs.TrackFault
-		}
-		if err != nil {
-			n.setCharge(nil, 0)
-			return nil, ti, err
-		}
-		for _, hook := range c.onAccess {
-			hook(node, tid, p, a)
-		}
-	}
-	n.setCharge(nil, 0)
-	return n.seg[off : off+size], ti, nil
 }
 
 // BeginTracking starts an active correlation-tracking phase on a node:
@@ -698,15 +703,15 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 		costs[i] += c.costs.BarrierBase
 		n.lockSync()
 		n.fresh = nil
-		n.known = nil
-		n.knownHave = make(map[[3]int32]bool)
+		n.known = nil // dropped, not truncated: shipped sub-slices alias it
+		clear(n.knownHave)
 		for j := range n.sentKnown {
 			n.sentKnown[j] = 0
 		}
 		for j := range n.lockPos {
 			n.lockPos[j] = 0
 		}
-		n.lockMark = make(map[int32]int)
+		clear(n.lockMark)
 		if c.cfg.FaultTolerance {
 			n.replSent = 0
 		}
@@ -841,15 +846,14 @@ func (c *Cluster) barrierAttempt(episode int32, costs []sim.Time) (barrierOutcom
 	// The parallel fan-in makes arrival order nondeterministic; sort the
 	// union so the release broadcast (and everything downstream of its
 	// notice order) stays identical across runs.
-	sort.Slice(notices, func(i, j int) bool {
-		a, b := notices[i], notices[j]
-		if a.Writer != b.Writer {
-			return a.Writer < b.Writer
+	slices.SortFunc(notices, func(a, b msg.Notice) int {
+		if c := cmp.Compare(a.Writer, b.Writer); c != 0 {
+			return c
 		}
-		if a.Interval != b.Interval {
-			return a.Interval < b.Interval
+		if c := cmp.Compare(a.Interval, b.Interval); c != 0 {
+			return c
 		}
-		return a.Page < b.Page
+		return cmp.Compare(a.Page, b.Page)
 	})
 	// Home migration: derive this episode's ownership moves from the
 	// sorted union; the decisions ride the release fan-out so every
@@ -1325,22 +1329,18 @@ func (c *Cluster) collectGarbage(costs []sim.Time) error {
 		pending := append([]msg.Notice(nil), mgr.pages[p].pending...)
 		sh.runlock()
 		var ti sim.ThreadInterval
-		mgr.setCharge(&ti, -1)
 		if len(pending) > 0 {
-			ok, err := mgr.fetchAndApplyDiffs(-1, p, pending, ApplyServer)
+			ok, err := mgr.fetchAndApplyDiffs(&ti, -1, p, pending, ApplyServer)
 			if err != nil {
-				mgr.setCharge(nil, 0)
 				return fmt.Errorf("dsm: gc consolidate page %d: %w", p, err)
 			}
 			if !ok {
-				mgr.setCharge(nil, 0)
 				return fmt.Errorf("dsm: gc consolidate page %d: diffs already gone", p)
 			}
 			sh = mgr.lockShard(p)
 			mgr.as.SetProt(p, vm.ProtRead)
-			sh.mu.Unlock()
+			mgr.unlockShard(sh)
 		}
-		mgr.setCharge(nil, 0)
 		costs[hm] += ti.Stall + ti.Overhead
 
 		if c.cfg.FaultTolerance {
@@ -1400,7 +1400,7 @@ func (c *Cluster) AcquireLock(node, tid int, lock int32) (sim.Time, error) {
 		req := &msg.LockAcquire{
 			Node: int32(node),
 			Lock: lock,
-			Seen: append([]int32(nil), n.seen...),
+			Seen: n.seen, // copy-on-write: a published vector never changes
 		}
 		if !failover {
 			// Positions index the primary manager's log; a failover
@@ -1458,7 +1458,7 @@ func (c *Cluster) AcquireLock(node, tid int, lock int32) (sim.Time, error) {
 		// no notices — the previous holder kept them. Pull the lock's
 		// causal history directly from that holder.
 		n.lockSync()
-		seen := append([]int32(nil), n.seen...)
+		seen := n.seen
 		n.mu.Unlock()
 		pwire, err := c.pullLockHistory(node, lock, int(grant.Holder), seen)
 		if err != nil {
@@ -1618,7 +1618,7 @@ func (c *Cluster) releaseLockTo(n *node, lock int32, mgr int) (sim.Time, error) 
 			Node:    int32(node),
 			Lock:    lock,
 			Lam:     n.lamport.Load(),
-			Notices: append([]msg.Notice(nil), shipped...),
+			Notices: shipped, // stable without mu: known is append-only
 		}
 		n.sentKnown[mgr] = len(n.known)
 	}

@@ -33,15 +33,62 @@
 //     is the baseline the hotpath benchmark compares against.
 //   - Synchronization-side state (interval counter, seen vector, notice
 //     histories, prefetch windows) lives under a small per-node mutex.
-//   - The lock-manager log, single-writer ownership table, and
-//     virtual-time charge plumbing each have their own leaf mutex, and
-//     the Lamport clock and diff-volume gauge are atomics.
+//   - The lock-manager log and single-writer ownership table each have
+//     their own leaf mutex, and the Lamport clock, diff-volume gauge,
+//     mutation generation and live-prefetched count are atomics.
 //
 // No code path holds two of these locks across each other or holds any
 // of them across a transport call, so the scheme is deadlock-free by
 // construction. Contended acquisitions are counted in
 // Stats.ShardContention and Stats.SyncContention (visible through the
 // obs metrics endpoint) so shard sizing is observable in production.
+//
+// # The engine-side access path
+//
+// In the paper a valid-page access is free — the MMU checks it — and
+// tracking overhead is judged against that. Here every page touch goes
+// through Cluster.Span, so its warm case takes no lock and allocates
+// nothing.
+//
+// No lock: Span reads the pages' protections (and, under prefetch, their
+// prefetched flags) unlocked and hands out the segment window. The rule
+// that makes this sound is that whatever Span reads unlocked is mutated
+// only inside a shard write-section, and every write-section — serve
+// path or fault path — ends in unlockShard, which bumps the node's atomic
+// mutation generation before it releases the lock. Span loads the
+// generation once before its checks. A write-section that completed
+// before the span began has bumped the counter before that load, so the
+// load observes the bump and the section's writes happen-before the
+// span's reads — one load, where taking and dropping each page's shard
+// lock would buy the same edge for a mutex pair per page. (The page
+// serve's read-section bumps the generation too: it copies the page data
+// that spans write through their windows, and the bump orders the copy
+// before a later span's writes.) The engine guarantees the other half,
+// that no server-side mutation overlaps a span on the same node: barrier
+// releases, GC collects and rejoin wipes run with the node's threads
+// parked. Prefetch-hit accounting, the one part of a span that does lock
+// a page's shard, runs only while the node's live-prefetched count is
+// non-zero.
+//
+// No charge mutex, and no owner assertion in its place: the virtual-time
+// charges of an access accumulate in a value field of the node
+// (spanCharge) that Span zeroes on entry and returns by value, so nothing
+// escapes to the heap, and nothing is shared that a lock or a check would
+// have to guard. The fault path, which the vm layer calls back without a
+// way to pass an argument, writes spanCharge from the goroutine inside
+// Span and from nowhere else (the engine runs one application thread at a
+// time), while the fetch helpers that server goroutines also run
+// (fetchFullPage, fetchAndApplyDiffs) take their sink as a parameter —
+// the barrier goroutine's local interval for GC, rejoin and standby
+// fetches, nil for serves, whose cost no thread waits for. A transport
+// worker therefore never reads or writes any node's charge state.
+//
+// Lean misses: the fault path's scratch lives on the calling frame
+// (server-side fetchAndApplyDiffs runs concurrently on transport workers,
+// so there is no per-node scratch to share), and lock traffic sends
+// sub-slices of the append-only known and fresh histories and the
+// copy-on-write seen vector rather than copies. alloc_test.go holds the
+// resulting counts (make alloc-gate).
 //
 // The serve path is also allocation-lean: protocol encode/decode uses
 // pooled buffers (msg.GetBuf/msg.EncodeTo), page-sized twin and reply

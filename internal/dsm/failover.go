@@ -256,7 +256,7 @@ func (c *Cluster) replicate(n *node, notices []msg.Notice) (sim.Time, error) {
 			Interval: n.interval,
 			Lam:      n.lamport.Load(),
 			Notices:  notices,
-			Known:    append([]msg.Notice(nil), n.known[start:]...),
+			Known:    n.known[start:], // stable without mu: append-only
 		}
 		n.replSent = len(n.known)
 		n.mu.Unlock()
@@ -465,7 +465,7 @@ func (c *Cluster) shadowRelease(n *node, lock int32, em int) (sim.Time, error) {
 		n.lockSync()
 		var shipped []msg.Notice
 		if !c.cfg.HomeMigration {
-			shipped = append([]msg.Notice(nil), n.known[n.sentKnown[t]:]...)
+			shipped = n.known[n.sentKnown[t]:] // stable without mu: append-only
 			n.sentKnown[t] = len(n.known)
 		}
 		rel := &msg.LockRelease{
@@ -521,29 +521,27 @@ func (n *node) resetForRejoin() {
 			st.dirty = false
 			st.hasCopy = false
 			st.pending = nil
-			st.prefetched = false
+			n.markPrefetched(st, false)
 			st.appliedVT = nil
 			n.as.SetProt(vm.PageID(p), vm.ProtNone)
 		}
-		sh.mu.Unlock()
+		n.unlockShard(sh)
 	}
 	n.diffBytes.Store(0)
 	n.lamport.Store(0)
 	n.lockSync()
 	n.interval = 1
-	for i := range n.seen {
-		n.seen[i] = 0
-	}
+	n.seen = make([]int32, len(n.seen)) // copy-on-write: never zeroed in place
 	n.fresh = nil
 	n.known = nil
-	n.knownHave = make(map[[3]int32]bool)
+	clear(n.knownHave)
 	for i := range n.sentKnown {
 		n.sentKnown[i] = 0
 	}
 	for i := range n.lockPos {
 		n.lockPos[i] = 0
 	}
-	n.lockMark = make(map[int32]int)
+	clear(n.lockMark)
 	n.replSent = 0
 	n.replSeq = 0
 	if n.faultWin != nil {
@@ -593,7 +591,7 @@ func (n *node) serveRejoinRequest(req *msg.RejoinRequest) (msg.Message, error) {
 		iv = 1
 	}
 	n.lockSync()
-	seen := append([]int32(nil), n.seen...)
+	seen := n.seen
 	n.mu.Unlock()
 	homes := make([]int32, len(n.homes))
 	for p := range n.homes {
@@ -628,7 +626,9 @@ func (c *Cluster) rejoinNode(d int) (sim.Time, error) {
 		n.bumpLamport(rr.Lam)
 		n.lockSync()
 		n.interval = maxI32(rr.Interval, 1)
-		copy(n.seen, rr.Seen)
+		seen := make([]int32, len(n.seen))
+		copy(seen, rr.Seen)
+		n.seen = seen
 		n.mu.Unlock()
 		for p, h := range rr.Homes {
 			if p < len(n.homes) {
@@ -638,16 +638,13 @@ func (c *Cluster) rejoinNode(d int) (sim.Time, error) {
 		// Eager home re-fetch: effHome resolves to the standby while the
 		// view still marks this node dead.
 		var ti sim.ThreadInterval
-		n.setCharge(&ti, -1)
 		for p := range n.pages {
 			if n.home(vm.PageID(p)) == d {
-				if err := n.fetchFullPage(-1, vm.PageID(p), ApplyServer); err != nil {
-					n.setCharge(nil, 0)
+				if err := n.fetchFullPage(&ti, -1, vm.PageID(p), ApplyServer); err != nil {
 					return 0, fmt.Errorf("dsm: node %d rejoin refetch page %d: %w", d, p, err)
 				}
 			}
 		}
-		n.setCharge(nil, 0)
 		cost += ti.Stall + ti.Overhead
 	}
 	c.viewMu.Lock()
@@ -665,11 +662,8 @@ func (c *Cluster) rejoinNode(d int) (sim.Time, error) {
 // on the protocol's behalf (application threads are parked) and returns
 // the virtual time the fetch cost it.
 func (c *Cluster) fetchStandbyCopy(s int, p vm.PageID) (sim.Time, error) {
-	sn := c.nodes[s]
 	var ti sim.ThreadInterval
-	sn.setCharge(&ti, -1)
-	err := sn.fetchFullPage(-1, p, ApplyServer)
-	sn.setCharge(nil, 0)
+	err := c.nodes[s].fetchFullPage(&ti, -1, p, ApplyServer)
 	return ti.Stall + ti.Overhead, err
 }
 

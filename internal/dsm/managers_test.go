@@ -686,7 +686,7 @@ func TestDiffAliasGCHammer(t *testing.T) {
 					return
 				default:
 				}
-				reply, release, err := n.serve(1, req)
+				reply, pinned, err := n.serve(1, req)
 				if err != nil {
 					t.Error(err)
 					return
@@ -694,9 +694,7 @@ func TestDiffAliasGCHammer(t *testing.T) {
 				// Encode reads every aliased diff byte, exactly like
 				// the transport handler.
 				buf := msg.EncodeTo(msg.GetBuf(), reply)
-				if release != nil {
-					release()
-				}
+				pinned.release()
 				msg.PutBuf(buf)
 			}
 		}()

@@ -1,8 +1,9 @@
 package dsm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -104,11 +105,13 @@ func (ml *mgrLog) add(ns []msg.Notice) {
 	}
 }
 
+// reset empties the log at a barrier. A node that manages no lock
+// traffic — every node of a barrier-only application — pays nothing.
 func (ml *mgrLog) reset() {
 	ml.log = nil
-	ml.have = make(map[[3]int32]bool)
-	ml.lockLam = make(map[int32]int32)
-	ml.holder = make(map[int32]int32)
+	clear(ml.have)
+	clear(ml.lockLam)
+	clear(ml.holder)
 }
 
 // node is one DSM node: a private copy of the shared segment plus the
@@ -127,8 +130,22 @@ func (ml *mgrLog) reset() {
 //     pushCost). Helper methods with a Locked suffix require it held.
 //   - lockMgrMu guards the manager-side shared notice log (locks).
 //   - swMu guards the single-writer ownership table (sw).
-//   - chargeMu guards the virtual-time charge plumbing (charge, curTID).
-//   - lamport and diffBytes are atomics: folded and read lock-free.
+//   - lamport, diffBytes, gen and prefetchedLive are atomics: folded and
+//     read lock-free.
+//   - spanCharge has no lock: only the goroutine inside Cluster.Span
+//     touches it (see doc.go, "The engine-side access path").
+//
+// Cluster.Span takes none of these on a warm access. It reads the pages'
+// protections (and, while prefetchedLive is non-zero, their prefetched
+// flags) unlocked, after one Load of gen. The rule that makes that sound:
+// whatever Span reads unlocked — a page's protection, its prefetched flag,
+// its segment window — is mutated only inside a shard write-section, and
+// every write-section ends with unlockShard, which bumps gen before it
+// releases the lock. A section that completed before the span began is
+// therefore ordered before the span's Load, and the engine guarantees that
+// none overlaps the span. The page serve's read-section, which copies the
+// page data spans write through their windows, bumps gen the same way, so
+// the copy is ordered before a later span's writes.
 //
 // Lock order: mu and the leaf mutexes are never held across a shard
 // lock acquisition or a transport call, and no operation holds two shard
@@ -161,6 +178,21 @@ type node struct {
 	// lamport is the node's Lamport clock: incremented when an interval
 	// closes, max-folded when a stamped message arrives.
 	lamport atomic.Int32
+	// gen is the node's mutation generation: every shard write-section
+	// bumps it before unlocking (unlockShard), and Cluster.Span loads it
+	// once before its unlocked protection checks. The pair is the
+	// happens-before edge between a completed write-section and the
+	// span, at O(1) per span whatever the number of pages.
+	gen atomic.Uint64
+	// prefetchedLive counts the pages whose prefetched flag is set
+	// (markPrefetched keeps it in step). Span settles prefetch hits —
+	// the only per-page locking left on its path — only while it is
+	// non-zero, which without prefetch is never.
+	prefetchedLive atomic.Int32
+	// spanCharge accumulates the virtual-time charges of the engine-side
+	// access in progress: Cluster.Span zeroes it, the fault path adds to
+	// it, Span returns it. Owned by the goroutine inside Span.
+	spanCharge sim.ThreadInterval
 
 	// mu guards the synchronization-side state below (never held across
 	// a shard lock or a transport call).
@@ -168,6 +200,10 @@ type node struct {
 	interval int32 // index the next closed interval will get (starts at 1)
 	// seen[w] is the contiguous prefix of w's intervals whose notices
 	// this node is guaranteed to have received (advanced at barriers).
+	// Copy-on-write: a published vector is never modified, a barrier
+	// release that advances it installs a fresh one. A snapshot taken
+	// under mu therefore stays valid without it (lock acquires send one
+	// on every request).
 	seen []int32
 	// fresh accumulates notices created by this node since the last
 	// barrier; the barrier flushes it.
@@ -179,6 +215,9 @@ type node struct {
 	// that delivers our notices also delivers that interval's. Without
 	// this, a third node can receive causally-ordered diffs out of
 	// order and apply an older value over a newer one (lost update).
+	// Append-only until a barrier drops the whole list (never truncated
+	// in place), so a sub-slice taken under mu stays valid without it:
+	// releases and pulls ship such sub-slices uncopied.
 	known     []msg.Notice
 	knownHave map[[3]int32]bool
 	// sentKnown[mgr] is the prefix of known already shipped to manager
@@ -247,14 +286,6 @@ type node struct {
 	// (nil under the multi-writer protocol).
 	swMu sync.Mutex
 	sw   []swState
-
-	// chargeMu guards charge and curTID. charge, when non-nil, receives
-	// virtual-time charges from the engine-side access path (set by
-	// Cluster.Span for the duration of one access); curTID is the
-	// thread being charged.
-	chargeMu sync.Mutex
-	charge   *sim.ThreadInterval
-	curTID   int
 }
 
 func newNode(id int, c *Cluster, npages int) *node {
@@ -327,21 +358,18 @@ func (n *node) pageData(p vm.PageID) []byte {
 	return n.seg[off : off+memlayout.PageSize]
 }
 
-func (n *node) addCharge(ti sim.ThreadInterval) {
-	n.chargeMu.Lock()
-	if n.charge != nil {
-		n.charge.Add(ti)
+// markPrefetched sets or clears a page's prefetched flag, keeping the
+// node's live count in step. Requires the page's shard write lock.
+func (n *node) markPrefetched(st *pageState, v bool) {
+	if st.prefetched == v {
+		return
 	}
-	n.chargeMu.Unlock()
-}
-
-// setCharge installs (or, with nil, clears) the virtual-time charge sink
-// for the node's current engine-side access.
-func (n *node) setCharge(ti *sim.ThreadInterval, tid int) {
-	n.chargeMu.Lock()
-	n.charge = ti
-	n.curTID = tid
-	n.chargeMu.Unlock()
+	st.prefetched = v
+	if v {
+		n.prefetchedLive.Add(1)
+	} else {
+		n.prefetchedLive.Add(-1)
+	}
 }
 
 // bumpLamport folds a received Lamport clock into the node's (max).
@@ -362,7 +390,7 @@ func (n *node) addPending(nt msg.Notice) {
 	}
 	sh := n.lockShard(vm.PageID(nt.Page))
 	n.addPendingShardLocked(nt)
-	sh.mu.Unlock()
+	n.unlockShard(sh)
 }
 
 // addPendingShardLocked is addPending with the page's shard lock already
@@ -379,7 +407,7 @@ func (n *node) addPendingShardLocked(nt msg.Notice) {
 	}
 	if st.prefetched {
 		// Invalidated before any local touch: the prefetch was wasted.
-		st.prefetched = false
+		n.markPrefetched(st, false)
 		n.c.stats.PrefetchWasted.Add(1)
 	}
 	st.pending = append(st.pending, nt)
@@ -397,7 +425,8 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 	// Collect the dirty set with a strided per-shard scan, then sort:
 	// notices must be produced in ascending page order (the order the
 	// old full-scan produced), which downstream determinism relies on.
-	var dirtyPages []vm.PageID
+	var dirtyBuf [64]vm.PageID
+	dirtyPages := dirtyBuf[:0]
 	nshards := len(n.shards)
 	for s := 0; s < nshards; s++ {
 		sh := &n.shards[s]
@@ -415,7 +444,7 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 	if len(dirtyPages) == 0 {
 		return nil, 0
 	}
-	sort.Slice(dirtyPages, func(i, j int) bool { return dirtyPages[i] < dirtyPages[j] })
+	slices.Sort(dirtyPages)
 
 	lam := n.lamport.Add(1)
 	n.lockSync()
@@ -423,7 +452,8 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 	n.interval++
 	n.mu.Unlock()
 
-	var notices []msg.Notice
+	var noticeBuf [64]msg.Notice
+	notices := noticeBuf[:0]
 	var cost sim.Time
 	for _, p := range dirtyPages {
 		sh := n.lockShard(p)
@@ -436,7 +466,7 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 		n.as.SetProt(p, vm.ProtRead) // next write re-twins in the new interval
 		if len(diff) == 0 {
 			putDiffBuf(diff)
-			sh.mu.Unlock()
+			n.unlockShard(sh)
 			continue // silent store: wrote the same values
 		}
 		m, ok := sh.diffs[p]
@@ -448,17 +478,22 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 		n.diffBytes.Add(int64(len(diff)))
 		n.c.stats.DiffsCreated.Add(1)
 		st.noteApplied(n.c.cfg.Nodes, int32(n.id), iv)
-		sh.mu.Unlock()
+		n.unlockShard(sh)
 		notices = append(notices, msg.Notice{
 			Page: int32(p), Writer: int32(n.id), Interval: iv, Lam: lam,
 		})
 	}
+	// The interval's notices are returned as they sit in fresh. Like
+	// known, fresh is append-only until a barrier drops it, so the
+	// sub-slice stays valid without mu.
 	n.lockSync()
+	start := len(n.fresh)
 	n.fresh = append(n.fresh, notices...)
-	n.addKnownLocked(notices)
+	closed := n.fresh[start:len(n.fresh):len(n.fresh)]
+	n.addKnownLocked(closed)
 	n.mu.Unlock()
-	n.c.probeIntervalClosed(n.id, notices)
-	return notices, cost
+	n.c.probeIntervalClosed(n.id, closed)
+	return closed, cost
 }
 
 // addKnownLocked records notices in the node's since-last-barrier causal
@@ -474,23 +509,36 @@ func (n *node) addKnownLocked(ns []msg.Notice) {
 	}
 }
 
+// charge adds c to the sink ti; a nil sink discards it (server-side
+// fetches, which no thread waits for).
+func charge(ti *sim.ThreadInterval, c sim.ThreadInterval) {
+	if ti != nil {
+		ti.Add(c)
+	}
+}
+
 // resolveFault is the vm fault handler for engine-side accesses: it
-// implements the coherence protocol's fault path. Called without any
-// lock held; it takes the page's shard lock around state manipulation
-// and never holds a lock across a transport call.
+// implements the coherence protocol's fault path, charging the access in
+// progress (spanCharge). Called without any lock held; it takes the page's
+// shard lock around state manipulation and never holds a lock across a
+// transport call.
 func (n *node) resolveFault(tid int, p vm.PageID, a vm.Access) error {
 	c := n.c
 	if c.cfg.Protocol == SingleWriter {
 		return n.resolveFaultSW(tid, p, a)
 	}
+	ti := &n.spanCharge
 	c.stats.CoherenceFaults.Add(1)
-	n.addCharge(sim.ThreadInterval{Overhead: c.costs.SoftFault})
+	ti.Overhead += c.costs.SoftFault
 
+	// The snapshot lives on this frame unless the page has an unusually
+	// long backlog.
+	var pendBuf [16]msg.Notice
+	pending := pendBuf[:0]
 	sh := n.rlockShard(p)
 	st := &n.pages[p]
 	needFull := !st.hasCopy
-	var pending []msg.Notice
-	if !needFull && len(st.pending) > 0 {
+	if !needFull {
 		pending = append(pending, st.pending...)
 	}
 	sh.runlock()
@@ -498,19 +546,19 @@ func (n *node) resolveFault(tid int, p vm.PageID, a vm.Access) error {
 	remote := false
 	switch {
 	case needFull:
-		if err := n.fetchFullPage(tid, p, ApplyDemand); err != nil {
+		if err := n.fetchFullPage(ti, tid, p, ApplyDemand); err != nil {
 			return err
 		}
 		remote = true
 	case len(pending) > 0:
-		ok, err := n.fetchAndApplyDiffs(tid, p, pending, ApplyDemand)
+		ok, err := n.fetchAndApplyDiffs(ti, tid, p, pending, ApplyDemand)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			// A writer garbage-collected a needed diff; fall back
 			// to a full fetch from the manager.
-			if err := n.fetchFullPage(tid, p, ApplyDemand); err != nil {
+			if err := n.fetchFullPage(ti, tid, p, ApplyDemand); err != nil {
 				return err
 			}
 		}
@@ -525,12 +573,12 @@ func (n *node) resolveFault(tid int, p vm.PageID, a vm.Access) error {
 			st.twin = getPageBuf()
 			copy(st.twin, n.pageData(p))
 			c.stats.TwinsCreated.Add(1)
-			n.addCharge(sim.ThreadInterval{Overhead: c.costs.TwinCopy})
+			ti.Overhead += c.costs.TwinCopy
 		}
 		st.dirty = true
 		n.as.SetProt(p, vm.ProtReadWrite)
 	}
-	sh.mu.Unlock()
+	n.unlockShard(sh)
 
 	if remote {
 		if n.prefetchOn {
@@ -550,11 +598,12 @@ func (n *node) resolveFault(tid int, p vm.PageID, a vm.Access) error {
 
 // fetchFullPage brings a page current via its current home (the static
 // manager until a migration moves it, or — under fault tolerance — the
-// home's ring standby while the home is dead). tid is the faulting
-// thread (< 0 for server-side fetches) and src classifies the path for
-// the probe: ApplyDemand for fault-path fetches, ApplyServer for
-// recovery machinery (standby reseeding, rejoin re-fetches).
-func (n *node) fetchFullPage(tid int, p vm.PageID, src ApplySource) error {
+// home's ring standby while the home is dead), charging the round trip to
+// ti. tid is the faulting thread (< 0 for server-side fetches) and src
+// classifies the path for the probe: ApplyDemand for fault-path fetches,
+// ApplyServer for recovery machinery (standby reseeding, rejoin
+// re-fetches).
+func (n *node) fetchFullPage(ti *sim.ThreadInterval, tid int, p vm.PageID, src ApplySource) error {
 	c := n.c
 	var (
 		reply msg.Message
@@ -586,7 +635,7 @@ func (n *node) fetchFullPage(tid int, p vm.PageID, src ApplySource) error {
 	if src != ApplyDemand {
 		c.stats.RecoveryFetches.Add(1)
 	}
-	n.addCharge(sim.ThreadInterval{Stall: wire})
+	charge(ti, sim.ThreadInterval{Stall: wire})
 	c.probeRemoteFetch(n.id, tid, FetchPage, p, wire)
 
 	sh := n.lockShard(p)
@@ -602,138 +651,101 @@ func (n *node) fetchFullPage(tid int, p vm.PageID, src ApplySource) error {
 			st.appliedVT[w] = v
 		}
 	}
-	vt := append([]int32(nil), st.appliedVT...)
-	sh.mu.Unlock()
+	var vt []int32
+	if c.probe != nil && c.probe.PageFetched != nil {
+		vt = append(vt, st.appliedVT...)
+	}
+	n.unlockShard(sh)
 	// The decoded page image has been copied into the segment; its
 	// buffer can back a future twin or serve.
 	putPageBuf(pr.Data)
-	n.c.probePageFetched(n.id, p, src, vt)
+	c.probePageFetched(n.id, p, src, vt)
 	return nil
 }
 
-// fetchAndApplyDiffs retrieves the diffs named by pending from their
-// writers and applies them in (Lamport, writer) order. It returns false if
-// any writer has garbage-collected a needed diff. tid is the faulting
-// thread (< 0 for server-side fetches) and src classifies the protocol
-// path for the probe (demand fault vs. manager serving).
-func (n *node) fetchAndApplyDiffs(tid int, p vm.PageID, pending []msg.Notice, src ApplySource) (bool, error) {
-	c := n.c
-	sort.Slice(pending, func(i, j int) bool {
-		if pending[i].Lam != pending[j].Lam {
-			return pending[i].Lam < pending[j].Lam
-		}
-		if pending[i].Writer != pending[j].Writer {
-			return pending[i].Writer < pending[j].Writer
-		}
-		return pending[i].Interval < pending[j].Interval
-	})
+// causalOrder orders notices the way their diffs must apply: by Lamport
+// stamp, then writer, then interval. Notices of one page that compare
+// equal are the same notice.
+func causalOrder(a, b msg.Notice) int {
+	if c := cmp.Compare(a.Lam, b.Lam); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Writer, b.Writer); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Interval, b.Interval)
+}
 
-	// Fetch per writer, preserving global application order afterwards.
-	type fetched struct {
-		notice msg.Notice
-		diff   []byte
+// nextWriter returns the lowest writer id above prev among nts.
+func nextWriter(nts []msg.Notice, prev int32) (w int32, ok bool) {
+	for _, nt := range nts {
+		if nt.Writer > prev && (!ok || nt.Writer < w) {
+			w, ok = nt.Writer, true
+		}
 	}
-	byWriter := make(map[int32][]msg.Notice)
-	for _, nt := range pending {
-		byWriter[nt.Writer] = append(byWriter[nt.Writer], nt)
+	return w, ok
+}
+
+// fetchAndApplyDiffs retrieves the diffs named by pending from their
+// writers and applies them in causal order, charging the round trips and
+// the apply to ti. It returns false if any writer has garbage-collected a
+// needed diff. pending is the caller's to give away: it is sorted in
+// place. tid is the faulting thread (< 0 for server-side fetches) and src
+// classifies the protocol path for the probe (demand fault vs. manager
+// serving). Server-side calls run concurrently on transport workers, so
+// all scratch lives on this frame.
+func (n *node) fetchAndApplyDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, pending []msg.Notice, src ApplySource) (bool, error) {
+	c := n.c
+	slices.SortFunc(pending, causalOrder)
+
+	// diffs[i] is the diff pending[i] names.
+	var diffBuf [16][]byte
+	diffs := diffBuf[:]
+	if len(pending) > len(diffs) {
+		diffs = make([][]byte, len(pending))
 	}
-	got := make(map[[2]int32][]byte, len(pending))
+	diffs = diffs[:len(pending)]
 	if c.cfg.BatchDiffs {
 		// Batched path: one DiffBatchRequest per writer, fanned out in
 		// parallel; the stall is the slowest round trip, not the sum.
-		batched, wire, complete, err := n.fetchDiffBatches(byWriter)
+		wire, complete, err := n.fetchDiffBatches(pending, diffs)
 		if err != nil {
 			return false, err
 		}
-		n.addCharge(sim.ThreadInterval{Stall: wire})
-		n.c.probeRemoteFetch(n.id, tid, FetchDiffBatch, p, wire)
+		charge(ti, sim.ThreadInterval{Stall: wire})
+		c.probeRemoteFetch(n.id, tid, FetchDiffBatch, p, wire)
 		if !complete {
 			return false, nil // garbage-collected
 		}
-		for k, df := range batched {
-			got[[2]int32{k[1], k[2]}] = df
-		}
 	} else {
-		// Iterate writers in a fixed order for determinism.
-		writers := make([]int32, 0, len(byWriter))
-		for w := range byWriter {
-			writers = append(writers, w)
-		}
-		sort.Slice(writers, func(i, j int) bool { return writers[i] < writers[j] })
-		for _, w := range writers {
-			nts := byWriter[w]
-			req := &msg.DiffRequest{From: int32(n.id), Page: int32(p), Writer: w}
-			for _, nt := range nts {
-				req.Intervals = append(req.Intervals, nt.Interval)
-			}
-			var (
-				reply msg.Message
-				wire  sim.Time
-			)
-			for attempt := 0; ; attempt++ {
-				target := int(w)
-				if c.cfg.FaultTolerance && c.isDead(target) {
-					// The writer is dead: its replicated diff store on
-					// the ring standby serves in its stead.
-					target = c.aliveSucc(target)
-					c.stats.Failovers.Add(1)
-				}
-				var err error
-				if target == n.id {
-					reply, err = n.serveReplicaDiffs(req)
-				} else {
-					reply, wire, err = c.call(n.id, target, req)
-				}
-				if err != nil {
-					if attempt < c.cfg.Nodes && c.shouldFailOver(err, target) {
-						c.stats.Failovers.Add(1)
-						continue
-					}
-					return false, fmt.Errorf("dsm: node %d fetch diffs page %d from %d: %w", n.id, p, w, err)
-				}
-				break
-			}
-			dr, ok := reply.(*msg.DiffReply)
-			if !ok || len(dr.Diffs) != len(nts) {
-				return false, fmt.Errorf("dsm: node %d bad diff reply for page %d from %d", n.id, p, w)
-			}
-			c.stats.DiffFetches.Add(1)
-			n.addCharge(sim.ThreadInterval{Stall: wire})
-			c.probeRemoteFetch(n.id, tid, FetchDiff, p, wire)
-			for i, df := range dr.Diffs {
-				if df == nil {
-					return false, nil // garbage-collected
-				}
-				got[[2]int32{w, nts[i].Interval}] = df
-				c.stats.BytesDiff.Add(int64(len(df)))
+		// One DiffRequest per writer, writers in ascending order.
+		for w, more := nextWriter(pending, -1); more; w, more = nextWriter(pending, w) {
+			ok, err := n.fetchWriterDiffs(ti, tid, p, w, pending, diffs)
+			if !ok || err != nil {
+				return false, err
 			}
 		}
 	}
 
 	sh := n.lockShard(p)
-	defer sh.mu.Unlock()
+	defer n.unlockShard(sh)
 	st := &n.pages[p]
 	var applyCost sim.Time
-	applied := make([]fetched, 0, len(pending))
-	for _, nt := range pending {
-		df := got[[2]int32{nt.Writer, nt.Interval}]
-		applied = append(applied, fetched{nt, df})
-	}
-	for _, f := range applied {
-		if err := ApplyDiff(n.pageData(p), f.diff); err != nil {
+	for i, nt := range pending {
+		if err := ApplyDiff(n.pageData(p), diffs[i]); err != nil {
 			return false, fmt.Errorf("dsm: node %d apply diff page %d: %w", n.id, p, err)
 		}
-		applyCost += sim.Time(len(f.diff)) * c.costs.DiffPerByte
-		st.noteApplied(c.cfg.Nodes, f.notice.Writer, f.notice.Interval)
-		n.bumpLamport(f.notice.Lam)
-		c.probeDiffApplied(n.id, src, f.notice)
+		applyCost += sim.Time(len(diffs[i])) * c.costs.DiffPerByte
+		st.noteApplied(c.cfg.Nodes, nt.Writer, nt.Interval)
+		n.bumpLamport(nt.Lam)
+		c.probeDiffApplied(n.id, src, nt)
 	}
-	n.addCharge(sim.ThreadInterval{Overhead: applyCost})
+	charge(ti, sim.ThreadInterval{Overhead: applyCost})
 	// Remove exactly the notices we applied; concurrent server-side
 	// additions (queued while the fetch was in flight) survive.
 	keep := st.pending[:0]
 	for _, nt := range st.pending {
-		if _, ok := got[[2]int32{nt.Writer, nt.Interval}]; !ok {
+		if _, applied := slices.BinarySearchFunc(pending, nt, causalOrder); !applied {
 			keep = append(keep, nt)
 		}
 	}
@@ -741,13 +753,82 @@ func (n *node) fetchAndApplyDiffs(tid int, p vm.PageID, pending []msg.Notice, sr
 	return true, nil
 }
 
+// fetchWriterDiffs fetches, in one DiffRequest, the diffs of writer w's
+// notices in pending and stores each at its notice's index in diffs. It
+// returns false if the writer has garbage-collected one of them.
+func (n *node) fetchWriterDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, w int32, pending []msg.Notice, diffs [][]byte) (bool, error) {
+	c := n.c
+	// The request and room for its usual handful of intervals come as one
+	// object: a message handed to the transport lives on the heap.
+	alloc := &struct {
+		msg.DiffRequest
+		room [6]int32
+	}{DiffRequest: msg.DiffRequest{From: int32(n.id), Page: int32(p), Writer: w}}
+	req := &alloc.DiffRequest
+	req.Intervals = alloc.room[:0]
+	for _, nt := range pending {
+		if nt.Writer == w {
+			req.Intervals = append(req.Intervals, nt.Interval)
+		}
+	}
+	count := len(req.Intervals)
+	var (
+		reply msg.Message
+		wire  sim.Time
+	)
+	for attempt := 0; ; attempt++ {
+		target := int(w)
+		if c.cfg.FaultTolerance && c.isDead(target) {
+			// The writer is dead: its replicated diff store on
+			// the ring standby serves in its stead.
+			target = c.aliveSucc(target)
+			c.stats.Failovers.Add(1)
+		}
+		var err error
+		if target == n.id {
+			reply, err = n.serveReplicaDiffs(req)
+		} else {
+			reply, wire, err = c.call(n.id, target, req)
+		}
+		if err != nil {
+			if attempt < c.cfg.Nodes && c.shouldFailOver(err, target) {
+				c.stats.Failovers.Add(1)
+				continue
+			}
+			return false, fmt.Errorf("dsm: node %d fetch diffs page %d from %d: %w", n.id, p, w, err)
+		}
+		break
+	}
+	dr, ok := reply.(*msg.DiffReply)
+	if !ok || len(dr.Diffs) != count {
+		return false, fmt.Errorf("dsm: node %d bad diff reply for page %d from %d", n.id, p, w)
+	}
+	c.stats.DiffFetches.Add(1)
+	charge(ti, sim.ThreadInterval{Stall: wire})
+	c.probeRemoteFetch(n.id, tid, FetchDiff, p, wire)
+	next := 0
+	for i, nt := range pending {
+		if nt.Writer != w {
+			continue
+		}
+		df := dr.Diffs[next]
+		next++
+		if df == nil {
+			return false, nil // garbage-collected
+		}
+		diffs[i] = df
+		c.stats.BytesDiff.Add(int64(len(df)))
+	}
+	return true, nil
+}
+
 // serve dispatches an incoming protocol message. It is the transport
 // handler body and may run on a server goroutine in TCP mode — or, since
 // the sharded locking scheme, concurrently with other serves and with
-// the node's own application threads. The returned release func, when
-// non-nil, must be called once the reply has been encoded: diff serves
-// alias refcounted stored bytes and pin them only until then.
-func (n *node) serve(from int, m msg.Message) (msg.Message, func(), error) {
+// the node's own application threads. The returned pins must be released
+// once the reply has been encoded: diff serves alias refcounted stored
+// bytes and pin them only until then.
+func (n *node) serve(from int, m msg.Message) (msg.Message, retained, error) {
 	switch req := m.(type) {
 	case *msg.PageRequest:
 		return noRelease(n.servePageRequest(req))
@@ -802,7 +883,7 @@ func (n *node) serve(from int, m msg.Message) (msg.Message, func(), error) {
 
 // noRelease adapts a serve without retained references to the
 // dispatcher's three-value shape.
-func noRelease(m msg.Message, err error) (msg.Message, func(), error) {
+func noRelease(m msg.Message, err error) (msg.Message, retained, error) {
 	return m, nil, err
 }
 
@@ -829,10 +910,10 @@ func (n *node) servePageRequest(req *msg.PageRequest) (msg.Message, error) {
 		}
 	}
 	pending := append([]msg.Notice(nil), st.pending...)
-	sh.mu.Unlock()
+	n.unlockShard(sh)
 
 	if len(pending) > 0 {
-		ok, err := n.fetchAndApplyDiffs(-1, p, pending, ApplyServer)
+		ok, err := n.fetchAndApplyDiffs(nil, -1, p, pending, ApplyServer)
 		if err != nil {
 			return nil, err
 		}
@@ -844,7 +925,7 @@ func (n *node) servePageRequest(req *msg.PageRequest) (msg.Message, error) {
 		}
 		sh = n.lockShard(p)
 		n.as.SetProt(p, vm.ProtRead)
-		sh.mu.Unlock()
+		n.unlockShard(sh)
 	}
 
 	sh = n.rlockShard(p)
@@ -854,6 +935,10 @@ func (n *node) servePageRequest(req *msg.PageRequest) (msg.Message, error) {
 	vt := make([]int32, n.c.cfg.Nodes)
 	copy(vt, st.appliedVT)
 	n.holdForBench()
+	// This read-section copied page data, which spans write through their
+	// windows unlocked: bump the generation like a write-section would, so
+	// that the copy is ordered before the writes of any later span.
+	n.gen.Add(1)
 	sh.runlock()
 	return &msg.PageReply{Page: req.Page, Data: data, AppliedVT: vt}, nil
 }
@@ -866,7 +951,7 @@ func (n *node) servePageRequest(req *msg.PageRequest) (msg.Message, error) {
 // the store still holds its own reference — and released by the caller
 // once the reply is encoded, so a GC drop racing the encode cannot
 // recycle the bytes mid-read.
-func (n *node) serveDiffRequest(req *msg.DiffRequest) (msg.Message, func(), error) {
+func (n *node) serveDiffRequest(req *msg.DiffRequest) (msg.Message, retained, error) {
 	p := vm.PageID(req.Page)
 	out := &msg.DiffReply{Page: req.Page, Diffs: make([][]byte, len(req.Intervals))}
 	var pinned retained
@@ -881,10 +966,7 @@ func (n *node) serveDiffRequest(req *msg.DiffRequest) (msg.Message, func(), erro
 	}
 	n.holdForBench()
 	sh.runlock()
-	if pinned == nil {
-		return out, nil, nil
-	}
-	return out, pinned.release, nil
+	return out, pinned, nil
 }
 
 // serveBarrierEnter folds a barrier arrival into this node's episode
@@ -942,11 +1024,16 @@ func (n *node) serveBarrierRelease(req *msg.BarrierRelease) (msg.Message, error)
 		n.addPending(nt)
 	}
 	n.lockSync()
+	seen, fresh := n.seen, false
 	for _, nt := range req.Notices {
-		if nt.Interval > n.seen[nt.Writer] {
-			n.seen[nt.Writer] = nt.Interval
+		if nt.Interval > seen[nt.Writer] {
+			if !fresh {
+				seen, fresh = slices.Clone(seen), true
+			}
+			seen[nt.Writer] = nt.Interval
 		}
 	}
+	n.seen = seen
 	n.mu.Unlock()
 	// Home migration decisions apply while application threads are
 	// parked and no page requests are in flight; idempotent (a re-
@@ -988,7 +1075,7 @@ func (n *node) serveBarrierRelease(req *msg.BarrierRelease) (msg.Message, error)
 	for i := range n.lockPos {
 		n.lockPos[i] = 0
 	}
-	n.lockMark = make(map[int32]int)
+	clear(n.lockMark)
 	n.mu.Unlock()
 	return &msg.Ack{}, nil
 }
@@ -1064,7 +1151,7 @@ func (n *node) serveLockPull(req *msg.LockPull) (msg.Message, error) {
 	if mark > len(n.known) {
 		mark = len(n.known)
 	}
-	history := append([]msg.Notice(nil), n.known[:mark]...)
+	history := n.known[:mark] // stable without mu: known is append-only
 	n.mu.Unlock()
 	grant := &msg.LockGrant{Lock: req.Lock, Lam: n.lamport.Load(), Holder: int32(n.id)}
 	for _, nt := range history {
@@ -1102,7 +1189,7 @@ func (n *node) serveGCCollect(req *msg.GCCollect) (msg.Message, error) {
 		n.replMu.Unlock()
 	}
 	sh := n.lockShard(p)
-	defer sh.mu.Unlock()
+	defer n.unlockShard(sh)
 	if store, ok := sh.diffs[p]; ok {
 		var dropped int64
 		for _, d := range store {
@@ -1122,7 +1209,7 @@ func (n *node) serveGCCollect(req *msg.GCCollect) (msg.Message, error) {
 			return nil, fmt.Errorf("dsm: GC of page %d with open twin on node %d", p, n.id)
 		}
 		if st.prefetched {
-			st.prefetched = false
+			n.markPrefetched(st, false)
 			n.c.stats.PrefetchWasted.Add(1)
 		}
 		st.hasCopy = false

@@ -23,8 +23,9 @@ package dsm
 // set intact for the demand path's full-page fallback.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"actdsm/internal/msg"
 	"actdsm/internal/sim"
@@ -128,7 +129,7 @@ func (n *node) applyPush(push []msg.PushedDiff) (sim.Time, int, error) {
 		sh := n.lockShard(p)
 		st := &n.pages[p]
 		if !st.hasCopy || len(st.pending) == 0 {
-			sh.mu.Unlock()
+			n.unlockShard(sh)
 			continue
 		}
 		complete := true
@@ -142,27 +143,18 @@ func (n *node) applyPush(push []msg.PushedDiff) (sim.Time, int, error) {
 		// rule: the page is applied anyway and the uncovered updates are
 		// silently dropped below (lost update).
 		if !complete && c.cfg.Mutation != MutationPushPartialApply {
-			sh.mu.Unlock()
+			n.unlockShard(sh)
 			continue
 		}
 		ordered := append([]msg.Notice(nil), st.pending...)
-		sort.Slice(ordered, func(i, j int) bool {
-			a, b := ordered[i], ordered[j]
-			if a.Lam != b.Lam {
-				return a.Lam < b.Lam
-			}
-			if a.Writer != b.Writer {
-				return a.Writer < b.Writer
-			}
-			return a.Interval < b.Interval
-		})
+		slices.SortFunc(ordered, causalOrder)
 		for _, nt := range ordered {
 			df, ok := diffs[[3]int32{nt.Page, nt.Writer, nt.Interval}]
 			if !ok {
 				continue // only reachable under MutationPushPartialApply
 			}
 			if err := ApplyDiff(n.pageData(p), df); err != nil {
-				sh.mu.Unlock()
+				n.unlockShard(sh)
 				return 0, 0, fmt.Errorf("dsm: node %d apply pushed diff page %d: %w", n.id, p, err)
 			}
 			cost += sim.Time(len(df)) * c.costs.DiffPerByte
@@ -172,9 +164,9 @@ func (n *node) applyPush(push []msg.PushedDiff) (sim.Time, int, error) {
 		}
 		st.pending = st.pending[:0]
 		n.as.SetProt(p, vm.ProtRead)
-		st.prefetched = true
+		n.markPrefetched(st, true)
 		pushed++
-		sh.mu.Unlock()
+		n.unlockShard(sh)
 		c.stats.PrefetchedPages.Add(1)
 	}
 	return cost, pushed, nil
@@ -229,15 +221,22 @@ func (c *Cluster) collectPushDiffs(root int, hot map[int32][]int32, notices []ms
 
 	// One batch per writer for the whole cluster; the root reads its
 	// own diffs locally inside fetchDiffBatches.
-	byWriter := make(map[int32][]msg.Notice)
+	needed := make([]msg.Notice, 0, len(need))
 	for _, nt := range notices {
 		if need[[3]int32{nt.Page, nt.Writer, nt.Interval}] {
-			byWriter[nt.Writer] = append(byWriter[nt.Writer], nt)
+			needed = append(needed, nt)
 		}
 	}
-	got, wire, _, err := c.nodes[root].fetchDiffBatches(byWriter)
+	diffs := make([][]byte, len(needed))
+	wire, _, err := c.nodes[root].fetchDiffBatches(needed, diffs)
 	if err != nil {
 		return nil, 0, err
+	}
+	got := make(map[[3]int32][]byte, len(needed))
+	for i, nt := range needed {
+		if diffs[i] != nil {
+			got[[3]int32{nt.Page, nt.Writer, nt.Interval}] = diffs[i]
+		}
 	}
 
 	// Assemble each destination's push list. A page any of whose diffs
@@ -350,14 +349,16 @@ func (n *node) prefetch(budget int) (int, sim.Time, error) {
 		return 0, 0, nil
 	}
 
-	// Coalesce everything the round needs into one batch per writer.
-	byWriter := make(map[int32][]msg.Notice)
+	// Coalesce everything the round needs into one batch per writer. Each
+	// candidate's notices go in already in causal order, so its slice of
+	// the result is the order its diffs apply in.
+	var all []msg.Notice
 	for _, cd := range cands {
-		for _, nt := range cd.pend {
-			byWriter[nt.Writer] = append(byWriter[nt.Writer], nt)
-		}
+		slices.SortFunc(cd.pend, causalOrder)
+		all = append(all, cd.pend...)
 	}
-	got, wire, _, err := n.fetchDiffBatches(byWriter)
+	got := make([][]byte, len(all))
+	wire, _, err := n.fetchDiffBatches(all, got)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -365,41 +366,23 @@ func (n *node) prefetch(budget int) (int, sim.Time, error) {
 	var applyCost sim.Time
 	applied := 0
 	for _, cd := range cands {
-		sh := n.lockShard(cd.p)
-		st := &n.pages[cd.p]
+		diffs := got[:len(cd.pend)]
+		got = got[len(cd.pend):]
 		// Never apply a partial set: if any of the page's diffs was
 		// garbage-collected, leave the page untouched — its pending set
 		// survives and the demand path falls back to a full fetch.
-		complete := true
-		for _, nt := range cd.pend {
-			if _, ok := got[[3]int32{nt.Page, nt.Writer, nt.Interval}]; !ok {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			sh.mu.Unlock()
+		if slices.ContainsFunc(diffs, func(df []byte) bool { return df == nil }) {
 			continue
 		}
+		sh := n.lockShard(cd.p)
+		st := &n.pages[cd.p]
 		// Same causal application order as the demand path.
-		ordered := append([]msg.Notice(nil), cd.pend...)
-		sort.Slice(ordered, func(i, j int) bool {
-			a, b := ordered[i], ordered[j]
-			if a.Lam != b.Lam {
-				return a.Lam < b.Lam
-			}
-			if a.Writer != b.Writer {
-				return a.Writer < b.Writer
-			}
-			return a.Interval < b.Interval
-		})
-		for _, nt := range ordered {
-			df := got[[3]int32{nt.Page, nt.Writer, nt.Interval}]
-			if err := ApplyDiff(n.pageData(cd.p), df); err != nil {
-				sh.mu.Unlock()
+		for i, nt := range cd.pend {
+			if err := ApplyDiff(n.pageData(cd.p), diffs[i]); err != nil {
+				n.unlockShard(sh)
 				return 0, 0, fmt.Errorf("dsm: node %d prefetch apply diff page %d: %w", n.id, cd.p, err)
 			}
-			applyCost += sim.Time(len(df)) * c.costs.DiffPerByte
+			applyCost += sim.Time(len(diffs[i])) * c.costs.DiffPerByte
 			st.noteApplied(c.cfg.Nodes, nt.Writer, nt.Interval)
 			n.bumpLamport(nt.Lam)
 			c.probeDiffApplied(n.id, ApplyPrefetch, nt)
@@ -407,74 +390,80 @@ func (n *node) prefetch(budget int) (int, sim.Time, error) {
 		// Drop exactly the applied notices.
 		keep := st.pending[:0]
 		for _, nt := range st.pending {
-			if _, ok := got[[3]int32{nt.Page, nt.Writer, nt.Interval}]; !ok {
+			if _, ok := slices.BinarySearchFunc(cd.pend, nt, causalOrder); !ok {
 				keep = append(keep, nt)
 			}
 		}
 		st.pending = keep
 		if len(st.pending) == 0 {
 			n.as.SetProt(cd.p, vm.ProtRead)
-			st.prefetched = true
+			n.markPrefetched(st, true)
 			applied++
 			c.stats.PrefetchedPages.Add(1)
 		}
-		sh.mu.Unlock()
+		n.unlockShard(sh)
 	}
 	return applied, wire + applyCost, nil
 }
 
-// fetchDiffBatches fetches the diffs named by byWriter — each writer's
-// notices for any number of pages — with one DiffBatchRequest per writer,
-// fanned out in parallel. It returns the fetched diffs keyed by
-// (page, writer, interval), the slowest round trip's wire cost (the
-// requester's stall, since the fan-out overlaps), and whether every
-// requested diff was present (false when a writer has garbage-collected
-// one). It performs no state mutation on n and must be called without mu
-// held; stats are recorded atomically.
-func (n *node) fetchDiffBatches(byWriter map[int32][]msg.Notice) (map[[3]int32][]byte, sim.Time, bool, error) {
+// fetchDiffBatches fetches the diffs nts names — any number of pages and
+// writers — with one DiffBatchRequest per writer, fanned out in parallel,
+// and stores the diff of nts[i] in out[i] (nil where the writer has
+// garbage-collected it). It returns the slowest round trip's wire cost (the
+// requester's stall, since the fan-out overlaps) and whether every requested
+// diff was present. It performs no state mutation on n and must be called
+// without mu held; stats are recorded atomically.
+func (n *node) fetchDiffBatches(nts []msg.Notice, out [][]byte) (sim.Time, bool, error) {
 	c := n.c
-	writers := make([]int32, 0, len(byWriter))
-	for w := range byWriter {
-		writers = append(writers, w)
+	// order visits nts writer by writer, each writer's notices by (page,
+	// interval): the order the requests name the diffs in, and therefore
+	// the order the replies return them in.
+	order := make([]int32, len(nts))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	sort.Slice(writers, func(i, j int) bool { return writers[i] < writers[j] })
+	slices.SortFunc(order, func(a, b int32) int {
+		x, y := nts[a], nts[b]
+		if c := cmp.Compare(x.Writer, y.Writer); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.Page, y.Page); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.Interval, y.Interval)
+	})
 
-	reqs := make([]*msg.DiffBatchRequest, len(writers))
-	for i, w := range writers {
-		nts := append([]msg.Notice(nil), byWriter[w]...)
-		sort.Slice(nts, func(a, b int) bool {
-			if nts[a].Page != nts[b].Page {
-				return nts[a].Page < nts[b].Page
-			}
-			return nts[a].Interval < nts[b].Interval
-		})
+	var reqs []*msg.DiffBatchRequest
+	for lo := 0; lo < len(order); {
+		w := nts[order[lo]].Writer
 		req := &msg.DiffBatchRequest{From: int32(n.id), Writer: w}
-		total := 0
-		for _, nt := range nts {
+		hi := lo
+		for ; hi < len(order) && nts[order[hi]].Writer == w; hi++ {
+			nt := nts[order[hi]]
 			if len(req.Pages) == 0 || req.Pages[len(req.Pages)-1].Page != nt.Page {
 				req.Pages = append(req.Pages, msg.PageIntervals{Page: nt.Page})
 			}
 			pi := &req.Pages[len(req.Pages)-1]
 			pi.Intervals = append(pi.Intervals, nt.Interval)
-			total++
 		}
 		if int(w) != n.id {
-			c.stats.BatchSizeHist[batchSizeBucket(total)].Add(1)
+			c.stats.BatchSizeHist[batchSizeBucket(hi-lo)].Add(1)
 		}
-		reqs[i] = req
+		reqs = append(reqs, req)
+		lo = hi
 	}
 
-	replies := make([]*msg.DiffBatchReply, len(writers))
-	wires := make([]sim.Time, len(writers))
-	err := fanOut(len(writers), c.cfg.SerialFanOut, func(i int) error {
-		w := writers[i]
+	replies := make([]*msg.DiffBatchReply, len(reqs))
+	wires := make([]sim.Time, len(reqs))
+	err := fanOut(len(reqs), c.cfg.SerialFanOut, func(i int) error {
+		w := reqs[i].Writer
 		if int(w) == n.id {
 			// The barrier manager reading its own diff store (push
 			// collection): a local read, not a remote call. The reply
 			// aliases pinned stored diffs; unlike the wire path there is
 			// no decode-copy, so copy before releasing the pins — the
-			// returned map must outlive a concurrent GC drop.
-			reply, release, err := n.serveDiffBatchRequest(reqs[i])
+			// returned diffs must outlive a concurrent GC drop.
+			reply, pinned, err := n.serveDiffBatchRequest(reqs[i])
 			if err != nil {
 				return err
 			}
@@ -486,9 +475,7 @@ func (n *node) fetchDiffBatches(byWriter map[int32][]msg.Notice) (map[[3]int32][
 					}
 				}
 			}
-			if release != nil {
-				release()
-			}
+			pinned.release()
 			replies[i] = br
 			return nil
 		}
@@ -505,35 +492,34 @@ func (n *node) fetchDiffBatches(byWriter map[int32][]msg.Notice) (map[[3]int32][
 		return nil
 	})
 	if err != nil {
-		return nil, 0, false, err
+		return 0, false, err
 	}
 
-	got := make(map[[3]int32][]byte)
 	complete := true
 	var maxWire sim.Time
-	for i, w := range writers {
-		if wires[i] > maxWire {
-			maxWire = wires[i]
-		}
+	next := 0 // position in order of the next diff the replies return
+	for i, req := range reqs {
+		maxWire = max(maxWire, wires[i])
 		for j, pd := range replies[i].Pages {
-			want := reqs[i].Pages[j]
+			want := req.Pages[j]
 			if pd.Page != want.Page || len(pd.Diffs) != len(want.Intervals) {
-				return nil, 0, false, fmt.Errorf("dsm: node %d misaligned diff batch reply from %d", n.id, w)
+				return 0, false, fmt.Errorf("dsm: node %d misaligned diff batch reply from %d", n.id, req.Writer)
 			}
-			for k, df := range pd.Diffs {
+			for _, df := range pd.Diffs {
+				out[order[next]] = df
+				next++
 				if df == nil {
 					complete = false
 					continue
 				}
-				got[[3]int32{pd.Page, w, want.Intervals[k]}] = df
-				if int(w) != n.id {
+				if int(req.Writer) != n.id {
 					c.stats.BatchedDiffs.Add(1)
 					c.stats.BytesDiff.Add(int64(len(df)))
 				}
 			}
 		}
 	}
-	return got, maxWire, complete, nil
+	return maxWire, complete, nil
 }
 
 // serveDiffBatchRequest answers a batched diff fetch: a pure read of this
@@ -541,9 +527,9 @@ func (n *node) fetchDiffBatches(byWriter map[int32][]msg.Notice) (map[[3]int32][
 // in turn so concurrent batch serves for disjoint shards (and concurrent
 // read-only serves within a shard) proceed in parallel. nil entries mark
 // garbage-collected diffs, exactly as in DiffReply. Replies alias the
-// immutable stored diffs, pinned by the returned release func until the
+// immutable stored diffs, pinned by the returned references until the
 // reply is encoded (or copied, on the local path).
-func (n *node) serveDiffBatchRequest(req *msg.DiffBatchRequest) (msg.Message, func(), error) {
+func (n *node) serveDiffBatchRequest(req *msg.DiffBatchRequest) (msg.Message, retained, error) {
 	out := &msg.DiffBatchReply{Pages: make([]msg.PageDiffs, len(req.Pages))}
 	var pinned retained
 	for i, pi := range req.Pages {
@@ -564,8 +550,5 @@ func (n *node) serveDiffBatchRequest(req *msg.DiffBatchRequest) (msg.Message, fu
 		}
 		sh.runlock()
 	}
-	if pinned == nil {
-		return out, nil, nil
-	}
-	return out, pinned.release, nil
+	return out, pinned, nil
 }

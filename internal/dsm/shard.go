@@ -50,7 +50,8 @@ func normalizeShards(v int) int {
 // every page p with p mod nshards == this shard's index, the shard's
 // lock covers pages[p] (copy/twin/pending/appliedVT/prefetched), the
 // page's protection entry in the address space, the page's window of the
-// data segment, and the page's stored diffs.
+// data segment, and the page's stored diffs. Write-sections open with
+// lockShard and close with unlockShard, never with a bare mu.Unlock.
 //
 // Reads that do not mutate (diff serves, pending snapshots, coherence
 // checks) take the read side, so concurrent diff fetches from many peers
@@ -118,14 +119,17 @@ func (r retained) release() {
 // diffBufPool recycles diff buffers of whatever capacity they grew to
 // (diffs are variable-length, unlike page images). Entries are *[]byte
 // for the same SA6002 reason as pageBufPool.
-var diffBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 256)
-	return &b
-}}
+var diffBufPool sync.Pool
 
-// getDiffBuf returns an empty diff buffer to append into.
+// getDiffBuf returns an empty diff buffer to append into. A miss makes
+// the buffer alone: stored diffs leave the pool for as long as they are
+// stored, so misses are the common case and a header boxed for a pool
+// that is not getting it back would be a second allocation per diff.
 func getDiffBuf() []byte {
-	return (*diffBufPool.Get().(*[]byte))[:0]
+	if h, ok := diffBufPool.Get().(*[]byte); ok {
+		return (*h)[:0]
+	}
+	return make([]byte, 0, 256)
 }
 
 // putDiffBuf recycles a diff buffer.
@@ -164,6 +168,16 @@ func (n *node) lockShard(p vm.PageID) *pageShard {
 		sh.mu.Lock()
 	}
 	return sh
+}
+
+// unlockShard ends a write-section opened with lockShard: it bumps the
+// node's mutation generation, then releases the lock. Every write-section
+// ends here, engine-side ones included, so that "mutated under a shard
+// write lock" always implies "published to Cluster.Span's unlocked
+// checks" (see node.gen).
+func (n *node) unlockShard(sh *pageShard) {
+	n.gen.Add(1)
+	sh.mu.Unlock()
 }
 
 // rlockShard read-locks page p's shard, counting contention (a failed

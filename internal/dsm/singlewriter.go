@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"actdsm/internal/msg"
-	"actdsm/internal/sim"
 	"actdsm/internal/vm"
 )
 
@@ -26,7 +25,8 @@ import (
 //
 // Locking: the manager-side ownership table (n.sw) lives under its own
 // leaf mutex (n.swMu); page data, protections, and hasCopy live under
-// the page's shard lock, exactly as in the multi-writer protocol. No
+// the page's shard lock, exactly as in the multi-writer protocol, and
+// the fault path charges the span in progress (n.spanCharge) directly. No
 // path holds both at once, and neither is held across a transport call.
 // Serve-side full-page images come from the page-buffer pool and are
 // recycled by the transport handler after encoding (recycleReply).
@@ -73,7 +73,7 @@ func (n *node) swGet(p vm.PageID) swState {
 func (n *node) resolveFaultSW(tid int, p vm.PageID, a vm.Access) error {
 	c := n.c
 	c.stats.CoherenceFaults.Add(1)
-	n.addCharge(sim.ThreadInterval{Overhead: c.costs.SoftFault})
+	n.spanCharge.Overhead += c.costs.SoftFault
 	mgr := c.staticHome(p)
 
 	var remote bool
@@ -112,7 +112,7 @@ func (n *node) swRemoteFault(mgr int, p vm.PageID, a vm.Access) (bool, error) {
 		return false, fmt.Errorf("dsm: node %d sw fault page %d: unexpected reply %T", n.id, p, reply)
 	}
 	c.stats.PageFetches.Add(1)
-	n.addCharge(sim.ThreadInterval{Stall: wire})
+	n.spanCharge.Stall += wire
 
 	sh := n.lockShard(p)
 	st := &n.pages[p]
@@ -125,7 +125,7 @@ func (n *node) swRemoteFault(mgr int, p vm.PageID, a vm.Access) (bool, error) {
 	} else {
 		n.as.SetProt(p, vm.ProtRead)
 	}
-	sh.mu.Unlock()
+	n.unlockShard(sh)
 	putPageBuf(pr.Data)
 	pr.Data = nil
 	return true, nil
@@ -154,11 +154,11 @@ func (n *node) swManagerLocalFault(p vm.PageID, a vm.Access) (bool, error) {
 			return false, fmt.Errorf("dsm: manager %d sw fetch page %d: bad reply %T", n.id, p, reply)
 		}
 		n.c.stats.PageFetches.Add(1)
-		n.addCharge(sim.ThreadInterval{Stall: wire})
+		n.spanCharge.Stall += wire
 		sh := n.lockShard(p)
 		copy(n.pageData(p), pr.Data)
 		n.pages[p].hasCopy = true
-		sh.mu.Unlock()
+		n.unlockShard(sh)
 		putPageBuf(pr.Data)
 		pr.Data = nil
 		remote = true
@@ -175,7 +175,7 @@ func (n *node) swManagerLocalFault(p vm.PageID, a vm.Access) (bool, error) {
 		n.swMu.Unlock()
 		sh := n.lockShard(p)
 		n.as.SetProt(p, vm.ProtReadWrite)
-		sh.mu.Unlock()
+		n.unlockShard(sh)
 	} else {
 		n.swMu.Lock()
 		n.sw[p].copyset |= 1 << uint(n.id)
@@ -186,7 +186,7 @@ func (n *node) swManagerLocalFault(p vm.PageID, a vm.Access) (bool, error) {
 		n.swMu.Unlock()
 		sh := n.lockShard(p)
 		n.as.SetProt(p, vm.ProtRead)
-		sh.mu.Unlock()
+		n.unlockShard(sh)
 	}
 	return remote, nil
 }
@@ -216,7 +216,7 @@ func (n *node) swDropLocal(p vm.PageID) {
 	sh := n.lockShard(p)
 	n.pages[p].hasCopy = false
 	n.as.SetProt(p, vm.ProtNone)
-	sh.mu.Unlock()
+	n.unlockShard(sh)
 }
 
 // serveSWRead runs at the manager: join the copyset and return current
@@ -237,7 +237,7 @@ func (n *node) serveSWRead(req *msg.SWRead) (msg.Message, error) {
 		if n.as.Prot(p) == vm.ProtReadWrite {
 			n.as.SetProt(p, vm.ProtRead)
 		}
-		sh.mu.Unlock()
+		n.unlockShard(sh)
 	case int(req.From):
 		// Requester is the owner asking to read — should not fault,
 		// but answer benignly with no data.
@@ -275,7 +275,7 @@ func (n *node) serveSWWrite(req *msg.SWWrite) (msg.Message, error) {
 		sh := n.lockShard(p)
 		data = getPageBuf()
 		copy(data, n.pageData(p))
-		sh.mu.Unlock()
+		n.unlockShard(sh)
 		n.swDropLocal(p)
 	default:
 		reply, _, err := n.c.call(n.id, int(st.owner), &msg.SWFlush{Page: req.Page})
@@ -309,7 +309,7 @@ func (n *node) serveSWDowngrade(req *msg.SWDowngrade) (msg.Message, error) {
 	if n.as.Prot(p) == vm.ProtReadWrite {
 		n.as.SetProt(p, vm.ProtRead)
 	}
-	sh.mu.Unlock()
+	n.unlockShard(sh)
 	return &msg.PageReply{Page: req.Page, Data: data}, nil
 }
 
@@ -321,7 +321,7 @@ func (n *node) serveSWFlush(req *msg.SWFlush) (msg.Message, error) {
 	copy(data, n.pageData(p))
 	n.pages[p].hasCopy = false
 	n.as.SetProt(p, vm.ProtNone)
-	sh.mu.Unlock()
+	n.unlockShard(sh)
 	return &msg.PageReply{Page: req.Page, Data: data}, nil
 }
 

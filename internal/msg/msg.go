@@ -572,6 +572,10 @@ func PutBuf(b []byte) {
 
 // Decode parses a message produced by Encode.
 func Decode(b []byte) (Message, error) {
+	// Each case calls its type's decodeBody directly rather than through
+	// the Message interface: a static call lets the decoder stay on this
+	// frame, where an interface call would move it to the heap on every
+	// message.
 	d := &decoder{buf: b}
 	k, err := d.u8()
 	if err != nil {
@@ -580,53 +584,75 @@ func Decode(b []byte) (Message, error) {
 	var m Message
 	switch Kind(k) {
 	case KindPageRequest:
-		m = &PageRequest{}
+		v := &PageRequest{}
+		m, err = v, v.decodeBody(d)
 	case KindPageReply:
-		m = &PageReply{}
+		v := &PageReply{}
+		m, err = v, v.decodeBody(d)
 	case KindDiffRequest:
-		m = &DiffRequest{}
+		v := &DiffRequest{}
+		m, err = v, v.decodeBody(d)
 	case KindDiffReply:
-		m = &DiffReply{}
+		v := &DiffReply{}
+		m, err = v, v.decodeBody(d)
 	case KindBarrierEnter:
-		m = &BarrierEnter{}
+		v := &BarrierEnter{}
+		m, err = v, v.decodeBody(d)
 	case KindBarrierRelease:
-		m = &BarrierRelease{}
+		v := &BarrierRelease{}
+		m, err = v, v.decodeBody(d)
 	case KindLockAcquire:
-		m = &LockAcquire{}
+		v := &LockAcquire{}
+		m, err = v, v.decodeBody(d)
 	case KindLockGrant:
-		m = &LockGrant{}
+		v := &LockGrant{}
+		m, err = v, v.decodeBody(d)
 	case KindLockRelease:
-		m = &LockRelease{}
+		v := &LockRelease{}
+		m, err = v, v.decodeBody(d)
 	case KindGCCollect:
-		m = &GCCollect{}
+		v := &GCCollect{}
+		m, err = v, v.decodeBody(d)
 	case KindAck:
-		m = &Ack{}
+		v := &Ack{}
+		m, err = v, v.decodeBody(d)
 	case KindSWRead:
-		m = &SWRead{}
+		v := &SWRead{}
+		m, err = v, v.decodeBody(d)
 	case KindSWWrite:
-		m = &SWWrite{}
+		v := &SWWrite{}
+		m, err = v, v.decodeBody(d)
 	case KindSWDowngrade:
-		m = &SWDowngrade{}
+		v := &SWDowngrade{}
+		m, err = v, v.decodeBody(d)
 	case KindSWFlush:
-		m = &SWFlush{}
+		v := &SWFlush{}
+		m, err = v, v.decodeBody(d)
 	case KindSWInvalidate:
-		m = &SWInvalidate{}
+		v := &SWInvalidate{}
+		m, err = v, v.decodeBody(d)
 	case KindDiffBatchRequest:
-		m = &DiffBatchRequest{}
+		v := &DiffBatchRequest{}
+		m, err = v, v.decodeBody(d)
 	case KindDiffBatchReply:
-		m = &DiffBatchReply{}
+		v := &DiffBatchReply{}
+		m, err = v, v.decodeBody(d)
 	case KindLockPull:
-		m = &LockPull{}
+		v := &LockPull{}
+		m, err = v, v.decodeBody(d)
 	case KindReplicaDelta:
-		m = &ReplicaDelta{}
+		v := &ReplicaDelta{}
+		m, err = v, v.decodeBody(d)
 	case KindRejoinRequest:
-		m = &RejoinRequest{}
+		v := &RejoinRequest{}
+		m, err = v, v.decodeBody(d)
 	case KindRejoinReply:
-		m = &RejoinReply{}
+		v := &RejoinReply{}
+		m, err = v, v.decodeBody(d)
 	default:
 		return nil, fmt.Errorf("msg: unknown kind %d", k)
 	}
-	if err := m.decodeBody(d); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("msg: decode kind %d: %w", k, err)
 	}
 	if d.off != len(d.buf) {
