@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race alloc-gate lint fmt-check tools bench bench-compare bench-hotpath bench-transport bench-e2e bench-module doc-links fuzz-smoke sweep check-mutations
+.PHONY: check build vet test race alloc-gate lint fmt-check tools bench bench-compare bench-hotpath bench-transport bench-e2e bench-module doc-links fuzz-smoke sweep sweep-poison check-mutations
 
 ## check: the full gate — formatting, build, vet, static analysis, the
 ## test suite under the race detector, the access path's allocation gate
@@ -52,13 +52,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-## alloc-gate: the engine-side access path's allocation counts, without
-## the race detector (whose instrumentation allocates, so 'make race'
-## skips these): a warm Span allocates nothing, and a remote miss and a
-## lock hand-off stay under their ceilings (internal/dsm/alloc_test.go).
-## A re-introduced escape fails here, not at the next benchmark run.
+## alloc-gate: the engine-side access path's allocation counts and bytes,
+## without the race detector (whose instrumentation allocates, so 'make
+## race' skips these): a warm Span allocates nothing, a remote miss and a
+## lock hand-off stay under their ceilings, a dense remote miss allocates
+## its diff once (no decode copy, no growth by doubling), and MakeDiff is
+## one allocation (internal/dsm/alloc_test.go). A re-introduced escape or
+## copy fails here, not at the next benchmark run.
 alloc-gate:
-	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestRemoteMissAllocCeiling|TestLockHandoffAllocCeiling' -count=1 -v
+	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestLockHandoffAllocCeiling' -count=1 -v
 
 ## bench: one benchmark per paper table/figure, plus the ablation,
 ## cut-cost, prefetch and trace-replay comparisons. The substrate
@@ -173,6 +175,16 @@ fuzz-smoke:
 SWEEP_SEEDS ?= 200
 sweep:
 	$(GO) run ./cmd/actcheck -seeds $(SWEEP_SEEDS) -q
+
+## sweep-poison: the same sweep, fewer seeds, built with the race
+## detector — which also turns on msg.PutBuf's poison fill (race builds
+## overwrite a recycled wire frame with 0xDB), so a diff or page image
+## read through a frame that was already released becomes a wrong byte
+## the oracle reports. The sweep is not a test binary, so 'make race'
+## does not reach it.
+SWEEP_POISON_SEEDS ?= 20
+sweep-poison:
+	$(GO) run -race ./cmd/actcheck -seeds $(SWEEP_POISON_SEEDS) -q
 
 ## check-mutations: checker validation — each deliberately broken
 ## protocol variant must trip the oracle (the sweep FAILING is the pass).

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"runtime"
 	"testing"
 
 	"actdsm/internal/memlayout"
@@ -8,17 +9,25 @@ import (
 )
 
 // The allocation gate (make alloc-gate): the engine-side access path's
-// allocation counts, shaped like the benchmark ladder's dsm.span_warm,
-// dsm.remote_miss and dsm.lock_handoff rungs so that a re-introduced
-// escape fails a push instead of waiting for a benchmark run. Skipped
-// under the race detector, whose instrumentation allocates.
+// allocation counts and bytes, shaped like the benchmark ladder's
+// dsm.span_warm, dsm.remote_miss, dsm.lock_handoff and dsm.diff_create
+// rungs so that a re-introduced escape or copy fails a push instead of
+// waiting for a benchmark run. Skipped under the race detector, whose
+// instrumentation allocates.
 
-// Ceilings are what the access path achieves (40 and 19) plus one for
+// Ceilings are what the access path achieves (39 and 18) plus one for
 // runtime noise (a sync.Pool refill after a GC cycle).
 const (
-	remoteMissAllocCeiling  = 41
-	lockHandoffAllocCeiling = 20
+	remoteMissAllocCeiling  = 40
+	lockHandoffAllocCeiling = 19
 )
+
+// remoteMissBytesCeiling bounds what a dense remote miss may allocate
+// beyond the writer's one stored diff (see TestRemoteMissBytesCeiling).
+// The cycle achieves about 1.9 KB there, all of it small objects
+// (requests, notices, barrier state); a second copy of the diff would add
+// 4.1 KB or more, so three quarters of a page separates the two.
+const remoteMissBytesCeiling = memlayout.PageSize * 3 / 4
 
 func skipUnderRace(t *testing.T) {
 	t.Helper()
@@ -80,6 +89,88 @@ func TestRemoteMissAllocCeiling(t *testing.T) {
 	t.Logf("remote miss (write, barrier, read): %v allocs/op", allocs)
 	if allocs > remoteMissAllocCeiling {
 		t.Errorf("remote miss: %v allocs/op, ceiling %d", allocs, remoteMissAllocCeiling)
+	}
+}
+
+// TestRemoteMissBytesCeiling is the same rung with every word of the page
+// changed, counted in bytes: the cycle's only page-sized allocation is
+// the writer's stored diff (one size class above the 4,100-byte diff).
+// The requester applies that diff straight out of the reply frame, so
+// nothing else in the cycle may come near a page — a decode copy, or a
+// diff encoder that grows by doubling, each add 4 KiB or more.
+func TestRemoteMissBytesCeiling(t *testing.T) {
+	skipUnderRace(t)
+	c, err := New(Config{Nodes: 2, Pages: 1, GCThresholdBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	cycle := func(i int) {
+		b := mustSpan(t, c, 1, 8, 0, memlayout.PageSize, vm.Write)
+		for w := 0; w < len(b); w += 4 {
+			b[w] = byte(i)
+		}
+		barrier(t, c)
+		mustSpan(t, c, 0, 0, 0, 4, vm.Read)
+	}
+	for i := 1; i <= 64; i++ {
+		cycle(i) // warm the buffer pools
+	}
+	const ops = 1000
+	storedDiff := len(MakeDiff(page(), bytesOf(1))) // 4,100: rounds up to its size class below
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= ops; i++ {
+		cycle(64 + i)
+	}
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / ops
+	beyondDiff := perOp - float64(sizeClass(storedDiff))
+	t.Logf("dense remote miss: %.0f B/op, %.0f beyond the writer's stored diff", perOp, beyondDiff)
+	if beyondDiff > remoteMissBytesCeiling {
+		t.Errorf("dense remote miss allocates %.0f B/op beyond the stored diff, ceiling %d", beyondDiff, remoteMissBytesCeiling)
+	}
+}
+
+// bytesOf returns a page filled with v.
+func bytesOf(v byte) []byte {
+	b := page()
+	for i := range b {
+		b[i] = v
+	}
+	return b
+}
+
+// sizeClass returns the bytes the allocator hands out for an n-byte
+// pointer-free object, measured rather than tabulated.
+func sizeClass(n int) int {
+	return cap(append([]byte(nil), make([]byte, n)...))
+}
+
+// TestMakeDiffOneAlloc is the dsm.diff_create rung's allocation count: a
+// diff is encoded on the stack and allocated once, at its size; an
+// unchanged page allocates nothing.
+func TestMakeDiffOneAlloc(t *testing.T) {
+	skipUnderRace(t)
+	twin := page()
+	sparse := page()
+	copy(sparse[1024:1536], bytesOf(3))
+	for _, tc := range []struct {
+		name string
+		cur  []byte
+		want float64
+	}{
+		{"dense", bytesOf(1), 1},
+		{"sparse", sparse, 1},
+		{"unchanged", page(), 0},
+	} {
+		var d []byte
+		if got := testing.AllocsPerRun(200, func() { d = MakeDiff(twin, tc.cur) }); got != tc.want {
+			t.Errorf("MakeDiff %s: %v allocs/op, want %v", tc.name, got, tc.want)
+		}
+		if tc.want == 0 && d != nil {
+			t.Errorf("MakeDiff %s: got a %d-byte diff", tc.name, len(d))
+		}
 	}
 }
 

@@ -290,11 +290,14 @@ func New(cfg Config) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
+			// m borrows from payload, which the transport takes back
+			// when this handler returns: the serves consume a request's
+			// byte fields before returning or copy what they keep.
 			// Encode into a pooled buffer (the requester recycles it
-			// after decoding — see Cluster.call), then drop whatever
-			// the reply pinned: retained diff references (the encode
-			// copied their bytes to the wire) and the reply's pooled
-			// page image.
+			// once it has consumed the decoded reply — see
+			// Cluster.callFrame), then drop whatever the reply pinned:
+			// retained diff references (the encode copied their bytes
+			// to the wire) and the reply's pooled page image.
 			out := msg.EncodeTo(msg.GetBuf(), reply)
 			pinned.release()
 			recycleReply(reply)
@@ -425,13 +428,65 @@ func (c *Cluster) lockManager(lock int32) int {
 	return nodeForID(int64(shard), c.cfg.Nodes)
 }
 
+// errPayloadReply is call's refusal of a reply that borrows from its
+// frame: call has recycled the frame by the time it returns, so such a
+// reply could only be read after release. Those round trips go through
+// callFrame.
+var errPayloadReply = errors.New("dsm: payload-carrying reply on the frame-recycling call path")
+
+// Malformed bulk replies, rejected by name before any state changes.
+var (
+	errReplyPage  = errors.New("reply names another page")
+	errPageImage  = errors.New("page image is not one page long")
+	errDiffCount  = errors.New("diff count differs from the intervals asked for")
+	errReplyShape = errors.New("unexpected reply type")
+)
+
+// frames is the list of reply frames a fetch borrowed its payloads from:
+// the decoded diffs and page images alias them (msg.Decode borrows). A
+// fetch hands its frames to its caller with the payloads, and the caller
+// releases them once copy/ApplyDiff has consumed the bytes. It lives on
+// the fetching call's stack — server-side fetches run concurrently on
+// transport workers — never on the node. Dropping one unreleased is
+// garbage, not corruption.
+type frames [][]byte
+
+// release recycles the frames. Nil entries (a fetch answered locally,
+// with no frame) are skipped.
+func (f frames) release() {
+	for _, b := range f {
+		if b != nil {
+			msg.PutBuf(b)
+		}
+	}
+}
+
 // call sends m and returns the decoded reply plus the requester-side wire
-// cost. All protocol traffic is accounted here, including the per-kind
-// call counters and latency histograms. Request and reply buffers are
-// pooled: the request is encoded into a msg.GetBuf buffer recycled once
-// the transport returns, and the reply buffer is recycled after Decode
-// (Decode copies every byte payload, so nothing aliases it).
+// cost, for every round trip whose reply carries no byte payload (acks,
+// grants, rejoin state). The reply frame is recycled before call returns;
+// a reply that borrows from it (msg.Kind.Borrows) is refused with
+// errPayloadReply instead of being handed out dangling.
 func (c *Cluster) call(from, to int, m msg.Message) (msg.Message, sim.Time, error) {
+	reply, frame, wire, err := c.callFrame(from, to, m)
+	if err != nil {
+		return nil, 0, err
+	}
+	msg.PutBuf(frame)
+	if reply.Kind().Borrows() {
+		return nil, 0, fmt.Errorf("%w: %v answering %v", errPayloadReply, reply.Kind(), m.Kind())
+	}
+	return reply, wire, nil
+}
+
+// callFrame is the round trip under call, for the requests a page image
+// or diffs answer: it returns the reply together with the frame it was
+// decoded from, which the reply's byte fields alias. The caller owns the
+// frame and msg.PutBufs it — on every exit path — once those fields have
+// been applied or copied. All protocol traffic is accounted here,
+// including the per-kind call counters and latency histograms. The
+// request is encoded into a msg.GetBuf buffer recycled once the
+// transport returns.
+func (c *Cluster) callFrame(from, to int, m msg.Message) (msg.Message, []byte, sim.Time, error) {
 	b := msg.EncodeTo(msg.GetBuf(), m)
 	kind := m.Kind()
 	reqLen := len(b)
@@ -442,21 +497,48 @@ func (c *Cluster) call(from, to int, m msg.Message) (msg.Message, sim.Time, erro
 		d := time.Since(start)
 		c.stats.recordCall(kind, reqLen, d, true)
 		c.stats.recordLink(from, to, reqLen, d)
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	reply, err := msg.Decode(rb)
 	repLen := len(rb)
-	msg.PutBuf(rb)
 	d := time.Since(start)
 	c.stats.recordLink(from, to, reqLen+repLen, d)
 	if err != nil {
+		msg.PutBuf(rb)
 		c.stats.recordCall(kind, reqLen+repLen, d, true)
-		return nil, 0, fmt.Errorf("dsm: decode reply: %w", err)
+		return nil, nil, 0, fmt.Errorf("dsm: decode reply: %w", err)
 	}
 	c.stats.recordCall(kind, reqLen+repLen, d, false)
 	c.stats.Messages.Add(2)
 	c.stats.BytesTotal.Add(int64(reqLen + repLen))
-	return reply, c.fetchCost(from, to, reqLen, repLen), nil
+	return reply, rb, c.fetchCost(from, to, reqLen, repLen), nil
+}
+
+// callPage is callFrame for the requests a PageReply answers (page
+// fetches and the single-writer transfers). It checks the reply before
+// handing it out: the right type, the page asked for, and an image that
+// is one whole page — or, where mayOmit allows the single-writer "you
+// already hold it" answer, absent. On error the frame is already
+// recycled.
+func (c *Cluster) callPage(from, to int, m msg.Message, p vm.PageID, mayOmit bool) (*msg.PageReply, []byte, sim.Time, error) {
+	reply, frame, wire, err := c.callFrame(from, to, m)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	pr, ok := reply.(*msg.PageReply)
+	switch {
+	case !ok:
+		err = fmt.Errorf("%w %T", errReplyShape, reply)
+	case pr.Page != int32(p):
+		err = fmt.Errorf("%w: %d", errReplyPage, pr.Page)
+	case len(pr.Data) != memlayout.PageSize && !(mayOmit && len(pr.Data) == 0):
+		err = fmt.Errorf("%w: %d bytes", errPageImage, len(pr.Data))
+	}
+	if err != nil {
+		msg.PutBuf(frame)
+		return nil, nil, 0, err
+	}
+	return pr, frame, wire, nil
 }
 
 // fetchCost charges a round trip under the cluster's network model: the

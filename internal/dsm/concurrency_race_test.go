@@ -77,28 +77,27 @@ func TestRaceServiceHammer(t *testing.T) {
 						p := int32((w*31 + i) % diffPages)
 						switch i % 3 {
 						case 0:
-							rep, _, err := c.call(from, 0, &msg.DiffRequest{
+							rep, frame, _, err := c.callFrame(from, 0, &msg.DiffRequest{
 								From: int32(from), Page: p, Intervals: []int32{1}})
 							if err == nil {
 								if dr := rep.(*msg.DiffReply); dr.Diffs[0] == nil {
 									err = fmt.Errorf("page %d: seeded diff missing", p)
 								}
+								msg.PutBuf(frame)
 							}
 							report(err)
 						case 1:
 							// Manager-0 pages only: multiples of Nodes.
 							pp := int32(o.Nodes * (i % (diffPages / o.Nodes)))
-							_, _, err := c.call(from, 0, &msg.PageRequest{
-								From: int32(from), Page: pp})
-							report(err)
+							report(c.discardReply(from, &msg.PageRequest{
+								From: int32(from), Page: pp}))
 						default:
-							_, _, err := c.call(from, 0, &msg.DiffBatchRequest{
+							report(c.discardReply(from, &msg.DiffBatchRequest{
 								From: int32(from),
 								Pages: []msg.PageIntervals{
 									{Page: p, Intervals: []int32{1}},
 									{Page: (p + 7) % diffPages, Intervals: []int32{1}},
-								}})
-							report(err)
+								}}))
 						}
 					}
 				}(w)
@@ -204,8 +203,11 @@ func TestRaceLockTrafficDuringServes(t *testing.T) {
 			from := (to + 1) % o.Nodes
 			for i := 0; i < o.Ops && !stop.Load(); i++ {
 				p := int32((w*17 + i) % o.Pages)
-				_, _, err := c.call(from, to, &msg.DiffRequest{
+				_, frame, _, err := c.callFrame(from, to, &msg.DiffRequest{
 					From: int32(from), Page: p, Intervals: []int32{1}})
+				if err == nil {
+					msg.PutBuf(frame)
+				}
 				report(err)
 			}
 		}(w)

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -17,56 +18,91 @@ import (
 //
 // Wire format: a sequence of runs, each [u16 byte-offset][u16 byte-length]
 // followed by length payload bytes. Runs are word-aligned (4 bytes), in
-// increasing offset order.
+// increasing offset order. A diff is never longer than PageSize + 4: k
+// runs cover at most 1024 - (k - 1) words and cost 4 header bytes each.
 
 const diffWord = 4
 
 // ErrBadDiff reports a malformed diff.
 var ErrBadDiff = errors.New("dsm: malformed diff")
 
+// maxDiffLen bounds an encoded diff (see the wire format above).
+const maxDiffLen = memlayout.PageSize + 4
+
 // MakeDiff encodes the word-granularity differences between twin and cur.
 // Both must be memlayout.PageSize bytes. The result is nil when the page
-// is unchanged.
+// is unchanged, and otherwise one allocation sized to the diff.
 func MakeDiff(twin, cur []byte) []byte {
-	out := AppendDiff(nil, twin, cur)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return AppendDiff(nil, twin, cur)
 }
 
 // AppendDiff appends the encoded differences between twin and cur to dst
-// and returns the extended slice (len(dst) unchanged when the page is
-// unchanged). The append form lets callers reuse pooled buffers — the
-// diff store encodes into recycled buffers so a collected diff's bytes
-// can back a future one.
+// and returns the extended slice (dst itself when the page is unchanged).
+// The append form lets callers reuse pooled buffers — the diff store
+// encodes into recycled buffers so a collected diff's bytes can back a
+// future one.
+//
+// The scan takes two words per step: the XOR of eight bytes of twin and
+// cur says which of the pair changed, and a run opens, extends or closes
+// accordingly. Runs are encoded into a scratch on the stack as they
+// close, and the finished diff is appended once — so dst grows at most
+// once, to fit, with no doubling slack to carry for as long as the diff
+// is stored.
 func AppendDiff(dst, twin, cur []byte) []byte {
-	out := dst
-	i := 0
-	for i < memlayout.PageSize {
-		// Skip equal words.
-		for i < memlayout.PageSize && wordsEqual(twin, cur, i) {
-			i += diffWord
+	const size = memlayout.PageSize
+	t, c := (*[size]byte)(twin), (*[size]byte)(cur)
+	var scratch [maxDiffLen]byte
+	n := 0
+	emit := func(start, end int) {
+		// The header as it goes on the wire, read as one little-endian
+		// word: byte offset in the low half, length above.
+		le.PutUint32(scratch[n:], uint32(start)|uint32(end-start)<<16)
+		if end-start == diffWord {
+			// One-word runs are SOR's red/black pattern, 512 to the
+			// page: a word store each, not a memmove call.
+			le.PutUint32(scratch[n+4:], le.Uint32(c[start:]))
+		} else {
+			copy(scratch[n+4:], c[start:end])
 		}
-		if i >= memlayout.PageSize {
-			break
-		}
-		start := i
-		for i < memlayout.PageSize && !wordsEqual(twin, cur, i) {
-			i += diffWord
-		}
-		runLen := i - start
-		out = append(out,
-			byte(start), byte(start>>8),
-			byte(runLen), byte(runLen>>8))
-		out = append(out, cur[start:start+runLen]...)
+		n += 4 + end - start
 	}
-	return out
+	start := -1 // offset the open run began at, or -1 between runs
+	for i := 0; i < size; i += 2 * diffWord {
+		x := le.Uint64(t[i:i+8]) ^ le.Uint64(c[i:i+8])
+		first, second := uint32(x) != 0, x>>32 != 0
+		if first && second {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		// The open run, if any, ends before this pair or on its first
+		// word; the second word, if it changed, opens the next.
+		end := i
+		if first {
+			end += diffWord
+			if start < 0 {
+				start = i
+			}
+		}
+		if start >= 0 {
+			emit(start, end)
+			start = -1
+		}
+		if second {
+			start = i + diffWord
+		}
+	}
+	if start >= 0 {
+		emit(start, size)
+	}
+	return append(dst, scratch[:n]...)
 }
 
-func wordsEqual(a, b []byte, i int) bool {
-	return a[i] == b[i] && a[i+1] == b[i+1] && a[i+2] == b[i+2] && a[i+3] == b[i+3]
-}
+// le is the byte order of the diff format and of the scan's word loads
+// (any order would do for the compares; this one is a plain load on the
+// machines this runs on).
+var le = binary.LittleEndian
 
 // ApplyDiff applies a diff produced by MakeDiff to page (which must be
 // memlayout.PageSize bytes).

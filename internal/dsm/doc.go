@@ -96,4 +96,26 @@
 // the immutable stored diffs. Steady-state barrier epochs run at ~zero
 // allocations per message on the service path; BenchmarkNodeService and
 // BENCH_hotpath.json pin the resulting throughput.
+//
+// Buffer ownership: a diff or page image is moved once on each side of
+// the wire. The writer encodes a diff on the stack and allocates it once,
+// at its size (AppendDiff); a serve encodes it into the reply frame; and
+// the requester applies it from that frame, because msg.Decode borrows —
+// a decoded []byte field is a view of the buffer it was decoded from.
+// Whoever decodes therefore owns the buffer until the payload has been
+// consumed. Cluster.call recycles the reply frame at once and is for
+// payload-free replies only (it refuses the others by name);
+// callFrame/callPage hand the frame back with the reply, and
+// fetchFullPage, fetchWriterDiffs, fetchDiffBatches and the single-writer
+// fetches msg.PutBuf it after copy/ApplyDiff, on every exit path, from a
+// frame list on the fetching call's stack. A request's payloads live in
+// the request frame, which the transport takes back when the handler
+// returns. The sites that keep decoded bytes longer copy them, and say
+// so: serveReplicaDelta (replica store), collectPushDiffs (diffs ride a
+// later release), serve's BarrierRelease case (the relay table read by the
+// fan-out below the node) and swOwnerImage (an owner's image forwarded in
+// the manager's own reply). The page pool takes back only what getPageBuf
+// handed out, never decoded bytes. ARCHITECTURE.md tabulates the rules;
+// race builds poison every recycled frame (msg.PutBuf), so the whole test
+// suite and 'make sweep-poison' check them.
 package dsm

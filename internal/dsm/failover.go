@@ -45,6 +45,7 @@ package dsm
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"actdsm/internal/msg"
 	"actdsm/internal/sim"
@@ -328,7 +329,10 @@ func (n *node) serveReplicaDelta(req *msg.ReplicaDelta) (msg.Message, error) {
 			m = make(map[int32][]byte)
 			pm[vm.PageID(nt.Page)] = m
 		}
-		m[nt.Interval] = req.Diffs[i]
+		// Retain site: the replica store keeps the diff for as long as
+		// the origin might crash, the request frame only until this
+		// handler returns.
+		m[nt.Interval] = slices.Clone(req.Diffs[i])
 	}
 	return &msg.Ack{}, nil
 }

@@ -147,11 +147,20 @@ func (c *Cluster) hotpathOp(o HotpathOptions, w, i int) error {
 	if o.PageReqEvery > 0 && i%o.PageReqEvery == 0 {
 		// Pages is a multiple of Nodes, so p is always manager-0 owned.
 		p := c.cfg.Nodes * (i % (c.cfg.Pages / c.cfg.Nodes))
-		_, _, err := c.call(from, 0, &msg.PageRequest{From: int32(from), Page: int32(p)})
-		return err
+		return c.discardReply(from, &msg.PageRequest{From: int32(from), Page: int32(p)})
 	}
 	p := (w*37 + i) % c.cfg.Pages
-	_, _, err := c.call(from, 0, &msg.DiffRequest{From: int32(from), Page: int32(p), Intervals: []int32{1}})
+	return c.discardReply(from, &msg.DiffRequest{From: int32(from), Page: int32(p), Intervals: []int32{1}})
+}
+
+// discardReply runs one payload-carrying round trip against node 0 and
+// drops the reply unread, recycling its frame as a real requester would
+// after applying it.
+func (c *Cluster) discardReply(from int, m msg.Message) error {
+	_, frame, _, err := c.callFrame(from, 0, m)
+	if err == nil {
+		msg.PutBuf(frame)
+	}
 	return err
 }
 

@@ -128,7 +128,7 @@ func TestHotpathServesMatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	reply, _, err := c.call(1, 0, &msg.DiffRequest{From: 1, Page: 7, Intervals: []int32{1, 2}})
+	reply, frame, _, err := c.callFrame(1, 0, &msg.DiffRequest{From: 1, Page: 7, Intervals: []int32{1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +136,13 @@ func TestHotpathServesMatch(t *testing.T) {
 	if len(dr.Diffs) != 2 || dr.Diffs[0] == nil || dr.Diffs[1] != nil {
 		t.Fatalf("diff serve: want seeded interval 1 only, got %v", dr.Diffs)
 	}
-	reply, _, err = c.call(1, 0, &msg.PageRequest{From: 1, Page: int32(o.Nodes)})
+	msg.PutBuf(frame)
+	pr, frame, _, err := c.callPage(1, 0, &msg.PageRequest{From: 1, Page: int32(o.Nodes)}, vm.PageID(o.Nodes), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr := reply.(*msg.PageReply)
 	if len(pr.Data) != len(c.nodes[0].pageData(vm.PageID(o.Nodes))) {
 		t.Fatalf("page serve: got %d bytes", len(pr.Data))
 	}
+	msg.PutBuf(frame)
 }

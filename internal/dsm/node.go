@@ -606,7 +606,8 @@ func (n *node) resolveFault(tid int, p vm.PageID, a vm.Access) error {
 func (n *node) fetchFullPage(ti *sim.ThreadInterval, tid int, p vm.PageID, src ApplySource) error {
 	c := n.c
 	var (
-		reply msg.Message
+		pr    *msg.PageReply
+		frame []byte
 		wire  sim.Time
 	)
 	for attempt := 0; ; attempt++ {
@@ -617,7 +618,7 @@ func (n *node) fetchFullPage(ti *sim.ThreadInterval, tid int, p vm.PageID, src A
 		sh.runlock()
 
 		var err error
-		reply, wire, err = c.call(n.id, mgr, req)
+		pr, frame, wire, err = c.callPage(n.id, mgr, req, p, false)
 		if err != nil {
 			if attempt < c.cfg.Nodes && c.shouldFailOver(err, mgr) {
 				c.stats.Failovers.Add(1)
@@ -627,10 +628,8 @@ func (n *node) fetchFullPage(ti *sim.ThreadInterval, tid int, p vm.PageID, src A
 		}
 		break
 	}
-	pr, ok := reply.(*msg.PageReply)
-	if !ok {
-		return fmt.Errorf("dsm: node %d fetch page %d: unexpected reply %T", n.id, p, reply)
-	}
+	// pr.Data is a view of frame until the copy below has run.
+	defer msg.PutBuf(frame)
 	c.stats.PageFetches.Add(1)
 	if src != ApplyDemand {
 		c.stats.RecoveryFetches.Add(1)
@@ -656,9 +655,6 @@ func (n *node) fetchFullPage(ti *sim.ThreadInterval, tid int, p vm.PageID, src A
 		vt = append(vt, st.appliedVT...)
 	}
 	n.unlockShard(sh)
-	// The decoded page image has been copied into the segment; its
-	// buffer can back a future twin or serve.
-	putPageBuf(pr.Data)
 	c.probePageFetched(n.id, p, src, vt)
 	return nil
 }
@@ -693,7 +689,9 @@ func nextWriter(nts []msg.Notice, prev int32) (w int32, ok bool) {
 // place. tid is the faulting thread (< 0 for server-side fetches) and src
 // classifies the protocol path for the probe (demand fault vs. manager
 // serving). Server-side calls run concurrently on transport workers, so
-// all scratch lives on this frame.
+// all scratch lives on this frame — the diff table and, beside it, the
+// reply frames its entries alias, released when the diffs have been
+// applied (or the fetch abandoned).
 func (n *node) fetchAndApplyDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, pending []msg.Notice, src ApplySource) (bool, error) {
 	c := n.c
 	slices.SortFunc(pending, causalOrder)
@@ -705,13 +703,17 @@ func (n *node) fetchAndApplyDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, 
 		diffs = make([][]byte, len(pending))
 	}
 	diffs = diffs[:len(pending)]
+	var frameBuf [16][]byte
+	held := frames(frameBuf[:0])
+	defer func() { held.release() }()
 	if c.cfg.BatchDiffs {
 		// Batched path: one DiffBatchRequest per writer, fanned out in
 		// parallel; the stall is the slowest round trip, not the sum.
-		wire, complete, err := n.fetchDiffBatches(pending, diffs)
+		wire, complete, fr, err := n.fetchDiffBatches(pending, diffs)
 		if err != nil {
 			return false, err
 		}
+		held = fr
 		charge(ti, sim.ThreadInterval{Stall: wire})
 		c.probeRemoteFetch(n.id, tid, FetchDiffBatch, p, wire)
 		if !complete {
@@ -720,7 +722,8 @@ func (n *node) fetchAndApplyDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, 
 	} else {
 		// One DiffRequest per writer, writers in ascending order.
 		for w, more := nextWriter(pending, -1); more; w, more = nextWriter(pending, w) {
-			ok, err := n.fetchWriterDiffs(ti, tid, p, w, pending, diffs)
+			frame, ok, err := n.fetchWriterDiffs(ti, tid, p, w, pending, diffs)
+			held = append(held, frame)
 			if !ok || err != nil {
 				return false, err
 			}
@@ -755,8 +758,12 @@ func (n *node) fetchAndApplyDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, 
 
 // fetchWriterDiffs fetches, in one DiffRequest, the diffs of writer w's
 // notices in pending and stores each at its notice's index in diffs. It
-// returns false if the writer has garbage-collected one of them.
-func (n *node) fetchWriterDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, w int32, pending []msg.Notice, diffs [][]byte) (bool, error) {
+// returns false if the writer has garbage-collected one of them. The
+// stored diffs alias the reply frame, which is returned on every path
+// that received one — errors included — and is the caller's to release
+// once it has read the diffs (nil: the reply was served locally, or none
+// arrived).
+func (n *node) fetchWriterDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, w int32, pending []msg.Notice, diffs [][]byte) (frame []byte, ok bool, err error) {
 	c := n.c
 	// The request and room for its usual handful of intervals come as one
 	// object: a message handed to the transport lives on the heap.
@@ -784,24 +791,33 @@ func (n *node) fetchWriterDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, w 
 			target = c.aliveSucc(target)
 			c.stats.Failovers.Add(1)
 		}
-		var err error
 		if target == n.id {
+			// No frame: the reply aliases the replica store, whose
+			// bytes are immutable and never pooled.
 			reply, err = n.serveReplicaDiffs(req)
 		} else {
-			reply, wire, err = c.call(n.id, target, req)
+			reply, frame, wire, err = c.callFrame(n.id, target, req)
 		}
 		if err != nil {
 			if attempt < c.cfg.Nodes && c.shouldFailOver(err, target) {
 				c.stats.Failovers.Add(1)
 				continue
 			}
-			return false, fmt.Errorf("dsm: node %d fetch diffs page %d from %d: %w", n.id, p, w, err)
+			return nil, false, fmt.Errorf("dsm: node %d fetch diffs page %d from %d: %w", n.id, p, w, err)
 		}
 		break
 	}
-	dr, ok := reply.(*msg.DiffReply)
-	if !ok || len(dr.Diffs) != count {
-		return false, fmt.Errorf("dsm: node %d bad diff reply for page %d from %d", n.id, p, w)
+	dr, isDiffs := reply.(*msg.DiffReply)
+	switch {
+	case !isDiffs:
+		err = fmt.Errorf("%w %T", errReplyShape, reply)
+	case dr.Page != int32(p):
+		err = fmt.Errorf("%w: %d", errReplyPage, dr.Page)
+	case len(dr.Diffs) != count:
+		err = fmt.Errorf("%w: %d for %d", errDiffCount, len(dr.Diffs), count)
+	}
+	if err != nil {
+		return frame, false, fmt.Errorf("dsm: node %d fetch diffs page %d from %d: %w", n.id, p, w, err)
 	}
 	c.stats.DiffFetches.Add(1)
 	charge(ti, sim.ThreadInterval{Stall: wire})
@@ -814,12 +830,12 @@ func (n *node) fetchWriterDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, w 
 		df := dr.Diffs[next]
 		next++
 		if df == nil {
-			return false, nil // garbage-collected
+			return frame, false, nil // garbage-collected
 		}
 		diffs[i] = df
 		c.stats.BytesDiff.Add(int64(len(df)))
 	}
-	return true, nil
+	return frame, true, nil
 }
 
 // serve dispatches an incoming protocol message. It is the transport
@@ -844,6 +860,16 @@ func (n *node) serve(from int, m msg.Message) (msg.Message, retained, error) {
 	case *msg.BarrierEnter:
 		return noRelease(n.serveBarrierEnter(req))
 	case *msg.BarrierRelease:
+		// Retain site: serveBarrierRelease stores req for the fan-out
+		// below this node, which reads the relay table's diffs after this
+		// request's frame has gone back to the transport — so they are
+		// copied out of it here. Push is consumed inside the serve, and
+		// the root's own release (served directly) never was in a frame.
+		for _, np := range req.Relay {
+			for i := range np.Push {
+				np.Push[i].Diff = slices.Clone(np.Push[i].Diff)
+			}
+		}
 		return noRelease(n.serveBarrierRelease(req))
 	case *msg.LockAcquire:
 		if primary := n.c.lockManager(req.Lock); n.c.cfg.FaultTolerance && primary != n.id {
@@ -1055,7 +1081,8 @@ func (n *node) serveBarrierRelease(req *msg.BarrierRelease) (msg.Message, error)
 	}
 	// Store the release for the fan-out below this node: it relays the
 	// episode's payload (and the Relay entries for its subtree) to its
-	// children from this copy.
+	// children from this copy (a release that arrived in a frame has had
+	// its relay table copied out of it, see serve).
 	n.c.barrierMu.Lock()
 	if b := &n.c.barriers[n.id]; b.episode == req.Episode {
 		b.rel = req

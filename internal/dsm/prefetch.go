@@ -228,16 +228,19 @@ func (c *Cluster) collectPushDiffs(root int, hot map[int32][]int32, notices []ms
 		}
 	}
 	diffs := make([][]byte, len(needed))
-	wire, _, err := c.nodes[root].fetchDiffBatches(needed, diffs)
+	wire, _, held, err := c.nodes[root].fetchDiffBatches(needed, diffs)
 	if err != nil {
 		return nil, 0, err
 	}
+	// Retain site: the diffs ride the release fan-out, long after this
+	// function has returned, so they are copied out of the reply frames.
 	got := make(map[[3]int32][]byte, len(needed))
 	for i, nt := range needed {
 		if diffs[i] != nil {
-			got[[3]int32{nt.Page, nt.Writer, nt.Interval}] = diffs[i]
+			got[[3]int32{nt.Page, nt.Writer, nt.Interval}] = slices.Clone(diffs[i])
 		}
 	}
+	held.release()
 
 	// Assemble each destination's push list. A page any of whose diffs
 	// is missing (garbage-collected on the writer) is skipped whole.
@@ -358,10 +361,11 @@ func (n *node) prefetch(budget int) (int, sim.Time, error) {
 		all = append(all, cd.pend...)
 	}
 	got := make([][]byte, len(all))
-	wire, _, err := n.fetchDiffBatches(all, got)
+	wire, _, held, err := n.fetchDiffBatches(all, got)
 	if err != nil {
 		return 0, 0, err
 	}
+	defer held.release() // got aliases the reply frames until applied
 
 	var applyCost sim.Time
 	applied := 0
@@ -410,10 +414,12 @@ func (n *node) prefetch(budget int) (int, sim.Time, error) {
 // writers — with one DiffBatchRequest per writer, fanned out in parallel,
 // and stores the diff of nts[i] in out[i] (nil where the writer has
 // garbage-collected it). It returns the slowest round trip's wire cost (the
-// requester's stall, since the fan-out overlaps) and whether every requested
-// diff was present. It performs no state mutation on n and must be called
-// without mu held; stats are recorded atomically.
-func (n *node) fetchDiffBatches(nts []msg.Notice, out [][]byte) (sim.Time, bool, error) {
+// requester's stall, since the fan-out overlaps), whether every requested
+// diff was present, and the reply frames: out's entries alias them, so the
+// caller releases the frames when it has applied or copied the diffs (on
+// error there is nothing to release). It performs no state mutation on n
+// and must be called without mu held; stats are recorded atomically.
+func (n *node) fetchDiffBatches(nts []msg.Notice, out [][]byte) (sim.Time, bool, frames, error) {
 	c := n.c
 	// order visits nts writer by writer, each writer's notices by (page,
 	// interval): the order the requests name the diffs in, and therefore
@@ -455,14 +461,16 @@ func (n *node) fetchDiffBatches(nts []msg.Notice, out [][]byte) (sim.Time, bool,
 
 	replies := make([]*msg.DiffBatchReply, len(reqs))
 	wires := make([]sim.Time, len(reqs))
+	held := make(frames, len(reqs))
 	err := fanOut(len(reqs), c.cfg.SerialFanOut, func(i int) error {
 		w := reqs[i].Writer
 		if int(w) == n.id {
 			// The barrier manager reading its own diff store (push
 			// collection): a local read, not a remote call. The reply
-			// aliases pinned stored diffs; unlike the wire path there is
-			// no decode-copy, so copy before releasing the pins — the
-			// returned diffs must outlive a concurrent GC drop.
+			// aliases pinned stored diffs, and there is no reply frame
+			// to hold them in as on the wire path, so copy before
+			// releasing the pins — the returned diffs must outlive a
+			// concurrent GC drop.
 			reply, pinned, err := n.serveDiffBatchRequest(reqs[i])
 			if err != nil {
 				return err
@@ -479,10 +487,11 @@ func (n *node) fetchDiffBatches(nts []msg.Notice, out [][]byte) (sim.Time, bool,
 			replies[i] = br
 			return nil
 		}
-		reply, wire, err := c.call(n.id, int(w), reqs[i])
+		reply, frame, wire, err := c.callFrame(n.id, int(w), reqs[i])
 		if err != nil {
 			return fmt.Errorf("dsm: node %d batch fetch diffs from %d: %w", n.id, w, err)
 		}
+		held[i] = frame
 		br, ok := reply.(*msg.DiffBatchReply)
 		if !ok || len(br.Pages) != len(reqs[i].Pages) {
 			return fmt.Errorf("dsm: node %d bad diff batch reply from %d", n.id, w)
@@ -492,7 +501,8 @@ func (n *node) fetchDiffBatches(nts []msg.Notice, out [][]byte) (sim.Time, bool,
 		return nil
 	})
 	if err != nil {
-		return 0, false, err
+		held.release()
+		return 0, false, nil, err
 	}
 
 	complete := true
@@ -503,7 +513,8 @@ func (n *node) fetchDiffBatches(nts []msg.Notice, out [][]byte) (sim.Time, bool,
 		for j, pd := range replies[i].Pages {
 			want := req.Pages[j]
 			if pd.Page != want.Page || len(pd.Diffs) != len(want.Intervals) {
-				return 0, false, fmt.Errorf("dsm: node %d misaligned diff batch reply from %d", n.id, req.Writer)
+				held.release()
+				return 0, false, nil, fmt.Errorf("dsm: node %d misaligned diff batch reply from %d", n.id, req.Writer)
 			}
 			for _, df := range pd.Diffs {
 				out[order[next]] = df
@@ -519,7 +530,7 @@ func (n *node) fetchDiffBatches(nts []msg.Notice, out [][]byte) (sim.Time, bool,
 			}
 		}
 	}
-	return maxWire, complete, nil
+	return maxWire, complete, held, nil
 }
 
 // serveDiffBatchRequest answers a batched diff fetch: a pure read of this

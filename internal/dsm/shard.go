@@ -121,15 +121,15 @@ func (r retained) release() {
 // for the same SA6002 reason as pageBufPool.
 var diffBufPool sync.Pool
 
-// getDiffBuf returns an empty diff buffer to append into. A miss makes
-// the buffer alone: stored diffs leave the pool for as long as they are
-// stored, so misses are the common case and a header boxed for a pool
-// that is not getting it back would be a second allocation per diff.
+// getDiffBuf returns an empty diff buffer to append into, or nil on a
+// pool miss: AppendDiff sizes its one allocation to the diff, so there is
+// no useful seed capacity, and stored diffs leave the pool for as long
+// as they are stored, so misses are the common case.
 func getDiffBuf() []byte {
 	if h, ok := diffBufPool.Get().(*[]byte); ok {
 		return (*h)[:0]
 	}
-	return make([]byte, 0, 256)
+	return nil
 }
 
 // putDiffBuf recycles a diff buffer.
@@ -223,9 +223,12 @@ func getPageBuf() []byte {
 	return (*pageBufPool.Get().(*[]byte))[:memlayout.PageSize]
 }
 
-// putPageBuf recycles a page-sized buffer. Buffers of any other capacity
-// (nil PageReply data, truncated images) are left for the GC, so callers
-// can hand over whatever they hold without checking provenance.
+// putPageBuf recycles a page-sized buffer. Only a buffer getPageBuf
+// returned comes back: a twin, or a served reply's image. Bytes decoded
+// from a reply (msg.PageReply.Data on the requesting side) are a view of
+// a wire frame that belongs to the msg buffer pool, and putting such a
+// view here would hand one backing array to two pools. The capacity
+// check only drops nil.
 func putPageBuf(b []byte) {
 	if cap(b) < memlayout.PageSize {
 		return
@@ -236,13 +239,15 @@ func putPageBuf(b []byte) {
 
 // recycleReply returns a served reply's page buffer to the pool. Called
 // by the transport handler after the reply has been encoded to the wire:
-// at that point the message object is dead (Decode on the requester side
-// copies), so its page image can back the next serve. Only PageReply
-// carries a pooled buffer — diff replies alias the immutable stored
-// diffs and must never be recycled.
+// the encode copied the image into the reply frame, and that frame is
+// all the requester ever sees, so the image can back the next serve.
+// Every PageReply a serve builds holds a getPageBuf buffer or nil (the
+// single-writer forwarders copy the owner's image into one) — diff
+// replies alias the immutable stored diffs and must never be recycled.
 func recycleReply(m msg.Message) {
 	if pr, ok := m.(*msg.PageReply); ok {
-		putPageBuf(pr.Data)
+		image := pr.Data
 		pr.Data = nil
+		putPageBuf(image)
 	}
 }

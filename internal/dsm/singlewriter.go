@@ -29,7 +29,10 @@ import (
 // the fault path charges the span in progress (n.spanCharge) directly. No
 // path holds both at once, and neither is held across a transport call.
 // Serve-side full-page images come from the page-buffer pool and are
-// recycled by the transport handler after encoding (recycleReply).
+// recycled by the transport handler after encoding (recycleReply); an
+// image the manager forwards from the owner is copied into one first
+// (swOwnerImage). Requester-side images are views of the reply frame,
+// which is recycled once they have been copied into the segment.
 
 // Protocol selects the coherence protocol.
 type Protocol uint8
@@ -103,22 +106,16 @@ func (n *node) swRemoteFault(mgr int, p vm.PageID, a vm.Access) (bool, error) {
 	} else {
 		req = &msg.SWRead{From: int32(n.id), Page: int32(p)}
 	}
-	reply, wire, err := c.call(n.id, mgr, req)
+	pr, frame, wire, err := c.callPage(n.id, mgr, req, p, true)
 	if err != nil {
 		return false, fmt.Errorf("dsm: node %d sw fault page %d: %w", n.id, p, err)
-	}
-	pr, ok := reply.(*msg.PageReply)
-	if !ok {
-		return false, fmt.Errorf("dsm: node %d sw fault page %d: unexpected reply %T", n.id, p, reply)
 	}
 	c.stats.PageFetches.Add(1)
 	n.spanCharge.Stall += wire
 
 	sh := n.lockShard(p)
 	st := &n.pages[p]
-	if len(pr.Data) > 0 {
-		copy(n.pageData(p), pr.Data)
-	}
+	copy(n.pageData(p), pr.Data) // no image: this node already held the data
 	st.hasCopy = true
 	if a == vm.Write {
 		n.as.SetProt(p, vm.ProtReadWrite)
@@ -126,8 +123,7 @@ func (n *node) swRemoteFault(mgr int, p vm.PageID, a vm.Access) (bool, error) {
 		n.as.SetProt(p, vm.ProtRead)
 	}
 	n.unlockShard(sh)
-	putPageBuf(pr.Data)
-	pr.Data = nil
+	msg.PutBuf(frame) // pr.Data was a view of it
 	return true, nil
 }
 
@@ -145,13 +141,9 @@ func (n *node) swManagerLocalFault(p vm.PageID, a vm.Access) (bool, error) {
 		} else {
 			req = &msg.SWDowngrade{Page: int32(p)}
 		}
-		reply, wire, err := n.c.call(n.id, int(st.owner), req)
+		pr, frame, wire, err := n.c.callPage(n.id, int(st.owner), req, p, false)
 		if err != nil {
 			return false, fmt.Errorf("dsm: manager %d sw fetch page %d: %w", n.id, p, err)
-		}
-		pr, ok := reply.(*msg.PageReply)
-		if !ok {
-			return false, fmt.Errorf("dsm: manager %d sw fetch page %d: bad reply %T", n.id, p, reply)
 		}
 		n.c.stats.PageFetches.Add(1)
 		n.spanCharge.Stall += wire
@@ -159,8 +151,7 @@ func (n *node) swManagerLocalFault(p vm.PageID, a vm.Access) (bool, error) {
 		copy(n.pageData(p), pr.Data)
 		n.pages[p].hasCopy = true
 		n.unlockShard(sh)
-		putPageBuf(pr.Data)
-		pr.Data = nil
+		msg.PutBuf(frame) // pr.Data was a view of it
 		remote = true
 	}
 
@@ -242,20 +233,32 @@ func (n *node) serveSWRead(req *msg.SWRead) (msg.Message, error) {
 		// Requester is the owner asking to read — should not fault,
 		// but answer benignly with no data.
 	default:
-		reply, _, err := n.c.call(n.id, int(st.owner), &msg.SWDowngrade{Page: req.Page})
-		if err != nil {
-			return nil, err
+		var err error
+		if data, err = n.swOwnerImage(int(st.owner), &msg.SWDowngrade{Page: req.Page}, p); err != nil {
+			return nil, fmt.Errorf("dsm: sw read page %d: %w", p, err)
 		}
-		pr, ok := reply.(*msg.PageReply)
-		if !ok {
-			return nil, fmt.Errorf("dsm: sw read page %d: bad owner reply %T", p, reply)
-		}
-		data = pr.Data
 	}
 	n.swMu.Lock()
 	n.sw[p].copyset |= 1 << uint(req.From)
 	n.swMu.Unlock()
 	return &msg.PageReply{Page: req.Page, Data: data}, nil
+}
+
+// swOwnerImage has the manager fetch page p from its owner (req is the
+// downgrade or the flush) on a requester's behalf and returns the image
+// in a page-pool buffer. Retain site: the image rides the manager's own
+// reply, which is encoded after the serve returns, so it is copied out of
+// the owner's reply frame — into a getPageBuf buffer, which is what
+// recycleReply expects to take back.
+func (n *node) swOwnerImage(owner int, req msg.Message, p vm.PageID) ([]byte, error) {
+	pr, frame, _, err := n.c.callPage(n.id, owner, req, p, false)
+	if err != nil {
+		return nil, err
+	}
+	data := getPageBuf()
+	copy(data, pr.Data)
+	msg.PutBuf(frame)
+	return data, nil
 }
 
 // serveSWWrite runs at the manager: flush the owner, invalidate replicas,
@@ -278,15 +281,10 @@ func (n *node) serveSWWrite(req *msg.SWWrite) (msg.Message, error) {
 		n.unlockShard(sh)
 		n.swDropLocal(p)
 	default:
-		reply, _, err := n.c.call(n.id, int(st.owner), &msg.SWFlush{Page: req.Page})
-		if err != nil {
-			return nil, err
+		var err error
+		if data, err = n.swOwnerImage(int(st.owner), &msg.SWFlush{Page: req.Page}, p); err != nil {
+			return nil, fmt.Errorf("dsm: sw write page %d: %w", p, err)
 		}
-		pr, ok := reply.(*msg.PageReply)
-		if !ok {
-			return nil, fmt.Errorf("dsm: sw write page %d: bad owner reply %T", p, reply)
-		}
-		data = pr.Data
 	}
 	if _, err := n.swInvalidateOthers(p, int(req.From), int(st.owner)); err != nil {
 		return nil, err

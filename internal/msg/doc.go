@@ -13,7 +13,16 @@
 // first byte is written. For the protocol service path, EncodeTo appends
 // to a caller-provided buffer and GetBuf/PutBuf expose a sync.Pool of
 // reusable buffers, so steady-state encodes perform zero allocations.
-// Decode always copies byte payloads out of the input buffer, which is
-// what makes recycling encode buffers safe: no decoded message aliases a
-// pooled buffer.
+//
+// # Buffer ownership
+//
+// Decode borrows: the []byte fields of a decoded message (a page image,
+// a diff) are sub-slices of the buffer it was given, with their capacity
+// clipped so an append cannot reach the buffer. Everything else (integer
+// vectors, notices) is copied out. A message whose Kind.Borrows is true
+// is therefore valid only while its buffer is: the decoder's caller
+// holds the buffer until the payloads have been applied or copied, then
+// recycles it with PutBuf. Forgetting the PutBuf costs garbage, never
+// correctness; using a payload after it is the bug, and race builds make
+// it loud — there PutBuf fills the buffer with 0xDB before pooling it.
 package msg

@@ -545,8 +545,11 @@ var hdrPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // GetBuf returns a pooled, zero-length byte buffer for use with
 // EncodeTo. Return it with PutBuf when the encoded bytes are no longer
-// referenced (the transports never retain a payload past Call, and
-// Decode copies, so "after the Call returns" is the usual point).
+// referenced. For a request buffer that is when the Call returns (the
+// transports never retain a payload past it). For a buffer a message was
+// decoded from it is when the last byte field of that message has been
+// consumed: Decode borrows (see Kind.Borrows), so the message's payloads
+// live in the buffer.
 func GetBuf() []byte {
 	v := bufPool.Get()
 	if v == nil {
@@ -561,16 +564,47 @@ func GetBuf() []byte {
 
 // PutBuf recycles a buffer obtained from GetBuf (or any buffer the
 // caller owns outright — e.g. a reply buffer a transport allocated and
-// will not touch again). The caller must not reference b afterwards.
-// Steady state allocates nothing: the slice header recycles through
-// hdrPool alongside the bytes.
+// will not touch again). The caller must not reference b afterwards,
+// directly or through a message decoded from it. Steady state allocates
+// nothing: the slice header recycles through hdrPool alongside the bytes.
+//
+// Race builds overwrite the buffer's whole capacity with poisonByte
+// first, so a read through a stale alias returns a deterministic wrong
+// byte (which the coherence oracle and the digest tests trip on) instead
+// of whatever the next user of the buffer happened to write.
 func PutBuf(b []byte) {
+	if poisonOnPut {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
 	h := hdrPool.Get().(*[]byte)
 	*h = b
 	bufPool.Put(h)
 }
 
-// Decode parses a message produced by Encode.
+// poisonByte is what a race build's PutBuf fills a recycled buffer with.
+const poisonByte = 0xDB
+
+// Borrows reports whether a decoded message of kind k holds byte fields
+// that alias the buffer it was decoded from (PageReply.Data, the Diffs of
+// DiffReply / DiffBatchReply / ReplicaDelta, BarrierRelease's pushed
+// diffs). Whoever decodes such a message must keep the buffer until those
+// fields have been consumed, and copy what it retains past that point.
+func (k Kind) Borrows() bool {
+	switch k {
+	case KindPageReply, KindDiffReply, KindDiffBatchReply, KindBarrierRelease, KindReplicaDelta:
+		return true
+	}
+	return false
+}
+
+// Decode parses a message produced by Encode. It borrows: every []byte
+// field of the result is a sub-slice of b (capacity clipped to its
+// length, so an append can never write into b), valid for as long as the
+// caller leaves b alone. Integer and notice fields are copied out as
+// before. Kind.Borrows names the kinds that have such fields.
 func Decode(b []byte) (Message, error) {
 	// Each case calls its type's decodeBody directly rather than through
 	// the Message interface: a static call lets the decoder stay on this
@@ -1447,13 +1481,14 @@ func (d *decoder) length() (int, error) {
 	return int(v), nil
 }
 
+// bytes decodes a counted byte field as a view of the input: no copy,
+// capacity clipped to the field.
 func (d *decoder) bytes() ([]byte, error) {
 	n, err := d.length()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+n])
+	out := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return out, nil
 }

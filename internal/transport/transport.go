@@ -36,8 +36,13 @@ import (
 //
 // Buffer ownership: the transport owns the payload and may recycle it
 // (msg.PutBuf) as soon as the handler returns, so the handler must not
-// retain it. The reply passes ownership the other way — the transport
-// recycles it after framing it. A handler must therefore return either
+// retain it — nor anything that aliases it. msg.Decode borrows: the byte
+// fields of a message decoded from the payload (pushed diffs, replicated
+// diffs) are views of it, so a handler consumes them before it returns
+// and copies whatever it keeps. The reply passes ownership the other
+// way — the transport recycles it after framing it (the caller of Call
+// owns the reply it is handed, and whatever it decodes from it, until it
+// recycles that buffer in turn). A handler must therefore return either
 // a buffer it owns outright (freshly allocated or msg.GetBuf'd, the
 // usual msg.EncodeTo shape) or the payload slice itself (echoes); never
 // a buffer that is shared or referenced elsewhere.
