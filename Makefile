@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race alloc-gate lint fmt-check tools bench bench-compare bench-hotpath bench-transport bench-e2e bench-module doc-links fuzz-smoke sweep sweep-poison check-mutations
+.PHONY: check build vet test race alloc-gate lint fmt-check tools bench bench-compare bench-hotpath bench-transport bench-e2e bench-module doc-links fuzz-smoke sweep sweep-poison gc-gate check-mutations
 
 ## check: the full gate — formatting, build, vet, static analysis, the
 ## test suite under the race detector, the access path's allocation gate
@@ -186,8 +186,18 @@ SWEEP_POISON_SEEDS ?= 20
 sweep-poison:
 	$(GO) run -race ./cmd/actcheck -seeds $(SWEEP_POISON_SEEDS) -q
 
+## gc-gate: a garbage-collection round stays one GCCollect per (home,
+## member). The message-count test fails on a regression back to per-page
+## traffic, the chaos test on a dropped or doubly executed multi-page
+## collect moving a counter, and the poisoned sweep (whose *gc scenarios
+## collect at every barrier) on a page list or a diff read through a frame
+## that was already recycled.
+gc-gate: sweep-poison
+	$(GO) test -run 'TestGCRoundMessageCount|TestChaosBarrierGCDedup' -count=3 ./internal/dsm
+
 ## check-mutations: checker validation — each deliberately broken
 ## protocol variant must trip the oracle (the sweep FAILING is the pass).
 check-mutations:
 	$(GO) run ./cmd/actcheck -seeds 5 -q -expect-failure -mutation no-transitivity
 	$(GO) run ./cmd/actcheck -seeds 5 -q -expect-failure -mutation no-notice-dedup
+	$(GO) run ./cmd/actcheck -seeds 5 -q -expect-failure -mutation gc-skip-last-page

@@ -12,8 +12,8 @@
 // removed one at a time while the violation persists) and printed as a
 // repro stanza; the exit status is 1. -mutation runs every trial under a
 // deliberately broken protocol (none, no-transitivity, no-notice-dedup,
-// push-partial-apply) to validate that the checker detects that bug
-// class — used by `make check-mutations` and CI.
+// push-partial-apply, gc-skip-last-page) to validate that the checker
+// detects that bug class — used by `make check-mutations` and CI.
 package main
 
 import (
@@ -37,7 +37,7 @@ func run() error {
 	var (
 		seeds     = flag.Int("seeds", 200, "schedules to replay per scenario")
 		scens     = flag.String("scenarios", "", "comma-separated scenario subset (default: all)")
-		mutFlag   = flag.String("mutation", "none", "protocol mutation: none, no-transitivity, no-notice-dedup, push-partial-apply")
+		mutFlag   = flag.String("mutation", "none", "protocol mutation: none, no-transitivity, no-notice-dedup, push-partial-apply, gc-skip-last-page")
 		maxFaults = flag.Int("max-faults", 3, "max chaos events per generated plan")
 		workers   = flag.Int("workers", 0, "parallel trials (0 = GOMAXPROCS)")
 		list      = flag.Bool("list", false, "list scenarios and exit")
@@ -126,10 +126,11 @@ func parseMutation(s string) (dsm.Mutation, error) {
 	for _, m := range []dsm.Mutation{
 		dsm.MutationNone, dsm.MutationNoTransitivity,
 		dsm.MutationNoNoticeDedup, dsm.MutationPushPartialApply,
+		dsm.MutationGCSkipLastPage,
 	} {
 		if m.String() == s {
 			return m, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown mutation %q (want none, no-transitivity, no-notice-dedup, or push-partial-apply)", s)
+	return 0, fmt.Errorf("unknown mutation %q (want none, no-transitivity, no-notice-dedup, push-partial-apply, or gc-skip-last-page)", s)
 }

@@ -77,6 +77,13 @@ type Scenario struct {
 	// the oracle watches. Exercises the track → decide → migrate loop
 	// under seeded chaos.
 	Controller bool
+	// GCThresholdBytes forwards to dsm.Config. The zero value is the DSM's
+	// 64 MB default, which no sweep workload reaches; 1 runs a garbage-
+	// collection round after every barrier that leaves a diff stored, so
+	// the round's consolidation, its bulk collects and the refetches they
+	// force all run under the oracle (and, with Crashes, under a crash
+	// sited inside the round).
+	GCThresholdBytes int
 }
 
 // Scenarios returns the default sweep set: the paper's regular
@@ -123,6 +130,15 @@ func Scenarios() []Scenario {
 			LockShards: 2, BarrierArity: 2, HomeMigration: true, Crashes: 1, Restart: true},
 		{Name: "Serve4ft", App: "ServeKV", Threads: 4, Nodes: 4, Iterations: 4,
 			LockShards: 2, BarrierArity: 2, HomeMigration: true, Crashes: 1, Restart: true},
+		// Diff garbage collection at every barrier: static homes (so the
+		// home of a page is rarely its writer and must consolidate), then
+		// the same under a crash that may land inside the round.
+		{Name: "SOR4gc", App: "SOR", Threads: 4, Nodes: 4, Iterations: 4,
+			BatchDiffs: true, GCThresholdBytes: 1},
+		{Name: "Ocean4gc", App: "Ocean", Threads: 4, Nodes: 4, Iterations: 3,
+			GCThresholdBytes: 1},
+		{Name: "SOR4ftgc", App: "SOR", Threads: 4, Nodes: 4, Iterations: 4,
+			BarrierArity: 2, Crashes: 1, GCThresholdBytes: 1},
 	}
 }
 
@@ -370,16 +386,17 @@ func RunTrial(tr Trial) TrialResult {
 		return faults[call] // zero value is FaultNone
 	}
 	cl, err := dsm.New(dsm.Config{
-		Nodes:          tr.Scenario.Nodes,
-		Pages:          layout.TotalPages(),
-		SerialFanOut:   true,
-		Mutation:       tr.Mutation,
-		BatchDiffs:     tr.Scenario.BatchDiffs,
-		PrefetchBudget: tr.Scenario.PrefetchBudget,
-		LockShards:     tr.Scenario.LockShards,
-		BarrierArity:   tr.Scenario.BarrierArity,
-		HomeMigration:  tr.Scenario.HomeMigration,
-		FaultTolerance: tr.Scenario.Crashes > 0 || len(tr.Plan.Crashes) > 0,
+		Nodes:            tr.Scenario.Nodes,
+		Pages:            layout.TotalPages(),
+		SerialFanOut:     true,
+		Mutation:         tr.Mutation,
+		BatchDiffs:       tr.Scenario.BatchDiffs,
+		PrefetchBudget:   tr.Scenario.PrefetchBudget,
+		LockShards:       tr.Scenario.LockShards,
+		BarrierArity:     tr.Scenario.BarrierArity,
+		HomeMigration:    tr.Scenario.HomeMigration,
+		FaultTolerance:   tr.Scenario.Crashes > 0 || len(tr.Plan.Crashes) > 0,
+		GCThresholdBytes: tr.Scenario.GCThresholdBytes,
 		// Tight retry budget: enough attempts that a single injected
 		// fault per call number always recovers (a retried call gets a
 		// fresh call number), with microsecond backoff so thousand-trial

@@ -74,15 +74,20 @@ func TestMutationNoTransitivityDetected(t *testing.T) {
 	if !r.Failed() {
 		t.Fatal("broken transitivity not detected")
 	}
-	found := false
-	for _, v := range r.Violations {
-		if v.Invariant == "lost-update" {
-			found = true
-		}
-	}
-	if !found {
+	if !hasInvariant(r, "lost-update") {
 		t.Fatalf("expected lost-update, got %v", r.Violations)
 	}
+}
+
+// hasInvariant reports whether the trial recorded a breach of the named
+// invariant.
+func hasInvariant(r TrialResult, code string) bool {
+	for _, v := range r.Violations {
+		if v.Invariant == code {
+			return true
+		}
+	}
+	return false
 }
 
 func TestMutationNoNoticeDedupDetected(t *testing.T) {
@@ -95,14 +100,25 @@ func TestMutationNoNoticeDedupDetected(t *testing.T) {
 		if !r.Failed() {
 			t.Fatalf("%s: broken notice dedup not detected", name)
 		}
-		found := false
-		for _, v := range r.Violations {
-			if v.Invariant == "double-apply" {
-				found = true
-			}
-		}
-		if !found {
+		if !hasInvariant(r, "double-apply") {
 			t.Fatalf("%s: expected double-apply, got %v", name, r.Violations)
+		}
+	}
+}
+
+// TestMutationGCSkipLastPageDetected also proves the GC scenarios do what
+// they are there for: the bug only bites when a round's collect carries
+// two or more pages to a member that holds a stale replica of the last.
+func TestMutationGCSkipLastPageDetected(t *testing.T) {
+	for _, name := range []string{"SOR4gc", "Ocean4gc"} {
+		r := RunTrial(Trial{
+			Scenario: MustScenario(name),
+			Seed:     1,
+			Mutation: dsm.MutationGCSkipLastPage,
+		})
+		if !hasInvariant(r, "lost-update") {
+			t.Fatalf("%s: expected lost-update from the uninvalidated replica, got %v (run error %v)",
+				name, r.Violations, r.RunErr)
 		}
 	}
 }

@@ -22,7 +22,9 @@ func chaosWorkload(t *testing.T, c *Cluster, nodes, npages int) {
 	for round := 0; round < 4; round++ {
 		for node := 0; node < nodes; node++ {
 			for k := 0; k < 8; k++ {
-				w := (node*17 + k*29 + round*53) % words
+				// The multiplier spreads the writes over every page, so
+				// a GC round's collect carries more than one.
+				w := (node*17 + k*29 + round*53) * 131 % words
 				w -= w % nodes // disjoint per-node lanes within an interval
 				w += node
 				if w >= words {
@@ -50,7 +52,8 @@ func chaosWorkload(t *testing.T, c *Cluster, nodes, npages int) {
 // TestChaosBarrierGCDedup is the resilience acceptance test: a chaos plan
 // drops one barrier-enter request, one barrier-enter reply, one GC-collect
 // request, and one GC-collect reply (the dropped replies force the
-// receiver to execute the request twice once the transport retries). The
+// receiver to execute the request twice once the transport retries); the
+// two collects it picks each carry a list of at least two pages. The
 // episode must complete via transport-level retry with the final page
 // contents identical to the shadow and every protocol counter identical
 // to a chaos-free reference run — i.e. no write notice or GC collection
@@ -105,6 +108,9 @@ func TestChaosBarrierGCDedup(t *testing.T) {
 							return transport.FaultDropReply
 						}
 					case msg.KindGCCollect:
+						if m, err := msg.Decode(payload); err != nil || len(m.(*msg.GCCollect).Pages) < 2 {
+							break // only a multi-page list will do
+						}
 						if gcReq.CompareAndSwap(false, true) {
 							return transport.FaultDropRequest
 						}

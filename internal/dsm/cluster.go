@@ -434,12 +434,14 @@ func (c *Cluster) lockManager(lock int32) int {
 // callFrame.
 var errPayloadReply = errors.New("dsm: payload-carrying reply on the frame-recycling call path")
 
-// Malformed bulk replies, rejected by name before any state changes.
+// Malformed bulk replies — and the one bulk request, a GCCollect's page
+// list — rejected by name before any state changes.
 var (
-	errReplyPage  = errors.New("reply names another page")
-	errPageImage  = errors.New("page image is not one page long")
-	errDiffCount  = errors.New("diff count differs from the intervals asked for")
-	errReplyShape = errors.New("unexpected reply type")
+	errReplyPage   = errors.New("reply names another page")
+	errPageImage   = errors.New("page image is not one page long")
+	errDiffCount   = errors.New("diff count differs from the intervals asked for")
+	errReplyShape  = errors.New("unexpected reply type")
+	errCollectPage = errors.New("collect names a page outside the segment")
 )
 
 // frames is the list of reply frames a fetch borrowed its payloads from:
@@ -1367,25 +1369,32 @@ func (c *Cluster) commitQueuedHomes(moved, skipped int64) {
 }
 
 // collectGarbage runs one garbage-collection round over the membership
-// view: every page that has stored diffs consolidates at its effective
-// home, then the home broadcasts GCCollect — all members drop the page's
-// diffs and non-home replicas are invalidated (causing the extra remote
-// faults the paper attributes to GC). Under fault tolerance the home's
-// standby refreshes its full copy before the drop broadcast (so the
-// two-copy invariant survives the collection), and the collect spares the
-// standby's page copy while still dropping every stored and replicated
-// diff.
+// view, in two phases over the pages that have stored diffs, grouped by
+// effective home. Phase 1: every home brings its own pages current, the
+// homes concurrently (each on its own fan-out goroutine, serially under
+// SerialFanOut); under fault tolerance the home's standby refreshes its
+// full copy of each page in the same phase, so the two-copy invariant
+// survives the collection. No diff is dropped until every home and standby
+// is current. Phase 2: each home sends every other member one GCCollect
+// naming all of its pages — all members drop the pages' diffs and non-home
+// replicas are invalidated (causing the extra remote faults the paper
+// attributes to GC); the collect spares the standby's page copy while
+// still dropping every stored and replicated diff. A round therefore costs
+// homes x (members-1) round trips however many pages it collects, and
+// that is what the virtual clock charges each member for.
 func (c *Cluster) collectGarbage(costs []sim.Time) error {
 	c.stats.GCRounds.Add(1)
 	view := c.aliveList()
-	pageSet := make(map[vm.PageID]bool)
+	// The page set, marked under the locks that guard the stores and
+	// walked in ascending order.
+	stored := vm.NewBitmap(c.cfg.Pages)
 	for _, i := range view {
 		n := c.nodes[i]
 		for s := range n.shards {
 			sh := &n.shards[s]
 			sh.mu.RLock()
 			for p := range sh.diffs {
-				pageSet[p] = true
+				stored.Set(p)
 			}
 			sh.mu.RUnlock()
 		}
@@ -1393,76 +1402,114 @@ func (c *Cluster) collectGarbage(costs []sim.Time) error {
 		n.replMu.Lock()
 		for _, pm := range n.replDiffs {
 			for p := range pm {
-				pageSet[p] = true
+				// A replica delta's page ids are stored as received.
+				if p >= 0 && int(p) < c.cfg.Pages {
+					stored.Set(p)
+				}
 			}
 		}
 		n.replMu.Unlock()
 	}
-	pages := make([]vm.PageID, 0, len(pageSet))
-	for p := range pageSet {
-		pages = append(pages, p)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-
-	for _, p := range pages {
+	lists := make([]msg.GCCollect, c.cfg.Nodes) // by effective home
+	stored.ForEach(func(p vm.PageID) {
 		hm := c.nodes[view[0]].effHome(p)
-		mgr := c.nodes[hm]
+		lists[hm].Pages = append(lists[hm].Pages, int32(p))
+	})
+	var homes []int
+	for hm := range lists {
+		if len(lists[hm].Pages) > 0 {
+			homes = append(homes, hm)
+		}
+	}
+
+	// Phase 1. A home's goroutine adds to costs[hm] only; what its standby
+	// pays is kept beside it and charged after the fan-out, because the
+	// standby may be a home consolidating on another goroutine.
+	standby := make([]sim.Time, len(homes))
+	err := fanOut(len(homes), c.cfg.SerialFanOut, func(j int) (err error) {
+		var own sim.Time
+		own, standby[j], err = c.consolidate(homes[j], lists[homes[j]].Pages)
+		costs[homes[j]] += own
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	for j, hm := range homes {
+		if standby[j] != 0 {
+			costs[c.aliveSucc(hm)] += standby[j]
+		}
+	}
+
+	// Phase 2, fanned out over the receiving members so that costs[i] has
+	// one writer; each takes the homes' lists in order. serveGCCollect is
+	// idempotent (dropping absent diffs and re-invalidating are no-ops), so
+	// a phase retry that re-delivers a list, or any part of the round, is
+	// harmless and GCCollections stays exactly-once per page.
+	err = c.broadcast(func() error {
+		return fanOut(len(view), c.cfg.SerialFanOut, func(j int) error {
+			i := view[j]
+			for _, hm := range homes {
+				if i == hm {
+					if _, err := c.nodes[i].serveGCCollect(&lists[hm]); err != nil {
+						return err
+					}
+					continue
+				}
+				_, wire, err := c.call(hm, i, &lists[hm])
+				if err != nil {
+					return fmt.Errorf("dsm: gc collect home %d node %d: %w", hm, i, err)
+				}
+				costs[i] += wire
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		return err
+	}
+	c.stats.GCCollections.Add(int64(stored.Count()))
+	return nil
+}
+
+// consolidate is a garbage-collection round's first phase at one home: it
+// applies the diffs each of the home's collected pages still has pending
+// and, under fault tolerance, has the home's standby refresh its full copy
+// of the page, so a later failover still finds a current image. It returns
+// the virtual time the home and the standby spent.
+func (c *Cluster) consolidate(hm int, pages []int32) (own, standby sim.Time, err error) {
+	mgr := c.nodes[hm]
+	for _, pg := range pages {
+		p := vm.PageID(pg)
+		var pendBuf [16]msg.Notice
 		sh := mgr.rlockShard(p)
-		pending := append([]msg.Notice(nil), mgr.pages[p].pending...)
+		pending := append(pendBuf[:0], mgr.pages[p].pending...)
 		sh.runlock()
-		var ti sim.ThreadInterval
 		if len(pending) > 0 {
+			var ti sim.ThreadInterval
 			ok, err := mgr.fetchAndApplyDiffs(&ti, -1, p, pending, ApplyServer)
 			if err != nil {
-				return fmt.Errorf("dsm: gc consolidate page %d: %w", p, err)
+				return own, standby, fmt.Errorf("dsm: gc consolidate page %d: %w", p, err)
 			}
 			if !ok {
-				return fmt.Errorf("dsm: gc consolidate page %d: diffs already gone", p)
+				return own, standby, fmt.Errorf("dsm: gc consolidate page %d: diffs already gone", p)
 			}
 			sh = mgr.lockShard(p)
 			mgr.as.SetProt(p, vm.ProtRead)
 			mgr.unlockShard(sh)
+			own += ti.Stall + ti.Overhead
 		}
-		costs[hm] += ti.Stall + ti.Overhead
-
 		if c.cfg.FaultTolerance {
-			// Refresh the standby's full copy before diffs drop, so a
-			// later failover still finds a current image.
 			if s := c.aliveSucc(hm); s != hm {
 				w, err := c.fetchStandbyCopy(s, p)
 				if err != nil {
-					return fmt.Errorf("dsm: gc standby refresh page %d: %w", p, err)
+					return own, standby, fmt.Errorf("dsm: gc standby refresh page %d: %w", p, err)
 				}
-				costs[s] += w
+				standby += w
 			}
 		}
-
-		// Parallel collect broadcast. serveGCCollect is idempotent
-		// (dropping absent diffs and re-invalidating are no-ops), so
-		// phase retries that re-deliver to some members are harmless and
-		// GCCollections stays exactly-once per page.
-		collect := &msg.GCCollect{Page: int32(p)}
-		err := c.broadcast(func() error {
-			return fanOut(len(view), c.cfg.SerialFanOut, func(j int) error {
-				i := view[j]
-				if i == hm {
-					_, err := c.nodes[i].serveGCCollect(collect)
-					return err
-				}
-				_, wire, err := c.call(hm, i, collect)
-				if err != nil {
-					return fmt.Errorf("dsm: gc collect page %d node %d: %w", p, i, err)
-				}
-				costs[i] += wire
-				return nil
-			})
-		})
-		if err != nil {
-			return err
-		}
-		c.stats.GCCollections.Add(1)
 	}
-	return nil
+	return own, standby, nil
 }
 
 // AcquireLock performs the consistency protocol for thread tid on a node

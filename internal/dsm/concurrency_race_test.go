@@ -112,7 +112,7 @@ func TestRaceServiceHammer(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < o.Ops/2 && !stop.Load(); i++ {
 					p := int32(diffPages + i%(o.Pages-diffPages))
-					_, _, err := c.call(1, 0, &msg.GCCollect{Page: p})
+					_, _, err := c.call(1, 0, &msg.GCCollect{Pages: []int32{p}})
 					report(err)
 				}
 			}()

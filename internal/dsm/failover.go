@@ -524,7 +524,7 @@ func (n *node) resetForRejoin() {
 			}
 			st.dirty = false
 			st.hasCopy = false
-			st.pending = nil
+			st.pending = st.pending[:0]
 			n.markPrefetched(st, false)
 			st.appliedVT = nil
 			n.as.SetProt(vm.PageID(p), vm.ProtNone)

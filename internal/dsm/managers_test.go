@@ -712,7 +712,7 @@ func TestDiffAliasGCHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%10 == 9 {
-			if _, err := n.serveGCCollect(&msg.GCCollect{Page: 0}); err != nil {
+			if _, err := n.serveGCCollect(&msg.GCCollect{Pages: []int32{0}}); err != nil {
 				t.Fatal(err)
 			}
 		}

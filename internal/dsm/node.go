@@ -1199,22 +1199,44 @@ func (n *node) serveLockPull(req *msg.LockPull) (msg.Message, error) {
 	return grant, nil
 }
 
-// serveGCCollect drops stored diffs for the page and, on non-home
-// nodes, invalidates the copy outright (replicas of collected pages are
-// invalidated rather than updated — paper §2). Dropping releases the
-// store's reference on each diff; bytes still pinned by an in-flight
-// serve are recycled when that serve's encode finishes.
+// serveGCCollect drops the stored diffs of every page the collect names
+// and, on non-home nodes, invalidates the copies outright (replicas of
+// collected pages are invalidated rather than updated — paper §2). The
+// whole list is checked before any state moves, so a refused collect drops
+// nothing; re-delivery of the list, or of any part of it, is a no-op.
 func (n *node) serveGCCollect(req *msg.GCCollect) (msg.Message, error) {
-	p := vm.PageID(req.Page)
+	for _, pg := range req.Pages {
+		if pg < 0 || int(pg) >= n.c.cfg.Pages {
+			return nil, fmt.Errorf("dsm: node %d: %w: %d", n.id, errCollectPage, pg)
+		}
+	}
 	if n.c.cfg.FaultTolerance {
 		// The replicated diff store mirrors the primaries' diffs; a
 		// collect retires the whole page's history there too.
 		n.replMu.Lock()
 		for _, byPage := range n.replDiffs {
-			delete(byPage, p)
+			for _, pg := range req.Pages {
+				delete(byPage, vm.PageID(pg))
+			}
 		}
 		n.replMu.Unlock()
 	}
+	for i, pg := range req.Pages {
+		// MutationGCSkipLastPage (test-only): the last page of a longer
+		// list is collected but its replica is left readable.
+		keep := n.c.cfg.Mutation == MutationGCSkipLastPage && i > 0 && i == len(req.Pages)-1
+		if err := n.collectPage(vm.PageID(pg), keep); err != nil {
+			return nil, err
+		}
+	}
+	return &msg.Ack{}, nil
+}
+
+// collectPage is serveGCCollect's per-page body. Dropping releases the
+// store's reference on each diff; bytes still pinned by an in-flight serve
+// are recycled when that serve's encode finishes. keepCopy is the seeded
+// bug: the page's notices are retired without invalidating the copy.
+func (n *node) collectPage(p vm.PageID, keepCopy bool) error {
 	sh := n.lockShard(p)
 	defer n.unlockShard(sh)
 	if store, ok := sh.diffs[p]; ok {
@@ -1233,19 +1255,22 @@ func (n *node) serveGCCollect(req *msg.GCCollect) (msg.Message, error) {
 		// current base image at the failover target.
 		st := &n.pages[p]
 		if st.dirty {
-			return nil, fmt.Errorf("dsm: GC of page %d with open twin on node %d", p, n.id)
+			return fmt.Errorf("dsm: GC of page %d with open twin on node %d", p, n.id)
 		}
 		if st.prefetched {
 			n.markPrefetched(st, false)
 			n.c.stats.PrefetchWasted.Add(1)
 		}
+		st.pending = st.pending[:0] // keep the capacity: notices refill it next epoch
+		if keepCopy {
+			return nil
+		}
 		st.hasCopy = false
-		st.pending = nil
 		st.appliedVT = nil
 		n.as.SetProt(p, vm.ProtNone)
 		n.c.probePageInvalidated(n.id, p)
 	}
-	return &msg.Ack{}, nil
+	return nil
 }
 
 func maxI32(a, b int32) int32 {

@@ -201,6 +201,12 @@ const (
 	// pending set is applied anyway and the rest of the pending set is
 	// dropped, losing the uncovered updates.
 	MutationPushPartialApply
+	// MutationGCSkipLastPage breaks a garbage-collection round's list
+	// handling: a member served a collect of two or more pages drops the
+	// diffs and retires the pending notices of all of them but skips
+	// invalidating its replica of the last, which stays readable without
+	// the updates the round consolidated at the home.
+	MutationGCSkipLastPage
 )
 
 // String implements fmt.Stringer.
@@ -214,6 +220,8 @@ func (m Mutation) String() string {
 		return "no-notice-dedup"
 	case MutationPushPartialApply:
 		return "push-partial-apply"
+	case MutationGCSkipLastPage:
+		return "gc-skip-last-page"
 	default:
 		return "unknown"
 	}

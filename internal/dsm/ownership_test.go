@@ -206,7 +206,7 @@ func TestCallRefusesPayloadReplies(t *testing.T) {
 			t.Errorf("%T through call: reply %v, err %v; want errPayloadReply", req, reply, err)
 		}
 	}
-	if _, _, err := c.call(1, 0, &msg.GCCollect{Page: 1}); err != nil {
+	if _, _, err := c.call(1, 0, &msg.GCCollect{Pages: []int32{1}}); err != nil {
 		t.Errorf("control reply through call: %v", err)
 	}
 }

@@ -96,7 +96,7 @@ func TestSpanOrderedAfterGCCollectByGeneration(t *testing.T) {
 	gen := n.gen.Load()
 	served := make(chan error, 1)
 	go func() {
-		_, err := n.serveGCCollect(&msg.GCCollect{Page: 0})
+		_, err := n.serveGCCollect(&msg.GCCollect{Pages: []int32{0}})
 		served <- err
 	}()
 	awaitGeneration(t, n, gen)
@@ -195,7 +195,7 @@ func TestPrefetchSettledThroughLiveCounter(t *testing.T) {
 	t.Run("gc-collect", func(t *testing.T) {
 		c, _ := prefetchedReplica(t)
 		before := c.Stats().Snapshot()
-		if _, err := c.nodes[1].serveGCCollect(&msg.GCCollect{Page: 0}); err != nil {
+		if _, err := c.nodes[1].serveGCCollect(&msg.GCCollect{Pages: []int32{0}}); err != nil {
 			t.Fatal(err)
 		}
 		if wasted := c.Stats().Snapshot().PrefetchWasted - before.PrefetchWasted; wasted != 1 {

@@ -14,6 +14,20 @@
 // to a caller-provided buffer and GetBuf/PutBuf expose a sync.Pool of
 // reusable buffers, so steady-state encodes perform zero allocations.
 //
+// # Wire layout
+//
+// A message is its Kind byte followed by its fields in declaration
+// order. An int32 is four little-endian bytes; a list is an int32 count
+// followed by its elements; a []byte is a counted list of bytes (count
+// -1 where nil differs from empty). Decode bounds every count by the
+// bytes left — by the element size for notices and for GCCollect's page
+// list — before it allocates. GCCollect, the garbage-collection round's
+// bulk message, is
+//
+//	kind(1) | count(4) | count x page(4)
+//
+// one per (home, member) for all of the home's collected pages.
+//
 // # Buffer ownership
 //
 // Decode borrows: the []byte fields of a decoded message (a page image,

@@ -40,7 +40,9 @@ func FuzzDecode(f *testing.F) {
 		&LockRelease{Node: 0, Lock: 7, Lam: 2},
 		&LockRelease{Node: 1, Lock: 0, Lam: 9,
 			Notices: []Notice{{Page: 5, Writer: 1, Interval: 2, Lam: 9}}},
-		&GCCollect{Page: 3},
+		&GCCollect{Pages: []int32{3}},
+		&GCCollect{Pages: []int32{0, 7, 8, 4095}},
+		&GCCollect{},
 		&Ack{},
 		&SWRead{From: 1, Page: 0},
 		&SWWrite{From: 1, Page: 0},
@@ -92,6 +94,8 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	f.Add(uint8(6), int32(3), int32(9), []byte{9, 8, 7, 6, 5})
 	f.Add(uint8(17), int32(2), int32(1), []byte{0, 0, 4, 0})
 	f.Add(uint8(18), int32(0), int32(7), []byte{1})
+	f.Add(uint8(KindGCCollect), int32(0), int32(0), []byte{5, 0, 0, 0, 9, 0, 0}) // 3 pages
+	f.Add(uint8(KindGCCollect), int32(0), int32(0), []byte{})                    // empty list
 
 	f.Fuzz(func(t *testing.T, kind uint8, a, b int32, blob []byte) {
 		m := buildFuzzMessage(Kind(int(kind)%KindCount), a, b, blob)
@@ -164,7 +168,7 @@ func buildFuzzMessage(k Kind, a, b int32, blob []byte) Message {
 	case KindLockRelease:
 		return &LockRelease{Node: a, Lock: b, Lam: a, Notices: fuzzNotices(blob, n)}
 	case KindGCCollect:
-		return &GCCollect{Page: a}
+		return &GCCollect{Pages: fuzzI32s(blob, n)}
 	case KindAck:
 		return &Ack{}
 	case KindSWRead:

@@ -330,12 +330,14 @@ type LockRelease struct {
 // Kind implements Message.
 func (*LockRelease) Kind() Kind { return KindLockRelease }
 
-// GCCollect tells a node that Page has been consolidated at the page
-// manager: drop stored diffs for it and, unless this node is the manager,
-// invalidate the local copy (paper §2: garbage collections invalidate
-// replicas rather than updating them).
+// GCCollect tells a node that Pages — every page of the round that the
+// sending home serves — have been consolidated there: drop the stored
+// diffs for each and, unless this node is the page's home, invalidate the
+// local copy (paper §2: garbage collections invalidate replicas rather
+// than updating them). A round sends one per (home, member), not one per
+// page; collecting a single page is a list of one.
 type GCCollect struct {
-	Page int32
+	Pages []int32
 }
 
 // Kind implements Message.
@@ -761,7 +763,7 @@ func (m *LockGrant) sizeBody() int { return 16 + noticesSize(m.Notices) }
 
 func (m *LockRelease) sizeBody() int { return 12 + noticesSize(m.Notices) }
 
-func (m *GCCollect) sizeBody() int { return 4 }
+func (m *GCCollect) sizeBody() int { return i32sSize(len(m.Pages)) }
 
 func (*Ack) sizeBody() int { return 0 }
 
@@ -830,10 +832,7 @@ func (m *PageRequest) decodeBody(d *decoder) (err error) {
 func (m *PageReply) encodeBody(e *encoder) {
 	e.i32(m.Page)
 	e.bytes(m.Data)
-	e.i32(int32(len(m.AppliedVT)))
-	for _, v := range m.AppliedVT {
-		e.i32(v)
-	}
+	e.i32s(m.AppliedVT)
 }
 
 func (m *PageReply) decodeBody(d *decoder) (err error) {
@@ -843,27 +842,15 @@ func (m *PageReply) decodeBody(d *decoder) (err error) {
 	if m.Data, err = d.bytes(); err != nil {
 		return err
 	}
-	n, err := d.length()
-	if err != nil {
-		return err
-	}
-	m.AppliedVT = make([]int32, n)
-	for i := range m.AppliedVT {
-		if m.AppliedVT[i], err = d.i32(); err != nil {
-			return err
-		}
-	}
-	return nil
+	m.AppliedVT, err = d.i32s()
+	return err
 }
 
 func (m *DiffRequest) encodeBody(e *encoder) {
 	e.i32(m.From)
 	e.i32(m.Page)
 	e.i32(m.Writer)
-	e.i32(int32(len(m.Intervals)))
-	for _, iv := range m.Intervals {
-		e.i32(iv)
-	}
+	e.i32s(m.Intervals)
 }
 
 func (m *DiffRequest) decodeBody(d *decoder) (err error) {
@@ -876,17 +863,8 @@ func (m *DiffRequest) decodeBody(d *decoder) (err error) {
 	if m.Writer, err = d.i32(); err != nil {
 		return err
 	}
-	n, err := d.length()
-	if err != nil {
-		return err
-	}
-	m.Intervals = make([]int32, n)
-	for i := range m.Intervals {
-		if m.Intervals[i], err = d.i32(); err != nil {
-			return err
-		}
-	}
-	return nil
+	m.Intervals, err = d.i32s()
+	return err
 }
 
 func (m *DiffReply) encodeBody(e *encoder) {
@@ -923,21 +901,12 @@ func (m *BarrierEnter) encodeBody(e *encoder) {
 	e.i32(m.Episode)
 	e.i32(m.Lam)
 	e.notices(m.Notices)
-	e.i32(int32(len(m.Hot)))
-	for _, p := range m.Hot {
-		e.i32(p)
-	}
-	e.i32(int32(len(m.Entered)))
-	for _, id := range m.Entered {
-		e.i32(id)
-	}
+	e.i32s(m.Hot)
+	e.i32s(m.Entered)
 	e.i32(int32(len(m.HotSets)))
 	for _, h := range m.HotSets {
 		e.i32(h.Node)
-		e.i32(int32(len(h.Pages)))
-		for _, p := range h.Pages {
-			e.i32(p)
-		}
+		e.i32s(h.Pages)
 	}
 }
 
@@ -987,15 +956,8 @@ func (m *BarrierEnter) decodeBody(d *decoder) (err error) {
 			if h.Node, err = d.i32(); err != nil {
 				return err
 			}
-			k, err := d.length()
-			if err != nil {
+			if h.Pages, err = d.i32s(); err != nil {
 				return err
-			}
-			h.Pages = make([]int32, k)
-			for j := range h.Pages {
-				if h.Pages[j], err = d.i32(); err != nil {
-					return err
-				}
 			}
 		}
 	}
@@ -1068,10 +1030,7 @@ func (m *LockAcquire) encodeBody(e *encoder) {
 	e.i32(m.Node)
 	e.i32(m.Lock)
 	e.i32(m.Pos)
-	e.i32(int32(len(m.Seen)))
-	for _, s := range m.Seen {
-		e.i32(s)
-	}
+	e.i32s(m.Seen)
 }
 
 func (m *LockAcquire) decodeBody(d *decoder) (err error) {
@@ -1084,17 +1043,8 @@ func (m *LockAcquire) decodeBody(d *decoder) (err error) {
 	if m.Pos, err = d.i32(); err != nil {
 		return err
 	}
-	n, err := d.length()
-	if err != nil {
-		return err
-	}
-	m.Seen = make([]int32, n)
-	for i := range m.Seen {
-		if m.Seen[i], err = d.i32(); err != nil {
-			return err
-		}
-	}
-	return nil
+	m.Seen, err = d.i32s()
+	return err
 }
 
 func (m *LockGrant) encodeBody(e *encoder) {
@@ -1143,10 +1093,10 @@ func (m *LockRelease) decodeBody(d *decoder) (err error) {
 	return err
 }
 
-func (m *GCCollect) encodeBody(e *encoder) { e.i32(m.Page) }
+func (m *GCCollect) encodeBody(e *encoder) { e.i32s(m.Pages) }
 
 func (m *GCCollect) decodeBody(d *decoder) (err error) {
-	m.Page, err = d.i32()
+	m.Pages, err = d.i32s()
 	return err
 }
 
@@ -1207,10 +1157,7 @@ func (m *DiffBatchRequest) encodeBody(e *encoder) {
 	e.i32(int32(len(m.Pages)))
 	for _, pi := range m.Pages {
 		e.i32(pi.Page)
-		e.i32(int32(len(pi.Intervals)))
-		for _, iv := range pi.Intervals {
-			e.i32(iv)
-		}
+		e.i32s(pi.Intervals)
 	}
 }
 
@@ -1230,15 +1177,8 @@ func (m *DiffBatchRequest) decodeBody(d *decoder) (err error) {
 		if m.Pages[i].Page, err = d.i32(); err != nil {
 			return err
 		}
-		k, err := d.length()
-		if err != nil {
+		if m.Pages[i].Intervals, err = d.i32s(); err != nil {
 			return err
-		}
-		m.Pages[i].Intervals = make([]int32, k)
-		for j := range m.Pages[i].Intervals {
-			if m.Pages[i].Intervals[j], err = d.i32(); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -1287,10 +1227,7 @@ func (m *LockPull) encodeBody(e *encoder) {
 	e.i32(m.Node)
 	e.i32(m.Lock)
 	e.i32(m.Holder)
-	e.i32(int32(len(m.Seen)))
-	for _, s := range m.Seen {
-		e.i32(s)
-	}
+	e.i32s(m.Seen)
 }
 
 func (m *LockPull) decodeBody(d *decoder) (err error) {
@@ -1303,17 +1240,8 @@ func (m *LockPull) decodeBody(d *decoder) (err error) {
 	if m.Holder, err = d.i32(); err != nil {
 		return err
 	}
-	n, err := d.length()
-	if err != nil {
-		return err
-	}
-	m.Seen = make([]int32, n)
-	for i := range m.Seen {
-		if m.Seen[i], err = d.i32(); err != nil {
-			return err
-		}
-	}
-	return nil
+	m.Seen, err = d.i32s()
+	return err
 }
 
 func (m *ReplicaDelta) encodeBody(e *encoder) {
@@ -1373,14 +1301,8 @@ func (m *RejoinRequest) decodeBody(d *decoder) (err error) {
 func (m *RejoinReply) encodeBody(e *encoder) {
 	e.i32(m.Interval)
 	e.i32(m.Lam)
-	e.i32(int32(len(m.Seen)))
-	for _, s := range m.Seen {
-		e.i32(s)
-	}
-	e.i32(int32(len(m.Homes)))
-	for _, h := range m.Homes {
-		e.i32(h)
-	}
+	e.i32s(m.Seen)
+	e.i32s(m.Homes)
 }
 
 func (m *RejoinReply) decodeBody(d *decoder) (err error) {
@@ -1390,26 +1312,11 @@ func (m *RejoinReply) decodeBody(d *decoder) (err error) {
 	if m.Lam, err = d.i32(); err != nil {
 		return err
 	}
-	n, err := d.length()
-	if err != nil {
+	if m.Seen, err = d.i32s(); err != nil {
 		return err
 	}
-	m.Seen = make([]int32, n)
-	for i := range m.Seen {
-		if m.Seen[i], err = d.i32(); err != nil {
-			return err
-		}
-	}
-	if n, err = d.length(); err != nil {
-		return err
-	}
-	m.Homes = make([]int32, n)
-	for i := range m.Homes {
-		if m.Homes[i], err = d.i32(); err != nil {
-			return err
-		}
-	}
-	return nil
+	m.Homes, err = d.i32s()
+	return err
 }
 
 type encoder struct{ buf []byte }
@@ -1418,6 +1325,13 @@ func (e *encoder) u8(v uint8) { e.buf = append(e.buf, v) }
 
 func (e *encoder) i32(v int32) {
 	e.buf = append(e.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+}
+
+func (e *encoder) i32s(vs []int32) {
+	e.i32(int32(len(vs)))
+	for _, v := range vs {
+		e.i32(v)
+	}
 }
 
 func (e *encoder) bytes(b []byte) {
@@ -1505,6 +1419,24 @@ func (d *decoder) bytesOrNil() ([]byte, error) {
 	}
 	d.off = save
 	return d.bytes()
+}
+
+// i32s decodes a counted []int32. The count is bounded by the four bytes
+// each element needs: length alone admits a list four times larger than
+// the input could hold.
+func (d *decoder) i32s() ([]int32, error) {
+	n, err := d.length()
+	if err != nil {
+		return nil, err
+	}
+	if n > (len(d.buf)-d.off)/4 {
+		return nil, fmt.Errorf("msg: bad int32 count %d with %d bytes left", n, len(d.buf)-d.off)
+	}
+	out := make([]int32, n)
+	for i := range out {
+		out[i], _ = d.i32() // cannot fail: 4*n bytes are left
+	}
+	return out, nil
 }
 
 // pushes decodes a counted []PushedDiff, returning nil for a zero count

@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -38,7 +39,9 @@ func TestRoundTripAllKinds(t *testing.T) {
 		&LockAcquire{Node: 2, Lock: 5, Seen: []int32{0, 3, 9}},
 		&LockGrant{Lock: 5, Lam: 2, Notices: ns},
 		&LockRelease{Node: 2, Lock: 5, Lam: 4, Notices: nil},
-		&GCCollect{Page: 4},
+		&GCCollect{Pages: []int32{4}},
+		&GCCollect{Pages: []int32{1, 2, 900}},
+		&GCCollect{},
 		&Ack{},
 		&DiffBatchRequest{From: 2, Pages: []PageIntervals{
 			{Page: 4, Intervals: []int32{1, 2, 9}},
@@ -165,6 +168,12 @@ func normalize(m Message) Message {
 			c.Notices = []Notice{}
 		}
 		return &c
+	case *GCCollect:
+		c := *v
+		if c.Pages == nil {
+			c.Pages = []int32{}
+		}
+		return &c
 	case *DiffBatchRequest:
 		c := *v
 		c.Pages = append([]PageIntervals{}, c.Pages...)
@@ -195,6 +204,13 @@ func TestDecodeErrors(t *testing.T) {
 	// Trailing garbage.
 	if _, err := Decode(append(Encode(&Ack{}), 0)); err == nil {
 		t.Fatal("expected error on trailing bytes")
+	}
+	// A GCCollect whose count fits the bytes left but whose elements do
+	// not: 8 pages claimed, 8 bytes (two pages) present.
+	bad := Encode(&GCCollect{Pages: []int32{1, 2}})
+	bad[1] = 8
+	if _, err := Decode(bad); err == nil || errors.Is(err, ErrTruncated) {
+		t.Fatalf("over-counted collect: err = %v, want the count refused before allocation", err)
 	}
 }
 

@@ -42,7 +42,9 @@ func sizeCorpus() []Message {
 		&LockRelease{Node: 2, Lock: 5, Lam: 4},
 		&LockPull{Node: 1, Lock: 5, Seen: []int32{2, 0, 7}},
 		&LockPull{},
-		&GCCollect{Page: 4},
+		&GCCollect{Pages: []int32{4}},
+		&GCCollect{Pages: []int32{1, 2, 900}},
+		&GCCollect{},
 		&Ack{},
 		&SWRead{From: 1, Page: 2},
 		&SWWrite{From: 3, Page: 4},
