@@ -1,50 +1,28 @@
-// Command actbench regenerates the paper's tables and figures.
-//
-// Usage:
+// Command actbench regenerates the paper's tables and figures and the
+// repository's deterministic benchmark lanes.
 //
 //	actbench [-scale test|paper] [-threads N] [-nodes N] [-configs N]
 //	         [-seed N] [-apps a,b,c] [-only table2,figure3] [-maps-dir DIR]
+//	         [-json-dir DIR] [-baseline-dir DIR]
 //
-// With no -only flag every experiment runs in paper order. -scale test
-// (the default) finishes in seconds; -scale paper uses the Table 1 inputs
-// and can take tens of minutes. The extra "transport" section (not part
-// of the paper) prints per-message-type call statistics — counts, wire
-// bytes, retries, and latency quantiles — for one run over each
-// transport. The "prefetch" section compares demand-only runs against
-// the correlation-driven prefetch + batched-diff layer (DESIGN.md §7) on
-// SOR and Ocean; -prefetch-json writes the comparison to a file
-// (BENCH_prefetch.json in CI) and -prefetch-baseline fails the run when
-// the prefetch configuration's demand calls regress more than 5% against
-// a committed baseline. The "managers" section compares the flat
-// single-manager barrier against the tree topology and centralized
-// against sharded lock management (DESIGN.md §10); -managers-json and
-// -managers-baseline drive the deterministic BENCH_managers.json gate
-// the same way. The "serving" section runs the online KV workload
-// (internal/serve, DESIGN.md §11) under static, min-cost, and
-// home-migration placement and reports throughput plus p50/p99/p999
-// virtual latency; -serving-json and -serving-baseline drive the
-// deterministic BENCH_serving.json gate, which additionally requires
-// home migration to beat static placement on both p99 and QPS. The
-// "failover" section runs the crash-recovery comparison (DESIGN.md §12):
-// the same workload fault-free, with a mid-run node crash, and with a
-// crash plus rejoin — all three legs must produce byte-identical memory;
-// -failover-json and -failover-baseline drive the deterministic
-// BENCH_failover.json gate, which also pins the recovery call counts.
-// The "placement" section runs the placement-v2 controller ablation
-// (DESIGN.md §14) — static, thread-only, data-only, and combined online
-// co-orchestration of thread placement and page homes over a fast/slow
-// topology; -placement-json and -placement-baseline drive the
-// deterministic BENCH_placement.json gate, which also requires the
-// combined controller to beat both single-sided variants on at least
-// one workload.
+// With no -only flag every section runs: the paper's tables, figures and
+// ablations in paper order, then the lanes of actdsm.BenchLanes, then
+// three sections that are not part of the paper — check (a short
+// coherence model-checker sweep), transport (per-message call statistics
+// over each transport) and sor (one observed run's per-epoch breakdown,
+// DESIGN.md §9). -scale test (the default) finishes in seconds; -scale
+// paper uses the Table 1 inputs and can take tens of minutes.
 //
-// The "sor" section runs one observed SOR workload and prints its
-// per-epoch time breakdown (DESIGN.md §9). With -trace-out it writes a
-// Chrome trace-event / Perfetto JSON timeline (open in ui.perfetto.dev),
-// with -metrics-out a Prometheus-style text dump of every protocol
-// counter, and with -pprof a CPU profile of the whole actbench run:
+// Each lane's report is a committed BENCH_<lane>.json. -json-dir writes
+// the fresh reports into a directory under those names; -baseline-dir
+// compares each against the file of the same name there and fails the
+// run on a regression (make bench-compare points both at the repository
+// root).
 //
-//	actbench -only sor -trace-out sor.json -metrics-out sor.metrics
+// For the sor section, -trace-out writes a Perfetto timeline (open in
+// ui.perfetto.dev; a timeline the event ring truncated is an error) and
+// -metrics-out a Prometheus-style dump of every protocol counter; -pprof
+// writes a CPU profile of the whole run.
 package main
 
 import (
@@ -57,7 +35,6 @@ import (
 	"time"
 
 	"actdsm"
-	"actdsm/internal/check"
 )
 
 func main() {
@@ -65,6 +42,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "actbench:", err)
 		os.Exit(1)
 	}
+}
+
+// section is one -only selectable unit of output.
+type section struct {
+	name, title string
+	run         func() (string, error)
 }
 
 func run() error {
@@ -75,23 +58,11 @@ func run() error {
 		configs   = flag.Int("configs", 0, "random configurations for Table 2 (0 = default)")
 		seed      = flag.Uint64("seed", 1999, "random seed")
 		appsFlag  = flag.String("apps", "", "comma-separated app subset (default: paper set)")
-		only      = flag.String("only", "", "comma-separated experiments (table1..table6, figure2, figure3, ablation, prefetch, hotpath, managers, serving, placement, failover, check, transport, sor)")
-		mapsDir   = flag.String("maps-dir", "", "write correlation maps as PGM files to this directory")
+		only      = flag.String("only", "", "comma-separated sections (table1..table6, figure2, figure3, ablation, prefetch, managers, serving, placement, failover, transport, check, sor)")
+		mapsDir   = flag.String("maps-dir", "", "write correlation maps as PGM and SVG files to this directory")
 		fig1CSV   = flag.String("figure1-csv", "", "write the Figure 1 scatter (Table 2 data) as CSV to this file")
-		prefJSON  = flag.String("prefetch-json", "", "write the prefetch comparison report as JSON to this file")
-		prefBase  = flag.String("prefetch-baseline", "", "compare the prefetch report against this committed baseline; fail on >5% demand-call regression")
-		hotJSON   = flag.String("hotpath-json", "", "write the hot-path locking comparison report as JSON to this file")
-		hotBase   = flag.String("hotpath-baseline", "", "compare the hot-path report against this committed baseline; fail when the sharded speedup or encode allocation floor regresses")
-		mgrJSON   = flag.String("managers-json", "", "write the decentralized-manager comparison report as JSON to this file")
-		mgrBase   = flag.String("managers-baseline", "", "compare the managers report against this committed baseline; fail when the tree-barrier depth or the sharded lock spread regresses")
-		srvJSON   = flag.String("serving-json", "", "write the serving placement-ablation report as JSON to this file")
-		srvBase   = flag.String("serving-baseline", "", "compare the serving report against this committed baseline; fail on >5% QPS/p99 regression or when home migration stops beating static placement")
-		plcJSON   = flag.String("placement-json", "", "write the placement-v2 controller ablation report as JSON to this file")
-		plcBase   = flag.String("placement-baseline", "", "compare the placement report against this committed baseline; fail on >5% elapsed/demand-call regression or when the combined controller stops beating both single-sided variants")
-		ftJSON    = flag.String("failover-json", "", "write the crash-recovery comparison report as JSON to this file")
-		ftBase    = flag.String("failover-baseline", "", "compare the failover report against this committed baseline; fail when the leg digests diverge or the recovery call counts drift")
-		trJSON    = flag.String("transport-json", "", "write the mux-vs-serialized transport comparison report as JSON to this file")
-		trBase    = flag.String("transport-baseline", "", "compare the transport report against this committed baseline; fail when the mux speedup or send-path allocation floor regresses, or the deterministic heterogeneous leg diverges")
+		jsonDir   = flag.String("json-dir", "", "write each lane's report to BENCH_<lane>.json in this directory")
+		baseDir   = flag.String("baseline-dir", "", "compare each lane's report against BENCH_<lane>.json in this directory; fail on a regression")
 		traceOut  = flag.String("trace-out", "", "write a Perfetto/Chrome trace-event JSON timeline of the sor section to this file")
 		metricOut = flag.String("metrics-out", "", "write a Prometheus-style metrics dump of the sor section to this file")
 		pprofOut  = flag.String("pprof", "", "write a CPU profile of the whole run to this file")
@@ -128,570 +99,120 @@ func run() error {
 		opts.Apps = strings.Split(*appsFlag, ",")
 	}
 
+	maps := func(measure func(actdsm.ExperimentOptions) ([]actdsm.MapResult, error)) func() (string, error) {
+		return func() (string, error) {
+			m, err := measure(opts)
+			if err != nil {
+				return "", err
+			}
+			return renderMaps(m, *mapsDir)
+		}
+	}
+	sections := []section{
+		{"table1", "Table 1: application characteristics", rows(opts, actdsm.Table1, actdsm.FormatTable1)},
+		{"table2", "Table 2: remote misses as a function of cut costs", func() (string, error) {
+			r, err := actdsm.Table2(opts)
+			if err != nil {
+				return "", err
+			}
+			if *fig1CSV != "" {
+				if err := os.WriteFile(*fig1CSV, []byte(actdsm.Table2CSV(r)), 0o644); err != nil {
+					return "", err
+				}
+			}
+			return actdsm.FormatTable2(r), nil
+		}},
+		{"table3", "Table 3: correlation maps (32/48/64 threads)", maps(actdsm.Table3)},
+		{"table4", "Table 4: 64-thread FFT versus input set", maps(actdsm.Table4)},
+		{"table5", "Table 5: tracking overhead", rows(opts, actdsm.Table5, actdsm.FormatTable5)},
+		{"figure2", "Figure 2: passive information gathering", rows(opts, actdsm.Figure2, actdsm.FormatFigure2)},
+		{"figure3", "Figure 3: 32-thread FFT free zones", rows(opts, actdsm.Figure3, actdsm.FormatFigure3)},
+		{"table6", "Table 6: 8-node performance by heuristic", rows(opts, actdsm.Table6, actdsm.FormatTable6)},
+		{"ablation", "Ablation: heuristic quality (paper §5.1)", rows(opts, actdsm.AblationHeuristics, actdsm.FormatAblationHeuristics)},
+		{"ablation", "Ablation: tracking-cost scaling (paper §4.2)", rows(opts, actdsm.AblationScaling, actdsm.FormatAblationScaling)},
+		{"ablation", "Ablation: page-count vs access-density correlation (paper §1)", rows(opts, actdsm.AblationDensity, actdsm.FormatAblationDensity)},
+		{"ablation", "Ablation: multi-writer vs single-writer protocol (paper §6)", rows(opts, actdsm.AblationProtocol, actdsm.FormatAblationProtocol)},
+	}
+	for _, lane := range actdsm.BenchLanes() {
+		sections = append(sections, section{lane.Name, lane.Title, laneSection(lane, opts, *jsonDir, *baseDir)})
+	}
+	sections = append(sections,
+		section{"check", "Check: coherence model-checker sweep", func() (string, error) {
+			return checkSweep(opts.Scale)
+		}},
+		section{"transport", "Transport: per-message call statistics (SOR)", func() (string, error) {
+			return transportStats(*threads, *nodes, opts.Scale)
+		}},
+		section{"sor", "SOR: observed run, per-epoch time breakdown (DESIGN.md §9)", func() (string, error) {
+			return observedSOR(*threads, *nodes, opts.Scale, *traceOut, *metricOut)
+		}},
+	)
+
 	want := map[string]bool{}
 	if *only != "" {
 		for _, e := range strings.Split(*only, ",") {
 			want[strings.TrimSpace(e)] = true
 		}
 	}
-	selected := func(name string) bool { return len(want) == 0 || want[name] }
-
-	if selected("table1") {
-		if err := section("Table 1: application characteristics", func() (string, error) {
-			rows, err := actdsm.Table1(opts)
-			if err != nil {
-				return "", err
-			}
-			return actdsm.FormatTable1(rows), nil
-		}); err != nil {
-			return err
+	for _, s := range sections {
+		if len(want) > 0 && !want[s.name] {
+			continue
 		}
-	}
-	if selected("table2") {
-		if err := section("Table 2: remote misses as a function of cut costs", func() (string, error) {
-			rows, err := actdsm.Table2(opts)
-			if err != nil {
-				return "", err
-			}
-			if *fig1CSV != "" {
-				if err := os.WriteFile(*fig1CSV, []byte(actdsm.Table2CSV(rows)), 0o644); err != nil {
-					return "", err
-				}
-			}
-			return actdsm.FormatTable2(rows), nil
-		}); err != nil {
-			return err
+		start := time.Now()
+		out, err := s.run()
+		if err != nil {
+			return fmt.Errorf("%s: %w", s.title, err)
 		}
-	}
-	if selected("table3") {
-		if err := section("Table 3: correlation maps (32/48/64 threads)", func() (string, error) {
-			maps, err := actdsm.Table3(opts)
-			if err != nil {
-				return "", err
-			}
-			return renderMaps(maps, *mapsDir)
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("table4") {
-		if err := section("Table 4: 64-thread FFT versus input set", func() (string, error) {
-			maps, err := actdsm.Table4(opts)
-			if err != nil {
-				return "", err
-			}
-			return renderMaps(maps, *mapsDir)
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("table5") {
-		if err := section("Table 5: tracking overhead", func() (string, error) {
-			rows, err := actdsm.Table5(opts)
-			if err != nil {
-				return "", err
-			}
-			return actdsm.FormatTable5(rows), nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("figure2") {
-		if err := section("Figure 2: passive information gathering", func() (string, error) {
-			series, err := actdsm.Figure2(opts)
-			if err != nil {
-				return "", err
-			}
-			return actdsm.FormatFigure2(series), nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("figure3") {
-		if err := section("Figure 3: 32-thread FFT free zones", func() (string, error) {
-			cfgs, err := actdsm.Figure3(opts)
-			if err != nil {
-				return "", err
-			}
-			return actdsm.FormatFigure3(cfgs), nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("table6") {
-		if err := section("Table 6: 8-node performance by heuristic", func() (string, error) {
-			rows, err := actdsm.Table6(opts)
-			if err != nil {
-				return "", err
-			}
-			return actdsm.FormatTable6(rows), nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("ablation") {
-		if err := section("Ablation: heuristic quality (paper §5.1)", func() (string, error) {
-			rows, err := actdsm.AblationHeuristics(opts)
-			if err != nil {
-				return "", err
-			}
-			return actdsm.FormatAblationHeuristics(rows), nil
-		}); err != nil {
-			return err
-		}
-		if err := section("Ablation: tracking-cost scaling (paper §4.2)", func() (string, error) {
-			rows, err := actdsm.AblationScaling(opts)
-			if err != nil {
-				return "", err
-			}
-			return actdsm.FormatAblationScaling(rows), nil
-		}); err != nil {
-			return err
-		}
-		if err := section("Ablation: page-count vs access-density correlation (paper §1)", func() (string, error) {
-			rows, err := actdsm.AblationDensity(opts)
-			if err != nil {
-				return "", err
-			}
-			return actdsm.FormatAblationDensity(rows), nil
-		}); err != nil {
-			return err
-		}
-		if err := section("Ablation: multi-writer vs single-writer protocol (paper §6)", func() (string, error) {
-			rows, err := actdsm.AblationProtocol(opts)
-			if err != nil {
-				return "", err
-			}
-			return actdsm.FormatAblationProtocol(rows), nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("prefetch") {
-		if err := section("Prefetch: demand vs correlation-driven prefetch + batching", func() (string, error) {
-			// Defaults to the acceptance pair (SOR and Ocean) unless
-			// -apps overrides; the committed baseline uses the default.
-			rows, err := actdsm.PrefetchComparison(opts)
-			if err != nil {
-				return "", err
-			}
-			out := actdsm.FormatPrefetchComparison(rows)
-			report, err := actdsm.PrefetchReportJSON(opts, rows)
-			if err != nil {
-				return "", err
-			}
-			// Read the baseline before (possibly) overwriting it: the
-			// Makefile's bench-compare target points both flags at the
-			// committed BENCH_prefetch.json.
-			var baseline []byte
-			if *prefBase != "" {
-				baseline, err = os.ReadFile(*prefBase)
-				if err != nil {
-					return "", err
-				}
-			}
-			if *prefJSON != "" {
-				if err := os.WriteFile(*prefJSON, report, 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("\n(wrote %s)\n", *prefJSON)
-			}
-			if baseline != nil {
-				cmp, err := actdsm.ComparePrefetchReports(baseline, report, 0.05)
-				out += "\n-- vs baseline " + *prefBase + " --\n" + cmp
-				if err != nil {
-					fmt.Print(out)
-					return "", err
-				}
-			}
-			return out, nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("hotpath") {
-		if err := section("Hotpath: sharded vs single-mutex service throughput", func() (string, error) {
-			rep, err := actdsm.HotpathComparison()
-			if err != nil {
-				return "", err
-			}
-			out := actdsm.FormatHotpathReport(rep)
-			report, err := actdsm.HotpathReportJSON(rep)
-			if err != nil {
-				return "", err
-			}
-			// Read the baseline before (possibly) overwriting it: the
-			// Makefile's bench-compare target points both flags at the
-			// committed BENCH_hotpath.json.
-			var baseline []byte
-			if *hotBase != "" {
-				baseline, err = os.ReadFile(*hotBase)
-				if err != nil {
-					return "", err
-				}
-			}
-			if *hotJSON != "" {
-				if err := os.WriteFile(*hotJSON, report, 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("\n(wrote %s)\n", *hotJSON)
-			}
-			if baseline != nil {
-				cmp, err := actdsm.CompareHotpathReports(baseline, report)
-				out += "\n-- vs baseline " + *hotBase + " --\n" + cmp
-				if err != nil {
-					fmt.Print(out)
-					return "", err
-				}
-			}
-			return out, nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("managers") {
-		if err := section("Managers: flat vs tree barrier, centralized vs sharded locks", func() (string, error) {
-			rep, err := actdsm.ManagersComparison()
-			if err != nil {
-				return "", err
-			}
-			out := actdsm.FormatManagersReport(rep)
-			report, err := actdsm.ManagersReportJSON(rep)
-			if err != nil {
-				return "", err
-			}
-			// Read the baseline before (possibly) overwriting it: the
-			// Makefile's bench-compare target points both flags at the
-			// committed BENCH_managers.json.
-			var baseline []byte
-			if *mgrBase != "" {
-				baseline, err = os.ReadFile(*mgrBase)
-				if err != nil {
-					return "", err
-				}
-			}
-			if *mgrJSON != "" {
-				if err := os.WriteFile(*mgrJSON, report, 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("\n(wrote %s)\n", *mgrJSON)
-			}
-			if baseline != nil {
-				cmp, err := actdsm.CompareManagersReports(baseline, report)
-				out += "\n-- vs baseline " + *mgrBase + " --\n" + cmp
-				if err != nil {
-					fmt.Print(out)
-					return "", err
-				}
-			}
-			return out, nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("serving") {
-		if err := section("Serving: KV workload under static/min-cost/home-migration placement", func() (string, error) {
-			rep, err := actdsm.ServingComparison()
-			if err != nil {
-				return "", err
-			}
-			out := actdsm.FormatServingReport(rep)
-			report, err := actdsm.ServingReportJSON(rep)
-			if err != nil {
-				return "", err
-			}
-			// Read the baseline before (possibly) overwriting it: the
-			// Makefile's bench-compare target points both flags at the
-			// committed BENCH_serving.json.
-			var baseline []byte
-			if *srvBase != "" {
-				baseline, err = os.ReadFile(*srvBase)
-				if err != nil {
-					return "", err
-				}
-			}
-			if *srvJSON != "" {
-				if err := os.WriteFile(*srvJSON, report, 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("\n(wrote %s)\n", *srvJSON)
-			}
-			if baseline != nil {
-				cmp, err := actdsm.CompareServingReports(baseline, report)
-				out += "\n-- vs baseline " + *srvBase + " --\n" + cmp
-				if err != nil {
-					fmt.Print(out)
-					return "", err
-				}
-			}
-			return out, nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("placement") {
-		if err := section("Placement v2: static/thread/data/combined controller ablation", func() (string, error) {
-			rep, err := actdsm.PlacementComparison()
-			if err != nil {
-				return "", err
-			}
-			out := actdsm.FormatPlacementReport(rep)
-			report, err := actdsm.PlacementReportJSON(rep)
-			if err != nil {
-				return "", err
-			}
-			// Read the baseline before (possibly) overwriting it: the
-			// Makefile's bench-compare target points both flags at the
-			// committed BENCH_placement.json.
-			var baseline []byte
-			if *plcBase != "" {
-				baseline, err = os.ReadFile(*plcBase)
-				if err != nil {
-					return "", err
-				}
-			}
-			if *plcJSON != "" {
-				if err := os.WriteFile(*plcJSON, report, 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("\n(wrote %s)\n", *plcJSON)
-			}
-			if baseline != nil {
-				cmp, err := actdsm.ComparePlacementReports(baseline, report)
-				out += "\n-- vs baseline " + *plcBase + " --\n" + cmp
-				if err != nil {
-					fmt.Print(out)
-					return "", err
-				}
-			}
-			return out, nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("failover") {
-		if err := section("Failover: crash recovery vs fault-free baseline", func() (string, error) {
-			rep, err := actdsm.FailoverComparison()
-			if err != nil {
-				return "", err
-			}
-			out := actdsm.FormatFailoverReport(rep)
-			report, err := actdsm.FailoverReportJSON(rep)
-			if err != nil {
-				return "", err
-			}
-			// Read the baseline before (possibly) overwriting it: the
-			// Makefile's bench-compare target points both flags at the
-			// committed BENCH_failover.json.
-			var baseline []byte
-			if *ftBase != "" {
-				baseline, err = os.ReadFile(*ftBase)
-				if err != nil {
-					return "", err
-				}
-			}
-			if *ftJSON != "" {
-				if err := os.WriteFile(*ftJSON, report, 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("\n(wrote %s)\n", *ftJSON)
-			}
-			if baseline != nil {
-				cmp, err := actdsm.CompareFailoverReports(baseline, report)
-				out += "\n-- vs baseline " + *ftBase + " --\n" + cmp
-				if err != nil {
-					fmt.Print(out)
-					return "", err
-				}
-			}
-			return out, nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("check") {
-		if err := section("Check: coherence model-checker sweep", func() (string, error) {
-			seeds := 50
-			if opts.Scale == actdsm.ScalePaper {
-				seeds = 1000
-			}
-			return checkSweep(seeds)
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("transport") {
-		if err := section("Transport: per-message call statistics (SOR)", func() (string, error) {
-			return transportStats(*threads, *nodes, opts.Scale)
-		}); err != nil {
-			return err
-		}
-		if err := section("Transport: mux vs serialized wire discipline (real TCP)", func() (string, error) {
-			rep, err := actdsm.TransportComparison()
-			if err != nil {
-				return "", err
-			}
-			out := actdsm.FormatTransportReport(rep)
-			report, err := actdsm.TransportReportJSON(rep)
-			if err != nil {
-				return "", err
-			}
-			// Read the baseline before (possibly) overwriting it: the
-			// Makefile's bench-compare target points both flags at the
-			// committed BENCH_transport.json.
-			var baseline []byte
-			if *trBase != "" {
-				baseline, err = os.ReadFile(*trBase)
-				if err != nil {
-					return "", err
-				}
-			}
-			if *trJSON != "" {
-				if err := os.WriteFile(*trJSON, report, 0o644); err != nil {
-					return "", err
-				}
-				out += fmt.Sprintf("\n(wrote %s)\n", *trJSON)
-			}
-			if baseline != nil {
-				cmp, err := actdsm.CompareTransportReports(baseline, report)
-				out += "\n-- vs baseline " + *trBase + " --\n" + cmp
-				if err != nil {
-					fmt.Print(out)
-					return "", err
-				}
-			}
-			return out, nil
-		}); err != nil {
-			return err
-		}
-	}
-	if selected("sor") {
-		if err := section("SOR: observed run, per-epoch time breakdown (DESIGN.md §9)", func() (string, error) {
-			return observedSOR(*threads, *nodes, opts.Scale, *traceOut, *metricOut)
-		}); err != nil {
-			return err
-		}
+		fmt.Printf("== %s  (%.1fs)\n%s\n", s.title, time.Since(start).Seconds(), out)
 	}
 	return nil
 }
 
-// observedSOR runs one deterministic SOR workload with the observability
-// recorder enabled and renders its per-epoch breakdown; traceOut and
-// metricsOut optionally receive the Perfetto timeline and the metrics
-// dump of the same run.
-func observedSOR(threads, nodes int, scale actdsm.Scale, traceOut, metricsOut string) (string, error) {
-	app, err := actdsm.NewApp("SOR", actdsm.AppConfig{Threads: threads, Scale: scale})
-	if err != nil {
-		return "", err
-	}
-	sys, err := actdsm.NewSystem(app, nodes,
-		actdsm.WithObservability(),
-		actdsm.WithClusterConfig(actdsm.ClusterConfig{BatchDiffs: true, PrefetchBudget: -1}),
-	)
-	if err != nil {
-		return "", err
-	}
-	defer func() { _ = sys.Close() }()
-	if err := sys.Run(); err != nil {
-		return "", err
-	}
-	rec := sys.Recorder()
-	out := rec.Breakdown().String()
-	if dropped := rec.Dropped(); dropped > 0 {
-		out += fmt.Sprintf("(ring dropped %d events; raise ObsConfig.BufferEvents)\n", dropped)
-	}
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
+// rows adapts an experiment and its formatter to a section body.
+func rows[R any](o actdsm.ExperimentOptions, measure func(actdsm.ExperimentOptions) (R, error), format func(R) string) func() (string, error) {
+	return func() (string, error) {
+		r, err := measure(o)
 		if err != nil {
 			return "", err
 		}
-		if err := rec.WriteTrace(f); err != nil {
-			_ = f.Close()
-			return "", err
-		}
-		if err := f.Close(); err != nil {
-			return "", err
-		}
-		out += fmt.Sprintf("(wrote %s — open in ui.perfetto.dev)\n", traceOut)
+		return format(r), nil
 	}
-	if metricsOut != "" {
-		f, err := os.Create(metricsOut)
-		if err != nil {
-			return "", err
-		}
-		if err := rec.WriteMetrics(sys.Cluster().Stats().Snapshot(), f); err != nil {
-			_ = f.Close()
-			return "", err
-		}
-		if err := f.Close(); err != nil {
-			return "", err
-		}
-		out += fmt.Sprintf("(wrote %s)\n", metricsOut)
-	}
-	return out, nil
 }
 
-// checkSweep runs a short coherence model-checker sweep (DESIGN.md §8)
-// across every checker scenario: seeded schedules under seeded chaos
-// plans with the LRC oracle attached. Any violation is shrunk to a
-// minimal repro and fails the section. Use cmd/actcheck for longer
-// sweeps and mutation validation.
-func checkSweep(seeds int) (string, error) {
-	res, err := check.Sweep(check.SweepConfig{Seeds: seeds})
-	if err != nil {
-		return "", err
-	}
-	out := fmt.Sprintf("%d trials across %d scenarios, %d aborted, %.2fs\n",
-		res.Trials, len(check.Scenarios()), res.Aborted, res.Elapsed.Seconds())
-	if res.Failure != nil {
-		f := check.Shrink(res.Failure)
-		return "", fmt.Errorf("coherence violation (minimal repro below)\n%s", f.ReproStanza())
-	}
-	return out + "clean: no invariant violations\n", nil
-}
-
-// transportStats runs one SOR workload over each transport and renders
-// the per-message-type call table: counts, wire bytes, retries, and
-// latency quantiles. Not part of the paper; it exercises the resilience
-// layer (DESIGN.md §6) and shows where protocol time goes.
-func transportStats(threads, nodes int, scale actdsm.Scale) (string, error) {
-	var b strings.Builder
-	for _, useTCP := range []bool{false, true} {
-		app, err := actdsm.NewApp("SOR", actdsm.AppConfig{Threads: threads, Scale: scale})
+// laneSection runs one benchmark lane, optionally writing its report to
+// jsonDir and gating it against the committed report in baselineDir.
+func laneSection(lane actdsm.BenchLane, o actdsm.ExperimentOptions, jsonDir, baselineDir string) func() (string, error) {
+	return func() (string, error) {
+		out, report, err := lane.Run(o)
 		if err != nil {
 			return "", err
 		}
-		name := "local"
-		sysOpts := []actdsm.SystemOption{
-			actdsm.WithTransportOptions(actdsm.TransportOptions{MaxAttempts: 3}),
+		// Read the baseline before (possibly) overwriting it: make
+		// bench-compare points both directories at the repository root.
+		var baseline []byte
+		basePath := filepath.Join(baselineDir, lane.Artifact)
+		if baselineDir != "" {
+			if baseline, err = os.ReadFile(basePath); err != nil {
+				return "", err
+			}
 		}
-		if useTCP {
-			name = "tcp"
-			sysOpts = append(sysOpts, actdsm.WithTCP())
+		if jsonDir != "" {
+			path := filepath.Join(jsonDir, lane.Artifact)
+			if err := os.WriteFile(path, report, 0o644); err != nil {
+				return "", err
+			}
+			out += fmt.Sprintf("\n(wrote %s)\n", path)
 		}
-		sys, err := actdsm.NewSystem(app, nodes, sysOpts...)
-		if err != nil {
-			return "", err
+		if baseline != nil {
+			cmp, err := lane.Compare(baseline, report)
+			out += "\n-- vs baseline " + basePath + " --\n" + cmp
+			if err != nil {
+				fmt.Print(out)
+				return "", err
+			}
 		}
-		runErr := sys.Run()
-		snap := sys.Cluster().Stats().Snapshot()
-		_ = sys.Close()
-		if runErr != nil {
-			return "", fmt.Errorf("%s transport: %w", name, runErr)
-		}
-		fmt.Fprintf(&b, "-- %s transport --\n%s", name, snap.FormatCalls())
+		return out, nil
 	}
-	return b.String(), nil
-}
-
-func section(title string, f func() (string, error)) error {
-	start := time.Now()
-	out, err := f()
-	if err != nil {
-		return fmt.Errorf("%s: %w", title, err)
-	}
-	fmt.Printf("== %s  (%.1fs)\n%s\n", title, time.Since(start).Seconds(), out)
-	return nil
 }
 
 // renderMaps prints map summaries and optionally writes PGM images.

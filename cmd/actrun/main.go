@@ -14,7 +14,9 @@
 //
 // -trace-out, -metrics-out, and -breakdown enable the observability
 // recorder (DESIGN.md §9) and export the run's Perfetto timeline, a
-// Prometheus-style metrics dump, and the per-epoch time breakdown.
+// Prometheus-style metrics dump, and the per-epoch time breakdown. A
+// timeline the event ring truncated is still written, then fails the
+// run (Recorder.WriteTrace).
 package main
 
 import (
@@ -120,7 +122,7 @@ func run() error {
 		}
 		if *traceOut != "" {
 			if err := writeWith(*traceOut, rec.WriteTrace); err != nil {
-				return err
+				return fmt.Errorf("%s: %w", *traceOut, err)
 			}
 			fmt.Printf("(wrote %s — open in ui.perfetto.dev)\n", *traceOut)
 		}

@@ -14,6 +14,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"actdsm"
 )
 
 // checkedDocs is the documentation set under link checking.
@@ -119,6 +121,29 @@ func TestDocLinks(t *testing.T) {
 				t.Errorf("%s: link %q: no heading with anchor #%s in %s",
 					doc, target, anchor, resolved)
 			}
+		}
+	}
+}
+
+var laneRowRE = regexp.MustCompile("(?m)^\\| `(\\w+)` \\| `(BENCH_\\w+\\.json)` \\|")
+
+// TestLanesTableMatchesRegistry keeps EXPERIMENTS.md's lane table equal
+// to the registry actbench drives: same lanes, same artifacts, same
+// order.
+func TestLanesTableMatchesRegistry(t *testing.T) {
+	data, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := laneRowRE.FindAllStringSubmatch(string(data), -1)
+	lanes := actdsm.BenchLanes()
+	if len(rows) != len(lanes) {
+		t.Fatalf("EXPERIMENTS.md lists %d lanes, the registry has %d", len(rows), len(lanes))
+	}
+	for i, lane := range lanes {
+		if rows[i][1] != lane.Name || rows[i][2] != lane.Artifact {
+			t.Errorf("row %d is %s / %s, registry has %s / %s",
+				i, rows[i][1], rows[i][2], lane.Name, lane.Artifact)
 		}
 	}
 }

@@ -47,10 +47,10 @@ type Config struct {
 	// protocol service path locks at page granularity, so independent
 	// remote requests (diff fetches, page fetches, notice deliveries,
 	// prefetch fills) service in parallel. 0 selects a default (16);
-	// other values round up to the next power of two. 1 degenerates to
-	// a single node-wide page lock — the pre-sharding behaviour, kept
-	// as the baseline the hotpath benchmark compares against.
-	// Negative is invalid.
+	// other values round up to the next power of two. 1 puts every
+	// page of a node on one RWMutex stripe (the -race hammers use it to
+	// make a path that takes two shard locks deadlock). Negative is
+	// invalid.
 	ServiceShards int
 	// Transport tunes call resilience: a per-attempt deadline
 	// (CallTimeout, TCP only) and bounded retry with exponential
@@ -190,16 +190,6 @@ type Cluster struct {
 	dead []bool
 	// viewVer counts membership changes (diagnostics).
 	viewVer int64
-
-	// serviceHold, when non-zero, makes the page-serve paths hold the
-	// page's shard lock for this extra duration per request. Set only by
-	// the hotpath benchmark harness (hotbench.go) to model the per-request
-	// protocol work (mprotect, page copies) a serve performs on real
-	// hardware, so the benchmark measures how much of the service schedule
-	// the locking scheme lets overlap, independently of the host's core
-	// count. Always zero in production; the cost is one predictable branch
-	// per serve.
-	serviceHold time.Duration
 }
 
 // barrierState accumulates one barrier episode at a folding tree
@@ -1354,7 +1344,7 @@ func (c *Cluster) nodeHasCopy(id int, p vm.PageID) bool {
 	n := c.nodes[id]
 	sh := n.rlockShard(p)
 	ok := n.pages[p].hasCopy
-	sh.runlock()
+	sh.mu.RUnlock()
 	return ok
 }
 
@@ -1484,7 +1474,7 @@ func (c *Cluster) consolidate(hm int, pages []int32) (own, standby sim.Time, err
 		var pendBuf [16]msg.Notice
 		sh := mgr.rlockShard(p)
 		pending := append(pendBuf[:0], mgr.pages[p].pending...)
-		sh.runlock()
+		sh.mu.RUnlock()
 		if len(pending) > 0 {
 			var ti sim.ThreadInterval
 			ok, err := mgr.fetchAndApplyDiffs(&ti, -1, p, pending, ApplyServer)
@@ -1805,7 +1795,7 @@ func (c *Cluster) CheckCoherence() error {
 			if ok {
 				data = append([]byte(nil), n.pageData(vm.PageID(p))...)
 			}
-			sh.runlock()
+			sh.mu.RUnlock()
 			if !ok {
 				continue
 			}

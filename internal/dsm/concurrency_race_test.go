@@ -17,38 +17,102 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"actdsm/internal/memlayout"
 	"actdsm/internal/msg"
+	"actdsm/internal/vm"
 )
 
-// raceOpts is the shared workload shape: small enough that the full mix
+// raceShape is the shared workload shape: small enough that the full mix
 // finishes quickly under -race, large enough that goroutines genuinely
 // overlap inside the serve paths.
-func raceOpts(shards int) HotpathOptions {
-	return HotpathOptions{
-		Nodes:         4,
-		Pages:         64,
-		Peers:         4,
-		Ops:           600,
-		ServiceShards: shards,
+var raceShape = struct{ Nodes, Pages, Peers, Ops int }{Nodes: 4, Pages: 64, Peers: 4, Ops: 600}
+
+// newSeededCluster builds a raceShape cluster and seeds node 0's diff
+// store: one stored diff (interval 1) for every page, so DiffRequests
+// always hit. GC is disabled so the store survives the run.
+func newSeededCluster(t *testing.T, shards int) *Cluster {
+	t.Helper()
+	c, err := New(Config{
+		Nodes:            raceShape.Nodes,
+		Pages:            raceShape.Pages,
+		ServiceShards:    shards,
+		GCThresholdBytes: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = c.Close() })
+	// One representative diff: a page with a few dirty words.
+	twin := make([]byte, memlayout.PageSize)
+	cur := make([]byte, memlayout.PageSize)
+	for w := 0; w < 16; w++ {
+		cur[w*128] = byte(w + 1)
+	}
+	df := MakeDiff(twin, cur)
+	n := c.nodes[0]
+	for p := 0; p < raceShape.Pages; p++ {
+		sh := n.shard(vm.PageID(p))
+		sh.diffs[vm.PageID(p)] = map[int32]*diffRef{1: newDiffRef(append([]byte(nil), df...))}
+	}
+	return c
+}
+
+// discardReply runs one payload-carrying round trip against node 0 and
+// drops the reply unread, recycling its frame as a real requester would
+// after applying it.
+func discardReply(c *Cluster, from int, m msg.Message) error {
+	_, frame, _, err := c.callFrame(from, 0, m)
+	if err == nil {
+		msg.PutBuf(frame)
+	}
+	return err
+}
+
+// TestSeededClusterServes pins what the hammers below rely on: a diff
+// serve returns the seeded interval and nil for an absent one, a page
+// serve returns a full page image, and ServiceShards 1 really is one
+// stripe.
+func TestSeededClusterServes(t *testing.T) {
+	if got := newSeededCluster(t, 1).NumShards(); got != 1 {
+		t.Fatalf("ServiceShards 1: %d shards", got)
+	}
+	c := newSeededCluster(t, 0)
+	if got := c.NumShards(); got != defaultServiceShards {
+		t.Fatalf("ServiceShards 0: %d shards, want %d", got, defaultServiceShards)
+	}
+	reply, frame, _, err := c.callFrame(1, 0, &msg.DiffRequest{From: 1, Page: 7, Intervals: []int32{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dr := reply.(*msg.DiffReply)
+	if len(dr.Diffs) != 2 || dr.Diffs[0] == nil || dr.Diffs[1] != nil {
+		t.Fatalf("diff serve: want seeded interval 1 only, got %v", dr.Diffs)
+	}
+	msg.PutBuf(frame)
+	// Page raceShape.Nodes is managed by node 0.
+	p := vm.PageID(raceShape.Nodes)
+	pr, frame, _, err := c.callPage(1, 0, &msg.PageRequest{From: 1, Page: int32(p)}, p, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pr.Data) != len(c.nodes[0].pageData(p)) {
+		t.Fatalf("page serve: got %d bytes", len(pr.Data))
+	}
+	msg.PutBuf(frame)
 }
 
 // TestRaceServiceHammer hammers node 0 from concurrent peers with the
 // full read-side service mix — DiffRequest, PageRequest, and
 // DiffBatchRequest — while a GC goroutine concurrently collects a
 // disjoint stripe of pages (dropping their stored diffs under the write
-// lock) and a stats goroutine snapshots the counters. Runs under both
-// the sharded default and the exclusive single-shard baseline, so both
-// locking modes stay race-clean.
+// lock) and a stats goroutine snapshots the counters. Runs under the
+// sharded default and with every page on a single stripe, where a serve
+// that took two shard locks would deadlock against itself.
 func TestRaceServiceHammer(t *testing.T) {
 	for _, shards := range []int{0, 1} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			o := raceOpts(shards)
-			c, err := newHotpathCluster(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = c.Close() }()
+			o := raceShape
+			c := newSeededCluster(t, shards)
 
 			var (
 				wg   sync.WaitGroup
@@ -89,10 +153,10 @@ func TestRaceServiceHammer(t *testing.T) {
 						case 1:
 							// Manager-0 pages only: multiples of Nodes.
 							pp := int32(o.Nodes * (i % (diffPages / o.Nodes)))
-							report(c.discardReply(from, &msg.PageRequest{
+							report(discardReply(c, from, &msg.PageRequest{
 								From: int32(from), Page: pp}))
 						default:
-							report(c.discardReply(from, &msg.DiffBatchRequest{
+							report(discardReply(c, from, &msg.DiffBatchRequest{
 								From: int32(from),
 								Pages: []msg.PageIntervals{
 									{Page: p, Intervals: []int32{1}},
@@ -149,12 +213,8 @@ func TestRaceServiceHammer(t *testing.T) {
 // the same node — the cross-concern interleaving the per-concern
 // mutexes (mu, lockMgrMu, shard locks) must keep independent.
 func TestRaceLockTrafficDuringServes(t *testing.T) {
-	o := raceOpts(0)
-	c, err := newHotpathCluster(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
+	o := raceShape
+	c := newSeededCluster(t, 0)
 
 	var (
 		wg   sync.WaitGroup

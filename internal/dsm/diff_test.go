@@ -9,6 +9,7 @@ import (
 
 	"actdsm/internal/memlayout"
 	"actdsm/internal/sim"
+	"actdsm/internal/vm"
 )
 
 func page() []byte { return make([]byte, memlayout.PageSize) }
@@ -237,5 +238,26 @@ func TestAppendDiffMatchesReference(t *testing.T) {
 			w += 1 + rng.Intn(maxLen)
 		}
 		checkAgainstReference(t, fmt.Sprintf("random page %d", trial), twin, cur)
+	}
+}
+
+// BenchmarkCloseInterval measures the write-fault + interval-close cycle
+// on one node: a Span write dirties a page (creating a pooled twin), and
+// closeInterval diffs it against the twin, stores the diff, and recycles
+// the twin. This is the diff-pipeline allocation path the page-buffer
+// pool exists for.
+func BenchmarkCloseInterval(b *testing.B) {
+	c, err := New(Config{Nodes: 2, Pages: 64, GCThresholdBytes: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := i % 32
+		if _, _, err := c.Span(0, 0, p*memlayout.PageSize, 8, vm.Write); err != nil {
+			b.Fatal(err)
+		}
+		c.nodes[0].closeInterval()
 	}
 }

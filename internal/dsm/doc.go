@@ -29,8 +29,7 @@
 //     Independent remote requests — diff fetches, page fetches, notice
 //     deliveries, prefetch fills — service in parallel when they touch
 //     different shards, and read-only diff serves share a shard's read
-//     lock. ServiceShards: 1 restores the old one-big-lock behaviour and
-//     is the baseline the hotpath benchmark compares against.
+//     lock, at every shard count.
 //   - Synchronization-side state (interval counter, seen vector, notice
 //     histories, prefetch windows) lives under a small per-node mutex.
 //   - The lock-manager log and single-writer ownership table each have
@@ -94,8 +93,9 @@
 // pooled buffers (msg.GetBuf/msg.EncodeTo), page-sized twin and reply
 // images come from a page-buffer pool (shard.go), and diff replies alias
 // the immutable stored diffs. Steady-state barrier epochs run at ~zero
-// allocations per message on the service path; BenchmarkNodeService and
-// BENCH_hotpath.json pin the resulting throughput.
+// allocations per message on the service path; msg's size_test.go pins
+// the encode, and the benchmark/ ladder tracks dsm.remote_miss_allocs,
+// dsm.barrier_allocs and dsm.lock_handoff_allocs.
 //
 // Buffer ownership: a diff or page image is moved once on each side of
 // the wire. The writer encodes a diff on the stack and allocates it once,

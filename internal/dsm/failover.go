@@ -268,7 +268,7 @@ func (c *Cluster) replicate(n *node, notices []msg.Notice) (sim.Time, error) {
 			if ref := sh.diffs[p][nt.Interval]; ref != nil {
 				df = append([]byte(nil), ref.b...)
 			}
-			sh.runlock()
+			sh.mu.RUnlock()
 			d.Diffs = append(d.Diffs, df)
 		}
 		return d

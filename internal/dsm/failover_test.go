@@ -444,9 +444,10 @@ func TestFailoverImperativeRestart(t *testing.T) {
 }
 
 // TestFailoverHammerRace drives concurrent serves, lock traffic, and GC
-// while a manager crashes and later rejoins, under both the single-shard
-// and sharded page-service locking modes. Run with -race; the assertion
-// is the absence of data races plus a coherent final state.
+// while a manager crashes and later rejoins, with every page of a node
+// on one shard stripe (where a path taking two shard locks would
+// deadlock) and with the pages spread over eight. Run with -race; the
+// assertion is the absence of data races plus a coherent final state.
 func TestFailoverHammerRace(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		name := "shards1"

@@ -306,9 +306,6 @@ func newNode(id int, c *Cluster, npages int) *node {
 	}
 	for i := range n.shards {
 		n.shards[i].diffs = make(map[vm.PageID]map[int32]*diffRef)
-		// A single shard reproduces the pre-sharding one-big-mutex
-		// behaviour exactly: reads do not share (see pageShard).
-		n.shards[i].exclusive = c.shardCount == 1
 	}
 	n.as = vm.NewAddressSpace(npages, n.resolveFault)
 	n.interval = 1
@@ -541,7 +538,7 @@ func (n *node) resolveFault(tid int, p vm.PageID, a vm.Access) error {
 	if !needFull {
 		pending = append(pending, st.pending...)
 	}
-	sh.runlock()
+	sh.mu.RUnlock()
 
 	remote := false
 	switch {
@@ -615,7 +612,7 @@ func (n *node) fetchFullPage(ti *sim.ThreadInterval, tid int, p vm.PageID, src A
 		sh := n.rlockShard(p)
 		req := &msg.PageRequest{From: int32(n.id), Page: int32(p)}
 		req.Pending = append(req.Pending, n.pages[p].pending...)
-		sh.runlock()
+		sh.mu.RUnlock()
 
 		var err error
 		pr, frame, wire, err = c.callPage(n.id, mgr, req, p, false)
@@ -960,12 +957,11 @@ func (n *node) servePageRequest(req *msg.PageRequest) (msg.Message, error) {
 	copy(data, n.pageData(p))
 	vt := make([]int32, n.c.cfg.Nodes)
 	copy(vt, st.appliedVT)
-	n.holdForBench()
 	// This read-section copied page data, which spans write through their
 	// windows unlocked: bump the generation like a write-section would, so
 	// that the copy is ordered before the writes of any later span.
 	n.gen.Add(1)
-	sh.runlock()
+	sh.mu.RUnlock()
 	return &msg.PageReply{Page: req.Page, Data: data, AppliedVT: vt}, nil
 }
 
@@ -990,8 +986,7 @@ func (n *node) serveDiffRequest(req *msg.DiffRequest) (msg.Message, retained, er
 			out.Diffs[i] = d.b
 		}
 	}
-	n.holdForBench()
-	sh.runlock()
+	sh.mu.RUnlock()
 	return out, pinned, nil
 }
 

@@ -91,7 +91,7 @@ func (n *node) hotPages(pred *vm.Bitmap) []int32 {
 		sh := n.rlockShard(p)
 		st := &n.pages[p]
 		ok := st.hasCopy && !st.dirty && len(st.pending) == 0
-		sh.runlock()
+		sh.mu.RUnlock()
 		if ok {
 			hot = append(hot, int32(p))
 		}
@@ -324,21 +324,21 @@ func (n *node) prefetch(budget int) (int, sim.Time, error) {
 			// by pending notices. Pages without a copy would cost the
 			// same full-page round trip now as on demand.
 			if !st.hasCopy || len(st.pending) == 0 || st.dirty {
-				sh.runlock()
+				sh.mu.RUnlock()
 				return
 			}
 			if budget > 0 && len(cands) >= remaining {
 				// Predicted but over budget: a demand miss on this page
 				// in the coming epoch counts as PrefetchLate.
 				lateList = append(lateList, p)
-				sh.runlock()
+				sh.mu.RUnlock()
 				return
 			}
 			cands = append(cands, candidate{
 				p:    p,
 				pend: append([]msg.Notice(nil), st.pending...),
 			})
-			sh.runlock()
+			sh.mu.RUnlock()
 		})
 	}
 	if len(lateList) > 0 {
@@ -559,7 +559,7 @@ func (n *node) serveDiffBatchRequest(req *msg.DiffBatchRequest) (msg.Message, re
 				out.Pages[i].Diffs[j] = d.b
 			}
 		}
-		sh.runlock()
+		sh.mu.RUnlock()
 	}
 	return out, pinned, nil
 }

@@ -3,16 +3,13 @@ package dsm
 // Sharded page-state locking and pooled page buffers: the node-local
 // concurrency substrate. See doc.go for the full locking model.
 //
-// Before sharding, every protocol operation — faults, diff serves,
-// barrier bookkeeping, prefetch fills — serialized on one node-wide
-// mutex, so a node could not serve a DiffRequest from one peer while
-// applying diffs for another. Page state is now striped across
-// ServiceShards independent RWMutex-guarded shards (page p belongs to
-// shard p mod nshards), so operations on pages in different shards
-// proceed in parallel and read-only serves (diff fetches) share a shard
-// concurrently. Sync-side state that is not per-page (interval counters,
-// notice histories, lock-manager logs, charge plumbing) lives under
-// separate small mutexes.
+// Page state is striped across ServiceShards independent RWMutex-guarded
+// shards (page p belongs to shard p mod nshards), so operations on pages
+// in different shards proceed in parallel and read-only serves (diff
+// fetches) share a shard concurrently; a node can serve a DiffRequest
+// from one peer while applying diffs for another. Sync-side state that
+// is not per-page (interval counters, notice histories, lock-manager
+// logs, charge plumbing) lives under separate small mutexes.
 
 import (
 	"sync"
@@ -32,9 +29,9 @@ const defaultServiceShards = 16
 
 // normalizeShards rounds a configured shard count to a usable one: 0
 // selects the default and any other positive value rounds up to the next
-// power of two (so shard selection is a mask, not a modulo). 1 is
-// honoured exactly: a single shard restores the pre-sharding
-// one-big-lock behaviour and serves as the benchmark baseline.
+// power of two (so shard selection is a mask, not a modulo). 1 puts
+// every page on one stripe, which is how the -race hammers make any path
+// that takes two shard locks deadlock against itself.
 func normalizeShards(v int) int {
 	if v == 0 {
 		v = defaultServiceShards
@@ -55,17 +52,9 @@ func normalizeShards(v int) int {
 //
 // Reads that do not mutate (diff serves, pending snapshots, coherence
 // checks) take the read side, so concurrent diff fetches from many peers
-// proceed in parallel even within one shard — except in the
-// single-shard configuration (exclusive == true), where every
-// acquisition is exclusive to reproduce the pre-sharding one-big-mutex
-// behaviour exactly (the old node.mu was a plain Mutex; readers did not
-// share). That keeps ServiceShards: 1 an honest baseline for the
-// hotpath benchmark.
+// proceed in parallel even within one shard, at any shard count.
 type pageShard struct {
 	mu sync.RWMutex
-	// exclusive makes rlockShard take the write side; set only when
-	// the node runs with a single shard (see above).
-	exclusive bool
 	// diffs stores the node's own diffs for this shard's pages:
 	// page → interval → refcounted diff. Stored diff bytes are
 	// immutable while referenced; replies alias them under a retained
@@ -141,15 +130,6 @@ func putDiffBuf(b []byte) {
 	diffBufPool.Put(&b)
 }
 
-// runlock releases a shard acquired with rlockShard.
-func (sh *pageShard) runlock() {
-	if sh.exclusive {
-		sh.mu.Unlock()
-		return
-	}
-	sh.mu.RUnlock()
-}
-
 // shard maps a page to its shard. The shard count is a power of two, so
 // this is a single mask.
 func (n *node) shard(p vm.PageID) *pageShard {
@@ -182,13 +162,9 @@ func (n *node) unlockShard(sh *pageShard) {
 
 // rlockShard read-locks page p's shard, counting contention (a failed
 // TryRLock means a writer held or was waiting on the shard). Release
-// with sh.runlock(): in the single-shard baseline configuration the
-// acquisition is exclusive (see pageShard).
+// with sh.mu.RUnlock().
 func (n *node) rlockShard(p vm.PageID) *pageShard {
 	sh := n.shard(p)
-	if sh.exclusive {
-		return n.lockShard(p)
-	}
 	if !sh.mu.TryRLock() {
 		n.c.stats.ShardContention.Add(1)
 		sh.mu.RLock()

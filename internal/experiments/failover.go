@@ -21,14 +21,30 @@ package experiments
 // protocol changed shape and the baseline must be regenerated
 // deliberately.
 //
-// See DESIGN.md §12 and internal/dsm/failoverbench.go.
+// One leg runs a phased lane-write workload (the same shape as the
+// failover acceptance tests): every node writes disjoint words for
+// PreRounds barrier rounds; then, in the crash legs, the victim dies
+// imperatively; the survivors write for PostRounds more rounds; the
+// restart leg additionally rejoins the victim after the first
+// post-crash round. The fault-free leg runs the identical survivor-only
+// post-phase, so all legs must converge to the same final contents.
+//
+// See DESIGN.md §12.
 
 import (
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"strings"
+	"sync/atomic"
+	"time"
 
 	"actdsm/internal/dsm"
+	"actdsm/internal/memlayout"
+	"actdsm/internal/msg"
+	"actdsm/internal/transport"
+	"actdsm/internal/vm"
 )
 
 // FailoverReport is the BENCH_failover.json schema.
@@ -41,9 +57,9 @@ type FailoverReport struct {
 	PostRounds int `json:"post_rounds"`
 	Victim     int `json:"victim"`
 	// Clean, Crash, Restart are the three measured legs.
-	Clean   dsm.FailoverBenchResult `json:"clean"`
-	Crash   dsm.FailoverBenchResult `json:"crash"`
-	Restart dsm.FailoverBenchResult `json:"restart"`
+	Clean   FailoverLeg `json:"clean"`
+	Crash   FailoverLeg `json:"crash"`
+	Restart FailoverLeg `json:"restart"`
 	// ExtraCallsCrash and ExtraCallsRestart are the legs' transport-
 	// call excess over the clean leg — the protocol price of the
 	// failure (and of the rejoin).
@@ -51,40 +67,172 @@ type FailoverReport struct {
 	ExtraCallsRestart int64 `json:"extra_calls_restart"`
 }
 
-// failoverOptions is the fixed workload shape all three legs share.
-var failoverOptions = dsm.FailoverBenchOptions{
-	Nodes:      4,
-	Pages:      4,
-	PreRounds:  2,
-	PostRounds: 3,
-	Victim:     2,
+// FailoverLeg is one measured leg.
+type FailoverLeg struct {
+	// Digest is an FNV-1a hash over the final shared segment as read
+	// from a fixed survivor. Equal digests across legs mean the crash
+	// was invisible to the surviving computation.
+	Digest string `json:"digest"`
+	// Calls is the total transport-call count of the leg — the crash
+	// legs' excess over the fault-free leg is the protocol price of a
+	// failure.
+	Calls int64 `json:"calls"`
+	// Crashes..RecoveryRounds echo the leg's failover counters.
+	Crashes         int64 `json:"crashes"`
+	Rejoins         int64 `json:"rejoins"`
+	Failovers       int64 `json:"failovers"`
+	ReplicaDeltas   int64 `json:"replica_deltas"`
+	ReplicaBytes    int64 `json:"replica_bytes"`
+	RecoveryFetches int64 `json:"recovery_fetches"`
+	RecoveryRounds  int64 `json:"recovery_rounds"`
 }
+
+// The fixed workload shape all three legs share. The victim is neither
+// node 0 nor the digest reader (its ring successor).
+const (
+	failoverNodes      = 4
+	failoverPages      = 4
+	failoverPreRounds  = 2
+	failoverPostRounds = 3
+	failoverVictim     = 2
+)
 
 // FailoverComparison measures the three legs and assembles the report.
 func FailoverComparison() (FailoverReport, error) {
 	rep := FailoverReport{
-		Nodes:      failoverOptions.Nodes,
-		Pages:      failoverOptions.Pages,
-		PreRounds:  failoverOptions.PreRounds,
-		PostRounds: failoverOptions.PostRounds,
-		Victim:     failoverOptions.Victim,
+		Nodes:      failoverNodes,
+		Pages:      failoverPages,
+		PreRounds:  failoverPreRounds,
+		PostRounds: failoverPostRounds,
+		Victim:     failoverVictim,
 	}
 	var err error
-	o := failoverOptions
-	if rep.Clean, err = dsm.FailoverBench(o); err != nil {
+	if rep.Clean, err = failoverLeg(false, false); err != nil {
 		return rep, fmt.Errorf("failover clean leg: %w", err)
 	}
-	o.Crash = true
-	if rep.Crash, err = dsm.FailoverBench(o); err != nil {
+	if rep.Crash, err = failoverLeg(true, false); err != nil {
 		return rep, fmt.Errorf("failover crash leg: %w", err)
 	}
-	o.Restart = true
-	if rep.Restart, err = dsm.FailoverBench(o); err != nil {
+	if rep.Restart, err = failoverLeg(true, true); err != nil {
 		return rep, fmt.Errorf("failover restart leg: %w", err)
 	}
 	rep.ExtraCallsCrash = rep.Crash.Calls - rep.Clean.Calls
 	rep.ExtraCallsRestart = rep.Restart.Calls - rep.Clean.Calls
 	return rep, nil
+}
+
+// failoverLeg runs one leg: crash kills the victim between the phases,
+// restart additionally rejoins it after the first post-crash round.
+func failoverLeg(crash, restart bool) (FailoverLeg, error) {
+	var res FailoverLeg
+	c, err := dsm.New(dsm.Config{
+		Nodes:            failoverNodes,
+		Pages:            failoverPages,
+		FaultTolerance:   true,
+		SerialFanOut:     true,
+		GCThresholdBytes: -1,
+		Transport: transport.Options{
+			MaxAttempts: 4,
+			BackoffBase: time.Microsecond,
+		},
+		Chaos: &transport.ChaosOptions{},
+	})
+	if err != nil {
+		return res, err
+	}
+	defer func() { _ = c.Close() }()
+
+	var calls atomic.Int64
+	c.SetProbe(&dsm.Probe{
+		TransportCall: func(from, to int, kind msg.Kind, bytes int, wall time.Duration, failed bool) {
+			calls.Add(1)
+		},
+	})
+
+	const words = failoverPages * memlayout.PageSize / 4
+	write := func(node, round int) error {
+		for k := 0; k < 6; k++ {
+			w := (node*19 + k*31 + round*57) % words
+			w -= w % failoverNodes // disjoint per-node lanes within a round
+			w += node
+			if w >= words {
+				continue
+			}
+			b, _, err := c.Span(node, node, w*4, 4, vm.Write)
+			if err != nil {
+				return err
+			}
+			memlayout.ViewF32(b).Set(0, float32(round*1000+node*100+k))
+		}
+		return nil
+	}
+	for round := 0; round < failoverPreRounds; round++ {
+		for node := 0; node < failoverNodes; node++ {
+			if err := write(node, round); err != nil {
+				return res, err
+			}
+		}
+		if _, err := c.Barrier(); err != nil {
+			return res, err
+		}
+	}
+	if crash {
+		if err := c.Kill(failoverVictim); err != nil {
+			return res, err
+		}
+	}
+	for round := failoverPreRounds; round < failoverPreRounds+failoverPostRounds; round++ {
+		for node := 0; node < failoverNodes; node++ {
+			if node == failoverVictim {
+				continue // the fault-free leg idles the victim too
+			}
+			if err := write(node, round); err != nil {
+				return res, err
+			}
+		}
+		if _, err := c.Barrier(); err != nil {
+			return res, err
+		}
+		if restart && round == failoverPreRounds {
+			if err := c.Restart(failoverVictim); err != nil {
+				return res, err
+			}
+		}
+	}
+
+	// Digest the final image from a fixed survivor, then check global
+	// coherence so a digest produced from a broken run cannot pass.
+	const reader = (failoverVictim + 1) % failoverNodes
+	h := fnv.New64a()
+	var word [4]byte
+	for w := 0; w < words; w++ {
+		b, _, err := c.Span(reader, reader, w*4, 4, vm.Read)
+		if err != nil {
+			return res, err
+		}
+		bits := math.Float32bits(memlayout.ViewF32(b).Get(0))
+		word[0] = byte(bits)
+		word[1] = byte(bits >> 8)
+		word[2] = byte(bits >> 16)
+		word[3] = byte(bits >> 24)
+		_, _ = h.Write(word[:])
+	}
+	if err := c.CheckCoherence(); err != nil {
+		return res, fmt.Errorf("failover leg coherence: %w", err)
+	}
+
+	s := c.Stats().Snapshot()
+	return FailoverLeg{
+		Digest:          fmt.Sprintf("%016x", h.Sum64()),
+		Calls:           calls.Load(),
+		Crashes:         s.Crashes,
+		Rejoins:         s.Rejoins,
+		Failovers:       s.Failovers,
+		ReplicaDeltas:   s.ReplicaDeltas,
+		ReplicaBytes:    s.ReplicaBytes,
+		RecoveryFetches: s.RecoveryFetches,
+		RecoveryRounds:  s.RecoveryRounds,
+	}, nil
 }
 
 // FormatFailoverReport renders the comparison for the actbench section.
@@ -94,7 +242,7 @@ func FormatFailoverReport(r FailoverReport) string {
 		r.Nodes, r.Victim, r.PreRounds, r.PostRounds)
 	fmt.Fprintf(&b, "%-9s %18s %8s %8s %8s %10s %9s %9s\n",
 		"leg", "digest", "calls", "crashes", "rejoins", "failovers", "recfetch", "replicas")
-	row := func(name string, l dsm.FailoverBenchResult) {
+	row := func(name string, l FailoverLeg) {
 		fmt.Fprintf(&b, "%-9s %18s %8d %8d %8d %10d %9d %9d\n",
 			name, l.Digest, l.Calls, l.Crashes, l.Rejoins, l.Failovers,
 			l.RecoveryFetches, l.ReplicaDeltas)
@@ -110,15 +258,6 @@ func FormatFailoverReport(r FailoverReport) string {
 		fmt.Fprintf(&b, "DIGEST MISMATCH: crash-run memory diverged from the fault-free run\n")
 	}
 	return b.String()
-}
-
-// FailoverReportJSON marshals the report for BENCH_failover.json.
-func FailoverReportJSON(r FailoverReport) ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }
 
 // CompareFailoverReports validates a fresh report against the committed

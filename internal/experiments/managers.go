@@ -12,15 +12,24 @@ package experiments
 //     LockShards: 1 every wire-bound lock message lands on node 0; with
 //     the sharded default node 0's share must stay at most half.
 //
-// See DESIGN.md §10 and internal/dsm/managerbench.go.
+// Both measurements observe the real protocol through a Probe: every
+// logical transport call reports its endpoints and message kind, and
+// the harness reconstructs the barrier tree (or the flat star) from the
+// recorded edges rather than trusting the topology code it is meant to
+// gate.
+//
+// See DESIGN.md §10.
 
 import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
 	"strings"
+	"sync"
+	"time"
 
 	"actdsm/internal/dsm"
+	"actdsm/internal/msg"
 )
 
 // ManagersReport is the BENCH_managers.json schema. Every number in it
@@ -33,8 +42,8 @@ type ManagersReport struct {
 	Arity int `json:"arity"`
 	// Flat is the single-manager baseline episode, Tree the k-ary
 	// tree episode on the same cluster size.
-	Flat dsm.BarrierShapeResult `json:"flat"`
-	Tree dsm.BarrierShapeResult `json:"tree"`
+	Flat BarrierShape `json:"flat"`
+	Tree BarrierShape `json:"tree"`
 	// DepthBound is 2*ceil(log2 Nodes) — the ceiling the tree's enter
 	// and release depths are gated against (one factor of
 	// ceil(log2 n) levels, at most Arity serialized messages each for
@@ -42,8 +51,8 @@ type ManagersReport struct {
 	DepthBound int `json:"depth_bound"`
 	// LockCentralized is the LockShards: 1 run (every lock managed by
 	// node 0), LockSharded the default one-shard-per-node run.
-	LockCentralized dsm.LockSpreadResult `json:"lock_centralized"`
-	LockSharded     dsm.LockSpreadResult `json:"lock_sharded"`
+	LockCentralized LockSpread `json:"lock_centralized"`
+	LockSharded     LockSpread `json:"lock_sharded"`
 }
 
 // MaxShardedNode0Share is the gate's ceiling for node 0's share of
@@ -69,21 +78,220 @@ func ManagersComparison() (ManagersReport, error) {
 		DepthBound: 2 * ceilLog2(managersBarrierNodes),
 	}
 	var err error
-	if rep.Flat, err = dsm.BarrierShapeBench(dsm.BarrierShapeOptions{Nodes: managersBarrierNodes}); err != nil {
+	if rep.Flat, err = measureBarrierShape(managersBarrierNodes, 0); err != nil {
 		return rep, fmt.Errorf("managers flat barrier: %w", err)
 	}
-	if rep.Tree, err = dsm.BarrierShapeBench(dsm.BarrierShapeOptions{
-		Nodes: managersBarrierNodes, Arity: managersBarrierArity,
-	}); err != nil {
+	if rep.Tree, err = measureBarrierShape(managersBarrierNodes, managersBarrierArity); err != nil {
 		return rep, fmt.Errorf("managers tree barrier: %w", err)
 	}
-	if rep.LockCentralized, err = dsm.LockSpreadBench(dsm.LockSpreadOptions{LockShards: 1}); err != nil {
+	if rep.LockCentralized, err = measureLockSpread(1); err != nil {
 		return rep, fmt.Errorf("managers centralized locks: %w", err)
 	}
-	if rep.LockSharded, err = dsm.LockSpreadBench(dsm.LockSpreadOptions{}); err != nil {
+	if rep.LockSharded, err = measureLockSpread(0); err != nil {
 		return rep, fmt.Errorf("managers sharded locks: %w", err)
 	}
 	return rep, nil
+}
+
+// BarrierShape is one measured barrier episode. Depths are
+// critical-path lengths in units of serialized messages: calls to the
+// same destination serialize, and an interior tree node cannot forward
+// its aggregate before its whole subtree has reported, so the enter
+// depth of a topology is
+//
+//	depth(v) = fan-in(v) + max over children c of depth(c)
+//
+// evaluated at the root. A flat 64-node barrier scores 63 (every enter
+// serializes at node 0); an arity-2 tree scores at most
+// 2*ceil(log2 64) = 12. The release phase is measured the same way on
+// the fan-out edges.
+type BarrierShape struct {
+	Nodes int `json:"nodes"`
+	// Arity echoes the configured topology (0 = flat).
+	Arity int `json:"arity"`
+	// EnterDepth and ReleaseDepth are the measured critical-path
+	// depths of the two fan phases.
+	EnterDepth   int `json:"enter_depth"`
+	ReleaseDepth int `json:"release_depth"`
+	// EnterCalls and ReleaseCalls are the transport-call counts of the
+	// phases (both topologies send n-1 messages per phase; only the
+	// arrangement differs).
+	EnterCalls   int `json:"enter_calls"`
+	ReleaseCalls int `json:"release_calls"`
+	// MaxInDegree is the most barrier-enter messages any single node
+	// received: n-1 at the flat manager, at most Arity in the tree.
+	MaxInDegree int `json:"max_in_degree"`
+}
+
+// measureBarrierShape runs one barrier episode on an idle cluster
+// (arity 0 is the flat single-manager barrier, k >= 2 the k-ary tree)
+// and reports the topology the messages actually formed. SerialFanOut
+// keeps the run deterministic; the payload (no writes, no notices) does
+// not affect the shape.
+func measureBarrierShape(nodes, arity int) (BarrierShape, error) {
+	c, err := dsm.New(dsm.Config{
+		Nodes:            nodes,
+		Pages:            nodes,
+		BarrierArity:     arity,
+		SerialFanOut:     true,
+		GCThresholdBytes: -1,
+	})
+	if err != nil {
+		return BarrierShape{}, err
+	}
+	defer func() { _ = c.Close() }()
+
+	var (
+		mu      sync.Mutex
+		enter   [][2]int // child -> parent
+		release [][2]int // parent -> child
+	)
+	c.SetProbe(&dsm.Probe{
+		TransportCall: func(from, to int, kind msg.Kind, bytes int, wall time.Duration, failed bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch kind {
+			case msg.KindBarrierEnter:
+				enter = append(enter, [2]int{from, to})
+			case msg.KindBarrierRelease:
+				release = append(release, [2]int{from, to})
+			}
+		},
+	})
+	if _, err := c.Barrier(); err != nil {
+		return BarrierShape{}, err
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	enterChildren := map[int][]int{}
+	inDegree := map[int]int{}
+	for _, e := range enter {
+		enterChildren[e[1]] = append(enterChildren[e[1]], e[0])
+		inDegree[e[1]]++
+	}
+	releaseChildren := map[int][]int{}
+	for _, e := range release {
+		releaseChildren[e[0]] = append(releaseChildren[e[0]], e[1])
+	}
+	maxIn := 0
+	for _, d := range inDegree {
+		if d > maxIn {
+			maxIn = d
+		}
+	}
+	return BarrierShape{
+		Nodes:        nodes,
+		Arity:        arity,
+		EnterDepth:   fanDepth(enterChildren, 0),
+		ReleaseDepth: fanDepth(releaseChildren, 0),
+		EnterCalls:   len(enter),
+		ReleaseCalls: len(release),
+		MaxInDegree:  maxIn,
+	}, nil
+}
+
+// fanDepth computes the serialized-message critical path of a fan
+// rooted at root: a node's own fan (its direct edges serialize) plus
+// the deepest child subtree. Works for both directions — children maps
+// aggregation sources for the enter phase and relay targets for the
+// release phase.
+func fanDepth(children map[int][]int, root int) int {
+	deepest := 0
+	for _, c := range children[root] {
+		if d := fanDepth(children, c); d > deepest {
+			deepest = d
+		}
+	}
+	return len(children[root]) + deepest
+}
+
+// LockSpread reports where one LockChain-style workload's
+// manager-bound lock messages (acquires, releases, and forwarded-grant
+// pulls) landed. The counts are deterministic: the workload is serial
+// and local self-serves never touch the wire.
+type LockSpread struct {
+	// Shards is the effective shard count.
+	Shards int `json:"shards"`
+	// Calls is the total manager-bound lock messages on the wire.
+	Calls int `json:"calls"`
+	// PerNode is the per-destination breakdown, indexed by node id.
+	PerNode []int `json:"per_node"`
+	// Node0Share is PerNode[0] / Calls — 1.0 when every lock is
+	// centralized on node 0, and bounded well below that once locks
+	// shard across the cluster.
+	Node0Share float64 `json:"node0_share"`
+}
+
+// The lock leg's shape: lockSpreadLocks distinct locks handed round a
+// lockSpreadNodes-node cluster for lockSpreadRounds rounds.
+const (
+	lockSpreadNodes  = 8
+	lockSpreadLocks  = 16
+	lockSpreadRounds = 8
+)
+
+// measureLockSpread runs a synthetic LockChain workload — every round,
+// lock l is acquired and released by node (l+round) mod nodes, so each
+// lock's ownership walks the cluster — and counts which node served
+// each wire-bound lock message. lockShards is Config.LockShards: 1 is
+// the centralized node-0 baseline, 0 the one-shard-per-node default.
+func measureLockSpread(lockShards int) (LockSpread, error) {
+	c, err := dsm.New(dsm.Config{
+		Nodes:            lockSpreadNodes,
+		Pages:            lockSpreadNodes,
+		LockShards:       lockShards,
+		SerialFanOut:     true,
+		GCThresholdBytes: -1,
+	})
+	if err != nil {
+		return LockSpread{}, err
+	}
+	defer func() { _ = c.Close() }()
+
+	var mu sync.Mutex
+	perNode := make([]int, lockSpreadNodes)
+	c.SetProbe(&dsm.Probe{
+		TransportCall: func(from, to int, kind msg.Kind, bytes int, wall time.Duration, failed bool) {
+			switch kind {
+			case msg.KindLockAcquire, msg.KindLockRelease, msg.KindLockPull:
+				mu.Lock()
+				perNode[to]++
+				mu.Unlock()
+			}
+		},
+	})
+
+	for r := 0; r < lockSpreadRounds; r++ {
+		for l := 0; l < lockSpreadLocks; l++ {
+			node := (l + r) % lockSpreadNodes
+			if _, err := c.AcquireLock(node, 0, int32(l)); err != nil {
+				return LockSpread{}, err
+			}
+			if _, err := c.ReleaseLock(node, 0, int32(l)); err != nil {
+				return LockSpread{}, err
+			}
+		}
+		// A barrier per round keeps the known sets (and thus release
+		// payloads) bounded, exactly like a real iteration loop.
+		if _, err := c.Barrier(); err != nil {
+			return LockSpread{}, err
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	res := LockSpread{Shards: lockShards, PerNode: perNode}
+	if lockShards == 0 {
+		res.Shards = lockSpreadNodes
+	}
+	for _, n := range perNode {
+		res.Calls += n
+	}
+	if res.Calls > 0 {
+		res.Node0Share = float64(perNode[0]) / float64(res.Calls)
+	}
+	return res, nil
 }
 
 // FormatManagersReport renders the comparison for the actbench section.
@@ -92,7 +300,7 @@ func FormatManagersReport(r ManagersReport) string {
 	fmt.Fprintf(&b, "barrier topology, %d nodes:\n", r.Nodes)
 	fmt.Fprintf(&b, "%-18s %12s %14s %12s %12s\n",
 		"config", "enter-depth", "release-depth", "calls/phase", "max-in")
-	row := func(name string, res dsm.BarrierShapeResult) {
+	row := func(name string, res BarrierShape) {
 		fmt.Fprintf(&b, "%-18s %12d %14d %12d %12d\n",
 			name, res.EnterDepth, res.ReleaseDepth, res.EnterCalls, res.MaxInDegree)
 	}
@@ -103,7 +311,7 @@ func FormatManagersReport(r ManagersReport) string {
 	fmt.Fprintf(&b, "\nlock-manager traffic, LockChain (%d calls each):\n",
 		r.LockSharded.Calls)
 	fmt.Fprintf(&b, "%-18s %8s %12s  %s\n", "config", "shards", "node0-share", "per-node")
-	lrow := func(name string, res dsm.LockSpreadResult) {
+	lrow := func(name string, res LockSpread) {
 		fmt.Fprintf(&b, "%-18s %8d %11.0f%%  %v\n",
 			name, res.Shards, res.Node0Share*100, res.PerNode)
 	}
@@ -111,15 +319,6 @@ func FormatManagersReport(r ManagersReport) string {
 	lrow("sharded", r.LockSharded)
 	fmt.Fprintf(&b, "sharded node0-share gate: <= %.0f%%\n", MaxShardedNode0Share*100)
 	return b.String()
-}
-
-// ManagersReportJSON marshals the report for BENCH_managers.json.
-func ManagersReportJSON(r ManagersReport) ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }
 
 // CompareManagersReports validates a fresh report against the committed

@@ -343,15 +343,6 @@ func placementHeadlineWorkloads(r PlacementReport) []string {
 	return out
 }
 
-// PlacementReportJSON marshals the report for BENCH_placement.json.
-func PlacementReportJSON(r PlacementReport) ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
 // PlacementRegressionTolerance bounds the gate: each row's fresh
 // elapsed time and demand calls must stay within 5% above the committed
 // baseline. The runs are virtual-time deterministic, so drift is a real

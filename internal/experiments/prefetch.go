@@ -139,27 +139,27 @@ func FormatPrefetchComparison(rows []PrefetchRow) string {
 	return b.String()
 }
 
-// PrefetchReportJSON marshals the report for BENCH_prefetch.json.
-func PrefetchReportJSON(o Options, rows []PrefetchRow) ([]byte, error) {
+// prefetchReport wraps the rows in the BENCH_prefetch.json schema.
+func prefetchReport(o Options, rows []PrefetchRow) PrefetchReport {
 	o = o.Defaults()
 	scale := "test"
 	if o.Scale == apps.ScalePaper {
 		scale = "paper"
 	}
-	rep := PrefetchReport{Scale: scale, Threads: o.Threads, Nodes: o.Nodes, Rows: rows}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
+	return PrefetchReport{Scale: scale, Threads: o.Threads, Nodes: o.Nodes, Rows: rows}
 }
+
+// PrefetchRegressionTolerance is the fractional growth in an app's
+// prefetch-run demand calls the gate tolerates.
+const PrefetchRegressionTolerance = 0.05
 
 // ComparePrefetchReports checks a fresh report against a committed
 // baseline: every baseline app must still be present, and its
-// prefetch-run demand-call count must not regress by more than tolerance
-// (fractional, e.g. 0.05). Returns a human-readable comparison and an
-// error when the tolerance is exceeded.
-func ComparePrefetchReports(baseline, current []byte, tolerance float64) (string, error) {
+// prefetch-run demand-call count must not regress by more than
+// PrefetchRegressionTolerance. Returns a human-readable comparison and
+// an error when the tolerance is exceeded.
+func ComparePrefetchReports(baseline, current []byte) (string, error) {
+	const tolerance = PrefetchRegressionTolerance
 	var base, cur PrefetchReport
 	if err := json.Unmarshal(baseline, &base); err != nil {
 		return "", fmt.Errorf("baseline: %w", err)

@@ -221,15 +221,6 @@ func FormatServingReport(r ServingReport) string {
 	return b.String()
 }
 
-// ServingReportJSON marshals the report for BENCH_serving.json.
-func ServingReportJSON(r ServingReport) ([]byte, error) {
-	out, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
-}
-
 // ServingRegressionTolerance bounds the gate: each variant's fresh QPS
 // must stay within 5% below its committed baseline and fresh p99 within
 // 5% above it. The run is virtual-time deterministic, so any drift is a

@@ -49,7 +49,7 @@ func TestServingComparison(t *testing.T) {
 	}
 
 	// The gate accepts its own fresh report.
-	js, err := ServingReportJSON(rep)
+	js, err := reportJSON(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,24 +61,5 @@ func TestServingComparison(t *testing.T) {
 		if !strings.Contains(summary, name) {
 			t.Errorf("comparison summary omits %s:\n%s", name, summary)
 		}
-	}
-}
-
-// TestServingDeterminism asserts a re-run reproduces the report
-// byte-for-byte — the property that lets the bench gate compare the
-// committed JSON exactly.
-func TestServingDeterminism(t *testing.T) {
-	a, err := ServingComparison()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ServingComparison()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ja, _ := ServingReportJSON(a)
-	jb, _ := ServingReportJSON(b)
-	if string(ja) != string(jb) {
-		t.Fatalf("serving report not deterministic:\n%s\nvs\n%s", ja, jb)
 	}
 }

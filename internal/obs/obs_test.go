@@ -348,6 +348,15 @@ func TestRecorderRingWrap(t *testing.T) {
 			t.Fatalf("event %d out of order: compute %d, want %d", i, e.Compute, want)
 		}
 	}
+	// A wrapped ring still exports its tail, but as an error.
+	var buf bytes.Buffer
+	err := r.WriteTrace(&buf)
+	if err == nil || !strings.Contains(err.Error(), "dropped the oldest 12 events, recorded 8") {
+		t.Fatalf("WriteTrace on a wrapped ring: err = %v, want the dropped/recorded counts", err)
+	}
+	if !json.Valid(buf.Bytes()) {
+		t.Fatalf("truncated trace is not valid JSON: %q", buf.String())
+	}
 }
 
 func TestObsDisabledZeroAllocs(t *testing.T) {

@@ -54,11 +54,23 @@ const (
 func usec(t sim.Time) float64 { return float64(t) / 1e3 }
 
 // WriteTrace renders the recorder's events as Chrome trace-event JSON.
+// If the ring wrapped, the surviving events are still written — the tail
+// of a run is worth looking at — but the call returns an error naming
+// the dropped and recorded counts, so a partial timeline is never
+// mistaken for a whole one.
 func (r *Recorder) WriteTrace(w io.Writer) error {
 	if !r.Enabled() {
 		return fmt.Errorf("obs: recorder disabled, no trace to export")
 	}
-	return TraceJSON(r.Events(), w)
+	evs := r.Events()
+	if err := TraceJSON(evs, w); err != nil {
+		return err
+	}
+	if dropped := r.Dropped(); dropped > 0 {
+		return fmt.Errorf("obs: trace truncated: ring dropped the oldest %d events, recorded %d; raise Config.BufferEvents",
+			dropped, len(evs))
+	}
+	return nil
 }
 
 // epochAccum buffers one node's events between two EvNodeEpoch records.

@@ -12,8 +12,7 @@ import (
 	"actdsm/internal/msg"
 )
 
-// The multiplexed discipline replaces lockedConn's one-outstanding-call
-// rule with one pipelined stream per (from, to) pair:
+// The wire discipline is one pipelined stream per (from, to) pair:
 //
 //   - every call is tagged with a connection-local request ID, so many
 //     callers send concurrently and replies match out of order through a
@@ -29,14 +28,12 @@ import (
 //	request: [u32 plen][u32 id][u32 meta][payload]   meta = from | 1<<31 (deflated)
 //	reply:   [u32 plen][u32 id][u8 status][payload]  status |= 0x80 (deflated)
 //
-// The status low bits are the same tcpOK/tcpErr* values the serialized
-// discipline uses, so sentinel errors survive the wire identically.
+// The status low bits are the tcpOK/tcpErr* values, so sentinel errors
+// survive the wire.
 
-// Dial-time preambles selecting the server-side serve loop.
-var (
-	muxPreamble    = [4]byte{'A', 'C', 'T', 'M'}
-	serialPreamble = [4]byte{'A', 'C', 'T', 'S'}
-)
+// muxPreamble is the magic a dialed connection opens with; the accept
+// loop closes a peer that sends anything else.
+var muxPreamble = [4]byte{'A', 'C', 'T', 'M'}
 
 const (
 	// muxCompressed flags a deflated reply payload in the status byte.
@@ -45,9 +42,9 @@ const (
 	muxCompressed32 = uint32(1) << 31
 )
 
-// timeoutError marks a call that exceeded Options.CallTimeout on the
-// multiplexed discipline. It implements net.Error with Timeout() true so
-// Retryable treats it like a deadline error from the serialized path.
+// timeoutError marks a call that exceeded Options.CallTimeout. It
+// implements net.Error with Timeout() true so Retryable treats it like
+// a socket deadline error.
 type timeoutError struct{}
 
 func (timeoutError) Error() string   { return "transport: call timeout" }
@@ -283,9 +280,8 @@ func (m *muxConn) roundTrip(payload []byte) ([]byte, error) {
 		select {
 		case r = <-p.ch:
 		case <-timerC:
-			// Conservative parity with the serialized discipline: a
-			// timed-out call poisons the connection (its reply may still
-			// arrive later; a fresh dial resynchronizes), and the
+			// A timed-out call poisons the connection (its reply may
+			// still arrive later; a fresh dial resynchronizes), and the
 			// teardown delivers this call's error.
 			m.fail(fmt.Errorf("transport: call %d->%d: %w", m.from, m.to, errCallTimeout))
 			r = <-p.ch
@@ -533,9 +529,10 @@ func (t *TCP) muxReply(h Handler, from int, id uint32, payload []byte, compresse
 	}
 	reply, err := h(from, payload)
 	if err == nil && 1+len(reply) > maxFrame {
-		// Same policy as the serialized discipline: replace the
-		// oversized reply with a structured, sentinel-preserving error
-		// frame; the stream stays usable.
+		// An oversized reply written as-is would exceed the client's
+		// frame bound and poison the stream. Replace it with a
+		// structured, sentinel-preserving error frame; the stream stays
+		// usable.
 		err = fmt.Errorf("%w (%d bytes > %d)", ErrFrameTooLarge, 1+len(reply), maxFrame)
 	}
 	if err != nil {

@@ -12,8 +12,8 @@ import (
 type Options struct {
 	// CallTimeout bounds one call attempt end to end (write + reply
 	// read) on the TCP transport. Zero means no deadline. A timed-out
-	// connection is dropped and redialed on the next attempt, because a
-	// half-read frame leaves the stream unsynchronized.
+	// call tears its stream down, failing the pair's other in-flight
+	// calls with it, and the next attempt redials.
 	CallTimeout time.Duration
 	// MaxAttempts is the total number of attempts per Call made by the
 	// WithRetry wrapper, including the first; values <= 1 disable
@@ -32,22 +32,12 @@ type Options struct {
 	// 1-based number of the attempt that just failed. It must not
 	// block; the DSM layer uses it to count retries per message type.
 	OnRetry func(from, to, attempt int, payload []byte, err error)
-	// Serialized selects the pre-multiplexing connection discipline on
-	// the TCP transport: one connection per (from, to) pair carrying one
-	// outstanding call at a time, with a fresh round trip per call. The
-	// default (false) multiplexes every pair's calls over one pipelined
-	// stream with tagged request IDs and out-of-order reply matching —
-	// strictly faster under concurrent callers. The serialized mode is
-	// kept as the transport benchmark's baseline (BENCH_transport.json)
-	// and as a conservative fallback.
-	Serialized bool
-	// CompressMin, when positive, deflate-compresses multiplexed frame
-	// payloads of at least this many bytes (both requests and replies;
+	// CompressMin, when positive, deflate-compresses TCP frame payloads
+	// of at least this many bytes (both requests and replies;
 	// in the DSM's traffic only diff, page, and push payloads reach
 	// realistic thresholds). Compression trades CPU and a few
 	// allocations per large frame for wire bytes, so it pays on
-	// constrained links, not on loopback. 0 disables it. The serialized
-	// discipline ignores the knob.
+	// constrained links, not on loopback. 0 disables it.
 	CompressMin int
 	// MuxWorkers bounds concurrent handler executions per inbound
 	// multiplexed connection (the server-side pipelining depth). 0

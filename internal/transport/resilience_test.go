@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -120,11 +121,15 @@ func TestTCPOversizedReply(t *testing.T) {
 
 // --- stale connections and reconnect ---------------------------------
 
-// TestTCPStaleConnDetected checks the waiter-side half of the stale-conn
-// fix: a round trip on a connection a concurrent caller already tore down
-// reports errConnStale instead of writing into the closed socket.
+// errTestDrop is what the tests below tear a stream down with: a
+// Retryable error, as a real socket failure would be.
+var errTestDrop = fmt.Errorf("test drop: %w", net.ErrClosed)
+
+// TestTCPStaleConnDetected checks the dead-on-arrival path: a round trip
+// on a stream a concurrent caller already tore down reports errConnStale
+// instead of queueing a frame nobody will write.
 func TestTCPStaleConnDetected(t *testing.T) {
-	tr, err := NewTCPWithOptions(echoHandlers(2), Options{Serialized: true})
+	tr, err := NewTCP(echoHandlers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,18 +137,16 @@ func TestTCPStaleConnDetected(t *testing.T) {
 	if _, err := tr.Call(0, 1, []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
-	lc, err := tr.conn(0, 1)
+	mc, err := tr.mux(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc.mu.Lock()
-	tr.dropConn(0, 1, lc)
-	lc.mu.Unlock()
-	if _, err := tr.roundTrip(lc, 0, 1, []byte("x")); !errors.Is(err, errConnStale) {
+	mc.fail(errTestDrop)
+	if _, err := mc.roundTrip([]byte("x")); !errors.Is(err, errConnStale) {
 		t.Fatalf("err = %v, want errConnStale", err)
 	}
-	// Call itself must recover transparently: the map entry is gone, so
-	// the retry dials a fresh connection.
+	// Call itself must recover transparently: the table entry is gone, so
+	// the retry dials a fresh stream.
 	got, err := tr.Call(0, 1, []byte("again"))
 	if err != nil {
 		t.Fatalf("Call after drop: %v", err)
@@ -153,11 +156,12 @@ func TestTCPStaleConnDetected(t *testing.T) {
 	}
 }
 
-// TestTCPStaleConnWaiterRecovers reproduces the original race: a caller
-// queued on a connection's lock while another caller tears it down must
-// re-resolve and succeed rather than erroring on the closed socket.
+// TestTCPStaleConnWaiterRecovers reproduces the race the stale path
+// exists for: a caller that resolved a stream and is about to register on
+// it while another caller tears it down must re-resolve and succeed —
+// without WithRetry — rather than erroring on the dead stream.
 func TestTCPStaleConnWaiterRecovers(t *testing.T) {
-	tr, err := NewTCPWithOptions(echoHandlers(2), Options{Serialized: true})
+	tr, err := NewTCP(echoHandlers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,11 +169,11 @@ func TestTCPStaleConnWaiterRecovers(t *testing.T) {
 	if _, err := tr.Call(0, 1, []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
-	lc, err := tr.conn(0, 1)
+	mc, err := tr.mux(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc.mu.Lock()
+	mc.mu.Lock()
 	done := make(chan error, 1)
 	go func() {
 		got, err := tr.Call(0, 1, []byte("queued"))
@@ -178,23 +182,26 @@ func TestTCPStaleConnWaiterRecovers(t *testing.T) {
 		}
 		done <- err
 	}()
-	// Give the goroutine time to resolve lc and queue on its lock, then
-	// tear the connection down while it waits.
+	// Give the goroutine time to resolve mc and park on its lock, then do
+	// the first half of fail's teardown while it waits (fail itself takes
+	// mc.mu) and let fail finish the rest.
 	time.Sleep(20 * time.Millisecond)
-	tr.dropConn(0, 1, lc)
-	lc.mu.Unlock()
+	tr.removeMux(0, 1, mc)
+	mc.dead = true
+	mc.mu.Unlock()
+	mc.fail(errTestDrop)
 	if err := <-done; err != nil {
-		t.Fatalf("queued caller failed on stale conn: %v", err)
+		t.Fatalf("parked caller failed on stale stream: %v", err)
 	}
 }
 
-// TestTCPReconnectAfterDrop closes a live connection out from under the
-// transport: the next attempt fails (bytes may have been sent), but the
-// failure is Retryable and a WithRetry wrapper transparently redials.
-// Runs in Serialized mode, which owns the conns map the test inspects;
-// the mux analogue is TestMuxReconnectMidPipeline.
+// TestTCPReconnectAfterDrop closes an idle stream's socket out from
+// under the transport: the next call either finds the stream already
+// failed by its reader or fails in flight, both Retryable, and a
+// WithRetry wrapper transparently redials. TestMuxReconnectMidPipeline
+// covers the drop under load.
 func TestTCPReconnectAfterDrop(t *testing.T) {
-	base, err := NewTCPWithOptions(echoHandlers(2), Options{Serialized: true})
+	base, err := NewTCP(echoHandlers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +211,12 @@ func TestTCPReconnectAfterDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	base.mu.Lock()
-	lc := base.conns[[2]int{0, 1}]
+	mc := base.muxes[[2]int{0, 1}]
 	base.mu.Unlock()
-	if lc == nil {
-		t.Fatal("no connection cached")
+	if mc == nil {
+		t.Fatal("no stream cached")
 	}
-	_ = lc.conn.Close() // simulate a peer/network drop
+	_ = mc.conn.Close() // simulate a peer/network drop
 	got, err := tr.Call(0, 1, []byte("after-drop"))
 	if err != nil {
 		t.Fatalf("retry did not reconnect: %v", err)
@@ -255,16 +262,19 @@ func TestTCPCallTimeout(t *testing.T) {
 }
 
 // TestTCPConcurrentPairsWithDrops hammers overlapping (from,to) pairs
-// while a background goroutine repeatedly tears down the busiest
-// connection. Every call must still succeed: queued waiters take the
-// stale-conn path and redial. Run with -race. Serialized mode (the
-// dropper needs the conns map); the mux analogue lives in mux_test.go.
+// while a background goroutine repeatedly fails the busiest stream.
+// Every call must still succeed: callers that find the stream dead take
+// the stale path and redial, callers caught in flight retry. Each drop
+// can cost a call at most one attempt (the table entry is gone before
+// the failure is delivered), so drops+1 attempts cannot run out. Run
+// with -race.
 func TestTCPConcurrentPairsWithDrops(t *testing.T) {
-	base, err := NewTCPWithOptions(echoHandlers(3), Options{Serialized: true})
+	const drops = 25
+	base, err := NewTCP(echoHandlers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := WithRetry(base, Options{MaxAttempts: 4})
+	tr := WithRetry(base, Options{MaxAttempts: drops + 1})
 	defer func() { _ = tr.Close() }()
 
 	var wg sync.WaitGroup
@@ -272,19 +282,17 @@ func TestTCPConcurrentPairsWithDrops(t *testing.T) {
 	wg.Add(1)
 	go func() { // the dropper
 		defer wg.Done()
-		for i := 0; i < 25; i++ {
+		for i := 0; i < drops; i++ {
 			select {
 			case <-stop:
 				return
 			case <-time.After(time.Millisecond):
 			}
 			base.mu.Lock()
-			lc := base.conns[[2]int{0, 1}]
+			mc := base.muxes[[2]int{0, 1}]
 			base.mu.Unlock()
-			if lc != nil {
-				lc.mu.Lock()
-				base.dropConn(0, 1, lc)
-				lc.mu.Unlock()
+			if mc != nil {
+				mc.fail(errTestDrop)
 			}
 		}
 	}()

@@ -18,7 +18,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -26,9 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
-	"time"
-
-	"actdsm/internal/msg"
 )
 
 // Handler serves a request payload arriving at a node and returns the
@@ -79,9 +75,10 @@ var ErrFrameTooLarge = errors.New("transport: reply exceeds frame limit")
 // over to a successor instead of burning its retry budget.
 var ErrNodeDown = errors.New("transport: node down")
 
-// errConnStale marks a connection that was closed by another caller's
-// dropConn before this caller sent anything. Nothing of the request went
-// out, so TCP.Call retries it transparently on a fresh connection.
+// errConnStale marks a stream another caller's failure tore down
+// (muxConn.fail) before this caller sent anything. Nothing of the
+// request went out, so TCP.Call retries it transparently on a fresh
+// connection.
 var errConnStale = errors.New("transport: connection closed before send")
 
 // RemoteError reports a handler failure on a remote node, carried back
@@ -178,22 +175,16 @@ func (l *Local) Close() error { return nil }
 
 // TCP carries frames over loopback TCP sockets, one listener per node.
 //
-// Each dialed connection starts with a 4-byte preamble selecting one of
-// two disciplines. The default is the multiplexed stream ("ACTM", see
-// mux.go): pipelined tagged frames, out-of-order reply matching, and
-// vectored batched writes. Options.Serialized selects the historical
-// discipline ("ACTS"): one outstanding call per (from, to) connection,
-// with frames
-//
-//	request:  [u32 length][u32 from][payload]
-//	reply:    [u32 length][u8 status][payload or error text]
+// Each (from, to) pair shares one multiplexed stream (mux.go): a dialed
+// connection opens with the 4-byte "ACTM" magic, then carries pipelined
+// tagged frames with out-of-order reply matching and vectored batched
+// writes. A peer that opens with anything else is closed.
 type TCP struct {
 	opts      Options
 	listeners []net.Listener
 	addrs     []string
 
-	mu    sync.Mutex // guards conns and muxes maps only
-	conns map[[2]int]*lockedConn
+	mu    sync.Mutex // guards the muxes map only
 	muxes map[[2]int]*muxConn
 
 	// wireOut/wireIn count frame bytes crossing the sockets (see
@@ -287,7 +278,6 @@ func NewTCPWithOptions(handlers []Handler, opts Options) (*TCP, error) {
 		opts:      opts,
 		listeners: make([]net.Listener, len(handlers)),
 		addrs:     make([]string, len(handlers)),
-		conns:     make(map[[2]int]*lockedConn),
 		muxes:     make(map[[2]int]*muxConn),
 		closed:    make(chan struct{}),
 	}
@@ -317,97 +307,16 @@ func (t *TCP) acceptLoop(ln net.Listener, h Handler) {
 			defer t.wg.Done()
 			defer func() { _ = conn.Close() }()
 			var pre [4]byte
-			if _, err := io.ReadFull(conn, pre[:]); err != nil {
+			if _, err := io.ReadFull(conn, pre[:]); err != nil || pre != muxPreamble {
 				return
 			}
-			switch pre {
-			case muxPreamble:
-				t.serveMux(conn, h)
-			case serialPreamble:
-				t.serveConn(conn, h)
-			}
+			t.serveMux(conn, h)
 		}()
 	}
 }
 
-func (t *TCP) serveConn(conn net.Conn, h Handler) {
-	for {
-		var hdr [8]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return
-		}
-		n := binary.LittleEndian.Uint32(hdr[:4])
-		from := int(binary.LittleEndian.Uint32(hdr[4:]))
-		if n > maxFrame {
-			return
-		}
-		payload := getFrameBuf(int(n))
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			msg.PutBuf(payload)
-			return
-		}
-		t.wireIn.Add(int64(len(hdr)) + int64(n))
-		t.hb.Add(1) // acquire the caller's send clock (see hb)
-		reply, err := h(from, payload)
-		t.hb.Add(1) // release the handler's effects to the caller
-		if err == nil && 1+len(reply) > maxFrame {
-			// An oversized reply written as-is would exceed the
-			// client's frame bound and poison the connection
-			// ("bad reply length" followed by a forced drop).
-			// Replace it with a structured, sentinel-preserving
-			// error frame instead; the connection stays usable.
-			err = fmt.Errorf("%w (%d bytes > %d)", ErrFrameTooLarge, 1+len(reply), maxFrame)
-		}
-		out := msg.GetBuf()
-		var rh [5]byte
-		if err != nil {
-			e := err.Error()
-			if 1+len(e) > maxFrame { // cannot happen in practice; stay safe
-				e = e[:1024]
-			}
-			binary.LittleEndian.PutUint32(rh[:4], uint32(1+len(e)))
-			rh[4] = statusFor(err)
-			out = append(out, rh[:]...)
-			out = append(out, e...)
-			msg.PutBuf(payload)
-		} else {
-			binary.LittleEndian.PutUint32(rh[:4], uint32(1+len(reply)))
-			rh[4] = tcpOK
-			out = append(out, rh[:]...)
-			out = append(out, reply...)
-			if sameBase(reply, payload) {
-				msg.PutBuf(payload) // echo: one buffer, one recycle
-			} else {
-				msg.PutBuf(payload)
-				if reply != nil {
-					msg.PutBuf(reply)
-				}
-			}
-		}
-		_, werr := conn.Write(out)
-		t.wireOut.Add(int64(len(out)))
-		msg.PutBuf(out)
-		if werr != nil {
-			return
-		}
-	}
-}
-
-// lockedConn serializes round trips on one (from, to) connection. Distinct
-// pairs use distinct connections, so a nested call chain (A→B handler
-// calling B→C) never blocks on another pair's lock.
-type lockedConn struct {
-	mu   sync.Mutex
-	conn net.Conn
-	// dead is set (under mu) by dropConn when the connection is torn
-	// down. A caller that was queued on mu while the teardown happened
-	// must not write to the closed conn; it re-resolves instead.
-	dead bool
-}
-
-// Call implements Transport. Calls with the same (from, to) pair share
-// one stream: pipelined on it under the default multiplexed discipline,
-// serialized on it with Options.Serialized.
+// Call implements Transport. Calls with the same (from, to) pair are
+// pipelined on one shared stream.
 //
 // If the stream was declared dead by a concurrent caller before this
 // call sent any bytes, Call transparently re-resolves (redialing if
@@ -423,20 +332,12 @@ func (t *TCP) Call(from, to int, payload []byte) ([]byte, error) {
 		return nil, fmt.Errorf("transport: no source node %d", from)
 	}
 	for attempt := 0; ; attempt++ {
-		var reply []byte
-		var err error
-		if t.opts.Serialized {
-			var lc *lockedConn
-			if lc, err = t.conn(from, to); err == nil {
-				reply, err = t.roundTrip(lc, from, to, payload)
-			}
-		} else {
-			var mc *muxConn
-			if mc, err = t.mux(from, to); err == nil {
-				reply, err = mc.roundTrip(payload)
-			}
+		mc, err := t.mux(from, to)
+		if err != nil {
+			return nil, err
 		}
-		if err != nil && errors.Is(err, errConnStale) && attempt < staleRetries {
+		reply, err := mc.roundTrip(payload)
+		if errors.Is(err, errConnStale) && attempt < staleRetries {
 			continue // dead on arrival; nothing was sent
 		}
 		return reply, err
@@ -451,101 +352,6 @@ func (t *TCP) Call(from, to int, payload []byte) ([]byte, error) {
 // payloads shrink on the wire.
 func (t *TCP) WireBytes() (sent, received int64) {
 	return t.wireOut.Load(), t.wireIn.Load()
-}
-
-// roundTrip performs one request/reply exchange on lc.
-func (t *TCP) roundTrip(lc *lockedConn, from, to int, payload []byte) ([]byte, error) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	if lc.dead {
-		return nil, errConnStale
-	}
-	conn := lc.conn
-	if t.opts.CallTimeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(t.opts.CallTimeout))
-	}
-	frame := msg.GetBuf()
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(from))
-	frame = append(frame, hdr[:]...)
-	frame = append(frame, payload...)
-	t.hb.Add(1) // release the caller's clock to the server (see hb)
-	_, werr := conn.Write(frame)
-	t.wireOut.Add(int64(len(frame)))
-	msg.PutBuf(frame)
-	if werr != nil {
-		t.dropConn(from, to, lc)
-		return nil, fmt.Errorf("transport: write %d->%d: %w", from, to, werr)
-	}
-	var rh [5]byte
-	if _, err := io.ReadFull(conn, rh[:]); err != nil {
-		t.dropConn(from, to, lc)
-		return nil, fmt.Errorf("transport: read %d->%d: %w", from, to, err)
-	}
-	n := binary.LittleEndian.Uint32(rh[:4])
-	if n == 0 || n > maxFrame {
-		t.dropConn(from, to, lc)
-		return nil, fmt.Errorf("transport: bad reply length %d", n)
-	}
-	status := rh[4]
-	body := getFrameBuf(int(n) - 1)
-	if _, err := io.ReadFull(conn, body); err != nil {
-		msg.PutBuf(body)
-		t.dropConn(from, to, lc)
-		return nil, fmt.Errorf("transport: read %d->%d: %w", from, to, err)
-	}
-	t.wireIn.Add(int64(4) + int64(n))
-	t.hb.Add(1) // acquire the handler's effects (see hb)
-	if t.opts.CallTimeout > 0 {
-		_ = conn.SetDeadline(time.Time{})
-	}
-	if status != tcpOK {
-		err := &RemoteError{Node: to, Sentinel: sentinelFor(status), Msg: string(body)}
-		msg.PutBuf(body)
-		return nil, err
-	}
-	return body, nil
-}
-
-func (t *TCP) conn(from, to int) (*lockedConn, error) {
-	key := [2]int{from, to}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	select {
-	case <-t.closed:
-		return nil, net.ErrClosed
-	default:
-	}
-	if c, ok := t.conns[key]; ok {
-		return c, nil
-	}
-	c, err := net.Dial("tcp", t.addrs[to])
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial node %d: %w", to, err)
-	}
-	if _, err := c.Write(serialPreamble[:]); err != nil {
-		_ = c.Close()
-		return nil, fmt.Errorf("transport: dial node %d: %w", to, err)
-	}
-	lc := &lockedConn{conn: c}
-	t.conns[key] = lc
-	return lc, nil
-}
-
-// dropConn tears down a broken connection: marks lc dead so queued waiters
-// re-resolve instead of writing to the closed net.Conn, and removes the
-// map entry (only if it still points at lc — a replacement dialed by a
-// retrying caller must survive). The caller holds lc.mu but not t.mu.
-func (t *TCP) dropConn(from, to int, lc *lockedConn) {
-	lc.dead = true
-	_ = lc.conn.Close()
-	key := [2]int{from, to}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c, ok := t.conns[key]; ok && c == lc {
-		delete(t.conns, key)
-	}
 }
 
 // Close shuts down all listeners and connections and waits for server
@@ -570,17 +376,9 @@ func (t *TCP) Close() error {
 		muxes = append(muxes, m)
 		delete(t.muxes, k)
 	}
-	conns := make([]*lockedConn, 0, len(t.conns))
-	for k, c := range t.conns {
-		conns = append(conns, c)
-		delete(t.conns, k)
-	}
 	t.mu.Unlock()
 	for _, m := range muxes {
 		m.fail(net.ErrClosed)
-	}
-	for _, c := range conns {
-		_ = c.conn.Close()
 	}
 	t.wg.Wait()
 	return nil

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func echoHandlers(n int) []Handler {
@@ -204,5 +207,27 @@ func TestTCPBadDestination(t *testing.T) {
 	defer func() { _ = tr.Close() }()
 	if _, err := tr.Call(0, 3, nil); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestTCPRejectsUnknownMagic: a peer that opens with anything but the
+// "ACTM" magic is closed without a byte of reply.
+func TestTCPRejectsUnknownMagic(t *testing.T) {
+	tr, err := NewTCP(echoHandlers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = tr.Close() }()
+	c, err := net.Dial("tcp", tr.addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	if _, err := c.Write([]byte("ACTS")); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := c.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("read %d bytes, err %v; want a clean close", n, err)
 	}
 }
