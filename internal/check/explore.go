@@ -122,13 +122,17 @@ func Scenarios() []Scenario {
 			PrefetchBudget: -1, HomeMigration: true, LockShards: 2, BarrierArity: 2},
 		// Crash-fault tolerance: every decentralized-manager extension
 		// enabled, one deterministic crash per trial (with and without a
-		// scheduled restart). FaultTolerance excludes the batching and
-		// prefetch paths, so these scenarios leave them off.
+		// scheduled restart). Batching and prefetch are on — a dead
+		// writer's diffs reach batched fetches, pull prefetch and push
+		// collection from its standby's replica store — except in the
+		// lock chain, which keeps the unbatched route under a crash.
 		{Name: "SOR4ft", App: "SOR", Threads: 4, Nodes: 4, Iterations: 4,
+			BatchDiffs: true, PrefetchBudget: -1,
 			LockShards: 2, BarrierArity: 2, HomeMigration: true, Crashes: 1},
 		{Name: "LockChain4ft", App: "LockChain", Threads: 4, Nodes: 4, Iterations: 5,
 			LockShards: 2, BarrierArity: 2, HomeMigration: true, Crashes: 1, Restart: true},
 		{Name: "Serve4ft", App: "ServeKV", Threads: 4, Nodes: 4, Iterations: 4,
+			BatchDiffs: true, PrefetchBudget: -1,
 			LockShards: 2, BarrierArity: 2, HomeMigration: true, Crashes: 1, Restart: true},
 		// Diff garbage collection at every barrier: static homes (so the
 		// home of a page is rarely its writer and must consolidate), then
@@ -138,6 +142,7 @@ func Scenarios() []Scenario {
 		{Name: "Ocean4gc", App: "Ocean", Threads: 4, Nodes: 4, Iterations: 3,
 			GCThresholdBytes: 1},
 		{Name: "SOR4ftgc", App: "SOR", Threads: 4, Nodes: 4, Iterations: 4,
+			BatchDiffs: true, PrefetchBudget: -1,
 			BarrierArity: 2, Crashes: 1, GCThresholdBytes: 1},
 	}
 }

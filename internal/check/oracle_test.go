@@ -240,7 +240,7 @@ func TestOracleConservation(t *testing.T) {
 	o.noticesDelivered(1, dsm.ViaBarrier, []msg.Notice{nt(0, 0, 1, 1)})
 	o.diffApplied(1, dsm.ApplyDemand, nt(0, 0, 1, 1))
 	// Matching snapshot: clean.
-	if err := o.Finish(dsm.Snapshot{RemoteMisses: 1}); err != nil {
+	if err := o.Finish(dsm.Snapshot{CounterSet: dsm.Counters{RemoteMisses: 1}}); err != nil {
 		t.Fatalf("matching snapshot: %v", err)
 	}
 	// Mismatched snapshot: conservation trips.
@@ -249,7 +249,7 @@ func TestOracleConservation(t *testing.T) {
 	o2.barrierReleased(1, 0)
 	o2.noticesDelivered(1, dsm.ViaBarrier, []msg.Notice{nt(0, 0, 1, 1)})
 	o2.diffApplied(1, dsm.ApplyDemand, nt(0, 0, 1, 1))
-	err := o2.Finish(dsm.Snapshot{RemoteMisses: 2, PrefetchedPages: 1})
+	err := o2.Finish(dsm.Snapshot{CounterSet: dsm.Counters{RemoteMisses: 2, PrefetchedPages: 1}})
 	if err == nil || !strings.Contains(err.Error(), "conservation") {
 		t.Fatalf("expected conservation violation, got %v", err)
 	}

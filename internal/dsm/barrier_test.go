@@ -98,10 +98,23 @@ type variantRun struct {
 	costs    [][]sim.Time
 }
 
+// variantCell is one cell of the configuration matrix the variant test
+// crosses with the barrier arities: the data path's knobs and fault
+// tolerance.
+type variantCell struct {
+	batch    bool
+	prefetch int
+	ft       bool
+}
+
+func (v variantCell) String() string {
+	return fmt.Sprintf("batch=%v/prefetch=%d/ft=%v", v.batch, v.prefetch, v.ft)
+}
+
 // runBarrierVariant drives one seeded multi-epoch workload — per-node
 // lane writes, a lock chain incrementing shared counters, home migration
 // and diff garbage collection — under the given barrier variant.
-func runBarrierVariant(t *testing.T, nodes, arity int, ft bool) variantRun {
+func runBarrierVariant(t *testing.T, nodes, arity int, cell variantCell) variantRun {
 	t.Helper()
 	const npages, epochs = 5, 6 // the last page holds the lock-protected counters
 	cfg := Config{
@@ -111,9 +124,11 @@ func runBarrierVariant(t *testing.T, nodes, arity int, ft bool) variantRun {
 		HomeMigration:    true,
 		SerialFanOut:     true,
 		GCThresholdBytes: 1500,
-		FaultTolerance:   ft,
+		BatchDiffs:       cell.batch,
+		PrefetchBudget:   cell.prefetch,
+		FaultTolerance:   cell.ft,
 	}
-	if ft {
+	if cell.ft {
 		cfg.Chaos = &transport.ChaosOptions{} // empty crash schedule
 	}
 	c, err := New(cfg)
@@ -156,6 +171,12 @@ func runBarrierVariant(t *testing.T, nodes, arity int, ft bool) variantRun {
 			t.Fatal(err)
 		}
 		out.costs = append(out.costs, costs)
+		// The pull round that follows every release (nothing without a
+		// prefetch budget).
+		if costs, err = c.PrefetchRound(); err != nil {
+			t.Fatal(err)
+		}
+		out.costs = append(out.costs, costs)
 	}
 	for lock := 0; lock < 3; lock++ {
 		if got, want := rf32(t, c, 0, 0, counter(lock)), float32(epochs/3*nodes); got != want {
@@ -187,54 +208,63 @@ func runBarrierVariant(t *testing.T, nodes, arity int, ft bool) variantRun {
 }
 
 // TestBarrierVariantsEquivalent runs one input through every barrier
-// variant — arity {0, 2, 3, n-1} x fault tolerance {off, on with nothing
-// crashing} — and requires identical output: the same final memory and
-// home table everywhere, the same barrier and GC counters across arities,
-// and, because the flat barrier IS the tree of arity n-1, a bit-identical
-// wire image and virtual clock for BarrierArity 0 and n-1.
+// variant — arity {0, 2, 3, n-1} — in every cell of {diff batching off,
+// on} x {prefetch off, unlimited} x {fault tolerance off, on with nothing
+// crashing}, and requires identical output: the same final memory and
+// home table in all of them (the knobs move data earlier, in fewer
+// messages, or to a second place; none may change what memory holds), the
+// same barrier and GC counters across the arities of a cell, and, because
+// the flat barrier IS the tree of arity n-1, a bit-identical wire image
+// and virtual clock for BarrierArity 0 and n-1.
 func TestBarrierVariantsEquivalent(t *testing.T) {
 	const nodes = 6
-	var ref variantRun
-	for _, ft := range []bool{false, true} {
-		runs := make(map[int]variantRun)
-		for _, arity := range []int{0, 2, 3, nodes - 1} {
-			name := fmt.Sprintf("arity=%d/ft=%v", arity, ft)
-			r := runBarrierVariant(t, nodes, arity, ft)
-			runs[arity] = r
-			if r.counters.GCRounds == 0 || r.counters.HomeMigrations == 0 {
-				t.Fatalf("%s: %d GC rounds, %d home migrations; test proves nothing",
-					name, r.counters.GCRounds, r.counters.HomeMigrations)
+	var ref *variantRun
+	for _, batch := range []bool{false, true} {
+		for _, prefetch := range []int{0, -1} {
+			for _, ft := range []bool{false, true} {
+				cell := variantCell{batch, prefetch, ft}
+				runs := make(map[int]variantRun)
+				for _, arity := range []int{0, 2, 3, nodes - 1} {
+					name := fmt.Sprintf("arity=%d/%v", arity, cell)
+					r := runBarrierVariant(t, nodes, arity, cell)
+					runs[arity] = r
+					if r.counters.GCRounds == 0 || r.counters.HomeMigrations == 0 ||
+						(batch && r.counters.DiffBatchFetches == 0) || (prefetch != 0 && r.counters.PrefetchedPages == 0) {
+						t.Fatalf("%s: %d GC rounds, %d home migrations, %d batched fetches, %d prefetched pages; test proves nothing",
+							name, r.counters.GCRounds, r.counters.HomeMigrations, r.counters.DiffBatchFetches, r.counters.PrefetchedPages)
+					}
+					if ref == nil {
+						ref = &r
+					}
+					if r.digest != ref.digest {
+						t.Fatalf("%s: memory digest %x, want %x", name, r.digest, ref.digest)
+					}
+					if fmt.Sprint(r.homes) != fmt.Sprint(ref.homes) {
+						t.Fatalf("%s: homes %v, want %v", name, r.homes, ref.homes)
+					}
+					// Across cells the GC trigger may legitimately move;
+					// across arities it may not.
+					flat := runs[0].counters
+					if r.counters.Barriers != flat.Barriers || r.counters.GCRounds != flat.GCRounds ||
+						r.counters.GCCollections != flat.GCCollections {
+						t.Fatalf("%s: barriers/GC rounds/collections %d/%d/%d, flat has %d/%d/%d", name,
+							r.counters.Barriers, r.counters.GCRounds, r.counters.GCCollections,
+							flat.Barriers, flat.GCRounds, flat.GCCollections)
+					}
+				}
+				flat, wide := runs[0], runs[nodes-1]
+				if len(flat.calls) != len(wide.calls) {
+					t.Fatalf("%v: arity 0 made %d calls, arity n-1 made %d", cell, len(flat.calls), len(wide.calls))
+				}
+				for i := range flat.calls {
+					if flat.calls[i] != wide.calls[i] {
+						t.Fatalf("%v: call %d differs: arity 0 %+v, arity n-1 %+v", cell, i, flat.calls[i], wide.calls[i])
+					}
+				}
+				if fmt.Sprint(flat.costs) != fmt.Sprint(wide.costs) {
+					t.Fatalf("%v: per-node barrier costs differ:\narity 0:   %v\narity n-1: %v", cell, flat.costs, wide.costs)
+				}
 			}
-			if arity == 0 && !ft {
-				ref = r
-			}
-			if r.digest != ref.digest {
-				t.Fatalf("%s: memory digest %x, want %x", name, r.digest, ref.digest)
-			}
-			if fmt.Sprint(r.homes) != fmt.Sprint(ref.homes) {
-				t.Fatalf("%s: homes %v, want %v", name, r.homes, ref.homes)
-			}
-			// Across the FT axis the GC trigger may legitimately move;
-			// across arities it may not.
-			flat := runs[0].counters
-			if r.counters.Barriers != flat.Barriers || r.counters.GCRounds != flat.GCRounds ||
-				r.counters.GCCollections != flat.GCCollections {
-				t.Fatalf("%s: barriers/GC rounds/collections %d/%d/%d, flat has %d/%d/%d", name,
-					r.counters.Barriers, r.counters.GCRounds, r.counters.GCCollections,
-					flat.Barriers, flat.GCRounds, flat.GCCollections)
-			}
-		}
-		flat, wide := runs[0], runs[nodes-1]
-		if len(flat.calls) != len(wide.calls) {
-			t.Fatalf("ft=%v: arity 0 made %d calls, arity n-1 made %d", ft, len(flat.calls), len(wide.calls))
-		}
-		for i := range flat.calls {
-			if flat.calls[i] != wide.calls[i] {
-				t.Fatalf("ft=%v: call %d differs: arity 0 %+v, arity n-1 %+v", ft, i, flat.calls[i], wide.calls[i])
-			}
-		}
-		if fmt.Sprint(flat.costs) != fmt.Sprint(wide.costs) {
-			t.Fatalf("ft=%v: per-node barrier costs differ:\narity 0:   %v\narity n-1: %v", ft, flat.costs, wide.costs)
 		}
 	}
 }

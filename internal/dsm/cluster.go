@@ -123,7 +123,9 @@ type Config struct {
 	// over to the successor when the membership view marks a node dead,
 	// and crashed nodes rejoin through a recovery protocol. Requires the
 	// multi-writer protocol and a Chaos transport (whose crash windows
-	// are the failure ground truth); excludes prefetch and diff batching.
+	// are the failure ground truth). Composes with BatchDiffs and
+	// PrefetchBudget: every diff fetch routes around a dead writer to the
+	// replica store on its standby.
 	FaultTolerance bool
 }
 
@@ -212,52 +214,63 @@ type barrierState struct {
 	rel *msg.BarrierRelease
 }
 
+// New's rejections, by name; TestNewValidation holds a row for each.
+var (
+	errNodes         = errors.New("dsm: Nodes must be positive")
+	errPages         = errors.New("dsm: Pages must be positive")
+	errServiceShards = errors.New("dsm: ServiceShards must be non-negative")
+	errLockShards    = errors.New("dsm: LockShards must be non-negative")
+	errBarrierArity  = errors.New("dsm: BarrierArity must be 0 (flat) or at least 2")
+	errTopologySize  = errors.New("dsm: Topology node count differs from Nodes")
+	// errSingleWriter wraps the name of the multi-writer mechanism asked
+	// for: the single-writer protocol moves whole pages and keeps no
+	// intervals, notices or diffs for any of them to work on.
+	errSingleWriter = errors.New("dsm: not available under the single-writer protocol")
+	errFTNeedsChaos = errors.New("dsm: FaultTolerance requires a Chaos transport (its crash windows are the failure ground truth)")
+)
+
 // New builds and starts a cluster.
 func New(cfg Config) (*Cluster, error) {
-	if cfg.Nodes <= 0 {
-		return nil, errors.New("dsm: Nodes must be positive")
+	switch {
+	case cfg.Nodes <= 0:
+		return nil, errNodes
+	case cfg.Pages <= 0:
+		return nil, errPages
+	case cfg.ServiceShards < 0:
+		return nil, errServiceShards
+	case cfg.LockShards < 0:
+		return nil, errLockShards
+	case cfg.BarrierArity < 0 || cfg.BarrierArity == 1:
+		return nil, errBarrierArity
+	case cfg.Topology != nil && cfg.Topology.Nodes() != cfg.Nodes:
+		return nil, fmt.Errorf("%w: %d and %d", errTopologySize, cfg.Topology.Nodes(), cfg.Nodes)
+	case cfg.FaultTolerance && cfg.Chaos == nil:
+		return nil, errFTNeedsChaos
 	}
-	if cfg.Pages <= 0 {
-		return nil, errors.New("dsm: Pages must be positive")
-	}
-	if cfg.ServiceShards < 0 {
-		return nil, errors.New("dsm: ServiceShards must be non-negative")
-	}
-	if cfg.LockShards < 0 {
-		return nil, errors.New("dsm: LockShards must be non-negative")
-	}
-	if cfg.BarrierArity < 0 || cfg.BarrierArity == 1 {
-		return nil, errors.New("dsm: BarrierArity must be 0 (flat) or at least 2")
+	if cfg.Protocol == SingleWriter {
+		knob := ""
+		switch {
+		case cfg.PrefetchBudget != 0:
+			knob = "PrefetchBudget"
+		case cfg.BatchDiffs:
+			knob = "BatchDiffs"
+		case cfg.HomeMigration:
+			knob = "HomeMigration"
+		case cfg.FaultTolerance:
+			knob = "FaultTolerance"
+		}
+		if knob != "" {
+			return nil, fmt.Errorf("%w: %s", errSingleWriter, knob)
+		}
 	}
 	if cfg.Costs == (sim.Costs{}) {
 		cfg.Costs = sim.DefaultCosts()
-	}
-	if cfg.Topology != nil && cfg.Topology.Nodes() != cfg.Nodes {
-		return nil, fmt.Errorf("dsm: Topology has %d nodes, cluster has %d",
-			cfg.Topology.Nodes(), cfg.Nodes)
 	}
 	if cfg.GCThresholdBytes == 0 {
 		cfg.GCThresholdBytes = defaultGCThreshold
 	}
 	if cfg.Protocol == 0 {
 		cfg.Protocol = MultiWriter
-	}
-	if cfg.Protocol == SingleWriter && (cfg.PrefetchBudget != 0 || cfg.BatchDiffs) {
-		return nil, errors.New("dsm: prefetch and diff batching require the multi-writer protocol")
-	}
-	if cfg.Protocol == SingleWriter && cfg.HomeMigration {
-		return nil, errors.New("dsm: home migration requires the multi-writer protocol")
-	}
-	if cfg.FaultTolerance {
-		if cfg.Protocol == SingleWriter {
-			return nil, errors.New("dsm: fault tolerance requires the multi-writer protocol")
-		}
-		if cfg.Chaos == nil {
-			return nil, errors.New("dsm: fault tolerance requires a Chaos transport (crash injection)")
-		}
-		if cfg.PrefetchBudget != 0 || cfg.BatchDiffs {
-			return nil, errors.New("dsm: fault tolerance excludes prefetch and diff batching")
-		}
 	}
 	c := &Cluster{cfg: cfg, costs: cfg.Costs, topo: cfg.Topology, shardCount: normalizeShards(cfg.ServiceShards)}
 	c.stats.InitLinks(cfg.Nodes)
@@ -430,28 +443,10 @@ var (
 	errReplyPage   = errors.New("reply names another page")
 	errPageImage   = errors.New("page image is not one page long")
 	errDiffCount   = errors.New("diff count differs from the intervals asked for")
+	errPageCount   = errors.New("page count differs from the pages asked for")
 	errReplyShape  = errors.New("unexpected reply type")
 	errCollectPage = errors.New("collect names a page outside the segment")
 )
-
-// frames is the list of reply frames a fetch borrowed its payloads from:
-// the decoded diffs and page images alias them (msg.Decode borrows). A
-// fetch hands its frames to its caller with the payloads, and the caller
-// releases them once copy/ApplyDiff has consumed the bytes. It lives on
-// the fetching call's stack — server-side fetches run concurrently on
-// transport workers — never on the node. Dropping one unreleased is
-// garbage, not corruption.
-type frames [][]byte
-
-// release recycles the frames. Nil entries (a fetch answered locally,
-// with no frame) are skipped.
-func (f frames) release() {
-	for _, b := range f {
-		if b != nil {
-			msg.PutBuf(b)
-		}
-	}
-}
 
 // call sends m and returns the decoded reply plus the requester-side wire
 // cost, for every round trip whose reply carries no byte payload (acks,
@@ -1484,9 +1479,6 @@ func (c *Cluster) consolidate(hm int, pages []int32) (own, standby sim.Time, err
 			if !ok {
 				return own, standby, fmt.Errorf("dsm: gc consolidate page %d: diffs already gone", p)
 			}
-			sh = mgr.lockShard(p)
-			mgr.as.SetProt(p, vm.ProtRead)
-			mgr.unlockShard(sh)
 			own += ti.Stall + ti.Overhead
 		}
 		if c.cfg.FaultTolerance {
@@ -1606,9 +1598,8 @@ func (c *Cluster) pullLockHistory(node int, lock int32, holder int, seen []int32
 		// The holder named by the grant may be dead (or die under us):
 		// its ring successor serves the pull from the replicated history
 		// marked at the holder's last shadow release.
-		target := holder
-		if c.cfg.FaultTolerance && c.isDead(holder) {
-			target = c.aliveSucc(holder)
+		target := c.AliveSuccessor(holder)
+		if target != holder {
 			c.stats.Failovers.Add(1)
 		}
 		if target == node {

@@ -1,10 +1,13 @@
 package dsm
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"actdsm/internal/memlayout"
 	"actdsm/internal/sim"
+	"actdsm/internal/transport"
 	"actdsm/internal/vm"
 )
 
@@ -45,12 +48,43 @@ func barrier(t *testing.T, c *Cluster) {
 	}
 }
 
+// TestNewValidation: every configuration New refuses is refused by name,
+// and the knobs that used to exclude each other construct together.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Nodes: 0, Pages: 1}); err == nil {
-		t.Fatal("expected error for zero nodes")
-	}
-	if _, err := New(Config{Nodes: 1, Pages: 0}); err == nil {
-		t.Fatal("expected error for zero pages")
+	chaos := &transport.ChaosOptions{}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want error  // nil: New must accept the configuration
+		knob string // for errSingleWriter: the field the error names
+	}{
+		{"zero nodes", Config{Nodes: 0, Pages: 1}, errNodes, ""},
+		{"zero pages", Config{Nodes: 1, Pages: 0}, errPages, ""},
+		{"negative service shards", Config{Nodes: 2, Pages: 1, ServiceShards: -1}, errServiceShards, ""},
+		{"negative lock shards", Config{Nodes: 2, Pages: 1, LockShards: -1}, errLockShards, ""},
+		{"barrier arity 1", Config{Nodes: 2, Pages: 1, BarrierArity: 1}, errBarrierArity, ""},
+		{"negative barrier arity", Config{Nodes: 2, Pages: 1, BarrierArity: -2}, errBarrierArity, ""},
+		{"topology of another size", Config{Nodes: 2, Pages: 2, Topology: sim.NewTopology(3, sim.Costs{})}, errTopologySize, ""},
+		{"fault tolerance without chaos", Config{Nodes: 2, Pages: 1, FaultTolerance: true}, errFTNeedsChaos, ""},
+		{"single-writer with prefetch", Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, PrefetchBudget: 4}, errSingleWriter, "PrefetchBudget"},
+		{"single-writer with batching", Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, BatchDiffs: true}, errSingleWriter, "BatchDiffs"},
+		{"single-writer with home migration", Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, HomeMigration: true}, errSingleWriter, "HomeMigration"},
+		{"single-writer with fault tolerance", Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, FaultTolerance: true, Chaos: chaos}, errSingleWriter, "FaultTolerance"},
+		{"fault tolerance with batching and prefetch",
+			Config{Nodes: 3, Pages: 2, FaultTolerance: true, BatchDiffs: true, PrefetchBudget: -1, Chaos: chaos}, nil, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(tc.cfg)
+			if err == nil {
+				_ = c.Close()
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("New: %v, want %v", err, tc.want)
+			}
+			if tc.knob != "" && !strings.Contains(err.Error(), tc.knob) {
+				t.Fatalf("New: %v does not name %s", err, tc.knob)
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ package dsm
 // full protocol run.
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -19,6 +20,7 @@ import (
 
 	"actdsm/internal/memlayout"
 	"actdsm/internal/msg"
+	"actdsm/internal/transport"
 	"actdsm/internal/vm"
 )
 
@@ -27,9 +29,15 @@ import (
 // overlap inside the serve paths.
 var raceShape = struct{ Nodes, Pages, Peers, Ops int }{Nodes: 4, Pages: 64, Peers: 4, Ops: 600}
 
-// newSeededCluster builds a raceShape cluster and seeds node 0's diff
-// store: one stored diff (interval 1) for every page, so DiffRequests
-// always hit. GC is disabled so the store survives the run.
+// replicaOrigin is the writer whose replica store the seeded cluster
+// fills on node 0, its ring standby (the last node of raceShape).
+const replicaOrigin = 3
+
+// newSeededCluster builds a raceShape cluster with fault tolerance on and
+// seeds both of node 0's diff stores: one stored diff (interval 1) of its
+// own for every page, and a copy of one from replicaOrigin in the replica
+// store, so DiffRequests naming either writer always hit. GC is disabled
+// so the stores survive the run.
 func newSeededCluster(t *testing.T, shards int) *Cluster {
 	t.Helper()
 	c, err := New(Config{
@@ -37,6 +45,8 @@ func newSeededCluster(t *testing.T, shards int) *Cluster {
 		Pages:            raceShape.Pages,
 		ServiceShards:    shards,
 		GCThresholdBytes: -1,
+		FaultTolerance:   true,
+		Chaos:            &transport.ChaosOptions{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -50,9 +60,11 @@ func newSeededCluster(t *testing.T, shards int) *Cluster {
 	}
 	df := MakeDiff(twin, cur)
 	n := c.nodes[0]
+	n.replDiffs[replicaOrigin] = make(map[vm.PageID]map[int32][]byte)
 	for p := 0; p < raceShape.Pages; p++ {
 		sh := n.shard(vm.PageID(p))
 		sh.diffs[vm.PageID(p)] = map[int32]*diffRef{1: newDiffRef(append([]byte(nil), df...))}
+		n.replDiffs[replicaOrigin][vm.PageID(p)] = map[int32][]byte{1: append([]byte(nil), df...)}
 	}
 	return c
 }
@@ -89,6 +101,15 @@ func TestSeededClusterServes(t *testing.T) {
 		t.Fatalf("diff serve: want seeded interval 1 only, got %v", dr.Diffs)
 	}
 	msg.PutBuf(frame)
+	// The same body serves another writer's diffs from the replica store.
+	reply, frame, _, err = c.callFrame(1, 0, &msg.DiffRequest{From: 1, Page: 7, Writer: replicaOrigin, Intervals: []int32{2, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dr = reply.(*msg.DiffReply); len(dr.Diffs) != 2 || dr.Diffs[0] != nil || dr.Diffs[1] == nil {
+		t.Fatalf("replica serve: want seeded interval 1 only, got %v", dr.Diffs)
+	}
+	msg.PutBuf(frame)
 	// Page raceShape.Nodes is managed by node 0.
 	p := vm.PageID(raceShape.Nodes)
 	pr, frame, _, err := c.callPage(1, 0, &msg.PageRequest{From: 1, Page: int32(p)}, p, false)
@@ -103,9 +124,12 @@ func TestSeededClusterServes(t *testing.T) {
 
 // TestRaceServiceHammer hammers node 0 from concurrent peers with the
 // full read-side service mix — DiffRequest, PageRequest, and
-// DiffBatchRequest — while a GC goroutine concurrently collects a
-// disjoint stripe of pages (dropping their stored diffs under the write
-// lock) and a stats goroutine snapshots the counters. Runs under the
+// DiffBatchRequest, the diff kinds naming node 0 itself (its shard store)
+// and replicaOrigin (the replica store behind the same serve body) —
+// while a GC goroutine concurrently collects a disjoint stripe of pages
+// (dropping their stored and replicated diffs), a replication goroutine
+// delivers replicaOrigin's deltas for that stripe into the replica store,
+// and a stats goroutine snapshots the counters. Runs under the
 // sharded default and with every page on a single stripe, where a serve
 // that took two shard locks would deadlock against itself.
 func TestRaceServiceHammer(t *testing.T) {
@@ -139,10 +163,13 @@ func TestRaceServiceHammer(t *testing.T) {
 					from := 1 + w%(o.Nodes-1)
 					for i := 0; i < o.Ops && !stop.Load(); i++ {
 						p := int32((w*31 + i) % diffPages)
+						// Alternate between node 0's own diffs and the
+						// ones it keeps as replicaOrigin's standby.
+						writer := int32(i / 3 % 2 * replicaOrigin)
 						switch i % 3 {
 						case 0:
 							rep, frame, _, err := c.callFrame(from, 0, &msg.DiffRequest{
-								From: int32(from), Page: p, Intervals: []int32{1}})
+								From: int32(from), Page: p, Writer: writer, Intervals: []int32{1}})
 							if err == nil {
 								if dr := rep.(*msg.DiffReply); dr.Diffs[0] == nil {
 									err = fmt.Errorf("page %d: seeded diff missing", p)
@@ -157,7 +184,7 @@ func TestRaceServiceHammer(t *testing.T) {
 								From: int32(from), Page: pp}))
 						default:
 							report(discardReply(c, from, &msg.DiffBatchRequest{
-								From: int32(from),
+								From: int32(from), Writer: writer,
 								Pages: []msg.PageIntervals{
 									{Page: p, Intervals: []int32{1}},
 									{Page: (p + 7) % diffPages, Intervals: []int32{1}},
@@ -177,6 +204,25 @@ func TestRaceServiceHammer(t *testing.T) {
 				for i := 0; i < o.Ops/2 && !stop.Load(); i++ {
 					p := int32(diffPages + i%(o.Pages-diffPages))
 					_, _, err := c.call(1, 0, &msg.GCCollect{Pages: []int32{p}})
+					report(err)
+				}
+			}()
+
+			// Replication goroutine: replicaOrigin's deltas for the high
+			// stripe land in the replica store (under replMu) while the
+			// peers read the low stripe out of it and the collects above
+			// retire the same pages.
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				diff := MakeDiff(make([]byte, memlayout.PageSize), bytes.Repeat([]byte{7}, memlayout.PageSize))
+				for i := 0; i < o.Ops/2 && !stop.Load(); i++ {
+					p := int32(diffPages + i%(o.Pages-diffPages))
+					_, _, err := c.call(replicaOrigin, 0, &msg.ReplicaDelta{
+						Origin: replicaOrigin, Seq: int32(i + 1), Interval: int32(i + 2),
+						Notices: []msg.Notice{{Page: p, Writer: replicaOrigin, Interval: int32(i + 1)}},
+						Diffs:   [][]byte{diff},
+					})
 					report(err)
 				}
 			}()
@@ -264,7 +310,7 @@ func TestRaceLockTrafficDuringServes(t *testing.T) {
 			for i := 0; i < o.Ops && !stop.Load(); i++ {
 				p := int32((w*17 + i) % o.Pages)
 				_, frame, _, err := c.callFrame(from, to, &msg.DiffRequest{
-					From: int32(from), Page: p, Intervals: []int32{1}})
+					From: int32(from), Page: p, Writer: int32(to), Intervals: []int32{1}})
 				if err == nil {
 					msg.PutBuf(frame)
 				}

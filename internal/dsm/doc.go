@@ -97,25 +97,29 @@
 // the encode, and the benchmark/ ladder tracks dsm.remote_miss_allocs,
 // dsm.barrier_allocs and dsm.lock_handoff_allocs.
 //
-// Buffer ownership: a diff or page image is moved once on each side of
-// the wire. The writer encodes a diff on the stack and allocates it once,
-// at its size (AppendDiff); a serve encodes it into the reply frame; and
-// the requester applies it from that frame, because msg.Decode borrows —
-// a decoded []byte field is a view of the buffer it was decoded from.
-// Whoever decodes therefore owns the buffer until the payload has been
-// consumed. Cluster.call recycles the reply frame at once and is for
-// payload-free replies only (it refuses the others by name);
-// callFrame/callPage hand the frame back with the reply, and
-// fetchFullPage, fetchWriterDiffs, fetchDiffBatches and the single-writer
-// fetches msg.PutBuf it after copy/ApplyDiff, on every exit path, from a
-// frame list on the fetching call's stack. A request's payloads live in
-// the request frame, which the transport takes back when the handler
-// returns. The sites that keep decoded bytes longer copy them, and say
-// so: serveReplicaDelta (replica store), collectPushDiffs (diffs ride a
-// later release), serve's BarrierRelease case (the relay table read by the
-// fan-out below the node) and swOwnerImage (an owner's image forwarded in
-// the manager's own reply). The page pool takes back only what getPageBuf
-// handed out, never decoded bytes. ARCHITECTURE.md tabulates the rules;
+// # The diff path
+//
+// "Give me writer w's diffs for these intervals of these pages, and apply
+// them in causal order" is the protocol's one data-movement primitive, and
+// diffpath.go holds its one body per step: readDiffs serves it, from the
+// node's own shard store when it is w and from the replica store it keeps
+// as w's ring standby otherwise; callWriter routes a DiffRequest or a
+// DiffBatchRequest to w, to w's standby while w is dead, or serves it in
+// place when that is the requester; applyDiffs applies the result under
+// the page's shard lock. The demand fault, a home bringing its copy
+// current, the pull prefetch round and the barrier root's push collection
+// all go through them, which is why Config.FaultTolerance composes with
+// BatchDiffs and PrefetchBudget (DESIGN.md §7.1).
+//
+// Buffer ownership: msg.Decode borrows — a decoded []byte field is a view
+// of the buffer it was decoded from — so whoever decodes owns the buffer
+// until the payload has been consumed. Cluster.call recycles the reply
+// frame at once and is for payload-free replies only; callFrame/callPage
+// hand the frame back with the reply, and callWriter wraps it in a lease
+// (the frame of a remote serve, the pins of a read of the node's own
+// store, nothing for the replica store) that the fetch releases after
+// copy/ApplyDiff on every exit path. The sites that keep decoded bytes
+// longer copy them, and say so. ARCHITECTURE.md §4 tabulates the rules;
 // race builds poison every recycled frame (msg.PutBuf), so the whole test
 // suite and 'make sweep-poison' check them.
 package dsm

@@ -138,7 +138,7 @@ func (c *Cluster) DeadNodes() []int {
 // is alive or every other node is dead; without Config.FaultTolerance
 // it is the identity.
 func (c *Cluster) AliveSuccessor(i int) int {
-	if !c.cfg.FaultTolerance || !c.isDead(i) {
+	if !c.isDead(i) {
 		return i
 	}
 	return c.aliveSucc(i)
@@ -181,23 +181,11 @@ func (c *Cluster) shouldFailOver(err error, to int) bool {
 
 // effLockManager returns the node currently serving a lock's shard: the
 // static manager, or its ring successor when the manager is dead.
-func (c *Cluster) effLockManager(lock int32) int {
-	m := c.lockManager(lock)
-	if c.cfg.FaultTolerance && c.isDead(m) {
-		return c.aliveSucc(m)
-	}
-	return m
-}
+func (c *Cluster) effLockManager(lock int32) int { return c.AliveSuccessor(c.lockManager(lock)) }
 
 // effHome returns the node currently serving a page: its home, or the
 // home's ring successor (the standby) when the home is dead.
-func (n *node) effHome(p vm.PageID) int {
-	h := n.home(p)
-	if n.c.cfg.FaultTolerance && n.c.isDead(h) {
-		return n.c.aliveSucc(h)
-	}
-	return h
-}
+func (n *node) effHome(p vm.PageID) int { return n.c.AliveSuccessor(n.home(p)) }
 
 // Kill crashes a node imperatively through the chaos layer and updates
 // the membership view at once. Test harness entry point; requires
@@ -335,23 +323,6 @@ func (n *node) serveReplicaDelta(req *msg.ReplicaDelta) (msg.Message, error) {
 		m[nt.Interval] = slices.Clone(req.Diffs[i])
 	}
 	return &msg.Ack{}, nil
-}
-
-// serveReplicaDiffs answers a DiffRequest addressed to a dead writer:
-// this node is the writer's standby and serves the requested intervals
-// from its replica store. Nil entries mark diffs the replica never
-// received (pre-replication history or a cleared rejoiner) — the
-// requester falls back to a full-page fetch, exactly as for a
-// garbage-collected diff.
-func (n *node) serveReplicaDiffs(req *msg.DiffRequest) (msg.Message, error) {
-	out := &msg.DiffReply{Page: req.Page, Diffs: make([][]byte, len(req.Intervals))}
-	n.replMu.Lock()
-	store := n.replDiffs[int(req.Writer)][vm.PageID(req.Page)]
-	for i, iv := range req.Intervals {
-		out.Diffs[i] = store[iv]
-	}
-	n.replMu.Unlock()
-	return out, nil
 }
 
 // shadowLog returns (creating on first use) the mirror of a dead-able

@@ -12,10 +12,30 @@ import (
 	"actdsm/internal/vm"
 )
 
+// ftMode is the data-path axis of the crash-schedule tests: every crash
+// runs once over the unbatched demand route and once with batched fetches,
+// barrier push and pull prefetch on, where a dead writer's diffs have to
+// reach DiffBatchRequests and the root's push collection from the replica
+// store.
+type ftMode struct {
+	name     string
+	batch    bool
+	prefetch int
+}
+
+var ftModes = []ftMode{{"unbatched", false, 0}, {"batched+prefetch", true, -1}}
+
+// forEachFTMode runs body as one subtest per mode.
+func forEachFTMode(t *testing.T, body func(t *testing.T, mode ftMode)) {
+	for _, mode := range ftModes {
+		t.Run(mode.name, func(t *testing.T) { body(t, mode) })
+	}
+}
+
 // ftConfig is the shared base configuration for the failover acceptance
 // tests: fault tolerance with deterministic call numbering (SerialFanOut)
 // so crash-at-call schedules replay exactly.
-func ftConfig(nodes, npages int, chaos *transport.ChaosOptions) Config {
+func ftConfig(mode ftMode, nodes, npages int, chaos *transport.ChaosOptions) Config {
 	if chaos == nil {
 		chaos = &transport.ChaosOptions{}
 	}
@@ -23,6 +43,8 @@ func ftConfig(nodes, npages int, chaos *transport.ChaosOptions) Config {
 		Nodes:            nodes,
 		Pages:            npages,
 		FaultTolerance:   true,
+		BatchDiffs:       mode.batch,
+		PrefetchBudget:   mode.prefetch,
 		SerialFanOut:     true,
 		GCThresholdBytes: -1,
 		Transport: transport.Options{
@@ -30,6 +52,16 @@ func ftConfig(nodes, npages int, chaos *transport.ChaosOptions) Config {
 			BackoffBase: time.Microsecond,
 		},
 		Chaos: chaos,
+	}
+}
+
+// epoch ends an epoch the way the thread engine does: the barrier, then
+// the pull prefetch round (a no-op without a prefetch budget).
+func epoch(t *testing.T, c *Cluster) {
+	t.Helper()
+	barrier(t, c)
+	if _, err := c.PrefetchRound(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -61,7 +93,7 @@ func ftWorkload(t *testing.T, c *Cluster, nodes, npages, preRounds, postRounds i
 		for node := 0; node < nodes; node++ {
 			write(node, round)
 		}
-		barrier(t, c)
+		epoch(t, c)
 	}
 	if kill != nil {
 		kill()
@@ -70,7 +102,7 @@ func ftWorkload(t *testing.T, c *Cluster, nodes, npages, preRounds, postRounds i
 		for _, node := range survivors {
 			write(node, round)
 		}
-		barrier(t, c)
+		epoch(t, c)
 	}
 	return shadow
 }
@@ -99,6 +131,62 @@ func survivorsOf(nodes, victim int) []int {
 	return out
 }
 
+// crashAtCall is the crash-schedule acceptance run the manager-role tests
+// share. A recorded clean run of the two-phase workload finds the call to
+// die at — the nth one pick accepts — then the workload runs once clean
+// and once with the victim crashing at exactly that call, mid-protocol.
+// Every write of an interval the victim closed and replicated must
+// survive, so the survivors of the crashed run read byte for byte what the
+// clean run wrote. Returns the crashed
+// run's counters.
+func crashAtCall(t *testing.T, mode ftMode, nodes, npages, arity, victim, nth int, pick func(transport.CallRecord) bool) Snapshot {
+	t.Helper()
+	run := func(chaos *transport.ChaosOptions) (*Cluster, []float32) {
+		cfg := ftConfig(mode, nodes, npages, chaos)
+		cfg.BarrierArity = arity
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		return c, ftWorkload(t, c, nodes, npages, 2, 2, survivorsOf(nodes, victim), nil)
+	}
+
+	log := &transport.CallLog{}
+	run(&transport.ChaosOptions{Plan: transport.RecordingPlan(nil, log)})
+	var crashCall int64
+	for _, r := range log.Records() {
+		if pick(r) {
+			if nth--; nth == 0 {
+				crashCall = r.Call
+				break
+			}
+		}
+	}
+	if crashCall == 0 {
+		t.Fatal("calibration never saw the call to crash at")
+	}
+
+	cleanC, cleanShadow := run(nil)
+	c, shadow := run(&transport.ChaosOptions{Crashes: []sim.CrashSchedule{{Node: victim, Call: crashCall}}})
+	snap := c.Stats().Snapshot()
+	if snap.Crashes != 1 {
+		t.Fatalf("Crashes = %d, want 1 (crash call %d)", snap.Crashes, crashCall)
+	}
+	// Both shadows were built from the same write sequence (the victim's
+	// post-crash rounds are survivor-only in both runs).
+	for w := range shadow {
+		if shadow[w] != cleanShadow[w] {
+			t.Fatalf("workloads diverged at word %d", w)
+		}
+	}
+	for _, reader := range survivorsOf(nodes, victim) {
+		ftVerify(t, c, reader, shadow)
+	}
+	ftVerify(t, cleanC, 0, cleanShadow)
+	return snap
+}
+
 // TestFailoverLockShardManager crashes a lock-shard manager mid-protocol
 // and proves the role fails over: the sharpest possible scenario is a
 // reader holding a still-valid cached copy whose only way to learn of an
@@ -111,162 +199,271 @@ func TestFailoverLockShardManager(t *testing.T) {
 	const nodes, npages = 4, 2
 	const victim = 2
 	const lock = int32(victim) // lockManager(lock) == victim
-	run := func(crash bool) (float32, Snapshot) {
-		c, err := New(ftConfig(nodes, npages, nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = c.Close() }()
-
-		// Node 3 caches word 0 while it is still zero; the copy stays
-		// valid until a write notice arrives.
-		if got := rf32(t, c, 3, 3, 0); got != 0 {
-			t.Fatalf("initial read = %v, want 0", got)
-		}
-		// Node 0 updates word 0 under the victim-managed lock. The
-		// release ships the notice to the victim AND a shadow copy to
-		// the victim's ring successor.
-		if _, err := c.AcquireLock(0, 0, lock); err != nil {
-			t.Fatal(err)
-		}
-		wf32(t, c, 0, 0, 0, 42)
-		if _, err := c.ReleaseLock(0, 0, lock); err != nil {
-			t.Fatal(err)
-		}
-		if crash {
-			if err := c.Kill(victim); err != nil {
+	forEachFTMode(t, func(t *testing.T, mode ftMode) {
+		run := func(crash bool) (float32, Snapshot) {
+			c, err := New(ftConfig(mode, nodes, npages, nil))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		// Node 3 takes the lock: with the manager dead this acquire is
-		// served by the successor from the shadow log, and must still
-		// carry node 0's notice.
-		if _, err := c.AcquireLock(3, 3, lock); err != nil {
-			t.Fatal(err)
-		}
-		got := rf32(t, c, 3, 3, 0)
-		if _, err := c.ReleaseLock(3, 3, lock); err != nil {
-			t.Fatal(err)
-		}
-		barrier(t, c)
-		if err := c.CheckCoherence(); err != nil {
-			t.Fatal(err)
-		}
-		return got, c.Stats().Snapshot()
-	}
+			defer func() { _ = c.Close() }()
 
-	clean, cleanSnap := run(false)
-	crashed, snap := run(true)
-	if clean != 42 || crashed != 42 {
-		t.Fatalf("post-failover read = %v (clean %v), want 42 — "+
-			"the shadow lock log lost the grant notices", crashed, clean)
-	}
-	if snap.Crashes != 1 {
-		t.Fatalf("Crashes = %d, want 1", snap.Crashes)
-	}
-	if snap.Failovers == 0 {
-		t.Fatal("no failovers recorded; the acquire never re-routed")
-	}
-	// Exactly-once content creation: crash or not, the same writes
-	// closed the same intervals.
-	if snap.DiffsCreated != cleanSnap.DiffsCreated || snap.TwinsCreated != cleanSnap.TwinsCreated {
-		t.Fatalf("diff/twin creation diverged: crash %d/%d, clean %d/%d",
-			snap.DiffsCreated, snap.TwinsCreated, cleanSnap.DiffsCreated, cleanSnap.TwinsCreated)
-	}
+			// Node 3 caches word 0 while it is still zero; the copy stays
+			// valid until a write notice arrives.
+			if got := rf32(t, c, 3, 3, 0); got != 0 {
+				t.Fatalf("initial read = %v, want 0", got)
+			}
+			// Node 0 updates word 0 under the victim-managed lock. The
+			// release ships the notice to the victim AND a shadow copy to
+			// the victim's ring successor.
+			if _, err := c.AcquireLock(0, 0, lock); err != nil {
+				t.Fatal(err)
+			}
+			wf32(t, c, 0, 0, 0, 42)
+			if _, err := c.ReleaseLock(0, 0, lock); err != nil {
+				t.Fatal(err)
+			}
+			if crash {
+				if err := c.Kill(victim); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Node 3 takes the lock: with the manager dead this acquire is
+			// served by the successor from the shadow log, and must still
+			// carry node 0's notice.
+			if _, err := c.AcquireLock(3, 3, lock); err != nil {
+				t.Fatal(err)
+			}
+			got := rf32(t, c, 3, 3, 0)
+			if _, err := c.ReleaseLock(3, 3, lock); err != nil {
+				t.Fatal(err)
+			}
+			epoch(t, c)
+			if err := c.CheckCoherence(); err != nil {
+				t.Fatal(err)
+			}
+			return got, c.Stats().Snapshot()
+		}
+
+		clean, cleanSnap := run(false)
+		crashed, snap := run(true)
+		if clean != 42 || crashed != 42 {
+			t.Fatalf("post-failover read = %v (clean %v), want 42 — "+
+				"the shadow lock log lost the grant notices", crashed, clean)
+		}
+		if snap.Crashes != 1 {
+			t.Fatalf("Crashes = %d, want 1", snap.Crashes)
+		}
+		if snap.Failovers == 0 {
+			t.Fatal("no failovers recorded; the acquire never re-routed")
+		}
+		// Exactly-once content creation: crash or not, the same writes
+		// closed the same intervals.
+		if snap.DiffsCreated != cleanSnap.DiffsCreated || snap.TwinsCreated != cleanSnap.TwinsCreated {
+			t.Fatalf("diff/twin creation diverged: crash %d/%d, clean %d/%d",
+				snap.DiffsCreated, snap.TwinsCreated, cleanSnap.DiffsCreated, cleanSnap.TwinsCreated)
+		}
+	})
 }
 
 // TestFailoverBarrierTreeInterior crashes an interior node of the k-ary
 // barrier tree at the exact transport call where it would relay its
-// enter aggregate, pinned by a recorded calibration run. The episode
-// must re-run over the shrunk alive set with the victim's replicated
-// notices folded in by its ring successor, and the surviving nodes'
-// final contents must be byte-identical to a fault-free reference.
+// enter aggregate in the second episode. The episode must re-run over the
+// shrunk alive set with the victim's replicated notices folded in by its
+// ring successor.
 func TestFailoverBarrierTreeInterior(t *testing.T) {
 	const nodes, npages = 7, 3
 	const victim = 1 // tree position 1: interior, parent of leaves
-	base := func(chaos *transport.ChaosOptions) Config {
-		cfg := ftConfig(nodes, npages, chaos)
-		cfg.BarrierArity = 2
-		return cfg
-	}
-
-	// Calibration: record the clean run's call trace to find the victim's
-	// barrier-enter relay in the second barrier episode.
-	log := &transport.CallLog{}
-	{
-		c, err := New(base(&transport.ChaosOptions{Plan: transport.RecordingPlan(nil, log)}))
-		if err != nil {
-			t.Fatal(err)
+	forEachFTMode(t, func(t *testing.T, mode ftMode) {
+		snap := crashAtCall(t, mode, nodes, npages, 2, victim, 2, func(r transport.CallRecord) bool {
+			return r.Kind == byte(msg.KindBarrierEnter) && r.From == victim
+		})
+		if snap.RecoveryRounds == 0 {
+			t.Fatal("no barrier recovery round recorded; the crash missed the phase")
 		}
-		ftWorkload(t, c, nodes, npages, 2, 2, survivorsOf(nodes, victim), nil)
-		_ = c.Close()
-	}
-	var crashCall int64
-	enters := 0
-	for _, r := range log.Records() {
-		if r.Kind == byte(msg.KindBarrierEnter) && r.From == victim {
-			enters++
-			if enters == 2 { // the victim's relay in the second episode
-				crashCall = r.Call
-				break
-			}
-		}
-	}
-	if crashCall == 0 {
-		t.Fatal("calibration never saw the victim relay a barrier enter")
-	}
-
-	run := func(chaos *transport.ChaosOptions) ([]float32, Snapshot, *Cluster) {
-		c, err := New(base(chaos))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var kill func()
-		if chaos == nil || len(chaos.Crashes) == 0 {
-			kill = nil
-		}
-		_ = kill
-		shadow := ftWorkload(t, c, nodes, npages, 2, 2, survivorsOf(nodes, victim), nil)
-		return shadow, c.Stats().Snapshot(), c
-	}
-
-	cleanC, err := New(base(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = cleanC.Close() }()
-	cleanShadow := ftWorkload(t, cleanC, nodes, npages, 2, 2, survivorsOf(nodes, victim), nil)
-
-	shadow, snap, c := run(&transport.ChaosOptions{
-		Crashes: []sim.CrashSchedule{{Node: victim, Call: crashCall}},
 	})
-	defer func() { _ = c.Close() }()
+}
 
-	if snap.Crashes != 1 {
-		t.Fatalf("Crashes = %d, want 1 (crash call %d)", snap.Crashes, crashCall)
-	}
-	if snap.RecoveryRounds == 0 {
-		t.Fatal("no barrier recovery round recorded; the crash missed the phase")
-	}
-	// The victim died mid-barrier, after closing and replicating its
-	// phase-one state: every one of its pre-crash writes must survive.
-	// Both shadows were built from the same write sequence (the victim's
-	// post-crash rounds are survivor-only in both runs), so surviving
-	// nodes must read byte-identical content.
-	for w := range shadow {
-		if shadow[w] != cleanShadow[w] {
-			t.Fatalf("workloads diverged at word %d", w)
+// TestFailoverBarrierRoot crashes the barrier's root in the middle of the
+// second episode's release fan-out: some members hold the release (and, in
+// the prefetch mode, their pushed diffs), the others never get one. The
+// episode re-runs under the next root, which collects the push again — the
+// dead root's diffs now from its standby's replica store.
+func TestFailoverBarrierRoot(t *testing.T) {
+	const nodes, npages = 4, 3
+	const root = 0
+	forEachFTMode(t, func(t *testing.T, mode ftMode) {
+		// The flat root sends nodes-1 releases per episode; die on the
+		// second one of the second episode.
+		snap := crashAtCall(t, mode, nodes, npages, 0, root, nodes+1, func(r transport.CallRecord) bool {
+			return r.Kind == byte(msg.KindBarrierRelease) && r.From == root
+		})
+		if snap.RecoveryRounds == 0 {
+			t.Fatal("no barrier recovery round recorded; the crash missed the release phase")
 		}
+	})
+}
+
+// TestFailoverStandbyItself crashes a node in its standby role: it dies on
+// the call that delivers its ring predecessor's replica delta. The
+// predecessor must re-ship its epoch's history to the next standby and the
+// barrier must complete over the survivors. The delta is the third
+// episode's, the first survivor-only round: members close their intervals
+// in view order, so the victim's own interval of that episode is still
+// open when its predecessor's delta arrives, and an open interval dies
+// with its node.
+func TestFailoverStandbyItself(t *testing.T) {
+	const nodes, npages = 4, 3
+	const origin, standby = 1, 2
+	forEachFTMode(t, func(t *testing.T, mode ftMode) {
+		snap := crashAtCall(t, mode, nodes, npages, 0, standby, 3, func(r transport.CallRecord) bool {
+			return r.Kind == byte(msg.KindReplicaDelta) && r.From == origin && r.To == standby
+		})
+		if snap.Failovers == 0 {
+			t.Fatal("no failovers recorded; the delta was never re-shipped to the next standby")
+		}
+	})
+}
+
+// TestFailoverDeadWriterDiffs kills the writer of diffs its readers still
+// have pending — after the barrier release that announced them, or after
+// the lock release that closed and replicated the interval, so that the
+// barrier itself runs without the writer. Every way a diff is asked for
+// must then reach the replica store on the writer's standby: a demand
+// fetch from another node (a DiffRequest or, batched, a DiffBatchRequest
+// on the wire), a demand fetch by the standby itself (a local read), and
+// in the prefetch mode the root's push collection. The crashed run ends
+// byte-identical to the clean one.
+func TestFailoverDeadWriterDiffs(t *testing.T) {
+	const nodes, npages = 4, 4
+	const writer, standby = 1, 2
+	const lock = int32(0) // managed by node 0, which survives
+	const wordsPerPage = memlayout.PageSize / 4
+	readers := survivorsOf(nodes, writer)
+	type outcome struct {
+		memory    [][]float32 // per reader, every word of the segment
+		snap      Snapshot
+		toStandby int // diff requests that reached the standby over the wire
+		pushCalls int // those of them the root made inside the barrier
 	}
-	ftVerify(t, c, 0, shadow)
-	for _, reader := range []int{2, 6} {
-		for w := 0; w < len(shadow); w += 7 {
-			if got := rf32(t, c, reader, reader, w); got != shadow[w] {
-				t.Fatalf("survivor %d word %d = %v, want %v", reader, w, got, shadow[w])
+	forEachFTMode(t, func(t *testing.T, mode ftMode) {
+		kind := msg.KindDiffRequest
+		if mode.batch {
+			kind = msg.KindDiffBatchRequest
+		}
+		for _, underLock := range []bool{false, true} {
+			name := "after barrier release"
+			if underLock {
+				name = "after lock release"
 			}
+			t.Run(name, func(t *testing.T) {
+				run := func(crash bool) (out outcome) {
+					c, err := New(ftConfig(mode, nodes, npages, nil))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer func() { _ = c.Close() }()
+					// Only page 0 is predicted, so push and pull move its
+					// diffs and leave pages 1 and 2 to demand.
+					hot := vm.NewBitmap(npages)
+					hot.Set(0)
+					c.SetPrefetchPredictor(func(int) *vm.Bitmap { return hot })
+					var inBarrier bool
+					c.SetProbe(&Probe{TransportCall: func(from, to int, k msg.Kind, _ int, _ time.Duration, _ bool) {
+						if to == standby && k == kind {
+							out.toStandby++
+							if inBarrier && from == 0 {
+								out.pushCalls++
+							}
+						}
+					}})
+					end := func() {
+						inBarrier = true
+						barrier(t, c)
+						inBarrier = false
+						if _, err := c.PrefetchRound(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					kill := func() {
+						if crash {
+							if err := c.Kill(writer); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+
+					// Every reader holds a copy of pages 0..2.
+					for _, r := range readers {
+						for p := 0; p < 3; p++ {
+							rf32(t, c, r, r, p*wordsPerPage)
+						}
+					}
+					end()
+					if underLock {
+						if _, err := c.AcquireLock(writer, writer, lock); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for p := 0; p < 3; p++ {
+						wf32(t, c, writer, writer, p*wordsPerPage+writer, float32(100+p))
+					}
+					if underLock {
+						if _, err := c.ReleaseLock(writer, writer, lock); err != nil {
+							t.Fatal(err)
+						}
+						kill() // the barrier runs without the writer
+						end()
+					} else {
+						end()
+						kill() // the notices are out, the diffs not yet fetched
+					}
+					for _, r := range readers {
+						var words []float32
+						for w := 0; w < npages*wordsPerPage; w++ {
+							words = append(words, rf32(t, c, r, r, w))
+						}
+						out.memory = append(out.memory, words)
+					}
+					end()
+					if err := c.CheckCoherence(); err != nil {
+						t.Fatal(err)
+					}
+					out.snap = c.Stats().Snapshot()
+					return out
+				}
+
+				clean, crashed := run(false), run(true)
+				for i, r := range readers {
+					for w := range crashed.memory[i] {
+						want := float32(0)
+						if p := w / wordsPerPage; p < 3 && w%wordsPerPage == writer {
+							want = float32(100 + p)
+						}
+						if got := crashed.memory[i][w]; got != want || got != clean.memory[i][w] {
+							t.Fatalf("node %d word %d = %v after the crash, %v in the clean run, want %v",
+								r, w, got, clean.memory[i][w], want)
+						}
+					}
+				}
+				if crashed.snap.Crashes != 1 || crashed.snap.Failovers == 0 {
+					t.Fatalf("Crashes/Failovers = %d/%d, want 1 and some", crashed.snap.Crashes, crashed.snap.Failovers)
+				}
+				if clean.toStandby != 0 {
+					t.Fatalf("clean run sent the standby %d %vs", clean.toStandby, kind)
+				}
+				if crashed.toStandby == 0 {
+					t.Fatalf("no %v reached the standby: the dead writer's diffs were never fetched from the replica store", kind)
+				}
+				if wantPush := mode.prefetch != 0 && underLock; (crashed.pushCalls > 0) != wantPush {
+					t.Fatalf("root sent the standby %d %vs inside the barrier, want some: %v", crashed.pushCalls, kind, wantPush)
+				}
+				if mode.prefetch != 0 && crashed.snap.PrefetchedPages != clean.snap.PrefetchedPages {
+					t.Fatalf("%d pages pushed or prefetched after the crash, %d in the clean run",
+						crashed.snap.PrefetchedPages, clean.snap.PrefetchedPages)
+				}
+			})
 		}
-	}
-	ftVerify(t, cleanC, 0, cleanShadow)
+	})
 }
 
 // TestFailoverHomeDirectory crashes the home of a migrated page: with
@@ -278,49 +475,49 @@ func TestFailoverBarrierTreeInterior(t *testing.T) {
 func TestFailoverHomeDirectory(t *testing.T) {
 	const nodes, npages = 4, 3
 	const victim = 1
-	cfg := ftConfig(nodes, npages, nil)
-	cfg.HomeMigration = true
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
-
-	words := npages * memlayout.PageSize / 4
-	wordsPerPage := memlayout.PageSize / 4
-	// The victim becomes the sole writer — and so the migrated home — of
-	// every page.
-	for p := 0; p < npages; p++ {
-		wf32(t, c, victim, victim, p*wordsPerPage, float32(100+p))
-	}
-	barrier(t, c)
-	for p := 0; p < npages; p++ {
-		if got := c.nodes[0].home(vm.PageID(p)); got != victim {
-			t.Fatalf("page %d home = %d, want migrated to %d", p, got, victim)
+	const wordsPerPage = memlayout.PageSize / 4
+	forEachFTMode(t, func(t *testing.T, mode ftMode) {
+		cfg := ftConfig(mode, nodes, npages, nil)
+		cfg.HomeMigration = true
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		defer func() { _ = c.Close() }()
 
-	if err := c.Kill(victim); err != nil {
-		t.Fatal(err)
-	}
-	// Every fetch must fail over to the standby's refreshed copy.
-	for p := 0; p < npages; p++ {
-		if got := rf32(t, c, 3, 3, p*wordsPerPage); got != float32(100+p) {
-			t.Fatalf("page %d word 0 = %v after home crash, want %v", p, got, float32(100+p))
+		// The victim becomes the sole writer — and so the migrated home — of
+		// every page.
+		for p := 0; p < npages; p++ {
+			wf32(t, c, victim, victim, p*wordsPerPage, float32(100+p))
 		}
-	}
-	snap := c.Stats().Snapshot()
-	if snap.Crashes != 1 {
-		t.Fatalf("Crashes = %d, want 1", snap.Crashes)
-	}
-	if snap.Failovers == 0 {
-		t.Fatal("no failovers recorded; reads never re-routed to the standby")
-	}
-	barrier(t, c)
-	if err := c.CheckCoherence(); err != nil {
-		t.Fatal(err)
-	}
-	_ = words
+		epoch(t, c)
+		for p := 0; p < npages; p++ {
+			if got := c.nodes[0].home(vm.PageID(p)); got != victim {
+				t.Fatalf("page %d home = %d, want migrated to %d", p, got, victim)
+			}
+		}
+
+		if err := c.Kill(victim); err != nil {
+			t.Fatal(err)
+		}
+		// Every fetch must fail over to the standby's refreshed copy.
+		for p := 0; p < npages; p++ {
+			if got := rf32(t, c, 3, 3, p*wordsPerPage); got != float32(100+p) {
+				t.Fatalf("page %d word 0 = %v after home crash, want %v", p, got, float32(100+p))
+			}
+		}
+		snap := c.Stats().Snapshot()
+		if snap.Crashes != 1 {
+			t.Fatalf("Crashes = %d, want 1", snap.Crashes)
+		}
+		if snap.Failovers == 0 {
+			t.Fatal("no failovers recorded; reads never re-routed to the standby")
+		}
+		epoch(t, c)
+		if err := c.CheckCoherence(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestFailoverCrashRestart runs the full crash/recovery cycle through a
@@ -334,68 +531,69 @@ func TestFailoverCrashRestart(t *testing.T) {
 	const nodes, npages = 4, 4
 	const victim = 2
 	words := npages * memlayout.PageSize / 4
+	forEachFTMode(t, func(t *testing.T, mode ftMode) {
+		// Calibration: find the call number of the victim's first barrier
+		// enter (episode 0), so the crash lands between its phase-one
+		// replication and the fan-in. The victim therefore writes only in
+		// round 0; later rounds are survivor-only in BOTH runs so the final
+		// contents stay identical.
+		log := &transport.CallLog{}
+		{
+			c, err := New(ftConfig(mode, nodes, npages, &transport.ChaosOptions{
+				Plan: transport.RecordingPlan(nil, log),
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ftWorkload(t, c, nodes, npages, 1, 2, survivorsOf(nodes, victim), nil)
+			_ = c.Close()
+		}
+		var crashCall int64
+		for _, r := range log.Records() {
+			if r.Kind == byte(msg.KindBarrierEnter) && r.From == victim {
+				crashCall = r.Call // first barrier enter from the victim
+				break
+			}
+		}
+		if crashCall == 0 {
+			t.Fatal("calibration never saw the victim enter a barrier")
+		}
 
-	// Calibration: find the call number of the victim's first barrier
-	// enter (episode 0), so the crash lands between its phase-one
-	// replication and the fan-in. The victim therefore writes only in
-	// round 0; later rounds are survivor-only in BOTH runs so the final
-	// contents stay identical.
-	log := &transport.CallLog{}
-	{
-		c, err := New(ftConfig(nodes, npages, &transport.ChaosOptions{
-			Plan: transport.RecordingPlan(nil, log),
+		c, err := New(ftConfig(mode, nodes, npages, &transport.ChaosOptions{
+			Crashes: []sim.CrashSchedule{{Node: victim, Call: crashCall, RestartEpoch: 2}},
 		}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ftWorkload(t, c, nodes, npages, 1, 2, survivorsOf(nodes, victim), nil)
-		_ = c.Close()
-	}
-	var crashCall int64
-	for _, r := range log.Records() {
-		if r.Kind == byte(msg.KindBarrierEnter) && r.From == victim {
-			crashCall = r.Call // first barrier enter from the victim
-			break
+		defer func() { _ = c.Close() }()
+
+		shadow := ftWorkload(t, c, nodes, npages, 1, 2, survivorsOf(nodes, victim), nil)
+		snap := c.Stats().Snapshot()
+		if snap.Crashes != 1 {
+			t.Fatalf("Crashes = %d, want 1 (crash call %d)", snap.Crashes, crashCall)
 		}
-	}
-	if crashCall == 0 {
-		t.Fatal("calibration never saw the victim enter a barrier")
-	}
+		if snap.Rejoins != 1 {
+			t.Fatalf("Rejoins = %d, want 1 — the scheduled restart never ran", snap.Rejoins)
+		}
+		if snap.RecoveryFetches == 0 {
+			t.Fatal("rejoin performed no recovery fetches")
+		}
 
-	c, err := New(ftConfig(nodes, npages, &transport.ChaosOptions{
-		Crashes: []sim.CrashSchedule{{Node: victim, Call: crashCall, RestartEpoch: 2}},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
-
-	shadow := ftWorkload(t, c, nodes, npages, 1, 2, survivorsOf(nodes, victim), nil)
-	snap := c.Stats().Snapshot()
-	if snap.Crashes != 1 {
-		t.Fatalf("Crashes = %d, want 1 (crash call %d)", snap.Crashes, crashCall)
-	}
-	if snap.Rejoins != 1 {
-		t.Fatalf("Rejoins = %d, want 1 — the scheduled restart never ran", snap.Rejoins)
-	}
-	if snap.RecoveryFetches == 0 {
-		t.Fatal("rejoin performed no recovery fetches")
-	}
-
-	// The rejoined node writes again and every node observes it.
-	wf32(t, c, victim, victim, victim, 7777)
-	shadow[victim] = 7777
-	barrier(t, c)
-	for node := 0; node < nodes; node++ {
-		for w := 0; w < words; w += 5 {
-			if got := rf32(t, c, node, node, w); got != shadow[w] {
-				t.Fatalf("node %d word %d = %v, want %v", node, w, got, shadow[w])
+		// The rejoined node writes again and every node observes it.
+		wf32(t, c, victim, victim, victim, 7777)
+		shadow[victim] = 7777
+		epoch(t, c)
+		for node := 0; node < nodes; node++ {
+			for w := 0; w < words; w += 5 {
+				if got := rf32(t, c, node, node, w); got != shadow[w] {
+					t.Fatalf("node %d word %d = %v, want %v", node, w, got, shadow[w])
+				}
 			}
 		}
-	}
-	if err := c.CheckCoherence(); err != nil {
-		t.Fatal(err)
-	}
+		if err := c.CheckCoherence(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestFailoverImperativeRestart covers Cluster.Restart, the imperative
@@ -403,44 +601,46 @@ func TestFailoverCrashRestart(t *testing.T) {
 // restart, verify the node serves and writes again.
 func TestFailoverImperativeRestart(t *testing.T) {
 	const nodes, npages = 3, 2
-	c, err := New(ftConfig(nodes, npages, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
+	forEachFTMode(t, func(t *testing.T, mode ftMode) {
+		c, err := New(ftConfig(mode, nodes, npages, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = c.Close() }()
 
-	wf32(t, c, 1, 1, 0, 11)
-	barrier(t, c)
-	if err := c.Kill(1); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.DeadNodes(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("DeadNodes = %v, want [1]", got)
-	}
-	if got := c.AliveSuccessor(1); got != 2 {
-		t.Fatalf("AliveSuccessor(1) = %d, want 2", got)
-	}
-	if got := rf32(t, c, 0, 0, 0); got != 11 {
-		t.Fatalf("word 0 = %v after crash, want 11", got)
-	}
-	if err := c.Restart(1); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.DeadNodes(); len(got) != 0 {
-		t.Fatalf("DeadNodes = %v after restart, want none", got)
-	}
-	barrier(t, c)
-	wf32(t, c, 1, 1, 4, 22)
-	barrier(t, c)
-	if got := rf32(t, c, 2, 2, 4); got != 22 {
-		t.Fatalf("rejoined node's write = %v at node 2, want 22", got)
-	}
-	if got := rf32(t, c, 1, 1, 0); got != 11 {
-		t.Fatalf("rejoined node reads word 0 = %v, want 11", got)
-	}
-	if err := c.CheckCoherence(); err != nil {
-		t.Fatal(err)
-	}
+		wf32(t, c, 1, 1, 0, 11)
+		epoch(t, c)
+		if err := c.Kill(1); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.DeadNodes(); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("DeadNodes = %v, want [1]", got)
+		}
+		if got := c.AliveSuccessor(1); got != 2 {
+			t.Fatalf("AliveSuccessor(1) = %d, want 2", got)
+		}
+		if got := rf32(t, c, 0, 0, 0); got != 11 {
+			t.Fatalf("word 0 = %v after crash, want 11", got)
+		}
+		if err := c.Restart(1); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.DeadNodes(); len(got) != 0 {
+			t.Fatalf("DeadNodes = %v after restart, want none", got)
+		}
+		epoch(t, c)
+		wf32(t, c, 1, 1, 4, 22)
+		epoch(t, c)
+		if got := rf32(t, c, 2, 2, 4); got != 22 {
+			t.Fatalf("rejoined node's write = %v at node 2, want 22", got)
+		}
+		if got := rf32(t, c, 1, 1, 0); got != 11 {
+			t.Fatalf("rejoined node reads word 0 = %v, want 11", got)
+		}
+		if err := c.CheckCoherence(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestFailoverHammerRace drives concurrent serves, lock traffic, and GC
@@ -449,17 +649,22 @@ func TestFailoverImperativeRestart(t *testing.T) {
 // deadlock) and with the pages spread over eight. Run with -race; the
 // assertion is the absence of data races plus a coherent final state.
 func TestFailoverHammerRace(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		name := "shards1"
-		if shards == 8 {
-			name = "shards8"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		shards int
+		mode   ftMode
+	}{
+		{"shards1", 1, ftModes[0]},
+		{"shards8", 8, ftModes[0]},
+		{"shards1/batched+prefetch", 1, ftModes[1]},
+		{"shards8/batched+prefetch", 8, ftModes[1]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			const nodes, npages = 4, 4
 			const victim = 1
-			cfg := ftConfig(nodes, npages, nil)
+			cfg := ftConfig(tc.mode, nodes, npages, nil)
 			cfg.SerialFanOut = false // let fan-outs race
-			cfg.ServiceShards = shards
+			cfg.ServiceShards = tc.shards
 			cfg.GCThresholdBytes = 1 // GC every barrier with stored diffs
 			c, err := New(cfg)
 			if err != nil {

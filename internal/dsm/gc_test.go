@@ -178,7 +178,7 @@ func TestGCCrashInsideRound(t *testing.T) {
 	everyone := []int{0, 1, 2, 3}
 	survivors := survivorsOf(nodes, victim)
 	run := func(chaos *transport.ChaosOptions) (uint64, Snapshot) {
-		cfg := ftConfig(nodes, npages, chaos)
+		cfg := ftConfig(ftModes[0], nodes, npages, chaos)
 		cfg.GCThresholdBytes = 1
 		c, err := New(cfg)
 		if err != nil {

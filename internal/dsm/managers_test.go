@@ -750,20 +750,9 @@ func TestDistributedManagersEndToEnd(t *testing.T) {
 	}
 }
 
-// TestConfigValidation covers the new knobs' rejection paths.
+// TestManagerConfigValidation: the acceptance side of the manager knobs
+// (TestNewValidation holds the rejections).
 func TestManagerConfigValidation(t *testing.T) {
-	if _, err := New(Config{Nodes: 2, Pages: 1, LockShards: -1}); err == nil {
-		t.Fatal("negative LockShards accepted")
-	}
-	if _, err := New(Config{Nodes: 2, Pages: 1, BarrierArity: 1}); err == nil {
-		t.Fatal("BarrierArity 1 accepted")
-	}
-	if _, err := New(Config{Nodes: 2, Pages: 1, BarrierArity: -2}); err == nil {
-		t.Fatal("negative BarrierArity accepted")
-	}
-	if _, err := New(Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, HomeMigration: true}); err == nil {
-		t.Fatal("HomeMigration with SingleWriter accepted")
-	}
 	// LockShards beyond the node count is fine: shards fold onto nodes.
 	c, err := New(Config{Nodes: 2, Pages: 1, LockShards: 64})
 	if err != nil {

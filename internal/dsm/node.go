@@ -1,7 +1,6 @@
 package dsm
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -656,185 +655,6 @@ func (n *node) fetchFullPage(ti *sim.ThreadInterval, tid int, p vm.PageID, src A
 	return nil
 }
 
-// causalOrder orders notices the way their diffs must apply: by Lamport
-// stamp, then writer, then interval. Notices of one page that compare
-// equal are the same notice.
-func causalOrder(a, b msg.Notice) int {
-	if c := cmp.Compare(a.Lam, b.Lam); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.Writer, b.Writer); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Interval, b.Interval)
-}
-
-// nextWriter returns the lowest writer id above prev among nts.
-func nextWriter(nts []msg.Notice, prev int32) (w int32, ok bool) {
-	for _, nt := range nts {
-		if nt.Writer > prev && (!ok || nt.Writer < w) {
-			w, ok = nt.Writer, true
-		}
-	}
-	return w, ok
-}
-
-// fetchAndApplyDiffs retrieves the diffs named by pending from their
-// writers and applies them in causal order, charging the round trips and
-// the apply to ti. It returns false if any writer has garbage-collected a
-// needed diff. pending is the caller's to give away: it is sorted in
-// place. tid is the faulting thread (< 0 for server-side fetches) and src
-// classifies the protocol path for the probe (demand fault vs. manager
-// serving). Server-side calls run concurrently on transport workers, so
-// all scratch lives on this frame — the diff table and, beside it, the
-// reply frames its entries alias, released when the diffs have been
-// applied (or the fetch abandoned).
-func (n *node) fetchAndApplyDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, pending []msg.Notice, src ApplySource) (bool, error) {
-	c := n.c
-	slices.SortFunc(pending, causalOrder)
-
-	// diffs[i] is the diff pending[i] names.
-	var diffBuf [16][]byte
-	diffs := diffBuf[:]
-	if len(pending) > len(diffs) {
-		diffs = make([][]byte, len(pending))
-	}
-	diffs = diffs[:len(pending)]
-	var frameBuf [16][]byte
-	held := frames(frameBuf[:0])
-	defer func() { held.release() }()
-	if c.cfg.BatchDiffs {
-		// Batched path: one DiffBatchRequest per writer, fanned out in
-		// parallel; the stall is the slowest round trip, not the sum.
-		wire, complete, fr, err := n.fetchDiffBatches(pending, diffs)
-		if err != nil {
-			return false, err
-		}
-		held = fr
-		charge(ti, sim.ThreadInterval{Stall: wire})
-		c.probeRemoteFetch(n.id, tid, FetchDiffBatch, p, wire)
-		if !complete {
-			return false, nil // garbage-collected
-		}
-	} else {
-		// One DiffRequest per writer, writers in ascending order.
-		for w, more := nextWriter(pending, -1); more; w, more = nextWriter(pending, w) {
-			frame, ok, err := n.fetchWriterDiffs(ti, tid, p, w, pending, diffs)
-			held = append(held, frame)
-			if !ok || err != nil {
-				return false, err
-			}
-		}
-	}
-
-	sh := n.lockShard(p)
-	defer n.unlockShard(sh)
-	st := &n.pages[p]
-	var applyCost sim.Time
-	for i, nt := range pending {
-		if err := ApplyDiff(n.pageData(p), diffs[i]); err != nil {
-			return false, fmt.Errorf("dsm: node %d apply diff page %d: %w", n.id, p, err)
-		}
-		applyCost += sim.Time(len(diffs[i])) * c.costs.DiffPerByte
-		st.noteApplied(c.cfg.Nodes, nt.Writer, nt.Interval)
-		n.bumpLamport(nt.Lam)
-		c.probeDiffApplied(n.id, src, nt)
-	}
-	charge(ti, sim.ThreadInterval{Overhead: applyCost})
-	// Remove exactly the notices we applied; concurrent server-side
-	// additions (queued while the fetch was in flight) survive.
-	keep := st.pending[:0]
-	for _, nt := range st.pending {
-		if _, applied := slices.BinarySearchFunc(pending, nt, causalOrder); !applied {
-			keep = append(keep, nt)
-		}
-	}
-	st.pending = keep
-	return true, nil
-}
-
-// fetchWriterDiffs fetches, in one DiffRequest, the diffs of writer w's
-// notices in pending and stores each at its notice's index in diffs. It
-// returns false if the writer has garbage-collected one of them. The
-// stored diffs alias the reply frame, which is returned on every path
-// that received one — errors included — and is the caller's to release
-// once it has read the diffs (nil: the reply was served locally, or none
-// arrived).
-func (n *node) fetchWriterDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, w int32, pending []msg.Notice, diffs [][]byte) (frame []byte, ok bool, err error) {
-	c := n.c
-	// The request and room for its usual handful of intervals come as one
-	// object: a message handed to the transport lives on the heap.
-	alloc := &struct {
-		msg.DiffRequest
-		room [6]int32
-	}{DiffRequest: msg.DiffRequest{From: int32(n.id), Page: int32(p), Writer: w}}
-	req := &alloc.DiffRequest
-	req.Intervals = alloc.room[:0]
-	for _, nt := range pending {
-		if nt.Writer == w {
-			req.Intervals = append(req.Intervals, nt.Interval)
-		}
-	}
-	count := len(req.Intervals)
-	var (
-		reply msg.Message
-		wire  sim.Time
-	)
-	for attempt := 0; ; attempt++ {
-		target := int(w)
-		if c.cfg.FaultTolerance && c.isDead(target) {
-			// The writer is dead: its replicated diff store on
-			// the ring standby serves in its stead.
-			target = c.aliveSucc(target)
-			c.stats.Failovers.Add(1)
-		}
-		if target == n.id {
-			// No frame: the reply aliases the replica store, whose
-			// bytes are immutable and never pooled.
-			reply, err = n.serveReplicaDiffs(req)
-		} else {
-			reply, frame, wire, err = c.callFrame(n.id, target, req)
-		}
-		if err != nil {
-			if attempt < c.cfg.Nodes && c.shouldFailOver(err, target) {
-				c.stats.Failovers.Add(1)
-				continue
-			}
-			return nil, false, fmt.Errorf("dsm: node %d fetch diffs page %d from %d: %w", n.id, p, w, err)
-		}
-		break
-	}
-	dr, isDiffs := reply.(*msg.DiffReply)
-	switch {
-	case !isDiffs:
-		err = fmt.Errorf("%w %T", errReplyShape, reply)
-	case dr.Page != int32(p):
-		err = fmt.Errorf("%w: %d", errReplyPage, dr.Page)
-	case len(dr.Diffs) != count:
-		err = fmt.Errorf("%w: %d for %d", errDiffCount, len(dr.Diffs), count)
-	}
-	if err != nil {
-		return frame, false, fmt.Errorf("dsm: node %d fetch diffs page %d from %d: %w", n.id, p, w, err)
-	}
-	c.stats.DiffFetches.Add(1)
-	charge(ti, sim.ThreadInterval{Stall: wire})
-	c.probeRemoteFetch(n.id, tid, FetchDiff, p, wire)
-	next := 0
-	for i, nt := range pending {
-		if nt.Writer != w {
-			continue
-		}
-		df := dr.Diffs[next]
-		next++
-		if df == nil {
-			return frame, false, nil // garbage-collected
-		}
-		diffs[i] = df
-		c.stats.BytesDiff.Add(int64(len(df)))
-	}
-	return frame, true, nil
-}
-
 // serve dispatches an incoming protocol message. It is the transport
 // handler body and may run on a server goroutine in TCP mode — or, since
 // the sharded locking scheme, concurrently with other serves and with
@@ -846,11 +666,6 @@ func (n *node) serve(from int, m msg.Message) (msg.Message, retained, error) {
 	case *msg.PageRequest:
 		return noRelease(n.servePageRequest(req))
 	case *msg.DiffRequest:
-		if n.c.cfg.FaultTolerance && int(req.Writer) != n.id {
-			// Standby path: the writer is dead and the requester was
-			// re-routed here; serve from the replicated diff store.
-			return noRelease(n.serveReplicaDiffs(req))
-		}
 		return n.serveDiffRequest(req)
 	case *msg.DiffBatchRequest:
 		return n.serveDiffBatchRequest(req)
@@ -946,9 +761,6 @@ func (n *node) servePageRequest(req *msg.PageRequest) (msg.Message, error) {
 			// dropping diffs; report loudly if it ever does.
 			return nil, fmt.Errorf("dsm: manager %d lost diffs for page %d", n.id, p)
 		}
-		sh = n.lockShard(p)
-		n.as.SetProt(p, vm.ProtRead)
-		n.unlockShard(sh)
 	}
 
 	sh = n.rlockShard(p)
@@ -963,31 +775,6 @@ func (n *node) servePageRequest(req *msg.PageRequest) (msg.Message, error) {
 	n.gen.Add(1)
 	sh.mu.RUnlock()
 	return &msg.PageReply{Page: req.Page, Data: data, AppliedVT: vt}, nil
-}
-
-// serveDiffRequest returns this node's stored diffs for the requested
-// intervals of a page; nil entries mark garbage-collected diffs. A pure
-// read under the shard's read lock, so any number of peers can fetch
-// diffs from this node concurrently. The reply aliases the stored bytes
-// (no copy); each aliased diff is retained under the shard lock — while
-// the store still holds its own reference — and released by the caller
-// once the reply is encoded, so a GC drop racing the encode cannot
-// recycle the bytes mid-read.
-func (n *node) serveDiffRequest(req *msg.DiffRequest) (msg.Message, retained, error) {
-	p := vm.PageID(req.Page)
-	out := &msg.DiffReply{Page: req.Page, Diffs: make([][]byte, len(req.Intervals))}
-	var pinned retained
-	sh := n.rlockShard(p)
-	store := sh.diffs[p]
-	for i, iv := range req.Intervals {
-		if d := store[iv]; d != nil {
-			d.retain()
-			pinned = append(pinned, d)
-			out.Diffs[i] = d.b
-		}
-	}
-	sh.mu.RUnlock()
-	return out, pinned, nil
 }
 
 // serveBarrierEnter folds a barrier arrival into this node's episode

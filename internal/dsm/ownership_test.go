@@ -97,6 +97,43 @@ func TestRetainedPayloadsSurviveFrameReuse(t *testing.T) {
 		}
 	})
 
+	// A dead writer's diffs come out of that replica store through the
+	// same serve body as any others: over the wire in the standby's reply
+	// frame to a third node, and by a local read to the standby itself.
+	for _, batch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("replica serve/batch=%v", batch), func(t *testing.T) {
+			c, err := New(Config{Nodes: 3, Pages: 3, FaultTolerance: true, BatchDiffs: batch, Chaos: &transport.ChaosOptions{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = c.Close() })
+			tap := tapFrames(c)
+			// Page 1 is homed at the writer, node 1, so its standby, node 2,
+			// starts with a copy; node 0 fetches one.
+			mustSpan(t, c, 0, 0, memlayout.PageSize, 4, vm.Read)
+			barrier(t, c)
+			written := dirtyPage(t, c, 1, 1, 3)
+			barrier(t, c) // the notices are out, the diffs replicated
+			if err := c.Kill(1); err != nil {
+				t.Fatal(err)
+			}
+			for _, reader := range []int{0, 2} {
+				got := append([]byte(nil), mustSpan(t, c, reader, reader, memlayout.PageSize, memlayout.PageSize, vm.Read)...)
+				tap.scribble()
+				if !bytes.Equal(got, written) {
+					t.Fatalf("node %d read a page that differs from what the dead writer wrote", reader)
+				}
+				if !bytes.Equal(mustSpan(t, c, reader, reader, memlayout.PageSize, memlayout.PageSize, vm.Read), written) {
+					t.Fatalf("node %d's page changed when the frames it was fetched in were overwritten", reader)
+				}
+			}
+			if s := c.stats.Snapshot(); s.PageFetches != 1 || s.DiffFetches+s.DiffBatchFetches != 2 {
+				t.Fatalf("%d page fetches and %d diff fetches, want node 0's first copy and one diff fetch per reader",
+					s.PageFetches, s.DiffFetches+s.DiffBatchFetches)
+			}
+		})
+	}
+
 	t.Run("push collection", func(t *testing.T) {
 		c, err := New(Config{Nodes: 3, Pages: 3, PrefetchBudget: -1, BatchDiffs: true})
 		if err != nil {
@@ -229,37 +266,59 @@ func (ct cannedTransport) Call(_, _ int, payload []byte) ([]byte, error) {
 func (cannedTransport) Close() error { return nil }
 
 // TestMalformedBulkRepliesRejected: a short image, a reply for another
-// page and a diff count that does not match the request are each refused
-// by name, before the requester's state or counters move.
+// page, a diff count that does not match the request and — on the batched
+// kind — a page list of the wrong length are each refused by name, before
+// the requester's state or counters move.
 func TestMalformedBulkRepliesRejected(t *testing.T) {
 	image := func(n int) []byte { return bytes.Repeat([]byte{0xEE}, n) }
+	batch := func(pages ...msg.PageDiffs) msg.Message { return &msg.DiffBatchReply{Pages: pages} }
 	// Node 1 asks for page 0, whose home and only writer is node 0.
 	pending := []msg.Notice{{Page: 0, Writer: 0, Interval: 1, Lam: 1}, {Page: 0, Writer: 0, Interval: 2, Lam: 2}}
+	const (
+		viaPage  = iota // through fetchFullPage
+		viaDiffs        // through fetchAndApplyDiffs, one DiffRequest per writer
+		viaBatch        // the same with Config.BatchDiffs: one DiffBatchRequest per writer
+	)
 	for _, tc := range []struct {
 		name  string
-		diffs bool // through fetchAndApplyDiffs rather than fetchFullPage
+		via   int
 		reply msg.Message
 		want  error
 	}{
-		{"short image", false, &msg.PageReply{Page: 0, Data: image(memlayout.PageSize - 4)}, errPageImage},
-		{"long image", false, &msg.PageReply{Page: 0, Data: image(memlayout.PageSize + 4)}, errPageImage},
-		{"no image", false, &msg.PageReply{Page: 0}, errPageImage},
-		{"image of another page", false, &msg.PageReply{Page: 1, Data: image(memlayout.PageSize)}, errReplyPage},
-		{"not a page reply", false, &msg.Ack{}, errReplyShape},
-		{"diffs of another page", true, &msg.DiffReply{Page: 1, Diffs: make([][]byte, 2)}, errReplyPage},
-		{"too few diffs", true, &msg.DiffReply{Page: 0, Diffs: make([][]byte, 1)}, errDiffCount},
-		{"too many diffs", true, &msg.DiffReply{Page: 0, Diffs: make([][]byte, 3)}, errDiffCount},
-		{"not a diff reply", true, &msg.Ack{}, errReplyShape},
+		{"short image", viaPage, &msg.PageReply{Page: 0, Data: image(memlayout.PageSize - 4)}, errPageImage},
+		{"long image", viaPage, &msg.PageReply{Page: 0, Data: image(memlayout.PageSize + 4)}, errPageImage},
+		{"no image", viaPage, &msg.PageReply{Page: 0}, errPageImage},
+		{"image of another page", viaPage, &msg.PageReply{Page: 1, Data: image(memlayout.PageSize)}, errReplyPage},
+		{"not a page reply", viaPage, &msg.Ack{}, errReplyShape},
+		{"diffs of another page", viaDiffs, &msg.DiffReply{Page: 1, Diffs: make([][]byte, 2)}, errReplyPage},
+		{"too few diffs", viaDiffs, &msg.DiffReply{Page: 0, Diffs: make([][]byte, 1)}, errDiffCount},
+		{"too many diffs", viaDiffs, &msg.DiffReply{Page: 0, Diffs: make([][]byte, 3)}, errDiffCount},
+		{"not a diff reply", viaDiffs, &msg.Ack{}, errReplyShape},
+		{"batch: not a batch reply", viaBatch, &msg.DiffReply{Page: 0, Diffs: make([][]byte, 2)}, errReplyShape},
+		{"batch: no pages", viaBatch, batch(), errPageCount},
+		{"batch: too many pages", viaBatch,
+			batch(msg.PageDiffs{Page: 0, Diffs: make([][]byte, 2)}, msg.PageDiffs{Page: 1}), errPageCount},
+		{"batch: diffs of another page", viaBatch, batch(msg.PageDiffs{Page: 1, Diffs: make([][]byte, 2)}), errReplyPage},
+		{"batch: too few diffs", viaBatch, batch(msg.PageDiffs{Page: 0, Diffs: [][]byte{{1}}}), errDiffCount},
+		{"batch: too many diffs", viaBatch, batch(msg.PageDiffs{Page: 0, Diffs: [][]byte{{1}, {2}, {3}}}), errDiffCount},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newTestCluster(t, 2, 2)
+			c, err := New(Config{Nodes: 2, Pages: 2, BatchDiffs: tc.via == viaBatch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = c.Close() })
 			c.tr = cannedTransport{reply: func(msg.Message) msg.Message { return tc.reply }}
 			n := c.nodes[1]
 			st := &n.pages[0]
 			before := append([]byte(nil), n.pageData(0)...)
 
-			var err error
-			if tc.diffs {
+			if tc.via == viaPage {
+				err = n.fetchFullPage(nil, -1, 0, ApplyDemand)
+				if st.hasCopy {
+					t.Error("hasCopy set from a rejected reply")
+				}
+			} else {
 				// The node holds a copy with two notices pending.
 				st.hasCopy = true
 				st.pending = append([]msg.Notice(nil), pending...)
@@ -271,11 +330,6 @@ func TestMalformedBulkRepliesRejected(t *testing.T) {
 				if len(st.pending) != 2 {
 					t.Errorf("pending set changed: %v", st.pending)
 				}
-			} else {
-				err = n.fetchFullPage(nil, -1, 0, ApplyDemand)
-				if st.hasCopy {
-					t.Error("hasCopy set from a rejected reply")
-				}
 			}
 			if !errors.Is(err, tc.want) {
 				t.Fatalf("err = %v, want %v", err, tc.want)
@@ -283,8 +337,11 @@ func TestMalformedBulkRepliesRejected(t *testing.T) {
 			if !bytes.Equal(n.pageData(0), before) {
 				t.Error("page bytes changed")
 			}
-			if s := c.stats.Snapshot(); s.PageFetches != 0 || s.DiffFetches != 0 {
-				t.Errorf("fetch counters moved: %d page, %d diff", s.PageFetches, s.DiffFetches)
+			s := c.stats.Snapshot()
+			moved := s.Counters()
+			moved.Messages, moved.BytesTotal = 0, 0 // the round trip itself is traffic
+			if moved != (Counters{}) || s.BatchSizeHist != [BatchSizeBuckets]int64{} {
+				t.Errorf("counters moved: %+v, batch sizes %v", moved, s.BatchSizeHist)
 			}
 		})
 	}

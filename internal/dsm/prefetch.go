@@ -23,7 +23,6 @@ package dsm
 // set intact for the demand path's full-page fallback.
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -47,9 +46,10 @@ func (c *Cluster) SetPrefetchPredictor(f func(node int) *vm.Bitmap) {
 // be called at barrier release, after Barrier has delivered the epoch's
 // write notices, while application threads are still parked; it is a
 // no-op (returning zero costs) unless Config.PrefetchBudget is non-zero
-// and the protocol is multi-writer. Nodes are processed in order so runs
-// stay deterministic; each node's per-writer batch fetches fan out in
-// parallel. The returned slice holds each node's virtual-time cost.
+// and the protocol is multi-writer. The view's members are processed in
+// order so runs stay deterministic; each node's per-writer batch fetches
+// fan out in parallel. The returned slice holds each node's virtual-time
+// cost.
 func (c *Cluster) PrefetchRound() ([]sim.Time, error) {
 	costs := make([]sim.Time, c.cfg.Nodes)
 	if c.cfg.PrefetchBudget == 0 || c.cfg.Protocol != MultiWriter {
@@ -57,6 +57,9 @@ func (c *Cluster) PrefetchRound() ([]sim.Time, error) {
 	}
 	c.stats.PrefetchRounds.Add(1)
 	for i, n := range c.nodes {
+		if c.isDead(i) {
+			continue // no resident threads, and it can call nobody
+		}
 		pages, cost, err := n.prefetch(c.cfg.PrefetchBudget)
 		if err != nil {
 			return nil, err
@@ -109,22 +112,21 @@ func (n *node) hotPages(pred *vm.Bitmap) []int32 {
 // the number of pages brought current; the caller folds those into the
 // sync-state pushCost/pushedEpoch accounting.
 func (n *node) applyPush(push []msg.PushedDiff) (sim.Time, int, error) {
-	c := n.c
-	diffs := make(map[[3]int32][]byte, len(push))
+	pushed := make(map[[3]int32][]byte, len(push))
 	var pages []vm.PageID
 	seen := make(map[vm.PageID]bool)
 	for _, pd := range push {
 		if int(pd.Page) < 0 || int(pd.Page) >= len(n.pages) {
 			return 0, 0, fmt.Errorf("dsm: node %d pushed diff for page %d out of range", n.id, pd.Page)
 		}
-		diffs[[3]int32{pd.Page, pd.Writer, pd.Interval}] = pd.Diff
+		pushed[[3]int32{pd.Page, pd.Writer, pd.Interval}] = pd.Diff
 		if p := vm.PageID(pd.Page); !seen[p] {
 			seen[p] = true
 			pages = append(pages, p)
 		}
 	}
-	var cost sim.Time
-	pushed := 0
+	var total sim.Time
+	current := 0
 	for _, p := range pages {
 		sh := n.lockShard(p)
 		st := &n.pages[p]
@@ -132,44 +134,34 @@ func (n *node) applyPush(push []msg.PushedDiff) (sim.Time, int, error) {
 			n.unlockShard(sh)
 			continue
 		}
-		complete := true
-		for _, nt := range st.pending {
-			if _, ok := diffs[[3]int32{nt.Page, nt.Writer, nt.Interval}]; !ok {
-				complete = false
-				break
-			}
-		}
-		// MutationPushPartialApply (test-only) breaks the no-partial-apply
-		// rule: the page is applied anyway and the uncovered updates are
-		// silently dropped below (lost update).
-		if !complete && c.cfg.Mutation != MutationPushPartialApply {
-			n.unlockShard(sh)
-			continue
-		}
 		ordered := append([]msg.Notice(nil), st.pending...)
 		slices.SortFunc(ordered, causalOrder)
+		covered, diffs := ordered[:0], make([][]byte, 0, len(ordered))
 		for _, nt := range ordered {
-			df, ok := diffs[[3]int32{nt.Page, nt.Writer, nt.Interval}]
-			if !ok {
-				continue // only reachable under MutationPushPartialApply
+			if df, ok := pushed[[3]int32{nt.Page, nt.Writer, nt.Interval}]; ok {
+				covered = append(covered, nt)
+				diffs = append(diffs, df)
 			}
-			if err := ApplyDiff(n.pageData(p), df); err != nil {
-				n.unlockShard(sh)
-				return 0, 0, fmt.Errorf("dsm: node %d apply pushed diff page %d: %w", n.id, p, err)
-			}
-			cost += sim.Time(len(df)) * c.costs.DiffPerByte
-			st.noteApplied(c.cfg.Nodes, nt.Writer, nt.Interval)
-			n.bumpLamport(nt.Lam)
-			c.probeDiffApplied(n.id, ApplyPush, nt)
 		}
-		st.pending = st.pending[:0]
-		n.as.SetProt(p, vm.ProtRead)
-		n.markPrefetched(st, true)
-		pushed++
+		if len(covered) < len(st.pending) {
+			if n.c.cfg.Mutation != MutationPushPartialApply {
+				n.unlockShard(sh)
+				continue
+			}
+			// The seeded bug (test-only) breaks the no-partial-apply rule:
+			// the page is applied anyway and the uncovered updates are
+			// silently dropped (lost update).
+			st.pending = append(st.pending[:0], covered...)
+		}
+		cost, err := n.applyDiffs(p, covered, diffs, ApplyPush)
 		n.unlockShard(sh)
-		c.stats.PrefetchedPages.Add(1)
+		if err != nil {
+			return 0, 0, err
+		}
+		total += cost
+		current++
 	}
-	return cost, pushed, nil
+	return total, current, nil
 }
 
 // collectPushDiffs runs at the barrier's root between the enter fan-in
@@ -181,25 +173,21 @@ func (n *node) applyPush(push []msg.PushedDiff) (sim.Time, int, error) {
 // root's wire cost. Budget > 0 caps the pages served per destination.
 func (c *Cluster) collectPushDiffs(root int, hot map[int32][]int32, notices []msg.Notice) (map[int32][]msg.PushedDiff, sim.Time, error) {
 	budget := c.cfg.PrefetchBudget
-	byPage := make(map[int32][]msg.Notice)
-	for _, nt := range notices {
-		byPage[nt.Page] = append(byPage[nt.Page], nt)
+	byPage := make(map[int32][]int) // page → its notices, as indices into notices
+	for i, nt := range notices {
+		byPage[nt.Page] = append(byPage[nt.Page], i)
 	}
 
-	// Select each destination's served pages and the union of needed
-	// (page, writer, interval) diffs.
-	need := make(map[[3]int32]bool)
+	// Select each destination's served pages and the union of the diffs
+	// they need: slot[i] is where notices[i]'s diff goes in the fetch, plus
+	// one, or zero while nobody needs it.
+	slot := make([]int, len(notices))
+	var needed []msg.Notice
 	wants := make(map[int32][]int32)
-	for dest := 0; dest < c.cfg.Nodes; dest++ {
+	for dest := int32(0); int(dest) < c.cfg.Nodes; dest++ {
 		count := 0
-		for _, p := range hot[int32(dest)] {
-			foreign := false
-			for _, nt := range byPage[p] {
-				if int(nt.Writer) != dest {
-					foreign = true
-					break
-				}
-			}
+		for _, p := range hot[dest] {
+			foreign := slices.ContainsFunc(byPage[p], func(i int) bool { return notices[i].Writer != dest })
 			if !foreign {
 				continue // nothing pending for this page this epoch
 			}
@@ -207,38 +195,31 @@ func (c *Cluster) collectPushDiffs(root int, hot map[int32][]int32, notices []ms
 				break // remaining predictions fall to pull or demand
 			}
 			count++
-			wants[int32(dest)] = append(wants[int32(dest)], p)
-			for _, nt := range byPage[p] {
-				if int(nt.Writer) != dest {
-					need[[3]int32{nt.Page, nt.Writer, nt.Interval}] = true
+			wants[dest] = append(wants[dest], p)
+			for _, i := range byPage[p] {
+				if notices[i].Writer != dest && slot[i] == 0 {
+					needed = append(needed, notices[i])
+					slot[i] = len(needed)
 				}
 			}
 		}
 	}
-	if len(need) == 0 {
+	if len(needed) == 0 {
 		return nil, 0, nil
 	}
 
-	// One batch per writer for the whole cluster; the root reads its
-	// own diffs locally inside fetchDiffBatches.
-	needed := make([]msg.Notice, 0, len(need))
-	for _, nt := range notices {
-		if need[[3]int32{nt.Page, nt.Writer, nt.Interval}] {
-			needed = append(needed, nt)
-		}
-	}
+	// One batch per writer for the whole cluster; the root's own diffs are
+	// a local read of its store (callWriter).
 	diffs := make([][]byte, len(needed))
 	wire, _, held, err := c.nodes[root].fetchDiffBatches(needed, diffs)
 	if err != nil {
 		return nil, 0, err
 	}
 	// Retain site: the diffs ride the release fan-out, long after this
-	// function has returned, so they are copied out of the reply frames.
-	got := make(map[[3]int32][]byte, len(needed))
-	for i, nt := range needed {
-		if diffs[i] != nil {
-			got[[3]int32{nt.Page, nt.Writer, nt.Interval}] = slices.Clone(diffs[i])
-		}
+	// function has returned, so they are copied out of what they borrow
+	// from — reply frames, or the root's pinned store.
+	for i, df := range diffs {
+		diffs[i] = slices.Clone(df)
 	}
 	held.release()
 
@@ -246,31 +227,21 @@ func (c *Cluster) collectPushDiffs(root int, hot map[int32][]int32, notices []ms
 	// is missing (garbage-collected on the writer) is skipped whole.
 	out := make(map[int32][]msg.PushedDiff)
 	for dest, pages := range wants {
+	pages:
 		for _, p := range pages {
-			ok := true
-			for _, nt := range byPage[p] {
-				if int32(dest) == nt.Writer {
+			list := out[dest]
+			for _, i := range byPage[p] {
+				nt := notices[i]
+				if nt.Writer == dest {
 					continue
 				}
-				if _, have := got[[3]int32{nt.Page, nt.Writer, nt.Interval}]; !have {
-					ok = false
-					break
+				df := diffs[slot[i]-1]
+				if df == nil {
+					continue pages
 				}
+				list = append(list, msg.PushedDiff{Page: nt.Page, Writer: nt.Writer, Interval: nt.Interval, Diff: df})
 			}
-			if !ok {
-				continue
-			}
-			for _, nt := range byPage[p] {
-				if int32(dest) == nt.Writer {
-					continue
-				}
-				out[dest] = append(out[dest], msg.PushedDiff{
-					Page:     nt.Page,
-					Writer:   nt.Writer,
-					Interval: nt.Interval,
-					Diff:     got[[3]int32{nt.Page, nt.Writer, nt.Interval}],
-				})
-			}
+			out[dest] = list
 		}
 	}
 	return out, wire, nil
@@ -365,7 +336,7 @@ func (n *node) prefetch(budget int) (int, sim.Time, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	defer held.release() // got aliases the reply frames until applied
+	defer held.release() // got borrows from the leases until applied
 
 	var applyCost sim.Time
 	applied := 0
@@ -379,187 +350,16 @@ func (n *node) prefetch(budget int) (int, sim.Time, error) {
 			continue
 		}
 		sh := n.lockShard(cd.p)
-		st := &n.pages[cd.p]
-		// Same causal application order as the demand path.
-		for i, nt := range cd.pend {
-			if err := ApplyDiff(n.pageData(cd.p), diffs[i]); err != nil {
-				n.unlockShard(sh)
-				return 0, 0, fmt.Errorf("dsm: node %d prefetch apply diff page %d: %w", n.id, cd.p, err)
-			}
-			applyCost += sim.Time(len(diffs[i])) * c.costs.DiffPerByte
-			st.noteApplied(c.cfg.Nodes, nt.Writer, nt.Interval)
-			n.bumpLamport(nt.Lam)
-			c.probeDiffApplied(n.id, ApplyPrefetch, nt)
-		}
-		// Drop exactly the applied notices.
-		keep := st.pending[:0]
-		for _, nt := range st.pending {
-			if _, ok := slices.BinarySearchFunc(cd.pend, nt, causalOrder); !ok {
-				keep = append(keep, nt)
-			}
-		}
-		st.pending = keep
-		if len(st.pending) == 0 {
-			n.as.SetProt(cd.p, vm.ProtRead)
-			n.markPrefetched(st, true)
-			applied++
-			c.stats.PrefetchedPages.Add(1)
-		}
+		cost, err := n.applyDiffs(cd.p, cd.pend, diffs, ApplyPrefetch)
+		current := len(n.pages[cd.p].pending) == 0
 		n.unlockShard(sh)
+		if err != nil {
+			return 0, 0, err
+		}
+		applyCost += cost
+		if current {
+			applied++
+		}
 	}
 	return applied, wire + applyCost, nil
-}
-
-// fetchDiffBatches fetches the diffs nts names — any number of pages and
-// writers — with one DiffBatchRequest per writer, fanned out in parallel,
-// and stores the diff of nts[i] in out[i] (nil where the writer has
-// garbage-collected it). It returns the slowest round trip's wire cost (the
-// requester's stall, since the fan-out overlaps), whether every requested
-// diff was present, and the reply frames: out's entries alias them, so the
-// caller releases the frames when it has applied or copied the diffs (on
-// error there is nothing to release). It performs no state mutation on n
-// and must be called without mu held; stats are recorded atomically.
-func (n *node) fetchDiffBatches(nts []msg.Notice, out [][]byte) (sim.Time, bool, frames, error) {
-	c := n.c
-	// order visits nts writer by writer, each writer's notices by (page,
-	// interval): the order the requests name the diffs in, and therefore
-	// the order the replies return them in.
-	order := make([]int32, len(nts))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		x, y := nts[a], nts[b]
-		if c := cmp.Compare(x.Writer, y.Writer); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(x.Page, y.Page); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.Interval, y.Interval)
-	})
-
-	var reqs []*msg.DiffBatchRequest
-	for lo := 0; lo < len(order); {
-		w := nts[order[lo]].Writer
-		req := &msg.DiffBatchRequest{From: int32(n.id), Writer: w}
-		hi := lo
-		for ; hi < len(order) && nts[order[hi]].Writer == w; hi++ {
-			nt := nts[order[hi]]
-			if len(req.Pages) == 0 || req.Pages[len(req.Pages)-1].Page != nt.Page {
-				req.Pages = append(req.Pages, msg.PageIntervals{Page: nt.Page})
-			}
-			pi := &req.Pages[len(req.Pages)-1]
-			pi.Intervals = append(pi.Intervals, nt.Interval)
-		}
-		if int(w) != n.id {
-			c.stats.BatchSizeHist[batchSizeBucket(hi-lo)].Add(1)
-		}
-		reqs = append(reqs, req)
-		lo = hi
-	}
-
-	replies := make([]*msg.DiffBatchReply, len(reqs))
-	wires := make([]sim.Time, len(reqs))
-	held := make(frames, len(reqs))
-	err := fanOut(len(reqs), c.cfg.SerialFanOut, func(i int) error {
-		w := reqs[i].Writer
-		if int(w) == n.id {
-			// The barrier manager reading its own diff store (push
-			// collection): a local read, not a remote call. The reply
-			// aliases pinned stored diffs, and there is no reply frame
-			// to hold them in as on the wire path, so copy before
-			// releasing the pins — the returned diffs must outlive a
-			// concurrent GC drop.
-			reply, pinned, err := n.serveDiffBatchRequest(reqs[i])
-			if err != nil {
-				return err
-			}
-			br := reply.(*msg.DiffBatchReply)
-			for pi := range br.Pages {
-				for j, df := range br.Pages[pi].Diffs {
-					if df != nil {
-						br.Pages[pi].Diffs[j] = append([]byte(nil), df...)
-					}
-				}
-			}
-			pinned.release()
-			replies[i] = br
-			return nil
-		}
-		reply, frame, wire, err := c.callFrame(n.id, int(w), reqs[i])
-		if err != nil {
-			return fmt.Errorf("dsm: node %d batch fetch diffs from %d: %w", n.id, w, err)
-		}
-		held[i] = frame
-		br, ok := reply.(*msg.DiffBatchReply)
-		if !ok || len(br.Pages) != len(reqs[i].Pages) {
-			return fmt.Errorf("dsm: node %d bad diff batch reply from %d", n.id, w)
-		}
-		c.stats.DiffBatchFetches.Add(1)
-		replies[i], wires[i] = br, wire
-		return nil
-	})
-	if err != nil {
-		held.release()
-		return 0, false, nil, err
-	}
-
-	complete := true
-	var maxWire sim.Time
-	next := 0 // position in order of the next diff the replies return
-	for i, req := range reqs {
-		maxWire = max(maxWire, wires[i])
-		for j, pd := range replies[i].Pages {
-			want := req.Pages[j]
-			if pd.Page != want.Page || len(pd.Diffs) != len(want.Intervals) {
-				held.release()
-				return 0, false, nil, fmt.Errorf("dsm: node %d misaligned diff batch reply from %d", n.id, req.Writer)
-			}
-			for _, df := range pd.Diffs {
-				out[order[next]] = df
-				next++
-				if df == nil {
-					complete = false
-					continue
-				}
-				if int(req.Writer) != n.id {
-					c.stats.BatchedDiffs.Add(1)
-					c.stats.BytesDiff.Add(int64(len(df)))
-				}
-			}
-		}
-	}
-	return maxWire, complete, held, nil
-}
-
-// serveDiffBatchRequest answers a batched diff fetch: a pure read of this
-// node's diff store, grouped per page, taking each page's shard read lock
-// in turn so concurrent batch serves for disjoint shards (and concurrent
-// read-only serves within a shard) proceed in parallel. nil entries mark
-// garbage-collected diffs, exactly as in DiffReply. Replies alias the
-// immutable stored diffs, pinned by the returned references until the
-// reply is encoded (or copied, on the local path).
-func (n *node) serveDiffBatchRequest(req *msg.DiffBatchRequest) (msg.Message, retained, error) {
-	out := &msg.DiffBatchReply{Pages: make([]msg.PageDiffs, len(req.Pages))}
-	var pinned retained
-	for i, pi := range req.Pages {
-		out.Pages[i].Page = pi.Page
-		out.Pages[i].Diffs = make([][]byte, len(pi.Intervals))
-		if int(pi.Page) < 0 || int(pi.Page) >= len(n.pages) {
-			continue
-		}
-		p := vm.PageID(pi.Page)
-		sh := n.rlockShard(p)
-		store := sh.diffs[p]
-		for j, iv := range pi.Intervals {
-			if d := store[iv]; d != nil {
-				d.retain()
-				pinned = append(pinned, d)
-				out.Pages[i].Diffs[j] = d.b
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return out, pinned, nil
 }

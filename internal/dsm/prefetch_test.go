@@ -52,18 +52,6 @@ func prefetchWorkload(t *testing.T, c *Cluster, nodes, npages, rounds int) {
 	}
 }
 
-// TestPrefetchConfigValidation pins the config surface: prefetch and diff
-// batching are multi-writer mechanisms (the single-writer protocol moves
-// whole pages and has no diff store to batch or prefetch from).
-func TestPrefetchConfigValidation(t *testing.T) {
-	if _, err := New(Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, PrefetchBudget: 4}); err == nil {
-		t.Fatal("expected error for prefetch under single-writer")
-	}
-	if _, err := New(Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, BatchDiffs: true}); err == nil {
-		t.Fatal("expected error for diff batching under single-writer")
-	}
-}
-
 // TestPrefetchFaultWindowEndToEnd is the basic liveness test: with an
 // unlimited budget and no installed predictor, the fault-window fallback
 // must start prefetching from round 1 on, every prefetched page must be

@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -96,114 +97,124 @@ func (cs *CallStats) record(bytes int, d time.Duration, failed bool) {
 	cs.Latency[latencyBucket(d)].Add(1)
 }
 
-// Stats counts protocol events. All fields are updated atomically so the
-// TCP transport's server goroutines and the parallel broadcast fan-out
-// can report concurrently with the simulation thread.
-type Stats struct {
+// CounterSet declares every comparable protocol counter once, for both of
+// its holders: Stats keeps the set as atomic.Int64 values that the
+// protocol paths add to, and Snapshot carries it as plain int64 values
+// (the Counters block). A counter added here is counted, snapshotted,
+// subtracted, compared and exported (obs.MetricsText) with no further
+// declaration. Every field must have type T.
+type CounterSet[T any] struct {
 	// RemoteMisses counts access faults that required communication
 	// with another node (full page fetch or diff fetch) — the quantity
 	// regressed against cut cost in the paper's Table 2.
-	RemoteMisses atomic.Int64
+	RemoteMisses T
 	// CoherenceFaults counts all coherence faults (including those
 	// satisfied locally, e.g. a write fault that only creates a twin).
-	CoherenceFaults atomic.Int64
+	CoherenceFaults T
 	// TrackingFaults counts correlation faults during active tracking.
-	TrackingFaults atomic.Int64
+	TrackingFaults T
 	// Messages counts protocol messages sent (requests and replies).
-	Messages atomic.Int64
+	Messages T
 	// BytesTotal counts all protocol bytes ("Total Mbytes").
-	BytesTotal atomic.Int64
+	BytesTotal T
 	// BytesDiff counts bytes of diff payload ("Diff Mbytes").
-	BytesDiff atomic.Int64
+	BytesDiff T
 	// PageFetches counts full-page fetches.
-	PageFetches atomic.Int64
+	PageFetches T
 	// DiffFetches counts diff fetch round trips.
-	DiffFetches atomic.Int64
+	DiffFetches T
 	// Barriers counts barrier episodes.
-	Barriers atomic.Int64
+	Barriers T
 	// BarrierRetries counts broadcast phases (barrier enter, barrier
 	// release, or GC collect) that had to be re-broadcast after a
 	// transport failure; receivers deduplicate the re-sent notices.
-	BarrierRetries atomic.Int64
+	BarrierRetries T
 	// LockAcquires counts lock acquisitions.
-	LockAcquires atomic.Int64
+	LockAcquires T
 	// LockForwards counts acquisitions whose grant was forwarded: the
 	// lock's shard manager redirected the acquirer to the previous
 	// holder, which served the notices directly (HomeMigration mode).
-	LockForwards atomic.Int64
+	LockForwards T
 	// HomeMigrations counts page homes moved to the page's last writer
 	// at a barrier (HomeMigration mode).
-	HomeMigrations atomic.Int64
+	HomeMigrations T
 	// GCCollections counts pages consolidated by garbage collection.
-	GCCollections atomic.Int64
+	GCCollections T
 	// GCRounds counts garbage-collection episodes.
-	GCRounds atomic.Int64
+	GCRounds T
 	// TwinsCreated counts twin creations.
-	TwinsCreated atomic.Int64
+	TwinsCreated T
 	// DiffsCreated counts diffs created at interval ends.
-	DiffsCreated atomic.Int64
+	DiffsCreated T
 	// DiffBatchFetches counts batched diff fetch round trips
 	// (DiffBatchRequest calls), each replacing one or more DiffRequests.
-	DiffBatchFetches atomic.Int64
+	DiffBatchFetches T
 	// BatchedDiffs counts diffs delivered through batched fetches.
-	BatchedDiffs atomic.Int64
+	BatchedDiffs T
 	// PrefetchRounds counts barrier-release prefetch rounds.
-	PrefetchRounds atomic.Int64
+	PrefetchRounds T
 	// PrefetchedPages counts pages brought current ahead of demand.
-	PrefetchedPages atomic.Int64
+	PrefetchedPages T
 	// PrefetchHits counts prefetched pages later touched by a resident
 	// thread before being invalidated again — each hit is an avoided
 	// demand miss.
-	PrefetchHits atomic.Int64
+	PrefetchHits T
 	// PrefetchWasted counts prefetched pages invalidated (by a write
 	// notice or a GC consolidation) before any local touch.
-	PrefetchWasted atomic.Int64
+	PrefetchWasted T
 	// PrefetchLate counts demand misses on pages the predictor selected
 	// but the prefetch budget excluded in the preceding round.
-	PrefetchLate atomic.Int64
+	PrefetchLate T
 	// Crashes counts node failures detected by the membership view
 	// (Config.FaultTolerance).
-	Crashes atomic.Int64
+	Crashes T
 	// Rejoins counts crashed nodes that completed the recovery protocol
 	// and re-entered the membership view.
-	Rejoins atomic.Int64
+	Rejoins T
 	// ReplicaDeltas counts interval-state deltas shipped to ring
 	// successors — the steady-state replication traffic fault tolerance
 	// adds.
-	ReplicaDeltas atomic.Int64
+	ReplicaDeltas T
 	// ReplicaBytes counts the wire bytes of those deltas.
-	ReplicaBytes atomic.Int64
+	ReplicaBytes T
 	// Failovers counts protocol calls re-routed to a dead node's ring
 	// successor (page serves, diff fetches, lock traffic, barrier roles).
-	Failovers atomic.Int64
+	Failovers T
 	// RecoveryFetches counts full-page fetches performed by the recovery
 	// machinery itself: standby reseeding after a crash or a GC round,
 	// and a rejoining node re-fetching its home pages. They are server
 	// traffic, not demand misses.
-	RecoveryFetches atomic.Int64
+	RecoveryFetches T
 	// RecoveryRounds counts standby-reseed sweeps (one per crash epoch
 	// and one per GC round under fault tolerance).
-	RecoveryRounds atomic.Int64
+	RecoveryRounds T
 	// PlacementTriggers counts placement-controller evaluations: each
 	// increment is one cost-model pass over the correlation matrix,
 	// write history, and topology (placement v2, DESIGN.md §14).
-	PlacementTriggers atomic.Int64
+	PlacementTriggers T
 	// PlacementApplied counts controller evaluations whose predicted
 	// improvement cleared the hysteresis threshold and were acted on.
-	PlacementApplied atomic.Int64
+	PlacementApplied T
 	// PlacementSkipped counts controller evaluations suppressed by
 	// hysteresis (predicted improvement below the threshold).
-	PlacementSkipped atomic.Int64
+	PlacementSkipped T
 	// PlacementThreadMoves counts thread migrations issued by the
 	// placement controller (engine ApplyPlacement moves).
-	PlacementThreadMoves atomic.Int64
+	PlacementThreadMoves T
 	// PlacementHomeMoves counts explicit page-home moves queued by the
 	// placement controller and applied at a barrier release.
-	PlacementHomeMoves atomic.Int64
+	PlacementHomeMoves T
 	// PlacementHomeSkips counts queued home moves dropped at apply time:
 	// the target node was dead or no longer held a copy of the page (a
 	// post-GC home must hold a base image to serve it).
-	PlacementHomeSkips atomic.Int64
+	PlacementHomeSkips T
+}
+
+// Stats counts protocol events. All fields are updated atomically so the
+// TCP transport's server goroutines and the parallel broadcast fan-out
+// can report concurrently with the simulation thread.
+type Stats struct {
+	CounterSet[atomic.Int64]
 	// ShardContention counts contended page-shard lock acquisitions:
 	// each increment means a service-path operation found its page's
 	// shard held by another request and had to wait. A high rate
@@ -307,51 +318,21 @@ func (c CallSnapshot) Quantile(q float64) time.Duration {
 	return bucketBound(LatencyBuckets - 1)
 }
 
-// Snapshot is a plain-value copy of Stats for reporting.
+// Counters is the comparable, transport-independent block of a Snapshot:
+// every protocol counter, but neither the contention counts nor the
+// per-kind call table (whose latency histograms measure wall-clock time
+// and therefore differ between transports and runs). Determinism tests
+// compare Counters values.
+type Counters = CounterSet[int64]
+
+// Snapshot is a plain-value copy of Stats for reporting. The comparable
+// counters are promoted from the embedded block (snap.DiffFetches).
 type Snapshot struct {
-	RemoteMisses    int64
-	CoherenceFaults int64
-	TrackingFaults  int64
-	Messages        int64
-	BytesTotal      int64
-	BytesDiff       int64
-	PageFetches     int64
-	DiffFetches     int64
-	Barriers        int64
-	BarrierRetries  int64
-	LockAcquires    int64
-	LockForwards    int64
-	HomeMigrations  int64
-	GCCollections   int64
-	GCRounds        int64
-	TwinsCreated    int64
-	DiffsCreated    int64
-
-	DiffBatchFetches int64
-	BatchedDiffs     int64
-	PrefetchRounds   int64
-	PrefetchedPages  int64
-	PrefetchHits     int64
-	PrefetchWasted   int64
-	PrefetchLate     int64
-	Crashes          int64
-	Rejoins          int64
-	ReplicaDeltas    int64
-	ReplicaBytes     int64
-	Failovers        int64
-	RecoveryFetches  int64
-	RecoveryRounds   int64
-
-	PlacementTriggers    int64
-	PlacementApplied     int64
-	PlacementSkipped     int64
-	PlacementThreadMoves int64
-	PlacementHomeMoves   int64
-	PlacementHomeSkips   int64
+	CounterSet[int64]
 	// ShardContention and SyncContention count contended lock
 	// acquisitions on the service path (see Stats). They measure
 	// wall-clock interleaving, not protocol behaviour, so they are
-	// excluded from the determinism-compared Counters subset.
+	// excluded from the determinism-compared Counters block.
 	ShardContention int64
 	SyncContention  int64
 	// BatchSizeHist is the diffs-per-batched-fetch histogram
@@ -363,7 +344,7 @@ type Snapshot struct {
 	// Links holds the per-directed-link counters for every link with
 	// activity, ordered row-major by (From, To). LatencyNS is wall-clock
 	// and therefore, like the Calls latency histograms, excluded from
-	// the determinism-compared Counters subset.
+	// the determinism-compared Counters block.
 	Links []LinkSnapshot
 }
 
@@ -379,48 +360,14 @@ type LinkSnapshot struct {
 // Snapshot returns the current counter values.
 func (s *Stats) Snapshot() Snapshot {
 	out := Snapshot{
-		RemoteMisses:    s.RemoteMisses.Load(),
-		CoherenceFaults: s.CoherenceFaults.Load(),
-		TrackingFaults:  s.TrackingFaults.Load(),
-		Messages:        s.Messages.Load(),
-		BytesTotal:      s.BytesTotal.Load(),
-		BytesDiff:       s.BytesDiff.Load(),
-		PageFetches:     s.PageFetches.Load(),
-		DiffFetches:     s.DiffFetches.Load(),
-		Barriers:        s.Barriers.Load(),
-		BarrierRetries:  s.BarrierRetries.Load(),
-		LockAcquires:    s.LockAcquires.Load(),
-		LockForwards:    s.LockForwards.Load(),
-		HomeMigrations:  s.HomeMigrations.Load(),
-		GCCollections:   s.GCCollections.Load(),
-		GCRounds:        s.GCRounds.Load(),
-		TwinsCreated:    s.TwinsCreated.Load(),
-		DiffsCreated:    s.DiffsCreated.Load(),
-
-		DiffBatchFetches: s.DiffBatchFetches.Load(),
-		BatchedDiffs:     s.BatchedDiffs.Load(),
-		PrefetchRounds:   s.PrefetchRounds.Load(),
-		PrefetchedPages:  s.PrefetchedPages.Load(),
-		PrefetchHits:     s.PrefetchHits.Load(),
-		PrefetchWasted:   s.PrefetchWasted.Load(),
-		PrefetchLate:     s.PrefetchLate.Load(),
-		Crashes:          s.Crashes.Load(),
-		Rejoins:          s.Rejoins.Load(),
-		ReplicaDeltas:    s.ReplicaDeltas.Load(),
-		ReplicaBytes:     s.ReplicaBytes.Load(),
-		Failovers:        s.Failovers.Load(),
-		RecoveryFetches:  s.RecoveryFetches.Load(),
-		RecoveryRounds:   s.RecoveryRounds.Load(),
-
-		PlacementTriggers:    s.PlacementTriggers.Load(),
-		PlacementApplied:     s.PlacementApplied.Load(),
-		PlacementSkipped:     s.PlacementSkipped.Load(),
-		PlacementThreadMoves: s.PlacementThreadMoves.Load(),
-		PlacementHomeMoves:   s.PlacementHomeMoves.Load(),
-		PlacementHomeSkips:   s.PlacementHomeSkips.Load(),
-
 		ShardContention: s.ShardContention.Load(),
 		SyncContention:  s.SyncContention.Load(),
+	}
+	// The two instantiations of CounterSet have the same fields in the
+	// same order.
+	src, dst := reflect.ValueOf(&s.CounterSet).Elem(), reflect.ValueOf(&out.CounterSet).Elem()
+	for i := 0; i < src.NumField(); i++ {
+		dst.Field(i).SetInt(src.Field(i).Addr().Interface().(*atomic.Int64).Load())
 	}
 	for b := range s.BatchSizeHist {
 		out.BatchSizeHist[b] = s.BatchSizeHist[b].Load()
@@ -459,144 +406,21 @@ func (s *Stats) Snapshot() Snapshot {
 	return out
 }
 
-// Counters is the comparable, transport-independent subset of Snapshot:
-// every protocol counter, but not the per-kind call table (whose latency
-// histograms measure wall-clock time and therefore differ between
-// transports and runs). Determinism tests compare Counters values.
-type Counters struct {
-	RemoteMisses    int64
-	CoherenceFaults int64
-	TrackingFaults  int64
-	Messages        int64
-	BytesTotal      int64
-	BytesDiff       int64
-	PageFetches     int64
-	DiffFetches     int64
-	Barriers        int64
-	BarrierRetries  int64
-	LockAcquires    int64
-	LockForwards    int64
-	HomeMigrations  int64
-	GCCollections   int64
-	GCRounds        int64
-	TwinsCreated    int64
-	DiffsCreated    int64
-
-	DiffBatchFetches int64
-	BatchedDiffs     int64
-	PrefetchRounds   int64
-	PrefetchedPages  int64
-	PrefetchHits     int64
-	PrefetchWasted   int64
-	PrefetchLate     int64
-	Crashes          int64
-	Rejoins          int64
-	ReplicaDeltas    int64
-	ReplicaBytes     int64
-	Failovers        int64
-	RecoveryFetches  int64
-	RecoveryRounds   int64
-
-	PlacementTriggers    int64
-	PlacementApplied     int64
-	PlacementSkipped     int64
-	PlacementThreadMoves int64
-	PlacementHomeMoves   int64
-	PlacementHomeSkips   int64
-}
-
-// Counters projects the snapshot onto its comparable counter subset.
-func (s Snapshot) Counters() Counters {
-	return Counters{
-		RemoteMisses:    s.RemoteMisses,
-		CoherenceFaults: s.CoherenceFaults,
-		TrackingFaults:  s.TrackingFaults,
-		Messages:        s.Messages,
-		BytesTotal:      s.BytesTotal,
-		BytesDiff:       s.BytesDiff,
-		PageFetches:     s.PageFetches,
-		DiffFetches:     s.DiffFetches,
-		Barriers:        s.Barriers,
-		BarrierRetries:  s.BarrierRetries,
-		LockAcquires:    s.LockAcquires,
-		LockForwards:    s.LockForwards,
-		HomeMigrations:  s.HomeMigrations,
-		GCCollections:   s.GCCollections,
-		GCRounds:        s.GCRounds,
-		TwinsCreated:    s.TwinsCreated,
-		DiffsCreated:    s.DiffsCreated,
-
-		DiffBatchFetches: s.DiffBatchFetches,
-		BatchedDiffs:     s.BatchedDiffs,
-		PrefetchRounds:   s.PrefetchRounds,
-		PrefetchedPages:  s.PrefetchedPages,
-		PrefetchHits:     s.PrefetchHits,
-		PrefetchWasted:   s.PrefetchWasted,
-		PrefetchLate:     s.PrefetchLate,
-		Crashes:          s.Crashes,
-		Rejoins:          s.Rejoins,
-		ReplicaDeltas:    s.ReplicaDeltas,
-		ReplicaBytes:     s.ReplicaBytes,
-		Failovers:        s.Failovers,
-		RecoveryFetches:  s.RecoveryFetches,
-		RecoveryRounds:   s.RecoveryRounds,
-
-		PlacementTriggers:    s.PlacementTriggers,
-		PlacementApplied:     s.PlacementApplied,
-		PlacementSkipped:     s.PlacementSkipped,
-		PlacementThreadMoves: s.PlacementThreadMoves,
-		PlacementHomeMoves:   s.PlacementHomeMoves,
-		PlacementHomeSkips:   s.PlacementHomeSkips,
-	}
-}
+// Counters returns the snapshot's comparable counter block.
+func (s Snapshot) Counters() Counters { return s.CounterSet }
 
 // Sub returns the difference s - o, for measuring a window (e.g. one
 // iteration) between two snapshots. Per-kind entries are matched by kind
 // name.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
 	d := Snapshot{
-		RemoteMisses:    s.RemoteMisses - o.RemoteMisses,
-		CoherenceFaults: s.CoherenceFaults - o.CoherenceFaults,
-		TrackingFaults:  s.TrackingFaults - o.TrackingFaults,
-		Messages:        s.Messages - o.Messages,
-		BytesTotal:      s.BytesTotal - o.BytesTotal,
-		BytesDiff:       s.BytesDiff - o.BytesDiff,
-		PageFetches:     s.PageFetches - o.PageFetches,
-		DiffFetches:     s.DiffFetches - o.DiffFetches,
-		Barriers:        s.Barriers - o.Barriers,
-		BarrierRetries:  s.BarrierRetries - o.BarrierRetries,
-		LockAcquires:    s.LockAcquires - o.LockAcquires,
-		LockForwards:    s.LockForwards - o.LockForwards,
-		HomeMigrations:  s.HomeMigrations - o.HomeMigrations,
-		GCCollections:   s.GCCollections - o.GCCollections,
-		GCRounds:        s.GCRounds - o.GCRounds,
-		TwinsCreated:    s.TwinsCreated - o.TwinsCreated,
-		DiffsCreated:    s.DiffsCreated - o.DiffsCreated,
-
-		DiffBatchFetches: s.DiffBatchFetches - o.DiffBatchFetches,
-		BatchedDiffs:     s.BatchedDiffs - o.BatchedDiffs,
-		PrefetchRounds:   s.PrefetchRounds - o.PrefetchRounds,
-		PrefetchedPages:  s.PrefetchedPages - o.PrefetchedPages,
-		PrefetchHits:     s.PrefetchHits - o.PrefetchHits,
-		PrefetchWasted:   s.PrefetchWasted - o.PrefetchWasted,
-		PrefetchLate:     s.PrefetchLate - o.PrefetchLate,
-		Crashes:          s.Crashes - o.Crashes,
-		Rejoins:          s.Rejoins - o.Rejoins,
-		ReplicaDeltas:    s.ReplicaDeltas - o.ReplicaDeltas,
-		ReplicaBytes:     s.ReplicaBytes - o.ReplicaBytes,
-		Failovers:        s.Failovers - o.Failovers,
-		RecoveryFetches:  s.RecoveryFetches - o.RecoveryFetches,
-		RecoveryRounds:   s.RecoveryRounds - o.RecoveryRounds,
-
-		PlacementTriggers:    s.PlacementTriggers - o.PlacementTriggers,
-		PlacementApplied:     s.PlacementApplied - o.PlacementApplied,
-		PlacementSkipped:     s.PlacementSkipped - o.PlacementSkipped,
-		PlacementThreadMoves: s.PlacementThreadMoves - o.PlacementThreadMoves,
-		PlacementHomeMoves:   s.PlacementHomeMoves - o.PlacementHomeMoves,
-		PlacementHomeSkips:   s.PlacementHomeSkips - o.PlacementHomeSkips,
-
 		ShardContention: s.ShardContention - o.ShardContention,
 		SyncContention:  s.SyncContention - o.SyncContention,
+	}
+	sv, ov := reflect.ValueOf(&s.CounterSet).Elem(), reflect.ValueOf(&o.CounterSet).Elem()
+	dv := reflect.ValueOf(&d.CounterSet).Elem()
+	for i := 0; i < dv.NumField(); i++ {
+		dv.Field(i).SetInt(sv.Field(i).Int() - ov.Field(i).Int())
 	}
 	for b := range d.BatchSizeHist {
 		d.BatchSizeHist[b] = s.BatchSizeHist[b] - o.BatchSizeHist[b]

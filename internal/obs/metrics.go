@@ -64,13 +64,15 @@ func HistName(field string) string {
 }
 
 // MetricsText renders the snapshot in Prometheus text exposition format.
-// Output order is Snapshot field order, so diffs stay reviewable.
+// Output order is Snapshot field order — the embedded counter block's
+// promoted fields first — so diffs stay reviewable.
 func MetricsText(s dsm.Snapshot, w io.Writer) error {
 	v := reflect.ValueOf(s)
-	t := v.Type()
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		fv := v.Field(i)
+	for _, f := range reflect.VisibleFields(v.Type()) {
+		if f.Anonymous {
+			continue // the block itself; its fields follow
+		}
+		fv := v.FieldByIndex(f.Index)
 		switch {
 		case fv.Kind() == reflect.Int64:
 			name := MetricName(f.Name)

@@ -229,17 +229,16 @@ func TestMetricsCoverSnapshot(t *testing.T) {
 	countHelp := func(metric string) int {
 		return strings.Count(text, "# HELP "+metric+" ")
 	}
-	st := reflect.TypeOf(snap)
-	for i := 0; i < st.NumField(); i++ {
-		f := st.Field(i)
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(snap)) {
 		switch {
+		case f.Anonymous: // the counter block; its promoted fields follow
 		case f.Type.Kind() == reflect.Int64:
 			name := obs.MetricName(f.Name)
 			if got := countHelp(name); got != 1 {
 				t.Errorf("field %s: metric %s appears %d times, want exactly 1", f.Name, name, got)
 			}
 			// The sample line must be present with the field's value.
-			want := fmt.Sprintf("\n%s %d\n", name, reflect.ValueOf(snap).Field(i).Int())
+			want := fmt.Sprintf("\n%s %d\n", name, reflect.ValueOf(snap).FieldByIndex(f.Index).Int())
 			if !strings.Contains(text, want) {
 				t.Errorf("field %s: sample line %q missing", f.Name, strings.TrimSpace(want))
 			}
