@@ -32,9 +32,10 @@ lint: doc-links
 		echo "lint: staticcheck not installed, skipping (run 'make tools')"; fi
 
 ## doc-links: verify every relative link and anchor in the top-level
-## markdown set (README/DESIGN/ARCHITECTURE/EXPERIMENTS) resolves.
+## markdown set (README/DESIGN/ARCHITECTURE/EXPERIMENTS) resolves, and
+## that DESIGN.md names every dsm.Config field and msg.Kind.
 doc-links:
-	$(GO) test -run TestDocLinks .
+	$(GO) test -run 'TestDocLinks|TestDesignNamesConfigAndKinds' .
 
 ## tools: one-time install of the analysis tools check/CI use. Requires
 ## network access; CI's lint job runs the same installs. Versions are

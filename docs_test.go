@@ -11,11 +11,14 @@ package actdsm_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
 	"actdsm"
+	"actdsm/internal/dsm"
+	"actdsm/internal/msg"
 )
 
 // checkedDocs is the documentation set under link checking.
@@ -144,6 +147,32 @@ func TestLanesTableMatchesRegistry(t *testing.T) {
 		if rows[i][1] != lane.Name || rows[i][2] != lane.Artifact {
 			t.Errorf("row %d is %s / %s, registry has %s / %s",
 				i, rows[i][1], rows[i][2], lane.Name, lane.Artifact)
+		}
+	}
+}
+
+// TestDesignNamesConfigAndKinds keeps DESIGN.md describing the whole
+// protocol surface: every dsm.Config field and every msg.Kind must be
+// named, as a whole word, somewhere in it — where the text by layer says
+// what the knob or the message does. A knob or message added without a
+// word of design fails here.
+func TestDesignNamesConfigAndKinds(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := func(name string) bool {
+		return regexp.MustCompile(`\b` + regexp.QuoteMeta(name) + `\b`).Match(data)
+	}
+	cfg := reflect.TypeOf(dsm.Config{})
+	for i := 0; i < cfg.NumField(); i++ {
+		if f := cfg.Field(i); f.IsExported() && !named(f.Name) {
+			t.Errorf("DESIGN.md never names dsm.Config.%s", f.Name)
+		}
+	}
+	for k := msg.Kind(0); int(k) < msg.KindCount; k++ {
+		if k.Valid() && !named(k.String()) {
+			t.Errorf("DESIGN.md never names the %s message", k)
 		}
 	}
 }

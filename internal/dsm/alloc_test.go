@@ -15,11 +15,13 @@ import (
 // waiting for a benchmark run. Skipped under the race detector, whose
 // instrumentation allocates.
 
-// Ceilings are what the access path achieves (39 and 18) plus one for
-// runtime noise (a sync.Pool refill after a GC cycle).
+// Ceilings are what the access path achieves (39, 18 and, for a hand-off
+// whose grant is forwarded to the holder, 29) plus one for runtime noise (a
+// sync.Pool refill after a GC cycle).
 const (
 	remoteMissAllocCeiling  = 40
 	lockHandoffAllocCeiling = 19
+	lockForwardAllocCeiling = 30
 )
 
 // remoteMissBytesCeiling bounds what a dense remote miss may allocate
@@ -176,31 +178,47 @@ func TestMakeDiffOneAlloc(t *testing.T) {
 
 // TestLockHandoffAllocCeiling is the dsm.lock_handoff rung: two nodes
 // alternate acquire, write, release on one lock, with a barrier every 256
-// hand-offs bounding the notice history a release ships.
+// hand-offs bounding the notice history a release ships. The plain row is
+// the rung itself; under HomeMigration every grant names the other node as
+// the holder and the acquire adds a LockPull to it.
 func TestLockHandoffAllocCeiling(t *testing.T) {
 	skipUnderRace(t)
-	c, err := New(Config{Nodes: 2, Pages: 1, GCThresholdBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-	i := 0
-	allocs := testing.AllocsPerRun(4096, func() {
-		n := i & 1
-		if _, err := c.AcquireLock(n, n, 1); err != nil {
-			t.Fatal(err)
-		}
-		mustSpan(t, c, n, n, 0, 4, vm.Write)[0] = byte(i)
-		if _, err := c.ReleaseLock(n, n, 1); err != nil {
-			t.Fatal(err)
-		}
-		if i&255 == 255 {
-			barrier(t, c)
-		}
-		i++
-	})
-	t.Logf("lock hand-off (acquire, write, release): %v allocs/op", allocs)
-	if allocs > lockHandoffAllocCeiling {
-		t.Errorf("lock hand-off: %v allocs/op, ceiling %d", allocs, lockHandoffAllocCeiling)
+	for _, tc := range []struct {
+		name    string
+		forward bool
+		ceiling float64
+	}{
+		{"plain", false, lockHandoffAllocCeiling},
+		{"forwarded", true, lockForwardAllocCeiling},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := New(Config{Nodes: 2, Pages: 1, GCThresholdBytes: -1, HomeMigration: tc.forward})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = c.Close() })
+			i := 0
+			allocs := testing.AllocsPerRun(4096, func() {
+				n := i & 1
+				if _, err := c.AcquireLock(n, n, 1); err != nil {
+					t.Fatal(err)
+				}
+				mustSpan(t, c, n, n, 0, 4, vm.Write)[0] = byte(i)
+				if _, err := c.ReleaseLock(n, n, 1); err != nil {
+					t.Fatal(err)
+				}
+				if i&255 == 255 {
+					barrier(t, c)
+				}
+				i++
+			})
+			t.Logf("lock hand-off (acquire, write, release): %v allocs/op", allocs)
+			if allocs > tc.ceiling {
+				t.Errorf("lock hand-off: %v allocs/op, ceiling %v", allocs, tc.ceiling)
+			}
+			if tc.forward && c.Stats().Snapshot().LockForwards == 0 {
+				t.Fatal("no grant named a holder to pull from")
+			}
+		})
 	}
 }

@@ -227,6 +227,7 @@ var (
 	// intervals, notices or diffs for any of them to work on.
 	errSingleWriter = errors.New("dsm: not available under the single-writer protocol")
 	errFTNeedsChaos = errors.New("dsm: FaultTolerance requires a Chaos transport (its crash windows are the failure ground truth)")
+	errCrashNeedsFT = errors.New("dsm: a Chaos crash schedule requires FaultTolerance (nothing fails over without it)")
 )
 
 // New builds and starts a cluster.
@@ -246,6 +247,8 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("%w: %d and %d", errTopologySize, cfg.Topology.Nodes(), cfg.Nodes)
 	case cfg.FaultTolerance && cfg.Chaos == nil:
 		return nil, errFTNeedsChaos
+	case !cfg.FaultTolerance && cfg.Chaos != nil && len(cfg.Chaos.Crashes) > 0:
+		return nil, errCrashNeedsFT
 	}
 	if cfg.Protocol == SingleWriter {
 		knob := ""
@@ -446,6 +449,10 @@ var (
 	errPageCount   = errors.New("page count differs from the pages asked for")
 	errReplyShape  = errors.New("unexpected reply type")
 	errCollectPage = errors.New("collect names a page outside the segment")
+	// errLockRole refuses lock traffic at a node holding no state for it:
+	// neither the lock's primary manager (for a pull, the holder) nor,
+	// under fault tolerance, a standby.
+	errLockRole = errors.New("not the lock's manager, holder or standby")
 )
 
 // call sends m and returns the decoded reply plus the requester-side wire
@@ -764,8 +771,8 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 
 	// The episode is fully delivered: every member's notices are now
 	// everywhere, so pending flush state and causal histories restart —
-	// and, under fault tolerance, the per-epoch replication marks and
-	// standby mirrors with them.
+	// and, under fault tolerance, the per-epoch replication marks with
+	// them. (Each member's release already restarted its lock state.)
 	view := c.aliveList()
 	for _, i := range view {
 		n := c.nodes[i]
@@ -774,21 +781,11 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 		n.fresh = nil
 		n.known = nil // dropped, not truncated: shipped sub-slices alias it
 		clear(n.knownHave)
-		for j := range n.sentKnown {
-			n.sentKnown[j] = 0
-		}
-		for j := range n.lockPos {
-			n.lockPos[j] = 0
-		}
-		clear(n.lockMark)
 		if c.cfg.FaultTolerance {
 			n.replSent = 0
 		}
 		n.mu.Unlock()
 		if c.cfg.FaultTolerance {
-			n.lockMgrMu.Lock()
-			n.shadow = make(map[int]*mgrLog)
-			n.lockMgrMu.Unlock()
 			n.replMu.Lock()
 			n.replKnown = make(map[int][]msg.Notice)
 			n.replLockMark = make(map[int]map[int32]int)
@@ -1500,53 +1497,24 @@ func (c *Cluster) consolidate(hm int, pages []int32) (own, standby sim.Time, err
 // grant carries and returns the acquire's virtual-time cost.
 func (c *Cluster) AcquireLock(node, tid int, lock int32) (sim.Time, error) {
 	n := c.nodes[node]
-	var grantMsg msg.Message
-	var wire sim.Time
-	var mgr int
-	var failover bool
-	for attempt := 0; ; attempt++ {
-		mgr = c.effLockManager(lock)
-		failover = mgr != c.lockManager(lock)
-		n.lockSync()
-		req := &msg.LockAcquire{
-			Node: int32(node),
-			Lock: lock,
-			Seen: n.seen, // copy-on-write: a published vector never changes
-		}
-		if !failover {
-			// Positions index the primary manager's log; a failover
-			// grant is served from the standby's full shadow log
-			// instead (receiver-side dedup absorbs the overlap).
-			req.Pos = n.lockPos[mgr]
-		}
-		n.mu.Unlock()
-
-		var err error
-		if mgr == node {
-			if failover {
-				// This node is itself the dead manager's standby:
-				// serve from its own shadow log, not the primary log.
-				grantMsg, err = n.serveLockAcquireShadow(c.lockManager(lock), req)
-			} else {
-				grantMsg, err = n.serveLockAcquire(req)
-			}
-		} else {
-			grantMsg, wire, err = c.call(node, mgr, req)
-		}
-		if err == nil {
-			break
-		}
-		if attempt < c.cfg.Nodes && c.shouldFailOver(err, mgr) {
-			continue // the manager died; re-resolve against the new view
-		}
+	primary := c.lockManager(lock)
+	n.lockSync()
+	req := &msg.LockAcquire{
+		Node: int32(node),
+		Lock: lock,
+		Seen: n.seen, // copy-on-write: a published vector never changes
+		Pos:  n.lockPos[primary],
+	}
+	n.mu.Unlock()
+	r := n.routeTo(primary)
+	reply, held, wire, err := r.call(req)
+	held.release()
+	if err != nil {
 		return 0, fmt.Errorf("dsm: node %d acquire lock %d: %w", node, lock, err)
 	}
-	if failover {
-		c.stats.Failovers.Add(1)
-	}
-	grant, ok := grantMsg.(*msg.LockGrant)
+	grant, ok := reply.(*msg.LockGrant)
 	if !ok {
-		return 0, fmt.Errorf("dsm: node %d acquire lock %d: unexpected reply %T", node, lock, grantMsg)
+		return 0, fmt.Errorf("dsm: node %d acquire lock %d: unexpected reply %T", node, lock, reply)
 	}
 	c.probeNoticesDelivered(node, ViaLockGrant, grant.Notices)
 	n.bumpLamport(grant.Lam)
@@ -1559,9 +1527,10 @@ func (c *Cluster) AcquireLock(node, tid int, lock int32) (sim.Time, error) {
 	n.addKnownLocked(grant.Notices)
 	// Confirm delivery: the next acquire asks for the log suffix past
 	// this grant. Advancing only here (not at the manager when serving)
-	// keeps a retried acquire safe — a lost grant reply is re-served.
-	if !failover {
-		n.lockPos[mgr] = grant.Pos
+	// keeps a retried acquire safe — a lost grant reply is re-served. A
+	// standby's grant indexes no position of the primary's log.
+	if !r.standby() {
+		n.lockPos[primary] = grant.Pos
 	}
 	n.mu.Unlock()
 	if c.cfg.HomeMigration && grant.Holder >= 0 && int(grant.Holder) != node {
@@ -1584,46 +1553,23 @@ func (c *Cluster) AcquireLock(node, tid int, lock int32) (sim.Time, error) {
 
 // pullLockHistory fetches the write notices protected by a lock from
 // its previous holder, after the lock's shard manager redirected the
-// acquire there (grant forwarding). The holder replies with the prefix
-// of its known set that existed when it released the lock, filtered by
+// acquire there (grant forwarding) — or, while the holder is dead, from
+// its standby's replicated history. The reply is the prefix of the
+// holder's history that existed when it released the lock, filtered by
 // the requester's Seen snapshot; the requester applies it exactly as it
 // would a manager-served grant.
 func (c *Cluster) pullLockHistory(node int, lock int32, holder int, seen []int32) (sim.Time, error) {
 	n := c.nodes[node]
 	pull := &msg.LockPull{Node: int32(node), Lock: lock, Holder: int32(holder), Seen: seen}
-	var replyMsg msg.Message
-	var wire sim.Time
-	var err error
-	for attempt := 0; ; attempt++ {
-		// The holder named by the grant may be dead (or die under us):
-		// its ring successor serves the pull from the replicated history
-		// marked at the holder's last shadow release.
-		target := c.AliveSuccessor(holder)
-		if target != holder {
-			c.stats.Failovers.Add(1)
-		}
-		if target == node {
-			if target != holder {
-				// Serving our own pull as the dead holder's standby:
-				// use the replicated history, not our primary state.
-				replyMsg, err = n.serveLockPullShadow(pull)
-			} else {
-				replyMsg, err = n.serveLockPull(pull)
-			}
-		} else {
-			replyMsg, wire, err = c.call(node, target, pull)
-		}
-		if err == nil {
-			break
-		}
-		if attempt < c.cfg.Nodes && c.shouldFailOver(err, target) {
-			continue
-		}
+	r := n.routeTo(holder)
+	reply, held, wire, err := r.call(pull)
+	held.release()
+	if err != nil {
 		return 0, fmt.Errorf("dsm: node %d pull lock %d from holder %d: %w", node, lock, holder, err)
 	}
-	g, ok := replyMsg.(*msg.LockGrant)
+	g, ok := reply.(*msg.LockGrant)
 	if !ok {
-		return 0, fmt.Errorf("dsm: node %d pull lock %d: unexpected reply %T", node, lock, replyMsg)
+		return 0, fmt.Errorf("dsm: node %d pull lock %d: unexpected reply %T", node, lock, reply)
 	}
 	c.probeNoticesDelivered(node, ViaLockGrant, g.Notices)
 	n.bumpLamport(g.Lam)
@@ -1647,7 +1593,7 @@ func (c *Cluster) ReleaseLock(node, tid int, lock int32) (sim.Time, error) {
 	if c.cfg.FaultTolerance {
 		// Replicate the closed interval (and the known suffix received
 		// since the last delta) to the ring successor BEFORE the release
-		// reaches any manager: the shadow release's history mark — and a
+		// reaches any manager: the release's history mark — and a
 		// failover after this release — rely on the standby having the
 		// interval's state already.
 		w, err := c.replicate(n, notices)
@@ -1656,100 +1602,62 @@ func (c *Cluster) ReleaseLock(node, tid int, lock int32) (sim.Time, error) {
 		}
 		cost += w
 	}
-	for attempt := 0; ; attempt++ {
-		mgr := c.effLockManager(lock)
-		wire, err := c.releaseLockTo(n, lock, mgr)
+	// A manager that dies under the release is re-resolved and sent the
+	// same release: its standby's mirror was copied every earlier release
+	// the manager got, so the suffix is all it lacks.
+	primary := c.lockManager(lock)
+	rel := n.lockRelease(lock, primary)
+	r := n.routeTo(primary)
+	_, held, wire, err := r.call(rel)
+	held.release()
+	if err != nil {
+		return 0, fmt.Errorf("dsm: node %d release lock %d: %w", node, lock, err)
+	}
+	cost += wire
+	if c.cfg.FaultTolerance {
+		w, err := c.shadowRelease(n, rel, r.target)
 		if err != nil {
-			if attempt < c.cfg.Nodes && c.shouldFailOver(err, mgr) {
-				// The manager died mid-release; re-ship to its successor.
-				// Per-target sentKnown marks make the re-send carry
-				// everything the new manager has not yet seen.
-				continue
-			}
 			return 0, err
 		}
-		cost += wire
-		if mgr != c.lockManager(lock) {
-			c.stats.Failovers.Add(1)
-		}
-		if c.cfg.FaultTolerance {
-			w, err := c.shadowRelease(n, lock, mgr)
-			if err != nil {
-				return 0, err
-			}
-			cost += w
-		}
-		break
+		cost += w
 	}
 	c.probeLockReleased(node, lock)
 	return cost, nil
 }
 
-// releaseLockTo builds and ships one lock release to manager node mgr
-// (primary or failover standby — the receiver routes shadow copies by
-// comparing the lock's static placement against its own id).
-func (c *Cluster) releaseLockTo(n *node, lock int32, mgr int) (sim.Time, error) {
-	node := n.id
+// lockRelease builds this node's release of a lock whose primary manager
+// is primary: one message for the manager and for every standby copying
+// it. Under grant forwarding it ships no notices — the manager only learns
+// who holds the history — and marks how much of the known set existed at
+// release time; a later LockPull from the next acquirer is served from
+// that prefix (where the MutationNoTransitivity filter moves, too).
+// Otherwise it ships the suffix of the known set — own notices plus
+// everything received since the last barrier — not yet shipped for that
+// primary's log, so the next acquirer inherits transitive causal history
+// without re-transmitting delivered prefixes.
+func (n *node) lockRelease(lock int32, primary int) *msg.LockRelease {
 	n.lockSync()
-	var rel *msg.LockRelease
-	if c.cfg.HomeMigration {
-		// Grant forwarding: the release ships no notices — the manager
-		// only learns who holds the history. The releaser marks how much
-		// of its known set existed at release time; a later LockPull from
-		// the next acquirer is served from that prefix. (The
-		// MutationNoTransitivity filter moves to serveLockPull, where the
-		// shipped set is actually assembled.)
+	rel := &msg.LockRelease{Node: int32(n.id), Lock: lock, Lam: n.lamport.Load()}
+	if n.c.cfg.HomeMigration {
 		n.lockMark[lock] = len(n.known)
-		rel = &msg.LockRelease{
-			Node: int32(node),
-			Lock: lock,
-			Lam:  n.lamport.Load(),
-		}
 	} else {
-		// Ship the suffix of the known set — own notices plus everything
-		// received since the last barrier — that this manager has not yet
-		// been sent, so the next acquirer inherits transitive causal
-		// history without re-transmitting delivered prefixes.
-		start := n.sentKnown[mgr]
-		shipped := n.known[start:]
-		if c.cfg.Mutation == MutationNoTransitivity {
+		rel.Notices = n.known[n.sentKnown[primary]:] // stable without mu: known is append-only
+		n.sentKnown[primary] = len(n.known)
+		if n.c.cfg.Mutation == MutationNoTransitivity {
 			// Test-only bug: ship only the releaser's own notices, dropping
 			// the received history a correct release must forward. A third
 			// node can then miss a causally-ordered update (lost update).
 			var own []msg.Notice
-			for _, nt := range shipped {
-				if int(nt.Writer) == node {
+			for _, nt := range rel.Notices {
+				if int(nt.Writer) == n.id {
 					own = append(own, nt)
 				}
 			}
-			shipped = own
+			rel.Notices = own
 		}
-		rel = &msg.LockRelease{
-			Node:    int32(node),
-			Lock:    lock,
-			Lam:     n.lamport.Load(),
-			Notices: shipped, // stable without mu: known is append-only
-		}
-		n.sentKnown[mgr] = len(n.known)
 	}
 	n.mu.Unlock()
-
-	if mgr == node {
-		if primary := c.lockManager(lock); c.cfg.FaultTolerance && primary != node {
-			// This node is the dead primary's standby: the release
-			// belongs in its shadow log for that shard, not its own
-			// primary log.
-			_, err := n.serveLockReleaseShadow(primary, rel)
-			return 0, err
-		}
-		_, err := n.serveLockRelease(rel)
-		return 0, err
-	}
-	_, wire, err := c.call(node, mgr, rel)
-	if err != nil {
-		return 0, fmt.Errorf("dsm: node %d release lock %d: %w", node, lock, err)
-	}
-	return wire, nil
+	return rel
 }
 
 // StoredDiffBytes returns the cluster-wide volume of stored diffs.

@@ -66,6 +66,8 @@ func TestNewValidation(t *testing.T) {
 		{"negative barrier arity", Config{Nodes: 2, Pages: 1, BarrierArity: -2}, errBarrierArity, ""},
 		{"topology of another size", Config{Nodes: 2, Pages: 2, Topology: sim.NewTopology(3, sim.Costs{})}, errTopologySize, ""},
 		{"fault tolerance without chaos", Config{Nodes: 2, Pages: 1, FaultTolerance: true}, errFTNeedsChaos, ""},
+		{"crash schedule without fault tolerance",
+			Config{Nodes: 2, Pages: 1, Chaos: &transport.ChaosOptions{Crashes: []sim.CrashSchedule{{Node: 1, Call: 3}}}}, errCrashNeedsFT, ""},
 		{"single-writer with prefetch", Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, PrefetchBudget: 4}, errSingleWriter, "PrefetchBudget"},
 		{"single-writer with batching", Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, BatchDiffs: true}, errSingleWriter, "BatchDiffs"},
 		{"single-writer with home migration", Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, HomeMigration: true}, errSingleWriter, "HomeMigration"},

@@ -1,9 +1,10 @@
 package dsm
 
 // The diff path: one serve body (readDiffs), one route around a dead
-// writer (callWriter) and one apply loop (applyDiffs) for every consumer
-// of diffs. See doc.go, "The diff path", and DESIGN.md §7.1, which also
-// says why the wire keeps two request kinds.
+// writer (route, shared with the lock path) and one apply loop
+// (applyDiffs) for every consumer of diffs. See doc.go, "The diff path",
+// and DESIGN.md §7.1, which also says why the wire keeps two request
+// kinds.
 
 import (
 	"cmp"
@@ -100,38 +101,6 @@ func (n *node) serveDiffBatchRequest(req *msg.DiffBatchRequest) (msg.Message, re
 		pinned = n.readDiffs(req.Writer, pi.Page, pi.Intervals, out.Pages[i].Diffs, pinned)
 	}
 	return out, pinned, nil
-}
-
-// callWriter is the one round trip that asks for writer w's diffs; req is
-// a DiffRequest or a DiffBatchRequest naming w. It owns the route around a
-// dead writer: the request goes to w's ring standby, which serves it from
-// the replica store; when that standby is this node the serve runs here,
-// without a wire; and a target that dies under the call is re-resolved
-// against the refreshed view. The same local serve reads this node's own
-// store when w is n itself (the push root collecting its own diffs). The
-// reply's diffs borrow from the returned lease, which is the caller's to
-// release on every path that got one.
-func (n *node) callWriter(w int32, req msg.Message) (reply msg.Message, held lease, wire sim.Time, err error) {
-	c := n.c
-	for attempt := 0; ; attempt++ {
-		target := c.AliveSuccessor(int(w))
-		if target != int(w) {
-			c.stats.Failovers.Add(1)
-		}
-		if target == n.id {
-			reply, held.pins, err = n.serve(n.id, req)
-		} else {
-			reply, held.frame, wire, err = c.callFrame(n.id, target, req)
-		}
-		if err == nil {
-			return reply, held, wire, nil
-		}
-		if attempt < c.cfg.Nodes && c.shouldFailOver(err, target) {
-			c.stats.Failovers.Add(1)
-			continue
-		}
-		return nil, lease{}, 0, err
-	}
 }
 
 // checkPageDiffs refuses one page of a diff reply unless it is the page
@@ -312,7 +281,8 @@ func (n *node) fetchWriterDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, w 
 			req.Intervals = append(req.Intervals, nt.Interval)
 		}
 	}
-	reply, held, wire, err := n.callWriter(w, req)
+	r := n.routeTo(int(w))
+	reply, held, wire, err := r.call(req)
 	var dr *msg.DiffReply
 	if err == nil {
 		dr, err = checkDiffReply(reply, req)
@@ -389,7 +359,8 @@ func (n *node) fetchDiffBatches(nts []msg.Notice, out [][]byte) (sim.Time, bool,
 	held := make(leases, len(reqs))
 	err := fanOut(len(reqs), c.cfg.SerialFanOut, func(i int) (err error) {
 		var reply msg.Message
-		reply, held[i], wires[i], err = n.callWriter(reqs[i].Writer, reqs[i])
+		r := n.routeTo(int(reqs[i].Writer))
+		reply, held[i], wires[i], err = r.call(reqs[i])
 		if err == nil {
 			replies[i], err = checkBatchReply(reply, reqs[i])
 		}

@@ -103,23 +103,41 @@
 // them in causal order" is the protocol's one data-movement primitive, and
 // diffpath.go holds its one body per step: readDiffs serves it, from the
 // node's own shard store when it is w and from the replica store it keeps
-// as w's ring standby otherwise; callWriter routes a DiffRequest or a
-// DiffBatchRequest to w, to w's standby while w is dead, or serves it in
-// place when that is the requester; applyDiffs applies the result under
-// the page's shard lock. The demand fault, a home bringing its copy
-// current, the pull prefetch round and the barrier root's push collection
-// all go through them, which is why Config.FaultTolerance composes with
-// BatchDiffs and PrefetchBudget (DESIGN.md §7.1).
+// as w's ring standby otherwise; the route (route.call, shared with the
+// lock path) takes a DiffRequest or a DiffBatchRequest to w, to w's
+// standby while w is dead, or serves it in place when that is the
+// requester; applyDiffs applies the result under the page's shard lock.
+// The demand fault, a home bringing its copy current, the pull prefetch
+// round and the barrier root's push collection all go through them, which
+// is why Config.FaultTolerance composes with BatchDiffs and PrefetchBudget
+// (DESIGN.md §7.1).
 //
 // Buffer ownership: msg.Decode borrows — a decoded []byte field is a view
 // of the buffer it was decoded from — so whoever decodes owns the buffer
 // until the payload has been consumed. Cluster.call recycles the reply
 // frame at once and is for payload-free replies only; callFrame/callPage
-// hand the frame back with the reply, and callWriter wraps it in a lease
+// hand the frame back with the reply, and the route wraps it in a lease
 // (the frame of a remote serve, the pins of a read of the node's own
 // store, nothing for the replica store) that the fetch releases after
 // copy/ApplyDiff on every exit path. The sites that keep decoded bytes
 // longer copy them, and say so. ARCHITECTURE.md §4 tabulates the rules;
 // race builds poison every recycled frame (msg.PutBuf), so the whole test
 // suite and 'make sweep-poison' check them.
+//
+// # The lock path
+//
+// A lock grant carries the write notices the acquirer has not seen, and
+// each of the three lock requests has one serve whichever node answers
+// it. An acquire or release folds into the log chosen from the lock's
+// primary manager (lockLog): the node's own when it is the primary, or
+// the mirror it keeps as that primary's standby — one table by primary
+// (node.locks), reset in one place (resetLockState). A history pull is
+// chosen from its holder: the node's own known prefix, or the holder's
+// replicated history on its standby, up to the mark a release recorded
+// there. One filter (appendUnseen) builds both kinds of grant. The lock
+// messages travel the diff path's route: to the primary or the holder, to
+// its standby while it is dead, or served in place. Under fault tolerance
+// every release that lands on another node also records the releaser's
+// mark, and shadowRelease copies it to the standbys that must mirror the
+// log or hold the mark (DESIGN.md §10.4).
 package dsm

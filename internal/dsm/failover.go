@@ -14,17 +14,19 @@ package dsm
 //     counter and Lamport clock, and the suffix of its causal history
 //     (known) accumulated since the previous delta. A sequence number
 //     dedups transport-retried deltas.
-//   - Lock-manager state rides shadow LockRelease messages: every
-//     release is also sent to the effective manager's successor (which
-//     mirrors the manager log) and to the releaser's own successor
-//     (which records how much of the releaser's replicated history the
-//     release covered, so grant forwarding survives a dead holder).
+//   - Lock-manager state rides copies of each LockRelease: every release
+//     also goes to the serving manager's successor (which mirrors the
+//     manager log) and to the releaser's own successor (which records how
+//     much of the releaser's replicated history the release covered, so
+//     grant forwarding survives a dead holder). One serve per lock message
+//     chooses between a node's own state and the mirrors (node.go).
 //
 // When a call fails with transport.ErrNodeDown, the caller refreshes the
 // membership view against the chaos layer's crash state and re-resolves
-// the target: page fetches re-route to the page's standby, lock traffic
-// to the shard's standby, diff fetches for a dead writer to the writer's
-// standby. A barrier run that loses a node mid-phase re-runs its phases
+// the target: page fetches re-route to the page's standby (fetchFullPage),
+// and diff fetches for a dead writer, lock traffic for a dead manager and
+// history pulls from a dead holder to that owner's standby (route). A
+// barrier run that loses a node mid-phase re-runs its phases
 // over the shrunk alive set; the dead node's replicated-but-unflushed
 // notices are folded into its successor's enter so no pre-crash write is
 // lost.
@@ -179,13 +181,63 @@ func (c *Cluster) shouldFailOver(err error, to int) bool {
 	return c.cfg.FaultTolerance && isNodeDown(err) && (c.refreshView() > 0 || c.isDead(to))
 }
 
-// effLockManager returns the node currently serving a lock's shard: the
-// static manager, or its ring successor when the manager is dead.
-func (c *Cluster) effLockManager(lock int32) int { return c.AliveSuccessor(c.lockManager(lock)) }
-
 // effHome returns the node currently serving a page: its home, or the
 // home's ring successor (the standby) when the home is dead.
 func (n *node) effHome(p vm.PageID) int { return n.c.AliveSuccessor(n.home(p)) }
+
+// route carries one request to whichever node plays a static owner's role
+// right now — a diff's writer, a lock's primary manager, the holder of a
+// lock's history: the owner itself, or its ring standby while the view
+// marks it dead. It is the one failover loop for diff and lock traffic;
+// fetchFullPage and replicate keep their own (DESIGN.md §12.2).
+type route struct {
+	n      *node
+	owner  int
+	target int // the current attempt's node
+}
+
+// routeTo starts a route from n to owner's current stand-in.
+func (n *node) routeTo(owner int) route {
+	return route{n: n, owner: owner, target: n.c.AliveSuccessor(owner)}
+}
+
+// standby reports whether the route's target is the owner's standby.
+func (r *route) standby() bool { return r.target != r.owner }
+
+// call sends req along the route. A target that dies under the call is
+// re-resolved against the refreshed view and sent the same request again,
+// at most Nodes times. A call answered by a standby counts one failover,
+// however many attempts it took. The reply borrows from the returned
+// lease, which is the caller's to release on every path that got one.
+func (r *route) call(req msg.Message) (msg.Message, lease, sim.Time, error) {
+	c := r.n.c
+	for attempt := 0; ; attempt++ {
+		reply, held, wire, err := r.n.sendTo(r.target, req)
+		if err == nil {
+			if r.standby() {
+				c.stats.Failovers.Add(1)
+			}
+			return reply, held, wire, nil
+		}
+		if attempt >= c.cfg.Nodes || !c.shouldFailOver(err, r.target) {
+			return nil, lease{}, 0, err
+		}
+		r.target = c.AliveSuccessor(r.owner)
+	}
+}
+
+// sendTo makes one attempt at a request to node `to`. When that is n
+// itself the request is served in place, with no wire: the same serve a
+// peer's request gets. The reply borrows from the returned lease — the
+// reply frame, or the references the serve pinned.
+func (n *node) sendTo(to int, req msg.Message) (reply msg.Message, held lease, wire sim.Time, err error) {
+	if to == n.id {
+		reply, held.pins, err = n.serve(n.id, req)
+		return reply, held, 0, err
+	}
+	reply, held.frame, wire, err = n.c.callFrame(n.id, to, req)
+	return reply, held, wire, err
+}
 
 // Kill crashes a node imperatively through the chaos layer and updates
 // the membership view at once. Test harness entry point; requires
@@ -325,147 +377,27 @@ func (n *node) serveReplicaDelta(req *msg.ReplicaDelta) (msg.Message, error) {
 	return &msg.Ack{}, nil
 }
 
-// shadowLog returns (creating on first use) the mirror of a dead-able
-// primary manager's lock log. Requires lockMgrMu.
-func (n *node) shadowLog(primary int) *mgrLog {
-	ml := n.shadow[primary]
-	if ml == nil {
-		ml = newMgrLog()
-		n.shadow[primary] = ml
-	}
-	return ml
-}
-
-// serveLockAcquireShadow grants a lock on behalf of a dead shard
-// manager, serving from the shadow log the standby accumulated via
-// shadow releases. Positions index the dead manager's log, not ours, so
-// the grant always serves the full shadow log filtered by the
-// requester's seen vector; receiver-side dedup absorbs the overlap.
-func (n *node) serveLockAcquireShadow(primary int, req *msg.LockAcquire) (msg.Message, error) {
-	n.lockMgrMu.Lock()
-	defer n.lockMgrMu.Unlock()
-	ml := n.shadowLog(primary)
-	if n.c.cfg.HomeMigration {
-		holder := int32(-1)
-		if h, ok := ml.holder[req.Lock]; ok {
-			holder = h
-		}
-		return &msg.LockGrant{Lock: req.Lock, Lam: ml.lockLam[req.Lock], Holder: holder}, nil
-	}
-	grant := &msg.LockGrant{Lock: req.Lock, Lam: ml.lockLam[req.Lock], Holder: -1}
-	for _, nt := range ml.log {
-		if int(nt.Writer) == int(req.Node) {
-			continue
-		}
-		if len(req.Seen) > int(nt.Writer) && nt.Interval <= req.Seen[nt.Writer] {
-			continue
-		}
-		grant.Notices = append(grant.Notices, nt)
-	}
-	return grant, nil
-}
-
-// serveLockReleaseShadow folds a shadow copy of a lock release into the
-// standby state. Two independent roles, both recorded (the receiver may
-// be playing either or both): mirroring the primary manager's log so
-// failover grants can be served, and marking how much of the releaser's
-// replicated history existed at this release so a failover LockPull for
-// a dead releaser serves exactly the prefix the releaser's own lockMark
-// would have (the delta covering the close is always shipped before the
-// shadow release, so the mark is exact).
-func (n *node) serveLockReleaseShadow(primary int, req *msg.LockRelease) (msg.Message, error) {
-	n.lockMgrMu.Lock()
-	ml := n.shadowLog(primary)
-	ml.add(req.Notices)
-	ml.lockLam[req.Lock] = maxI32(ml.lockLam[req.Lock], req.Lam)
-	if n.c.cfg.HomeMigration {
-		ml.holder[req.Lock] = req.Node
-	}
-	n.lockMgrMu.Unlock()
-	origin := int(req.Node)
-	n.replMu.Lock()
-	lm := n.replLockMark[origin]
-	if lm == nil {
-		lm = make(map[int32]int)
-		n.replLockMark[origin] = lm
-	}
-	lm[req.Lock] = len(n.replKnown[origin])
-	n.replMu.Unlock()
-	return &msg.Ack{}, nil
-}
-
-// serveLockPullShadow answers a grant-forwarding history pull for a
-// dead holder: this node is the holder's standby and serves the prefix
-// of the holder's replicated history marked at its last shadow release —
-// the exact mirror of serveLockPull's known[:lockMark] — filtered by
-// the requester's seen vector.
-func (n *node) serveLockPullShadow(req *msg.LockPull) (msg.Message, error) {
-	holder := int(req.Holder)
-	n.replMu.Lock()
-	kn := n.replKnown[holder]
-	mark := n.replLockMark[holder][req.Lock]
-	if mark > len(kn) {
-		mark = len(kn)
-	}
-	history := append([]msg.Notice(nil), kn[:mark]...)
-	lam := n.replState[holder].lam
-	n.replMu.Unlock()
-	grant := &msg.LockGrant{Lock: req.Lock, Lam: lam, Holder: req.Holder}
-	for _, nt := range history {
-		if int(nt.Writer) == int(req.Node) {
-			continue
-		}
-		if len(req.Seen) > int(nt.Writer) && nt.Interval <= req.Seen[nt.Writer] {
-			continue
-		}
-		grant.Notices = append(grant.Notices, nt)
-	}
-	return grant, nil
-}
-
-// shadowRelease ships shadow copies of a lock release to the standby
-// targets: the effective manager's successor (log mirror) and the
-// releaser's successor (lock-mark recording). Each target gets the
-// suffix of the releaser's known set it has not yet been sent, tracked
-// by the same per-target sentKnown marks the primary path uses.
-func (c *Cluster) shadowRelease(n *node, lock int32, em int) (sim.Time, error) {
-	targets := []int{c.aliveSucc(em), c.aliveSucc(n.id)}
+// shadowRelease copies a lock release to the standbys that must see it:
+// the serving manager's ring successor, which mirrors the primary's log,
+// and the releaser's, which records the release's mark (serveLockRelease).
+// A target that is the serving manager has the release already. Every
+// copy is the manager's message itself, so a mirror receives exactly what
+// the log receives. A standby that dies is skipped: the next membership
+// change re-establishes mirrors from the post-barrier reset state.
+func (c *Cluster) shadowRelease(n *node, rel *msg.LockRelease, em int) (sim.Time, error) {
+	targets := [2]int{c.aliveSucc(em), c.aliveSucc(n.id)}
 	var cost sim.Time
-	sent := map[int]bool{em: true}
-	for _, t := range targets {
-		if sent[t] {
+	for i, t := range targets {
+		if t == em || (i == 1 && t == targets[0]) {
 			continue
 		}
-		sent[t] = true
-		n.lockSync()
-		var shipped []msg.Notice
-		if !c.cfg.HomeMigration {
-			shipped = n.known[n.sentKnown[t]:] // stable without mu: append-only
-			n.sentKnown[t] = len(n.known)
-		}
-		rel := &msg.LockRelease{
-			Node:    int32(n.id),
-			Lock:    lock,
-			Lam:     n.lamport.Load(),
-			Notices: shipped,
-		}
-		n.mu.Unlock()
-		if t == n.id {
-			// This node is itself the standby (the manager's ring
-			// successor): record into its own shadow state directly.
-			if _, err := n.serveLockReleaseShadow(c.lockManager(lock), rel); err != nil {
-				return cost, err
-			}
-			continue
-		}
-		_, wire, err := c.call(n.id, t, rel)
+		_, held, wire, err := n.sendTo(t, rel)
+		held.release()
 		if err != nil {
 			if c.shouldFailOver(err, t) {
-				// The standby died; the next membership change re-
-				// establishes mirrors from the post-barrier reset state.
 				continue
 			}
-			return cost, fmt.Errorf("dsm: node %d shadow release lock %d to %d: %w", n.id, lock, t, err)
+			return cost, fmt.Errorf("dsm: node %d shadow release lock %d to %d: %w", n.id, rel.Lock, t, err)
 		}
 		cost += wire
 	}
@@ -510,13 +442,6 @@ func (n *node) resetForRejoin() {
 	n.fresh = nil
 	n.known = nil
 	clear(n.knownHave)
-	for i := range n.sentKnown {
-		n.sentKnown[i] = 0
-	}
-	for i := range n.lockPos {
-		n.lockPos[i] = 0
-	}
-	clear(n.lockMark)
 	n.replSent = 0
 	n.replSeq = 0
 	if n.faultWin != nil {
@@ -528,10 +453,7 @@ func (n *node) resetForRejoin() {
 	n.pushedEpoch = 0
 	n.pushCost = 0
 	n.mu.Unlock()
-	n.lockMgrMu.Lock()
-	n.locks.reset()
-	n.shadow = make(map[int]*mgrLog)
-	n.lockMgrMu.Unlock()
+	n.resetLockState()
 	n.replMu.Lock()
 	n.replKnown = make(map[int][]msg.Notice)
 	n.replLockMark = make(map[int]map[int32]int)

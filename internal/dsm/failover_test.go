@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -263,6 +264,108 @@ func TestFailoverLockShardManager(t *testing.T) {
 				snap.DiffsCreated, snap.TwinsCreated, cleanSnap.DiffsCreated, cleanSnap.TwinsCreated)
 		}
 	})
+}
+
+// TestFailoverForwardedHolder kills the holder a forwarded grant names:
+// under HomeMigration the manager keeps no notices, so once node 0 has
+// released and died, the next acquirer's LockPull is answered by node 0's
+// standby from the replicated history marked at the release. The mark
+// must be recorded wherever the release lands, including when the
+// manager itself is node 0's standby. The crash sweep cannot reach this:
+// its crashes sit at barrier-protocol calls, and the marks reset at every
+// barrier.
+func TestFailoverForwardedHolder(t *testing.T) {
+	const nodes, npages = 4, 2
+	const holder = 0
+	for _, mgr := range []int{1, 2} { // node 0's standby, and a third node
+		lock := int32(mgr) // lockManager(lock) == mgr
+		t.Run(fmt.Sprintf("manager=%d", mgr), func(t *testing.T) {
+			forEachFTMode(t, func(t *testing.T, mode ftMode) {
+				for _, crash := range []bool{false, true} {
+					cfg := ftConfig(mode, nodes, npages, nil)
+					cfg.HomeMigration = true
+					c, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { _ = c.Close() })
+					// Node 3 caches word 0 while it is still zero.
+					if got := rf32(t, c, 3, 3, 0); got != 0 {
+						t.Fatalf("initial read = %v, want 0", got)
+					}
+					if _, err := c.AcquireLock(holder, holder, lock); err != nil {
+						t.Fatal(err)
+					}
+					wf32(t, c, holder, holder, 0, 42)
+					if _, err := c.ReleaseLock(holder, holder, lock); err != nil {
+						t.Fatal(err)
+					}
+					if crash {
+						if err := c.Kill(holder); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if _, err := c.AcquireLock(3, 3, lock); err != nil {
+						t.Fatal(err)
+					}
+					if got := rf32(t, c, 3, 3, 0); got != 42 {
+						t.Fatalf("crash=%v: node 3 reads %v after the forwarded grant, want 42", crash, got)
+					}
+					if _, err := c.ReleaseLock(3, 3, lock); err != nil {
+						t.Fatal(err)
+					}
+					epoch(t, c)
+					if err := c.CheckCoherence(); err != nil {
+						t.Fatal(err)
+					}
+					if snap := c.Stats().Snapshot(); snap.LockForwards == 0 || crash != (snap.Failovers > 0) {
+						t.Fatalf("crash=%v: %d forwards, %d failovers", crash, snap.LockForwards, snap.Failovers)
+					}
+				}
+			})
+		})
+	}
+}
+
+// TestFailoverCountedOncePerCall crashes a writer at the DiffRequest asking
+// for its own diffs: the reader's route retries at the writer's standby,
+// and that one call answered by a standby is one failover. The reader
+// first fetches a page from a third node, so that the barrier's closing
+// view refresh, which already counts the next call, does not see the crash.
+func TestFailoverCountedOncePerCall(t *testing.T) {
+	const nodes, npages = 4, 3
+	const writer, wordsPerPage = 1, memlayout.PageSize / 4
+	run := func(chaos *transport.ChaosOptions) Snapshot {
+		c, err := New(ftConfig(ftModes[0], nodes, npages, chaos))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = c.Close() }()
+		rf32(t, c, 0, 0, 0) // node 0, page 0's home, holds it
+		wf32(t, c, writer, writer, 0, 7)
+		barrier(t, c)
+		rf32(t, c, 0, 0, 2*wordsPerPage) // a PageRequest to page 2's home
+		if got := rf32(t, c, 0, 0, 0); got != 7 {
+			t.Fatalf("reader sees %v, want 7", got)
+		}
+		return c.Stats().Snapshot()
+	}
+	log := &transport.CallLog{}
+	run(&transport.ChaosOptions{Plan: transport.RecordingPlan(nil, log)})
+	var crashCall int64
+	for _, r := range log.Records() {
+		if r.Kind == byte(msg.KindDiffRequest) && r.To == writer {
+			crashCall = r.Call
+			break
+		}
+	}
+	if crashCall == 0 {
+		t.Fatal("calibration saw no DiffRequest to the writer")
+	}
+	snap := run(&transport.ChaosOptions{Crashes: []sim.CrashSchedule{{Node: writer, Call: crashCall}}})
+	if snap.Crashes != 1 || snap.Failovers != 1 {
+		t.Fatalf("Crashes/Failovers = %d/%d, want 1/1", snap.Crashes, snap.Failovers)
+	}
 }
 
 // TestFailoverBarrierTreeInterior crashes an interior node of the k-ary

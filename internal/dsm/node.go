@@ -127,7 +127,7 @@ func (ml *mgrLog) reset() {
 //     vector, the fresh/known notice histories with their high-water
 //     marks, and the prefetch windows (faultWin, late, pushedEpoch,
 //     pushCost). Helper methods with a Locked suffix require it held.
-//   - lockMgrMu guards the manager-side shared notice log (locks).
+//   - lockMgrMu guards the lock-manager logs and standby mirrors (locks).
 //   - swMu guards the single-writer ownership table (sw).
 //   - lamport, diffBytes, gen and prefetchedLive are atomics: folded and
 //     read lock-free.
@@ -219,13 +219,16 @@ type node struct {
 	// releases and pulls ship such sub-slices uncopied.
 	known     []msg.Notice
 	knownHave map[[3]int32]bool
-	// sentKnown[mgr] is the prefix of known already shipped to manager
-	// node mgr by this node's lock releases (reset at barriers).
+	// sentKnown[p] is the prefix of known already shipped by this node's
+	// releases of the locks primary manager p manages — to p, or to the
+	// standbys mirroring p's log, which get the same messages (reset at
+	// barriers).
 	sentKnown []int
-	// lockPos[mgr] is the prefix of manager mgr's shared notice log this
-	// node has received and applied via lock grants. It advances only
-	// after a grant is applied and is echoed in the next acquire, keeping
-	// grant delivery incremental yet retry-safe (reset at barriers).
+	// lockPos[p] is the prefix of primary manager p's shared notice log
+	// this node has received and applied via lock grants p served. It
+	// advances only after a grant is applied and is echoed in the next
+	// acquire, keeping grant delivery incremental yet retry-safe (reset
+	// at barriers).
 	lockPos []int32
 	// lockMark[lock] is the length of known snapshotted when this node
 	// last released the lock (grant forwarding): a later LockPull for
@@ -249,13 +252,12 @@ type node struct {
 	// diffs; Cluster.Barrier drains it into the node's episode cost.
 	pushCost sim.Time
 
-	// lockMgrMu guards locks (the shared notice log for locks this node
-	// manages) and shadow (the fault-tolerance mirrors of other
-	// managers' logs, keyed by primary manager id, fed by shadow lock
-	// releases).
+	// lockMgrMu guards locks, the lock-manager logs by primary manager:
+	// locks[id] is the log of the locks this node manages, and under
+	// fault tolerance locks[p] for another p is the mirror this node keeps
+	// as p's standby (created by the first release copied to it).
 	lockMgrMu sync.Mutex
-	locks     *mgrLog
-	shadow    map[int]*mgrLog
+	locks     []*mgrLog
 
 	// replMu guards the receiver side of the fault-tolerance replica
 	// store (Config.FaultTolerance): state replicated here by ring
@@ -296,13 +298,14 @@ func newNode(id int, c *Cluster, npages int) *node {
 		shards:    make([]pageShard, c.shardCount),
 		shardMask: uint32(c.shardCount - 1),
 		seen:      make([]int32, c.cfg.Nodes),
-		locks:     newMgrLog(),
+		locks:     make([]*mgrLog, c.cfg.Nodes),
 		sentKnown: make([]int, c.cfg.Nodes),
 		lockPos:   make([]int32, c.cfg.Nodes),
 		lockMark:  make(map[int32]int),
 		knownHave: make(map[[3]int32]bool),
 		homes:     make([]atomic.Int32, npages),
 	}
+	n.locks[id] = newMgrLog()
 	for i := range n.shards {
 		n.shards[i].diffs = make(map[vm.PageID]map[int32]*diffRef)
 	}
@@ -317,7 +320,6 @@ func newNode(id int, c *Cluster, npages int) *node {
 		n.initSingleWriter()
 	}
 	if c.cfg.FaultTolerance {
-		n.shadow = make(map[int]*mgrLog)
 		n.replKnown = make(map[int][]msg.Notice)
 		n.replLockMark = make(map[int]map[int32]int)
 		n.replDiffs = make(map[int]map[vm.PageID]map[int32][]byte)
@@ -684,19 +686,10 @@ func (n *node) serve(from int, m msg.Message) (msg.Message, retained, error) {
 		}
 		return noRelease(n.serveBarrierRelease(req))
 	case *msg.LockAcquire:
-		if primary := n.c.lockManager(req.Lock); n.c.cfg.FaultTolerance && primary != n.id {
-			return noRelease(n.serveLockAcquireShadow(primary, req))
-		}
 		return noRelease(n.serveLockAcquire(req))
 	case *msg.LockRelease:
-		if primary := n.c.lockManager(req.Lock); n.c.cfg.FaultTolerance && primary != n.id {
-			return noRelease(n.serveLockReleaseShadow(primary, req))
-		}
 		return noRelease(n.serveLockRelease(req))
 	case *msg.LockPull:
-		if n.c.cfg.FaultTolerance && int(req.Holder) != n.id {
-			return noRelease(n.serveLockPullShadow(req))
-		}
 		return noRelease(n.serveLockPull(req))
 	case *msg.GCCollect:
 		return noRelease(n.serveGCCollect(req))
@@ -870,115 +863,178 @@ func (n *node) serveBarrierRelease(req *msg.BarrierRelease) (msg.Message, error)
 		b.rel = req
 	}
 	n.c.barrierMu.Unlock()
-	// The barrier flushed all pre-barrier notices cluster-wide, so the
-	// managed lock log, the per-manager release high-water marks, the
-	// confirmed grant-log positions, and the grant-forwarding release
-	// marks restart together.
-	n.lockMgrMu.Lock()
-	n.locks.reset()
-	n.lockMgrMu.Unlock()
-	n.lockSync()
-	for i := range n.sentKnown {
-		n.sentKnown[i] = 0
-	}
-	for i := range n.lockPos {
-		n.lockPos[i] = 0
-	}
-	clear(n.lockMark)
-	n.mu.Unlock()
+	// The barrier flushed all pre-barrier notices cluster-wide.
+	n.resetLockState()
 	return &msg.Ack{}, nil
 }
 
-// serveLockAcquire grants a lock with the suffix of the shared notice log
-// the requester has not confirmed receiving. It is idempotent: the start
-// position comes from the request (the requester's last applied grant),
-// so a retried acquire — e.g. after a dropped grant reply — is re-served
-// the identical suffix, and the requester's notice application dedups.
+// resetLockState restarts the node's lock-side state together, at a
+// barrier release and at a rejoin: the manager logs and standby mirrors,
+// the per-target release high-water marks, the confirmed grant-log
+// positions, and the grant-forwarding release marks. A node that manages
+// no lock traffic — every node of a barrier-only application — resets
+// empty logs.
+func (n *node) resetLockState() {
+	n.lockMgrMu.Lock()
+	for _, ml := range n.locks {
+		if ml != nil {
+			ml.reset()
+		}
+	}
+	n.lockMgrMu.Unlock()
+	n.lockSync()
+	clear(n.sentKnown)
+	clear(n.lockPos)
+	clear(n.lockMark)
+	n.mu.Unlock()
+}
+
+// lockLog returns the log a lock message folds into at this node, chosen
+// from the lock's primary manager the way readDiffs chooses a store from
+// the writer: this node's own log when it is the primary, otherwise the
+// mirror it keeps as that primary's standby — created by the first
+// message, which under fault tolerance may be a copied release or a
+// failover acquire (served from an empty mirror). Without fault tolerance
+// only the primary holds lock state. Requires lockMgrMu.
+func (n *node) lockLog(primary int) (*mgrLog, error) {
+	ml := n.locks[primary]
+	if ml == nil {
+		if !n.c.cfg.FaultTolerance {
+			return nil, fmt.Errorf("dsm: node %d: %w (manager %d)", n.id, errLockRole, primary)
+		}
+		ml = newMgrLog()
+		n.locks[primary] = ml
+	}
+	return ml, nil
+}
+
+// serveLockAcquire grants a lock from the log lockLog chooses. Under
+// grant forwarding the grant names the lock's last releaser (-1 for none
+// since the barrier) and the acquirer pulls the history from it
+// (serveLockPull); otherwise it carries the log notices the requester has
+// not seen. The primary serves the suffix past the position the requester
+// last confirmed (LockAcquire.Pos), so a retried acquire is re-served the
+// identical suffix and the requester's notice dedup absorbs it. Positions
+// index the primary's log, not a mirror, so a mirror serves from position
+// 0 and grants Pos 0; the requester confirms positions only from the
+// primary. A pure read either way.
 func (n *node) serveLockAcquire(req *msg.LockAcquire) (msg.Message, error) {
+	primary := n.c.lockManager(req.Lock)
 	n.lockMgrMu.Lock()
 	defer n.lockMgrMu.Unlock()
-	ml := n.locks
+	ml, err := n.lockLog(primary)
+	if err != nil {
+		return nil, err
+	}
+	grant := &msg.LockGrant{Lock: req.Lock, Lam: ml.lockLam[req.Lock], Holder: -1}
 	if n.c.cfg.HomeMigration {
-		// Grant forwarding: instead of shipping history through the
-		// manager, the grant names the lock's last releaser; the
-		// acquirer pulls the causal history from it directly
-		// (LockPull). -1 means no release since the last barrier —
-		// nothing to inherit. A pure read: retried acquires are served
-		// identically.
-		holder := int32(-1)
 		if h, ok := ml.holder[req.Lock]; ok {
-			holder = h
+			grant.Holder = h
 		}
-		return &msg.LockGrant{Lock: req.Lock, Lam: ml.lockLam[req.Lock], Holder: holder}, nil
+		return grant, nil
 	}
-	grant := &msg.LockGrant{Lock: req.Lock, Lam: ml.lockLam[req.Lock], Pos: int32(len(ml.log)), Holder: -1}
-	start := int(req.Pos)
-	if start < 0 || start > len(ml.log) {
-		// Defensive clamp: positions from before the log's barrier reset
-		// cannot occur (both ends reset together), but never slice past
-		// the log.
-		start = 0
-	}
-	for _, nt := range ml.log[start:] {
-		if int(nt.Writer) == int(req.Node) {
-			continue
+	start := 0
+	if primary == n.id {
+		grant.Pos = int32(len(ml.log))
+		// Positions from before the log's barrier reset cannot occur (both
+		// ends reset together), but never slice past the log.
+		if req.Pos > 0 && int(req.Pos) <= len(ml.log) {
+			start = int(req.Pos)
 		}
-		if len(req.Seen) > int(nt.Writer) && nt.Interval <= req.Seen[nt.Writer] {
-			continue
-		}
-		grant.Notices = append(grant.Notices, nt)
 	}
+	grant.Notices = appendUnseen(grant.Notices, ml.log[start:], req.Node, req.Seen)
 	return grant, nil
 }
 
+// serveLockRelease folds a release into the log lockLog chooses: the
+// primary's own, or — for a release copied to a standby, or re-routed to
+// it while the primary is dead — the standby's mirror. Under grant
+// forwarding it registers the releaser as the lock's holder. Under fault
+// tolerance a release from another node also records the releaser's mark:
+// how much of the releaser's replicated history existed at the release
+// (the delta covering the release's interval always arrives first), so
+// that a pull for the lock served here for a dead holder gets exactly the
+// prefix the holder's own lockMark would have. Idempotent: notices dedup,
+// clocks merge by max, a retried release re-registers the same holder and
+// mark.
 func (n *node) serveLockRelease(req *msg.LockRelease) (msg.Message, error) {
 	n.lockMgrMu.Lock()
-	defer n.lockMgrMu.Unlock()
-	ml := n.locks
+	ml, err := n.lockLog(n.c.lockManager(req.Lock))
+	if err != nil {
+		n.lockMgrMu.Unlock()
+		return nil, err
+	}
 	ml.add(req.Notices)
 	ml.lockLam[req.Lock] = maxI32(ml.lockLam[req.Lock], req.Lam)
 	if n.c.cfg.HomeMigration {
-		// Grant forwarding: register the releaser as the lock's
-		// holder; the next grant redirects its acquirer here.
-		// Idempotent — a retried release re-registers the same node.
 		ml.holder[req.Lock] = req.Node
+	}
+	n.lockMgrMu.Unlock()
+	if origin := int(req.Node); n.c.cfg.FaultTolerance && origin != n.id {
+		n.replMu.Lock()
+		lm := n.replLockMark[origin]
+		if lm == nil {
+			lm = make(map[int32]int)
+			n.replLockMark[origin] = lm
+		}
+		lm[req.Lock] = len(n.replKnown[origin])
+		n.replMu.Unlock()
 	}
 	return &msg.Ack{}, nil
 }
 
-// serveLockPull answers a grant-forwarding history pull: the manager
-// named this node as the lock's last releaser, and the acquirer asks
-// for the causal history that release covered. The reply serves the
-// prefix of known snapshotted at the release (lockMark), filtered by
-// the requester's seen vector. A pure read — a transport retry is
-// re-served the identical suffix and the requester's pending-notice
-// dedup absorbs it. A pull arriving after a barrier cleared the mark
+// serveLockPull answers a grant-forwarding history pull: the manager named
+// req.Holder as the lock's last releaser, and the acquirer asks for the
+// causal history that release covered. The history is chosen from the
+// holder: for this node's own id, the prefix of known marked at its
+// release (lockMark), stamped with its Lamport clock; for another holder —
+// under fault tolerance, whose standby this node is — the prefix of the
+// holder's replicated history marked when the release reached here
+// (serveLockRelease), stamped with the holder's replicated clock. Both
+// histories are append-only until a barrier drops them, so the prefix is
+// read without the lock. A pure read — a transport retry is re-served the
+// identical grant — and a pull arriving after a barrier cleared the mark
 // returns an empty grant: the barrier already delivered everything.
 func (n *node) serveLockPull(req *msg.LockPull) (msg.Message, error) {
-	n.lockSync()
-	mark := n.lockMark[req.Lock]
-	if mark > len(n.known) {
-		mark = len(n.known)
+	var history []msg.Notice
+	var lam int32
+	if holder := int(req.Holder); holder == n.id {
+		n.lockSync()
+		history = n.known[:min(n.lockMark[req.Lock], len(n.known))]
+		n.mu.Unlock()
+		lam = n.lamport.Load()
+	} else {
+		if !n.c.cfg.FaultTolerance {
+			return nil, fmt.Errorf("dsm: node %d: %w (holder %d)", n.id, errLockRole, holder)
+		}
+		n.replMu.Lock()
+		kn := n.replKnown[holder]
+		history = kn[:min(n.replLockMark[holder][req.Lock], len(kn))]
+		lam = n.replState[holder].lam
+		n.replMu.Unlock()
 	}
-	history := n.known[:mark] // stable without mu: known is append-only
-	n.mu.Unlock()
-	grant := &msg.LockGrant{Lock: req.Lock, Lam: n.lamport.Load(), Holder: int32(n.id)}
-	for _, nt := range history {
-		if int(nt.Writer) == int(req.Node) {
-			continue
-		}
-		if n.c.cfg.Mutation == MutationNoTransitivity && int(nt.Writer) != n.id {
-			// Test-only bug: forward only this node's own notices,
-			// dropping the received history a correct holder must
-			// propagate (lost transitivity).
-			continue
-		}
-		if len(req.Seen) > int(nt.Writer) && nt.Interval <= req.Seen[nt.Writer] {
-			continue
-		}
-		grant.Notices = append(grant.Notices, nt)
+	grant := &msg.LockGrant{Lock: req.Lock, Lam: lam, Holder: req.Holder}
+	grant.Notices = appendUnseen(grant.Notices, history, req.Node, req.Seen)
+	if n.c.cfg.Mutation == MutationNoTransitivity {
+		// Test-only bug: forward only the holder's own notices, dropping
+		// the received history a correct holder must propagate (lost
+		// transitivity).
+		grant.Notices = slices.DeleteFunc(grant.Notices, func(nt msg.Notice) bool { return nt.Writer != req.Holder })
 	}
 	return grant, nil
+}
+
+// appendUnseen is the grant filter: it appends to dst the notices of
+// history that requester has not seen — neither its own nor covered by its
+// seen vector.
+func appendUnseen(dst, history []msg.Notice, requester int32, seen []int32) []msg.Notice {
+	for _, nt := range history {
+		if nt.Writer == requester || (int(nt.Writer) < len(seen) && nt.Interval <= seen[nt.Writer]) {
+			continue
+		}
+		dst = append(dst, nt)
+	}
+	return dst
 }
 
 // serveGCCollect drops the stored diffs of every page the collect names

@@ -209,7 +209,7 @@ func (c *Cluster) collectPushDiffs(root int, hot map[int32][]int32, notices []ms
 	}
 
 	// One batch per writer for the whole cluster; the root's own diffs are
-	// a local read of its store (callWriter).
+	// a local read of its store (route serves them in place).
 	diffs := make([][]byte, len(needed))
 	wire, _, held, err := c.nodes[root].fetchDiffBatches(needed, diffs)
 	if err != nil {
