@@ -57,11 +57,12 @@ race:
 ## without the race detector (whose instrumentation allocates, so 'make
 ## race' skips these): a warm Span allocates nothing, a remote miss and a
 ## lock hand-off stay under their ceilings, a dense remote miss allocates
-## its diff once (no decode copy, no growth by doubling), and MakeDiff is
-## one allocation (internal/dsm/alloc_test.go). A re-introduced escape or
-## copy fails here, not at the next benchmark run.
+## its diff once (no decode copy, no growth by doubling), MakeDiff is one
+## allocation, and queueing or dropping a write notice allocates nothing
+## (internal/dsm/alloc_test.go). A re-introduced escape or copy fails
+## here, not at the next benchmark run.
 alloc-gate:
-	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestLockHandoffAllocCeiling' -count=1 -v
+	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestNoticeIngestAllocs|TestLockHandoffAllocCeiling' -count=1 -v
 
 ## bench: one benchmark per paper table/figure, plus the ablation,
 ## cut-cost, prefetch and trace-replay comparisons. The substrate

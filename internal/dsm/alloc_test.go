@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"actdsm/internal/memlayout"
+	"actdsm/internal/msg"
 	"actdsm/internal/vm"
 )
 
@@ -172,6 +173,43 @@ func TestMakeDiffOneAlloc(t *testing.T) {
 		}
 		if tc.want == 0 && d != nil {
 			t.Errorf("MakeDiff %s: got a %d-byte diff", tc.name, len(d))
+		}
+	}
+}
+
+// TestNoticeIngestAllocs: queueing a write notice into a pending set with
+// spare capacity allocates nothing, wherever in the causal order it lands,
+// and neither does dropping a duplicate or a stale notice.
+func TestNoticeIngestAllocs(t *testing.T) {
+	skipUnderRace(t)
+	c, err := New(Config{Nodes: 2, Pages: 1, GCThresholdBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	n := c.nodes[0]
+	st := &n.pages[0]
+	st.noteApplied(2, 1, 4) // writer 1's intervals up to 4 are reflected
+	st.pending = make([]msg.Notice, 0, 16)
+	notice := func(iv int32) msg.Notice { return msg.Notice{Page: 0, Writer: 1, Interval: iv, Lam: iv} }
+	for _, tc := range []struct {
+		name   string
+		ingest func()
+	}{
+		{"admit", func() {
+			st.pending = st.pending[:0]
+			for iv := int32(12); iv > 4; iv-- { // each lands in front: the insert shifts
+				n.addPending(notice(iv))
+			}
+		}},
+		{"duplicate", func() { n.addPending(notice(8)) }},
+		{"stale", func() { n.addPending(notice(3)) }},
+	} {
+		if allocs := testing.AllocsPerRun(1000, tc.ingest); allocs != 0 {
+			t.Errorf("notice ingest, %s: %v allocs/op, want 0", tc.name, allocs)
+		}
+		if len(st.pending) != 8 {
+			t.Fatalf("notice ingest, %s: %d notices pending, want 8", tc.name, len(st.pending))
 		}
 	}
 }

@@ -440,10 +440,12 @@ func (c *Cluster) lockManager(lock int32) int {
 // callFrame.
 var errPayloadReply = errors.New("dsm: payload-carrying reply on the frame-recycling call path")
 
-// Malformed bulk replies — and the one bulk request, a GCCollect's page
-// list — rejected by name before any state changes.
+// Malformed bulk replies — and the bulk requests, a GCCollect's page list
+// and a PageRequest's pending notices — rejected by name before any state
+// changes.
 var (
 	errReplyPage   = errors.New("reply names another page")
+	errNoticePage  = errors.New("pending notice names another page")
 	errPageImage   = errors.New("page image is not one page long")
 	errDiffCount   = errors.New("diff count differs from the intervals asked for")
 	errPageCount   = errors.New("page count differs from the pages asked for")

@@ -168,17 +168,15 @@ func nextWriter(nts []msg.Notice, prev int32) (w int32, ok bool) {
 // fetchAndApplyDiffs retrieves the diffs named by pending from their
 // writers and applies them in causal order, charging the round trips and
 // the apply to ti. It returns false if any writer has garbage-collected a
-// needed diff. pending is the caller's to give away: it is sorted in
-// place. tid is the faulting thread (< 0 for server-side fetches) and src
-// classifies the protocol path for the probe (demand fault vs. manager
-// serving). Server-side calls run concurrently on transport workers, so
-// all scratch lives on this frame — the diff table and, beside it, the
-// leases its entries borrow from, released when the diffs have been
-// applied (or the fetch abandoned).
+// needed diff. pending must be in causalOrder, as a snapshot of a page's
+// pending set is; it is only read. tid is the faulting thread (< 0 for
+// server-side fetches) and src classifies the protocol path for the probe
+// (demand fault vs. manager serving). Server-side calls run concurrently
+// on transport workers, so all scratch lives on this frame — the diff
+// table and, beside it, the leases its entries borrow from, released when
+// the diffs have been applied (or the fetch abandoned).
 func (n *node) fetchAndApplyDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, pending []msg.Notice, src ApplySource) (bool, error) {
 	c := n.c
-	slices.SortFunc(pending, causalOrder)
-
 	// diffs[i] is the diff pending[i] names.
 	var diffBuf [16][]byte
 	diffs := diffBuf[:]

@@ -22,8 +22,11 @@ type pageState struct {
 	// interval; twin holds the pre-write image.
 	dirty bool
 	twin  []byte
-	// pending lists write notices received but not yet applied; the
-	// page is invalid while it is non-empty.
+	// pending lists write notices received but not yet applied, in
+	// causalOrder — the order their diffs apply in. queue is the only
+	// insert; every other write keeps a subsequence or empties it, so the
+	// order holds and a snapshot of pending needs no sort. The page is
+	// invalid while it is non-empty.
 	pending []msg.Notice
 	// prefetched is true when the page was brought current by a prefetch
 	// round and has not been touched (hit) or re-invalidated (wasted)
@@ -36,17 +39,29 @@ type pageState struct {
 }
 
 // staleOrDup reports whether a notice is already reflected locally or
-// already queued.
-func (st *pageState) staleOrDup(n msg.Notice) bool {
-	if st.appliedVT != nil && n.Interval <= st.appliedVT[n.Writer] {
-		return true
+// already queued and, when it is not stale, where it goes in pending. Two
+// copies of one notice compare equal under causalOrder: the Lamport stamp
+// is set once, when the writer closes the interval.
+func (st *pageState) staleOrDup(nt msg.Notice) (at int, skip bool) {
+	if st.appliedVT != nil && nt.Interval <= st.appliedVT[nt.Writer] {
+		return 0, true
 	}
-	for _, p := range st.pending {
-		if p.Writer == n.Writer && p.Interval == n.Interval {
-			return true
+	return slices.BinarySearchFunc(st.pending, nt, causalOrder)
+}
+
+// queue inserts a write notice into pending at its causal position and
+// reports whether it did. With dedup it skips a stale or duplicate notice;
+// without (MutationNoNoticeDedup) it inserts every one.
+func (st *pageState) queue(nt msg.Notice, dedup bool) bool {
+	at, skip := st.staleOrDup(nt)
+	if skip {
+		if dedup {
+			return false
 		}
+		at, _ = slices.BinarySearchFunc(st.pending, nt, causalOrder)
 	}
-	return false
+	st.pending = slices.Insert(st.pending, at, nt)
+	return true
 }
 
 func (st *pageState) noteApplied(nodes int, writer, interval int32) {
@@ -380,38 +395,40 @@ func (n *node) bumpLamport(lam int32) {
 	}
 }
 
-// addPending queues a write notice, invalidating the page. Self-locking
-// (takes the page's shard lock).
+// addPending queues a write notice delivered by a lock grant or a barrier
+// release, invalidating the page. Self-locking (takes the page's shard
+// lock).
 func (n *node) addPending(nt msg.Notice) {
 	if int(nt.Writer) == n.id {
 		return // own writes are already in the local copy
 	}
 	sh := n.lockShard(vm.PageID(nt.Page))
-	n.addPendingShardLocked(nt)
-	n.unlockShard(sh)
-}
-
-// addPendingShardLocked is addPending with the page's shard lock already
-// held.
-func (n *node) addPendingShardLocked(nt msg.Notice) {
-	if int(nt.Writer) == n.id {
-		return
-	}
-	st := &n.pages[nt.Page]
-	// MutationNoNoticeDedup (test-only) disables the stale/duplicate
-	// filter so the checker can prove it detects double application.
-	if n.c.cfg.Mutation != MutationNoNoticeDedup && st.staleOrDup(nt) {
-		return
-	}
-	if st.prefetched {
+	if st := &n.pages[nt.Page]; n.queueNotice(nt) && st.prefetched {
 		// Invalidated before any local touch: the prefetch was wasted.
 		n.markPrefetched(st, false)
 		n.c.stats.PrefetchWasted.Add(1)
 	}
-	st.pending = append(st.pending, nt)
+	n.unlockShard(sh)
+}
+
+// queueNotice is the one ingest of a write notice: unless it is the node's
+// own or the page's dedup drops it, the notice joins the page's pending
+// set and a held copy is invalidated. It reports whether the notice was
+// queued. Requires the page's shard write lock.
+func (n *node) queueNotice(nt msg.Notice) bool {
+	if int(nt.Writer) == n.id {
+		return false // own writes are already in the local copy
+	}
+	st := &n.pages[nt.Page]
+	// MutationNoNoticeDedup (test-only) disables the stale/duplicate
+	// filter so the checker can prove it detects double application.
+	if !st.queue(nt, n.c.cfg.Mutation != MutationNoNoticeDedup) {
+		return false
+	}
 	if st.hasCopy {
 		n.as.SetProt(vm.PageID(nt.Page), vm.ProtNone)
 	}
+	return true
 }
 
 // closeInterval ends the node's current interval: every dirty page is
@@ -730,15 +747,16 @@ func (n *node) servePageRequest(req *msg.PageRequest) (msg.Message, error) {
 	if n.effHome(p) != n.id {
 		return nil, fmt.Errorf("dsm: node %d is not the home of page %d", n.id, p)
 	}
+	for _, nt := range req.Pending {
+		if nt.Page != req.Page {
+			return nil, fmt.Errorf("dsm: node %d page %d request: %w (page %d)", n.id, p, errNoticePage, nt.Page)
+		}
+	}
 	n.c.probeNoticesDelivered(n.id, ViaPageRequest, req.Pending)
 	sh := n.lockShard(p)
 	st := &n.pages[p]
 	for _, nt := range req.Pending {
-		if int(nt.Writer) != n.id &&
-			(n.c.cfg.Mutation == MutationNoNoticeDedup || !st.staleOrDup(nt)) {
-			st.pending = append(st.pending, nt)
-			n.as.SetProt(p, vm.ProtNone)
-		}
+		n.queueNotice(nt)
 	}
 	pending := append([]msg.Notice(nil), st.pending...)
 	n.unlockShard(sh)

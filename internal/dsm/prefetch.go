@@ -105,12 +105,13 @@ func (n *node) hotPages(pred *vm.Bitmap) []int32 {
 // applyPush applies the diffs piggybacked on a barrier release, after
 // the release's notices have been queued. A page is applied only when
 // the push covers its entire pending set (same no-partial-apply rule as
-// the pull path); anything else is left for demand or pull. Applying is
-// idempotent across re-deliveries: a retried release finds the pending
-// set empty (the notices dedup through staleOrDup) and skips. It locks
-// each page's shard in turn and returns the accumulated apply cost and
-// the number of pages brought current; the caller folds those into the
-// sync-state pushCost/pushedEpoch accounting.
+// the pull path); anything else is left for demand or pull. The covered
+// notices are taken in pending's order, which is causal, so they apply as
+// they are. Applying is idempotent across re-deliveries: a retried release
+// finds the pending set empty (the notices dedup through staleOrDup) and
+// skips. It locks each page's shard in turn and returns the accumulated
+// apply cost and the number of pages brought current; the caller folds
+// those into the sync-state pushCost/pushedEpoch accounting.
 func (n *node) applyPush(push []msg.PushedDiff) (sim.Time, int, error) {
 	pushed := make(map[[3]int32][]byte, len(push))
 	var pages []vm.PageID
@@ -134,10 +135,8 @@ func (n *node) applyPush(push []msg.PushedDiff) (sim.Time, int, error) {
 			n.unlockShard(sh)
 			continue
 		}
-		ordered := append([]msg.Notice(nil), st.pending...)
-		slices.SortFunc(ordered, causalOrder)
-		covered, diffs := ordered[:0], make([][]byte, 0, len(ordered))
-		for _, nt := range ordered {
+		covered, diffs := make([]msg.Notice, 0, len(st.pending)), make([][]byte, 0, len(st.pending))
+		for _, nt := range st.pending {
 			if df, ok := pushed[[3]int32{nt.Page, nt.Writer, nt.Interval}]; ok {
 				covered = append(covered, nt)
 				diffs = append(diffs, df)
@@ -324,11 +323,10 @@ func (n *node) prefetch(budget int) (int, sim.Time, error) {
 	}
 
 	// Coalesce everything the round needs into one batch per writer. Each
-	// candidate's notices go in already in causal order, so its slice of
-	// the result is the order its diffs apply in.
+	// candidate's notices are a pending snapshot, already in causal order,
+	// so its slice of the result is the order its diffs apply in.
 	var all []msg.Notice
 	for _, cd := range cands {
-		slices.SortFunc(cd.pend, causalOrder)
 		all = append(all, cd.pend...)
 	}
 	got := make([][]byte, len(all))
