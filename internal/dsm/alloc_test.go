@@ -16,13 +16,13 @@ import (
 // waiting for a benchmark run. Skipped under the race detector, whose
 // instrumentation allocates.
 
-// Ceilings are what the access path achieves (39, 18 and, for a hand-off
-// whose grant is forwarded to the holder, 29) plus one for runtime noise (a
+// Ceilings are what the access path achieves (39, 16 and, for a hand-off
+// whose grant is forwarded to the holder, 21) plus one for runtime noise (a
 // sync.Pool refill after a GC cycle).
 const (
 	remoteMissAllocCeiling  = 40
-	lockHandoffAllocCeiling = 19
-	lockForwardAllocCeiling = 30
+	lockHandoffAllocCeiling = 17
+	lockForwardAllocCeiling = 22
 )
 
 // remoteMissBytesCeiling bounds what a dense remote miss may allocate
@@ -258,5 +258,73 @@ func TestLockHandoffAllocCeiling(t *testing.T) {
 				t.Fatal("no grant named a holder to pull from")
 			}
 		})
+	}
+}
+
+// grantBytesSpread bounds how far apart the B/op of a hand-off whose
+// grants carry 16 notices and one whose grants carry 512 may be (see
+// TestLockGrantNoticeBytes). Lists allocated per grant would put 7.8 KiB
+// of notices (496 × 16 B), and twice that for a list grown by doubling,
+// between the two.
+const grantBytesSpread = 1024
+
+// TestLockGrantNoticeBytes pins the grant's notice list to the pool, in
+// bytes: a warm acquire → apply → release hand-off allocates the same
+// whether the manager's log — and so every grant — holds 16 notices or
+// 512. Nodes 0 and 1 alternate on a lock node 1 manages, so one grant is
+// decoded off the wire (and recycled by the handler after its encode)
+// and the other is served in place; both are returned by the acquirer.
+// The log holds writer 2's notices on a page nobody touches, and the
+// acquirer's confirmed log position is cleared before each acquire, so
+// every grant re-carries the whole log and the releases add nothing.
+func TestLockGrantNoticeBytes(t *testing.T) {
+	skipUnderRace(t)
+	const lock, ops = 1, 2000
+	perOp := func(logLen int) float64 {
+		c, err := New(Config{Nodes: 3, Pages: 1, GCThresholdBytes: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		mgr := c.lockManager(lock)
+		if mgr != 1 {
+			t.Fatalf("lock %d is managed by node %d, want 1", lock, mgr)
+		}
+		for iv := int32(1); iv <= int32(logLen); iv++ {
+			c.nodes[mgr].locks[mgr].add([]msg.Notice{{Page: 0, Writer: 2, Interval: iv, Lam: iv}})
+		}
+		handoff := func(i int) {
+			n := c.nodes[i&1]
+			n.lockSync()
+			clear(n.lockPos)
+			n.mu.Unlock()
+			if _, err := c.AcquireLock(n.id, n.id, lock); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.ReleaseLock(n.id, n.id, lock); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range 64 {
+			handoff(i) // warm the pools, the pending sets and known
+		}
+		if got := len(c.nodes[0].pages[0].pending); got != logLen {
+			t.Fatalf("%d notices pending at node 0, want the log's %d", got, logLen)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range ops {
+			handoff(i)
+		}
+		runtime.ReadMemStats(&after)
+		if got := len(c.nodes[mgr].locks[mgr].log); got != logLen {
+			t.Fatalf("manager log grew to %d notices, want %d", got, logLen)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / ops
+	}
+	small, large := perOp(16), perOp(512)
+	t.Logf("lock hand-off: %.0f B/op with 16-notice grants, %.0f B/op with 512", small, large)
+	if large-small > grantBytesSpread {
+		t.Errorf("512-notice grants cost %.0f B/op more than 16-notice ones, want under %d: the grant's size allocates", large-small, grantBytesSpread)
 	}
 }

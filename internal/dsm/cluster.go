@@ -293,6 +293,7 @@ func New(cfg Config) (*Cluster, error) {
 				return nil, err
 			}
 			reply, pinned, err := n.serve(from, m)
+			recycleRequest(m)
 			if err != nil {
 				return nil, err
 			}
@@ -303,7 +304,7 @@ func New(cfg Config) (*Cluster, error) {
 			// once it has consumed the decoded reply — see
 			// Cluster.callFrame), then drop whatever the reply pinned:
 			// retained diff references (the encode copied their bytes
-			// to the wire) and the reply's pooled page image.
+			// to the wire) and the reply's pooled page image or notices.
 			out := msg.EncodeTo(msg.GetBuf(), reply)
 			pinned.release()
 			recycleReply(reply)
@@ -780,8 +781,13 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 		n := c.nodes[i]
 		costs[i] += c.costs.BarrierBase
 		n.lockSync()
+		// Dropped, not truncated: shipped sub-slices (closed intervals,
+		// releases, pull histories) alias the old arrays. They regrow
+		// from nil: re-made at the old capacity (or the old length) they
+		// allocate more bytes, because successive epochs of one
+		// application differ in size (ocean_tcp +4 % alloc_kb_per_iter).
 		n.fresh = nil
-		n.known = nil // dropped, not truncated: shipped sub-slices alias it
+		n.known = nil
 		clear(n.knownHave)
 		if c.cfg.FaultTolerance {
 			n.replSent = 0
@@ -1535,6 +1541,9 @@ func (c *Cluster) AcquireLock(node, tid int, lock int32) (sim.Time, error) {
 		n.lockPos[primary] = grant.Pos
 	}
 	n.mu.Unlock()
+	// The pending sets and known hold copies: the list is dead, whether
+	// it was decoded or served in place.
+	msg.PutNotices(grant.Notices)
 	if c.cfg.HomeMigration && grant.Holder >= 0 && int(grant.Holder) != node {
 		// Forwarding mode: the shard manager granted the lock but holds
 		// no notices — the previous holder kept them. Pull the lock's
@@ -1581,6 +1590,7 @@ func (c *Cluster) pullLockHistory(node int, lock int32, holder int, seen []int32
 	n.lockSync()
 	n.addKnownLocked(g.Notices)
 	n.mu.Unlock()
+	msg.PutNotices(g.Notices) // copied, as in AcquireLock
 	c.stats.LockForwards.Add(1)
 	return wire, nil
 }

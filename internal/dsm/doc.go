@@ -134,7 +134,9 @@
 // (node.locks), reset in one place (resetLockState). A history pull is
 // chosen from its holder: the node's own known prefix, or the holder's
 // replicated history on its standby, up to the mark a release recorded
-// there. One filter (appendUnseen) builds both kinds of grant. The lock
+// there. One filter (appendUnseen) builds both kinds of grant, into a
+// pooled notice list (msg.GetNotices) that the handler returns after the
+// encode and the acquirer after the apply. The lock
 // messages travel the diff path's route: to the primary or the holder, to
 // its standby while it is dead, or served in place. Under fault tolerance
 // every release that lands on another node also records the releaser's

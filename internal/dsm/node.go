@@ -88,6 +88,10 @@ func (st *pageState) noteApplied(nodes int, writer, interval int32) {
 // notices if the grant reply is dropped and the transport retries the
 // acquire — the retried request would be served from past the notices
 // the requester never received.
+//
+// No sub-slice of log ever leaves the manager: grants copy the notices
+// they carry out of it under lockMgrMu (appendUnseen into a pooled list),
+// so reset can truncate the log and keep its backing array.
 type mgrLog struct {
 	log  []msg.Notice
 	have map[[3]int32]bool // (page, writer, interval)
@@ -119,10 +123,12 @@ func (ml *mgrLog) add(ns []msg.Notice) {
 	}
 }
 
-// reset empties the log at a barrier. A node that manages no lock
+// reset empties the log at a barrier. It truncates rather than drops the
+// log (nothing aliases it, see mgrLog), so the next epoch refills the same
+// array instead of regrowing one by doubling. A node that manages no lock
 // traffic — every node of a barrier-only application — pays nothing.
 func (ml *mgrLog) reset() {
-	ml.log = nil
+	ml.log = ml.log[:0]
 	clear(ml.have)
 	clear(ml.lockLam)
 	clear(ml.holder)
@@ -960,7 +966,7 @@ func (n *node) serveLockAcquire(req *msg.LockAcquire) (msg.Message, error) {
 			start = int(req.Pos)
 		}
 	}
-	grant.Notices = appendUnseen(grant.Notices, ml.log[start:], req.Node, req.Seen)
+	grant.Notices = appendUnseen(msg.GetNotices(), ml.log[start:], req.Node, req.Seen)
 	return grant, nil
 }
 
@@ -1032,7 +1038,7 @@ func (n *node) serveLockPull(req *msg.LockPull) (msg.Message, error) {
 		n.replMu.Unlock()
 	}
 	grant := &msg.LockGrant{Lock: req.Lock, Lam: lam, Holder: req.Holder}
-	grant.Notices = appendUnseen(grant.Notices, history, req.Node, req.Seen)
+	grant.Notices = appendUnseen(msg.GetNotices(), history, req.Node, req.Seen)
 	if n.c.cfg.Mutation == MutationNoTransitivity {
 		// Test-only bug: forward only the holder's own notices, dropping
 		// the received history a correct holder must propagate (lost
@@ -1044,7 +1050,10 @@ func (n *node) serveLockPull(req *msg.LockPull) (msg.Message, error) {
 
 // appendUnseen is the grant filter: it appends to dst the notices of
 // history that requester has not seen — neither its own nor covered by its
-// seen vector.
+// seen vector. The serves pass a pooled list (msg.GetNotices) as dst; the
+// handler returns it once the grant is encoded (recycleReply), and a grant
+// served in place is returned by its acquirer. Either way the grant owns a
+// copy, never a view of the history.
 func appendUnseen(dst, history []msg.Notice, requester int32, seen []int32) []msg.Notice {
 	for _, nt := range history {
 		if nt.Writer == requester || (int(nt.Writer) < len(seen) && nt.Interval <= seen[nt.Writer]) {

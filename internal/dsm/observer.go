@@ -123,7 +123,9 @@ type Probe struct {
 	// NoticesDelivered fires when write notices reach a node through a
 	// consistency path. Re-deliveries (transport retries, re-broadcast
 	// phases) fire again with the same notices; observers must be
-	// idempotent, exactly like the protocol's own dedup.
+	// idempotent, exactly like the protocol's own dedup. The slice is
+	// valid only during the call (a grant's list is recycled after it):
+	// copy what you keep.
 	NoticesDelivered func(node int, via DeliverVia, notices []msg.Notice)
 	// DiffApplied fires for every diff applied to a node's page copy,
 	// with the notice naming it and the path that applied it.

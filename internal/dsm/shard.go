@@ -213,17 +213,34 @@ func putPageBuf(b []byte) {
 	pageBufPool.Put(&b)
 }
 
-// recycleReply returns a served reply's page buffer to the pool. Called
-// by the transport handler after the reply has been encoded to the wire:
-// the encode copied the image into the reply frame, and that frame is
-// all the requester ever sees, so the image can back the next serve.
-// Every PageReply a serve builds holds a getPageBuf buffer or nil (the
-// single-writer forwarders copy the owner's image into one) — diff
+// recycleReply returns a served reply's pooled storage. Called by the
+// transport handler after the reply has been encoded to the wire: the
+// encode copied the image or notices into the reply frame, and that frame
+// is all the requester ever sees, so they can back the next serve. Every
+// PageReply a serve builds holds a getPageBuf buffer or nil (the
+// single-writer forwarders copy the owner's image into one), and every
+// LockGrant a notice list the grant filter built (appendUnseen) — diff
 // replies alias the immutable stored diffs and must never be recycled.
 func recycleReply(m msg.Message) {
-	if pr, ok := m.(*msg.PageReply); ok {
-		image := pr.Data
-		pr.Data = nil
+	switch r := m.(type) {
+	case *msg.PageReply:
+		image := r.Data
+		r.Data = nil
 		putPageBuf(image)
+	case *msg.LockGrant:
+		msg.PutNotices(r.Notices)
+		r.Notices = nil
+	}
+}
+
+// recycleRequest returns a decoded request's notice list to the pool once
+// the handler has served it. Only a LockRelease's list qualifies: its
+// serve copies the notices into the manager log and keeps nothing. A
+// request served in place (route.call to this node) never passes here —
+// its notices are a view of the releaser's known set.
+func recycleRequest(m msg.Message) {
+	if rel, ok := m.(*msg.LockRelease); ok {
+		msg.PutNotices(rel.Notices)
+		rel.Notices = nil
 	}
 }

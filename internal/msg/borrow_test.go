@@ -144,6 +144,49 @@ func TestBorrowsNamesThePayloadKinds(t *testing.T) {
 	}
 }
 
+// TestNoticeRecycleRoundTrip pins the notice pool's contract: a list
+// returned with PutNotices reads as poison in race builds (and untouched
+// otherwise), and a later decode that draws it from the pool holds
+// exactly the notices it decoded — never a tail of the earlier list.
+func TestNoticeRecycleRoundTrip(t *testing.T) {
+	notices := func(n int, base int32) []Notice {
+		out := make([]Notice, n)
+		for i := range out {
+			v := base + int32(i)
+			out[i] = Notice{Page: v, Writer: v % 4, Interval: v + 1, Lam: v + 2}
+		}
+		return out
+	}
+	decodeGrant := func(ns []Notice) *LockGrant {
+		t.Helper()
+		m, err := Decode(Encode(&LockGrant{Lock: 1, Lam: 2, Pos: 3, Holder: -1, Notices: ns}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.(*LockGrant)
+	}
+	first := decodeGrant(notices(9, 100))
+	if !reflect.DeepEqual(first.Notices, notices(9, 100)) {
+		t.Fatalf("first grant decoded %v", first.Notices)
+	}
+	stale := first.Notices[:cap(first.Notices)]
+	PutNotices(first.Notices)
+	for i, nt := range stale {
+		want := notices(9, 100)
+		if poisonOnPut {
+			if nt != poisonNotice {
+				t.Fatalf("notice %d after PutNotices = %+v, want poison", i, nt)
+			}
+		} else if i < len(want) && nt != want[i] {
+			t.Fatalf("notice %d after PutNotices = %+v, want it untouched", i, nt)
+		}
+	}
+	second := decodeGrant(notices(2, 500))
+	if !reflect.DeepEqual(second.Notices, notices(2, 500)) {
+		t.Fatalf("second grant decoded %+v, want exactly the 2 encoded notices", second.Notices)
+	}
+}
+
 // TestPutBufPoison pins the race-build switch: PutBuf fills the whole
 // capacity with poisonByte exactly when poisonOnPut is set.
 func TestPutBufPoison(t *testing.T) {

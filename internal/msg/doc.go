@@ -39,4 +39,14 @@
 // recycles it with PutBuf. Forgetting the PutBuf costs garbage, never
 // correctness; using a payload after it is the bug, and race builds make
 // it loud — there PutBuf fills the buffer with 0xDB before pooling it.
+//
+// Notice lists follow the same rule. Decode draws each one from a pool
+// (GetNotices), and whoever knows a list is dead may return it with
+// PutNotices; a list nobody returns is garbage, never a bug. The DSM has
+// three owners that return theirs: the transport handler, for a served
+// LockGrant once it is encoded and for a decoded LockRelease once it is
+// served; and the acquirer, for a received grant once its notices are
+// queued and recorded. A list that is kept — a BarrierRelease the tree
+// fan-out stores — is simply never returned. Race builds fill a returned
+// list with a notice naming page and writer -0x2425.
 package msg

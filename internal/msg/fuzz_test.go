@@ -116,7 +116,38 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 		if re := Encode(got); !bytes.Equal(re, enc) {
 			t.Fatalf("re-encode diverged:\nin:  % x\nout: % x", enc, re)
 		}
+		// Decode again after returning the first decode's notice lists:
+		// the second decode may draw those very lists from the pool, and
+		// must still hold exactly the encoded notices.
+		putNoticeLists(got)
+		again, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("second decode failed: %v", err)
+		}
+		if re := Encode(again); !bytes.Equal(re, enc) {
+			t.Fatalf("decode into recycled notice lists diverged:\nin:  % x\nout: % x", enc, re)
+		}
 	})
+}
+
+// putNoticeLists returns every notice list of a decoded message to the
+// pool.
+func putNoticeLists(m Message) {
+	switch v := m.(type) {
+	case *PageRequest:
+		PutNotices(v.Pending)
+	case *BarrierEnter:
+		PutNotices(v.Notices)
+	case *BarrierRelease:
+		PutNotices(v.Notices)
+	case *LockGrant:
+		PutNotices(v.Notices)
+	case *LockRelease:
+		PutNotices(v.Notices)
+	case *ReplicaDelta:
+		PutNotices(v.Notices)
+		PutNotices(v.Known)
+	}
 }
 
 // buildFuzzMessage constructs a message of the given kind from fuzzed

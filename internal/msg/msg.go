@@ -3,6 +3,7 @@ package msg
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -589,6 +590,59 @@ func PutBuf(b []byte) {
 // poisonByte is what a race build's PutBuf fills a recycled buffer with.
 const poisonByte = 0xDB
 
+// noticePool backs GetNotices/PutNotices the way bufPool backs
+// GetBuf/PutBuf: entries are *[]Notice headers with live backing arrays,
+// and the empty headers cycle through noticeHdrPool, so a Get/Put cycle
+// moves pointers only.
+var noticePool sync.Pool
+
+// noticeHdrPool holds empty *[]Notice headers awaiting reuse by PutNotices.
+var noticeHdrPool = sync.Pool{New: func() any { return new([]Notice) }}
+
+// GetNotices returns a pooled, zero-length notice list to append to, or
+// nil when the pool is empty (append allocates then, as it would have).
+// Decode draws every non-empty notice list from here. Return it with
+// PutNotices once nothing reads it any more.
+func GetNotices() []Notice {
+	v := noticePool.Get()
+	if v == nil {
+		return nil
+	}
+	h := v.(*[]Notice)
+	ns := *h
+	*h = nil
+	noticeHdrPool.Put(h)
+	return ns[:0]
+}
+
+// PutNotices recycles a notice list: one GetNotices returned, one Decode
+// filled, or any list the caller owns outright. The rule is PutBuf's:
+// whoever knows a list is dead may return it, and must not reference it
+// afterwards. Forgetting to return one costs garbage, never correctness.
+// A list with no capacity is dropped.
+//
+// Race builds overwrite the list's whole capacity with poisonNotice
+// first, so a read through a stale alias names an impossible page and
+// writer instead of whatever the next user happened to store.
+func PutNotices(ns []Notice) {
+	if cap(ns) == 0 {
+		return
+	}
+	if poisonOnPut {
+		ns = ns[:cap(ns)]
+		for i := range ns {
+			ns[i] = poisonNotice
+		}
+	}
+	h := noticeHdrPool.Get().(*[]Notice)
+	*h = ns
+	noticePool.Put(h)
+}
+
+// poisonNotice is what a race build's PutNotices fills a recycled list
+// with: a negative page and writer no protocol path accepts.
+var poisonNotice = Notice{Page: -0x2425, Writer: -0x2425, Interval: -0x2425, Lam: -0x2425}
+
 // Borrows reports whether a decoded message of kind k holds byte fields
 // that alias the buffer it was decoded from (PageReply.Data, the Diffs of
 // DiffReply / DiffBatchReply / ReplicaDelta, BarrierRelease's pushed
@@ -605,8 +659,9 @@ func (k Kind) Borrows() bool {
 // Decode parses a message produced by Encode. It borrows: every []byte
 // field of the result is a sub-slice of b (capacity clipped to its
 // length, so an append can never write into b), valid for as long as the
-// caller leaves b alone. Integer and notice fields are copied out as
-// before. Kind.Borrows names the kinds that have such fields.
+// caller leaves b alone. Integer and notice fields are copied out; notice
+// lists are drawn from the notice pool, and their owner may return them
+// with PutNotices. Kind.Borrows names the kinds that have byte fields.
 func Decode(b []byte) (Message, error) {
 	// Each case calls its type's decodeBody directly rather than through
 	// the Message interface: a static call lets the decoder stay on this
@@ -1468,6 +1523,9 @@ func (d *decoder) pushes() ([]PushedDiff, error) {
 	return out, nil
 }
 
+// notices decodes a counted []Notice into a list drawn from the notice
+// pool (GetNotices), truncated to exactly the count. A zero count is an
+// empty non-nil list that owns no memory.
 func (d *decoder) notices() ([]Notice, error) {
 	n, err := d.length()
 	if err != nil {
@@ -1477,7 +1535,10 @@ func (d *decoder) notices() ([]Notice, error) {
 	if n > (len(d.buf)-d.off)/noticeWire {
 		return nil, fmt.Errorf("msg: bad notice count %d", n)
 	}
-	out := make([]Notice, n)
+	if n == 0 {
+		return []Notice{}, nil
+	}
+	out := slices.Grow(GetNotices(), n)[:n]
 	for i := range out {
 		if out[i].Page, err = d.i32(); err != nil {
 			return nil, err

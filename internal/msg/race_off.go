@@ -2,6 +2,6 @@
 
 package msg
 
-// poisonOnPut makes PutBuf overwrite a buffer before pooling it; see
+// poisonOnPut makes PutBuf and PutNotices overwrite what they pool; see
 // race_on.go.
 const poisonOnPut = false
