@@ -32,10 +32,11 @@ lint: doc-links
 		echo "lint: staticcheck not installed, skipping (run 'make tools')"; fi
 
 ## doc-links: verify every relative link and anchor in the top-level
-## markdown set (README/DESIGN/ARCHITECTURE/EXPERIMENTS) resolves, and
-## that DESIGN.md names every dsm.Config field and msg.Kind.
+## markdown set (README/DESIGN/ARCHITECTURE/EXPERIMENTS) resolves, that
+## every internal/ and cmd/ path DESIGN.md and ARCHITECTURE.md cite
+## exists, and that DESIGN.md names every dsm.Config field and msg.Kind.
 doc-links:
-	$(GO) test -run 'TestDocLinks|TestDesignNamesConfigAndKinds' .
+	$(GO) test -run 'TestDocLinks|TestDocsCiteExistingPaths|TestDesignNamesConfigAndKinds' .
 
 ## tools: one-time install of the analysis tools check/CI use. Requires
 ## network access; CI's lint job runs the same installs. Versions are
@@ -94,7 +95,7 @@ bench-e2e:
 ## copy; a clean tree afterwards means nothing drifted.
 ##   prefetch   demand calls with prefetch + batching: <= 5% growth per app
 ##   managers   tree barrier depth <= 2*ceil(log2 n); sharded node-0 lock share <= 50%
-##   serving    <= 5% QPS/p99 regression per row; home migration beats static
+##   serving    <= 5% QPS/p99 regression per row; grant forwarding beats static on p99 and QPS
 ##   placement  <= 5% elapsed/call regression per row; combined beats thread-only and data-only somewhere
 ##   failover   clean, crash and crash+rejoin legs digest identically; call counts exact
 ##   transport  fast/slow topology stretches the run; elapsed and per-link traffic exact

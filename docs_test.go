@@ -128,6 +128,28 @@ func TestDocLinks(t *testing.T) {
 	}
 }
 
+// citedPathRE matches a backticked source path: a package directory, a
+// file under internal/ or cmd/, optionally with a :line suffix. Globs and
+// command lines (a `*` or a space inside the backticks) do not match.
+var citedPathRE = regexp.MustCompile("`((?:internal|cmd)/[^`\\s*:]+)(?::\\d+)?`")
+
+// TestDocsCiteExistingPaths fails on a source path DESIGN.md or
+// ARCHITECTURE.md cites that is not in the tree, so a deleted or renamed
+// file cannot leave its description behind.
+func TestDocsCiteExistingPaths(t *testing.T) {
+	for _, doc := range []string{"DESIGN.md", "ARCHITECTURE.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range citedPathRE.FindAllStringSubmatch(string(data), -1) {
+			if _, err := os.Stat(m[1]); err != nil {
+				t.Errorf("%s cites %s, which does not exist", doc, m[1])
+			}
+		}
+	}
+}
+
 var laneRowRE = regexp.MustCompile("(?m)^\\| `(\\w+)` \\| `(BENCH_\\w+\\.json)` \\|")
 
 // TestLanesTableMatchesRegistry keeps EXPERIMENTS.md's lane table equal

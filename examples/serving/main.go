@@ -4,9 +4,9 @@
 // splits every tenant group across all nodes); active correlation
 // tracking runs over the warm-up window; min-cost partitioning derives
 // the group structure from the tracked matrix; and one migration round
-// applies it before measurement starts — with home migration moving
-// page homes after the threads. Placement quality shows up as p99, not
-// epoch time: GETs are lock-free, so the tail is remote-miss-dominated.
+// applies it before measurement starts — with lock-grant forwarding in
+// the last variant. Placement quality shows up as p99, not epoch time:
+// GETs are lock-free, so the tail is remote-miss-dominated.
 package main
 
 import (
@@ -51,24 +51,24 @@ func run() error {
 	}{
 		{"static", false, actdsm.ClusterConfig{BatchDiffs: true}},
 		{"min-cost", true, actdsm.ClusterConfig{BatchDiffs: true}},
-		{"min-cost+homemig", true, actdsm.ClusterConfig{BatchDiffs: true, HomeMigration: true}},
+		{"min-cost+forward", true, actdsm.ClusterConfig{BatchDiffs: true, LockForwarding: true}},
 	} {
 		rep, err := serveVariant(cfg, nodes, variant.track, variant.cluster)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-17s %8.0f qps   p50 %6.1fµs  p99 %6.1fµs  p999 %6.1fµs   %4d remote misses, %d lock fwd, %d home moves\n",
+		fmt.Printf("%-17s %8.0f qps   p50 %6.1fµs  p99 %6.1fµs  p999 %6.1fµs   %4d remote misses, %d lock fwd\n",
 			variant.name, rep.QPS,
 			rep.P50.Seconds()*1e6, rep.P99.Seconds()*1e6, rep.P999.Seconds()*1e6,
-			rep.RemoteMisses, rep.LockForwards, rep.HomeMigrations)
+			rep.RemoteMisses, rep.LockForwards)
 	}
 
 	fmt.Println("\nMin-cost placement rediscovers the tenant groups from the tracked")
-	fmt.Println("matrix and co-locates them, removing most remote misses; home")
-	fmt.Println("migration then moves the migrated threads' hot pages to their new")
-	fmt.Println("nodes and forwards lock grants, which is where the p99 win lands.")
-	fmt.Println("The same ablation is the 'actbench -only serving' regression gate")
-	fmt.Println("behind BENCH_serving.json.")
+	fmt.Println("matrix and co-locates them, removing most remote misses; lock-grant")
+	fmt.Println("forwarding then lets a PUT pull its stripe's history from the last")
+	fmt.Println("holder instead of through the manager, which is where the p99 win")
+	fmt.Println("lands. The same ablation is the 'actbench -only serving' regression")
+	fmt.Println("gate behind BENCH_serving.json.")
 	return nil
 }
 

@@ -153,10 +153,7 @@ func TestSystemPlacementController(t *testing.T) {
 	}
 	ctrlCfg := actdsm.DefaultControllerConfig()
 	ctrlCfg.Period = 1
-	sys, err := actdsm.NewSystem(app, 4,
-		actdsm.WithClusterConfig(actdsm.ClusterConfig{HomeMigration: true}),
-		actdsm.WithPlacementController(ctrlCfg),
-	)
+	sys, err := actdsm.NewSystem(app, 4, actdsm.WithPlacementController(ctrlCfg))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,14 +51,13 @@ type Scenario struct {
 	// pull-prefetch, push, and batched-diff paths.
 	PrefetchBudget int
 	BatchDiffs     bool
-	// LockShards, BarrierArity, and HomeMigration forward to
+	// LockShards, BarrierArity, and LockForwarding forward to
 	// dsm.Config, covering the decentralized managers: sharded lock
-	// management, the tree barrier, and migrating page homes with
-	// grant forwarding. The oracle's lock model follows the same
-	// configuration.
-	LockShards    int
-	BarrierArity  int
-	HomeMigration bool
+	// management, the tree barrier, and lock-grant forwarding. The
+	// oracle's lock model follows the same configuration.
+	LockShards     int
+	BarrierArity   int
+	LockForwarding bool
 	// Crashes enables dsm.Config.FaultTolerance and asks the plan
 	// generator for that many deterministic node crashes per trial,
 	// sited at calibrated barrier-protocol call numbers (so the crash
@@ -97,43 +96,46 @@ func Scenarios() []Scenario {
 		{Name: "Ocean4", App: "Ocean", Threads: 4, Nodes: 4, Iterations: 3, PrefetchBudget: -1},
 		{Name: "LU4", App: "LU1k", Threads: 4, Nodes: 4, Iterations: 4, BatchDiffs: true},
 		{Name: "LockChain4", App: "LockChain", Threads: 4, Nodes: 4, Iterations: 5, BatchDiffs: true},
-		// Decentralized managers: tree barriers, migrating homes, and
-		// sharded/forwarded locks, at the paper's scale and beyond (the
-		// 32-node tree exercises a 5-level fan-in).
+		// Decentralized managers: tree barriers and sharded/forwarded
+		// locks, at the paper's scale and beyond (the 32-node tree
+		// exercises a 5-level fan-in). SOR takes no locks, so its rows
+		// leave forwarding off.
 		{Name: "SOR8tree", App: "SOR", Threads: 8, Nodes: 8, Iterations: 3,
-			BatchDiffs: true, BarrierArity: 2, HomeMigration: true},
+			BatchDiffs: true, BarrierArity: 2},
 		{Name: "Ocean4mig", App: "Ocean", Threads: 4, Nodes: 4, Iterations: 3,
-			PrefetchBudget: -1, BarrierArity: 3, HomeMigration: true},
+			PrefetchBudget: -1, BarrierArity: 3, LockForwarding: true},
 		{Name: "LockChain4fwd", App: "LockChain", Threads: 4, Nodes: 4, Iterations: 5,
-			BatchDiffs: true, HomeMigration: true, LockShards: 2},
+			BatchDiffs: true, LockForwarding: true, LockShards: 2},
 		{Name: "SOR32tree", App: "SOR", Threads: 32, Nodes: 32, Iterations: 2,
-			BarrierArity: 2, HomeMigration: true},
+			BarrierArity: 2},
 		// Online co-orchestration: the placement controller migrating
 		// threads and queueing explicit home moves every iteration while
 		// chaos faults land — the full track → decide → migrate loop under
 		// the oracle.
 		{Name: "Ocean4ctl", App: "Ocean", Threads: 4, Nodes: 4, Iterations: 4,
-			BatchDiffs: true, HomeMigration: true, Controller: true},
+			BatchDiffs: true, LockForwarding: true, Controller: true},
 		// Online serving: zipfian lock-striped KV requests instead of
 		// barrier-phased array sweeps — irregular page/lock interleavings
-		// per window, with and without the migration machinery.
+		// per window, with and without grant forwarding.
 		{Name: "Serve4", App: "ServeKV", Threads: 4, Nodes: 4, Iterations: 4, BatchDiffs: true},
 		{Name: "Serve4mig", App: "ServeKV", Threads: 4, Nodes: 4, Iterations: 4,
-			PrefetchBudget: -1, HomeMigration: true, LockShards: 2, BarrierArity: 2},
-		// Crash-fault tolerance: every decentralized-manager extension
-		// enabled, one deterministic crash per trial (with and without a
-		// scheduled restart). Batching and prefetch are on — a dead
-		// writer's diffs reach batched fetches, pull prefetch and push
-		// collection from its standby's replica store — except in the
+			PrefetchBudget: -1, LockForwarding: true, LockShards: 2, BarrierArity: 2},
+		// Crash-fault tolerance: one deterministic crash per trial (with
+		// and without a scheduled restart) over sharded locks and a tree
+		// barrier. The lock chain forwards grants under FT; the serving
+		// row ships notices through the managers, so both lock-release
+		// protocols run under crashes. Batching and prefetch are on — a
+		// dead writer's diffs reach batched fetches, pull prefetch and
+		// push collection from its standby's replica store — except in the
 		// lock chain, which keeps the unbatched route under a crash.
 		{Name: "SOR4ft", App: "SOR", Threads: 4, Nodes: 4, Iterations: 4,
 			BatchDiffs: true, PrefetchBudget: -1,
-			LockShards: 2, BarrierArity: 2, HomeMigration: true, Crashes: 1},
+			LockShards: 2, BarrierArity: 2, Crashes: 1},
 		{Name: "LockChain4ft", App: "LockChain", Threads: 4, Nodes: 4, Iterations: 5,
-			LockShards: 2, BarrierArity: 2, HomeMigration: true, Crashes: 1, Restart: true},
+			LockShards: 2, BarrierArity: 2, LockForwarding: true, Crashes: 1, Restart: true},
 		{Name: "Serve4ft", App: "ServeKV", Threads: 4, Nodes: 4, Iterations: 4,
 			BatchDiffs: true, PrefetchBudget: -1,
-			LockShards: 2, BarrierArity: 2, HomeMigration: true, Crashes: 1, Restart: true},
+			LockShards: 2, BarrierArity: 2, Crashes: 1, Restart: true},
 		// Diff garbage collection at every barrier: static homes (so the
 		// home of a page is rarely its writer and must consolidate), then
 		// the same under a crash that may land inside the round.
@@ -153,9 +155,9 @@ func Scenarios() []Scenario {
 func BigTreeScenarios() []Scenario {
 	return []Scenario{
 		{Name: "SOR64tree", App: "SOR", Threads: 64, Nodes: 64, Iterations: 2,
-			BarrierArity: 2, HomeMigration: true},
+			BarrierArity: 2},
 		{Name: "LockChain32fwd", App: "LockChain", Threads: 32, Nodes: 32, Iterations: 3,
-			HomeMigration: true},
+			LockForwarding: true},
 	}
 }
 
@@ -399,7 +401,7 @@ func RunTrial(tr Trial) TrialResult {
 		PrefetchBudget:   tr.Scenario.PrefetchBudget,
 		LockShards:       tr.Scenario.LockShards,
 		BarrierArity:     tr.Scenario.BarrierArity,
-		HomeMigration:    tr.Scenario.HomeMigration,
+		LockForwarding:   tr.Scenario.LockForwarding,
 		FaultTolerance:   tr.Scenario.Crashes > 0 || len(tr.Plan.Crashes) > 0,
 		GCThresholdBytes: tr.Scenario.GCThresholdBytes,
 		// Tight retry budget: enough attempts that a single injected
@@ -422,7 +424,7 @@ func RunTrial(tr Trial) TrialResult {
 	oracle := NewOracleWithConfig(OracleConfig{
 		Nodes:          tr.Scenario.Nodes,
 		LockShards:     tr.Scenario.LockShards,
-		LockForwarding: tr.Scenario.HomeMigration,
+		LockForwarding: tr.Scenario.LockForwarding,
 	})
 	oracle.Attach(cl)
 

@@ -107,8 +107,8 @@ type OracleConfig struct {
 	// folded onto this many shards before mapping shards onto nodes.
 	// 0 means one shard per node.
 	LockShards int
-	// LockForwarding mirrors dsm.Config.HomeMigration's lock side:
-	// releases ship no notices to the shard manager; the next acquirer
+	// LockForwarding mirrors dsm.Config.LockForwarding: releases ship
+	// no notices to the shard manager; the next acquirer
 	// pulls the lock's history from the previous holder. The oracle
 	// then models a per-lock front (the chain of holder release
 	// fronts) instead of a per-manager shared log.
@@ -120,7 +120,7 @@ type OracleConfig struct {
 // attach with Attach, drive traffic, then call Finish with the run's
 // stats snapshot. Violations accumulates everything detected.
 //
-// Migrated page homes (dsm.Config.HomeMigration) need no oracle state:
+// Moved page homes (dsm.Cluster.QueueHomeMoves) need no oracle state:
 // the model tracks causal fronts and per-replica applied sets, which
 // are independent of which node serves a page. The serve-path
 // consolidation exemption ("apply-beyond-front") already names the

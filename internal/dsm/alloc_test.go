@@ -217,7 +217,7 @@ func TestNoticeIngestAllocs(t *testing.T) {
 // TestLockHandoffAllocCeiling is the dsm.lock_handoff rung: two nodes
 // alternate acquire, write, release on one lock, with a barrier every 256
 // hand-offs bounding the notice history a release ships. The plain row is
-// the rung itself; under HomeMigration every grant names the other node as
+// the rung itself; under LockForwarding every grant names the other node as
 // the holder and the acquire adds a LockPull to it.
 func TestLockHandoffAllocCeiling(t *testing.T) {
 	skipUnderRace(t)
@@ -230,7 +230,7 @@ func TestLockHandoffAllocCeiling(t *testing.T) {
 		{"forwarded", true, lockForwardAllocCeiling},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := New(Config{Nodes: 2, Pages: 1, GCThresholdBytes: -1, HomeMigration: tc.forward})
+			c, err := New(Config{Nodes: 2, Pages: 1, GCThresholdBytes: -1, LockForwarding: tc.forward})
 			if err != nil {
 				t.Fatal(err)
 			}

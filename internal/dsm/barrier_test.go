@@ -112,8 +112,9 @@ func (v variantCell) String() string {
 }
 
 // runBarrierVariant drives one seeded multi-epoch workload — per-node
-// lane writes, a lock chain incrementing shared counters, home migration
-// and diff garbage collection — under the given barrier variant.
+// lane writes, a forwarded lock chain incrementing shared counters, a
+// queued home move every epoch and diff garbage collection — under the
+// given barrier variant.
 func runBarrierVariant(t *testing.T, nodes, arity int, cell variantCell) variantRun {
 	t.Helper()
 	const npages, epochs = 5, 6 // the last page holds the lock-protected counters
@@ -121,7 +122,7 @@ func runBarrierVariant(t *testing.T, nodes, arity int, cell variantCell) variant
 		Nodes:            nodes,
 		Pages:            npages,
 		BarrierArity:     arity,
-		HomeMigration:    true,
+		LockForwarding:   true,
 		SerialFanOut:     true,
 		GCThresholdBytes: 1500,
 		BatchDiffs:       cell.batch,
@@ -165,6 +166,10 @@ func runBarrierVariant(t *testing.T, nodes, arity int, cell variantCell) variant
 			if _, err := c.ReleaseLock(node, node, int32(lock)); err != nil {
 				t.Fatal(err)
 			}
+		}
+		// Every node wrote this epoch, so every target holds a copy.
+		if err := c.QueueHomeMoves(map[int]int{epoch % npages: (epoch + 1) % nodes}); err != nil {
+			t.Fatal(err)
 		}
 		costs, err := c.Barrier()
 		if err != nil {
@@ -228,10 +233,10 @@ func TestBarrierVariantsEquivalent(t *testing.T) {
 					name := fmt.Sprintf("arity=%d/%v", arity, cell)
 					r := runBarrierVariant(t, nodes, arity, cell)
 					runs[arity] = r
-					if r.counters.GCRounds == 0 || r.counters.HomeMigrations == 0 ||
+					if r.counters.GCRounds == 0 || r.counters.PlacementHomeMoves == 0 || r.counters.LockForwards == 0 ||
 						(batch && r.counters.DiffBatchFetches == 0) || (prefetch != 0 && r.counters.PrefetchedPages == 0) {
-						t.Fatalf("%s: %d GC rounds, %d home migrations, %d batched fetches, %d prefetched pages; test proves nothing",
-							name, r.counters.GCRounds, r.counters.HomeMigrations, r.counters.DiffBatchFetches, r.counters.PrefetchedPages)
+						t.Fatalf("%s: %d GC rounds, %d home moves, %d lock forwards, %d batched fetches, %d prefetched pages; test proves nothing",
+							name, r.counters.GCRounds, r.counters.PlacementHomeMoves, r.counters.LockForwards, r.counters.DiffBatchFetches, r.counters.PrefetchedPages)
 					}
 					if ref == nil {
 						ref = &r

@@ -109,14 +109,11 @@ type Config struct {
 	// exchange with every node a child of the root. 1 and negative
 	// values are invalid.
 	BarrierArity int
-	// HomeMigration enables the distributed-ownership extensions:
-	// page homes migrate to each page's last writer at every barrier
-	// (the decisions ride the release fan-out), and lock grants
-	// forward — the manager names the lock's last releaser and the
-	// acquirer pulls causal history from it directly, so releases stop
-	// shipping notices through the manager. Multi-writer protocol
-	// only.
-	HomeMigration bool
+	// LockForwarding turns on lock-grant forwarding: the manager names
+	// the lock's last releaser and the acquirer pulls causal history
+	// from it directly, so releases stop shipping notices through the
+	// manager. Multi-writer protocol only.
+	LockForwarding bool
 	// FaultTolerance enables crash-fault tolerance for the decentralized
 	// managers (DESIGN.md §12): every node replicates its interval state
 	// and lock-manager state to its ring successor, manager roles fail
@@ -180,8 +177,7 @@ type Cluster struct {
 	writeHist []int64
 	// queuedHomes holds the placement controller's explicit page-home
 	// moves (page → target node). They ride the next barrier episode's
-	// release fan-out — overriding the last-writer heuristic's decision
-	// for the same page — and clear once the episode succeeds.
+	// release fan-out and clear once the episode succeeds.
 	queuedHomes map[int32]int32
 
 	// viewMu guards the membership view below. Failover routing takes
@@ -257,8 +253,8 @@ func New(cfg Config) (*Cluster, error) {
 			knob = "PrefetchBudget"
 		case cfg.BatchDiffs:
 			knob = "BatchDiffs"
-		case cfg.HomeMigration:
-			knob = "HomeMigration"
+		case cfg.LockForwarding:
+			knob = "LockForwarding"
 		case cfg.FaultTolerance:
 			knob = "FaultTolerance"
 		}
@@ -412,8 +408,8 @@ func nodeForID(id int64, n int) int {
 }
 
 // staticHome returns the page's initial home node (round-robin
-// distribution) — the placement every page starts at and, without
-// HomeMigration, keeps forever.
+// distribution) — the placement every page starts at and keeps until an
+// explicit home move (QueueHomeMoves) changes it.
 func (c *Cluster) staticHome(p vm.PageID) int { return nodeForID(int64(p), c.cfg.Nodes) }
 
 // lockShards returns the effective lock-shard count (see
@@ -756,9 +752,10 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 		c.stats.RecoveryRounds.Add(1)
 	}
 
+	queued := c.queuedMoves()
 	var ep barrierOutcome
 	err := c.rerunOnViewChange(func() (err error) {
-		ep, err = c.barrierAttempt(episode, costs)
+		ep, err = c.barrierAttempt(episode, queued, costs)
 		return err
 	})
 	if err != nil {
@@ -837,7 +834,7 @@ type barrierOutcome struct {
 }
 
 // barrierAttempt runs the barrier's phases once over the current view.
-func (c *Cluster) barrierAttempt(episode int32, costs []sim.Time) (barrierOutcome, error) {
+func (c *Cluster) barrierAttempt(episode int32, queued []queuedMove, costs []sim.Time) (barrierOutcome, error) {
 	var out barrierOutcome
 	view := c.aliveList()
 	if len(view) == 0 {
@@ -929,16 +926,11 @@ func (c *Cluster) barrierAttempt(episode int32, costs []sim.Time) (barrierOutcom
 		}
 		return cmp.Compare(a.Page, b.Page)
 	})
-	// Home migration: derive this episode's ownership moves from the
-	// sorted union; the decisions ride the release fan-out so every
-	// member applies them while its threads are still parked. The
-	// placement controller's explicit moves are folded in on top,
-	// overriding the last-writer heuristic where both speak.
+	// The placement controller's queued home moves ride the release
+	// fan-out, so every member applies them while its threads are still
+	// parked.
 	var homes []msg.PageHome
-	if c.cfg.HomeMigration {
-		homes = c.migrationDecisionsAll(c.nodes[root], notices, c.cfg.FaultTolerance)
-	}
-	homes, out.homeMoved, out.homeSkipped = c.queuedHomeDecisions(c.nodes[root], homes)
+	homes, out.homeMoved, out.homeSkipped = c.queuedHomeDecisions(queued)
 	out.notices = notices
 
 	// The root's release carries every other member's pushed diffs in its
@@ -984,7 +976,7 @@ func (c *Cluster) barrierAttempt(episode int32, costs []sim.Time) (barrierOutcom
 	}
 
 	if c.cfg.FaultTolerance {
-		// Standby upkeep for migrated homes: the new home's ring successor
+		// Standby upkeep for moved homes: the new home's ring successor
 		// must hold a copy (the invariant failover full-fetches rely on); a
 		// successor without one fetches it now, while threads are parked.
 		for _, ph := range homes {
@@ -1168,57 +1160,6 @@ func (c *Cluster) buildChildRelease(view []int, k, parent, pos int, episode int3
 	return rel, nil
 }
 
-// migrationDecisionsAll derives the episode's home migrations from the
-// sorted notice union, reading the current home table from root (the
-// barrier's root, which need not be node 0): each written page's home
-// moves to its last writer — the writer of the page's causally latest
-// notice (max Lamport clock, then interval; the lowest writer id breaks
-// exact ties) — so a node that keeps writing a page stops round-tripping
-// its readers through a fixed third-party home. The last writer closed
-// the interval that produced the notice, so it necessarily holds a
-// current copy of its own writes; any other writers' diffs it pulls on
-// demand when first serving the page, exactly as the static manager
-// would.
-//
-// With all set, every written page's last-writer home is announced,
-// including ones the root's table already records. Fault tolerance needs
-// the full set: a crash mid-release leaves the decisions applied on some
-// nodes (the root among them) and not others, and a re-run that filtered
-// against the root's updated table would drop exactly the entries the
-// un-released nodes are missing, leaving home directories divergent.
-// HomeMigrations counts only actual moves, and — because the root
-// applies its own release before any other member is sent one — counts
-// each once even when a re-run or a later episode re-derives the
-// decision.
-func (c *Cluster) migrationDecisionsAll(root *node, notices []msg.Notice, all bool) []msg.PageHome {
-	last := make(map[int32]msg.Notice)
-	for _, nt := range notices {
-		cur, ok := last[nt.Page]
-		if !ok || nt.Lam > cur.Lam ||
-			(nt.Lam == cur.Lam && nt.Interval > cur.Interval) ||
-			(nt.Lam == cur.Lam && nt.Interval == cur.Interval && nt.Writer < cur.Writer) {
-			last[nt.Page] = nt
-		}
-	}
-	var homes []msg.PageHome
-	var moved int64
-	for p, nt := range last {
-		if int(p) < 0 || int(p) >= c.cfg.Pages {
-			continue
-		}
-		changed := root.home(vm.PageID(p)) != int(nt.Writer)
-		if changed {
-			moved++
-		}
-		if all || changed {
-			homes = append(homes, msg.PageHome{Page: p, Home: nt.Writer})
-		}
-	}
-	sort.Slice(homes, func(i, j int) bool { return homes[i].Page < homes[j].Page })
-	c.stats.HomeMigrations.Add(moved)
-	return homes
-}
-
 // recordWriteHistory folds one completed episode's sorted notice union
 // into the per-(page, writer) write history. Barrier invokes it once per
 // successful episode, with the final attempt's union, so the history
@@ -1264,9 +1205,8 @@ func (c *Cluster) Homes() []int {
 // QueueHomeMoves schedules explicit page-home moves (page → target
 // node) on behalf of the placement controller. The moves ride the next
 // barrier episode's release fan-out — applied on every node while
-// application threads are parked, overriding the last-writer
-// heuristic's decision for the same page — and the queue clears when
-// that episode succeeds. At apply time a move is dropped (counted in
+// application threads are parked — and the queue clears when that
+// episode succeeds. At apply time a move is dropped (counted in
 // Stats.PlacementHomeSkips) when its target is dead or no longer holds
 // a copy of the page: garbage collection invalidates non-home replicas,
 // and a home must hold a base image to serve the page. Later calls for
@@ -1294,46 +1234,67 @@ func (c *Cluster) QueueHomeMoves(moves map[int]int) error {
 	return nil
 }
 
-// queuedHomeDecisions folds the queued explicit home moves into an
-// episode's decision set, reading current homes from root. The queue is
-// left intact (commitQueuedHomes consumes it after the episode
-// succeeds; barrier attempts may re-run this). Returns the merged
-// decisions plus how many queued moves actually change a home and how
-// many were dropped (dead target, or target without a page copy).
-func (c *Cluster) queuedHomeDecisions(root *node, homes []msg.PageHome) ([]msg.PageHome, int64, int64) {
+// queuedMove is one queued explicit home move, with the page's home when
+// the barrier episode carrying it began.
+type queuedMove struct {
+	page     int32
+	from, to int32
+}
+
+// queuedMoves snapshots the queued explicit home moves in page order at
+// the start of a barrier episode. The queue is left intact
+// (commitQueuedHomes consumes it after the episode succeeds). Every alive
+// node holds the same home table between barriers, so the view's first
+// member supplies each move's starting home.
+func (c *Cluster) queuedMoves() []queuedMove {
 	c.histMu.Lock()
-	queued := make([]msg.PageHome, 0, len(c.queuedHomes))
-	for p, h := range c.queuedHomes {
-		queued = append(queued, msg.PageHome{Page: p, Home: h})
+	queued := make([]queuedMove, 0, len(c.queuedHomes))
+	for p, to := range c.queuedHomes {
+		queued = append(queued, queuedMove{page: p, to: to})
 	}
 	c.histMu.Unlock()
 	if len(queued) == 0 {
-		return homes, 0, 0
+		return nil
 	}
-	sort.Slice(queued, func(i, j int) bool { return queued[i].Page < queued[j].Page })
-	byPage := make(map[int32]int, len(homes))
-	for i, ph := range homes {
-		byPage[ph.Page] = i
+	view := c.aliveList()
+	if len(view) == 0 {
+		return nil // the attempt fails on the empty view
 	}
+	first := c.nodes[view[0]]
+	for i := range queued {
+		queued[i].from = int32(first.home(vm.PageID(queued[i].page)))
+	}
+	sort.Slice(queued, func(i, j int) bool { return queued[i].page < queued[j].page })
+	return queued
+}
+
+// queuedHomeDecisions turns an episode's queued moves into the PageHome
+// decisions its release carries. Returns the decisions plus how many
+// moves change a home and how many were dropped (dead target, or target
+// without a page copy). Barrier attempts re-run this over the same
+// snapshot, so a move is counted against the home the episode began with.
+//
+// Without fault tolerance only moves that change a home are announced.
+// Under it every kept move is: a crash mid-release leaves an attempt's
+// release applied on some members (the root among them) and not others,
+// and a re-run that dropped the moves the root's table already records
+// would drop exactly the entries the un-released members lack, leaving
+// home tables divergent (TestFailoverQueuedHomeMove).
+func (c *Cluster) queuedHomeDecisions(queued []queuedMove) ([]msg.PageHome, int64, int64) {
+	var homes []msg.PageHome
 	var moved, skipped int64
 	for _, q := range queued {
-		p := vm.PageID(q.Page)
-		to := int(q.Home)
-		if c.isDead(to) || !c.nodeHasCopy(to, p) {
+		if c.isDead(int(q.to)) || !c.nodeHasCopy(int(q.to), vm.PageID(q.page)) {
 			skipped++
 			continue
 		}
-		if root.home(p) != to {
+		if q.from != q.to {
 			moved++
 		}
-		if i, ok := byPage[q.Page]; ok {
-			homes[i].Home = q.Home
-		} else if root.home(p) != to {
-			byPage[q.Page] = len(homes)
-			homes = append(homes, q)
+		if q.from != q.to || c.cfg.FaultTolerance {
+			homes = append(homes, msg.PageHome{Page: q.page, Home: q.to})
 		}
 	}
-	sort.Slice(homes, func(i, j int) bool { return homes[i].Page < homes[j].Page })
 	return homes, moved, skipped
 }
 
@@ -1544,7 +1505,7 @@ func (c *Cluster) AcquireLock(node, tid int, lock int32) (sim.Time, error) {
 	// The pending sets and known hold copies: the list is dead, whether
 	// it was decoded or served in place.
 	msg.PutNotices(grant.Notices)
-	if c.cfg.HomeMigration && grant.Holder >= 0 && int(grant.Holder) != node {
+	if c.cfg.LockForwarding && grant.Holder >= 0 && int(grant.Holder) != node {
 		// Forwarding mode: the shard manager granted the lock but holds
 		// no notices — the previous holder kept them. Pull the lock's
 		// causal history directly from that holder.
@@ -1650,7 +1611,7 @@ func (c *Cluster) ReleaseLock(node, tid int, lock int32) (sim.Time, error) {
 func (n *node) lockRelease(lock int32, primary int) *msg.LockRelease {
 	n.lockSync()
 	rel := &msg.LockRelease{Node: int32(n.id), Lock: lock, Lam: n.lamport.Load()}
-	if n.c.cfg.HomeMigration {
+	if n.c.cfg.LockForwarding {
 		n.lockMark[lock] = len(n.known)
 	} else {
 		rel.Notices = n.known[n.sentKnown[primary]:] // stable without mu: known is append-only

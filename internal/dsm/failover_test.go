@@ -267,7 +267,7 @@ func TestFailoverLockShardManager(t *testing.T) {
 }
 
 // TestFailoverForwardedHolder kills the holder a forwarded grant names:
-// under HomeMigration the manager keeps no notices, so once node 0 has
+// under LockForwarding the manager keeps no notices, so once node 0 has
 // released and died, the next acquirer's LockPull is answered by node 0's
 // standby from the replicated history marked at the release. The mark
 // must be recorded wherever the release lands, including when the
@@ -283,7 +283,7 @@ func TestFailoverForwardedHolder(t *testing.T) {
 			forEachFTMode(t, func(t *testing.T, mode ftMode) {
 				for _, crash := range []bool{false, true} {
 					cfg := ftConfig(mode, nodes, npages, nil)
-					cfg.HomeMigration = true
+					cfg.LockForwarding = true
 					c, err := New(cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -569,34 +569,36 @@ func TestFailoverDeadWriterDiffs(t *testing.T) {
 	})
 }
 
-// TestFailoverHomeDirectory crashes the home of a migrated page: with
-// HomeMigration the page's last writer became its home, so killing that
+// TestFailoverHomeDirectory crashes the home of a moved page: the victim
+// wrote every page and a queued move made it their home, so killing that
 // node takes down both the page image and the diff directory entry. The
-// ring standby (refreshed by the migrated-home upkeep at the barrier)
-// must serve the page, and a reader must still see the dead home's
-// writes.
+// ring standby (refreshed by the moved-home upkeep at the barrier) must
+// serve the page, and a reader must still see the dead home's writes.
 func TestFailoverHomeDirectory(t *testing.T) {
 	const nodes, npages = 4, 3
 	const victim = 1
 	const wordsPerPage = memlayout.PageSize / 4
 	forEachFTMode(t, func(t *testing.T, mode ftMode) {
-		cfg := ftConfig(mode, nodes, npages, nil)
-		cfg.HomeMigration = true
-		c, err := New(cfg)
+		c, err := New(ftConfig(mode, nodes, npages, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer func() { _ = c.Close() }()
 
-		// The victim becomes the sole writer — and so the migrated home — of
-		// every page.
+		// The victim becomes the sole writer, and then the home, of every
+		// page.
+		moves := make(map[int]int, npages)
 		for p := 0; p < npages; p++ {
 			wf32(t, c, victim, victim, p*wordsPerPage, float32(100+p))
+			moves[p] = victim
+		}
+		if err := c.QueueHomeMoves(moves); err != nil {
+			t.Fatal(err)
 		}
 		epoch(t, c)
 		for p := 0; p < npages; p++ {
 			if got := c.nodes[0].home(vm.PageID(p)); got != victim {
-				t.Fatalf("page %d home = %d, want migrated to %d", p, got, victim)
+				t.Fatalf("page %d home = %d, want moved to %d", p, got, victim)
 			}
 		}
 
@@ -617,6 +619,77 @@ func TestFailoverHomeDirectory(t *testing.T) {
 			t.Fatal("no failovers recorded; reads never re-routed to the standby")
 		}
 		epoch(t, c)
+		if err := c.CheckCoherence(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestFailoverQueuedHomeMove crashes an interior node of the barrier tree
+// on the release that would carry a queued home move to it. The root has
+// applied the move before the fan-out reaches the victim, and the victim's
+// child never gets it; the episode's re-run must still announce the move to
+// the child, so every alive node agrees on the page's home, and
+// PlacementHomeMoves must count the move once.
+func TestFailoverQueuedHomeMove(t *testing.T) {
+	const nodes, npages = 4, 2
+	const victim, target, page = 1, 2, 0 // arity 2: node 1 relays to node 3
+	const word = page * memlayout.PageSize / 4
+	forEachFTMode(t, func(t *testing.T, mode ftMode) {
+		run := func(chaos *transport.ChaosOptions) *Cluster {
+			cfg := ftConfig(mode, nodes, npages, chaos)
+			cfg.BarrierArity = 2
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = c.Close() })
+			wf32(t, c, target, target, word, 7) // the target now holds a copy
+			epoch(t, c)
+			if err := c.QueueHomeMoves(map[int]int{page: target}); err != nil {
+				t.Fatal(err)
+			}
+			epoch(t, c)
+			return c
+		}
+		log := &transport.CallLog{}
+		run(&transport.ChaosOptions{Plan: transport.RecordingPlan(nil, log)})
+		var crashCall int64
+		nth := 2 // the second episode's release to the victim
+		for _, r := range log.Records() {
+			if r.Kind == byte(msg.KindBarrierRelease) && r.From == 0 && r.To == victim {
+				if nth--; nth == 0 {
+					crashCall = r.Call
+					break
+				}
+			}
+		}
+		if crashCall == 0 {
+			t.Fatal("calibration never saw the release to crash at")
+		}
+
+		c := run(&transport.ChaosOptions{Crashes: []sim.CrashSchedule{{Node: victim, Call: crashCall}}})
+		snap := c.Stats().Snapshot()
+		if snap.Crashes != 1 || snap.RecoveryRounds == 0 {
+			t.Fatalf("Crashes = %d, RecoveryRounds = %d; the crash missed the release phase", snap.Crashes, snap.RecoveryRounds)
+		}
+		homes := c.Homes()
+		if homes[page] != target {
+			t.Fatalf("page %d home = %d, want %d", page, homes[page], target)
+		}
+		for _, i := range survivorsOf(nodes, victim) {
+			for p, want := range homes {
+				if got := c.nodes[i].home(vm.PageID(p)); got != want {
+					t.Fatalf("node %d: page %d home = %d, node 0 says %d", i, p, got, want)
+				}
+			}
+		}
+		if snap.PlacementHomeMoves != 1 {
+			t.Fatalf("PlacementHomeMoves = %d, want 1", snap.PlacementHomeMoves)
+		}
+		if got := rf32(t, c, 3, 3, word); got != 7 {
+			t.Fatalf("node 3 reads %v, want 7", got)
+		}
 		if err := c.CheckCoherence(); err != nil {
 			t.Fatal(err)
 		}

@@ -128,12 +128,24 @@ func TestGCFanOutModesEquivalent(t *testing.T) {
 	run := func(serial, migrate bool) result {
 		c, err := New(Config{
 			Nodes: nodes, Pages: npages, GCThresholdBytes: 1,
-			SerialFanOut: serial, HomeMigration: migrate,
+			SerialFanOut: serial,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer func() { _ = c.Close() }()
+		if migrate {
+			// Every page moves off its static home at the first barrier's
+			// release, before that barrier's round, so every round
+			// consolidates at the moved homes.
+			moves := make(map[int]int, npages)
+			for p := 0; p < npages; p++ {
+				moves[p] = (p + 1) % nodes
+			}
+			if err := c.QueueHomeMoves(moves); err != nil {
+				t.Fatal(err)
+			}
+		}
 		shadow := make([]float32, npages*memlayout.PageSize/4)
 		gcWorkload(t, c, shadow, npages, []int{0, 1, 2, 3}, 0, rounds)
 		r := result{counters: c.Stats().Snapshot().Counters(), homes: fmt.Sprint(c.Homes())}

@@ -43,7 +43,7 @@ func chainTurn(step int) (node, lock int) {
 // lockCell is one configuration of the lock path.
 type lockCell struct {
 	shards  int  // Config.LockShards
-	forward bool // Config.HomeMigration: grants name the holder to pull from
+	forward bool // Config.LockForwarding: grants name the holder to pull from
 	ft      bool
 	crash   string // "", or whom the crash leg kills: "primary" or "holder"
 }
@@ -94,7 +94,7 @@ func runLockChain(t *testing.T, cell lockCell, crashCall int64) (lockRun, error)
 		Nodes:            chainNodes,
 		Pages:            npages,
 		LockShards:       cell.shards,
-		HomeMigration:    cell.forward,
+		LockForwarding:   cell.forward,
 		FaultTolerance:   cell.ft,
 		SerialFanOut:     true,
 		GCThresholdBytes: -1,

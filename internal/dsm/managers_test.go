@@ -144,26 +144,34 @@ func TestTreeBarrierShapes(t *testing.T) {
 	}
 }
 
-// TestHomeMigration checks the tentpole behaviour: after a barrier, a
-// written page's home is its last writer, later demand fetches are
-// served by the new home, and coherence holds across further rounds.
+// TestHomeMigration checks an explicit home move end to end: after the
+// barrier that carries a queued move, every node agrees on the page's new
+// home, later demand fetches are served by it, and coherence holds
+// across further moves.
 func TestHomeMigration(t *testing.T) {
-	c, err := New(Config{Nodes: 3, Pages: 3, HomeMigration: true})
+	c, err := New(Config{Nodes: 3, Pages: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
+	move := func(page, to int) {
+		t.Helper()
+		if err := c.QueueHomeMoves(map[int]int{page: to}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
-	// Page 1's static home is node 1; node 2 writes it.
+	// Page 1's static home is node 1; node 2 writes it and takes it over.
 	wf32(t, c, 2, 16, 1024, 7.5)
+	move(1, 2)
 	barrier(t, c)
 	for i := 0; i < 3; i++ {
 		if got := c.nodes[i].home(1); got != 2 {
 			t.Fatalf("node %d thinks page 1's home is %d, want 2", i, got)
 		}
 	}
-	if got := c.Stats().Snapshot().HomeMigrations; got == 0 {
-		t.Fatal("no HomeMigrations counted")
+	if got := c.Stats().Snapshot().PlacementHomeMoves; got != 1 {
+		t.Fatalf("PlacementHomeMoves = %d, want 1", got)
 	}
 	// Demand fetch from node 0 must be served by the new home.
 	var calls []msg.Kind
@@ -181,7 +189,7 @@ func TestHomeMigration(t *testing.T) {
 		if k == msg.KindPageRequest {
 			foundPageReq = true
 			if dests[i] != 2 {
-				t.Fatalf("page request went to node %d, want migrated home 2", dests[i])
+				t.Fatalf("page request went to node %d, want moved home 2", dests[i])
 			}
 		}
 	}
@@ -189,8 +197,9 @@ func TestHomeMigration(t *testing.T) {
 		t.Fatal("no PageRequest observed on demand miss")
 	}
 
-	// Ownership follows the latest writer on later barriers.
+	// A later move hands the page on again.
 	wf32(t, c, 0, 0, 1025, 8.5)
+	move(1, 0)
 	barrier(t, c)
 	if got := c.nodes[1].home(1); got != 0 {
 		t.Fatalf("page 1 home after second barrier = %d, want 0", got)
@@ -203,9 +212,9 @@ func TestHomeMigration(t *testing.T) {
 	}
 }
 
-// TestHomeMigrationWorkloads soaks migration (with GC, which must
-// consolidate at the migrated home) against the shadow-checked
-// workload, flat and tree.
+// TestHomeMigrationWorkloads soaks home moves (with GC, which must
+// consolidate at the moved home) against the shadow-checked workload,
+// flat and tree.
 func TestHomeMigrationWorkloads(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -221,7 +230,6 @@ func TestHomeMigrationWorkloads(t *testing.T) {
 			const nodes, npages = 4, 4
 			c, err := New(Config{
 				Nodes: nodes, Pages: npages,
-				HomeMigration:    true,
 				BarrierArity:     tc.arity,
 				GCThresholdBytes: tc.gc,
 			})
@@ -230,10 +238,12 @@ func TestHomeMigrationWorkloads(t *testing.T) {
 			}
 			defer func() { _ = c.Close() }()
 			// Rotate sole ownership: in round r, node (p+r)%nodes writes
-			// page p, so every barrier moves every page's home.
+			// page p and takes over its home, so every barrier moves every
+			// page's home.
 			words := npages * memlayout.PageSize / 4
 			shadow := make([]float32, words)
 			for round := 0; round < 4; round++ {
+				moves := make(map[int]int, npages)
 				for p := 0; p < npages; p++ {
 					node := (p + round) % nodes
 					for k := 0; k < 4; k++ {
@@ -242,6 +252,10 @@ func TestHomeMigrationWorkloads(t *testing.T) {
 						wf32(t, c, node, node, w, val)
 						shadow[w] = val
 					}
+					moves[p] = node
+				}
+				if err := c.QueueHomeMoves(moves); err != nil {
+					t.Fatal(err)
 				}
 				barrier(t, c)
 				for p := 0; p < npages; p++ {
@@ -260,8 +274,10 @@ func TestHomeMigrationWorkloads(t *testing.T) {
 			if err := c.CheckCoherence(); err != nil {
 				t.Fatal(err)
 			}
-			if got := c.Stats().Snapshot().HomeMigrations; got == 0 {
-				t.Fatal("workload migrated nothing; test proves nothing")
+			// Round 0 writes every page at its static home; each later
+			// round moves all of them.
+			if got, want := c.Stats().Snapshot().PlacementHomeMoves, int64(3*npages); got != want {
+				t.Fatalf("PlacementHomeMoves = %d, want %d", got, want)
 			}
 		})
 	}
@@ -325,12 +341,12 @@ func TestLockShardsSpread(t *testing.T) {
 	}
 }
 
-// TestLockGrantForwarding checks the migrating-ownership lock path: the
+// TestLockGrantForwarding checks the forwarded lock path: the
 // shard manager redirects an acquirer to the previous holder, the
 // holder serves the history directly, and causality is preserved
 // across a three-node hand-off chain.
 func TestLockGrantForwarding(t *testing.T) {
-	c, err := New(Config{Nodes: 3, Pages: 2, HomeMigration: true})
+	c, err := New(Config{Nodes: 3, Pages: 2, LockForwarding: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +399,7 @@ func TestForwardedGrantPullRetry(t *testing.T) {
 	var dropped atomic.Bool
 	c, err := New(Config{
 		Nodes: 3, Pages: 1,
-		HomeMigration: true,
+		LockForwarding: true,
 		Transport: transport.Options{
 			MaxAttempts: 4,
 			BackoffBase: time.Microsecond,
@@ -467,7 +483,7 @@ func TestShardedLockChaosDedup(t *testing.T) {
 	run := func(chaos *transport.ChaosOptions) Snapshot {
 		c, err := New(Config{
 			Nodes: 3, Pages: 2,
-			HomeMigration:    true,
+			LockForwarding:   true,
 			GCThresholdBytes: -1,
 			Transport: transport.Options{
 				MaxAttempts: 6,
@@ -591,7 +607,7 @@ func TestChaosPlanReplayDeterminism(t *testing.T) {
 		c, err := New(Config{
 			Nodes: 5, Pages: 4,
 			BarrierArity:     2,
-			HomeMigration:    true,
+			LockForwarding:   true,
 			SerialFanOut:     true,
 			BarrierRetries:   2,
 			GCThresholdBytes: -1,
@@ -722,7 +738,7 @@ func TestDiffAliasGCHammer(t *testing.T) {
 }
 
 // TestDistributedManagersEndToEnd runs the fully decentralized
-// configuration — tree barrier, sharded locks, migrating homes, GC,
+// configuration — tree barrier, sharded and forwarded locks, GC,
 // batching and prefetch — over both transports against the shadow
 // workload.
 func TestDistributedManagersEndToEnd(t *testing.T) {
@@ -735,7 +751,7 @@ func TestDistributedManagersEndToEnd(t *testing.T) {
 			c, err := New(Config{
 				Nodes: 4, Pages: 4,
 				BarrierArity:     2,
-				HomeMigration:    true,
+				LockForwarding:   true,
 				GCThresholdBytes: 1,
 				BatchDiffs:       true,
 				PrefetchBudget:   8,

@@ -100,7 +100,7 @@ type mgrLog struct {
 	// holder[lock] is the node that last released the lock (grant
 	// forwarding: the manager names the holder instead of shipping
 	// history, and the acquirer pulls from it directly). Only
-	// maintained when Config.HomeMigration is on.
+	// maintained when Config.LockForwarding is on.
 	holder map[int32]int32
 }
 
@@ -188,8 +188,8 @@ type node struct {
 	prefetchOn bool
 
 	// homes[p] is the page's current home node. Initialized to the
-	// static round-robin placement; rewritten only by HomeMigration
-	// decisions riding barrier releases. Atomic because demand serves
+	// static round-robin placement; rewritten only by explicit home
+	// moves riding barrier releases. Atomic because demand serves
 	// read it while a barrier-release server goroutine updates it.
 	homes []atomic.Int32
 
@@ -365,8 +365,8 @@ func newNode(id int, c *Cluster, npages int) *node {
 }
 
 // home returns the page's current home node: the static round-robin
-// placement until a HomeMigration decision moves it to the page's last
-// writer.
+// placement until an explicit home move (Cluster.QueueHomeMoves) changes
+// it.
 func (n *node) home(p vm.PageID) int { return int(n.homes[p].Load()) }
 
 // pageData returns the byte window of page p in the node's segment.
@@ -618,7 +618,7 @@ func (n *node) resolveFault(tid int, p vm.PageID, a vm.Access) error {
 }
 
 // fetchFullPage brings a page current via its current home (the static
-// manager until a migration moves it, or — under fault tolerance — the
+// manager until a home move changes it, or — under fault tolerance — the
 // home's ring standby while the home is dead), charging the round trip to
 // ti. tid is the faulting thread (< 0 for server-side fetches) and src
 // classifies the path for the probe: ApplyDemand for fault-path fetches,
@@ -744,10 +744,9 @@ func noRelease(m msg.Message, err error) (msg.Message, retained, error) {
 // servePageRequest brings the home's own copy of the page current
 // (merging the requester's pending notices with its own) and replies with
 // the full page image. The reply's page buffer is pooled; the transport
-// handler recycles it after encoding. With HomeMigration the serving
-// node may be a migrated home rather than the static manager; it holds
-// the last writer's copy and pulls any other writers' diffs on demand,
-// exactly as the static manager would.
+// handler recycles it after encoding. The serving node may be a moved
+// home rather than the static manager; it pulls the writers' diffs on
+// demand, exactly as the static manager would.
 func (n *node) servePageRequest(req *msg.PageRequest) (msg.Message, error) {
 	p := vm.PageID(req.Page)
 	if n.effHome(p) != n.id {
@@ -860,9 +859,9 @@ func (n *node) serveBarrierRelease(req *msg.BarrierRelease) (msg.Message, error)
 	}
 	n.seen = seen
 	n.mu.Unlock()
-	// Home migration decisions apply while application threads are
-	// parked and no page requests are in flight; idempotent (a re-
-	// delivered release stores the same homes).
+	// Home moves apply while application threads are parked and no page
+	// requests are in flight; idempotent (a re-delivered release stores
+	// the same homes).
 	for _, ph := range req.Homes {
 		if int(ph.Page) >= 0 && int(ph.Page) < len(n.homes) {
 			n.homes[ph.Page].Store(ph.Home)
@@ -951,7 +950,7 @@ func (n *node) serveLockAcquire(req *msg.LockAcquire) (msg.Message, error) {
 		return nil, err
 	}
 	grant := &msg.LockGrant{Lock: req.Lock, Lam: ml.lockLam[req.Lock], Holder: -1}
-	if n.c.cfg.HomeMigration {
+	if n.c.cfg.LockForwarding {
 		if h, ok := ml.holder[req.Lock]; ok {
 			grant.Holder = h
 		}
@@ -990,7 +989,7 @@ func (n *node) serveLockRelease(req *msg.LockRelease) (msg.Message, error) {
 	}
 	ml.add(req.Notices)
 	ml.lockLam[req.Lock] = maxI32(ml.lockLam[req.Lock], req.Lam)
-	if n.c.cfg.HomeMigration {
+	if n.c.cfg.LockForwarding {
 		ml.holder[req.Lock] = req.Node
 	}
 	n.lockMgrMu.Unlock()

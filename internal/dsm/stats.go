@@ -133,11 +133,8 @@ type CounterSet[T any] struct {
 	LockAcquires T
 	// LockForwards counts acquisitions whose grant was forwarded: the
 	// lock's shard manager redirected the acquirer to the previous
-	// holder, which served the notices directly (HomeMigration mode).
+	// holder, which served the notices directly (Config.LockForwarding).
 	LockForwards T
-	// HomeMigrations counts page homes moved to the page's last writer
-	// at a barrier (HomeMigration mode).
-	HomeMigrations T
 	// GCCollections counts pages consolidated by garbage collection.
 	GCCollections T
 	// GCRounds counts garbage-collection episodes.

@@ -26,8 +26,8 @@ func TestEveryCounterRoundTrips(t *testing.T) {
 				sv.FieldByIndex(f.Index).Addr().Interface().(*atomic.Int64)})
 		}
 	}
-	if len(counters) < 39 {
-		t.Fatalf("found %d counters in Stats, want the 37 comparable ones and the 2 contention counts at least", len(counters))
+	if len(counters) < 38 {
+		t.Fatalf("found %d counters in Stats, want the 36 comparable ones and the 2 contention counts at least", len(counters))
 	}
 
 	for i, c := range counters {

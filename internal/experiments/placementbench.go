@@ -188,8 +188,8 @@ func runPlacementApp(v placementVariant) (PlacementRow, error) {
 
 // runPlacementServing measures one controller variant on the serving
 // leg: the BENCH_serving workload (16 clients, 4 tenant groups) over
-// the heterogeneous topology, block placement, no home-migration
-// heuristic — home moves, when present, come from the controller alone.
+// the heterogeneous topology and block placement; home moves, when
+// present, come from the controller.
 func runPlacementServing(v placementVariant) (PlacementRow, error) {
 	row := PlacementRow{Config: v.name}
 	kv, err := serve.NewKV(servingBenchConfig())

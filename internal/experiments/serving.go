@@ -11,13 +11,13 @@ package experiments
 //   - mincost: active correlation tracking over window 0, then one
 //     min-cost re-placement at the first window boundary — groups
 //     co-locate before the measurement span opens.
-//   - homemig: mincost plus home migration and lock-grant forwarding,
-//     so page homes chase the co-located writers.
+//   - forward: mincost plus lock-grant forwarding, so a PUT's acquirer
+//     pulls the stripe's history from its last holder.
 //
 // Every number is virtual-time deterministic, so the gate both bounds
 // drift against the committed baseline and asserts the headline claim
-// of the serving experiment: home migration beats static placement on
-// p99 latency.
+// of the serving experiment: grant forwarding beats static placement on
+// p99 latency and throughput.
 
 import (
 	"encoding/json"
@@ -35,7 +35,7 @@ import (
 
 // ServingRow is one placement configuration's measurements.
 type ServingRow struct {
-	// Config names the placement variant: static, mincost, or homemig.
+	// Config names the placement variant: static, mincost, or forward.
 	Config string `json:"config"`
 
 	QPS  float64  `json:"qps"`
@@ -43,12 +43,11 @@ type ServingRow struct {
 	P99  sim.Time `json:"p99"`
 	P999 sim.Time `json:"p999"`
 
-	Requests       int64    `json:"requests"`
-	RemoteMisses   int64    `json:"remote_misses"`
-	LockAcquires   int64    `json:"lock_acquires"`
-	LockForwards   int64    `json:"lock_forwards"`
-	HomeMigrations int64    `json:"home_migrations"`
-	Elapsed        sim.Time `json:"elapsed"`
+	Requests     int64    `json:"requests"`
+	RemoteMisses int64    `json:"remote_misses"`
+	LockAcquires int64    `json:"lock_acquires"`
+	LockForwards int64    `json:"lock_forwards"`
+	Elapsed      sim.Time `json:"elapsed"`
 }
 
 // ServingReport is the BENCH_serving.json schema.
@@ -86,9 +85,9 @@ func servingBenchConfig() serve.Config {
 
 // servingVariant describes one ablation leg.
 type servingVariant struct {
-	name          string
-	replace       bool // min-cost re-placement after the tracked window
-	homeMigration bool
+	name    string
+	replace bool // min-cost re-placement after the tracked window
+	forward bool // dsm.Config.LockForwarding
 }
 
 // runServing executes one serving run under the given variant and
@@ -107,10 +106,10 @@ func runServing(v servingVariant) (ServingRow, error) {
 		return row, fmt.Errorf("serving %s: %w", v.name, err)
 	}
 	cl, err := dsm.New(dsm.Config{
-		Nodes:         servingBenchNodes,
-		Pages:         layout.TotalPages(),
-		BatchDiffs:    true,
-		HomeMigration: v.homeMigration,
+		Nodes:          servingBenchNodes,
+		Pages:          layout.TotalPages(),
+		BatchDiffs:     true,
+		LockForwarding: v.forward,
 	})
 	if err != nil {
 		return row, fmt.Errorf("serving %s: %w", v.name, err)
@@ -161,7 +160,6 @@ func runServing(v servingVariant) (ServingRow, error) {
 	row.RemoteMisses = rep.RemoteMisses
 	row.LockAcquires = rep.LockAcquires
 	row.LockForwards = rep.LockForwards
-	row.HomeMigrations = rep.HomeMigrations
 	row.Elapsed = rep.Elapsed
 	return row, nil
 }
@@ -180,7 +178,7 @@ func ServingComparison() (ServingReport, error) {
 	variants := []servingVariant{
 		{name: "static"},
 		{name: "mincost", replace: true},
-		{name: "homemig", replace: true, homeMigration: true},
+		{name: "forward", replace: true, forward: true},
 	}
 	for _, v := range variants {
 		row, err := runServing(v)
@@ -207,16 +205,16 @@ func FormatServingReport(r ServingReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "KV serving, %d clients / %d nodes, %d keys, %.0f%% reads, zipf s=%.1f:\n",
 		r.Clients, r.Nodes, r.Keys, r.ReadFraction*100, r.ZipfS)
-	fmt.Fprintf(&b, "%-10s %12s %10s %10s %10s %10s %9s %9s\n",
-		"config", "QPS", "p50", "p99", "p999", "misses", "lockfwd", "homemig")
+	fmt.Fprintf(&b, "%-10s %12s %10s %10s %10s %10s %9s\n",
+		"config", "QPS", "p50", "p99", "p999", "misses", "lockfwd")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-10s %12.0f %10v %10v %10v %10d %9d %9d\n",
+		fmt.Fprintf(&b, "%-10s %12.0f %10v %10v %10v %10d %9d\n",
 			row.Config, row.QPS, row.P50, row.P99, row.P999,
-			row.RemoteMisses, row.LockForwards, row.HomeMigrations)
+			row.RemoteMisses, row.LockForwards)
 	}
-	if s, h := servingRow(r, "static"), servingRow(r, "homemig"); s != nil && h != nil && s.P99 > 0 {
-		fmt.Fprintf(&b, "homemig p99 is %.2fx static (gate: < 1.0)\n",
-			float64(h.P99)/float64(s.P99))
+	if s, f := servingRow(r, "static"), servingRow(r, "forward"); s != nil && f != nil && s.P99 > 0 {
+		fmt.Fprintf(&b, "forward p99 is %.2fx static (gate: < 1.0)\n",
+			float64(f.P99)/float64(s.P99))
 	}
 	return b.String()
 }
@@ -230,8 +228,8 @@ const ServingRegressionTolerance = 0.05
 
 // CompareServingReports validates a fresh report against the committed
 // baseline: per-variant QPS and p99 within tolerance, and the serving
-// experiment's headline property — home migration beats static
-// placement on p99 — must hold in the fresh measurements.
+// experiment's headline property — grant forwarding beats static
+// placement on p99 and QPS — must hold in the fresh measurements.
 func CompareServingReports(baseline, current []byte) (string, error) {
 	var base, cur ServingReport
 	if err := json.Unmarshal(baseline, &base); err != nil {
@@ -261,16 +259,16 @@ func CompareServingReports(baseline, current []byte) (string, error) {
 				br.Config, cr.P99, br.P99, ServingRegressionTolerance*100))
 		}
 	}
-	s, h := servingRow(cur, "static"), servingRow(cur, "homemig")
+	s, f := servingRow(cur, "static"), servingRow(cur, "forward")
 	switch {
-	case s == nil || h == nil:
-		failures = append(failures, "current report lacks the static/homemig pair")
-	case h.P99 >= s.P99:
+	case s == nil || f == nil:
+		failures = append(failures, "current report lacks the static/forward pair")
+	case f.P99 >= s.P99:
 		failures = append(failures, fmt.Sprintf(
-			"home migration no longer beats static placement on p99: %v vs %v", h.P99, s.P99))
-	case h.QPS <= s.QPS:
+			"grant forwarding no longer beats static placement on p99: %v vs %v", f.P99, s.P99))
+	case f.QPS <= s.QPS:
 		failures = append(failures, fmt.Sprintf(
-			"home migration no longer beats static placement on throughput: %.0f vs %.0f QPS", h.QPS, s.QPS))
+			"grant forwarding no longer beats static placement on throughput: %.0f vs %.0f QPS", f.QPS, s.QPS))
 	}
 	if len(failures) > 0 {
 		return b.String(), fmt.Errorf("serving benchmark regression:\n  %s",

@@ -27,25 +27,25 @@ func TestServingComparison(t *testing.T) {
 			t.Errorf("%s has malformed latency figures: %+v", row.Config, row)
 		}
 	}
-	s, m, h := servingRow(rep, "static"), servingRow(rep, "mincost"), servingRow(rep, "homemig")
-	if s == nil || m == nil || h == nil {
+	s, m, f := servingRow(rep, "static"), servingRow(rep, "mincost"), servingRow(rep, "forward")
+	if s == nil || m == nil || f == nil {
 		t.Fatalf("missing variant row: %+v", rep.Rows)
 	}
 	// The ablation's point: correlation-driven co-location cuts remote
-	// misses, and home migration converts that into better throughput
+	// misses, and grant forwarding converts that into better throughput
 	// AND a better tail than static placement.
 	if m.RemoteMisses >= s.RemoteMisses {
 		t.Errorf("min-cost placement did not reduce misses: %d vs static %d",
 			m.RemoteMisses, s.RemoteMisses)
 	}
-	if h.P99 >= s.P99 {
-		t.Errorf("homemig p99 %v not below static %v", h.P99, s.P99)
+	if f.P99 >= s.P99 {
+		t.Errorf("forward p99 %v not below static %v", f.P99, s.P99)
 	}
-	if h.QPS <= s.QPS {
-		t.Errorf("homemig QPS %.0f not above static %.0f", h.QPS, s.QPS)
+	if f.QPS <= s.QPS {
+		t.Errorf("forward QPS %.0f not above static %.0f", f.QPS, s.QPS)
 	}
-	if h.LockForwards == 0 || h.HomeMigrations == 0 {
-		t.Errorf("homemig leg exercised no migration machinery: %+v", *h)
+	if f.LockForwards == 0 {
+		t.Errorf("forward leg forwarded no grant: %+v", *f)
 	}
 
 	// The gate accepts its own fresh report.
@@ -57,7 +57,7 @@ func TestServingComparison(t *testing.T) {
 	if err != nil {
 		t.Fatalf("self-comparison failed: %v\n%s", err, summary)
 	}
-	for _, name := range []string{"static", "mincost", "homemig"} {
+	for _, name := range []string{"static", "mincost", "forward"} {
 		if !strings.Contains(summary, name) {
 			t.Errorf("comparison summary omits %s:\n%s", name, summary)
 		}

@@ -255,10 +255,10 @@ type BarrierRelease struct {
 	Lam     int32
 	Notices []Notice
 	Push    []PushedDiff
-	// Homes (present only when HomeMigration is on) lists the page-home
-	// reassignments the root computed for the closing epoch; every node
-	// applies them at release time, so all home tables move in lockstep
-	// while application threads are parked.
+	// Homes (present only when page-home moves were queued for the
+	// closing epoch) lists the reassignments; every node applies them at
+	// release time, so all home tables move in lockstep while
+	// application threads are parked.
 	Homes []PageHome
 	// Relay (present only when BarrierArity >= 2) carries the pushed
 	// diffs for the destination's descendants; the destination forwards

@@ -67,8 +67,8 @@ func DefaultControllerConfig() ControllerConfig {
 // node, page → home) assignment under the unified cost model and, when
 // a budgeted candidate improves it past the hysteresis threshold,
 // issues thread migrations and explicit page-home moves together — so
-// the two sides stop fighting (threads chasing data the last-writer
-// heuristic just moved away). Decisions and move counts surface in
+// the two sides cannot fight (threads chasing data a separate home rule
+// just moved away). Decisions and move counts surface in
 // dsm.Stats (PlacementTriggers/Applied/Skipped/ThreadMoves/HomeMoves).
 type Controller struct {
 	cfg     ControllerConfig

@@ -72,11 +72,10 @@ type Report struct {
 	LatencyHist [LatencyBuckets]int64 `json:"latency_hist"`
 
 	// Protocol work over the measurement span.
-	RemoteMisses   int64       `json:"remote_misses"`
-	LockAcquires   int64       `json:"lock_acquires"`
-	LockForwards   int64       `json:"lock_forwards"`
-	HomeMigrations int64       `json:"home_migrations"`
-	Calls          []KindCalls `json:"calls"`
+	RemoteMisses int64       `json:"remote_misses"`
+	LockAcquires int64       `json:"lock_acquires"`
+	LockForwards int64       `json:"lock_forwards"`
+	Calls        []KindCalls `json:"calls"`
 }
 
 // atomicFlag is a set-once boolean safe for cross-goroutine signalling.
@@ -175,7 +174,6 @@ func (kv *KV) Report() (*Report, error) {
 	rep.RemoteMisses = delta.RemoteMisses
 	rep.LockAcquires = delta.LockAcquires
 	rep.LockForwards = delta.LockForwards
-	rep.HomeMigrations = delta.HomeMigrations
 	for _, c := range delta.Calls {
 		if c.Count > 0 {
 			rep.Calls = append(rep.Calls, KindCalls{Kind: c.Kind, Count: c.Count})
