@@ -59,13 +59,14 @@ race:
 ## race' skips these): a warm Span allocates nothing, a remote miss and a
 ## lock hand-off stay under their ceilings, a dense remote miss allocates
 ## its diff once (no decode copy, no growth by doubling), MakeDiff is one
-## allocation, queueing or dropping a write notice allocates nothing, and
-## a lock grant's notice list comes from the pool — a hand-off costs the
-## same bytes whether its grants carry 16 notices or 512
-## (internal/dsm/alloc_test.go). A re-introduced escape or copy fails
-## here, not at the next benchmark run.
+## allocation, queueing or dropping a write notice allocates nothing, a
+## lock grant's notice list comes from the pool — a hand-off costs the
+## same bytes whether its grants carry 16 notices or 512 — and on warm
+## pools a twin, a stored diff's create/serve/GC-drop cycle and a served
+## diff reply's recycle allocate nothing (internal/dsm/alloc_test.go). A
+## re-introduced escape or copy fails here, not at the next benchmark run.
 alloc-gate:
-	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestNoticeIngestAllocs|TestLockHandoffAllocCeiling|TestLockGrantNoticeBytes' -count=1 -v
+	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestNoticeIngestAllocs|TestLockHandoffAllocCeiling|TestLockGrantNoticeBytes|TestDiffLifecycleAllocs' -count=1 -v
 
 ## bench: one benchmark per paper table/figure, plus the ablation,
 ## cut-cost, prefetch and trace-replay comparisons. The substrate

@@ -288,23 +288,7 @@ func New(cfg Config) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			reply, pinned, err := n.serve(from, m)
-			recycleRequest(m)
-			if err != nil {
-				return nil, err
-			}
-			// m borrows from payload, which the transport takes back
-			// when this handler returns: the serves consume a request's
-			// byte fields before returning or copy what they keep.
-			// Encode into a pooled buffer (the requester recycles it
-			// once it has consumed the decoded reply — see
-			// Cluster.callFrame), then drop whatever the reply pinned:
-			// retained diff references (the encode copied their bytes
-			// to the wire) and the reply's pooled page image or notices.
-			out := msg.EncodeTo(msg.GetBuf(), reply)
-			pinned.release()
-			recycleReply(reply)
-			return out, nil
+			return n.respond(from, m)
 		}
 	}
 	var tr transport.Transport
@@ -1337,15 +1321,18 @@ func (c *Cluster) collectGarbage(costs []sim.Time) error {
 	c.stats.GCRounds.Add(1)
 	view := c.aliveList()
 	// The page set, marked under the locks that guard the stores and
-	// walked in ascending order.
+	// walked in ascending order. A page whose interval map a collect has
+	// emptied stores nothing.
 	stored := vm.NewBitmap(c.cfg.Pages)
 	for _, i := range view {
 		n := c.nodes[i]
 		for s := range n.shards {
 			sh := &n.shards[s]
 			sh.mu.RLock()
-			for p := range sh.diffs {
-				stored.Set(p)
+			for p, store := range sh.diffs {
+				if len(store) > 0 {
+					stored.Set(p)
+				}
 			}
 			sh.mu.RUnlock()
 		}

@@ -63,10 +63,18 @@ func newSeededCluster(t *testing.T, shards int) *Cluster {
 	n.replDiffs[replicaOrigin] = make(map[vm.PageID]map[int32][]byte)
 	for p := 0; p < raceShape.Pages; p++ {
 		sh := n.shard(vm.PageID(p))
-		sh.diffs[vm.PageID(p)] = map[int32]*diffRef{1: newDiffRef(append([]byte(nil), df...))}
+		sh.diffs[vm.PageID(p)] = map[int32]*diffRef{1: storedDiff(df)}
 		n.replDiffs[replicaOrigin][vm.PageID(p)] = map[int32][]byte{1: append([]byte(nil), df...)}
 	}
 	return c
+}
+
+// storedDiff copies b into a diff from the store's pool, holding the
+// store's reference, as closeInterval would have encoded it.
+func storedDiff(b []byte) *diffRef {
+	d := getDiffRef()
+	d.b = append(d.b, b...)
+	return d
 }
 
 // discardReply runs one payload-carrying round trip against node 0 and
@@ -323,4 +331,154 @@ func TestRaceLockTrafficDuringServes(t *testing.T) {
 	if ep := fail.Load(); ep != nil {
 		t.Fatal(*ep)
 	}
+}
+
+// writeDense has node 0 overwrite every word of page 0 with the number of
+// the interval it is in, plus one, and closes that interval: its stored
+// diff is one run over the whole page that names the interval it belongs
+// to in every word. Returns the interval.
+func writeDense(t *testing.T, c *Cluster) int32 {
+	t.Helper()
+	n := c.nodes[0]
+	n.lockSync()
+	iv := n.interval
+	n.mu.Unlock()
+	b := mustSpan(t, c, 0, 0, 0, memlayout.PageSize, vm.Write)
+	for w := 0; w < len(b); w += 4 {
+		le.PutUint32(b[w:], uint32(iv)+1)
+	}
+	if closed, _ := n.closeInterval(); len(closed) != 1 || closed[0].Interval != iv {
+		t.Fatalf("closeInterval: %v, want interval %d", closed, iv)
+	}
+	return iv
+}
+
+// checkDense reports whether df is the diff writeDense stored for iv.
+func checkDense(df []byte, iv int32) error {
+	if len(df) != memlayout.PageSize+4 {
+		return fmt.Errorf("interval %d: %d-byte diff, want %d", iv, len(df), memlayout.PageSize+4)
+	}
+	for w := 4; w < len(df); w += 4 {
+		if got := le.Uint32(df[w:]); got != uint32(iv)+1 {
+			return fmt.Errorf("interval %d: diff word %d reads %#x, want %#x", iv, w/4-1, got, uint32(iv)+1)
+		}
+	}
+	return nil
+}
+
+// TestPinnedDiffOutlivesDrop: a stored diff that a serve still pins when
+// the GC drops it is not recycled until the serve lets go — however many
+// intervals close meanwhile, each taking whatever the diff pool holds —
+// so the pinned reply encodes the bytes it was served with. The release
+// that recycles it leaves a count that refuses any later reference by
+// name (errDiffRecycled).
+func TestPinnedDiffOutlivesDrop(t *testing.T) {
+	c := newTestCluster(t, 2, 1)
+	n := c.nodes[0] // page 0's home: a collect drops diffs, never the copy
+	iv := writeDense(t, c)
+	reply, pinned, err := n.serve(1, &msg.DiffRequest{From: 1, Page: 0, Intervals: []int32{iv}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := n.shard(0).diffs[0][iv]
+	for range 8 {
+		if err := n.collectPage(0, false); err != nil {
+			t.Fatal(err)
+		}
+		writeDense(t, c)
+	}
+	if got := ref.refs.Load(); got != 1 {
+		t.Fatalf("dropped diff holds %d references, want the serve's 1", got)
+	}
+	decoded, err := msg.Decode(msg.Encode(reply))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkDense(decoded.(*msg.DiffReply).Diffs[0], iv); err != nil {
+		t.Fatalf("pinned reply, after the diff was dropped and its pool reused: %v", err)
+	}
+	pinned.release()
+	if raceEnabled && ref.refs.Load() != refsRecycled {
+		t.Errorf("recycled diff counts %d references, want the sentinel %d", ref.refs.Load(), refsRecycled)
+	}
+	defer func() {
+		if r := recover(); r != errDiffRecycled {
+			t.Errorf("retain of a recycled diff: recovered %v, want %v", r, errDiffRecycled)
+		}
+	}()
+	ref.retain()
+}
+
+// TestDiffAliasGCHammer is the -race regression for the diff-reply
+// aliasing fix, and for the diff pool that makes it matter: readers serve
+// DiffRequests through the transport handler's body (serve, encode,
+// release, recycle) while the writer keeps closing intervals and
+// garbage-collecting them, so every dropped diff goes back to the pool and
+// out again as the next interval's — while a reader may still pin it.
+// Every diff a reader decodes must name the interval it asked for: bytes
+// re-encoded under a pinned reply would name a later one, and a race
+// build's poison reads 0xdbdbdbdb.
+func TestDiffAliasGCHammer(t *testing.T) {
+	c := newTestCluster(t, 2, 1)
+	n := c.nodes[0]
+	writeDense(t, c)
+
+	stop := make(chan struct{})
+	var (
+		wg      sync.WaitGroup
+		checked atomic.Int64
+	)
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req := &msg.DiffRequest{From: 1, Page: 0, Intervals: make([]int32, 8)}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// The latest eight intervals: some stored, some dropped.
+				n.lockSync()
+				last := n.interval - 1
+				n.mu.Unlock()
+				for i := range req.Intervals {
+					req.Intervals[i] = last - int32(i)
+				}
+				out, err := n.respond(1, req)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				reply, err := msg.Decode(out)
+				if err == nil {
+					for i, df := range reply.(*msg.DiffReply).Diffs {
+						if df != nil && err == nil {
+							err = checkDense(df, req.Intervals[i])
+							checked.Add(1)
+						}
+					}
+				}
+				msg.PutBuf(out)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+
+	// At least 400 intervals, and on until the readers have checked a few
+	// hundred diffs between them, however the goroutines were scheduled.
+	for i := 0; i < 400 || checked.Load() < 400; i++ {
+		writeDense(t, c)
+		if i%4 == 3 {
+			if err := n.collectPage(0, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -83,22 +83,30 @@ func (n *node) readDiffs(w, page int32, ivs []int32, out [][]byte, pinned retain
 	return pinned
 }
 
-// serveDiffRequest answers the single-page kind. The returned pins are
-// released once the reply has been encoded.
+// serveDiffRequest answers the single-page kind. The reply and its pin
+// list are pooled: the transport handler releases the pins and recycles
+// the reply (recycleReply) once the reply has been encoded.
 func (n *node) serveDiffRequest(req *msg.DiffRequest) (msg.Message, retained, error) {
-	out := &msg.DiffReply{Page: req.Page, Diffs: make([][]byte, len(req.Intervals))}
-	return out, n.readDiffs(req.Writer, req.Page, req.Intervals, out.Diffs, nil), nil
+	out := diffReplies.Get().(*msg.DiffReply)
+	out.Page = req.Page
+	out.Diffs = zeroed(out.Diffs, len(req.Intervals))
+	return out, n.readDiffs(req.Writer, req.Page, req.Intervals, out.Diffs, pins.get()), nil
 }
 
 // serveDiffBatchRequest answers the batched kind page by page, taking each
 // page's shard read lock in turn, so concurrent batch serves for disjoint
-// shards (and read-only serves within one) proceed in parallel.
+// shards (and read-only serves within one) proceed in parallel. Its reply
+// is pooled like serveDiffRequest's, each page's Diffs list included.
 func (n *node) serveDiffBatchRequest(req *msg.DiffBatchRequest) (msg.Message, retained, error) {
-	out := &msg.DiffBatchReply{Pages: make([]msg.PageDiffs, len(req.Pages))}
-	var pinned retained
+	out := batchReplies.Get().(*msg.DiffBatchReply)
+	// Resized, not zeroed: each entry keeps its Diffs list for reuse.
+	out.Pages = slices.Grow(out.Pages[:0], len(req.Pages))[:len(req.Pages)]
+	pinned := pins.get()
 	for i, pi := range req.Pages {
-		out.Pages[i] = msg.PageDiffs{Page: pi.Page, Diffs: make([][]byte, len(pi.Intervals))}
-		pinned = n.readDiffs(req.Writer, pi.Page, pi.Intervals, out.Pages[i].Diffs, pinned)
+		pd := &out.Pages[i]
+		pd.Page = pi.Page
+		pd.Diffs = zeroed(pd.Diffs, len(pi.Intervals))
+		pinned = n.readDiffs(req.Writer, pi.Page, pi.Intervals, pd.Diffs, pinned)
 	}
 	return out, pinned, nil
 }

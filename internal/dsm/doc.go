@@ -91,8 +91,9 @@
 //
 // The serve path is also allocation-lean: protocol encode/decode uses
 // pooled buffers (msg.GetBuf/msg.EncodeTo), page-sized twin and reply
-// images come from a page-buffer pool (shard.go), and diff replies alias
-// the immutable stored diffs. Steady-state barrier epochs run at ~zero
+// images come from a page-buffer pool (shard.go), stored diffs are pooled
+// whole, and diff replies — pooled themselves — alias the immutable
+// stored diffs. Steady-state barrier epochs run at ~zero
 // allocations per message on the service path; msg's size_test.go pins
 // the encode, and the benchmark/ ladder tracks dsm.remote_miss_allocs,
 // dsm.barrier_allocs and dsm.lock_handoff_allocs.
@@ -120,9 +121,24 @@
 // (the frame of a remote serve, the pins of a read of the node's own
 // store, nothing for the replica store) that the fetch releases after
 // copy/ApplyDiff on every exit path. The sites that keep decoded bytes
-// longer copy them, and say so. ARCHITECTURE.md §4 tabulates the rules;
-// race builds poison every recycled frame (msg.PutBuf), so the whole test
-// suite and 'make sweep-poison' check them.
+// longer copy them, and say so.
+//
+// A stored diff (diffRef) is its bytes and its reference count in one
+// pooled object. The store holds one reference from closeInterval, which
+// takes the diff from the pool and encodes into the buffer it inherits,
+// to the GC drop (collectPage, or a rejoin wipe); a serve pins one more
+// until its reply is encoded, an in-place read until its lease is
+// released. The last release returns the object whole. A diff serve's
+// reply and pin list are pooled too: after the encode, the transport
+// handler (respond) releases the pins and recycleReply takes back the
+// reply and its lists — never the stored bytes, which belong to the pins.
+// A reply served in place is dropped.
+//
+// ARCHITECTURE.md §4 tabulates the rules. Race builds poison every
+// recycled frame (msg.PutBuf), twin, page image and stored diff, and set
+// a recycled diffRef's count to a sentinel that panics on any later
+// retain or release, so the whole test suite and 'make sweep-poison'
+// check them.
 //
 // # The lock path
 //

@@ -413,11 +413,11 @@ func (n *node) resetForRejoin() {
 	for s := range n.shards {
 		sh := &n.shards[s]
 		sh.mu.Lock()
-		for p, store := range sh.diffs {
+		for _, store := range sh.diffs {
 			for _, d := range store {
 				d.release()
 			}
-			delete(sh.diffs, p)
+			clear(store)
 		}
 		for p := s; p < len(n.pages); p += len(n.shards) {
 			st := &n.pages[p]

@@ -1,7 +1,6 @@
 package dsm
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,8 +12,7 @@ import (
 )
 
 // Tests for the decentralized managers: the tree barrier, migrating
-// page homes, sharded lock managers with grant forwarding, and the
-// refcounted diff store that lets replies alias pooled buffers safely.
+// page homes, and sharded lock managers with grant forwarding.
 
 func TestNodeForIDSeam(t *testing.T) {
 	// The old placement was int(p) % Nodes with p an int32-backed
@@ -669,72 +667,6 @@ func TestChaosPlanReplayDeterminism(t *testing.T) {
 	if faults == 0 {
 		t.Fatal("plan injected nothing; test proves nothing")
 	}
-}
-
-// TestDiffAliasGCHammer is the -race regression for the diff-reply
-// aliasing fix: readers serve DiffRequests through the full handler
-// path (serve, encode, release) while a writer keeps closing intervals
-// — storing fresh diffs into pooled buffers — and garbage-collecting
-// them. Without the refcount, a collected diff's bytes return to the
-// pool and back into a new diff while an encode still reads them.
-func TestDiffAliasGCHammer(t *testing.T) {
-	c, err := New(Config{Nodes: 2, Pages: 1, GCThresholdBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
-	n := c.nodes[0]
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			intervals := make([]int32, 64)
-			for i := range intervals {
-				intervals[i] = int32(i + 1)
-			}
-			req := &msg.DiffRequest{From: 1, Page: 0, Intervals: intervals}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				reply, pinned, err := n.serve(1, req)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				// Encode reads every aliased diff byte, exactly like
-				// the transport handler.
-				buf := msg.EncodeTo(msg.GetBuf(), reply)
-				pinned.release()
-				msg.PutBuf(buf)
-			}
-		}()
-	}
-
-	// Writer: each lock release closes an interval, appending a diff
-	// (into a pooled buffer) to node 0's store; periodic collects drop
-	// them all, racing the readers' encodes.
-	for i := 0; i < 400; i++ {
-		if _, err := c.AcquireLock(0, 0, 1); err != nil {
-			t.Fatal(err)
-		}
-		wf32(t, c, 0, 0, i%256, float32(i))
-		if _, err := c.ReleaseLock(0, 0, 1); err != nil {
-			t.Fatal(err)
-		}
-		if i%10 == 9 {
-			if _, err := n.serveGCCollect(&msg.GCCollect{Pages: []int32{0}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
 }
 
 // TestDistributedManagersEndToEnd runs the fully decentralized

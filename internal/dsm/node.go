@@ -479,14 +479,15 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 	for _, p := range dirtyPages {
 		sh := n.lockShard(p)
 		st := &n.pages[p]
-		diff := AppendDiff(getDiffBuf(), st.twin, n.pageData(p))
+		d := getDiffRef()
+		d.b = AppendDiff(d.b, st.twin, n.pageData(p))
 		cost += sim.Time(memlayout.PageSize) * n.c.costs.DiffPerByte
 		putPageBuf(st.twin)
 		st.twin = nil
 		st.dirty = false
 		n.as.SetProt(p, vm.ProtRead) // next write re-twins in the new interval
-		if len(diff) == 0 {
-			putDiffBuf(diff)
+		if len(d.b) == 0 {
+			d.release()
 			n.unlockShard(sh)
 			continue // silent store: wrote the same values
 		}
@@ -495,8 +496,8 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 			m = make(map[int32]*diffRef)
 			sh.diffs[p] = m
 		}
-		m[iv] = newDiffRef(diff)
-		n.diffBytes.Add(int64(len(diff)))
+		m[iv] = d
+		n.diffBytes.Add(int64(len(d.b)))
 		n.c.stats.DiffsCreated.Add(1)
 		st.noteApplied(n.c.cfg.Nodes, int32(n.id), iv)
 		n.unlockShard(sh)
@@ -733,6 +734,26 @@ func (n *node) serve(from int, m msg.Message) (msg.Message, retained, error) {
 	default:
 		return nil, nil, fmt.Errorf("dsm: node %d: unexpected message %T", n.id, m)
 	}
+}
+
+// respond is the transport handler's body after the decode. m borrows
+// from the request frame, which the transport takes back when the handler
+// returns: the serves consume a request's byte fields before returning or
+// copy what they keep. The reply is encoded into a pooled buffer (the
+// requester recycles it once it has consumed the decoded reply — see
+// Cluster.callFrame); then whatever the serve pooled or pinned goes back:
+// the request's notice list, the stored diffs the reply aliased (the
+// encode copied their bytes to the wire), and the reply with its lists.
+func (n *node) respond(from int, m msg.Message) ([]byte, error) {
+	reply, pinned, err := n.serve(from, m)
+	recycleRequest(m)
+	if err != nil {
+		return nil, err
+	}
+	out := msg.EncodeTo(msg.GetBuf(), reply)
+	pinned.release()
+	recycleReply(reply)
+	return out, nil
 }
 
 // noRelease adapts a serve without retained references to the
@@ -1103,15 +1124,16 @@ func (n *node) serveGCCollect(req *msg.GCCollect) (msg.Message, error) {
 func (n *node) collectPage(p vm.PageID, keepCopy bool) error {
 	sh := n.lockShard(p)
 	defer n.unlockShard(sh)
-	if store, ok := sh.diffs[p]; ok {
-		var dropped int64
-		for _, d := range store {
-			dropped += int64(len(d.b))
-			d.release()
-		}
-		n.diffBytes.Add(-dropped)
-		delete(sh.diffs, p)
+	// The page's interval map is cleared, not deleted: the next interval
+	// that writes the page refills it.
+	store := sh.diffs[p]
+	var dropped int64
+	for _, d := range store {
+		dropped += int64(len(d.b))
+		d.release()
 	}
+	n.diffBytes.Add(-dropped)
+	clear(store)
 	if n.effHome(p) != n.id &&
 		!(n.c.cfg.FaultTolerance && n.id == n.c.aliveSucc(n.effHome(p))) {
 		// Under fault tolerance the home's ring standby keeps its

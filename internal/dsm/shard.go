@@ -1,7 +1,8 @@
 package dsm
 
-// Sharded page-state locking and pooled page buffers: the node-local
-// concurrency substrate. See doc.go for the full locking model.
+// Sharded page-state locking and the package's pools — page buffers,
+// stored diffs, pin lists and diff replies: the node-local concurrency
+// substrate. See doc.go for the full locking model.
 //
 // Page state is striped across ServiceShards independent RWMutex-guarded
 // shards (page p belongs to shard p mod nshards), so operations on pages
@@ -12,6 +13,9 @@ package dsm
 // logs, charge plumbing) lives under separate small mutexes.
 
 import (
+	"errors"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -59,75 +63,134 @@ type pageShard struct {
 	// page → interval → refcounted diff. Stored diff bytes are
 	// immutable while referenced; replies alias them under a retained
 	// reference (see diffRef) so a concurrent GC drop cannot recycle
-	// bytes an encode is still reading.
+	// bytes an encode is still reading. A page's interval map outlives
+	// the GC drop — collectPage clears it and the next diff refills it —
+	// so a page with nothing stored may still have an empty map.
 	diffs map[vm.PageID]map[int32]*diffRef
 }
 
-// diffRef is one stored diff with a reference count. The store itself
-// holds one reference from creation (closeInterval) until the GC drop
-// (serveGCCollect); a serve that aliases the bytes into a reply takes
-// another for the duration of the encode. The buffer returns to the
-// diff pool only when the last reference drops, so the zero-copy serve
-// path can never read recycled bytes — the aliasing-vs-GC race the
+// diffRef is one stored diff with a reference count, and the unit the
+// store recycles: the object goes back to diffPool whole, with the buffer
+// its diff was encoded into. The store holds one reference from creation
+// (closeInterval) until the GC drop (collectPage); a serve that aliases
+// the bytes into a reply takes another until the reply has been encoded
+// (readDiffs). Only the last release recycles, so a reply can never read
+// bytes that a later diff was encoded into — the aliasing-vs-GC race the
 // refcount exists to close.
 type diffRef struct {
 	b    []byte
 	refs atomic.Int32
 }
 
-// newDiffRef wraps freshly encoded diff bytes with the store's own
-// reference.
-func newDiffRef(b []byte) *diffRef {
-	d := &diffRef{b: b}
+// diffPool recycles whole stored diffs. A GC round returns a node's diffs
+// in bulk and the intervals after it store as many again, so in steady
+// state a diff costs an allocation only when it outgrows the buffer it
+// inherits.
+var diffPool = sync.Pool{New: func() any { return new(diffRef) }}
+
+// getDiffRef returns an empty diff holding the store's reference:
+// closeInterval appends the encoding to d.b, and releases d at once when
+// the interval turns out to have written nothing.
+func getDiffRef() *diffRef {
+	d := diffPool.Get().(*diffRef)
+	d.b = d.b[:0]
 	d.refs.Store(1)
 	return d
 }
 
+// refsRecycled is the count a race build leaves on a diffRef it pools: a
+// retain or release through a stale pointer then lands far below zero and
+// panics with errDiffRecycled, however many of them follow.
+const refsRecycled = math.MinInt32 / 2
+
+// errDiffRecycled reports a retain or release of a stored diff whose last
+// reference was already dropped.
+var errDiffRecycled = errors.New("dsm: reference to a recycled stored diff")
+
 // retain takes a reference. Callers must already hold one (transitively:
 // the shard lock orders retains against the store's release).
-func (d *diffRef) retain() { d.refs.Add(1) }
+func (d *diffRef) retain() {
+	if d.refs.Add(1) < 2 {
+		panic(errDiffRecycled)
+	}
+}
 
-// release drops a reference, recycling the buffer when it was the last.
+// release drops a reference, recycling the diff when it was the last.
 func (d *diffRef) release() {
-	if d.refs.Add(-1) == 0 {
-		putDiffBuf(d.b)
-		d.b = nil
+	switch n := d.refs.Add(-1); {
+	case n > 0:
+	case n == 0:
+		if raceEnabled {
+			poison(d.b[:cap(d.b)])
+			d.refs.Store(refsRecycled)
+		}
+		diffPool.Put(d)
+	default:
+		panic(errDiffRecycled)
 	}
 }
 
 // retained is the set of diff references a serve pinned while its reply
-// aliases their bytes; the transport handler releases it after encoding.
+// aliases their bytes. The list comes from pins (readDiffs appends to
+// it); release drops the references and returns the list — the transport
+// handler after the encode, a lease after the apply.
 type retained []*diffRef
 
 func (r retained) release() {
 	for _, d := range r {
 		d.release()
 	}
+	clear(r)
+	pins.put(r)
 }
 
-// diffBufPool recycles diff buffers of whatever capacity they grew to
-// (diffs are variable-length, unlike page images). Entries are *[]byte
-// for the same SA6002 reason as pageBufPool.
-var diffBufPool sync.Pool
+// pins recycles the pin lists of diff serves.
+var pins slicePool[*diffRef]
 
-// getDiffBuf returns an empty diff buffer to append into, or nil on a
-// pool miss: AppendDiff sizes its one allocation to the diff, so there is
-// no useful seed capacity, and stored diffs leave the pool for as long
-// as they are stored, so misses are the common case.
-func getDiffBuf() []byte {
-	if h, ok := diffBufPool.Get().(*[]byte); ok {
-		return (*h)[:0]
+// slicePool recycles slices of one element type. Putting a slice in a
+// sync.Pool boxes its header, a 24-byte allocation per recycle, so full
+// entries travel as *[]T and the emptied headers cycle through a second
+// pool, the way msg.GetBuf/PutBuf do: a get/put pair moves pointers only.
+type slicePool[T any] struct {
+	full, empty sync.Pool
+}
+
+// get returns a pooled zero-length slice, or nil when the pool is dry.
+func (p *slicePool[T]) get() []T {
+	h, ok := p.full.Get().(*[]T)
+	if !ok {
+		return nil
 	}
-	return nil
+	s := (*h)[:0]
+	*h = nil
+	p.empty.Put(h)
+	return s
 }
 
-// putDiffBuf recycles a diff buffer.
-func putDiffBuf(b []byte) {
-	if cap(b) == 0 {
+// put recycles s, which nothing may reference afterwards. A slice
+// without capacity is dropped.
+func (p *slicePool[T]) put(s []T) {
+	if cap(s) == 0 {
 		return
 	}
-	b = b[:0]
-	diffBufPool.Put(&b)
+	h, _ := p.empty.Get().(*[]T)
+	if h == nil {
+		h = new([]T)
+	}
+	*h = s
+	p.full.Put(h)
+}
+
+// poisonByte is what a race build fills a recycled twin, page image or
+// stored diff with, as msg.PutBuf does a wire frame: a read through a
+// stale alias then returns a deterministic wrong byte (a malformed diff,
+// an oracle violation) instead of whatever the buffer's next user wrote.
+const poisonByte = 0xDB
+
+func poison(b []byte) {
+	for i := range b {
+		b[i] = poisonByte
+	}
 }
 
 // shard maps a page to its shard. The shard count is a power of two, so
@@ -182,21 +245,19 @@ func (n *node) lockSync() {
 	}
 }
 
-// pageBufPool recycles page-sized buffers for the two hot allocation
-// sites that create one per remote page movement: twin creation on the
-// first write fault of an interval, and full-page reply images on the
-// serve path. Entries are *[]byte so Put does not allocate an interface
-// box (staticcheck SA6002); every entry has exactly PageSize usable
-// capacity.
-var pageBufPool = sync.Pool{New: func() any {
-	b := make([]byte, memlayout.PageSize)
-	return &b
-}}
+// pageBufs recycles page-sized buffers for the two hot allocation sites
+// that create one per remote page movement: twin creation on the first
+// write fault of an interval, and full-page reply images on the serve
+// path. Every entry has at least PageSize capacity.
+var pageBufs slicePool[byte]
 
 // getPageBuf returns a page-sized buffer (len == PageSize). Contents are
 // arbitrary; callers overwrite it fully.
 func getPageBuf() []byte {
-	return (*pageBufPool.Get().(*[]byte))[:memlayout.PageSize]
+	if b := pageBufs.get(); b != nil {
+		return b[:memlayout.PageSize]
+	}
+	return make([]byte, memlayout.PageSize)
 }
 
 // putPageBuf recycles a page-sized buffer. Only a buffer getPageBuf
@@ -209,18 +270,37 @@ func putPageBuf(b []byte) {
 	if cap(b) < memlayout.PageSize {
 		return
 	}
-	b = b[:memlayout.PageSize]
-	pageBufPool.Put(&b)
+	if raceEnabled {
+		poison(b[:cap(b)])
+	}
+	pageBufs.put(b)
+}
+
+// diffReplies and batchReplies recycle the replies diff serves build,
+// with their Diffs and Pages lists (recycleReply).
+var (
+	diffReplies  = sync.Pool{New: func() any { return new(msg.DiffReply) }}
+	batchReplies = sync.Pool{New: func() any { return new(msg.DiffBatchReply) }}
+)
+
+// zeroed returns s resized to n zero elements, reusing its capacity.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }
 
 // recycleReply returns a served reply's pooled storage. Called by the
 // transport handler after the reply has been encoded to the wire: the
-// encode copied the image or notices into the reply frame, and that frame
-// is all the requester ever sees, so they can back the next serve. Every
-// PageReply a serve builds holds a getPageBuf buffer or nil (the
-// single-writer forwarders copy the owner's image into one), and every
-// LockGrant a notice list the grant filter built (appendUnseen) — diff
-// replies alias the immutable stored diffs and must never be recycled.
+// encode copied the image, notices or diffs into the reply frame, and that
+// frame is all the requester ever sees, so they can back the next serve.
+// Every PageReply a serve builds holds a getPageBuf buffer or nil (the
+// single-writer forwarders copy the owner's image into one), every
+// LockGrant a notice list the grant filter built (appendUnseen), and every
+// diff reply came from diffReplies or batchReplies. A diff reply's entries
+// alias stored diffs, which the serve's pins own: they are cleared here,
+// never recycled. A reply served in place (route.call to this node) never
+// passes here; it is dropped, and becomes garbage.
 func recycleReply(m msg.Message) {
 	switch r := m.(type) {
 	case *msg.PageReply:
@@ -230,6 +310,14 @@ func recycleReply(m msg.Message) {
 	case *msg.LockGrant:
 		msg.PutNotices(r.Notices)
 		r.Notices = nil
+	case *msg.DiffReply:
+		clear(r.Diffs)
+		diffReplies.Put(r)
+	case *msg.DiffBatchReply:
+		for i := range r.Pages {
+			clear(r.Pages[i].Diffs)
+		}
+		batchReplies.Put(r)
 	}
 }
 
