@@ -62,11 +62,15 @@ race:
 ## allocation, queueing or dropping a write notice allocates nothing, a
 ## lock grant's notice list comes from the pool — a hand-off costs the
 ## same bytes whether its grants carry 16 notices or 512 — and on warm
-## pools a twin, a stored diff's create/serve/GC-drop cycle and a served
-## diff reply's recycle allocate nothing (internal/dsm/alloc_test.go). A
-## re-introduced escape or copy fails here, not at the next benchmark run.
+## pools a twin, a stored diff's create/serve/GC-drop cycle and the
+## recycle of every pooled kind allocate nothing (internal/dsm/alloc_test.go).
+## The pool's other callers are held too: an encode into a pooled buffer
+## (internal/msg), a mux round trip (internal/transport) and a warm
+## get/put of the pool itself (internal/pool). A re-introduced escape or
+## copy fails here, not at the next benchmark run.
 alloc-gate:
 	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestNoticeIngestAllocs|TestLockHandoffAllocCeiling|TestLockGrantNoticeBytes|TestDiffLifecycleAllocs' -count=1 -v
+	$(GO) test ./internal/msg ./internal/transport ./internal/pool -run '^(TestEncodeToZeroAlloc|TestMuxCallAllocs|TestSlices)$$' -count=1 -v
 
 ## bench: one benchmark per paper table/figure, plus the ablation,
 ## cut-cost, prefetch and trace-replay comparisons. The substrate
@@ -123,11 +127,13 @@ sweep:
 	$(GO) run ./cmd/actcheck -seeds $(SWEEP_SEEDS) -q
 
 ## sweep-poison: the same sweep, fewer seeds, built with the race
-## detector — which also turns on msg.PutBuf's poison fill (race builds
-## overwrite a recycled wire frame with 0xDB), so a diff or page image
-## read through a frame that was already released becomes a wrong byte
-## the oracle reports. The sweep is not a test binary, so 'make race'
-## does not reach it.
+## detector — which also turns on the pools' poison fill (pool.Race: a
+## recycled wire frame, twin, page image or stored diff is overwritten
+## with 0xDB, a notice list with an impossible page, and a recycled
+## stored diff's count becomes a sentinel), so a read through storage
+## that was already released becomes a wrong byte the oracle reports or
+## a named panic. The sweep is not a test binary, so 'make race' does
+## not reach it.
 SWEEP_POISON_SEEDS ?= 20
 sweep-poison:
 	$(GO) run -race ./cmd/actcheck -seeds $(SWEEP_POISON_SEEDS) -q

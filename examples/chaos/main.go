@@ -1,8 +1,7 @@
 // Chaos: run an application over a deliberately unreliable transport and
 // watch the resilience machinery absorb the faults. A Chaos wrapper drops
 // requests and replies, duplicates deliveries, and delays calls; bounded
-// retry with exponential backoff (WithTransportOptions) and the barrier's
-// phase-level re-broadcast (WithBarrierRetries) recover, and the
+// retry with exponential backoff (WithTransportOptions) recovers, and the
 // per-message-type call statistics show exactly where the retries went.
 //
 // The punchline is the comparison at the end: despite every injected
@@ -47,7 +46,6 @@ func run() error {
 				MaxAttempts: 8,
 				BackoffBase: 100 * time.Microsecond,
 			}),
-			actdsm.WithBarrierRetries(1),
 		}
 		if *useTCP {
 			opts = append(opts, actdsm.WithTCP())
@@ -99,15 +97,9 @@ func run() error {
 	for _, c := range chaotic.Calls {
 		retries += c.Retries
 	}
-	fmt.Printf("retries spent absorbing faults: %d (plus %d barrier phase re-broadcasts)\n",
-		retries, chaotic.BarrierRetries)
+	fmt.Printf("retries spent absorbing faults: %d\n", retries)
 
 	a, b := chaotic.Counters(), clean.Counters()
-	// Message/byte traffic legitimately grows with re-broadcast phases;
-	// everything else must be exactly-once.
-	a.Messages, b.Messages = 0, 0
-	a.BytesTotal, b.BytesTotal = 0, 0
-	a.BarrierRetries, b.BarrierRetries = 0, 0
 	if a == b {
 		fmt.Println("protocol counters identical to the fault-free run: no duplicated")
 		fmt.Println("misses, diffs, barriers, or GC work — the protocol is idempotent")

@@ -404,17 +404,17 @@ func RunTrial(tr Trial) TrialResult {
 		LockForwarding:   tr.Scenario.LockForwarding,
 		FaultTolerance:   tr.Scenario.Crashes > 0 || len(tr.Plan.Crashes) > 0,
 		GCThresholdBytes: tr.Scenario.GCThresholdBytes,
-		// Tight retry budget: enough attempts that a single injected
-		// fault per call number always recovers (a retried call gets a
-		// fresh call number), with microsecond backoff so thousand-trial
-		// sweeps stay fast.
+		// Tight retry budget: enough attempts that a call recovers even
+		// when every fault of a default plan (MaxFaults 3) lands on it —
+		// a retried call gets a fresh call number — with microsecond
+		// backoff so thousand-trial sweeps stay fast. The transport's
+		// retry is the only one; nothing above it re-sends a fan-out.
 		Transport: transport.Options{
 			MaxAttempts: 6,
 			BackoffBase: time.Microsecond,
 			BackoffMax:  8 * time.Microsecond,
 		},
-		BarrierRetries: 2,
-		Chaos:          &transport.ChaosOptions{Plan: planFn, Crashes: tr.Plan.Crashes},
+		Chaos: &transport.ChaosOptions{Plan: planFn, Crashes: tr.Plan.Crashes},
 	})
 	if err != nil {
 		return fail(err)

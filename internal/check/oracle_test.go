@@ -214,7 +214,7 @@ func TestOracleInvalidationResetsReplica(t *testing.T) {
 }
 
 func TestOracleDuplicateDeliveryIsIdempotent(t *testing.T) {
-	// Re-delivered notices (transport retries, re-broadcast phases) must
+	// Re-delivered notices (transport retries, re-run episodes) must
 	// not confuse the model: one apply drains them.
 	o := NewOracle(2)
 	close1(o, 0, nt(0, 0, 1, 1))

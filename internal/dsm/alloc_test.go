@@ -7,6 +7,7 @@ import (
 
 	"actdsm/internal/memlayout"
 	"actdsm/internal/msg"
+	"actdsm/internal/pool"
 	"actdsm/internal/vm"
 )
 
@@ -35,7 +36,7 @@ const remoteMissBytesCeiling = memlayout.PageSize * 3 / 4
 
 func skipUnderRace(t *testing.T) {
 	t.Helper()
-	if raceEnabled {
+	if pool.Race {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 }
@@ -336,6 +337,9 @@ func TestLockGrantNoticeBytes(t *testing.T) {
 // and dropped by a GC collect; and the recycle of a served DiffReply and
 // DiffBatchReply with their lists and pins. Only a diff that outgrows the
 // buffer it inherits allocates (its bytes), and these cycles keep one size.
+// Every other kind recycle takes back has a row too: a served PageReply's
+// image, a served LockGrant's list, and a LockRelease's list, drawn from
+// the notice pool as Decode draws it and returned by the handler.
 func TestDiffLifecycleAllocs(t *testing.T) {
 	skipUnderRace(t)
 	c, err := New(Config{Nodes: 2, Pages: 1, GCThresholdBytes: -1})
@@ -394,11 +398,29 @@ func TestDiffLifecycleAllocs(t *testing.T) {
 		}
 		msg.PutBuf(out)
 	}
+	if mgr := c.lockManager(0); mgr != n.id {
+		t.Fatalf("lock 0 is managed by node %d, want %d", mgr, n.id)
+	}
+	nt := msg.Notice{Page: 0, Writer: 1, Interval: 1, Lam: 1}
+	image, grant := &msg.PageReply{}, &msg.LockGrant{}
+	rel := &msg.LockRelease{Node: 1, Lock: 0}
 	for _, tc := range []struct {
 		name  string
 		cycle func()
 	}{
 		{"twin get/put", func() { putPageBuf(getPageBuf()) }},
+		{"PageReply image recycle", func() {
+			image.Data = getPageBuf()
+			recycle(image)
+		}},
+		{"LockGrant list recycle", func() {
+			grant.Notices = append(msg.GetNotices(), nt)
+			recycle(grant)
+		}},
+		{"LockRelease list recycle", func() {
+			rel.Notices = append(msg.GetNotices(), nt)
+			serve(rel)
+		}},
 		{"DiffReply recycle", func() { serve(single) }},
 		{"DiffBatchReply recycle", func() { serve(batch) }},
 		{"stored diff create/serve/drop", func() {

@@ -31,7 +31,6 @@ func TestWriteHistoryCommittedOnce(t *testing.T) {
 		Pages:            npages,
 		GCThresholdBytes: -1,
 		SerialFanOut:     true,
-		BarrierRetries:   0,
 		Chaos: &transport.ChaosOptions{
 			Plan: func(from, to int, payload []byte, call int64) transport.Fault {
 				if !dropped && len(payload) > 0 && msg.Kind(payload[0]) == msg.KindBarrierRelease {

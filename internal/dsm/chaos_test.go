@@ -148,65 +148,6 @@ func TestChaosBarrierGCDedup(t *testing.T) {
 	}
 }
 
-// TestBarrierPhaseRetryDedup exercises the phase-level retry path: with
-// transport retries disabled, a dropped barrier-enter reply fails the
-// whole enter fan-in, and Config.BarrierRetries re-broadcasts it. The
-// manager has already executed the first delivery, so the re-sent enters
-// must be deduplicated — the release carries each notice once and the
-// protocol counters (minus message traffic, which legitimately grows with
-// the re-broadcast) match a fault-free run.
-func TestBarrierPhaseRetryDedup(t *testing.T) {
-	const nodes, npages = 3, 3
-	run := func(chaos *transport.ChaosOptions, barrierRetries int) Snapshot {
-		c, err := New(Config{
-			Nodes:            nodes,
-			Pages:            npages,
-			GCThresholdBytes: -1, // isolate the barrier path
-			BarrierRetries:   barrierRetries,
-			Chaos:            chaos,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = c.Close() }()
-		chaosWorkload(t, c, nodes, npages)
-		return c.Stats().Snapshot()
-	}
-
-	clean := run(nil, 0)
-
-	var dropped atomic.Bool
-	chaotic := run(&transport.ChaosOptions{
-		Plan: func(from, to int, payload []byte, call int64) transport.Fault {
-			if len(payload) > 0 && msg.Kind(payload[0]) == msg.KindBarrierEnter &&
-				dropped.CompareAndSwap(false, true) {
-				// The manager executes the enter, but the caller sees an
-				// error: the phase fails after partial delivery.
-				return transport.FaultDropReply
-			}
-			return transport.FaultNone
-		},
-	}, 2)
-	if !dropped.Load() {
-		t.Fatal("planned fault never fired")
-	}
-	if chaotic.BarrierRetries == 0 {
-		t.Fatal("no phase-level retry recorded")
-	}
-
-	// The re-broadcast re-sends every notice; dedup keeps all protocol
-	// counters exactly-once. Message and byte counts legitimately differ
-	// (the retried phase is re-sent on the wire), as does the retry
-	// counter itself.
-	got, want := chaotic.Counters(), clean.Counters()
-	got.Messages, want.Messages = 0, 0
-	got.BytesTotal, want.BytesTotal = 0, 0
-	got.BarrierRetries, want.BarrierRetries = 0, 0
-	if got != want {
-		t.Fatalf("counters diverge after phase retry:\nchaos: %+v\nclean: %+v", got, want)
-	}
-}
-
 // TestChaosLockGrantRetry pins the lock-acquire retry fix: the grant's
 // notice-log high-water mark is confirmed by the requester (echoed in the
 // next acquire as LockAcquire.Pos) rather than advanced by the manager

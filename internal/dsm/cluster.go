@@ -63,11 +63,6 @@ type Config struct {
 	// (dropped requests and replies, delays, duplicates, partitions)
 	// for resilience testing; it works over both Local and TCP.
 	Chaos *transport.ChaosOptions
-	// BarrierRetries is the number of additional attempts Barrier makes
-	// to re-broadcast a failed enter or release fan-out. A retried
-	// phase re-sends every notice; receivers deduplicate. This layers
-	// above (and composes with) transport-level retry. Default 0.
-	BarrierRetries int
 	// BatchDiffs coalesces diff fetches: instead of one DiffRequest per
 	// writer applied serially, the fault path groups the needed
 	// (page, interval) pairs per writer node and issues one
@@ -192,7 +187,7 @@ type Cluster struct {
 
 // barrierState accumulates one barrier episode at a folding tree
 // position. entered and have deduplicate re-sent BarrierEnter messages
-// (transport retries and whole-phase barrier retries both re-deliver), so
+// (transport retries and episode re-runs both re-deliver), so
 // counters and the notice union are exactly-once per episode.
 type barrierState struct {
 	episode int32
@@ -569,22 +564,6 @@ func fanOut(n int, serial bool, f func(i int) error) error {
 	return nil
 }
 
-// broadcast runs one broadcast phase, retrying it up to
-// Config.BarrierRetries additional times on failure. Phases must be
-// idempotent at their receivers (they are — see DESIGN.md §6).
-func (c *Cluster) broadcast(phase func() error) error {
-	var err error
-	for attempt := 0; attempt <= c.cfg.BarrierRetries; attempt++ {
-		if attempt > 0 {
-			c.stats.BarrierRetries.Add(1)
-		}
-		if err = phase(); err == nil {
-			return nil
-		}
-	}
-	return err
-}
-
 // Span validates the pages covering [off, off+size) for access a by
 // thread tid on the given node and returns the raw segment window,
 // together with the virtual-time charges the access incurred. The window
@@ -698,23 +677,19 @@ func (c *Cluster) Tracking(node int) bool { return c.nodes[node].as.Tracking() }
 // exchanges more than k+1 barrier messages per phase.
 //
 // Both phases run their transport calls in parallel within a tree level.
-// Each phase is retried up to Config.BarrierRetries additional times on
-// failure: a retried phase re-sends every notice, and receivers
-// deduplicate (the fold by node id and (page, writer, interval); release
-// receivers through the pending-notice dedup), so counters are
-// exactly-once per episode. Phase retries always re-run the whole phase
-// in the same deterministic edge order — never a partial subtree — which
-// keeps the global transport-call numbering under SerialFanOut a pure
-// function of the attempt count (the contract chaos-plan replay depends
-// on; see transport.RecordingPlan).
+// A lost message is retried by the transport (Config.Transport's
+// MaxAttempts), which may re-deliver a request whose reply was lost, so
+// receivers deduplicate (the fold by node id and (page, writer,
+// interval); release receivers through the pending-notice dedup) and
+// counters stay exactly-once per episode.
 //
 // When a member dies mid-episode the phases re-run over the shrunk view
 // (rerunOnViewChange); without fault tolerance nothing can die and they
-// run once. Re-runs are safe for the same reason phase retries are: every
-// receiver folds idempotently, and a member's fresh/known sets clear only
-// after the whole episode succeeds. For the same reason the application
-// may call Barrier again after an error: the next episode re-sends every
-// notice of the failed one.
+// run once. Re-runs are safe for the same reason transport retries are:
+// every receiver folds idempotently, and a member's fresh/known sets clear
+// only after the whole episode succeeds. For the same reason the
+// application may call Barrier again after an error: the next episode
+// re-sends every notice of the failed one.
 func (c *Cluster) Barrier() ([]sim.Time, error) {
 	costs := make([]sim.Time, c.cfg.Nodes)
 	episode := c.episode
@@ -791,10 +766,21 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 		if total > int64(c.cfg.GCThresholdBytes) {
 			// Re-running a collection is idempotent — consolidation
 			// re-fetches only still-pending diffs and collect re-drops
-			// already-empty stores.
-			if err := c.rerunOnViewChange(func() error { return c.collectGarbage(costs) }); err != nil {
+			// already-empty stores. The round is counted once, over its
+			// first attempt's page set: a re-run finds fewer pages stored,
+			// because the attempt it replaces had collected some of them.
+			pages := -1
+			if err := c.rerunOnViewChange(func() error {
+				n, err := c.collectGarbage(costs)
+				if pages < 0 {
+					pages = n
+				}
+				return err
+			}); err != nil {
 				return nil, err
 			}
+			c.stats.GCRounds.Add(1)
+			c.stats.GCCollections.Add(int64(pages))
 		}
 	}
 	// A crash whose scheduled call fell inside this episode may never
@@ -880,8 +866,7 @@ func (c *Cluster) barrierAttempt(episode int32, queued []queuedMove, costs []sim
 	}
 
 	// Phase 2: enter fan-in up the tree.
-	err := c.broadcast(func() error { return c.enterPhase(episode, view, k, levels, enters, costs) })
-	if err != nil {
+	if err := c.enterPhase(episode, view, k, levels, enters, costs); err != nil {
 		return out, err
 	}
 
@@ -941,10 +926,10 @@ func (c *Cluster) barrierAttempt(episode int32, queued []queuedMove, costs []sim
 
 	// Phase 3: release fan-out down the tree. serveBarrierRelease is
 	// idempotent (pending-notice dedup, max-merge clocks, home stores,
-	// push skipped once a page's pending set is drained), so phase
-	// retries that re-deliver to some members are harmless.
-	err = c.broadcast(func() error { return c.releasePhase(view, k, levels, rel, costs) })
-	if err != nil {
+	// push skipped once a page's pending set is drained), so transport
+	// retries and episode re-runs that re-deliver to some members are
+	// harmless.
+	if err := c.releasePhase(view, k, levels, rel, costs); err != nil {
 		return out, err
 	}
 	if pushEnabled {
@@ -1090,7 +1075,7 @@ func (c *Cluster) buildEnterAggregate(node int, episode int32) *msg.BarrierEnter
 // every parent has stored its release before its children ask for theirs)
 // relays one edge down. A parent whose stored release is missing or stale
 // means its own inbound edge failed this attempt; the error propagates
-// and the whole phase retries.
+// and fails the attempt.
 func (c *Cluster) releasePhase(view []int, k int, levels [][]int, rel *msg.BarrierRelease, costs []sim.Time) error {
 	if _, err := c.nodes[view[0]].serveBarrierRelease(rel); err != nil {
 		return err
@@ -1316,9 +1301,9 @@ func (c *Cluster) commitQueuedHomes(moved, skipped int64) {
 // attributes to GC); the collect spares the standby's page copy while
 // still dropping every stored and replicated diff. A round therefore costs
 // homes x (members-1) round trips however many pages it collects, and
-// that is what the virtual clock charges each member for.
-func (c *Cluster) collectGarbage(costs []sim.Time) error {
-	c.stats.GCRounds.Add(1)
+// that is what the virtual clock charges each member for. It returns the
+// number of pages in the round's page set.
+func (c *Cluster) collectGarbage(costs []sim.Time) (int, error) {
 	view := c.aliveList()
 	// The page set, marked under the locks that guard the stores and
 	// walked in ascending order. A page whose interval map a collect has
@@ -1363,6 +1348,7 @@ func (c *Cluster) collectGarbage(costs []sim.Time) error {
 	// Phase 1. A home's goroutine adds to costs[hm] only; what its standby
 	// pays is kept beside it and charged after the fan-out, because the
 	// standby may be a home consolidating on another goroutine.
+	pages := stored.Count()
 	standby := make([]sim.Time, len(homes))
 	err := fanOut(len(homes), c.cfg.SerialFanOut, func(j int) (err error) {
 		var own sim.Time
@@ -1371,7 +1357,7 @@ func (c *Cluster) collectGarbage(costs []sim.Time) error {
 		return err
 	})
 	if err != nil {
-		return err
+		return pages, err
 	}
 	for j, hm := range homes {
 		if standby[j] != 0 {
@@ -1382,32 +1368,26 @@ func (c *Cluster) collectGarbage(costs []sim.Time) error {
 	// Phase 2, fanned out over the receiving members so that costs[i] has
 	// one writer; each takes the homes' lists in order. serveGCCollect is
 	// idempotent (dropping absent diffs and re-invalidating are no-ops), so
-	// a phase retry that re-delivers a list, or any part of the round, is
-	// harmless and GCCollections stays exactly-once per page.
-	err = c.broadcast(func() error {
-		return fanOut(len(view), c.cfg.SerialFanOut, func(j int) error {
-			i := view[j]
-			for _, hm := range homes {
-				if i == hm {
-					if _, err := c.nodes[i].serveGCCollect(&lists[hm]); err != nil {
-						return err
-					}
-					continue
+	// a transport retry that re-delivers a list, or a re-run of the round,
+	// is harmless.
+	err = fanOut(len(view), c.cfg.SerialFanOut, func(j int) error {
+		i := view[j]
+		for _, hm := range homes {
+			if i == hm {
+				if _, err := c.nodes[i].serveGCCollect(&lists[hm]); err != nil {
+					return err
 				}
-				_, wire, err := c.call(hm, i, &lists[hm])
-				if err != nil {
-					return fmt.Errorf("dsm: gc collect home %d node %d: %w", hm, i, err)
-				}
-				costs[i] += wire
+				continue
 			}
-			return nil
-		})
+			_, wire, err := c.call(hm, i, &lists[hm])
+			if err != nil {
+				return fmt.Errorf("dsm: gc collect home %d node %d: %w", hm, i, err)
+			}
+			costs[i] += wire
+		}
+		return nil
 	})
-	if err != nil {
-		return err
-	}
-	c.stats.GCCollections.Add(int64(stored.Count()))
-	return nil
+	return pages, err
 }
 
 // consolidate is a garbage-collection round's first phase at one home: it

@@ -20,6 +20,7 @@ import (
 
 	"actdsm/internal/memlayout"
 	"actdsm/internal/msg"
+	"actdsm/internal/pool"
 	"actdsm/internal/transport"
 	"actdsm/internal/vm"
 )
@@ -398,7 +399,7 @@ func TestPinnedDiffOutlivesDrop(t *testing.T) {
 		t.Fatalf("pinned reply, after the diff was dropped and its pool reused: %v", err)
 	}
 	pinned.release()
-	if raceEnabled && ref.refs.Load() != refsRecycled {
+	if pool.Race && ref.refs.Load() != refsRecycled {
 		t.Errorf("recycled diff counts %d references, want the sentinel %d", ref.refs.Load(), refsRecycled)
 	}
 	defer func() {

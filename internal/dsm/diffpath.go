@@ -85,12 +85,12 @@ func (n *node) readDiffs(w, page int32, ivs []int32, out [][]byte, pinned retain
 
 // serveDiffRequest answers the single-page kind. The reply and its pin
 // list are pooled: the transport handler releases the pins and recycles
-// the reply (recycleReply) once the reply has been encoded.
+// the reply (recycle) once the reply has been encoded.
 func (n *node) serveDiffRequest(req *msg.DiffRequest) (msg.Message, retained, error) {
 	out := diffReplies.Get().(*msg.DiffReply)
 	out.Page = req.Page
 	out.Diffs = zeroed(out.Diffs, len(req.Intervals))
-	return out, n.readDiffs(req.Writer, req.Page, req.Intervals, out.Diffs, pins.get()), nil
+	return out, n.readDiffs(req.Writer, req.Page, req.Intervals, out.Diffs, pins.Get()), nil
 }
 
 // serveDiffBatchRequest answers the batched kind page by page, taking each
@@ -101,7 +101,7 @@ func (n *node) serveDiffBatchRequest(req *msg.DiffBatchRequest) (msg.Message, re
 	out := batchReplies.Get().(*msg.DiffBatchReply)
 	// Resized, not zeroed: each entry keeps its Diffs list for reuse.
 	out.Pages = slices.Grow(out.Pages[:0], len(req.Pages))[:len(req.Pages)]
-	pinned := pins.get()
+	pinned := pins.Get()
 	for i, pi := range req.Pages {
 		pd := &out.Pages[i]
 		pd.Page = pi.Page

@@ -128,17 +128,21 @@
 // takes the diff from the pool and encodes into the buffer it inherits,
 // to the GC drop (collectPage, or a rejoin wipe); a serve pins one more
 // until its reply is encoded, an in-place read until its lease is
-// released. The last release returns the object whole. A diff serve's
-// reply and pin list are pooled too: after the encode, the transport
-// handler (respond) releases the pins and recycleReply takes back the
-// reply and its lists — never the stored bytes, which belong to the pins.
-// A reply served in place is dropped.
+// released. The last release returns the object whole.
 //
-// ARCHITECTURE.md §4 tabulates the rules. Race builds poison every
-// recycled frame (msg.PutBuf), twin, page image and stored diff, and set
-// a recycled diffRef's count to a sentinel that panics on any later
-// retain or release, so the whole test suite and 'make sweep-poison'
-// check them.
+// Messages follow one lifetime rule: a decoded request lives until the
+// transport handler (respond) returns, a decoded reply until the caller's
+// apply returns, and a served reply until its encode. After the encode
+// respond releases the serve's pins and hands the request and the reply
+// to recycle, the one kind switch that takes back their pooled storage —
+// never the stored bytes, which belong to the pins. A message served in
+// place never passes respond; its reply is dropped.
+//
+// ARCHITECTURE.md §4 states the rule in full. Race builds (pool.Race)
+// poison every recycled frame, notice list, twin, page image and stored
+// diff, and set a recycled diffRef's count to a sentinel that panics on
+// any later retain or release, so the whole test suite and
+// 'make sweep-poison' check them.
 //
 // # The lock path
 //

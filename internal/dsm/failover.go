@@ -603,7 +603,7 @@ func (c *Cluster) viewVersion() int64 {
 // standby re-ship, a serve loop) already recorded it and then failed for
 // the same crash; gating on refreshView alone would let that inner
 // discovery consume the retry's trigger. A re-run is a membership change,
-// not a transient fault, so it draws no BarrierRetries charge. Without
+// not a transient fault, which the transport's own retry handles. Without
 // fault tolerance the view never changes and the step runs exactly once.
 func (c *Cluster) rerunOnViewChange(step func() error) error {
 	for attempt := 0; ; attempt++ {

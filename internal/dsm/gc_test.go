@@ -183,7 +183,7 @@ func TestGCFanOutModesEquivalent(t *testing.T) {
 // victim's pages. Either way the round re-runs over the shrunk view (the
 // victim's pages now served by its refreshed standby), completes without
 // finding a needed diff gone, and the survivors end with the bytes of a
-// run in which nothing crashed.
+// run in which nothing crashed — and with its GC round and page counts.
 func TestGCCrashInsideRound(t *testing.T) {
 	const nodes, npages, victim = 4, 8, 2
 	const pre, post = 2, 2 // the victim writes in the first two rounds only
@@ -243,6 +243,12 @@ func TestGCCrashInsideRound(t *testing.T) {
 			}
 			if got != clean {
 				t.Fatalf("survivor digest %x after the crash, clean run %x", got, clean)
+			}
+			// The re-run round is the same round: counted once, over the
+			// pages the clean run collected.
+			if snap.GCRounds != cleanSnap.GCRounds || snap.GCCollections != cleanSnap.GCCollections {
+				t.Fatalf("GC rounds/pages = %d/%d after the crash, clean run %d/%d",
+					snap.GCRounds, snap.GCCollections, cleanSnap.GCRounds, cleanSnap.GCCollections)
 			}
 		})
 	}

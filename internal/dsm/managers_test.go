@@ -531,18 +531,18 @@ func TestShardedLockChaosDedup(t *testing.T) {
 
 // TestTreeNodeFailureMidFanIn fails an internal tree node's links in
 // both barrier phases: one aggregated enter loses its reply after the
-// parent folded it, and one release relay loses its request. Phase
-// retries (Config.BarrierRetries) must complete the barrier with
-// protocol counters — beyond traffic and the retry counter itself —
-// identical to a fault-free run.
+// parent folded it, and one release relay loses its request. Transport
+// retry (Config.Transport.MaxAttempts) must complete the barrier with
+// protocol counters identical to a fault-free run: the re-delivered
+// aggregate folds exactly once.
 func TestTreeNodeFailureMidFanIn(t *testing.T) {
 	const nodes, npages = 7, 4
-	run := func(chaos *transport.ChaosOptions, retries int) Snapshot {
+	run := func(chaos *transport.ChaosOptions) Snapshot {
 		c, err := New(Config{
 			Nodes: nodes, Pages: npages,
 			BarrierArity:     2,
-			BarrierRetries:   retries,
 			GCThresholdBytes: -1,
+			Transport:        transport.Options{MaxAttempts: 3, BackoffBase: time.Microsecond},
 			Chaos:            chaos,
 		})
 		if err != nil {
@@ -553,7 +553,7 @@ func TestTreeNodeFailureMidFanIn(t *testing.T) {
 		return c.Stats().Snapshot()
 	}
 
-	clean := run(nil, 0)
+	clean := run(nil)
 
 	// Node 1 and node 2 are internal (children 3,4 and 5,6).
 	var enterDrop, relayDrop atomic.Bool
@@ -577,18 +577,19 @@ func TestTreeNodeFailureMidFanIn(t *testing.T) {
 			}
 			return transport.FaultNone
 		},
-	}, 2)
+	})
 	if !enterDrop.Load() || !relayDrop.Load() {
 		t.Fatalf("faults fired: enter %v, relay %v", enterDrop.Load(), relayDrop.Load())
 	}
-	if chaotic.BarrierRetries == 0 {
-		t.Fatal("no phase-level retries recorded")
+	retries := make(map[string]int64)
+	for _, cs := range chaotic.Calls {
+		retries[cs.Kind] = cs.Retries
 	}
-	got, want := chaotic.Counters(), clean.Counters()
-	got.Messages, want.Messages = 0, 0
-	got.BytesTotal, want.BytesTotal = 0, 0
-	got.BarrierRetries, want.BarrierRetries = 0, 0
-	if got != want {
+	if retries["BarrierEnter"] == 0 || retries["BarrierRelease"] == 0 {
+		t.Fatalf("transport retries: BarrierEnter %d, BarrierRelease %d, want both > 0",
+			retries["BarrierEnter"], retries["BarrierRelease"])
+	}
+	if got, want := chaotic.Counters(), clean.Counters(); got != want {
 		t.Fatalf("counters diverge after tree failures:\nchaos: %+v\nclean: %+v", got, want)
 	}
 }
@@ -607,7 +608,6 @@ func TestChaosPlanReplayDeterminism(t *testing.T) {
 			BarrierArity:     2,
 			LockForwarding:   true,
 			SerialFanOut:     true,
-			BarrierRetries:   2,
 			GCThresholdBytes: -1,
 			Transport: transport.Options{
 				MaxAttempts: 6,

@@ -742,17 +742,19 @@ func (n *node) serve(from int, m msg.Message) (msg.Message, retained, error) {
 // copy what they keep. The reply is encoded into a pooled buffer (the
 // requester recycles it once it has consumed the decoded reply — see
 // Cluster.callFrame); then whatever the serve pooled or pinned goes back:
-// the request's notice list, the stored diffs the reply aliased (the
-// encode copied their bytes to the wire), and the reply with its lists.
+// the stored diffs the reply aliased (the encode copied their bytes to the
+// wire), and through recycle the request's lists and the reply with its.
+// A failed serve returns nothing: its request may be a reply kind a peer
+// sent by mistake, whose borrowed image no pool may take.
 func (n *node) respond(from int, m msg.Message) ([]byte, error) {
 	reply, pinned, err := n.serve(from, m)
-	recycleRequest(m)
 	if err != nil {
 		return nil, err
 	}
 	out := msg.EncodeTo(msg.GetBuf(), reply)
 	pinned.release()
-	recycleReply(reply)
+	recycle(m)
+	recycle(reply)
 	return out, nil
 }
 
@@ -820,7 +822,7 @@ func (n *node) servePageRequest(req *msg.PageRequest) (msg.Message, error) {
 // aggregate (Entered/HotSets non-empty). The first arrival of an episode
 // allocates the fold state. The fold is idempotent: entered ids dedup through the
 // entered set and notices through the have map, so re-delivered enters
-// (transport retries, whole-phase barrier retries) — or aggregates that
+// (transport retries, episodes re-run over a shrunk view) — or aggregates that
 // grew between attempts — fold exactly-once per item per episode.
 func (n *node) serveBarrierEnter(req *msg.BarrierEnter) (msg.Message, error) {
 	n.c.barrierMu.Lock()
@@ -1071,7 +1073,7 @@ func (n *node) serveLockPull(req *msg.LockPull) (msg.Message, error) {
 // appendUnseen is the grant filter: it appends to dst the notices of
 // history that requester has not seen — neither its own nor covered by its
 // seen vector. The serves pass a pooled list (msg.GetNotices) as dst; the
-// handler returns it once the grant is encoded (recycleReply), and a grant
+// handler returns it once the grant is encoded (recycle), and a grant
 // served in place is returned by its acquirer. Either way the grant owns a
 // copy, never a view of the history.
 func appendUnseen(dst, history []msg.Notice, requester int32, seen []int32) []msg.Notice {

@@ -121,8 +121,8 @@ type Probe struct {
 	// diff). All notices share the same Writer, Interval, and Lam.
 	IntervalClosed func(node int, notices []msg.Notice)
 	// NoticesDelivered fires when write notices reach a node through a
-	// consistency path. Re-deliveries (transport retries, re-broadcast
-	// phases) fire again with the same notices; observers must be
+	// consistency path. Re-deliveries (transport retries, re-run
+	// episodes) fire again with the same notices; observers must be
 	// idempotent, exactly like the protocol's own dedup. The slice is
 	// valid only during the call (a grant's list is recycled after it):
 	// copy what you keep.

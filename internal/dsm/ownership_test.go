@@ -224,7 +224,7 @@ func TestRetainedPayloadsSurviveFrameReuse(t *testing.T) {
 			if !bytes.Equal(pr.Data, written) {
 				t.Errorf("%T: forwarded image changed with the owner's reply frame", req)
 			}
-			recycleReply(reply)
+			recycle(reply)
 		}
 	})
 }

@@ -21,6 +21,7 @@ import (
 
 	"actdsm/internal/memlayout"
 	"actdsm/internal/msg"
+	"actdsm/internal/pool"
 	"actdsm/internal/vm"
 )
 
@@ -120,8 +121,8 @@ func (d *diffRef) release() {
 	switch n := d.refs.Add(-1); {
 	case n > 0:
 	case n == 0:
-		if raceEnabled {
-			poison(d.b[:cap(d.b)])
+		if pool.Race {
+			pool.Poison(d.b, pool.PoisonByte)
 			d.refs.Store(refsRecycled)
 		}
 		diffPool.Put(d)
@@ -141,57 +142,11 @@ func (r retained) release() {
 		d.release()
 	}
 	clear(r)
-	pins.put(r)
+	pins.Put(r)
 }
 
 // pins recycles the pin lists of diff serves.
-var pins slicePool[*diffRef]
-
-// slicePool recycles slices of one element type. Putting a slice in a
-// sync.Pool boxes its header, a 24-byte allocation per recycle, so full
-// entries travel as *[]T and the emptied headers cycle through a second
-// pool, the way msg.GetBuf/PutBuf do: a get/put pair moves pointers only.
-type slicePool[T any] struct {
-	full, empty sync.Pool
-}
-
-// get returns a pooled zero-length slice, or nil when the pool is dry.
-func (p *slicePool[T]) get() []T {
-	h, ok := p.full.Get().(*[]T)
-	if !ok {
-		return nil
-	}
-	s := (*h)[:0]
-	*h = nil
-	p.empty.Put(h)
-	return s
-}
-
-// put recycles s, which nothing may reference afterwards. A slice
-// without capacity is dropped.
-func (p *slicePool[T]) put(s []T) {
-	if cap(s) == 0 {
-		return
-	}
-	h, _ := p.empty.Get().(*[]T)
-	if h == nil {
-		h = new([]T)
-	}
-	*h = s
-	p.full.Put(h)
-}
-
-// poisonByte is what a race build fills a recycled twin, page image or
-// stored diff with, as msg.PutBuf does a wire frame: a read through a
-// stale alias then returns a deterministic wrong byte (a malformed diff,
-// an oracle violation) instead of whatever the buffer's next user wrote.
-const poisonByte = 0xDB
-
-func poison(b []byte) {
-	for i := range b {
-		b[i] = poisonByte
-	}
-}
+var pins pool.Slices[*diffRef]
 
 // shard maps a page to its shard. The shard count is a power of two, so
 // this is a single mask.
@@ -248,13 +203,14 @@ func (n *node) lockSync() {
 // pageBufs recycles page-sized buffers for the two hot allocation sites
 // that create one per remote page movement: twin creation on the first
 // write fault of an interval, and full-page reply images on the serve
-// path. Every entry has at least PageSize capacity.
-var pageBufs slicePool[byte]
+// path. Every entry has at least PageSize capacity. Race builds fill a
+// recycled twin or image with 0xDB, as msg.PutBuf does a wire frame.
+var pageBufs = pool.Slices[byte]{Poison: pool.PoisonByte}
 
 // getPageBuf returns a page-sized buffer (len == PageSize). Contents are
 // arbitrary; callers overwrite it fully.
 func getPageBuf() []byte {
-	if b := pageBufs.get(); b != nil {
+	if b := pageBufs.Get(); b != nil {
 		return b[:memlayout.PageSize]
 	}
 	return make([]byte, memlayout.PageSize)
@@ -267,17 +223,13 @@ func getPageBuf() []byte {
 // view here would hand one backing array to two pools. The capacity
 // check only drops nil.
 func putPageBuf(b []byte) {
-	if cap(b) < memlayout.PageSize {
-		return
+	if cap(b) >= memlayout.PageSize {
+		pageBufs.Put(b)
 	}
-	if raceEnabled {
-		poison(b[:cap(b)])
-	}
-	pageBufs.put(b)
 }
 
 // diffReplies and batchReplies recycle the replies diff serves build,
-// with their Diffs and Pages lists (recycleReply).
+// with their Diffs and Pages lists (recycle).
 var (
 	diffReplies  = sync.Pool{New: func() any { return new(msg.DiffReply) }}
 	batchReplies = sync.Pool{New: func() any { return new(msg.DiffBatchReply) }}
@@ -290,19 +242,29 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// recycleReply returns a served reply's pooled storage. Called by the
-// transport handler after the reply has been encoded to the wire: the
-// encode copied the image, notices or diffs into the reply frame, and that
-// frame is all the requester ever sees, so they can back the next serve.
-// Every PageReply a serve builds holds a getPageBuf buffer or nil (the
-// single-writer forwarders copy the owner's image into one), every
-// LockGrant a notice list the grant filter built (appendUnseen), and every
-// diff reply came from diffReplies or batchReplies. A diff reply's entries
-// alias stored diffs, which the serve's pins own: they are cleared here,
-// never recycled. A reply served in place (route.call to this node) never
-// passes here; it is dropped, and becomes garbage.
-func recycleReply(m msg.Message) {
+// recycle returns the pooled storage of a message the transport handler
+// is done with (node.respond): a decoded request and the reply served for
+// it, once the reply has been encoded to the wire. Request and reply kinds
+// are disjoint, so one switch serves both.
+//   - A decoded LockRelease's notice list: its serve copied the notices
+//     into the manager log and kept nothing.
+//   - A served PageReply's image: a getPageBuf buffer or nil (the
+//     single-writer forwarders copy the owner's image into one).
+//   - A served LockGrant's notice list, built by the grant filter
+//     (appendUnseen).
+//   - A served DiffReply or DiffBatchReply, from diffReplies or
+//     batchReplies. Its entries alias stored diffs, which the serve's pins
+//     own: they are cleared here, never recycled.
+//
+// The encode copied every reply's contents into the reply frame, and that
+// frame is all the requester ever sees. A message served in place
+// (route.call to this node) never passes here: its request's notices are
+// a view of the releaser's known set, and its reply becomes garbage.
+func recycle(m msg.Message) {
 	switch r := m.(type) {
+	case *msg.LockRelease:
+		msg.PutNotices(r.Notices)
+		r.Notices = nil
 	case *msg.PageReply:
 		image := r.Data
 		r.Data = nil
@@ -318,17 +280,5 @@ func recycleReply(m msg.Message) {
 			clear(r.Pages[i].Diffs)
 		}
 		batchReplies.Put(r)
-	}
-}
-
-// recycleRequest returns a decoded request's notice list to the pool once
-// the handler has served it. Only a LockRelease's list qualifies: its
-// serve copies the notices into the manager log and keeps nothing. A
-// request served in place (route.call to this node) never passes here —
-// its notices are a view of the releaser's known set.
-func recycleRequest(m msg.Message) {
-	if rel, ok := m.(*msg.LockRelease); ok {
-		msg.PutNotices(rel.Notices)
-		rel.Notices = nil
 	}
 }

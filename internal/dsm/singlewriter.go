@@ -29,7 +29,7 @@ import (
 // the fault path charges the span in progress (n.spanCharge) directly. No
 // path holds both at once, and neither is held across a transport call.
 // Serve-side full-page images come from the page-buffer pool and are
-// recycled by the transport handler after encoding (recycleReply); an
+// recycled by the transport handler after encoding (recycle); an
 // image the manager forwards from the owner is copied into one first
 // (swOwnerImage). Requester-side images are views of the reply frame,
 // which is recycled once they have been copied into the segment.
@@ -249,7 +249,7 @@ func (n *node) serveSWRead(req *msg.SWRead) (msg.Message, error) {
 // in a page-pool buffer. Retain site: the image rides the manager's own
 // reply, which is encoded after the serve returns, so it is copied out of
 // the owner's reply frame — into a getPageBuf buffer, which is what
-// recycleReply expects to take back.
+// recycle expects to take back.
 func (n *node) swOwnerImage(owner int, req msg.Message, p vm.PageID) ([]byte, error) {
 	pr, frame, _, err := n.c.callPage(n.id, owner, req, p, false)
 	if err != nil {

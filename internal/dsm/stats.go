@@ -125,10 +125,6 @@ type CounterSet[T any] struct {
 	DiffFetches T
 	// Barriers counts barrier episodes.
 	Barriers T
-	// BarrierRetries counts broadcast phases (barrier enter, barrier
-	// release, or GC collect) that had to be re-broadcast after a
-	// transport failure; receivers deduplicate the re-sent notices.
-	BarrierRetries T
 	// LockAcquires counts lock acquisitions.
 	LockAcquires T
 	// LockForwards counts acquisitions whose grant was forwarded: the
@@ -137,7 +133,9 @@ type CounterSet[T any] struct {
 	LockForwards T
 	// GCCollections counts pages consolidated by garbage collection.
 	GCCollections T
-	// GCRounds counts garbage-collection episodes.
+	// GCRounds counts garbage-collection episodes. A round re-run after a
+	// crash counts once, and its GCCollections are the pages of its first
+	// attempt.
 	GCRounds T
 	// TwinsCreated counts twin creations.
 	TwinsCreated T

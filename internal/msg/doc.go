@@ -11,8 +11,8 @@
 // Encode allocates exactly once: Size computes every message's wire size
 // directly (no trial encode), so the output buffer is sized before the
 // first byte is written. For the protocol service path, EncodeTo appends
-// to a caller-provided buffer and GetBuf/PutBuf expose a sync.Pool of
-// reusable buffers, so steady-state encodes perform zero allocations.
+// to a caller-provided buffer and GetBuf/PutBuf expose a pool of reusable
+// buffers, so steady-state encodes perform zero allocations.
 //
 // # Wire layout
 //
@@ -49,4 +49,7 @@
 // queued and recorded. A list that is kept — a BarrierRelease the tree
 // fan-out stores — is simply never returned. Race builds fill a returned
 // list with a notice naming page and writer -0x2425.
+//
+// Both pools are instances of pool.Slices, and pool.Race is the switch
+// that turns their poison fill on.
 package msg

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+
+	"actdsm/internal/pool"
 )
 
 // Kind discriminates message types on the wire.
@@ -533,18 +535,12 @@ func EncodeTo(buf []byte, m Message) []byte {
 	return out
 }
 
-// bufPool backs GetBuf/PutBuf. Entries are *[]byte headers with live
-// backing arrays; capacity starts at 512 and grows to whatever the
-// workload re-Puts, so steady state converges on right-sized buffers.
-//
-// The headers themselves cycle through hdrPool: PutBuf(&b) would box a
-// fresh 24-byte slice header per recycle, which is exactly the per-call
-// allocation the transport's zero-alloc send path must not make. With
-// the two pools a Get/Put cycle moves pointers only.
-var bufPool sync.Pool
-
-// hdrPool holds empty *[]byte headers awaiting reuse by PutBuf.
-var hdrPool = sync.Pool{New: func() any { return new([]byte) }}
+// bufs backs GetBuf/PutBuf. Capacity starts at 512 and grows to whatever
+// the workload re-Puts, so steady state converges on right-sized buffers.
+// Race builds fill a recycled buffer with 0xDB, so a read through a stale
+// alias returns a deterministic wrong byte (which the coherence oracle and
+// the digest tests trip on).
+var bufs = pool.Slices[byte]{Poison: pool.PoisonByte}
 
 // GetBuf returns a pooled, zero-length byte buffer for use with
 // EncodeTo. Return it with PutBuf when the encoded bytes are no longer
@@ -554,94 +550,36 @@ var hdrPool = sync.Pool{New: func() any { return new([]byte) }}
 // consumed: Decode borrows (see Kind.Borrows), so the message's payloads
 // live in the buffer.
 func GetBuf() []byte {
-	v := bufPool.Get()
-	if v == nil {
-		return make([]byte, 0, 512)
+	if b := bufs.Get(); b != nil {
+		return b
 	}
-	h := v.(*[]byte)
-	b := *h
-	*h = nil
-	hdrPool.Put(h)
-	return b[:0]
+	return make([]byte, 0, 512)
 }
 
 // PutBuf recycles a buffer obtained from GetBuf (or any buffer the
 // caller owns outright — e.g. a reply buffer a transport allocated and
 // will not touch again). The caller must not reference b afterwards,
 // directly or through a message decoded from it. Steady state allocates
-// nothing: the slice header recycles through hdrPool alongside the bytes.
-//
-// Race builds overwrite the buffer's whole capacity with poisonByte
-// first, so a read through a stale alias returns a deterministic wrong
-// byte (which the coherence oracle and the digest tests trip on) instead
-// of whatever the next user of the buffer happened to write.
-func PutBuf(b []byte) {
-	if poisonOnPut {
-		b = b[:cap(b)]
-		for i := range b {
-			b[i] = poisonByte
-		}
-	}
-	h := hdrPool.Get().(*[]byte)
-	*h = b
-	bufPool.Put(h)
-}
+// nothing.
+func PutBuf(b []byte) { bufs.Put(b) }
 
-// poisonByte is what a race build's PutBuf fills a recycled buffer with.
-const poisonByte = 0xDB
-
-// noticePool backs GetNotices/PutNotices the way bufPool backs
-// GetBuf/PutBuf: entries are *[]Notice headers with live backing arrays,
-// and the empty headers cycle through noticeHdrPool, so a Get/Put cycle
-// moves pointers only.
-var noticePool sync.Pool
-
-// noticeHdrPool holds empty *[]Notice headers awaiting reuse by PutNotices.
-var noticeHdrPool = sync.Pool{New: func() any { return new([]Notice) }}
+// noticeLists backs GetNotices/PutNotices. Race builds fill a recycled list
+// with a negative page and writer no protocol path accepts, so a stale
+// read names an impossible page instead of whatever the next user stored.
+var noticeLists = pool.Slices[Notice]{Poison: Notice{Page: -0x2425, Writer: -0x2425, Interval: -0x2425, Lam: -0x2425}}
 
 // GetNotices returns a pooled, zero-length notice list to append to, or
 // nil when the pool is empty (append allocates then, as it would have).
 // Decode draws every non-empty notice list from here. Return it with
 // PutNotices once nothing reads it any more.
-func GetNotices() []Notice {
-	v := noticePool.Get()
-	if v == nil {
-		return nil
-	}
-	h := v.(*[]Notice)
-	ns := *h
-	*h = nil
-	noticeHdrPool.Put(h)
-	return ns[:0]
-}
+func GetNotices() []Notice { return noticeLists.Get() }
 
 // PutNotices recycles a notice list: one GetNotices returned, one Decode
 // filled, or any list the caller owns outright. The rule is PutBuf's:
 // whoever knows a list is dead may return it, and must not reference it
 // afterwards. Forgetting to return one costs garbage, never correctness.
 // A list with no capacity is dropped.
-//
-// Race builds overwrite the list's whole capacity with poisonNotice
-// first, so a read through a stale alias names an impossible page and
-// writer instead of whatever the next user happened to store.
-func PutNotices(ns []Notice) {
-	if cap(ns) == 0 {
-		return
-	}
-	if poisonOnPut {
-		ns = ns[:cap(ns)]
-		for i := range ns {
-			ns[i] = poisonNotice
-		}
-	}
-	h := noticeHdrPool.Get().(*[]Notice)
-	*h = ns
-	noticePool.Put(h)
-}
-
-// poisonNotice is what a race build's PutNotices fills a recycled list
-// with: a negative page and writer no protocol path accepts.
-var poisonNotice = Notice{Page: -0x2425, Writer: -0x2425, Interval: -0x2425, Lam: -0x2425}
+func PutNotices(ns []Notice) { noticeLists.Put(ns) }
 
 // Borrows reports whether a decoded message of kind k holds byte fields
 // that alias the buffer it was decoded from (PageReply.Data, the Diffs of

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"actdsm/internal/msg"
+	"actdsm/internal/pool"
 )
 
 // TestMuxPipelinedManyGoroutines floods shared (from,to) pairs with
@@ -372,7 +373,7 @@ func TestMuxChaosSoak(t *testing.T) {
 // the pools have converged (gate: < 0.5/op). Skipped under the race
 // detector, whose instrumentation allocates.
 func TestMuxCallAllocs(t *testing.T) {
-	if raceEnabled {
+	if pool.Race {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	echo := func(from int, p []byte) ([]byte, error) { return p, nil }

@@ -8,17 +8,15 @@ import "sync"
 // global call sequence number, so a plan is only replayable if that
 // numbering is a pure function of the workload and the plan itself.
 // The DSM layer guarantees this under SerialFanOut — fan-outs issue
-// calls in index order on one goroutine — together with its whole-phase
-// retry rule: when any call of a broadcast phase (barrier enter,
-// barrier release, GC collect) fails, the phase's surviving calls still
-// run in their fixed order and the entire phase is re-broadcast, rather
-// than retrying just the failed call. Tree barriers preserve the
-// contract the same way: the edge order (level by level, index order
-// within a level) is fixed, every edge runs even after an earlier edge
-// fails, and a failure retries the whole phase. Injecting a fault at
-// call N therefore shifts later numbering identically on every run,
-// and two runs with the same workload, config, and Plan produce the
-// same call trace — which RecordingPlan captures for comparison.
+// calls in index order on one goroutine — and with a fixed edge order:
+// a barrier phase walks its tree level by level, index order within a
+// level, and every edge (and every GC collect) still runs after an
+// earlier one fails. A lost message is retried by the retry wrapper
+// above the fault injector, and each attempt draws the next call number.
+// Injecting a fault at call N therefore shifts later numbering
+// identically on every run, and two runs with the same workload,
+// config, and Plan produce the same call trace — which RecordingPlan
+// captures for comparison.
 
 // CallRecord is one transport call as observed by a recording chaos
 // plan: its endpoints, message kind (the payload's first byte), global

@@ -158,13 +158,6 @@ func WithChaos(o ChaosOptions) SystemOption {
 	return func(c *SystemConfig) { cp := o; c.Cluster.Chaos = &cp }
 }
 
-// WithBarrierRetries makes Barrier re-broadcast a failed enter or
-// release phase up to n additional times; receivers deduplicate the
-// re-sent notices.
-func WithBarrierRetries(n int) SystemOption {
-	return func(c *SystemConfig) { c.Cluster.BarrierRetries = n }
-}
-
 // WithNodeSpeeds makes the cluster heterogeneous: speeds[n] scales node
 // n's CPU (1.0 = baseline). Combine with CapacitiesForSpeeds-derived
 // placements to exploit the fast nodes.
