@@ -58,12 +58,16 @@ race:
 ## without the race detector (whose instrumentation allocates, so 'make
 ## race' skips these): a warm Span allocates nothing, a remote miss and a
 ## lock hand-off stay under their ceilings, a dense remote miss allocates
-## its diff once (no decode copy, no growth by doubling), MakeDiff is one
-## allocation, queueing or dropping a write notice allocates nothing, a
-## lock grant's notice list comes from the pool — a hand-off costs the
-## same bytes whether its grants carry 16 notices or 512 — and on warm
-## pools a twin, a stored diff's create/serve/GC-drop cycle and the
-## recycle of every pooled kind allocate nothing (internal/dsm/alloc_test.go).
+## its diff's exact bytes once, packed into a store chunk (no decode copy,
+## no growth by doubling), MakeDiff is one allocation, queueing or
+## dropping a write notice allocates nothing, a lock grant's notice list
+## comes from the pool — a hand-off costs the same bytes whether its
+## grants carry 16 notices or 512 — and on warm pools a twin, a stored
+## diff's create/serve/GC-drop cycle and the recycle of every pooled kind
+## allocate nothing. Stored diffs live in per-node chunks that a GC round
+## hands back whole to a free list no Go collection empties, so a GC
+## epoch's diffs allocate nothing even after two Go collections
+## (internal/dsm/alloc_test.go).
 ## The pool's other callers are held too: an encode into a pooled buffer
 ## (internal/msg), a mux round trip (internal/transport) and a warm
 ## get/put of the pool itself (internal/pool). A re-introduced escape or
@@ -128,9 +132,9 @@ sweep:
 
 ## sweep-poison: the same sweep, fewer seeds, built with the race
 ## detector — which also turns on the pools' poison fill (pool.Race: a
-## recycled wire frame, twin, page image or stored diff is overwritten
+## recycled wire frame, twin, page image or diff chunk is overwritten
 ## with 0xDB, a notice list with an impossible page, and a recycled
-## stored diff's count becomes a sentinel), so a read through storage
+## chunk's count becomes a sentinel), so a read through storage
 ## that was already released becomes a wrong byte the oracle reports or
 ## a named panic. The sweep is not a test binary, so 'make race' does
 ## not reach it.
@@ -143,9 +147,13 @@ sweep-poison:
 ## traffic, the chaos test on a dropped or doubly executed multi-page
 ## collect moving a counter, and the poisoned sweep (whose *gc scenarios
 ## collect at every barrier) on a page list or a diff read through a frame
-## that was already recycled.
+## that was already recycled. GC rounds also drive the diff store's chunk
+## recycling, so the pinned-diff tests run here under the race detector,
+## whose poison fill and sentinel count catch a chunk recycled while a
+## serve still pins one of its diffs.
 gc-gate: sweep-poison
 	$(GO) test -run 'TestGCRoundMessageCount|TestChaosBarrierGCDedup' -count=3 ./internal/dsm
+	$(GO) test -race -count=5 -run 'TestPinnedDiffOutlivesDrop|TestDiffAliasGCHammer' ./internal/dsm
 
 ## check-mutations: checker validation — each deliberately broken
 ## protocol variant must trip the oracle (the sweep FAILING is the pass).

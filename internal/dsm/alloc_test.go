@@ -18,20 +18,21 @@ import (
 // waiting for a benchmark run. Skipped under the race detector, whose
 // instrumentation allocates.
 
-// Ceilings are what the access path achieves (35, 12 and, for a hand-off
-// whose grant is forwarded to the holder, 17) plus one for runtime noise (a
+// Ceilings are what the access path achieves (33, 10 and, for a hand-off
+// whose grant is forwarded to the holder, 15) plus one for runtime noise (a
 // sync.Pool refill after a GC cycle).
 const (
-	remoteMissAllocCeiling  = 36
-	lockHandoffAllocCeiling = 13
-	lockForwardAllocCeiling = 18
+	remoteMissAllocCeiling  = 34
+	lockHandoffAllocCeiling = 11
+	lockForwardAllocCeiling = 16
 )
 
 // remoteMissBytesCeiling bounds what a dense remote miss may allocate
 // beyond the writer's one stored diff (see TestRemoteMissBytesCeiling).
-// The cycle achieves about 1.9 KB there, all of it small objects
-// (requests, notices, barrier state); a second copy of the diff would add
-// 4.1 KB or more, so three quarters of a page separates the two.
+// The cycle achieves about 2 KB there: small objects (requests, notices,
+// barrier state) and its share of the chunk tails the packing leaves,
+// under 130 B a dense diff; a second copy of the diff would add 4.1 KB or
+// more, so three quarters of a page separates the two.
 const remoteMissBytesCeiling = memlayout.PageSize * 3 / 4
 
 func skipUnderRace(t *testing.T) {
@@ -99,10 +100,11 @@ func TestRemoteMissAllocCeiling(t *testing.T) {
 
 // TestRemoteMissBytesCeiling is the same rung with every word of the page
 // changed, counted in bytes: the cycle's only page-sized allocation is
-// the writer's stored diff (one size class above the 4,100-byte diff).
-// The requester applies that diff straight out of the reply frame, so
-// nothing else in the cycle may come near a page — a decode copy, or a
-// diff encoder that grows by doubling, each add 4 KiB or more.
+// the writer's stored diff, its exact 4,100 bytes of a store chunk (no GC
+// runs, so every diff takes fresh chunk bytes). The requester applies
+// that diff straight out of the reply frame, so nothing else in the cycle
+// may come near a page — a decode copy, or a diff encoder that grows by
+// doubling, each add 4 KiB or more.
 func TestRemoteMissBytesCeiling(t *testing.T) {
 	skipUnderRace(t)
 	c, err := New(Config{Nodes: 2, Pages: 1, GCThresholdBytes: -1})
@@ -122,7 +124,7 @@ func TestRemoteMissBytesCeiling(t *testing.T) {
 		cycle(i) // warm the buffer pools
 	}
 	const ops = 1000
-	storedDiff := len(MakeDiff(page(), bytesOf(1))) // 4,100: rounds up to its size class below
+	storedDiff := len(MakeDiff(page(), bytesOf(1))) // 4,100, packed into its chunk
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 1; i <= ops; i++ {
@@ -130,7 +132,7 @@ func TestRemoteMissBytesCeiling(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perOp := float64(after.TotalAlloc-before.TotalAlloc) / ops
-	beyondDiff := perOp - float64(sizeClass(storedDiff))
+	beyondDiff := perOp - float64(storedDiff)
 	t.Logf("dense remote miss: %.0f B/op, %.0f beyond the writer's stored diff", perOp, beyondDiff)
 	if beyondDiff > remoteMissBytesCeiling {
 		t.Errorf("dense remote miss allocates %.0f B/op beyond the stored diff, ceiling %d", beyondDiff, remoteMissBytesCeiling)
@@ -144,12 +146,6 @@ func bytesOf(v byte) []byte {
 		b[i] = v
 	}
 	return b
-}
-
-// sizeClass returns the bytes the allocator hands out for an n-byte
-// pointer-free object, measured rather than tabulated.
-func sizeClass(n int) int {
-	return cap(append([]byte(nil), make([]byte, n)...))
 }
 
 // TestMakeDiffOneAlloc is the dsm.diff_create rung's allocation count: a
@@ -335,11 +331,12 @@ func TestLockGrantNoticeBytes(t *testing.T) {
 // allocates nothing — a twin's get and put; a stored diff's whole life,
 // created by closeInterval, served through the transport handler's body
 // and dropped by a GC collect; and the recycle of a served DiffReply and
-// DiffBatchReply with their lists and pins. Only a diff that outgrows the
-// buffer it inherits allocates (its bytes), and these cycles keep one size.
-// Every other kind recycle takes back has a row too: a served PageReply's
-// image, a served LockGrant's list, and a LockRelease's list, drawn from
-// the notice pool as Decode draws it and returned by the handler.
+// DiffBatchReply with their lists and pins. Every other kind recycle takes
+// back has a row too: a served PageReply's image, a served LockGrant's
+// list, and a LockRelease's list, drawn from the notice pool as Decode
+// draws it and returned by the handler. The last row holds the diff store
+// to nothing across the Go collector too: a GC epoch's chunks come back
+// whole to the node's free list, which no collection empties.
 func TestDiffLifecycleAllocs(t *testing.T) {
 	skipUnderRace(t)
 	c, err := New(Config{Nodes: 2, Pages: 1, GCThresholdBytes: -1})
@@ -349,12 +346,18 @@ func TestDiffLifecycleAllocs(t *testing.T) {
 	t.Cleanup(func() { _ = c.Close() })
 	n := c.nodes[0] // page 0's home, so a collect keeps its copy
 	i := 0
-	// store writes the page, closes the interval and returns its number,
-	// resetting the since-barrier histories the way a barrier would so
-	// that they do not grow across the run.
-	store := func() int32 {
+	// write changes every word of the page's first size bytes.
+	write := func(size int) {
 		i++
-		mustSpan(t, c, 0, 0, 0, 4, vm.Write)[0] = byte(i)
+		b := mustSpan(t, c, 0, 0, 0, size, vm.Write)
+		for w := 0; w < len(b); w += 4 {
+			b[w] = byte(i)
+		}
+	}
+	// closeIv closes the interval and returns its number, resetting the
+	// since-barrier histories the way a barrier would so that they do not
+	// grow across the run.
+	closeIv := func() int32 {
 		closed, _ := n.closeInterval()
 		if len(closed) != 1 {
 			t.Fatalf("closeInterval: %d notices, want 1", len(closed))
@@ -364,6 +367,10 @@ func TestDiffLifecycleAllocs(t *testing.T) {
 		clear(n.knownHave)
 		n.mu.Unlock()
 		return closed[0].Interval
+	}
+	store := func() int32 {
+		write(4)
+		return closeIv()
 	}
 	serve := func(req msg.Message) {
 		out, err := n.respond(1, req)
@@ -393,7 +400,7 @@ func TestDiffLifecycleAllocs(t *testing.T) {
 		case *msg.DiffBatchReply:
 			got = r.Pages[0].Diffs[0]
 		}
-		if want := n.shard(0).diffs[0][iv].b; len(want) == 0 || !bytes.Equal(got, want) {
+		if want := n.shard(0).diffs[0][iv].bytes(); len(want) == 0 || !bytes.Equal(got, want) {
 			t.Fatalf("%T: served %d bytes, want the stored %d", req, len(got), len(want))
 		}
 		msg.PutBuf(out)
@@ -435,5 +442,41 @@ func TestDiffLifecycleAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(1000, tc.cycle); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, allocs)
 		}
+	}
+	// A GC epoch: dense diffs over two chunks and into a third, their GC
+	// drop, then two Go collections, which empty every sync.Pool. The
+	// chunks wait on the node's free list, so the next epoch's diffs
+	// allocate nothing. The page is left written across the collections,
+	// so its twin is out of pageBufs. The collections still cost a few
+	// allocations of their own — the twin pool's sync.Pools rebuild their
+	// per-P arrays, the runtime runs its post-collection cleanups — so the
+	// epoch is held to under one allocation per diff and under a page of
+	// bytes: a diff that allocated would cost one or more each, a chunk
+	// that allocated 128 KiB.
+	const epochs, epochDiffs = 10, 2*diffChunkSize/(memlayout.PageSize+4) + 2
+	write(memlayout.PageSize)
+	epoch := func() {
+		for range epochDiffs {
+			closeIv()
+			write(memlayout.PageSize)
+		}
+		if err := n.collectPage(0, false); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+	}
+	epoch()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range epochs {
+		epoch()
+	}
+	runtime.ReadMemStats(&after)
+	perDiff := (after.Mallocs - before.Mallocs) / (epochs * epochDiffs)
+	perEpoch := (after.TotalAlloc - before.TotalAlloc) / epochs
+	t.Logf("diff epoch across Go collections: %d allocs/epoch, %d B/epoch", (after.Mallocs-before.Mallocs)/epochs, perEpoch)
+	if perDiff != 0 || perEpoch >= memlayout.PageSize {
+		t.Errorf("diff epoch across Go collections: %d allocs per diff and %d B per epoch, want 0 and under %d", perDiff, perEpoch, memlayout.PageSize)
 	}
 }

@@ -64,18 +64,10 @@ func newSeededCluster(t *testing.T, shards int) *Cluster {
 	n.replDiffs[replicaOrigin] = make(map[vm.PageID]map[int32][]byte)
 	for p := 0; p < raceShape.Pages; p++ {
 		sh := n.shard(vm.PageID(p))
-		sh.diffs[vm.PageID(p)] = map[int32]*diffRef{1: storedDiff(df)}
+		sh.diffs[vm.PageID(p)] = map[int32]storedDiff{1: n.arena.place(df)}
 		n.replDiffs[replicaOrigin][vm.PageID(p)] = map[int32][]byte{1: append([]byte(nil), df...)}
 	}
 	return c
-}
-
-// storedDiff copies b into a diff from the store's pool, holding the
-// store's reference, as closeInterval would have encoded it.
-func storedDiff(b []byte) *diffRef {
-	d := getDiffRef()
-	d.b = append(d.b, b...)
-	return d
 }
 
 // discardReply runs one payload-carrying round trip against node 0 and
@@ -334,22 +326,22 @@ func TestRaceLockTrafficDuringServes(t *testing.T) {
 	}
 }
 
-// writeDense has node 0 overwrite every word of page 0 with the number of
-// the interval it is in, plus one, and closes that interval: its stored
-// diff is one run over the whole page that names the interval it belongs
-// to in every word. Returns the interval.
-func writeDense(t *testing.T, c *Cluster) int32 {
+// writeDense has node 0 overwrite every word of its first pages pages
+// with the number of the interval it is in, plus one, and closes that
+// interval: each page's stored diff is one run over the whole page that
+// names the interval it belongs to in every word. Returns the interval.
+func writeDense(t *testing.T, c *Cluster, pages int) int32 {
 	t.Helper()
 	n := c.nodes[0]
 	n.lockSync()
 	iv := n.interval
 	n.mu.Unlock()
-	b := mustSpan(t, c, 0, 0, 0, memlayout.PageSize, vm.Write)
+	b := mustSpan(t, c, 0, 0, 0, pages*memlayout.PageSize, vm.Write)
 	for w := 0; w < len(b); w += 4 {
 		le.PutUint32(b[w:], uint32(iv)+1)
 	}
-	if closed, _ := n.closeInterval(); len(closed) != 1 || closed[0].Interval != iv {
-		t.Fatalf("closeInterval: %v, want interval %d", closed, iv)
+	if closed, _ := n.closeInterval(); len(closed) != pages || closed[0].Interval != iv {
+		t.Fatalf("closeInterval: %v, want %d notices of interval %d", closed, pages, iv)
 	}
 	return iv
 }
@@ -368,46 +360,75 @@ func checkDense(df []byte, iv int32) error {
 }
 
 // TestPinnedDiffOutlivesDrop: a stored diff that a serve still pins when
-// the GC drops it is not recycled until the serve lets go — however many
-// intervals close meanwhile, each taking whatever the diff pool holds —
-// so the pinned reply encodes the bytes it was served with. The release
-// that recycles it leaves a count that refuses any later reference by
-// name (errDiffRecycled).
+// the GC drops it keeps its chunk out of the free list until the serve
+// lets go — however many intervals close meanwhile, each placing its
+// diffs in whatever chunk the free list holds — so the pinned reply
+// encodes the bytes it was served with. The release that recycles the
+// chunk leaves a count that refuses any later reference by name
+// (errDiffRecycled). The chunk's other diffs go either way a store
+// loses diffs: later intervals of the same page, each collected before
+// the next; or the other pages of the pinned diff's own interval, all in
+// one GC collect.
 func TestPinnedDiffOutlivesDrop(t *testing.T) {
-	c := newTestCluster(t, 2, 1)
-	n := c.nodes[0] // page 0's home: a collect drops diffs, never the copy
-	iv := writeDense(t, c)
-	reply, pinned, err := n.serve(1, &msg.DiffRequest{From: 1, Page: 0, Intervals: []int32{iv}})
-	if err != nil {
-		t.Fatal(err)
+	perChunk := diffChunkSize / (memlayout.PageSize + 4)
+	for _, tc := range []struct {
+		name  string
+		pages int
+		drop  func(t *testing.T, n *node)
+	}{
+		{"page collects", 1, func(t *testing.T, n *node) {
+			for range 2 * perChunk {
+				if err := n.collectPage(0, false); err != nil {
+					t.Fatal(err)
+				}
+				writeDense(t, n.c, 1)
+			}
+		}},
+		{"one GC collect", 2 * perChunk, func(t *testing.T, n *node) {
+			all := &msg.GCCollect{}
+			for p := range 2 * perChunk {
+				all.Pages = append(all.Pages, int32(p))
+			}
+			for range 3 {
+				if _, _, err := n.serve(1, all); err != nil {
+					t.Fatal(err)
+				}
+				writeDense(t, n.c, len(all.Pages))
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(t, 2, tc.pages)
+			n := c.nodes[0] // page 0's home: a collect drops diffs, never the copy
+			iv := writeDense(t, c, tc.pages)
+			reply, pinned, err := n.serve(1, &msg.DiffRequest{From: 1, Page: 0, Intervals: []int32{iv}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := n.shard(0).diffs[0][iv].c
+			tc.drop(t, n)
+			if got := ref.refs.Load(); got != 1 {
+				t.Fatalf("dropped diff's chunk holds %d references, want the serve's 1", got)
+			}
+			decoded, err := msg.Decode(msg.Encode(reply))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := checkDense(decoded.(*msg.DiffReply).Diffs[0], iv); err != nil {
+				t.Fatalf("pinned reply, after its chunk's diffs were dropped and the free list reused: %v", err)
+			}
+			pinned.release()
+			if pool.Race && ref.refs.Load() != refsRecycled {
+				t.Errorf("recycled chunk counts %d references, want the sentinel %d", ref.refs.Load(), refsRecycled)
+			}
+			defer func() {
+				if r := recover(); r != errDiffRecycled {
+					t.Errorf("retain of a recycled chunk: recovered %v, want %v", r, errDiffRecycled)
+				}
+			}()
+			ref.retain()
+		})
 	}
-	ref := n.shard(0).diffs[0][iv]
-	for range 8 {
-		if err := n.collectPage(0, false); err != nil {
-			t.Fatal(err)
-		}
-		writeDense(t, c)
-	}
-	if got := ref.refs.Load(); got != 1 {
-		t.Fatalf("dropped diff holds %d references, want the serve's 1", got)
-	}
-	decoded, err := msg.Decode(msg.Encode(reply))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checkDense(decoded.(*msg.DiffReply).Diffs[0], iv); err != nil {
-		t.Fatalf("pinned reply, after the diff was dropped and its pool reused: %v", err)
-	}
-	pinned.release()
-	if pool.Race && ref.refs.Load() != refsRecycled {
-		t.Errorf("recycled diff counts %d references, want the sentinel %d", ref.refs.Load(), refsRecycled)
-	}
-	defer func() {
-		if r := recover(); r != errDiffRecycled {
-			t.Errorf("retain of a recycled diff: recovered %v, want %v", r, errDiffRecycled)
-		}
-	}()
-	ref.retain()
 }
 
 // TestDiffAliasGCHammer is the -race regression for the diff-reply
@@ -422,7 +443,7 @@ func TestPinnedDiffOutlivesDrop(t *testing.T) {
 func TestDiffAliasGCHammer(t *testing.T) {
 	c := newTestCluster(t, 2, 1)
 	n := c.nodes[0]
-	writeDense(t, c)
+	writeDense(t, c, 1)
 
 	stop := make(chan struct{})
 	var (
@@ -473,7 +494,7 @@ func TestDiffAliasGCHammer(t *testing.T) {
 	// At least 400 intervals, and on until the readers have checked a few
 	// hundred diffs between them, however the goroutines were scheduled.
 	for i := 0; i < 400 || checked.Load() < 400; i++ {
-		writeDense(t, c)
+		writeDense(t, c, 1)
 		if i%4 == 3 {
 			if err := n.collectPage(0, false); err != nil {
 				t.Fatal(err)

@@ -38,20 +38,21 @@ func MakeDiff(twin, cur []byte) []byte {
 
 // AppendDiff appends the encoded differences between twin and cur to dst
 // and returns the extended slice (dst itself when the page is unchanged).
-// The append form lets callers reuse pooled buffers — the diff store
-// encodes into recycled buffers so a collected diff's bytes can back a
-// future one.
-//
-// The scan takes two words per step: the XOR of eight bytes of twin and
-// cur says which of the pair changed, and a run opens, extends or closes
-// accordingly. Runs are encoded into a scratch on the stack as they
-// close, and the finished diff is appended once — so dst grows at most
-// once, to fit, with no doubling slack to carry for as long as the diff
-// is stored.
+// The diff is encoded on the stack first (encodeDiff) and appended once,
+// so dst grows at most once, to fit, with no doubling slack.
 func AppendDiff(dst, twin, cur []byte) []byte {
+	var scratch [maxDiffLen]byte
+	return append(dst, scratch[:encodeDiff(&scratch, twin, cur)]...)
+}
+
+// encodeDiff encodes the differences between twin and cur into scratch
+// and returns their length, which the diff store needs before it places
+// them. The scan takes two words per step: the XOR of eight bytes of twin
+// and cur says which of the pair changed, and a run opens, extends or
+// closes accordingly, encoded as it closes.
+func encodeDiff(scratch *[maxDiffLen]byte, twin, cur []byte) int {
 	const size = memlayout.PageSize
 	t, c := (*[size]byte)(twin), (*[size]byte)(cur)
-	var scratch [maxDiffLen]byte
 	n := 0
 	emit := func(start, end int) {
 		// The header as it goes on the wire, read as one little-endian
@@ -96,7 +97,7 @@ func AppendDiff(dst, twin, cur []byte) []byte {
 	if start >= 0 {
 		emit(start, size)
 	}
-	return append(dst, scratch[:n]...)
+	return n
 }
 
 // le is the byte order of the diff format and of the scan's word loads

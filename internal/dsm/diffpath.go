@@ -51,9 +51,9 @@ func (ls leases) release() {
 // the segment) — the requester then falls back to a full-page fetch. The
 // store follows from w. This node's own diffs sit in the page's shard and
 // are read under its read lock, so any number of peers fetch concurrently;
-// the reply aliases the stored bytes, each under a reference taken while
-// the store still holds its own and appended to pinned, so a GC drop
-// racing the reply's encode cannot recycle the bytes mid-read. Any other
+// the reply aliases the stored bytes, each under a pin on its chunk taken
+// while the store still holds its reference and appended to pinned, so a
+// GC drop racing the encode cannot recycle the bytes mid-read. Any other
 // writer's are the copies this node keeps as that writer's ring standby
 // (replMu): plain heap bytes, aliased without a pin.
 func (n *node) readDiffs(w, page int32, ivs []int32, out [][]byte, pinned retained) retained {
@@ -73,10 +73,10 @@ func (n *node) readDiffs(w, page int32, ivs []int32, out [][]byte, pinned retain
 	sh := n.rlockShard(p)
 	store := sh.diffs[p]
 	for i, iv := range ivs {
-		if d := store[iv]; d != nil {
-			d.retain()
-			pinned = append(pinned, d)
-			out[i] = d.b
+		if d, ok := store[iv]; ok {
+			d.c.retain()
+			pinned = append(pinned, d.c)
+			out[i] = d.bytes()
 		}
 	}
 	sh.mu.RUnlock()

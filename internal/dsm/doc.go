@@ -32,9 +32,9 @@
 //     lock, at every shard count.
 //   - Synchronization-side state (interval counter, seen vector, notice
 //     histories, prefetch windows) lives under a small per-node mutex.
-//   - The lock-manager log and single-writer ownership table each have
-//     their own leaf mutex, and the Lamport clock, diff-volume gauge,
-//     mutation generation and live-prefetched count are atomics.
+//   - The lock-manager log, single-writer table and diff chunks each have
+//     a leaf mutex; the Lamport clock, diff-volume gauge, mutation
+//     generation and live-prefetched count are atomics.
 //
 // No code path holds two of these locks across each other or holds any
 // of them across a transport call, so the scheme is deadlock-free by
@@ -123,12 +123,12 @@
 // copy/ApplyDiff on every exit path. The sites that keep decoded bytes
 // longer copy them, and say so.
 //
-// A stored diff (diffRef) is its bytes and its reference count in one
-// pooled object. The store holds one reference from closeInterval, which
-// takes the diff from the pool and encodes into the buffer it inherits,
-// to the GC drop (collectPage, or a rejoin wipe); a serve pins one more
-// until its reply is encoded, an in-place read until its lease is
-// released. The last release returns the object whole.
+// Stored diffs are packed into per-node chunks (diffArena). A chunk
+// counts its diffs, from closeInterval to the GC drop (collectPage, or a
+// rejoin wipe); a serve's pins until its reply is encoded, an in-place
+// read's until its lease is released; and the arena's hold while it is
+// open. The last release returns it whole to the node's free list, so
+// after the first GC epoch a diff allocates nothing.
 //
 // Messages follow one lifetime rule: a decoded request lives until the
 // transport handler (respond) returns, a decoded reply until the caller's
@@ -139,8 +139,8 @@
 // place never passes respond; its reply is dropped.
 //
 // ARCHITECTURE.md §4 states the rule in full. Race builds (pool.Race)
-// poison every recycled frame, notice list, twin, page image and stored
-// diff, and set a recycled diffRef's count to a sentinel that panics on
+// poison every recycled frame, notice list, twin, page image and diff
+// chunk, and set a recycled chunk's count to a sentinel that panics on
 // any later retain or release, so the whole test suite and
 // 'make sweep-poison' check them.
 //

@@ -304,10 +304,7 @@ func (c *Cluster) replicate(n *node, notices []msg.Notice) (sim.Time, error) {
 		for _, nt := range notices {
 			p := vm.PageID(nt.Page)
 			sh := n.rlockShard(p)
-			var df []byte
-			if ref := sh.diffs[p][nt.Interval]; ref != nil {
-				df = append([]byte(nil), ref.b...)
-			}
+			df := slices.Clone(sh.diffs[p][nt.Interval].bytes()) // nil when none is held
 			sh.mu.RUnlock()
 			d.Diffs = append(d.Diffs, df)
 		}
@@ -415,7 +412,7 @@ func (n *node) resetForRejoin() {
 		sh.mu.Lock()
 		for _, store := range sh.diffs {
 			for _, d := range store {
-				d.release()
+				d.c.release()
 			}
 			clear(store)
 		}

@@ -195,6 +195,7 @@ type node struct {
 
 	// diffBytes tracks the node's stored diff volume (the GC trigger).
 	diffBytes atomic.Int64
+	arena     diffArena // the chunks the stored diffs are placed in
 	// lamport is the node's Lamport clock: incremented when an interval
 	// closes, max-folded when a stamped message arrives.
 	lamport atomic.Int32
@@ -328,7 +329,7 @@ func newNode(id int, c *Cluster, npages int) *node {
 	}
 	n.locks[id] = newMgrLog()
 	for i := range n.shards {
-		n.shards[i].diffs = make(map[vm.PageID]map[int32]*diffRef)
+		n.shards[i].diffs = make(map[vm.PageID]map[int32]storedDiff)
 	}
 	n.as = vm.NewAddressSpace(npages, n.resolveFault)
 	n.interval = 1
@@ -475,29 +476,28 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 
 	var noticeBuf [64]msg.Notice
 	notices := noticeBuf[:0]
+	var scratch [maxDiffLen]byte
 	var cost sim.Time
 	for _, p := range dirtyPages {
 		sh := n.lockShard(p)
 		st := &n.pages[p]
-		d := getDiffRef()
-		d.b = AppendDiff(d.b, st.twin, n.pageData(p))
+		size := encodeDiff(&scratch, st.twin, n.pageData(p))
 		cost += sim.Time(memlayout.PageSize) * n.c.costs.DiffPerByte
 		putPageBuf(st.twin)
 		st.twin = nil
 		st.dirty = false
 		n.as.SetProt(p, vm.ProtRead) // next write re-twins in the new interval
-		if len(d.b) == 0 {
-			d.release()
+		if size == 0 {
 			n.unlockShard(sh)
 			continue // silent store: wrote the same values
 		}
 		m, ok := sh.diffs[p]
 		if !ok {
-			m = make(map[int32]*diffRef)
+			m = make(map[int32]storedDiff)
 			sh.diffs[p] = m
 		}
-		m[iv] = d
-		n.diffBytes.Add(int64(len(d.b)))
+		m[iv] = n.arena.place(scratch[:size])
+		n.diffBytes.Add(int64(size))
 		n.c.stats.DiffsCreated.Add(1)
 		st.noteApplied(n.c.cfg.Nodes, int32(n.id), iv)
 		n.unlockShard(sh)
@@ -1119,9 +1119,9 @@ func (n *node) serveGCCollect(req *msg.GCCollect) (msg.Message, error) {
 	return &msg.Ack{}, nil
 }
 
-// collectPage is serveGCCollect's per-page body. Dropping releases the
-// store's reference on each diff; bytes still pinned by an in-flight serve
-// are recycled when that serve's encode finishes. keepCopy is the seeded
+// collectPage is serveGCCollect's per-page body. Dropping releases each
+// diff's reference on its chunk; a chunk an in-flight serve still pins is
+// recycled when that serve's encode finishes. keepCopy is the seeded
 // bug: the page's notices are retired without invalidating the copy.
 func (n *node) collectPage(p vm.PageID, keepCopy bool) error {
 	sh := n.lockShard(p)
@@ -1131,8 +1131,8 @@ func (n *node) collectPage(p vm.PageID, keepCopy bool) error {
 	store := sh.diffs[p]
 	var dropped int64
 	for _, d := range store {
-		dropped += int64(len(d.b))
-		d.release()
+		dropped += int64(d.n)
+		d.c.release()
 	}
 	n.diffBytes.Add(-dropped)
 	clear(store)

@@ -85,9 +85,9 @@ func TestRetainedPayloadsSurviveFrameReuse(t *testing.T) {
 		for _, p := range []vm.PageID{0, 2} {
 			for iv, ref := range writer.shard(p).diffs[p] {
 				got := standby.replDiffs[1][p][iv]
-				if !bytes.Equal(got, ref.b) {
+				if !bytes.Equal(got, ref.bytes()) {
 					t.Errorf("page %d interval %d: replica store holds %d bytes that differ from the writer's %d-byte diff",
-						p, iv, len(got), len(ref.b))
+						p, iv, len(got), len(ref.bytes()))
 				}
 				checked++
 			}
@@ -159,7 +159,7 @@ func TestRetainedPayloadsSurviveFrameReuse(t *testing.T) {
 
 		want := func(nt msg.Notice) []byte {
 			p := vm.PageID(nt.Page)
-			return c.nodes[nt.Writer].shard(p).diffs[p][nt.Interval].b
+			return c.nodes[nt.Writer].shard(p).diffs[p][nt.Interval].bytes()
 		}
 		seen := 0
 		for dest, list := range push {
@@ -381,7 +381,7 @@ func TestFetchReleasesFramesOnEveryPath(t *testing.T) {
 					mustSpan(t, c, 0, 0, 0, memlayout.PageSize, vm.Read)
 					sh := c.nodes[1].lockShard(0)
 					for _, d := range sh.diffs[0] {
-						d.release()
+						d.c.release()
 					}
 					delete(sh.diffs, 0)
 					c.nodes[1].unlockShard(sh)

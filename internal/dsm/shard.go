@@ -1,8 +1,8 @@
 package dsm
 
-// Sharded page-state locking and the package's pools — page buffers,
-// stored diffs, pin lists and diff replies: the node-local concurrency
-// substrate. See doc.go for the full locking model.
+// Sharded page-state locking, the diff store's chunks and the package's
+// pools — page buffers, pin lists and diff replies: the node-local
+// concurrency substrate. See doc.go for the full locking model.
 //
 // Page state is striped across ServiceShards independent RWMutex-guarded
 // shards (page p belongs to shard p mod nshards), so operations on pages
@@ -61,92 +61,133 @@ func normalizeShards(v int) int {
 type pageShard struct {
 	mu sync.RWMutex
 	// diffs stores the node's own diffs for this shard's pages:
-	// page → interval → refcounted diff. Stored diff bytes are
-	// immutable while referenced; replies alias them under a retained
-	// reference (see diffRef) so a concurrent GC drop cannot recycle
-	// bytes an encode is still reading. A page's interval map outlives
-	// the GC drop — collectPage clears it and the next diff refills it —
-	// so a page with nothing stored may still have an empty map.
-	diffs map[vm.PageID]map[int32]*diffRef
+	// page → interval → diff. A reply aliases a diff's bytes under a pin
+	// on its chunk, so a concurrent GC drop cannot recycle bytes an
+	// encode is still reading. A page's interval map outlives the GC
+	// drop — collectPage clears it and the next diff refills it — so a
+	// page with nothing stored may still have an empty map.
+	diffs map[vm.PageID]map[int32]storedDiff
 }
 
-// diffRef is one stored diff with a reference count, and the unit the
-// store recycles: the object goes back to diffPool whole, with the buffer
-// its diff was encoded into. The store holds one reference from creation
-// (closeInterval) until the GC drop (collectPage); a serve that aliases
-// the bytes into a reply takes another until the reply has been encoded
-// (readDiffs). Only the last release recycles, so a reply can never read
-// bytes that a later diff was encoded into — the aliasing-vs-GC race the
-// refcount exists to close.
-type diffRef struct {
-	b    []byte
-	refs atomic.Int32
+// storedDiff is one diff in a node's store: its chunk, which counts the
+// reference, and its window there. It is kept to two words because the
+// interval maps hold one per stored diff and pay its size at every growth.
+type storedDiff struct {
+	c      *chunk
+	off, n uint32
 }
 
-// diffPool recycles whole stored diffs. A GC round returns a node's diffs
-// in bulk and the intervals after it store as many again, so in steady
-// state a diff costs an allocation only when it outgrows the buffer it
-// inherits.
-var diffPool = sync.Pool{New: func() any { return new(diffRef) }}
+// bytes returns the diff, or nil for the zero storedDiff (none held).
+func (d storedDiff) bytes() []byte {
+	if d.c == nil {
+		return nil
+	}
+	return d.c.mem[d.off : d.off+d.n : d.off+d.n]
+}
 
-// getDiffRef returns an empty diff holding the store's reference:
-// closeInterval appends the encoding to d.b, and releases d at once when
-// the interval turns out to have written nothing.
-func getDiffRef() *diffRef {
-	d := diffPool.Get().(*diffRef)
-	d.b = d.b[:0]
-	d.refs.Store(1)
+// diffChunkSize is the size of a diff store chunk: 31 dense diffs.
+const diffChunkSize = 128 << 10
+
+// chunk is the unit the diff store allocates and recycles. It counts a
+// reference per diff placed in it, from closeInterval to the GC drop
+// (collectPage) or the rejoin wipe; per pin a serve takes on one of them
+// until the encode (readDiffs); and while it is its arena's open chunk.
+// Only the last release recycles it, so no reply reads a later diff.
+type chunk struct {
+	refs  atomic.Int32
+	arena *diffArena
+	used  int // bytes placed so far (guarded by arena.mu)
+	mem   *[diffChunkSize]byte
+}
+
+// diffArena is a node's diff store memory: the open chunk and the chunks
+// GC rounds handed back. A round drops every diff, so after the first
+// epoch the free list holds every chunk a diff needs. It is the node's,
+// not a sync.Pool, which the Go collector empties every second cycle.
+type diffArena struct {
+	mu   sync.Mutex
+	open *chunk
+	free []*chunk
+}
+
+// place copies diff into the open chunk, or when it does not fit into the
+// next, from the free list if it can, and returns it holding a reference.
+func (a *diffArena) place(diff []byte) storedDiff {
+	a.mu.Lock()
+	c, full := a.open, (*chunk)(nil)
+	if c == nil || diffChunkSize-c.used < len(diff) {
+		full = c
+		if k := len(a.free) - 1; k >= 0 {
+			c, a.free[k], a.free = a.free[k], nil, a.free[:k]
+		} else {
+			c = &chunk{arena: a, mem: new([diffChunkSize]byte)}
+		}
+		c.refs.Store(1) // the arena's hold
+		a.open = c
+	}
+	d := storedDiff{c, uint32(c.used), uint32(len(diff))}
+	c.used += copy(c.mem[c.used:], diff)
+	c.refs.Add(1)
+	a.mu.Unlock()
+	if full != nil {
+		full.release()
+	}
 	return d
 }
 
-// refsRecycled is the count a race build leaves on a diffRef it pools: a
-// retain or release through a stale pointer then lands far below zero and
+// refsRecycled is the count a race build leaves on a chunk it takes back:
+// a retain or release through a stale diff then lands far below zero and
 // panics with errDiffRecycled, however many of them follow.
 const refsRecycled = math.MinInt32 / 2
 
-// errDiffRecycled reports a retain or release of a stored diff whose last
-// reference was already dropped.
+// errDiffRecycled reports a retain or release of a stored diff whose
+// chunk was already recycled.
 var errDiffRecycled = errors.New("dsm: reference to a recycled stored diff")
 
 // retain takes a reference. Callers must already hold one (transitively:
 // the shard lock orders retains against the store's release).
-func (d *diffRef) retain() {
-	if d.refs.Add(1) < 2 {
+func (c *chunk) retain() {
+	if c.refs.Add(1) < 2 {
 		panic(errDiffRecycled)
 	}
 }
 
-// release drops a reference, recycling the diff when it was the last.
-func (d *diffRef) release() {
-	switch n := d.refs.Add(-1); {
+// release drops a reference, returning the chunk to its arena's free list
+// when it was the last. Race builds fill it with 0xDB first.
+func (c *chunk) release() {
+	switch n := c.refs.Add(-1); {
 	case n > 0:
 	case n == 0:
 		if pool.Race {
-			pool.Poison(d.b, pool.PoisonByte)
-			d.refs.Store(refsRecycled)
+			pool.Poison(c.mem[:], pool.PoisonByte)
+			c.refs.Store(refsRecycled)
 		}
-		diffPool.Put(d)
+		a := c.arena
+		a.mu.Lock()
+		c.used = 0
+		a.free = append(a.free, c)
+		a.mu.Unlock()
 	default:
 		panic(errDiffRecycled)
 	}
 }
 
-// retained is the set of diff references a serve pinned while its reply
-// aliases their bytes. The list comes from pins (readDiffs appends to
-// it); release drops the references and returns the list — the transport
+// retained is the set of chunk references a serve pinned while its reply
+// aliases their diffs. The list comes from pins (readDiffs appends to it);
+// release drops the references and returns the list — the transport
 // handler after the encode, a lease after the apply.
-type retained []*diffRef
+type retained []*chunk
 
 func (r retained) release() {
-	for _, d := range r {
-		d.release()
+	for _, c := range r {
+		c.release()
 	}
 	clear(r)
 	pins.Put(r)
 }
 
 // pins recycles the pin lists of diff serves.
-var pins pool.Slices[*diffRef]
+var pins pool.Slices[*chunk]
 
 // shard maps a page to its shard. The shard count is a power of two, so
 // this is a single mask.
