@@ -56,25 +56,28 @@ race:
 
 ## alloc-gate: the engine-side access path's allocation counts and bytes,
 ## without the race detector (whose instrumentation allocates, so 'make
-## race' skips these): a warm Span allocates nothing, a remote miss and a
-## lock hand-off stay under their ceilings, a dense remote miss allocates
-## its diff's exact bytes once, packed into a store chunk (no decode copy,
-## no growth by doubling), MakeDiff is one allocation, queueing or
-## dropping a write notice allocates nothing, a lock grant's notice list
-## comes from the pool — a hand-off costs the same bytes whether its
-## grants carry 16 notices or 512 — and on warm pools a twin, a stored
-## diff's create/serve/GC-drop cycle and the recycle of every pooled kind
-## allocate nothing. Stored diffs live in per-node chunks that a GC round
-## hands back whole to a free list no Go collection empties, so a GC
-## epoch's diffs allocate nothing even after two Go collections
-## (internal/dsm/alloc_test.go).
-## The pool's other callers are held too: an encode into a pooled buffer
-## (internal/msg), a mux round trip (internal/transport) and a warm
-## get/put of the pool itself (internal/pool). A re-introduced escape or
-## copy fails here, not at the next benchmark run.
+## race' skips these): a warm Span allocates nothing, a remote miss — single
+## or batched from two writers, whose fan-out spawns a goroutine — and a
+## lock hand-off, plain or forwarded, stay under their ceilings, a dense
+## remote miss allocates its diff's exact bytes once, packed into a store
+## chunk (no decode copy, no growth by doubling), MakeDiff is one
+## allocation, queueing or dropping a write notice allocates nothing, a
+## lock grant's notice list is its pooled message's — a hand-off costs the
+## same bytes whether its grants carry 16 notices or 512 — and on warm
+## pools a twin, a stored diff's create/serve/GC-drop cycle, every pooled
+## request kind served through the transport handler's body and every
+## pooled reply kind decoded and released allocate nothing. Stored diffs
+## live in per-node chunks that a GC round hands back whole to a free list
+## no Go collection empties, so a GC epoch's diffs allocate nothing even
+## after two Go collections (internal/dsm/alloc_test.go).
+## The pools' other callers are held too: an encode into a pooled buffer
+## and a decode/Release of every pooled message kind (internal/msg), a mux
+## round trip (internal/transport) and a warm get/put of the pool itself
+## (internal/pool). A re-introduced escape or copy fails here, not at the
+## next benchmark run.
 alloc-gate:
 	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestNoticeIngestAllocs|TestLockHandoffAllocCeiling|TestLockGrantNoticeBytes|TestDiffLifecycleAllocs' -count=1 -v
-	$(GO) test ./internal/msg ./internal/transport ./internal/pool -run '^(TestEncodeToZeroAlloc|TestMuxCallAllocs|TestSlices)$$' -count=1 -v
+	$(GO) test ./internal/msg ./internal/transport ./internal/pool -run '^(TestEncodeToZeroAlloc|TestDecodeReleaseZeroAlloc|TestMuxCallAllocs|TestSlices)$$' -count=1 -v
 
 ## bench: one benchmark per paper table/figure, plus the ablation,
 ## cut-cost, prefetch and trace-replay comparisons. The substrate
@@ -133,8 +136,8 @@ sweep:
 ## sweep-poison: the same sweep, fewer seeds, built with the race
 ## detector — which also turns on the pools' poison fill (pool.Race: a
 ## recycled wire frame, twin, page image or diff chunk is overwritten
-## with 0xDB, a notice list with an impossible page, and a recycled
-## chunk's count becomes a sentinel), so a read through storage
+## with 0xDB, a released message's integers and lists name an impossible
+## page, and a recycled chunk's count becomes a sentinel), so a read through storage
 ## that was already released becomes a wrong byte the oracle reports or
 ## a named panic. The sweep is not a test binary, so 'make race' does
 ## not reach it.
@@ -150,10 +153,12 @@ sweep-poison:
 ## that was already recycled. GC rounds also drive the diff store's chunk
 ## recycling, so the pinned-diff tests run here under the race detector,
 ## whose poison fill and sentinel count catch a chunk recycled while a
-## serve still pins one of its diffs.
+## serve still pins one of its diffs; and msg's release test, which reads
+## a released diff batch reply and lock grant and must find the sentinel.
 gc-gate: sweep-poison
 	$(GO) test -run 'TestGCRoundMessageCount|TestChaosBarrierGCDedup' -count=3 ./internal/dsm
 	$(GO) test -race -count=5 -run 'TestPinnedDiffOutlivesDrop|TestDiffAliasGCHammer' ./internal/dsm
+	$(GO) test -race -count=5 -run 'TestReleasePoisons' ./internal/msg
 
 ## check-mutations: checker validation — each deliberately broken
 ## protocol variant must trip the oracle (the sweep FAILING is the pass).

@@ -529,10 +529,12 @@ func (c *Cluster) Topology() *sim.Topology { return c.topo }
 
 // fanOut runs f(0..n-1) concurrently and returns the lowest-index error
 // (errgroup-style aggregation; deterministic error selection keeps
-// failure messages stable across runs). When serial is true the calls run
-// sequentially in index order instead — same semantics (every f(i) runs
-// even after a failure, lowest-index error wins), but the transport-call
-// sequence becomes deterministic, which Config.SerialFanOut promises.
+// failure messages stable across runs). f(0) runs on the calling
+// goroutine, so a fan-out allocates only its spawned goroutines' closures.
+// When serial is true the calls run sequentially in index order instead —
+// same semantics (every f(i) runs even after a failure, lowest-index error
+// wins), but the transport-call sequence becomes deterministic, which
+// Config.SerialFanOut promises.
 func fanOut(n int, serial bool, f func(i int) error) error {
 	if n <= 1 {
 		if n == 1 {
@@ -540,29 +542,43 @@ func fanOut(n int, serial bool, f func(i int) error) error {
 		}
 		return nil
 	}
-	errs := make([]error, n)
+	fa := fans.Get().(*fan)
+	errs := zeroed(fa.errs, n)
 	if serial {
 		for i := 0; i < n; i++ {
 			errs[i] = f(i)
 		}
 	} else {
-		var wg sync.WaitGroup
-		wg.Add(n)
-		for i := 0; i < n; i++ {
+		fa.wg.Add(n - 1)
+		for i := 1; i < n; i++ {
 			go func(i int) {
-				defer wg.Done()
+				defer fa.wg.Done()
 				errs[i] = f(i)
 			}(i)
 		}
-		wg.Wait()
+		errs[0] = f(0)
+		fa.wg.Wait()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+	var err error
+	for _, e := range errs {
+		if e != nil {
+			err = e
+			break
 		}
 	}
-	return nil
+	clear(errs)
+	fa.errs = errs
+	fans.Put(fa)
+	return err
 }
+
+// fan is one fan-out's join state, pooled with its error list.
+type fan struct {
+	wg   sync.WaitGroup
+	errs []error
+}
+
+var fans = sync.Pool{New: func() any { return new(fan) }}
 
 // Span validates the pages covering [off, off+size) for access a by
 // thread tid on the given node and returns the raw segment window,
@@ -1434,17 +1450,17 @@ func (c *Cluster) consolidate(hm int, pages []int32) (own, standby sim.Time, err
 func (c *Cluster) AcquireLock(node, tid int, lock int32) (sim.Time, error) {
 	n := c.nodes[node]
 	primary := c.lockManager(lock)
+	req := msg.New[*msg.LockAcquire]()
+	own := req.Seen
 	n.lockSync()
-	req := &msg.LockAcquire{
-		Node: int32(node),
-		Lock: lock,
-		Seen: n.seen, // copy-on-write: a published vector never changes
-		Pos:  n.lockPos[primary],
-	}
+	req.Node, req.Lock, req.Pos = int32(node), lock, n.lockPos[primary]
+	req.Seen = n.seen // copy-on-write: a published vector never changes
 	n.mu.Unlock()
 	r := n.routeTo(primary)
 	reply, held, wire, err := r.call(req)
-	held.release()
+	req.Seen = own // detached: the release must not poison the published vector
+	msg.Release(req)
+	defer held.release()
 	if err != nil {
 		return 0, fmt.Errorf("dsm: node %d acquire lock %d: %w", node, lock, err)
 	}
@@ -1469,9 +1485,8 @@ func (c *Cluster) AcquireLock(node, tid int, lock int32) (sim.Time, error) {
 		n.lockPos[primary] = grant.Pos
 	}
 	n.mu.Unlock()
-	// The pending sets and known hold copies: the list is dead, whether
-	// it was decoded or served in place.
-	msg.PutNotices(grant.Notices)
+	// The pending sets and known hold copies: the grant is dead, whether it
+	// was decoded or served in place, and goes back with its lease.
 	if c.cfg.LockForwarding && grant.Holder >= 0 && int(grant.Holder) != node {
 		// Forwarding mode: the shard manager granted the lock but holds
 		// no notices — the previous holder kept them. Pull the lock's
@@ -1499,10 +1514,14 @@ func (c *Cluster) AcquireLock(node, tid int, lock int32) (sim.Time, error) {
 // would a manager-served grant.
 func (c *Cluster) pullLockHistory(node int, lock int32, holder int, seen []int32) (sim.Time, error) {
 	n := c.nodes[node]
-	pull := &msg.LockPull{Node: int32(node), Lock: lock, Holder: int32(holder), Seen: seen}
+	pull := msg.New[*msg.LockPull]()
+	own := pull.Seen
+	pull.Node, pull.Lock, pull.Holder, pull.Seen = int32(node), lock, int32(holder), seen
 	r := n.routeTo(holder)
 	reply, held, wire, err := r.call(pull)
-	held.release()
+	pull.Seen = own // detached, as in AcquireLock
+	msg.Release(pull)
+	defer held.release()
 	if err != nil {
 		return 0, fmt.Errorf("dsm: node %d pull lock %d from holder %d: %w", node, lock, holder, err)
 	}
@@ -1518,7 +1537,6 @@ func (c *Cluster) pullLockHistory(node int, lock int32, holder int, seen []int32
 	n.lockSync()
 	n.addKnownLocked(g.Notices)
 	n.mu.Unlock()
-	msg.PutNotices(g.Notices) // copied, as in AcquireLock
 	c.stats.LockForwards.Add(1)
 	return wire, nil
 }
@@ -1546,7 +1564,11 @@ func (c *Cluster) ReleaseLock(node, tid int, lock int32) (sim.Time, error) {
 	// same release: its standby's mirror was copied every earlier release
 	// the manager got, so the suffix is all it lacks.
 	primary := c.lockManager(lock)
-	rel := n.lockRelease(lock, primary)
+	rel, own := n.lockRelease(lock, primary)
+	defer func() {
+		rel.Notices = own // detached: the release must not poison known
+		msg.Release(rel)
+	}()
 	r := n.routeTo(primary)
 	_, held, wire, err := r.call(rel)
 	held.release()
@@ -1574,10 +1596,14 @@ func (c *Cluster) ReleaseLock(node, tid int, lock int32) (sim.Time, error) {
 // Otherwise it ships the suffix of the known set — own notices plus
 // everything received since the last barrier — not yet shipped for that
 // primary's log, so the next acquirer inherits transitive causal history
-// without re-transmitting delivered prefixes.
-func (n *node) lockRelease(lock int32, primary int) *msg.LockRelease {
+// without re-transmitting delivered prefixes. The release is pooled and
+// its Notices may be a view of known: the caller puts own, the message's
+// own list, back before releasing it.
+func (n *node) lockRelease(lock int32, primary int) (rel *msg.LockRelease, own []msg.Notice) {
+	rel = msg.New[*msg.LockRelease]()
+	own = rel.Notices
 	n.lockSync()
-	rel := &msg.LockRelease{Node: int32(n.id), Lock: lock, Lam: n.lamport.Load()}
+	rel.Node, rel.Lock, rel.Lam = int32(n.id), lock, n.lamport.Load()
 	if n.c.cfg.LockForwarding {
 		n.lockMark[lock] = len(n.known)
 	} else {
@@ -1587,7 +1613,6 @@ func (n *node) lockRelease(lock int32, primary int) *msg.LockRelease {
 			// Test-only bug: ship only the releaser's own notices, dropping
 			// the received history a correct release must forward. A third
 			// node can then miss a causally-ordered update (lost update).
-			var own []msg.Notice
 			for _, nt := range rel.Notices {
 				if int(nt.Writer) == n.id {
 					own = append(own, nt)
@@ -1597,7 +1622,7 @@ func (n *node) lockRelease(lock int32, primary int) *msg.LockRelease {
 		}
 	}
 	n.mu.Unlock()
-	return rel
+	return rel, own
 }
 
 // StoredDiffBytes returns the cluster-wide volume of stored diffs.

@@ -454,7 +454,7 @@ func TestDiffAliasGCHammer(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			req := &msg.DiffRequest{From: 1, Page: 0, Intervals: make([]int32, 8)}
+			var ivs [8]int32
 			for {
 				select {
 				case <-stop:
@@ -465,8 +465,13 @@ func TestDiffAliasGCHammer(t *testing.T) {
 				n.lockSync()
 				last := n.interval - 1
 				n.mu.Unlock()
-				for i := range req.Intervals {
-					req.Intervals[i] = last - int32(i)
+				// respond releases the request, as the transport handler's
+				// body does after a decode: it takes a fresh one each time.
+				req := msg.New[*msg.DiffRequest]()
+				req.From = 1
+				for i := range ivs {
+					ivs[i] = last - int32(i)
+					req.Intervals = append(req.Intervals, ivs[i])
 				}
 				out, err := n.respond(1, req)
 				if err != nil {
@@ -477,10 +482,11 @@ func TestDiffAliasGCHammer(t *testing.T) {
 				if err == nil {
 					for i, df := range reply.(*msg.DiffReply).Diffs {
 						if df != nil && err == nil {
-							err = checkDense(df, req.Intervals[i])
+							err = checkDense(df, ivs[i])
 							checked.Add(1)
 						}
 					}
+					msg.Release(reply)
 				}
 				msg.PutBuf(out)
 				if err != nil {

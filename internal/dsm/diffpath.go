@@ -10,25 +10,29 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"actdsm/internal/msg"
 	"actdsm/internal/sim"
 	"actdsm/internal/vm"
 )
 
-// lease is what a fetched diff's bytes are borrowed from until they have
-// been applied or copied: the reply frame of a remote serve (msg.Decode
-// borrows), or the references a read of this node's own store pinned. A
-// read of the replica store borrows nothing: its bytes are never pooled.
-// Leases live on the fetching call's stack, never on the node — server-
-// side fetches run concurrently on transport workers. Dropping one
-// unreleased is garbage, not corruption.
+// lease is what a reply and its diff bytes are borrowed from until they
+// have been applied or copied: the reply itself (a pooled message), and
+// the reply frame of a remote serve (msg.Decode borrows) or the references
+// a read of this node's own store pinned. A read of the replica store
+// borrows nothing: its bytes are never pooled. Leases live on the fetching
+// call's stack or in its batch, never on the node — server-side fetches
+// run concurrently on transport workers. Dropping one unreleased is
+// garbage, not corruption.
 type lease struct {
+	reply msg.Message
 	frame []byte
 	pins  retained
 }
 
 func (l lease) release() {
+	msg.Release(l.reply)
 	if l.frame != nil {
 		msg.PutBuf(l.frame)
 	}
@@ -84,10 +88,10 @@ func (n *node) readDiffs(w, page int32, ivs []int32, out [][]byte, pinned retain
 }
 
 // serveDiffRequest answers the single-page kind. The reply and its pin
-// list are pooled: the transport handler releases the pins and recycles
-// the reply (recycle) once the reply has been encoded.
+// list are pooled: the transport handler releases the pins and the reply
+// once the reply has been encoded.
 func (n *node) serveDiffRequest(req *msg.DiffRequest) (msg.Message, retained, error) {
-	out := diffReplies.Get().(*msg.DiffReply)
+	out := msg.New[*msg.DiffReply]()
 	out.Page = req.Page
 	out.Diffs = zeroed(out.Diffs, len(req.Intervals))
 	return out, n.readDiffs(req.Writer, req.Page, req.Intervals, out.Diffs, pins.Get()), nil
@@ -98,7 +102,7 @@ func (n *node) serveDiffRequest(req *msg.DiffRequest) (msg.Message, retained, er
 // shards (and read-only serves within one) proceed in parallel. Its reply
 // is pooled like serveDiffRequest's, each page's Diffs list included.
 func (n *node) serveDiffBatchRequest(req *msg.DiffBatchRequest) (msg.Message, retained, error) {
-	out := batchReplies.Get().(*msg.DiffBatchReply)
+	out := msg.New[*msg.DiffBatchReply]()
 	// Resized, not zeroed: each entry keeps its Diffs list for reuse.
 	out.Pages = slices.Grow(out.Pages[:0], len(req.Pages))[:len(req.Pages)]
 	pinned := pins.Get()
@@ -180,9 +184,10 @@ func nextWriter(nts []msg.Notice, prev int32) (w int32, ok bool) {
 // pending set is; it is only read. tid is the faulting thread (< 0 for
 // server-side fetches) and src classifies the protocol path for the probe
 // (demand fault vs. manager serving). Server-side calls run concurrently
-// on transport workers, so all scratch lives on this frame — the diff
-// table and, beside it, the leases its entries borrow from, released when
-// the diffs have been applied (or the fetch abandoned).
+// on transport workers, so all scratch lives on this frame or in the
+// fetch's batch — the diff table and, beside it, the leases its entries
+// borrow from, released when the diffs have been applied (or the fetch
+// abandoned).
 func (n *node) fetchAndApplyDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, pending []msg.Notice, src ApplySource) (bool, error) {
 	c := n.c
 	// diffs[i] is the diff pending[i] names.
@@ -198,11 +203,11 @@ func (n *node) fetchAndApplyDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, 
 	if c.cfg.BatchDiffs {
 		// Batched path: one DiffBatchRequest per writer, fanned out in
 		// parallel; the stall is the slowest round trip, not the sum.
-		wire, complete, ls, err := n.fetchDiffBatches(pending, diffs)
+		wire, complete, batch, err := n.fetchDiffBatches(pending, diffs)
 		if err != nil {
 			return false, err
 		}
-		held = ls
+		defer batch.release()
 		charge(ti, sim.ThreadInterval{Stall: wire})
 		c.probeRemoteFetch(n.id, tid, FetchDiffBatch, p, wire)
 		if !complete {
@@ -274,14 +279,9 @@ func (n *node) applyDiffs(p vm.PageID, nts []msg.Notice, diffs [][]byte, src App
 // read them — on every path, errors included.
 func (n *node) fetchWriterDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, w int32, pending []msg.Notice, diffs [][]byte) (held lease, ok bool, err error) {
 	c := n.c
-	// The request and room for its usual handful of intervals come as one
-	// object: a message handed to the transport lives on the heap.
-	alloc := &struct {
-		msg.DiffRequest
-		room [6]int32
-	}{DiffRequest: msg.DiffRequest{From: int32(n.id), Page: int32(p), Writer: w}}
-	req := &alloc.DiffRequest
-	req.Intervals = alloc.room[:0]
+	req := msg.New[*msg.DiffRequest]()
+	defer msg.Release(req)
+	req.From, req.Page, req.Writer = int32(n.id), int32(p), w
 	for _, nt := range pending {
 		if nt.Writer == w {
 			req.Intervals = append(req.Intervals, nt.Interval)
@@ -315,27 +315,78 @@ func (n *node) fetchWriterDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, w 
 	return held, true, nil
 }
 
+// diffBatch is one batched fetch's scratch, pooled whole with the lists'
+// capacity: index i of reqs, replies, wires and held is the fetch's i-th
+// writer, and order is the notices' request order. fetch is the fan-out's
+// body, bound once per scratch so a fetch does not allocate it.
+type diffBatch struct {
+	n       *node
+	order   []int32
+	reqs    []*msg.DiffBatchRequest
+	replies []*msg.DiffBatchReply
+	wires   []sim.Time
+	held    leases
+	fetch   func(i int) error
+}
+
+var diffBatches = sync.Pool{New: func() any { return new(diffBatch) }}
+
+// call sends the i-th writer's request and checks its reply.
+func (b *diffBatch) call(i int) (err error) {
+	req := b.reqs[i]
+	r := b.n.routeTo(int(req.Writer))
+	var reply msg.Message
+	reply, b.held[i], b.wires[i], err = r.call(req)
+	if err == nil {
+		b.replies[i], err = checkBatchReply(reply, req)
+	}
+	if err != nil {
+		return fmt.Errorf("dsm: node %d batch fetch diffs from %d: %w", b.n.id, req.Writer, err)
+	}
+	return nil
+}
+
+// release releases the replies with their leases, once the diffs they
+// hold have been applied or copied, and the requests, then the scratch.
+func (b *diffBatch) release() {
+	b.held.release()
+	for _, req := range b.reqs {
+		msg.Release(req)
+	}
+	clear(b.reqs)
+	clear(b.replies)
+	clear(b.held)
+	b.n = nil
+	diffBatches.Put(b)
+}
+
 // fetchDiffBatches fetches the diffs nts names — any number of pages and
 // writers — with one DiffBatchRequest per writer, fanned out in parallel,
 // and stores the diff of nts[i] in out[i] (nil where it is no longer
 // held). It returns the slowest round trip's wire cost (the requester's
 // stall, since the fan-out overlaps), whether every requested diff was
-// present, and the leases out's entries borrow from, which the caller
+// present, and the batch out's entries borrow from, which the caller
 // releases when it has applied or copied the diffs (on error there is
 // nothing to release). Every reply is checked before a counter moves. It
 // performs no state mutation on n and must be called without mu held;
 // stats are recorded atomically.
-func (n *node) fetchDiffBatches(nts []msg.Notice, out [][]byte) (sim.Time, bool, leases, error) {
+func (n *node) fetchDiffBatches(nts []msg.Notice, out [][]byte) (sim.Time, bool, *diffBatch, error) {
 	c := n.c
+	b := diffBatches.Get().(*diffBatch)
+	if b.fetch == nil {
+		b.fetch = b.call
+	}
+	b.n = n
 	// order visits nts writer by writer, each writer's notices by (page,
 	// interval): the order the requests name the diffs in, and therefore
 	// the order the replies return them in.
-	order := make([]int32, len(nts))
-	for i := range order {
-		order[i] = int32(i)
+	b.order = b.order[:0]
+	for i := range nts {
+		b.order = append(b.order, int32(i))
 	}
-	slices.SortFunc(order, func(a, b int32) int {
-		x, y := nts[a], nts[b]
+	order := b.order
+	slices.SortFunc(order, func(i, j int32) int {
+		x, y := nts[i], nts[j]
 		if c := cmp.Compare(x.Writer, y.Writer); c != 0 {
 			return c
 		}
@@ -345,51 +396,40 @@ func (n *node) fetchDiffBatches(nts []msg.Notice, out [][]byte) (sim.Time, bool,
 		return cmp.Compare(x.Interval, y.Interval)
 	})
 
-	var reqs []*msg.DiffBatchRequest
+	b.reqs = b.reqs[:0]
 	for lo := 0; lo < len(order); {
 		w := nts[order[lo]].Writer
-		req := &msg.DiffBatchRequest{From: int32(n.id), Writer: w}
+		req := msg.New[*msg.DiffBatchRequest]()
+		req.From, req.Writer = int32(n.id), w
+		var pi *msg.PageIntervals
 		for ; lo < len(order) && nts[order[lo]].Writer == w; lo++ {
 			nt := nts[order[lo]]
-			if len(req.Pages) == 0 || req.Pages[len(req.Pages)-1].Page != nt.Page {
-				req.Pages = append(req.Pages, msg.PageIntervals{Page: nt.Page})
+			if pi == nil || pi.Page != nt.Page {
+				pi = req.AddPage(nt.Page)
 			}
-			pi := &req.Pages[len(req.Pages)-1]
 			pi.Intervals = append(pi.Intervals, nt.Interval)
 		}
-		reqs = append(reqs, req)
+		b.reqs = append(b.reqs, req)
 	}
 
-	replies := make([]*msg.DiffBatchReply, len(reqs))
-	wires := make([]sim.Time, len(reqs))
-	held := make(leases, len(reqs))
-	err := fanOut(len(reqs), c.cfg.SerialFanOut, func(i int) (err error) {
-		var reply msg.Message
-		r := n.routeTo(int(reqs[i].Writer))
-		reply, held[i], wires[i], err = r.call(reqs[i])
-		if err == nil {
-			replies[i], err = checkBatchReply(reply, reqs[i])
-		}
-		if err != nil {
-			return fmt.Errorf("dsm: node %d batch fetch diffs from %d: %w", n.id, reqs[i].Writer, err)
-		}
-		return nil
-	})
-	if err != nil {
-		held.release()
+	b.replies = zeroed(b.replies, len(b.reqs))
+	b.wires = zeroed(b.wires, len(b.reqs))
+	b.held = zeroed(b.held, len(b.reqs))
+	if err := fanOut(len(b.reqs), c.cfg.SerialFanOut, b.fetch); err != nil {
+		b.release()
 		return 0, false, nil, err
 	}
 
 	complete := true
 	var maxWire sim.Time
 	next := 0 // position in order of the next diff the replies return
-	for i, req := range reqs {
-		maxWire = max(maxWire, wires[i])
+	for i, req := range b.reqs {
+		maxWire = max(maxWire, b.wires[i])
 		// The barrier's root reading its own store (push collection) is a
 		// local read, not a fetch, and counts as none.
 		fetched := int(req.Writer) != n.id
 		start := next
-		for _, pd := range replies[i].Pages {
+		for _, pd := range b.replies[i].Pages {
 			for _, df := range pd.Diffs {
 				out[order[next]] = df
 				next++
@@ -406,5 +446,5 @@ func (n *node) fetchDiffBatches(nts []msg.Notice, out [][]byte) (sim.Time, bool,
 			c.stats.BatchSizeHist[batchSizeBucket(next-start)].Add(1)
 		}
 	}
-	return maxWire, complete, held, nil
+	return maxWire, complete, b, nil
 }

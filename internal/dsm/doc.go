@@ -130,17 +130,22 @@
 // open. The last release returns it whole to the node's free list, so
 // after the first GC epoch a diff allocates nothing.
 //
-// Messages follow one lifetime rule: a decoded request lives until the
-// transport handler (respond) returns, a decoded reply until the caller's
-// apply returns, and a served reply until its encode. After the encode
-// respond releases the serve's pins and hands the request and the reply
-// to recycle, the one kind switch that takes back their pooled storage —
-// never the stored bytes, which belong to the pins. A message served in
-// place never passes respond; its reply is dropped.
+// Messages follow one lifetime rule with one release, msg.Release: a
+// decoded request lives until the transport handler (respond) returns, a
+// decoded reply until the caller's apply returns (it rides the lease, with
+// the frame it borrows from), a sent request until its call returns, and
+// a served reply until its encode. After the encode respond releases the
+// serve's pins and the reply (recycle hands a served page image back to
+// pageBufs first), and it releases the request on every path. Release
+// keeps no byte view — never the stored bytes, which belong to the pins.
+// A requester that pointed a field at its own state (a lock release's
+// known suffix, an acquire's seen vector) detaches it before the release.
+// A message served in place never passes respond; its requester releases
+// the reply with the lease.
 //
 // ARCHITECTURE.md §4 states the rule in full. Race builds (pool.Race)
-// poison every recycled frame, notice list, twin, page image and diff
-// chunk, and set a recycled chunk's count to a sentinel that panics on
+// poison every recycled frame, released message, twin, page image and
+// diff chunk, and set a recycled chunk's count to a sentinel that panics on
 // any later retain or release, so the whole test suite and
 // 'make sweep-poison' check them.
 //
@@ -154,9 +159,9 @@
 // (node.locks), reset in one place (resetLockState). A history pull is
 // chosen from its holder: the node's own known prefix, or the holder's
 // replicated history on its standby, up to the mark a release recorded
-// there. One filter (appendUnseen) builds both kinds of grant, into a
-// pooled notice list (msg.GetNotices) that the handler returns after the
-// encode and the acquirer after the apply. The lock
+// there. One filter (appendUnseen) builds both kinds of grant, into the
+// notice list of a pooled grant (msg.New) that the handler releases after
+// the encode and the acquirer after the apply. The lock
 // messages travel the diff path's route: to the primary or the holder, to
 // its standby while it is dead, or served in place. Under fault tolerance
 // every release that lands on another node also records the releaser's

@@ -228,14 +228,15 @@ func (r *route) call(req msg.Message) (msg.Message, lease, sim.Time, error) {
 
 // sendTo makes one attempt at a request to node `to`. When that is n
 // itself the request is served in place, with no wire: the same serve a
-// peer's request gets. The reply borrows from the returned lease — the
-// reply frame, or the references the serve pinned.
+// peer's request gets. The returned lease holds the reply and what it
+// borrows from — the reply frame, or the references the serve pinned.
 func (n *node) sendTo(to int, req msg.Message) (reply msg.Message, held lease, wire sim.Time, err error) {
 	if to == n.id {
 		reply, held.pins, err = n.serve(n.id, req)
-		return reply, held, 0, err
+	} else {
+		reply, held.frame, wire, err = n.c.callFrame(n.id, to, req)
 	}
-	reply, held.frame, wire, err = n.c.callFrame(n.id, to, req)
+	held.reply = reply
 	return reply, held, wire, err
 }
 
@@ -426,7 +427,7 @@ func (n *node) resetForRejoin() {
 			st.hasCopy = false
 			st.pending = st.pending[:0]
 			n.markPrefetched(st, false)
-			st.appliedVT = nil
+			clear(st.appliedVT)
 			n.as.SetProt(vm.PageID(p), vm.ProtNone)
 		}
 		n.unlockShard(sh)

@@ -632,11 +632,13 @@ func (n *node) fetchFullPage(ti *sim.ThreadInterval, tid int, p vm.PageID, src A
 		frame []byte
 		wire  sim.Time
 	)
+	req := msg.New[*msg.PageRequest]()
+	defer msg.Release(req)
+	req.From, req.Page = int32(n.id), int32(p)
 	for attempt := 0; ; attempt++ {
 		mgr := n.effHome(p)
 		sh := n.rlockShard(p)
-		req := &msg.PageRequest{From: int32(n.id), Page: int32(p)}
-		req.Pending = append(req.Pending, n.pages[p].pending...)
+		req.Pending = append(req.Pending[:0], n.pages[p].pending...)
 		sh.mu.RUnlock()
 
 		var err error
@@ -651,7 +653,7 @@ func (n *node) fetchFullPage(ti *sim.ThreadInterval, tid int, p vm.PageID, src A
 		break
 	}
 	// pr.Data is a view of frame until the copy below has run.
-	defer msg.PutBuf(frame)
+	defer lease{reply: pr, frame: frame}.release()
 	c.stats.PageFetches.Add(1)
 	if src != ApplyDemand {
 		c.stats.RecoveryFetches.Add(1)
@@ -743,17 +745,17 @@ func (n *node) serve(from int, m msg.Message) (msg.Message, retained, error) {
 // requester recycles it once it has consumed the decoded reply — see
 // Cluster.callFrame); then whatever the serve pooled or pinned goes back:
 // the stored diffs the reply aliased (the encode copied their bytes to the
-// wire), and through recycle the request's lists and the reply with its.
-// A failed serve returns nothing: its request may be a reply kind a peer
-// sent by mistake, whose borrowed image no pool may take.
+// wire), and through recycle the reply and its image. The request goes to
+// msg.Release on every path, a failed serve's included: Release keeps no
+// byte view, so even a reply kind a peer sent by mistake is safe there.
 func (n *node) respond(from int, m msg.Message) ([]byte, error) {
+	defer msg.Release(m)
 	reply, pinned, err := n.serve(from, m)
 	if err != nil {
 		return nil, err
 	}
 	out := msg.EncodeTo(msg.GetBuf(), reply)
 	pinned.release()
-	recycle(m)
 	recycle(reply)
 	return out, nil
 }
@@ -766,10 +768,10 @@ func noRelease(m msg.Message, err error) (msg.Message, retained, error) {
 
 // servePageRequest brings the home's own copy of the page current
 // (merging the requester's pending notices with its own) and replies with
-// the full page image. The reply's page buffer is pooled; the transport
-// handler recycles it after encoding. The serving node may be a moved
-// home rather than the static manager; it pulls the writers' diffs on
-// demand, exactly as the static manager would.
+// the full page image. The reply and its page buffer are pooled; the
+// transport handler recycles both after encoding. The serving node may be
+// a moved home rather than the static manager; it pulls the writers' diffs
+// on demand, exactly as the static manager would.
 func (n *node) servePageRequest(req *msg.PageRequest) (msg.Message, error) {
 	p := vm.PageID(req.Page)
 	if n.effHome(p) != n.id {
@@ -804,16 +806,17 @@ func (n *node) servePageRequest(req *msg.PageRequest) (msg.Message, error) {
 
 	sh = n.rlockShard(p)
 	st = &n.pages[p]
-	data := getPageBuf()
-	copy(data, n.pageData(p))
-	vt := make([]int32, n.c.cfg.Nodes)
-	copy(vt, st.appliedVT)
+	out := msg.New[*msg.PageReply]()
+	out.Page, out.Data = req.Page, getPageBuf()
+	copy(out.Data, n.pageData(p))
+	out.AppliedVT = zeroed(out.AppliedVT, n.c.cfg.Nodes)
+	copy(out.AppliedVT, st.appliedVT)
 	// This read-section copied page data, which spans write through their
 	// windows unlocked: bump the generation like a write-section would, so
 	// that the copy is ordered before the writes of any later span.
 	n.gen.Add(1)
 	sh.mu.RUnlock()
-	return &msg.PageReply{Page: req.Page, Data: data, AppliedVT: vt}, nil
+	return out, nil
 }
 
 // serveBarrierEnter folds a barrier arrival into this node's episode
@@ -972,7 +975,8 @@ func (n *node) serveLockAcquire(req *msg.LockAcquire) (msg.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	grant := &msg.LockGrant{Lock: req.Lock, Lam: ml.lockLam[req.Lock], Holder: -1}
+	grant := msg.New[*msg.LockGrant]()
+	grant.Lock, grant.Lam, grant.Holder = req.Lock, ml.lockLam[req.Lock], -1
 	if n.c.cfg.LockForwarding {
 		if h, ok := ml.holder[req.Lock]; ok {
 			grant.Holder = h
@@ -988,7 +992,7 @@ func (n *node) serveLockAcquire(req *msg.LockAcquire) (msg.Message, error) {
 			start = int(req.Pos)
 		}
 	}
-	grant.Notices = appendUnseen(msg.GetNotices(), ml.log[start:], req.Node, req.Seen)
+	grant.Notices = appendUnseen(grant.Notices, ml.log[start:], req.Node, req.Seen)
 	return grant, nil
 }
 
@@ -1059,8 +1063,9 @@ func (n *node) serveLockPull(req *msg.LockPull) (msg.Message, error) {
 		lam = n.replState[holder].lam
 		n.replMu.Unlock()
 	}
-	grant := &msg.LockGrant{Lock: req.Lock, Lam: lam, Holder: req.Holder}
-	grant.Notices = appendUnseen(msg.GetNotices(), history, req.Node, req.Seen)
+	grant := msg.New[*msg.LockGrant]()
+	grant.Lock, grant.Lam, grant.Holder = req.Lock, lam, req.Holder
+	grant.Notices = appendUnseen(grant.Notices, history, req.Node, req.Seen)
 	if n.c.cfg.Mutation == MutationNoTransitivity {
 		// Test-only bug: forward only the holder's own notices, dropping
 		// the received history a correct holder must propagate (lost
@@ -1072,10 +1077,10 @@ func (n *node) serveLockPull(req *msg.LockPull) (msg.Message, error) {
 
 // appendUnseen is the grant filter: it appends to dst the notices of
 // history that requester has not seen — neither its own nor covered by its
-// seen vector. The serves pass a pooled list (msg.GetNotices) as dst; the
-// handler returns it once the grant is encoded (recycle), and a grant
-// served in place is returned by its acquirer. Either way the grant owns a
-// copy, never a view of the history.
+// seen vector. The serves pass a pooled grant's own list as dst; the
+// handler releases the grant once it is encoded, and a grant served in
+// place is released by its acquirer. Either way the grant owns a copy,
+// never a view of the history.
 func appendUnseen(dst, history []msg.Notice, requester int32, seen []int32) []msg.Notice {
 	for _, nt := range history {
 		if nt.Writer == requester || (int(nt.Writer) < len(seen) && nt.Interval <= seen[nt.Writer]) {
@@ -1154,7 +1159,7 @@ func (n *node) collectPage(p vm.PageID, keepCopy bool) error {
 			return nil
 		}
 		st.hasCopy = false
-		st.appliedVT = nil
+		clear(st.appliedVT) // zeros, kept for the next fetch
 		n.as.SetProt(p, vm.ProtNone)
 		n.c.probePageInvalidated(n.id, p)
 	}

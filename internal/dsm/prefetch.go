@@ -210,7 +210,7 @@ func (c *Cluster) collectPushDiffs(root int, hot map[int32][]int32, notices []ms
 	// One batch per writer for the whole cluster; the root's own diffs are
 	// a local read of its store (route serves them in place).
 	diffs := make([][]byte, len(needed))
-	wire, _, held, err := c.nodes[root].fetchDiffBatches(needed, diffs)
+	wire, _, batch, err := c.nodes[root].fetchDiffBatches(needed, diffs)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -220,7 +220,7 @@ func (c *Cluster) collectPushDiffs(root int, hot map[int32][]int32, notices []ms
 	for i, df := range diffs {
 		diffs[i] = slices.Clone(df)
 	}
-	held.release()
+	batch.release()
 
 	// Assemble each destination's push list. A page any of whose diffs
 	// is missing (garbage-collected on the writer) is skipped whole.
@@ -330,11 +330,11 @@ func (n *node) prefetch(budget int) (int, sim.Time, error) {
 		all = append(all, cd.pend...)
 	}
 	got := make([][]byte, len(all))
-	wire, _, held, err := n.fetchDiffBatches(all, got)
+	wire, _, batch, err := n.fetchDiffBatches(all, got)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer held.release() // got borrows from the leases until applied
+	defer batch.release() // got borrows from the batch's leases until applied
 
 	var applyCost sim.Time
 	applied := 0

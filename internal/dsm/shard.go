@@ -1,8 +1,8 @@
 package dsm
 
 // Sharded page-state locking, the diff store's chunks and the package's
-// pools — page buffers, pin lists and diff replies: the node-local
-// concurrency substrate. See doc.go for the full locking model.
+// pools — page buffers and pin lists: the node-local concurrency
+// substrate. See doc.go for the full locking model.
 //
 // Page state is striped across ServiceShards independent RWMutex-guarded
 // shards (page p belongs to shard p mod nshards), so operations on pages
@@ -269,13 +269,6 @@ func putPageBuf(b []byte) {
 	}
 }
 
-// diffReplies and batchReplies recycle the replies diff serves build,
-// with their Diffs and Pages lists (recycle).
-var (
-	diffReplies  = sync.Pool{New: func() any { return new(msg.DiffReply) }}
-	batchReplies = sync.Pool{New: func() any { return new(msg.DiffBatchReply) }}
-)
-
 // zeroed returns s resized to n zero elements, reusing its capacity.
 func zeroed[T any](s []T, n int) []T {
 	s = slices.Grow(s[:0], n)[:n]
@@ -283,43 +276,16 @@ func zeroed[T any](s []T, n int) []T {
 	return s
 }
 
-// recycle returns the pooled storage of a message the transport handler
-// is done with (node.respond): a decoded request and the reply served for
-// it, once the reply has been encoded to the wire. Request and reply kinds
-// are disjoint, so one switch serves both.
-//   - A decoded LockRelease's notice list: its serve copied the notices
-//     into the manager log and kept nothing.
-//   - A served PageReply's image: a getPageBuf buffer or nil (the
-//     single-writer forwarders copy the owner's image into one).
-//   - A served LockGrant's notice list, built by the grant filter
-//     (appendUnseen).
-//   - A served DiffReply or DiffBatchReply, from diffReplies or
-//     batchReplies. Its entries alias stored diffs, which the serve's pins
-//     own: they are cleared here, never recycled.
-//
-// The encode copied every reply's contents into the reply frame, and that
-// frame is all the requester ever sees. A message served in place
-// (route.call to this node) never passes here: its request's notices are
-// a view of the releaser's known set, and its reply becomes garbage.
+// recycle returns a message the transport handler is done with
+// (node.respond): a decoded request, and the reply served for it once the
+// reply has been encoded to the wire. A served PageReply's image is a
+// getPageBuf buffer or nil (the single-writer forwarders copy the owner's
+// image into one) and goes back to pageBufs; the message itself goes to
+// msg.Release, which keeps no byte view. A served diff reply's entries
+// alias stored diffs, which the serve's pins own.
 func recycle(m msg.Message) {
-	switch r := m.(type) {
-	case *msg.LockRelease:
-		msg.PutNotices(r.Notices)
-		r.Notices = nil
-	case *msg.PageReply:
-		image := r.Data
-		r.Data = nil
-		putPageBuf(image)
-	case *msg.LockGrant:
-		msg.PutNotices(r.Notices)
-		r.Notices = nil
-	case *msg.DiffReply:
-		clear(r.Diffs)
-		diffReplies.Put(r)
-	case *msg.DiffBatchReply:
-		for i := range r.Pages {
-			clear(r.Pages[i].Diffs)
-		}
-		batchReplies.Put(r)
+	if pr, ok := m.(*msg.PageReply); ok {
+		putPageBuf(pr.Data)
 	}
+	msg.Release(m)
 }

@@ -123,7 +123,7 @@ func (n *node) swRemoteFault(mgr int, p vm.PageID, a vm.Access) (bool, error) {
 		n.as.SetProt(p, vm.ProtRead)
 	}
 	n.unlockShard(sh)
-	msg.PutBuf(frame) // pr.Data was a view of it
+	lease{reply: pr, frame: frame}.release() // pr.Data was a view of frame
 	return true, nil
 }
 
@@ -151,7 +151,7 @@ func (n *node) swManagerLocalFault(p vm.PageID, a vm.Access) (bool, error) {
 		copy(n.pageData(p), pr.Data)
 		n.pages[p].hasCopy = true
 		n.unlockShard(sh)
-		msg.PutBuf(frame) // pr.Data was a view of it
+		lease{reply: pr, frame: frame}.release() // pr.Data was a view of frame
 		remote = true
 	}
 
@@ -241,7 +241,7 @@ func (n *node) serveSWRead(req *msg.SWRead) (msg.Message, error) {
 	n.swMu.Lock()
 	n.sw[p].copyset |= 1 << uint(req.From)
 	n.swMu.Unlock()
-	return &msg.PageReply{Page: req.Page, Data: data}, nil
+	return pageReply(req.Page, data), nil
 }
 
 // swOwnerImage has the manager fetch page p from its owner (req is the
@@ -257,7 +257,7 @@ func (n *node) swOwnerImage(owner int, req msg.Message, p vm.PageID) ([]byte, er
 	}
 	data := getPageBuf()
 	copy(data, pr.Data)
-	msg.PutBuf(frame)
+	lease{reply: pr, frame: frame}.release()
 	return data, nil
 }
 
@@ -294,7 +294,7 @@ func (n *node) serveSWWrite(req *msg.SWWrite) (msg.Message, error) {
 	n.swMu.Lock()
 	n.sw[p] = swState{owner: req.From, copyset: 1 << uint(req.From)}
 	n.swMu.Unlock()
-	return &msg.PageReply{Page: req.Page, Data: data}, nil
+	return pageReply(req.Page, data), nil
 }
 
 // serveSWDowngrade runs at the owner: keep a read-only replica and return
@@ -308,7 +308,7 @@ func (n *node) serveSWDowngrade(req *msg.SWDowngrade) (msg.Message, error) {
 		n.as.SetProt(p, vm.ProtRead)
 	}
 	n.unlockShard(sh)
-	return &msg.PageReply{Page: req.Page, Data: data}, nil
+	return pageReply(req.Page, data), nil
 }
 
 // serveSWFlush runs at the owner: surrender the page entirely.
@@ -320,11 +320,19 @@ func (n *node) serveSWFlush(req *msg.SWFlush) (msg.Message, error) {
 	n.pages[p].hasCopy = false
 	n.as.SetProt(p, vm.ProtNone)
 	n.unlockShard(sh)
-	return &msg.PageReply{Page: req.Page, Data: data}, nil
+	return pageReply(req.Page, data), nil
 }
 
 // serveSWInvalidate drops a read replica.
 func (n *node) serveSWInvalidate(req *msg.SWInvalidate) (msg.Message, error) {
 	n.swDropLocal(vm.PageID(req.Page))
 	return &msg.Ack{}, nil
+}
+
+// pageReply builds a single-writer serve's pooled reply around an image
+// from getPageBuf (nil for none), which the transport handler recycles.
+func pageReply(page int32, data []byte) *msg.PageReply {
+	pr := msg.New[*msg.PageReply]()
+	pr.Page, pr.Data = page, data
+	return pr
 }

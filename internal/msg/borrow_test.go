@@ -146,10 +146,10 @@ func TestBorrowsNamesThePayloadKinds(t *testing.T) {
 	}
 }
 
-// TestNoticeRecycleRoundTrip pins the notice pool's contract with Decode:
-// a decode that draws a recycled list from the pool holds exactly the
-// notices it decoded — never a tail of the earlier list. (The pool's
-// poison fill is internal/pool's TestSlices.)
+// TestNoticeRecycleRoundTrip pins Release's contract with Decode: a
+// decode into a released grant's notice list holds exactly the notices it
+// decoded — never a tail of the earlier list. (The poison fill is
+// TestReleasePoisons.)
 func TestNoticeRecycleRoundTrip(t *testing.T) {
 	notices := func(n int, base int32) []Notice {
 		out := make([]Notice, n)
@@ -171,7 +171,7 @@ func TestNoticeRecycleRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(first.Notices, notices(9, 100)) {
 		t.Fatalf("first grant decoded %v", first.Notices)
 	}
-	PutNotices(first.Notices)
+	Release(first)
 	second := decodeGrant(notices(2, 500))
 	if !reflect.DeepEqual(second.Notices, notices(2, 500)) {
 		t.Fatalf("second grant decoded %+v, want exactly the 2 encoded notices", second.Notices)

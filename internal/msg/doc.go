@@ -40,16 +40,20 @@
 // correctness; using a payload after it is the bug, and race builds make
 // it loud — there PutBuf fills the buffer with 0xDB before pooling it.
 //
-// Notice lists follow the same rule. Decode draws each one from a pool
-// (GetNotices), and whoever knows a list is dead may return it with
-// PutNotices; a list nobody returns is garbage, never a bug. The DSM has
-// three owners that return theirs: the transport handler, for a served
-// LockGrant once it is encoded and for a decoded LockRelease once it is
-// served; and the acquirer, for a received grant once its notices are
-// queued and recorded. A list that is kept — a BarrierRelease the tree
-// fan-out stores — is simply never returned. Race builds fill a returned
-// list with a notice naming page and writer -0x2425.
+// Messages follow the same rule, with one release. The miss path's and
+// the lock path's kinds (Pooled) live in one pool per kind: Decode draws
+// from it and decodes each list into the capacity the message kept, New
+// hands one to a sender, and Release returns one. Release truncates the
+// lists the message owns and drops its byte views without pooling them —
+// frames, page images and stored diffs keep their owners — so a handler
+// may release every request it decoded, and the kinds that stay unpooled
+// (barrier, GC, replica, rejoin: their receivers keep parts of them)
+// release as a no-op. A sender that pointed a field at its own state must
+// detach it first. A message nobody releases is garbage, never a bug; one
+// read after its release is, and race builds set its integers to -0x2425
+// and fill its lists' capacity with notices naming page -0x2425 or with a
+// 0xDB run in place of each diff.
 //
-// Both pools are instances of pool.Slices, and pool.Race is the switch
-// that turns their poison fill on.
+// The buffer pool is an instance of pool.Slices, and pool.Race is the
+// switch that turns the poison fill on.
 package msg

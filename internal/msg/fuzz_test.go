@@ -116,38 +116,18 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 		if re := Encode(got); !bytes.Equal(re, enc) {
 			t.Fatalf("re-encode diverged:\nin:  % x\nout: % x", enc, re)
 		}
-		// Decode again after returning the first decode's notice lists:
-		// the second decode may draw those very lists from the pool, and
-		// must still hold exactly the encoded notices.
-		putNoticeLists(got)
+		// Decode again after releasing the first decode: the second may
+		// draw that very message, lists and all, from its pool, and must
+		// still hold exactly the encoded fields.
+		Release(got)
 		again, err := Decode(enc)
 		if err != nil {
 			t.Fatalf("second decode failed: %v", err)
 		}
 		if re := Encode(again); !bytes.Equal(re, enc) {
-			t.Fatalf("decode into recycled notice lists diverged:\nin:  % x\nout: % x", enc, re)
+			t.Fatalf("decode into a released message diverged:\nin:  % x\nout: % x", enc, re)
 		}
 	})
-}
-
-// putNoticeLists returns every notice list of a decoded message to the
-// pool.
-func putNoticeLists(m Message) {
-	switch v := m.(type) {
-	case *PageRequest:
-		PutNotices(v.Pending)
-	case *BarrierEnter:
-		PutNotices(v.Notices)
-	case *BarrierRelease:
-		PutNotices(v.Notices)
-	case *LockGrant:
-		PutNotices(v.Notices)
-	case *LockRelease:
-		PutNotices(v.Notices)
-	case *ReplicaDelta:
-		PutNotices(v.Notices)
-		PutNotices(v.Known)
-	}
 }
 
 // buildFuzzMessage constructs a message of the given kind from fuzzed

@@ -3,7 +3,6 @@ package msg
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"actdsm/internal/pool"
@@ -563,24 +562,6 @@ func GetBuf() []byte {
 // nothing.
 func PutBuf(b []byte) { bufs.Put(b) }
 
-// noticeLists backs GetNotices/PutNotices. Race builds fill a recycled list
-// with a negative page and writer no protocol path accepts, so a stale
-// read names an impossible page instead of whatever the next user stored.
-var noticeLists = pool.Slices[Notice]{Poison: Notice{Page: -0x2425, Writer: -0x2425, Interval: -0x2425, Lam: -0x2425}}
-
-// GetNotices returns a pooled, zero-length notice list to append to, or
-// nil when the pool is empty (append allocates then, as it would have).
-// Decode draws every non-empty notice list from here. Return it with
-// PutNotices once nothing reads it any more.
-func GetNotices() []Notice { return noticeLists.Get() }
-
-// PutNotices recycles a notice list: one GetNotices returned, one Decode
-// filled, or any list the caller owns outright. The rule is PutBuf's:
-// whoever knows a list is dead may return it, and must not reference it
-// afterwards. Forgetting to return one costs garbage, never correctness.
-// A list with no capacity is dropped.
-func PutNotices(ns []Notice) { noticeLists.Put(ns) }
-
 // Borrows reports whether a decoded message of kind k holds byte fields
 // that alias the buffer it was decoded from (PageReply.Data, the Diffs of
 // DiffReply / DiffBatchReply / ReplicaDelta, BarrierRelease's pushed
@@ -597,9 +578,10 @@ func (k Kind) Borrows() bool {
 // Decode parses a message produced by Encode. It borrows: every []byte
 // field of the result is a sub-slice of b (capacity clipped to its
 // length, so an append can never write into b), valid for as long as the
-// caller leaves b alone. Integer and notice fields are copied out; notice
-// lists are drawn from the notice pool, and their owner may return them
-// with PutNotices. Kind.Borrows names the kinds that have byte fields.
+// caller leaves b alone. Integer and notice fields are copied out. A
+// Pooled kind comes from its pool, its lists decoded into the capacity
+// the message kept, and its owner returns it with Release. Kind.Borrows
+// names the kinds that have byte fields.
 func Decode(b []byte) (Message, error) {
 	// Each case calls its type's decodeBody directly rather than through
 	// the Message interface: a static call lets the decoder stay on this
@@ -613,16 +595,16 @@ func Decode(b []byte) (Message, error) {
 	var m Message
 	switch Kind(k) {
 	case KindPageRequest:
-		v := &PageRequest{}
+		v := New[*PageRequest]()
 		m, err = v, v.decodeBody(d)
 	case KindPageReply:
-		v := &PageReply{}
+		v := New[*PageReply]()
 		m, err = v, v.decodeBody(d)
 	case KindDiffRequest:
-		v := &DiffRequest{}
+		v := New[*DiffRequest]()
 		m, err = v, v.decodeBody(d)
 	case KindDiffReply:
-		v := &DiffReply{}
+		v := New[*DiffReply]()
 		m, err = v, v.decodeBody(d)
 	case KindBarrierEnter:
 		v := &BarrierEnter{}
@@ -631,13 +613,13 @@ func Decode(b []byte) (Message, error) {
 		v := &BarrierRelease{}
 		m, err = v, v.decodeBody(d)
 	case KindLockAcquire:
-		v := &LockAcquire{}
+		v := New[*LockAcquire]()
 		m, err = v, v.decodeBody(d)
 	case KindLockGrant:
-		v := &LockGrant{}
+		v := New[*LockGrant]()
 		m, err = v, v.decodeBody(d)
 	case KindLockRelease:
-		v := &LockRelease{}
+		v := New[*LockRelease]()
 		m, err = v, v.decodeBody(d)
 	case KindGCCollect:
 		v := &GCCollect{}
@@ -661,13 +643,13 @@ func Decode(b []byte) (Message, error) {
 		v := &SWInvalidate{}
 		m, err = v, v.decodeBody(d)
 	case KindDiffBatchRequest:
-		v := &DiffBatchRequest{}
+		v := New[*DiffBatchRequest]()
 		m, err = v, v.decodeBody(d)
 	case KindDiffBatchReply:
-		v := &DiffBatchReply{}
+		v := New[*DiffBatchReply]()
 		m, err = v, v.decodeBody(d)
 	case KindLockPull:
-		v := &LockPull{}
+		v := New[*LockPull]()
 		m, err = v, v.decodeBody(d)
 	case KindReplicaDelta:
 		v := &ReplicaDelta{}
@@ -818,7 +800,7 @@ func (m *PageRequest) decodeBody(d *decoder) (err error) {
 	if m.Page, err = d.i32(); err != nil {
 		return err
 	}
-	m.Pending, err = d.notices()
+	m.Pending, err = d.notices(m.Pending)
 	return err
 }
 
@@ -835,7 +817,7 @@ func (m *PageReply) decodeBody(d *decoder) (err error) {
 	if m.Data, err = d.bytes(); err != nil {
 		return err
 	}
-	m.AppliedVT, err = d.i32s()
+	m.AppliedVT, err = d.i32s(m.AppliedVT)
 	return err
 }
 
@@ -856,7 +838,7 @@ func (m *DiffRequest) decodeBody(d *decoder) (err error) {
 	if m.Writer, err = d.i32(); err != nil {
 		return err
 	}
-	m.Intervals, err = d.i32s()
+	m.Intervals, err = d.i32s(m.Intervals)
 	return err
 }
 
@@ -880,7 +862,7 @@ func (m *DiffReply) decodeBody(d *decoder) (err error) {
 	if err != nil {
 		return err
 	}
-	m.Diffs = make([][]byte, n)
+	m.Diffs = resize(m.Diffs, n)
 	for i := range m.Diffs {
 		if m.Diffs[i], err = d.bytesOrNil(); err != nil {
 			return err
@@ -913,7 +895,7 @@ func (m *BarrierEnter) decodeBody(d *decoder) (err error) {
 	if m.Lam, err = d.i32(); err != nil {
 		return err
 	}
-	if m.Notices, err = d.notices(); err != nil {
+	if m.Notices, err = d.notices(nil); err != nil {
 		return err
 	}
 	n, err := d.length()
@@ -949,7 +931,7 @@ func (m *BarrierEnter) decodeBody(d *decoder) (err error) {
 			if h.Node, err = d.i32(); err != nil {
 				return err
 			}
-			if h.Pages, err = d.i32s(); err != nil {
+			if h.Pages, err = d.i32s(nil); err != nil {
 				return err
 			}
 		}
@@ -981,7 +963,7 @@ func (m *BarrierRelease) decodeBody(d *decoder) (err error) {
 	if m.Lam, err = d.i32(); err != nil {
 		return err
 	}
-	if m.Notices, err = d.notices(); err != nil {
+	if m.Notices, err = d.notices(nil); err != nil {
 		return err
 	}
 	if m.Push, err = d.pushes(); err != nil {
@@ -1036,7 +1018,7 @@ func (m *LockAcquire) decodeBody(d *decoder) (err error) {
 	if m.Pos, err = d.i32(); err != nil {
 		return err
 	}
-	m.Seen, err = d.i32s()
+	m.Seen, err = d.i32s(m.Seen)
 	return err
 }
 
@@ -1061,7 +1043,7 @@ func (m *LockGrant) decodeBody(d *decoder) (err error) {
 	if m.Holder, err = d.i32(); err != nil {
 		return err
 	}
-	m.Notices, err = d.notices()
+	m.Notices, err = d.notices(m.Notices)
 	return err
 }
 
@@ -1082,14 +1064,14 @@ func (m *LockRelease) decodeBody(d *decoder) (err error) {
 	if m.Lam, err = d.i32(); err != nil {
 		return err
 	}
-	m.Notices, err = d.notices()
+	m.Notices, err = d.notices(m.Notices)
 	return err
 }
 
 func (m *GCCollect) encodeBody(e *encoder) { e.i32s(m.Pages) }
 
 func (m *GCCollect) decodeBody(d *decoder) (err error) {
-	m.Pages, err = d.i32s()
+	m.Pages, err = d.i32s(nil)
 	return err
 }
 
@@ -1165,12 +1147,12 @@ func (m *DiffBatchRequest) decodeBody(d *decoder) (err error) {
 	if err != nil {
 		return err
 	}
-	m.Pages = make([]PageIntervals, n)
+	m.Pages = resize(m.Pages, n)
 	for i := range m.Pages {
 		if m.Pages[i].Page, err = d.i32(); err != nil {
 			return err
 		}
-		if m.Pages[i].Intervals, err = d.i32s(); err != nil {
+		if m.Pages[i].Intervals, err = d.i32s(m.Pages[i].Intervals); err != nil {
 			return err
 		}
 	}
@@ -1197,7 +1179,7 @@ func (m *DiffBatchReply) decodeBody(d *decoder) (err error) {
 	if err != nil {
 		return err
 	}
-	m.Pages = make([]PageDiffs, n)
+	m.Pages = resize(m.Pages, n)
 	for i := range m.Pages {
 		if m.Pages[i].Page, err = d.i32(); err != nil {
 			return err
@@ -1206,7 +1188,7 @@ func (m *DiffBatchReply) decodeBody(d *decoder) (err error) {
 		if err != nil {
 			return err
 		}
-		m.Pages[i].Diffs = make([][]byte, k)
+		m.Pages[i].Diffs = resize(m.Pages[i].Diffs, k)
 		for j := range m.Pages[i].Diffs {
 			if m.Pages[i].Diffs[j], err = d.bytesOrNil(); err != nil {
 				return err
@@ -1233,7 +1215,7 @@ func (m *LockPull) decodeBody(d *decoder) (err error) {
 	if m.Holder, err = d.i32(); err != nil {
 		return err
 	}
-	m.Seen, err = d.i32s()
+	m.Seen, err = d.i32s(m.Seen)
 	return err
 }
 
@@ -1267,7 +1249,7 @@ func (m *ReplicaDelta) decodeBody(d *decoder) (err error) {
 	if m.Lam, err = d.i32(); err != nil {
 		return err
 	}
-	if m.Notices, err = d.notices(); err != nil {
+	if m.Notices, err = d.notices(nil); err != nil {
 		return err
 	}
 	n, err := d.length()
@@ -1280,7 +1262,7 @@ func (m *ReplicaDelta) decodeBody(d *decoder) (err error) {
 			return err
 		}
 	}
-	m.Known, err = d.notices()
+	m.Known, err = d.notices(nil)
 	return err
 }
 
@@ -1305,10 +1287,10 @@ func (m *RejoinReply) decodeBody(d *decoder) (err error) {
 	if m.Lam, err = d.i32(); err != nil {
 		return err
 	}
-	if m.Seen, err = d.i32s(); err != nil {
+	if m.Seen, err = d.i32s(nil); err != nil {
 		return err
 	}
-	m.Homes, err = d.i32s()
+	m.Homes, err = d.i32s(nil)
 	return err
 }
 
@@ -1414,10 +1396,10 @@ func (d *decoder) bytesOrNil() ([]byte, error) {
 	return d.bytes()
 }
 
-// i32s decodes a counted []int32. The count is bounded by the four bytes
-// each element needs: length alone admits a list four times larger than
-// the input could hold.
-func (d *decoder) i32s() ([]int32, error) {
+// i32s decodes a counted []int32 into dst's capacity. The count is
+// bounded by the four bytes each element needs: length alone admits a list
+// four times larger than the input could hold.
+func (d *decoder) i32s(dst []int32) ([]int32, error) {
 	n, err := d.length()
 	if err != nil {
 		return nil, err
@@ -1425,7 +1407,7 @@ func (d *decoder) i32s() ([]int32, error) {
 	if n > (len(d.buf)-d.off)/4 {
 		return nil, fmt.Errorf("msg: bad int32 count %d with %d bytes left", n, len(d.buf)-d.off)
 	}
-	out := make([]int32, n)
+	out := resize(dst, n)
 	for i := range out {
 		out[i], _ = d.i32() // cannot fail: 4*n bytes are left
 	}
@@ -1461,10 +1443,9 @@ func (d *decoder) pushes() ([]PushedDiff, error) {
 	return out, nil
 }
 
-// notices decodes a counted []Notice into a list drawn from the notice
-// pool (GetNotices), truncated to exactly the count. A zero count is an
-// empty non-nil list that owns no memory.
-func (d *decoder) notices() ([]Notice, error) {
+// notices decodes a counted []Notice into dst's capacity. A zero count is
+// an empty non-nil list.
+func (d *decoder) notices(dst []Notice) ([]Notice, error) {
 	n, err := d.length()
 	if err != nil {
 		return nil, err
@@ -1473,10 +1454,7 @@ func (d *decoder) notices() ([]Notice, error) {
 	if n > (len(d.buf)-d.off)/noticeWire {
 		return nil, fmt.Errorf("msg: bad notice count %d", n)
 	}
-	if n == 0 {
-		return []Notice{}, nil
-	}
-	out := slices.Grow(GetNotices(), n)[:n]
+	out := resize(dst, n)
 	for i := range out {
 		if out[i].Page, err = d.i32(); err != nil {
 			return nil, err

@@ -2,7 +2,8 @@
 // one race switch.
 //
 // Slices is the pool behind every recycled slice the protocol moves: msg's
-// wire frames and notice lists, dsm's page buffers and pin lists. Race
+// wire frames, dsm's page buffers and pin lists. Poison fills storage
+// recycled another way, such as a released message's lists. Race
 // builds fill what a pool takes back with its poison value, so a read
 // through a stale alias returns a deterministic wrong value — a malformed
 // diff, an impossible page, an oracle violation — instead of whatever the
