@@ -160,9 +160,11 @@ gc-gate: sweep-poison
 	$(GO) test -race -count=5 -run 'TestPinnedDiffOutlivesDrop|TestDiffAliasGCHammer' ./internal/dsm
 	$(GO) test -race -count=5 -run 'TestReleasePoisons' ./internal/msg
 
-## check-mutations: checker validation — each deliberately broken
-## protocol variant must trip the oracle (the sweep FAILING is the pass).
+## check-mutations: checker validation. Each patch under
+## internal/check/testdata/mutations plants one protocol bug; the runner
+## applies it to a copy of the module, which must build and vet, and
+## every check its header names must then fail with the violation the
+## header expects. A patch that no longer applies or builds, or a check
+## that passes or fails some other way, fails the target by name.
 check-mutations:
-	$(GO) run ./cmd/actcheck -seeds 5 -q -expect-failure -mutation no-transitivity
-	$(GO) run ./cmd/actcheck -seeds 5 -q -expect-failure -mutation no-notice-dedup
-	$(GO) run ./cmd/actcheck -seeds 5 -q -expect-failure -mutation gc-skip-last-page
+	sh internal/check/testdata/mutations/run.sh

@@ -5,15 +5,16 @@
 //
 // Usage:
 //
-//	actcheck [-seeds N] [-scenarios a,b,c] [-mutation NAME]
-//	         [-max-faults N] [-workers N] [-list] [-q] [-big-tree]
+//	actcheck [-seeds N] [-scenarios a,b,c] [-max-faults N]
+//	         [-workers N] [-list] [-q] [-big-tree]
 //
 // A clean sweep exits 0. A failure is greedily shrunk (chaos events
 // removed one at a time while the violation persists) and printed as a
-// repro stanza; the exit status is 1. -mutation runs every trial under a
-// deliberately broken protocol (none, no-transitivity, no-notice-dedup,
-// push-partial-apply, gc-skip-last-page) to validate that the checker
-// detects that bug class — used by `make check-mutations` and CI.
+// repro stanza; the exit status is 1. The checker is validated against
+// deliberately broken protocols kept as patches under
+// internal/check/testdata/mutations: `make check-mutations` applies each
+// to a copy of the module and requires the sweeps its header names to
+// fail with the violation it expects.
 package main
 
 import (
@@ -23,7 +24,6 @@ import (
 	"strings"
 
 	"actdsm/internal/check"
-	"actdsm/internal/dsm"
 )
 
 func main() {
@@ -37,12 +37,10 @@ func run() error {
 	var (
 		seeds     = flag.Int("seeds", 200, "schedules to replay per scenario")
 		scens     = flag.String("scenarios", "", "comma-separated scenario subset (default: all)")
-		mutFlag   = flag.String("mutation", "none", "protocol mutation: none, no-transitivity, no-notice-dedup, push-partial-apply, gc-skip-last-page")
 		maxFaults = flag.Int("max-faults", 3, "max chaos events per generated plan")
 		workers   = flag.Int("workers", 0, "parallel trials (0 = GOMAXPROCS)")
 		list      = flag.Bool("list", false, "list scenarios and exit")
 		quiet     = flag.Bool("q", false, "suppress progress output")
-		expect    = flag.Bool("expect-failure", false, "invert the exit status: fail if the sweep is clean (mutation validation)")
 		big       = flag.Bool("big-tree", false, "sweep the large simulated-cluster set (64-node tree barriers) instead of the default scenarios")
 	)
 	flag.Parse()
@@ -55,10 +53,6 @@ func run() error {
 		return nil
 	}
 
-	mut, err := parseMutation(*mutFlag)
-	if err != nil {
-		return err
-	}
 	var scenarios []check.Scenario
 	if *big {
 		scenarios = check.BigTreeScenarios()
@@ -78,7 +72,6 @@ func run() error {
 		Scenarios: scenarios,
 		Seeds:     *seeds,
 		MaxFaults: *maxFaults,
-		Mutation:  mut,
 		Workers:   *workers,
 	}
 	if !*quiet {
@@ -96,41 +89,20 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("sweep: %d trials, %d aborted, mutation=%s, %.2fs\n",
-		res.Trials, res.Aborted, mut, res.Elapsed.Seconds())
+	fmt.Printf("sweep: %d trials, %d aborted, %.2fs\n",
+		res.Trials, res.Aborted, res.Elapsed.Seconds())
 
 	if res.Failure == nil {
-		if *expect {
-			return fmt.Errorf("mutation %s: sweep was clean, expected the checker to trip", mut)
-		}
 		fmt.Println("clean: no invariant violations")
 		return nil
 	}
 
 	f := check.Shrink(res.Failure)
-	fmt.Printf("FAIL: scenario %s seed %d plan %s mutation %s\n",
-		f.Scenario.Name, f.Seed, f.Plan, f.Mutation)
+	fmt.Printf("FAIL: scenario %s seed %d plan %s\n", f.Scenario.Name, f.Seed, f.Plan)
 	for _, v := range f.Violations {
 		fmt.Printf("  %s\n", v)
 	}
 	fmt.Printf("\nminimal repro (paste into internal/check):\n\n%s\n", f.ReproStanza())
-	if *expect {
-		fmt.Printf("mutation %s detected as expected\n", mut)
-		return nil
-	}
 	os.Exit(1)
 	return nil
-}
-
-func parseMutation(s string) (dsm.Mutation, error) {
-	for _, m := range []dsm.Mutation{
-		dsm.MutationNone, dsm.MutationNoTransitivity,
-		dsm.MutationNoNoticeDedup, dsm.MutationPushPartialApply,
-		dsm.MutationGCSkipLastPage,
-	} {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown mutation %q (want none, no-transitivity, no-notice-dedup, push-partial-apply, or gc-skip-last-page)", s)
 }

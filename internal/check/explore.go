@@ -7,10 +7,10 @@ package check
 //
 // Determinism contract: every trial runs the Local transport with
 // dsm.Config.SerialFanOut, so the global transport-call sequence is a
-// pure function of (scenario, seed, plan, mutation). Chaos plans key
-// faults by global call number; replaying the same trial replays the
-// same faults at the same protocol points, which is what makes shrinking
-// (and the printed regression stanza) exact.
+// pure function of (scenario, seed, plan). Chaos plans key faults by
+// global call number; replaying the same trial replays the same faults
+// at the same protocol points, which is what makes shrinking (and the
+// printed regression stanza) exact.
 
 import (
 	"fmt"
@@ -291,9 +291,6 @@ type Trial struct {
 	// dimension of the exploration).
 	Seed uint64
 	Plan Plan
-	// Mutation optionally runs a deliberately broken protocol, for
-	// validating that the checker detects that bug class.
-	Mutation dsm.Mutation
 }
 
 // TrialResult is one trial's outcome.
@@ -396,7 +393,6 @@ func RunTrial(tr Trial) TrialResult {
 		Nodes:            tr.Scenario.Nodes,
 		Pages:            layout.TotalPages(),
 		SerialFanOut:     true,
-		Mutation:         tr.Mutation,
 		BatchDiffs:       tr.Scenario.BatchDiffs,
 		PrefetchBudget:   tr.Scenario.PrefetchBudget,
 		LockShards:       tr.Scenario.LockShards,
@@ -545,8 +541,6 @@ type SweepConfig struct {
 	Seeds int
 	// MaxFaults bounds the chaos events per generated plan (default 3).
 	MaxFaults int
-	// Mutation runs every trial under a deliberately broken protocol.
-	Mutation dsm.Mutation
 	// Workers bounds trial parallelism (default GOMAXPROCS). Trials are
 	// independent and individually deterministic, so parallelism does
 	// not affect reproducibility.
@@ -560,12 +554,11 @@ type Failure struct {
 	Scenario   Scenario
 	Seed       uint64
 	Plan       Plan
-	Mutation   dsm.Mutation
 	Violations []Violation
 }
 
 func (f *Failure) trial() Trial {
-	return Trial{Scenario: f.Scenario, Seed: f.Seed, Plan: f.Plan, Mutation: f.Mutation}
+	return Trial{Scenario: f.Scenario, Seed: f.Seed, Plan: f.Plan}
 }
 
 // SweepResult summarizes a sweep.
@@ -588,7 +581,11 @@ type SweepResult struct {
 // then seed). Each scenario is first calibrated with one clean run to
 // learn its transport call count; a violation in the calibration run
 // itself is reported as a failure with an empty plan.
-func Sweep(cfg SweepConfig) (*SweepResult, error) {
+func Sweep(cfg SweepConfig) (*SweepResult, error) { return sweep(cfg, RunTrial) }
+
+// sweep is Sweep with the trial runner as a parameter, so the sweep and
+// shrink machinery can be tested against a fake runner.
+func sweep(cfg SweepConfig, run func(Trial) TrialResult) (*SweepResult, error) {
 	start := time.Now()
 	scenarios := cfg.Scenarios
 	if scenarios == nil {
@@ -635,7 +632,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 
 	for scIdx, sc := range scenarios {
 		// Calibration: one clean, chaos-free run.
-		cal := RunTrial(Trial{Scenario: sc, Seed: 0, Mutation: cfg.Mutation})
+		cal := run(Trial{Scenario: sc, Seed: 0})
 		if cal.RunErr != nil && !cal.Failed() {
 			return nil, fmt.Errorf("check: scenario %s calibration run failed: %w", sc.Name, cal.RunErr)
 		}
@@ -674,7 +671,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 						// seed, so barrier-window call numbers must come
 						// from a clean run of the SAME seed for the crash
 						// to land mid-protocol rather than mid-application.
-						pc := RunTrial(Trial{Scenario: sc, Seed: seed, Mutation: cfg.Mutation})
+						pc := run(Trial{Scenario: sc, Seed: seed})
 						mu.Lock()
 						executed++
 						mu.Unlock()
@@ -699,7 +696,7 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 					} else {
 						plan = planForSeed(seed, totalCalls, cfg.MaxFaults)
 					}
-					r := RunTrial(Trial{Scenario: sc, Seed: seed, Plan: plan, Mutation: cfg.Mutation})
+					r := run(Trial{Scenario: sc, Seed: seed, Plan: plan})
 					mu.Lock()
 					executed++
 					if r.RunErr != nil && !r.Failed() {
@@ -731,7 +728,6 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 			Scenario:   scenarios[best.scIdx],
 			Seed:       best.seed,
 			Plan:       best.plan,
-			Mutation:   cfg.Mutation,
 			Violations: best.r.Violations,
 		}
 	}
@@ -742,7 +738,9 @@ func Sweep(cfg SweepConfig) (*SweepResult, error) {
 // removes single fault events while the trial still detects a violation,
 // until no single removal keeps it failing. The result reproduces a
 // violation by construction. (The seed is atomic and never shrunk.)
-func Shrink(f *Failure) *Failure {
+func Shrink(f *Failure) *Failure { return shrink(f, RunTrial) }
+
+func shrink(f *Failure, run func(Trial) TrialResult) *Failure {
 	cur := *f
 	for {
 		improved := false
@@ -751,7 +749,7 @@ func Shrink(f *Failure) *Failure {
 			delete(cand.Faults, c)
 			t := cur.trial()
 			t.Plan = cand
-			r := RunTrial(t)
+			r := run(t)
 			if r.Failed() {
 				cur.Plan = cand
 				cur.Violations = r.Violations
@@ -767,7 +765,7 @@ func Shrink(f *Failure) *Failure {
 			cand.Crashes = append(cand.Crashes[:i:i], cand.Crashes[i+1:]...)
 			t := cur.trial()
 			t.Plan = cand
-			r := RunTrial(t)
+			r := run(t)
 			if r.Failed() {
 				cur.Plan = cand
 				cur.Violations = r.Violations
@@ -784,8 +782,7 @@ func Shrink(f *Failure) *Failure {
 // for internal/check.
 func (f *Failure) ReproStanza() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "// Regression: %s seed=%d plan=%s mutation=%s\n",
-		f.Scenario.Name, f.Seed, f.Plan, f.Mutation)
+	fmt.Fprintf(&b, "// Regression: %s seed=%d plan=%s\n", f.Scenario.Name, f.Seed, f.Plan)
 	for _, v := range f.Violations {
 		fmt.Fprintf(&b, "//   %s\n", v)
 	}
@@ -796,9 +793,6 @@ func (f *Failure) ReproStanza() string {
 	fmt.Fprintf(&b, "\t\tScenario: check.MustScenario(%q),\n", f.Scenario.Name)
 	fmt.Fprintf(&b, "\t\tSeed:     %d,\n", f.Seed)
 	b.WriteString("\t\tPlan:     plan,\n")
-	if f.Mutation != dsm.MutationNone {
-		fmt.Fprintf(&b, "\t\tMutation: dsm.Mutation(%d), // %s\n", uint8(f.Mutation), f.Mutation)
-	}
 	b.WriteString("\t})\n")
 	inv := "violation"
 	if len(f.Violations) > 0 {

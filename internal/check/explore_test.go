@@ -1,15 +1,17 @@
 package check
 
 // Integration tests for the exploration driver: clean trials across all
-// scenarios, determinism, chaos resilience, mutation detection (the
-// checker-validation requirement), shrinking, and plan round-trips.
+// scenarios, determinism, chaos resilience, the sweep and shrink
+// machinery against a fake trial runner, and plan round-trips. Detection
+// of real protocol bugs is shown by the patches under testdata/mutations
+// (see TestMutationPatches).
 
 import (
 	"reflect"
 	"strings"
 	"testing"
 
-	"actdsm/internal/dsm"
+	"actdsm/internal/sim"
 	"actdsm/internal/transport"
 )
 
@@ -65,64 +67,6 @@ func TestTrialSurvivesChaosPlan(t *testing.T) {
 	}
 }
 
-func TestMutationNoTransitivityDetected(t *testing.T) {
-	r := RunTrial(Trial{
-		Scenario: MustScenario("LockChain4"),
-		Seed:     1,
-		Mutation: dsm.MutationNoTransitivity,
-	})
-	if !r.Failed() {
-		t.Fatal("broken transitivity not detected")
-	}
-	if !hasInvariant(r, "lost-update") {
-		t.Fatalf("expected lost-update, got %v", r.Violations)
-	}
-}
-
-// hasInvariant reports whether the trial recorded a breach of the named
-// invariant.
-func hasInvariant(r TrialResult, code string) bool {
-	for _, v := range r.Violations {
-		if v.Invariant == code {
-			return true
-		}
-	}
-	return false
-}
-
-func TestMutationNoNoticeDedupDetected(t *testing.T) {
-	for _, name := range []string{"SOR4", "LockChain4"} {
-		r := RunTrial(Trial{
-			Scenario: MustScenario(name),
-			Seed:     1,
-			Mutation: dsm.MutationNoNoticeDedup,
-		})
-		if !r.Failed() {
-			t.Fatalf("%s: broken notice dedup not detected", name)
-		}
-		if !hasInvariant(r, "double-apply") {
-			t.Fatalf("%s: expected double-apply, got %v", name, r.Violations)
-		}
-	}
-}
-
-// TestMutationGCSkipLastPageDetected also proves the GC scenarios do what
-// they are there for: the bug only bites when a round's collect carries
-// two or more pages to a member that holds a stale replica of the last.
-func TestMutationGCSkipLastPageDetected(t *testing.T) {
-	for _, name := range []string{"SOR4gc", "Ocean4gc"} {
-		r := RunTrial(Trial{
-			Scenario: MustScenario(name),
-			Seed:     1,
-			Mutation: dsm.MutationGCSkipLastPage,
-		})
-		if !hasInvariant(r, "lost-update") {
-			t.Fatalf("%s: expected lost-update from the uninvalidated replica, got %v (run error %v)",
-				name, r.Violations, r.RunErr)
-		}
-	}
-}
-
 func TestSweepCleanSmall(t *testing.T) {
 	res, err := Sweep(SweepConfig{
 		Scenarios: []Scenario{MustScenario("SOR4"), MustScenario("LockChain4")},
@@ -140,21 +84,43 @@ func TestSweepCleanSmall(t *testing.T) {
 	}
 }
 
+// failOn is a fake trial runner for the sweep and shrink machinery: it
+// reports a violation for one (scenario, seed) whatever the plan, and
+// passes every other trial.
+func failOn(scenario string, seed uint64) func(Trial) TrialResult {
+	return func(tr Trial) TrialResult {
+		r := TrialResult{Calls: 100}
+		if tr.Scenario.Name == scenario && tr.Seed == seed {
+			r.Violations = []Violation{{Invariant: "lost-update", Node: 2, Detail: "planted"}}
+		}
+		return r
+	}
+}
+
 func TestSweepFindsAndShrinksMutation(t *testing.T) {
-	res, err := Sweep(SweepConfig{
-		Scenarios: []Scenario{MustScenario("LockChain4")},
+	// The failing seed is one whose generated plan is not empty, so the
+	// shrink has events to strip.
+	seed := uint64(1)
+	for planForSeed(seed, 100, 3).Empty() {
+		seed++
+	}
+	res, err := sweep(SweepConfig{
+		Scenarios: []Scenario{MustScenario("SOR4"), MustScenario("LockChain4")},
 		Seeds:     20,
-		Mutation:  dsm.MutationNoTransitivity,
-	})
+	}, failOn("LockChain4", seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Failure == nil {
-		t.Fatal("mutation sweep found no failure")
+		t.Fatal("sweep found no failure")
 	}
-	f := Shrink(res.Failure)
+	if res.Failure.Scenario.Name != "LockChain4" || res.Failure.Seed != seed || res.Failure.Plan.Empty() {
+		t.Fatalf("sweep reported %s seed %d plan %s, want LockChain4 seed %d under its generated plan",
+			res.Failure.Scenario.Name, res.Failure.Seed, res.Failure.Plan, seed)
+	}
+	f := shrink(res.Failure, failOn("LockChain4", seed))
 	if !f.Plan.Empty() {
-		// The mutation fails without any chaos, so the minimal plan is
+		// The trial fails without any chaos, so the minimal plan is
 		// empty.
 		t.Fatalf("shrink left a non-minimal plan: %s", f.Plan)
 	}
@@ -162,7 +128,7 @@ func TestSweepFindsAndShrinksMutation(t *testing.T) {
 		t.Fatal("shrunk failure lost its violations")
 	}
 	stanza := f.ReproStanza()
-	for _, want := range []string{"check.RunTrial", "MustScenario(\"LockChain4\")", "func TestRepro_"} {
+	for _, want := range []string{"check.RunTrial", "MustScenario(\"LockChain4\")", "func TestRepro_", "lost-update"} {
 		if !strings.Contains(stanza, want) {
 			t.Fatalf("repro stanza missing %q:\n%s", want, stanza)
 		}
@@ -170,28 +136,21 @@ func TestSweepFindsAndShrinksMutation(t *testing.T) {
 }
 
 func TestShrinkDropsIrrelevantFaults(t *testing.T) {
-	// A failing trial whose failure is caused by the mutation, not the
-	// chaos events: shrinking must strip every event.
-	plan := Plan{Faults: map[int64]transport.Fault{
-		9:  transport.FaultDuplicate,
-		21: transport.FaultDropReply,
-	}}
-	tr := Trial{
+	// A failing trial whose failure does not depend on the chaos events:
+	// shrinking must strip every event, faults and crashes alike.
+	f := shrink(&Failure{
 		Scenario: MustScenario("LockChain4"),
 		Seed:     3,
-		Plan:     plan,
-		Mutation: dsm.MutationNoTransitivity,
-	}
-	r := RunTrial(tr)
-	if !r.Failed() {
-		t.Fatal("seed trial did not fail")
-	}
-	f := Shrink(&Failure{
-		Scenario: tr.Scenario, Seed: tr.Seed, Plan: tr.Plan,
-		Mutation: tr.Mutation, Violations: r.Violations,
-	})
+		Plan: Plan{
+			Faults: map[int64]transport.Fault{
+				9:  transport.FaultDuplicate,
+				21: transport.FaultDropReply,
+			},
+			Crashes: []sim.CrashSchedule{{Node: 1, Call: 40}},
+		},
+	}, failOn("LockChain4", 3))
 	if !f.Plan.Empty() {
-		t.Fatalf("shrink kept irrelevant faults: %s", f.Plan)
+		t.Fatalf("shrink kept irrelevant events: %s", f.Plan)
 	}
 }
 

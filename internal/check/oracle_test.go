@@ -153,7 +153,8 @@ func TestOracleLostUpdateViaLockChain(t *testing.T) {
 	// Transitivity: node 0 releases L0 after writing; node 1 acquires L0
 	// (inheriting the front), then releases L1; node 2 acquires L1 — its
 	// front now covers node 0's write through the chain. Reading without
-	// the update is the lost update MutationNoTransitivity produces.
+	// the update is the lost update the no-transitivity mutation
+	// (testdata/mutations) produces.
 	o := NewOracle(3)
 	close1(o, 0, nt(0, 0, 1, 1))
 	o.lockReleased(0, 0)
@@ -182,7 +183,8 @@ func TestOracleLockChainCleanWhenDelivered(t *testing.T) {
 }
 
 func TestOraclePartialPushIsLostUpdate(t *testing.T) {
-	// The event shape MutationPushPartialApply produces: two writers'
+	// The event shape the push-partial-apply mutation would produce (no
+	// checker scenario reaches it; see DESIGN.md §8.3): two writers'
 	// updates ordered before the barrier, the push applies only one and
 	// the protocol drains the pending set anyway. The next read must
 	// trip: the reader's front covers the unapplied writer too.

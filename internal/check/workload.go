@@ -8,9 +8,10 @@ package check
 // any lock — legal precisely because the lock chain ordered those writes
 // before its acquire front — and finally writes its own page under lock
 // t. A protocol that ships only the releaser's own notices on a release
-// (dsm.MutationNoTransitivity) breaks the chain at the second hop: the
-// oracle's front says thread t must observe page t-2's update, the
-// notice never arrives, and the read trips "lost-update".
+// (the no-transitivity mutation, testdata/mutations) breaks the chain at
+// the second hop: the oracle's front says thread t must observe page
+// t-2's update, the notice never arrives, and the read trips
+// "lost-update".
 //
 // Locks and pages are both indexed by thread, so with Threads == Nodes
 // each hop crosses nodes and every lock has a distinct manager.

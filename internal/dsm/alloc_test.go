@@ -484,7 +484,7 @@ func TestDiffLifecycleAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		msg.PutBuf(out)
-		if err := n.collectPage(0, false); err != nil {
+		if err := n.collectPage(0); err != nil {
 			t.Fatal(err)
 		}
 	}})
@@ -511,7 +511,7 @@ func TestDiffLifecycleAllocs(t *testing.T) {
 			closeIv()
 			write(memlayout.PageSize)
 		}
-		if err := n.collectPage(0, false); err != nil {
+		if err := n.collectPage(0); err != nil {
 			t.Fatal(err)
 		}
 		runtime.GC()

@@ -78,9 +78,6 @@ type Config struct {
 	// plans by call number and reproduce failures exactly. Testing knob;
 	// leave off in production (parallel fan-out hides latency).
 	SerialFanOut bool
-	// Mutation injects a deliberate protocol bug for checker validation
-	// (see the Mutation constants). Test-only; never set in production.
-	Mutation Mutation
 	// PrefetchBudget enables correlation-driven prefetch at barrier
 	// release (Cluster.PrefetchRound): each node predicts the pages its
 	// resident threads will touch — from an installed predictor
@@ -1592,13 +1589,12 @@ func (c *Cluster) ReleaseLock(node, tid int, lock int32) (sim.Time, error) {
 // it. Under grant forwarding it ships no notices — the manager only learns
 // who holds the history — and marks how much of the known set existed at
 // release time; a later LockPull from the next acquirer is served from
-// that prefix (where the MutationNoTransitivity filter moves, too).
-// Otherwise it ships the suffix of the known set — own notices plus
-// everything received since the last barrier — not yet shipped for that
-// primary's log, so the next acquirer inherits transitive causal history
-// without re-transmitting delivered prefixes. The release is pooled and
-// its Notices may be a view of known: the caller puts own, the message's
-// own list, back before releasing it.
+// that prefix. Otherwise it ships the suffix of the known set — own
+// notices plus everything received since the last barrier — not yet
+// shipped for that primary's log, so the next acquirer inherits
+// transitive causal history without re-transmitting delivered prefixes.
+// The release is pooled and its Notices may be a view of known: the
+// caller puts own, the message's own list, back before releasing it.
 func (n *node) lockRelease(lock int32, primary int) (rel *msg.LockRelease, own []msg.Notice) {
 	rel = msg.New[*msg.LockRelease]()
 	own = rel.Notices
@@ -1609,17 +1605,6 @@ func (n *node) lockRelease(lock int32, primary int) (rel *msg.LockRelease, own [
 	} else {
 		rel.Notices = n.known[n.sentKnown[primary]:] // stable without mu: known is append-only
 		n.sentKnown[primary] = len(n.known)
-		if n.c.cfg.Mutation == MutationNoTransitivity {
-			// Test-only bug: ship only the releaser's own notices, dropping
-			// the received history a correct release must forward. A third
-			// node can then miss a causally-ordered update (lost update).
-			for _, nt := range rel.Notices {
-				if int(nt.Writer) == n.id {
-					own = append(own, nt)
-				}
-			}
-			rel.Notices = own
-		}
 	}
 	n.mu.Unlock()
 	return rel, own

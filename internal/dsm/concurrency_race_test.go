@@ -378,7 +378,7 @@ func TestPinnedDiffOutlivesDrop(t *testing.T) {
 	}{
 		{"page collects", 1, func(t *testing.T, n *node) {
 			for range 2 * perChunk {
-				if err := n.collectPage(0, false); err != nil {
+				if err := n.collectPage(0); err != nil {
 					t.Fatal(err)
 				}
 				writeDense(t, n.c, 1)
@@ -502,7 +502,7 @@ func TestDiffAliasGCHammer(t *testing.T) {
 	for i := 0; i < 400 || checked.Load() < 400; i++ {
 		writeDense(t, c, 1)
 		if i%4 == 3 {
-			if err := n.collectPage(0, false); err != nil {
+			if err := n.collectPage(0); err != nil {
 				t.Fatal(err)
 			}
 		}

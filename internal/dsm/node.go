@@ -50,15 +50,11 @@ func (st *pageState) staleOrDup(nt msg.Notice) (at int, skip bool) {
 }
 
 // queue inserts a write notice into pending at its causal position and
-// reports whether it did. With dedup it skips a stale or duplicate notice;
-// without (MutationNoNoticeDedup) it inserts every one.
-func (st *pageState) queue(nt msg.Notice, dedup bool) bool {
+// reports whether it did; a stale or duplicate notice is skipped.
+func (st *pageState) queue(nt msg.Notice) bool {
 	at, skip := st.staleOrDup(nt)
 	if skip {
-		if dedup {
-			return false
-		}
-		at, _ = slices.BinarySearchFunc(st.pending, nt, causalOrder)
+		return false
 	}
 	st.pending = slices.Insert(st.pending, at, nt)
 	return true
@@ -427,9 +423,7 @@ func (n *node) queueNotice(nt msg.Notice) bool {
 		return false // own writes are already in the local copy
 	}
 	st := &n.pages[nt.Page]
-	// MutationNoNoticeDedup (test-only) disables the stale/duplicate
-	// filter so the checker can prove it detects double application.
-	if !st.queue(nt, n.c.cfg.Mutation != MutationNoNoticeDedup) {
+	if !st.queue(nt) {
 		return false
 	}
 	if st.hasCopy {
@@ -1066,12 +1060,6 @@ func (n *node) serveLockPull(req *msg.LockPull) (msg.Message, error) {
 	grant := msg.New[*msg.LockGrant]()
 	grant.Lock, grant.Lam, grant.Holder = req.Lock, lam, req.Holder
 	grant.Notices = appendUnseen(grant.Notices, history, req.Node, req.Seen)
-	if n.c.cfg.Mutation == MutationNoTransitivity {
-		// Test-only bug: forward only the holder's own notices, dropping
-		// the received history a correct holder must propagate (lost
-		// transitivity).
-		grant.Notices = slices.DeleteFunc(grant.Notices, func(nt msg.Notice) bool { return nt.Writer != req.Holder })
-	}
 	return grant, nil
 }
 
@@ -1113,11 +1101,8 @@ func (n *node) serveGCCollect(req *msg.GCCollect) (msg.Message, error) {
 		}
 		n.replMu.Unlock()
 	}
-	for i, pg := range req.Pages {
-		// MutationGCSkipLastPage (test-only): the last page of a longer
-		// list is collected but its replica is left readable.
-		keep := n.c.cfg.Mutation == MutationGCSkipLastPage && i > 0 && i == len(req.Pages)-1
-		if err := n.collectPage(vm.PageID(pg), keep); err != nil {
+	for _, pg := range req.Pages {
+		if err := n.collectPage(vm.PageID(pg)); err != nil {
 			return nil, err
 		}
 	}
@@ -1126,9 +1111,8 @@ func (n *node) serveGCCollect(req *msg.GCCollect) (msg.Message, error) {
 
 // collectPage is serveGCCollect's per-page body. Dropping releases each
 // diff's reference on its chunk; a chunk an in-flight serve still pins is
-// recycled when that serve's encode finishes. keepCopy is the seeded
-// bug: the page's notices are retired without invalidating the copy.
-func (n *node) collectPage(p vm.PageID, keepCopy bool) error {
+// recycled when that serve's encode finishes.
+func (n *node) collectPage(p vm.PageID) error {
 	sh := n.lockShard(p)
 	defer n.unlockShard(sh)
 	// The page's interval map is cleared, not deleted: the next interval
@@ -1155,9 +1139,6 @@ func (n *node) collectPage(p vm.PageID, keepCopy bool) error {
 			n.c.stats.PrefetchWasted.Add(1)
 		}
 		st.pending = st.pending[:0] // keep the capacity: notices refill it next epoch
-		if keepCopy {
-			return nil
-		}
 		st.hasCopy = false
 		clear(st.appliedVT) // zeros, kept for the next fetch
 		n.as.SetProt(p, vm.ProtNone)

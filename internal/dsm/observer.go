@@ -178,57 +178,6 @@ type Probe struct {
 // in-flight operations.
 func (c *Cluster) SetProbe(p *Probe) { c.probe = p }
 
-// Mutation selects a deliberate, test-only protocol bug used to validate
-// that the coherence checker (internal/check) actually detects the class
-// of error it claims to. Never set in production configurations.
-type Mutation uint8
-
-// Mutations.
-const (
-	// MutationNone runs the correct protocol.
-	MutationNone Mutation = iota
-	// MutationNoTransitivity breaks transitive causal history on lock
-	// releases: a release ships only the releaser's own notices instead
-	// of everything it has created or received since the last barrier. A
-	// third node can then apply causally-ordered diffs out of order or
-	// miss an update entirely (lost update).
-	MutationNoTransitivity
-	// MutationNoNoticeDedup disables the receiver-side stale/duplicate
-	// notice filter: re-delivered or already-reflected notices are queued
-	// again, so their diffs are fetched and applied more than once per
-	// (writer, interval) — the exactly-once invariant the checker pins.
-	MutationNoNoticeDedup
-	// MutationPushPartialApply breaks the push path's no-partial-apply
-	// rule: a barrier-piggybacked push that covers only part of a page's
-	// pending set is applied anyway and the rest of the pending set is
-	// dropped, losing the uncovered updates.
-	MutationPushPartialApply
-	// MutationGCSkipLastPage breaks a garbage-collection round's list
-	// handling: a member served a collect of two or more pages drops the
-	// diffs and retires the pending notices of all of them but skips
-	// invalidating its replica of the last, which stays readable without
-	// the updates the round consolidated at the home.
-	MutationGCSkipLastPage
-)
-
-// String implements fmt.Stringer.
-func (m Mutation) String() string {
-	switch m {
-	case MutationNone:
-		return "none"
-	case MutationNoTransitivity:
-		return "no-transitivity"
-	case MutationNoNoticeDedup:
-		return "no-notice-dedup"
-	case MutationPushPartialApply:
-		return "push-partial-apply"
-	case MutationGCSkipLastPage:
-		return "gc-skip-last-page"
-	default:
-		return "unknown"
-	}
-}
-
 // probe event helpers: nil-safe wrappers so call sites stay one line.
 
 func (c *Cluster) probeIntervalClosed(node int, notices []msg.Notice) {

@@ -17,15 +17,14 @@ import (
 // linear-scan dedup on (writer, interval), and the applied vector.
 type pendingModel struct {
 	self    int32
-	dedup   bool
 	pending [][]msg.Notice // by page
 	applied [][]int32      // by page, then writer
 
-	fresh, stale, dup int // ingest outcomes, so a row cannot pass vacuously
+	fresh, stale, dup int // ingest outcomes, so a stream cannot pass vacuously
 }
 
-func newPendingModel(self int32, dedup bool, nodes, pages int) *pendingModel {
-	m := &pendingModel{self: self, dedup: dedup, pending: make([][]msg.Notice, pages), applied: make([][]int32, pages)}
+func newPendingModel(self int32, nodes, pages int) *pendingModel {
+	m := &pendingModel{self: self, pending: make([][]msg.Notice, pages), applied: make([][]int32, pages)}
 	for p := range m.applied {
 		m.applied[p] = make([]int32, nodes)
 	}
@@ -45,10 +44,6 @@ func (m *pendingModel) ingest(nt msg.Notice) {
 		m.dup++
 	default:
 		m.fresh++
-		m.pending[nt.Page] = append(m.pending[nt.Page], nt)
-		return
-	}
-	if !m.dedup {
 		m.pending[nt.Page] = append(m.pending[nt.Page], nt)
 	}
 }
@@ -89,23 +84,20 @@ func (m *pendingModel) causal(pg int32) []msg.Notice {
 // resets. After every step each page's pending set must hold the model's
 // multiset in causal order, and its applied vector the model's. It is what
 // lets the pending snapshots go to fetchAndApplyDiffs, applyPush and the
-// prefetch pull unsorted. The MutationNoNoticeDedup row keeps duplicates
-// and stale notices.
+// prefetch pull unsorted.
 func TestPendingDedupMatchesScan(t *testing.T) {
 	const nodes, pages, intervals, steps = 4, 2, 12, 400
 	// Node 0 is under test. It is page 0's home, which servePageRequest
 	// needs; page 1's home is node 1, which fetchFullPage fetches from and
 	// collectPage invalidates a replica for.
-	for _, mut := range []Mutation{MutationNone, MutationNoNoticeDedup} {
-		t.Run(mut.String(), func(t *testing.T) {
-			for seed := uint64(1); seed <= 40; seed++ {
-				runPendingStream(t, mut, seed, nodes, pages, intervals, steps)
-			}
-		})
-	}
+	t.Run("none", func(t *testing.T) {
+		for seed := uint64(1); seed <= 40; seed++ {
+			runPendingStream(t, seed, nodes, pages, intervals, steps)
+		}
+	})
 }
 
-func runPendingStream(t *testing.T, mut Mutation, seed uint64, nodes, pages, intervals, steps int) {
+func runPendingStream(t *testing.T, seed uint64, nodes, pages, intervals, steps int) {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	// lam[w][iv] is writer w's Lamport stamp for interval iv: fixed per
@@ -127,7 +119,7 @@ func runPendingStream(t *testing.T, mut Mutation, seed uint64, nodes, pages, int
 	// per interval; asked records the diff requests in the order sent.
 	var homeVT []int32
 	var asked, sent []msg.Notice
-	c, err := New(Config{Nodes: nodes, Pages: pages, GCThresholdBytes: -1, Mutation: mut})
+	c, err := New(Config{Nodes: nodes, Pages: pages, GCThresholdBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +140,7 @@ func runPendingStream(t *testing.T, mut Mutation, seed uint64, nodes, pages, int
 		return &msg.Ack{}
 	}}
 	n := c.nodes[0]
-	m := newPendingModel(0, mut != MutationNoNoticeDedup, nodes, pages)
+	m := newPendingModel(0, nodes, pages)
 
 	for step := 0; step < steps; step++ {
 		var op string
@@ -215,7 +207,7 @@ func runPendingStream(t *testing.T, mut Mutation, seed uint64, nodes, pages, int
 		case r < 39:
 			op = "collectPage"
 			pg := int32(rng.Intn(pages))
-			if err := n.collectPage(vm.PageID(pg), false); err != nil {
+			if err := n.collectPage(vm.PageID(pg)); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 			if pg == 1 { // node 0 holds a replica of page 1 only

@@ -143,14 +143,8 @@ func (n *node) applyPush(push []msg.PushedDiff) (sim.Time, int, error) {
 			}
 		}
 		if len(covered) < len(st.pending) {
-			if n.c.cfg.Mutation != MutationPushPartialApply {
-				n.unlockShard(sh)
-				continue
-			}
-			// The seeded bug (test-only) breaks the no-partial-apply rule:
-			// the page is applied anyway and the uncovered updates are
-			// silently dropped (lost update).
-			st.pending = append(st.pending[:0], covered...)
+			n.unlockShard(sh)
+			continue
 		}
 		cost, err := n.applyDiffs(p, covered, diffs, ApplyPush)
 		n.unlockShard(sh)
