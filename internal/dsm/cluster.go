@@ -43,15 +43,6 @@ type Config struct {
 	// Protocol selects the coherence protocol; zero value selects
 	// MultiWriter.
 	Protocol Protocol
-	// ServiceShards is the number of per-node page-state shards the
-	// protocol service path locks at page granularity, so independent
-	// remote requests (diff fetches, page fetches, notice deliveries,
-	// prefetch fills) service in parallel. 0 selects a default (16);
-	// other values round up to the next power of two. 1 puts every
-	// page of a node on one RWMutex stripe (the -race hammers use it to
-	// make a path that takes two shard locks deadlock). Negative is
-	// invalid.
-	ServiceShards int
 	// Transport tunes call resilience: a per-attempt deadline
 	// (CallTimeout, TCP only) and bounded retry with exponential
 	// backoff and jitter (MaxAttempts > 1). The zero value keeps the
@@ -204,12 +195,11 @@ type barrierState struct {
 
 // New's rejections, by name; TestNewValidation holds a row for each.
 var (
-	errNodes         = errors.New("dsm: Nodes must be positive")
-	errPages         = errors.New("dsm: Pages must be positive")
-	errServiceShards = errors.New("dsm: ServiceShards must be non-negative")
-	errLockShards    = errors.New("dsm: LockShards must be non-negative")
-	errBarrierArity  = errors.New("dsm: BarrierArity must be 0 (flat) or at least 2")
-	errTopologySize  = errors.New("dsm: Topology node count differs from Nodes")
+	errNodes        = errors.New("dsm: Nodes must be positive")
+	errPages        = errors.New("dsm: Pages must be positive")
+	errLockShards   = errors.New("dsm: LockShards must be non-negative")
+	errBarrierArity = errors.New("dsm: BarrierArity must be 0 (flat) or at least 2")
+	errTopologySize = errors.New("dsm: Topology node count differs from Nodes")
 	// errSingleWriter wraps the name of the multi-writer mechanism asked
 	// for: the single-writer protocol moves whole pages and keeps no
 	// intervals, notices or diffs for any of them to work on.
@@ -219,14 +209,17 @@ var (
 )
 
 // New builds and starts a cluster.
-func New(cfg Config) (*Cluster, error) {
+func New(cfg Config) (*Cluster, error) { return newCluster(cfg, defaultServiceShards) }
+
+// newCluster is New with the per-node page-state shard count, a power of
+// two. The -race hammers pass 1, which puts every page of a node on one
+// stripe so a path that takes two shard locks deadlocks against itself.
+func newCluster(cfg Config, shards int) (*Cluster, error) {
 	switch {
 	case cfg.Nodes <= 0:
 		return nil, errNodes
 	case cfg.Pages <= 0:
 		return nil, errPages
-	case cfg.ServiceShards < 0:
-		return nil, errServiceShards
 	case cfg.LockShards < 0:
 		return nil, errLockShards
 	case cfg.BarrierArity < 0 || cfg.BarrierArity == 1:
@@ -263,7 +256,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Protocol == 0 {
 		cfg.Protocol = MultiWriter
 	}
-	c := &Cluster{cfg: cfg, costs: cfg.Costs, topo: cfg.Topology, shardCount: normalizeShards(cfg.ServiceShards)}
+	c := &Cluster{cfg: cfg, costs: cfg.Costs, topo: cfg.Topology, shardCount: shards}
 	c.stats.InitLinks(cfg.Nodes)
 	c.writeHist = make([]int64, cfg.Pages*cfg.Nodes)
 	c.dead = make([]bool, cfg.Nodes)
@@ -334,10 +327,6 @@ func (c *Cluster) NumNodes() int { return c.cfg.Nodes }
 
 // NumPages returns the shared segment size in pages.
 func (c *Cluster) NumPages() int { return c.cfg.Pages }
-
-// NumShards returns the per-node page-state shard count in effect (the
-// normalized Config.ServiceShards).
-func (c *Cluster) NumShards() int { return c.shardCount }
 
 // Costs returns the cluster's cost model.
 func (c *Cluster) Costs() sim.Costs { return c.costs }

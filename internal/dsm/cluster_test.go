@@ -60,7 +60,6 @@ func TestNewValidation(t *testing.T) {
 	}{
 		{"zero nodes", Config{Nodes: 0, Pages: 1}, errNodes, ""},
 		{"zero pages", Config{Nodes: 1, Pages: 0}, errPages, ""},
-		{"negative service shards", Config{Nodes: 2, Pages: 1, ServiceShards: -1}, errServiceShards, ""},
 		{"negative lock shards", Config{Nodes: 2, Pages: 1, LockShards: -1}, errLockShards, ""},
 		{"barrier arity 1", Config{Nodes: 2, Pages: 1, BarrierArity: 1}, errBarrierArity, ""},
 		{"negative barrier arity", Config{Nodes: 2, Pages: 1, BarrierArity: -2}, errBarrierArity, ""},

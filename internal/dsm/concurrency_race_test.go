@@ -38,17 +38,17 @@ const replicaOrigin = 3
 // seeds both of node 0's diff stores: one stored diff (interval 1) of its
 // own for every page, and a copy of one from replicaOrigin in the replica
 // store, so DiffRequests naming either writer always hit. GC is disabled
-// so the stores survive the run.
+// so the stores survive the run. shards is the per-node page-state shard
+// count (see newCluster).
 func newSeededCluster(t *testing.T, shards int) *Cluster {
 	t.Helper()
-	c, err := New(Config{
+	c, err := newCluster(Config{
 		Nodes:            raceShape.Nodes,
 		Pages:            raceShape.Pages,
-		ServiceShards:    shards,
 		GCThresholdBytes: -1,
 		FaultTolerance:   true,
 		Chaos:            &transport.ChaosOptions{},
-	})
+	}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,15 +83,15 @@ func discardReply(c *Cluster, from int, m msg.Message) error {
 
 // TestSeededClusterServes pins what the hammers below rely on: a diff
 // serve returns the seeded interval and nil for an absent one, a page
-// serve returns a full page image, and ServiceShards 1 really is one
-// stripe.
+// serve returns a full page image, and a 1-shard cluster really is one
+// stripe while the default one has defaultServiceShards.
 func TestSeededClusterServes(t *testing.T) {
-	if got := newSeededCluster(t, 1).NumShards(); got != 1 {
-		t.Fatalf("ServiceShards 1: %d shards", got)
+	if got := len(newSeededCluster(t, 1).nodes[0].shards); got != 1 {
+		t.Fatalf("1-shard cluster: %d shards", got)
 	}
-	c := newSeededCluster(t, 0)
-	if got := c.NumShards(); got != defaultServiceShards {
-		t.Fatalf("ServiceShards 0: %d shards, want %d", got, defaultServiceShards)
+	c := newSeededCluster(t, defaultServiceShards)
+	if got := len(c.nodes[0].shards); got != defaultServiceShards {
+		t.Fatalf("default cluster: %d shards, want %d", got, defaultServiceShards)
 	}
 	reply, frame, _, err := c.callFrame(1, 0, &msg.DiffRequest{From: 1, Page: 7, Intervals: []int32{1, 2}})
 	if err != nil {
@@ -134,7 +134,7 @@ func TestSeededClusterServes(t *testing.T) {
 // sharded default and with every page on a single stripe, where a serve
 // that took two shard locks would deadlock against itself.
 func TestRaceServiceHammer(t *testing.T) {
-	for _, shards := range []int{0, 1} {
+	for _, shards := range []int{defaultServiceShards, 1} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			o := raceShape
 			c := newSeededCluster(t, shards)
@@ -261,7 +261,7 @@ func TestRaceServiceHammer(t *testing.T) {
 // mutexes (mu, lockMgrMu, shard locks) must keep independent.
 func TestRaceLockTrafficDuringServes(t *testing.T) {
 	o := raceShape
-	c := newSeededCluster(t, 0)
+	c := newSeededCluster(t, defaultServiceShards)
 
 	var (
 		wg   sync.WaitGroup

@@ -24,8 +24,8 @@
 // (ARCHITECTURE.md has the full map):
 //
 //   - Per-page protocol state (page table entries, protections, segment
-//     data, stored diffs) is striped across Config.ServiceShards
-//     RWMutex-guarded shards; page p belongs to shard p mod nshards.
+//     data, stored diffs) is striped across 16 RWMutex-guarded shards
+//     (defaultServiceShards); page p belongs to shard p mod nshards.
 //     Independent remote requests — diff fetches, page fetches, notice
 //     deliveries, prefetch fills — service in parallel when they touch
 //     different shards, and read-only diff serves share a shard's read
@@ -62,10 +62,9 @@
 // lock would buy the same edge for a mutex pair per page. (The page
 // serve's read-section bumps the generation too: it copies the page data
 // that spans write through their windows, and the bump orders the copy
-// before a later span's writes.) The engine guarantees the other half,
-// that no server-side mutation overlaps a span on the same node: barrier
-// releases, GC collects and rejoin wipes run with the node's threads
-// parked. Prefetch-hit accounting, the one part of a span that does lock
+// before a later span's writes.) The other half, that no server-side
+// mutation overlaps a span on the same node, is the access-path contract
+// below. Prefetch-hit accounting, the one part of a span that does lock
 // a page's shard, runs only while the node's live-prefetched count is
 // non-zero.
 //
@@ -97,6 +96,29 @@
 // allocations per message on the service path; msg's size_test.go pins
 // the encode, and the benchmark/ ladder tracks dsm.remote_miss_allocs,
 // dsm.barrier_allocs and dsm.lock_handoff_allocs.
+//
+// # The access-path contract
+//
+// One access at a time: the engine runs one application thread at a
+// time (runSlice in internal/threads), so one Cluster.Span and the
+// writes into its window are in progress cluster-wide, and no
+// server-side mutation of that node overlaps them — barrier releases, GC
+// collects and rejoin wipes run with the node's threads parked. A caller
+// that bypasses the engine keeps the same rule; the -race hammers hold
+// one mutex from each Span call through the write into its window.
+//
+// What may overlap: serves with each other, lock and barrier calls, the
+// legs of a fan-out (unless Config.SerialFanOut), and Kill.
+//
+// The ordering edges it relies on:
+//
+//   - n.gen, from a serve to a later span (unlockShard's bump, above);
+//   - the fan-out join: fanOut returns only after every leg has;
+//   - TCP.hb, the DSM's edge across kernel sockets: the in-process
+//     transport runs the handler on the caller's goroutine, ordering
+//     caller before handler before return; a socket gives no such edge
+//     even within one process, so the TCP transport bumps one shared
+//     atomic at the four hand-offs of a call (DESIGN.md §13.1).
 //
 // # The diff path
 //

@@ -824,6 +824,11 @@ func TestFailoverImperativeRestart(t *testing.T) {
 // on one shard stripe (where a path taking two shard locks would
 // deadlock) and with the pages spread over eight. Run with -race; the
 // assertion is the absence of data races plus a coherent final state.
+//
+// Accesses obey the access-path contract (doc.go): the engine runs one
+// application thread at a time, so a span and the write into its window
+// never overlap another node's access. The access mutex stands in for
+// that rule; lock calls, fan-outs and Kill stay concurrent.
 func TestFailoverHammerRace(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -840,15 +845,15 @@ func TestFailoverHammerRace(t *testing.T) {
 			const victim = 1
 			cfg := ftConfig(tc.mode, nodes, npages, nil)
 			cfg.SerialFanOut = false // let fan-outs race
-			cfg.ServiceShards = tc.shards
 			cfg.GCThresholdBytes = 1 // GC every barrier with stored diffs
-			c, err := New(cfg)
+			c, err := newCluster(cfg, tc.shards)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer func() { _ = c.Close() }()
 
 			words := npages * memlayout.PageSize / 4
+			var access sync.Mutex // held from each Span through its write
 			var wg sync.WaitGroup
 			workers := []int{0, 2, 3}
 			phase := make(chan struct{}) // closed when the victim is dead
@@ -864,12 +869,15 @@ func TestFailoverHammerRace(t *testing.T) {
 							return
 						}
 						w := (i*nodes + node) % words
+						access.Lock()
 						b, _, err := c.Span(node, node, w*4, 4, vm.Write)
 						if err != nil {
+							access.Unlock()
 							t.Error(err)
 							return
 						}
 						memlayout.ViewF32(b).Set(0, float32(node*1000+i))
+						access.Unlock()
 						if _, err := c.ReleaseLock(node, node, lk); err != nil {
 							t.Error(err)
 							return
@@ -885,7 +893,9 @@ func TestFailoverHammerRace(t *testing.T) {
 				if _, err := c.AcquireLock(victim, victim, int32(victim)); err != nil {
 					t.Fatal(err)
 				}
+				access.Lock()
 				wf32(t, c, victim, victim, i, float32(i))
+				access.Unlock()
 				if _, err := c.ReleaseLock(victim, victim, int32(victim)); err != nil {
 					t.Fatal(err)
 				}

@@ -4,13 +4,14 @@ package dsm
 // pools — page buffers and pin lists: the node-local concurrency
 // substrate. See doc.go for the full locking model.
 //
-// Page state is striped across ServiceShards independent RWMutex-guarded
-// shards (page p belongs to shard p mod nshards), so operations on pages
-// in different shards proceed in parallel and read-only serves (diff
-// fetches) share a shard concurrently; a node can serve a DiffRequest
-// from one peer while applying diffs for another. Sync-side state that
-// is not per-page (interval counters, notice histories, lock-manager
-// logs, charge plumbing) lives under separate small mutexes.
+// Page state is striped across defaultServiceShards independent
+// RWMutex-guarded shards (page p belongs to shard p mod nshards), so
+// operations on pages in different shards proceed in parallel and
+// read-only serves (diff fetches) share a shard concurrently; a node can
+// serve a DiffRequest from one peer while applying diffs for another.
+// Sync-side state that is not per-page (interval counters, notice
+// histories, lock-manager logs, charge plumbing) lives under separate
+// small mutexes.
 
 import (
 	"errors"
@@ -25,28 +26,13 @@ import (
 	"actdsm/internal/vm"
 )
 
-// defaultServiceShards is the per-node shard count when
-// Config.ServiceShards is 0. Sixteen shards keep the page-to-shard
-// mapping a single AND while comfortably exceeding the request
-// parallelism a node sees from its peers in the paper's 8-node
+// defaultServiceShards is the per-node page-state shard count, so
+// independent remote requests (diff fetches, page fetches, notice
+// deliveries, prefetch fills) service in parallel. Sixteen shards keep
+// the page-to-shard mapping a single AND while comfortably exceeding the
+// request parallelism a node sees from its peers in the paper's 8-node
 // configurations.
 const defaultServiceShards = 16
-
-// normalizeShards rounds a configured shard count to a usable one: 0
-// selects the default and any other positive value rounds up to the next
-// power of two (so shard selection is a mask, not a modulo). 1 puts
-// every page on one stripe, which is how the -race hammers make any path
-// that takes two shard locks deadlock against itself.
-func normalizeShards(v int) int {
-	if v == 0 {
-		v = defaultServiceShards
-	}
-	n := 1
-	for n < v {
-		n <<= 1
-	}
-	return n
-}
 
 // pageShard guards a stripe of a node's per-page protocol state: for
 // every page p with p mod nshards == this shard's index, the shard's

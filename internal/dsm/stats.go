@@ -213,7 +213,7 @@ type Stats struct {
 	// ShardContention counts contended page-shard lock acquisitions:
 	// each increment means a service-path operation found its page's
 	// shard held by another request and had to wait. A high rate
-	// relative to Messages suggests raising Config.ServiceShards.
+	// relative to Messages means defaultServiceShards is too small.
 	ShardContention atomic.Int64
 	// SyncContention counts contended acquisitions of the per-node
 	// sync-state mutex (interval counters, notice histories, prefetch

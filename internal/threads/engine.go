@@ -114,8 +114,6 @@ type Config struct {
 	// execution order every interval, emulating the scheduling
 	// nondeterminism the paper's passive-tracking discussion relies on.
 	ShuffleSeed uint64
-	// MigrationStackBytes is the stack payload a migration ships.
-	MigrationStackBytes int
 	// NodeSpeeds scales each node's CPU speed (1.0 = baseline; 2.0 =
 	// twice as fast). nil derives the speeds from the cluster's
 	// heterogeneous topology when one is configured (the inverse of
@@ -156,6 +154,7 @@ type Engine struct {
 // ErrDeadlock reports that no thread can make progress.
 var ErrDeadlock = errors.New("threads: deadlock: no runnable thread and barrier incomplete")
 
+// defaultStackBytes is the stack payload a migration ships.
 const defaultStackBytes = 16 << 10
 
 // NewEngine builds an engine for the cluster.
@@ -174,9 +173,6 @@ func NewEngine(cluster *dsm.Cluster, cfg Config) (*Engine, error) {
 		if n < 0 || n >= nnodes {
 			return nil, fmt.Errorf("threads: thread %d placed on invalid node %d", tid, n)
 		}
-	}
-	if cfg.MigrationStackBytes == 0 {
-		cfg.MigrationStackBytes = defaultStackBytes
 	}
 	if cfg.NodeSpeeds == nil {
 		// A heterogeneous cluster topology is the single source of
@@ -297,7 +293,7 @@ func (e *Engine) Migrate(tid, node int) error {
 	if from == node {
 		return nil
 	}
-	cost := e.costs.FetchCost(64, e.cfg.MigrationStackBytes)
+	cost := e.costs.FetchCost(64, defaultStackBytes)
 	at := e.clocks[from].Now()
 	e.clocks[from].Advance(cost)
 	e.clocks[node].Advance(cost)

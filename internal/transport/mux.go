@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"actdsm/internal/msg"
@@ -25,22 +24,19 @@ import (
 //
 // Wire format after the 4-byte "ACTM" dial preamble:
 //
-//	request: [u32 plen][u32 id][u32 meta][payload]   meta = from | 1<<31 (deflated)
-//	reply:   [u32 plen][u32 id][u8 status][payload]  status |= 0x80 (deflated)
+//	request: [u32 plen][u32 id][u32 from][payload]
+//	reply:   [u32 plen][u32 id][u8 status][payload]
 //
-// The status low bits are the tcpOK/tcpErr* values, so sentinel errors
+// The status byte is one of the tcpOK/tcpErr* values, so sentinel errors
 // survive the wire.
 
 // muxPreamble is the magic a dialed connection opens with; the accept
 // loop closes a peer that sends anything else.
 var muxPreamble = [4]byte{'A', 'C', 'T', 'M'}
 
-const (
-	// muxCompressed flags a deflated reply payload in the status byte.
-	muxCompressed = byte(0x80)
-	// muxCompressed32 flags a deflated request payload in the meta word.
-	muxCompressed32 = uint32(1) << 31
-)
+// muxWorkers bounds concurrent handler executions per inbound
+// multiplexed connection (the server-side pipelining depth).
+const muxWorkers = 8
 
 // timeoutError marks a call that exceeded Options.CallTimeout. It
 // implements net.Error with Timeout() true so Retryable treats it like
@@ -81,11 +77,11 @@ func sameBase(a, b []byte) bool {
 }
 
 // appendMuxReqHdr appends a 12-byte multiplexed request header.
-func appendMuxReqHdr(b []byte, n, id, meta uint32) []byte {
+func appendMuxReqHdr(b []byte, n, id, from uint32) []byte {
 	var hdr [12]byte
 	binary.LittleEndian.PutUint32(hdr[0:], n)
 	binary.LittleEndian.PutUint32(hdr[4:], id)
-	binary.LittleEndian.PutUint32(hdr[8:], meta)
+	binary.LittleEndian.PutUint32(hdr[8:], from)
 	return append(b, hdr[:]...)
 }
 
@@ -104,7 +100,6 @@ func appendMuxReplyHdr(b []byte, n, id uint32, status byte) []byte {
 // steady state allocates nothing.
 type frameWriter struct {
 	conn  net.Conn
-	wire  *atomic.Int64
 	queue [][]byte
 	// scratch/vec are the writev view of queue. net.Buffers.WriteTo
 	// consumes its receiver — it nils each fully written entry in the
@@ -114,10 +109,9 @@ type frameWriter struct {
 	vec     net.Buffers
 }
 
-func newFrameWriter(conn net.Conn, wire *atomic.Int64) *frameWriter {
+func newFrameWriter(conn net.Conn) *frameWriter {
 	return &frameWriter{
 		conn:    conn,
-		wire:    wire,
 		queue:   make([][]byte, 0, 64),
 		scratch: make([][]byte, 0, 64),
 	}
@@ -165,14 +159,9 @@ func (w *frameWriter) drain(ch chan []byte, down chan struct{}) error {
 // them. On error the frames are released to the GC instead: a short
 // write advances buffer headers in place, which would poison the pool.
 func (w *frameWriter) flush() error {
-	var nbytes int64
-	for _, f := range w.queue {
-		nbytes += int64(len(f))
-	}
 	w.scratch = append(w.scratch[:0], w.queue...)
 	w.vec = net.Buffers(w.scratch)
 	_, err := w.vec.WriteTo(w.conn)
-	w.wire.Add(nbytes)
 	if err != nil {
 		w.queue = w.queue[:0]
 		return err
@@ -230,20 +219,9 @@ type muxConn struct {
 // pending entry and sends on p.ch. Every exit path below therefore ends
 // in one receive from p.ch, and the pooled entry is never left armed.
 func (m *muxConn) roundTrip(payload []byte) ([]byte, error) {
-	meta := uint32(m.from)
-	body := payload
-	if min := m.t.opts.CompressMin; min > 0 && len(payload) >= min {
-		if c, ok := deflateFrame(payload); ok {
-			body = c
-			meta |= muxCompressed32
-		}
-	}
 	frame := msg.GetBuf()
-	frame = appendMuxReqHdr(frame, uint32(len(body)), 0, meta) // id patched below
-	frame = append(frame, body...)
-	if meta&muxCompressed32 != 0 {
-		msg.PutBuf(body) // compression scratch, now copied into the frame
-	}
+	frame = appendMuxReqHdr(frame, uint32(len(payload)), 0, uint32(m.from)) // id patched below
+	frame = append(frame, payload...)
 	p := muxPendingPool.Get().(*muxPending)
 	m.mu.Lock()
 	if m.dead {
@@ -301,22 +279,12 @@ func (m *muxConn) finish(p *muxPending, r muxResult) ([]byte, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	status, body := r.status, r.body
-	if status&muxCompressed != 0 {
-		status &^= muxCompressed
-		dec, err := inflateFrame(body)
-		msg.PutBuf(body)
-		if err != nil {
-			return nil, fmt.Errorf("transport: reply from node %d: %w", m.to, err)
-		}
-		body = dec
-	}
-	if status != tcpOK {
-		err := &RemoteError{Node: m.to, Sentinel: sentinelFor(status), Msg: string(body)}
-		msg.PutBuf(body)
+	if r.status != tcpOK {
+		err := &RemoteError{Node: m.to, Sentinel: sentinelFor(r.status), Msg: string(r.body)}
+		msg.PutBuf(r.body)
 		return nil, err
 	}
-	return body, nil
+	return r.body, nil
 }
 
 // readLoop matches reply frames to pending calls by ID.
@@ -341,7 +309,6 @@ func (m *muxConn) readLoop() {
 			m.fail(fmt.Errorf("transport: read %d->%d: %w", m.from, m.to, err))
 			return
 		}
-		m.t.wireIn.Add(int64(len(hdr)) + int64(n))
 		m.t.hb.Add(1) // acquire the handler's effects (see TCP.hb)
 		m.mu.Lock()
 		p, ok := m.pending[id]
@@ -360,7 +327,7 @@ func (m *muxConn) readLoop() {
 // writeLoop drains the send queue into vectored writes.
 func (m *muxConn) writeLoop() {
 	defer m.t.wg.Done()
-	w := newFrameWriter(m.conn, &m.t.wireOut)
+	w := newFrameWriter(m.conn)
 	if err := w.drain(m.wch, m.down); err != nil {
 		m.fail(fmt.Errorf("transport: write %d->%d: %w", m.from, m.to, err))
 	}
@@ -448,21 +415,19 @@ func (t *TCP) removeMux(from, to int, m *muxConn) {
 // fans requests out to a bounded worker pool, and a shared writer
 // batches the (possibly out-of-order) reply frames into vectored
 // writes. Worker count bounds concurrent handler executions per
-// connection (Options.MuxWorkers).
+// connection (muxWorkers).
 func (t *TCP) serveMux(conn net.Conn, h Handler) {
 	type muxReq struct {
-		id         uint32
-		from       int
-		compressed bool
-		payload    []byte
+		id      uint32
+		from    int
+		payload []byte
 	}
-	workers := t.opts.muxWorkers()
-	work := make(chan muxReq, workers)
-	out := make(chan []byte, workers)
+	work := make(chan muxReq, muxWorkers)
+	out := make(chan []byte, muxWorkers)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		w := newFrameWriter(conn, &t.wireOut)
+		w := newFrameWriter(conn)
 		if err := w.drain(out, nil); err != nil {
 			// The write side broke: kill the connection so the read loop
 			// unblocks, and keep consuming so no worker blocks on out.
@@ -473,13 +438,13 @@ func (t *TCP) serveMux(conn net.Conn, h Handler) {
 		}
 	}()
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
+	wg.Add(muxWorkers)
+	for i := 0; i < muxWorkers; i++ {
 		go func() {
 			defer wg.Done()
 			for r := range work {
 				t.hb.Add(1) // acquire the caller's send clock (see hb)
-				f := t.muxReply(h, r.from, r.id, r.payload, r.compressed)
+				f := t.muxReply(h, r.from, r.id, r.payload)
 				t.hb.Add(1) // release the handler's effects to the caller
 				out <- f
 			}
@@ -492,7 +457,7 @@ func (t *TCP) serveMux(conn net.Conn, h Handler) {
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		id := binary.LittleEndian.Uint32(hdr[4:8])
-		meta := binary.LittleEndian.Uint32(hdr[8:12])
+		from := binary.LittleEndian.Uint32(hdr[8:12])
 		if n > maxFrame {
 			break
 		}
@@ -501,13 +466,7 @@ func (t *TCP) serveMux(conn net.Conn, h Handler) {
 			msg.PutBuf(payload)
 			break
 		}
-		t.wireIn.Add(int64(len(hdr)) + int64(n))
-		work <- muxReq{
-			id:         id,
-			from:       int(meta &^ muxCompressed32),
-			compressed: meta&muxCompressed32 != 0,
-			payload:    payload,
-		}
+		work <- muxReq{id: id, from: int(from), payload: payload}
 	}
 	close(work)
 	wg.Wait()
@@ -518,15 +477,7 @@ func (t *TCP) serveMux(conn net.Conn, h Handler) {
 // muxReply runs the handler for one request and builds its reply frame.
 // It consumes the pooled payload and the handler's reply (see the
 // Handler buffer-ownership contract).
-func (t *TCP) muxReply(h Handler, from int, id uint32, payload []byte, compressed bool) []byte {
-	if compressed {
-		dec, err := inflateFrame(payload)
-		msg.PutBuf(payload)
-		if err != nil {
-			return muxErrFrame(id, fmt.Errorf("transport: request decompress: %w", err))
-		}
-		payload = dec
-	}
+func (t *TCP) muxReply(h Handler, from int, id uint32, payload []byte) []byte {
 	reply, err := h(from, payload)
 	if err == nil && 1+len(reply) > maxFrame {
 		// An oversized reply written as-is would exceed the client's
@@ -539,20 +490,9 @@ func (t *TCP) muxReply(h Handler, from int, id uint32, payload []byte, compresse
 		msg.PutBuf(payload)
 		return muxErrFrame(id, err)
 	}
-	status := byte(tcpOK)
-	out := reply
-	if min := t.opts.CompressMin; min > 0 && len(reply) >= min {
-		if c, ok := deflateFrame(reply); ok {
-			out = c
-			status |= muxCompressed
-		}
-	}
 	frame := msg.GetBuf()
-	frame = appendMuxReplyHdr(frame, uint32(len(out)), id, status)
-	frame = append(frame, out...)
-	if status&muxCompressed != 0 {
-		msg.PutBuf(out) // compression scratch; reply recycled below
-	}
+	frame = appendMuxReplyHdr(frame, uint32(len(reply)), id, tcpOK)
+	frame = append(frame, reply...)
 	if sameBase(reply, payload) {
 		msg.PutBuf(payload) // echo: one buffer, one recycle
 	} else {

@@ -3,8 +3,8 @@ package transport
 // Concurrency suite for the multiplexed stream. Everything here is
 // meant to run under -race: pipelined calls from many goroutines,
 // deliberately interleaved replies, a connection torn down mid-pipeline,
-// chaos faults over the mux, and the wire-level compression path. The
-// stale-stream tests live in resilience_test.go.
+// and chaos faults over the mux. The stale-stream tests live in
+// resilience_test.go.
 
 import (
 	"bytes"
@@ -215,74 +215,6 @@ func TestMuxChaosDropDelay(t *testing.T) {
 	}
 }
 
-// TestMuxCompressionShrinksWire sends highly compressible payloads with
-// CompressMin set and checks the transport's frame-level byte counters:
-// the wire must carry far fewer bytes than the payloads, and the echoes
-// must survive the deflate/inflate round trip intact.
-func TestMuxCompressionShrinksWire(t *testing.T) {
-	tr, err := NewTCPWithOptions(echoHandlers(2), Options{CompressMin: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
-	payload := bytes.Repeat([]byte("actdsm"), 700) // 4200 bytes, ratio >> 2
-	sent0, recv0 := tr.WireBytes()
-	const calls = 20
-	for i := 0; i < calls; i++ {
-		got, err := tr.Call(0, 1, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.HasPrefix(string(got), "n1<-0:") || !bytes.Equal(got[6:], payload) {
-			t.Fatalf("call %d: corrupted echo (len %d)", i, len(got))
-		}
-		msg.PutBuf(got)
-	}
-	sent, recv := tr.WireBytes()
-	wire := (sent - sent0) + (recv - recv0)
-	raw := int64(calls * 2 * len(payload)) // request + reply, each counted once per side
-	if wire >= raw {
-		t.Fatalf("compression did not shrink the wire: %d bytes for %d raw", wire, raw)
-	}
-	t.Logf("wire bytes: %d for %d raw payload bytes", wire, raw)
-}
-
-// TestMuxSingleWorkerStillCorrect pins MuxWorkers: 1 — handler
-// execution serializes server-side, but pipelining and reply matching
-// must still hold.
-func TestMuxSingleWorkerStillCorrect(t *testing.T) {
-	tr, err := NewTCPWithOptions(echoHandlers(2), Options{MuxWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tr.Close() }()
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				req := fmt.Sprintf("w%d-i%d", w, i)
-				got, err := tr.Call(0, 1, []byte(req))
-				if err != nil {
-					errs <- err
-					return
-				}
-				if want := "n1<-0:" + req; string(got) != want {
-					errs <- fmt.Errorf("got %q, want %q", got, want)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
 // TestMuxChaosSoak is the nightly chaos-soak leg: sustained pipelined
 // load over real TCP sockets with seeded drops and delays, sockets
 // repeatedly torn down out from under the pipeline, and a FaultBudget
@@ -300,7 +232,7 @@ func TestMuxChaosSoak(t *testing.T) {
 		dur = d
 	}
 	const nodes, callers = 4, 24
-	base, err := NewTCPWithOptions(echoHandlers(nodes), Options{CompressMin: 256})
+	base, err := NewTCP(echoHandlers(nodes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +251,7 @@ func TestMuxChaosSoak(t *testing.T) {
 	var calls atomic.Int64
 	var wg sync.WaitGroup
 	errs := make(chan error, callers)
-	big := strings.Repeat("actdsm-soak-", 64) // compressible tail past CompressMin
+	big := strings.Repeat("actdsm-soak-", 64) // a large payload tail on every call
 	for w := 0; w < callers; w++ {
 		wg.Add(1)
 		go func(w int) {

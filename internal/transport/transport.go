@@ -187,11 +187,6 @@ type TCP struct {
 	mu    sync.Mutex // guards the muxes map only
 	muxes map[[2]int]*muxConn
 
-	// wireOut/wireIn count frame bytes crossing the sockets (see
-	// WireBytes).
-	wireOut atomic.Int64
-	wireIn  atomic.Int64
-
 	// hb is an in-process happens-before bridge. The simulated
 	// transport delivers a call by invoking the handler directly, so
 	// everything the caller did before Call is ordered before the
@@ -342,16 +337,6 @@ func (t *TCP) Call(from, to int, payload []byte) ([]byte, error) {
 		}
 		return reply, err
 	}
-}
-
-// WireBytes reports the total frame bytes written to and read from this
-// transport's sockets (dial preambles excluded). On the usual loopback
-// setup both endpoints of every connection belong to this TCP, so each
-// call's bytes are counted once on the send side and once on the
-// receive side. Compression tests use the sent counter to verify large
-// payloads shrink on the wire.
-func (t *TCP) WireBytes() (sent, received int64) {
-	return t.wireOut.Load(), t.wireIn.Load()
 }
 
 // Close shuts down all listeners and connections and waits for server
