@@ -34,7 +34,8 @@ lint: doc-links
 ## doc-links: verify every relative link and anchor in the top-level
 ## markdown set (README/DESIGN/ARCHITECTURE/EXPERIMENTS) resolves, that
 ## every internal/ and cmd/ path DESIGN.md and ARCHITECTURE.md cite
-## exists, and that DESIGN.md names every dsm.Config field and msg.Kind.
+## exists, and that DESIGN.md names every dsm.Config field, msg.Kind and
+## dsm.CounterSet counter.
 doc-links:
 	$(GO) test -run 'TestDocLinks|TestDocsCiteExistingPaths|TestDesignNamesConfigAndKinds' .
 
@@ -61,7 +62,8 @@ race:
 ## lock hand-off, plain or forwarded, stay under their ceilings, a dense
 ## remote miss allocates its diff's exact bytes once, packed into a store
 ## chunk (no decode copy, no growth by doubling), MakeDiff is one
-## allocation, queueing or dropping a write notice allocates nothing, a
+## allocation, queueing or dropping a write notice allocates nothing, nor
+## does a warm notice set or barrier fold taking a batch of notices, a
 ## lock grant's notice list is its pooled message's — a hand-off costs the
 ## same bytes whether its grants carry 16 notices or 512 — and on warm
 ## pools a twin, a stored diff's create/serve/GC-drop cycle, every pooled

@@ -174,10 +174,11 @@ func TestLanesTableMatchesRegistry(t *testing.T) {
 }
 
 // TestDesignNamesConfigAndKinds keeps DESIGN.md describing the whole
-// protocol surface: every dsm.Config field and every msg.Kind must be
-// named, as a whole word, somewhere in it — where the text by layer says
-// what the knob or the message does. A knob or message added without a
-// word of design fails here.
+// protocol surface: every dsm.Config field, every msg.Kind and every
+// dsm.CounterSet counter must be named, as a whole word, somewhere in it —
+// where the text by layer says what the knob or the message does, and the
+// counters table (§9.4) what the counter counts. A knob, message or
+// counter added without a word of design fails here.
 func TestDesignNamesConfigAndKinds(t *testing.T) {
 	data, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -195,6 +196,12 @@ func TestDesignNamesConfigAndKinds(t *testing.T) {
 	for k := msg.Kind(0); int(k) < msg.KindCount; k++ {
 		if k.Valid() && !named(k.String()) {
 			t.Errorf("DESIGN.md never names the %s message", k)
+		}
+	}
+	counters := reflect.TypeOf(dsm.CounterSet[int64]{})
+	for i := 0; i < counters.NumField(); i++ {
+		if f := counters.Field(i); !named(f.Name) {
+			t.Errorf("DESIGN.md never names the dsm.CounterSet counter %s", f.Name)
 		}
 	}
 }

@@ -182,7 +182,7 @@ type barrierState struct {
 	entered map[int32]bool
 	lam     int32
 	notices []msg.Notice
-	have    map[[3]int32]bool // (page, writer, interval)
+	have    noticeSet // what notices has taken; cleared in place per attempt
 	// hot holds each node's predicted pages for the coming epoch (the
 	// BarrierEnter.Hot field), consumed by collectPushDiffs to piggyback
 	// the predicted diffs on the release fan-out.
@@ -688,7 +688,7 @@ func (c *Cluster) Tracking(node int) bool { return c.nodes[node].as.Tracking() }
 // When a member dies mid-episode the phases re-run over the shrunk view
 // (rerunOnViewChange); without fault tolerance nothing can die and they
 // run once. Re-runs are safe for the same reason transport retries are:
-// every receiver folds idempotently, and a member's fresh/known sets clear
+// every receiver folds idempotently, and a member's known history clears
 // only after the whole episode succeeds. For the same reason the
 // application may call Barrier again after an error: the next episode
 // re-sends every notice of the failed one.
@@ -744,12 +744,9 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 		// from nil: re-made at the old capacity (or the old length) they
 		// allocate more bytes, because successive epochs of one
 		// application differ in size (ocean_tcp +4 % alloc_kb_per_iter).
-		n.fresh = nil
 		n.known = nil
-		clear(n.knownHave)
-		if c.cfg.FaultTolerance {
-			n.replSent = 0
-		}
+		n.knownHave.clear()
+		n.replSent = 0
 		n.mu.Unlock()
 		if c.cfg.FaultTolerance {
 			n.replMu.Lock()
@@ -820,15 +817,16 @@ func (c *Cluster) barrierAttempt(episode int32, queued []queuedMove, costs []sim
 	levels := treeLevels(len(view), k)
 
 	// Fold state is allocated by the first enter a position folds, so
-	// positions without children never pay for it.
+	// positions without children never pay for it; notice sets are reused.
 	c.barrierMu.Lock()
 	for i := range c.barriers {
-		c.barriers[i] = barrierState{episode: episode}
+		c.barriers[i].have.clear()
+		c.barriers[i] = barrierState{episode: episode, have: c.barriers[i].have}
 	}
 	c.barrierMu.Unlock()
 
 	// Phase 1 (local, serial): close every member's interval and build
-	// its enter message. fresh/known are cleared only after the whole
+	// its enter message. known is cleared only after the whole
 	// episode succeeds, so a re-run re-sends every notice.
 	enters := make([]*msg.BarrierEnter, c.cfg.Nodes)
 	pushEnabled := c.cfg.PrefetchBudget != 0 && c.cfg.Protocol == MultiWriter
@@ -854,7 +852,7 @@ func (c *Cluster) barrierAttempt(episode int32, queued []queuedMove, costs []sim
 			Node:    int32(i),
 			Episode: episode,
 			Lam:     n.lamport.Load(),
-			Notices: append([]msg.Notice(nil), n.fresh...),
+			Notices: n.ownNoticesLocked(),
 		}
 		n.mu.Unlock()
 		if pushEnabled {
@@ -1462,7 +1460,7 @@ func (c *Cluster) AcquireLock(node, tid int, lock int32) (sim.Time, error) {
 	n.lockSync()
 	// Received notices join the causal history our own future releases
 	// must propagate (transitivity).
-	n.addKnownLocked(grant.Notices)
+	n.known = n.knownHave.add(n.known, grant.Notices)
 	// Confirm delivery: the next acquire asks for the log suffix past
 	// this grant. Advancing only here (not at the manager when serving)
 	// keeps a retried acquire safe — a lost grant reply is re-served. A
@@ -1521,7 +1519,7 @@ func (c *Cluster) pullLockHistory(node int, lock int32, holder int, seen []int32
 		n.addPending(nt)
 	}
 	n.lockSync()
-	n.addKnownLocked(g.Notices)
+	n.known = n.knownHave.add(n.known, g.Notices)
 	n.mu.Unlock()
 	c.stats.LockForwards.Add(1)
 	return wire, nil
@@ -1606,11 +1604,6 @@ func (c *Cluster) StoredDiffBytes() int64 {
 		total += n.diffBytes.Load()
 	}
 	return total
-}
-
-// PageProt reports a node's current protection for a page (for tests).
-func (c *Cluster) PageProt(node int, p vm.PageID) vm.Prot {
-	return c.nodes[node].as.Prot(p)
 }
 
 // CheckCoherence verifies the protocol invariant that at a quiescent point

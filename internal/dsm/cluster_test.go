@@ -256,8 +256,8 @@ func TestGarbageCollection(t *testing.T) {
 	}
 	// Non-manager replica (node 0's own copy!) was invalidated; the
 	// value must still be readable everywhere via refetch.
-	if c.PageProt(0, 1) != vm.ProtNone {
-		t.Fatalf("node 0 page 1 prot = %v, want none", c.PageProt(0, 1))
+	if c.nodes[0].as.Prot(1) != vm.ProtNone {
+		t.Fatalf("node 0 page 1 prot = %v, want none", c.nodes[0].as.Prot(1))
 	}
 	if got := rf32(t, c, 0, 0, 1024); got != 9 {
 		t.Fatalf("node 0 reread %v, want 9", got)
@@ -426,7 +426,7 @@ func TestManagerInitialCopies(t *testing.T) {
 	c := newTestCluster(t, 4, 8)
 	for p := 0; p < 8; p++ {
 		for n := 0; n < 4; n++ {
-			prot := c.PageProt(n, vm.PageID(p))
+			prot := c.nodes[n].as.Prot(vm.PageID(p))
 			if n == p%4 && prot != vm.ProtRead {
 				t.Fatalf("manager %d of page %d: prot %v", n, p, prot)
 			}

@@ -84,7 +84,7 @@
 // Lean misses: the fault path's scratch lives on the calling frame
 // (server-side fetchAndApplyDiffs runs concurrently on transport workers,
 // so there is no per-node scratch to share), and lock traffic sends
-// sub-slices of the append-only known and fresh histories and the
+// sub-slices of the append-only known history and the
 // copy-on-write seen vector rather than copies. alloc_test.go holds the
 // resulting counts (make alloc-gate).
 //

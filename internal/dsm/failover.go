@@ -437,9 +437,8 @@ func (n *node) resetForRejoin() {
 	n.lockSync()
 	n.interval = 1
 	n.seen = make([]int32, len(n.seen)) // copy-on-write: never zeroed in place
-	n.fresh = nil
 	n.known = nil
-	clear(n.knownHave)
+	n.knownHave.clear()
 	n.replSent = 0
 	n.replSeq = 0
 	if n.faultWin != nil {
@@ -577,11 +576,9 @@ func (c *Cluster) contributeDead(enters []*msg.BarrierEnter) {
 		}
 		sn := c.nodes[s]
 		sn.replMu.Lock()
-		kn := append([]msg.Notice(nil), sn.replKnown[d]...)
-		lam := sn.replState[d].lam
+		enters[s].Notices = append(enters[s].Notices, sn.replKnown[d]...)
+		enters[s].Lam = maxI32(enters[s].Lam, sn.replState[d].lam)
 		sn.replMu.Unlock()
-		enters[s].Notices = append(enters[s].Notices, kn...)
-		enters[s].Lam = maxI32(enters[s].Lam, lam)
 	}
 }
 

@@ -90,7 +90,7 @@ func (st *pageState) noteApplied(nodes int, writer, interval int32) {
 // so reset can truncate the log and keep its backing array.
 type mgrLog struct {
 	log  []msg.Notice
-	have map[[3]int32]bool // (page, writer, interval)
+	have noticeSet // what log has taken since the last barrier
 	// lockLam[lock] is the Lamport clock of the lock's last release.
 	lockLam map[int32]int32
 	// holder[lock] is the node that last released the lock (grant
@@ -102,22 +102,39 @@ type mgrLog struct {
 
 func newMgrLog() *mgrLog {
 	return &mgrLog{
-		have:    make(map[[3]int32]bool),
 		lockLam: make(map[int32]int32),
 		holder:  make(map[int32]int32),
 	}
 }
 
-func (ml *mgrLog) add(ns []msg.Notice) {
-	for _, n := range ns {
-		k := [3]int32{n.Page, n.Writer, n.Interval}
-		if ml.have[k] {
-			continue
+// noticeSet holds the (writer, interval) pairs a notice list — a manager
+// log, a node's known history, a barrier fold — has taken since the last
+// barrier. The zero value is empty; clear keeps its storage for reuse.
+type noticeSet struct{ m map[uint64]struct{} }
+
+// add appends to dst the notices of ns whose interval s has not taken. An
+// interval's notices travel together, in the ascending page order
+// closeInterval emits, so add decides once per run: a run starts where the
+// writer or the interval changes or the page does not ascend (a second
+// copy of the interval), and is taken or skipped whole.
+func (s *noticeSet) add(dst, ns []msg.Notice) []msg.Notice {
+	for i, j := 0, 1; i < len(ns); i, j = j, j+1 {
+		for j < len(ns) && ns[j].Writer == ns[i].Writer && ns[j].Interval == ns[i].Interval && ns[j].Page > ns[j-1].Page {
+			j++
 		}
-		ml.have[k] = true
-		ml.log = append(ml.log, n)
+		k := uint64(uint32(ns[i].Writer))<<32 | uint64(uint32(ns[i].Interval))
+		if _, ok := s.m[k]; !ok {
+			if s.m == nil {
+				s.m = make(map[uint64]struct{})
+			}
+			s.m[k] = struct{}{}
+			dst = append(dst, ns[i:j]...)
+		}
 	}
+	return dst
 }
+
+func (s *noticeSet) clear() { clear(s.m) }
 
 // reset empties the log at a barrier. It truncates rather than drops the
 // log (nothing aliases it, see mgrLog), so the next epoch refills the same
@@ -125,7 +142,7 @@ func (ml *mgrLog) add(ns []msg.Notice) {
 // traffic — every node of a barrier-only application — pays nothing.
 func (ml *mgrLog) reset() {
 	ml.log = ml.log[:0]
-	clear(ml.have)
+	ml.have.clear()
 	clear(ml.lockLam)
 	clear(ml.holder)
 }
@@ -141,7 +158,7 @@ func (ml *mgrLog) reset() {
 //     pages in different shards service in parallel; read-only serves
 //     share a shard's read lock.
 //   - mu guards the synchronization-side state: interval counter, seen
-//     vector, the fresh/known notice histories with their high-water
+//     vector, the known notice history with its high-water
 //     marks, and the prefetch windows (faultWin, late, pushedEpoch,
 //     pushCost). Helper methods with a Locked suffix require it held.
 //   - lockMgrMu guards the lock-manager logs and standby mirrors (locks).
@@ -222,21 +239,19 @@ type node struct {
 	// under mu therefore stays valid without it (lock acquires send one
 	// on every request).
 	seen []int32
-	// fresh accumulates notices created by this node since the last
-	// barrier; the barrier flushes it.
-	fresh []msg.Notice
-	// known accumulates every notice this node has created or received
-	// since the last barrier. Lock releases send the whole list so that
-	// grants carry *transitive* causal history: if this node's writes
-	// happened after it observed another node's interval, any grant
-	// that delivers our notices also delivers that interval's. Without
-	// this, a third node can receive causally-ordered diffs out of
-	// order and apply an older value over a newer one (lost update).
+	// known accumulates every notice this node has created (in close
+	// order, which the barrier enter ships) or received since the last
+	// barrier, deduplicated by knownHave. Lock releases send the whole
+	// list so that grants carry *transitive* causal history: if this
+	// node's writes happened after it observed another node's interval,
+	// any grant that delivers our notices also delivers that interval's.
+	// Without this, a third node can receive causally-ordered diffs out
+	// of order and apply an older value over a newer one (lost update).
 	// Append-only until a barrier drops the whole list (never truncated
 	// in place), so a sub-slice taken under mu stays valid without it:
 	// releases and pulls ship such sub-slices uncopied.
 	known     []msg.Notice
-	knownHave map[[3]int32]bool
+	knownHave noticeSet
 	// sentKnown[p] is the prefix of known already shipped by this node's
 	// releases of the locks primary manager p manages — to p, or to the
 	// standbys mirroring p's log, which get the same messages (reset at
@@ -320,7 +335,6 @@ func newNode(id int, c *Cluster, npages int) *node {
 		sentKnown: make([]int, c.cfg.Nodes),
 		lockPos:   make([]int32, c.cfg.Nodes),
 		lockMark:  make(map[int32]int),
-		knownHave: make(map[[3]int32]bool),
 		homes:     make([]atomic.Int32, npages),
 	}
 	n.locks[id] = newMgrLog()
@@ -499,30 +513,34 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 			Page: int32(p), Writer: int32(n.id), Interval: iv, Lam: lam,
 		})
 	}
-	// The interval's notices are returned as they sit in fresh. Like
-	// known, fresh is append-only until a barrier drops it, so the
-	// sub-slice stays valid without mu.
+	// The new interval is taken whole and returned as it sits in known,
+	// which is append-only until a barrier drops it, so the sub-slice
+	// stays valid without mu.
 	n.lockSync()
-	start := len(n.fresh)
-	n.fresh = append(n.fresh, notices...)
-	closed := n.fresh[start:len(n.fresh):len(n.fresh)]
-	n.addKnownLocked(closed)
+	start := len(n.known)
+	n.known = n.knownHave.add(n.known, notices)
+	closed := n.known[start:len(n.known):len(n.known)]
 	n.mu.Unlock()
 	n.c.probeIntervalClosed(n.id, closed)
 	return closed, cost
 }
 
-// addKnownLocked records notices in the node's since-last-barrier causal
-// history (deduplicated). Requires mu.
-func (n *node) addKnownLocked(ns []msg.Notice) {
-	for _, nt := range ns {
-		k := [3]int32{nt.Page, nt.Writer, nt.Interval}
-		if n.knownHave[k] {
-			continue
+// ownNoticesLocked copies the node's own notices out of known, in close
+// order and at their exact size, for the barrier enter. Requires mu.
+func (n *node) ownNoticesLocked() []msg.Notice {
+	k := 0
+	for _, nt := range n.known {
+		if int(nt.Writer) == n.id {
+			k++
 		}
-		n.knownHave[k] = true
-		n.known = append(n.known, nt)
 	}
+	own := slices.Grow([]msg.Notice(nil), k)
+	for _, nt := range n.known {
+		if int(nt.Writer) == n.id {
+			own = append(own, nt)
+		}
+	}
+	return own
 }
 
 // charge adds c to the sink ti; a nil sink discards it (server-side
@@ -818,7 +836,7 @@ func (n *node) servePageRequest(req *msg.PageRequest) (msg.Message, error) {
 // a leaf child's own enter, or another folding position's subtree
 // aggregate (Entered/HotSets non-empty). The first arrival of an episode
 // allocates the fold state. The fold is idempotent: entered ids dedup through the
-// entered set and notices through the have map, so re-delivered enters
+// entered set and notices through the have set, so re-delivered enters
 // (transport retries, episodes re-run over a shrunk view) — or aggregates that
 // grew between attempts — fold exactly-once per item per episode.
 func (n *node) serveBarrierEnter(req *msg.BarrierEnter) (msg.Message, error) {
@@ -830,7 +848,6 @@ func (n *node) serveBarrierEnter(req *msg.BarrierEnter) (msg.Message, error) {
 	}
 	if b.entered == nil {
 		b.entered = make(map[int32]bool, n.c.cfg.Nodes)
-		b.have = make(map[[3]int32]bool)
 		b.hot = make(map[int32][]int32, n.c.cfg.Nodes)
 	}
 	ids := req.Entered
@@ -849,14 +866,7 @@ func (n *node) serveBarrierEnter(req *msg.BarrierEnter) (msg.Message, error) {
 			b.hot[hs.Node] = hs.Pages
 		}
 	}
-	for _, nt := range req.Notices {
-		k := [3]int32{nt.Page, nt.Writer, nt.Interval}
-		if b.have[k] {
-			continue
-		}
-		b.have[k] = true
-		b.notices = append(b.notices, nt)
-	}
+	b.notices = b.have.add(b.notices, req.Notices)
 	return &msg.Ack{}, nil
 }
 
@@ -1008,7 +1018,7 @@ func (n *node) serveLockRelease(req *msg.LockRelease) (msg.Message, error) {
 		n.lockMgrMu.Unlock()
 		return nil, err
 	}
-	ml.add(req.Notices)
+	ml.log = ml.have.add(ml.log, req.Notices)
 	ml.lockLam[req.Lock] = maxI32(ml.lockLam[req.Lock], req.Lam)
 	if n.c.cfg.LockForwarding {
 		ml.holder[req.Lock] = req.Node

@@ -51,12 +51,12 @@ func TestSWReaderInvalidatedByWriter(t *testing.T) {
 	c := newSWCluster(t, 3, 1)
 	wf32(t, c, 1, 8, 0, 10)
 	_ = rf32(t, c, 2, 16, 0) // node 2 takes a read replica
-	if c.PageProt(2, 0) != vm.ProtRead {
-		t.Fatalf("node 2 prot = %v", c.PageProt(2, 0))
+	if c.nodes[2].as.Prot(0) != vm.ProtRead {
+		t.Fatalf("node 2 prot = %v", c.nodes[2].as.Prot(0))
 	}
 	wf32(t, c, 1, 8, 0, 11) // writer upgrades; replica must die
-	if c.PageProt(2, 0) != vm.ProtNone {
-		t.Fatalf("node 2 prot after invalidate = %v", c.PageProt(2, 0))
+	if c.nodes[2].as.Prot(0) != vm.ProtNone {
+		t.Fatalf("node 2 prot after invalidate = %v", c.nodes[2].as.Prot(0))
 	}
 	if got := rf32(t, c, 2, 16, 0); got != 11 {
 		t.Fatalf("node 2 reread %v, want 11", got)
@@ -67,12 +67,12 @@ func TestSWOwnerDowngradeThenUpgrade(t *testing.T) {
 	c := newSWCluster(t, 2, 1)
 	wf32(t, c, 1, 8, 0, 5)  // node 1 owns (manager is node 0)
 	_ = rf32(t, c, 0, 0, 0) // manager reads; owner downgrades
-	if c.PageProt(1, 0) != vm.ProtRead {
-		t.Fatalf("owner prot after downgrade = %v", c.PageProt(1, 0))
+	if c.nodes[1].as.Prot(0) != vm.ProtRead {
+		t.Fatalf("owner prot after downgrade = %v", c.nodes[1].as.Prot(0))
 	}
 	wf32(t, c, 1, 8, 0, 6) // owner upgrades back; manager replica dies
-	if c.PageProt(0, 0) != vm.ProtNone {
-		t.Fatalf("manager prot after upgrade = %v", c.PageProt(0, 0))
+	if c.nodes[0].as.Prot(0) != vm.ProtNone {
+		t.Fatalf("manager prot after upgrade = %v", c.nodes[0].as.Prot(0))
 	}
 	if got := rf32(t, c, 0, 0, 0); got != 6 {
 		t.Fatalf("manager reread %v, want 6", got)
