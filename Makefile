@@ -57,8 +57,9 @@ race:
 
 ## alloc-gate: the engine-side access path's allocation counts and bytes,
 ## without the race detector (whose instrumentation allocates, so 'make
-## race' skips these): a warm Span allocates nothing, a remote miss — single
-## or batched from two writers, whose fan-out spawns a goroutine — and a
+## race' skips these): a warm Span allocates nothing, nor does a warm
+## fan-out of width 8, parallel or serial (its legs go to parked workers);
+## a remote miss — single or batched from two writers — and a
 ## lock hand-off, plain or forwarded, stay under their ceilings, a dense
 ## remote miss allocates its diff's exact bytes once, packed into a store
 ## chunk (no decode copy, no growth by doubling), MakeDiff is one
@@ -78,7 +79,7 @@ race:
 ## (internal/pool). A re-introduced escape or copy fails here, not at the
 ## next benchmark run.
 alloc-gate:
-	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestNoticeIngestAllocs|TestLockHandoffAllocCeiling|TestLockGrantNoticeBytes|TestDiffLifecycleAllocs' -count=1 -v
+	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestFanOutWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestNoticeIngestAllocs|TestLockHandoffAllocCeiling|TestLockGrantNoticeBytes|TestDiffLifecycleAllocs' -count=1 -v
 	$(GO) test ./internal/msg ./internal/transport ./internal/pool -run '^(TestEncodeToZeroAlloc|TestDecodeReleaseZeroAlloc|TestMuxCallAllocs|TestSlices)$$' -count=1 -v
 
 ## bench: one benchmark per paper table/figure, plus the ablation,

@@ -64,10 +64,10 @@ type Config struct {
 	BatchDiffs bool
 	// SerialFanOut runs broadcast and batch fan-outs sequentially in
 	// index order instead of in parallel. With the Local transport this
-	// makes the global transport-call sequence fully deterministic, which
-	// the coherence model checker (internal/check) relies on to key chaos
-	// plans by call number and reproduce failures exactly. Testing knob;
-	// leave off in production (parallel fan-out hides latency).
+	// makes the global transport-call sequence deterministic: the mode
+	// internal/check keys chaos plans by call number on and the failover
+	// and managers lanes (internal/experiments) run in; parallel is the
+	// production runner.
 	SerialFanOut bool
 	// PrefetchBudget enables correlation-driven prefetch at barrier
 	// release (Cluster.PrefetchRound): each node predicts the pages its
@@ -515,12 +515,11 @@ func (c *Cluster) Topology() *sim.Topology { return c.topo }
 
 // fanOut runs f(0..n-1) concurrently and returns the lowest-index error
 // (errgroup-style aggregation; deterministic error selection keeps
-// failure messages stable across runs). f(0) runs on the calling
-// goroutine, so a fan-out allocates only its spawned goroutines' closures.
-// When serial is true the calls run sequentially in index order instead —
-// same semantics (every f(i) runs even after a failure, lowest-index error
-// wins), but the transport-call sequence becomes deterministic, which
-// Config.SerialFanOut promises.
+// failure messages stable across runs): f(0) on the calling goroutine,
+// every other leg on a parked worker (runLegs). When serial is true the
+// calls run sequentially in index order instead — same semantics (every
+// f(i) runs even after a failure, lowest-index error wins), but the
+// transport-call sequence is deterministic (Config.SerialFanOut).
 func fanOut(n int, serial bool, f func(i int) error) error {
 	if n <= 1 {
 		if n == 1 {
@@ -537,10 +536,12 @@ func fanOut(n int, serial bool, f func(i int) error) error {
 	} else {
 		fa.wg.Add(n - 1)
 		for i := 1; i < n; i++ {
-			go func(i int) {
-				defer fa.wg.Done()
-				errs[i] = f(i)
-			}(i)
+			l := leg{f: f, i: i, err: &errs[i], wg: &fa.wg}
+			select {
+			case legs <- l:
+			default:
+				go runLegs(l)
+			}
 		}
 		errs[0] = f(0)
 		fa.wg.Wait()
@@ -565,6 +566,34 @@ type fan struct {
 }
 
 var fans = sync.Pool{New: func() any { return new(fan) }}
+
+// leg is one call f(i) of a fan-out, handed to a worker by value.
+type leg struct {
+	f   func(i int) error
+	i   int
+	err *error
+	wg  *sync.WaitGroup
+}
+
+// legs is unbuffered: a send succeeds only to an idle worker, so no leg
+// waits behind another and nested fan-outs cannot deadlock.
+var legs = make(chan leg)
+
+// runLegs runs l, then each leg it receives, forever: there are as many
+// workers as the peak of concurrent legs, not one per fan-out.
+func runLegs(l leg) {
+	for {
+		l.run()
+		l = <-legs
+	}
+}
+
+// run stores the leg's error before wg.Done, fanOut's join edge.
+func (l *leg) run() {
+	*l.err = l.f(l.i)
+	l.wg.Done()
+	*l = leg{} // an idle worker keeps no closure alive
+}
 
 // Span validates the pages covering [off, off+size) for access a by
 // thread tid on the given node and returns the raw segment window,

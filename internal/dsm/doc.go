@@ -108,12 +108,13 @@
 // one mutex from each Span call through the write into its window.
 //
 // What may overlap: serves with each other, lock and barrier calls, the
-// legs of a fan-out (unless Config.SerialFanOut), and Kill.
+// legs of a fan-out (unless Config.SerialFanOut), which run on parked
+// workers (runLegs), and Kill.
 //
 // The ordering edges it relies on:
 //
 //   - n.gen, from a serve to a later span (unlockShard's bump, above);
-//   - the fan-out join: fanOut returns only after every leg has;
+//   - the fan-out join: every leg's Done (after its error) before Wait;
 //   - TCP.hb, the DSM's edge across kernel sockets: the in-process
 //     transport runs the handler on the caller's goroutine, ordering
 //     caller before handler before return; a socket gives no such edge
