@@ -76,11 +76,13 @@ race:
 ## The pools' other callers are held too: an encode into a pooled buffer
 ## and a decode/Release of every pooled message kind (internal/msg), a mux
 ## round trip (internal/transport) and a warm get/put of the pool itself
-## (internal/pool). A re-introduced escape or copy fails here, not at the
-## next benchmark run.
+## (internal/pool). So is the engine's barrier bookkeeping: a warm fold of
+## 64 threads' charges and re-draw of 8 nodes' execution orders allocate
+## nothing (internal/threads). A re-introduced escape or copy fails here,
+## not at the next benchmark run.
 alloc-gate:
 	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestFanOutWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestNoticeIngestAllocs|TestLockHandoffAllocCeiling|TestLockGrantNoticeBytes|TestDiffLifecycleAllocs' -count=1 -v
-	$(GO) test ./internal/msg ./internal/transport ./internal/pool -run '^(TestEncodeToZeroAlloc|TestDecodeReleaseZeroAlloc|TestMuxCallAllocs|TestSlices)$$' -count=1 -v
+	$(GO) test ./internal/msg ./internal/transport ./internal/pool ./internal/threads -run '^(TestEncodeToZeroAlloc|TestDecodeReleaseZeroAlloc|TestMuxCallAllocs|TestSlices|TestEpochScratchZeroAllocs)$$' -count=1 -v
 
 ## bench: one benchmark per paper table/figure, plus the ablation,
 ## cut-cost, prefetch and trace-replay comparisons. The substrate

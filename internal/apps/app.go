@@ -14,7 +14,6 @@ package apps
 
 import (
 	"fmt"
-	"sort"
 
 	"actdsm/internal/memlayout"
 	"actdsm/internal/threads"
@@ -88,37 +87,38 @@ func New(name string, cfg Config) (App, error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = ScaleTest
 	}
-	f, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("apps: unknown application %q", name)
+	for _, r := range registry {
+		if r.name == name {
+			return r.build(cfg)
+		}
 	}
-	return f(cfg)
+	return nil, fmt.Errorf("apps: unknown application %q", name)
 }
 
-// Names returns the available application names in the order the paper's
-// Table 1 lists them.
+// Names returns the available application names in sorted order.
 func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
+	out := make([]string, len(registry))
+	for i, r := range registry {
+		out[i] = r.name
 	}
-	sort.Strings(out)
 	return out
 }
 
-var registry = map[string]func(Config) (App, error){
-	"Barnes": func(c Config) (App, error) { return newBarnes(c) },
-	"FFT6":   func(c Config) (App, error) { return newFFT("FFT6", c, 6) },
-	"FFT7":   func(c Config) (App, error) { return newFFT("FFT7", c, 7) },
-	"FFT8":   func(c Config) (App, error) { return newFFT("FFT8", c, 8) },
-	"LU1k":   func(c Config) (App, error) { return newLU("LU1k", c, 1024) },
-	"LU2k":   func(c Config) (App, error) { return newLU("LU2k", c, 2048) },
-	"Ocean":  func(c Config) (App, error) { return newOcean(c) },
-	"Spatial": func(c Config) (App, error) {
-		return newSpatial(c)
-	},
-	"SOR":   func(c Config) (App, error) { return newSOR(c) },
-	"Water": func(c Config) (App, error) { return newWater(c) },
+// registry lists the applications in Names' order.
+var registry = []struct {
+	name  string
+	build func(Config) (App, error)
+}{
+	{"Barnes", func(c Config) (App, error) { return newBarnes(c) }},
+	{"FFT6", func(c Config) (App, error) { return newFFT("FFT6", c, 6) }},
+	{"FFT7", func(c Config) (App, error) { return newFFT("FFT7", c, 7) }},
+	{"FFT8", func(c Config) (App, error) { return newFFT("FFT8", c, 8) }},
+	{"LU1k", func(c Config) (App, error) { return newLU("LU1k", c, 1024) }},
+	{"LU2k", func(c Config) (App, error) { return newLU("LU2k", c, 2048) }},
+	{"Ocean", func(c Config) (App, error) { return newOcean(c) }},
+	{"SOR", func(c Config) (App, error) { return newSOR(c) }},
+	{"Spatial", func(c Config) (App, error) { return newSpatial(c) }},
+	{"Water", func(c Config) (App, error) { return newWater(c) }},
 }
 
 // SharedPages runs an application's Setup against a fresh layout and

@@ -1,8 +1,12 @@
 package apps
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"math/cmplx"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -269,5 +273,37 @@ func TestOctantAndChildCenter(t *testing.T) {
 	cc := childCenter(c, 2, 7)
 	if cc != [3]float64{1, 1, 1} {
 		t.Fatalf("childCenter = %v", cc)
+	}
+}
+
+// TestNoMapInApps keeps maps out of the applications' code. A map's
+// iteration order is randomised per run, and an app's private
+// bookkeeping (Water's per-thread force scratch) belongs in slices, so
+// that what a run measures is the DSM's cost and not a hash table's.
+func TestNoMapInApps(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	parsed := 0
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed++
+		ast.Inspect(f, func(n ast.Node) bool {
+			if m, ok := n.(*ast.MapType); ok {
+				t.Errorf("%s: map type in application code", fset.Position(m.Pos()))
+			}
+			return true
+		})
+	}
+	if parsed == 0 {
+		t.Fatal("no application source files found")
 	}
 }

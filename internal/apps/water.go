@@ -105,17 +105,20 @@ func (w *water) Body(tid int) threads.Body {
 
 		start, count := BlockRange(w.nmol, w.threads, tid)
 		window := w.nmol / 2
+		// The thread's private force scratch: f[mol] accumulates its
+		// contributions to molecule mol, hit[mol] marks the molecules
+		// it touched. merge writes both back to zero.
+		f, hit := make([][3]float64, w.nmol), make([]bool, w.nmol)
 		for iter := 0; iter < w.iters; iter++ {
 			// Force phase: private accumulation over own block ×
 			// half-window.
-			contrib := make(map[int][3]float64)
-			if err := w.forces(ctx, start, count, window, contrib); err != nil {
+			if err := w.forces(ctx, start, count, window, f, hit); err != nil {
 				return err
 			}
 			ctx.Barrier()
 			// Merge phase: per-block locks serialize updates to
 			// each owner's force fields.
-			if err := w.merge(ctx, contrib); err != nil {
+			if err := w.merge(ctx, f, hit); err != nil {
 				return err
 			}
 			ctx.Barrier()
@@ -148,10 +151,11 @@ func pairForce(xi, yi, zi, xj, yj, zj float64) (fx, fy, fz float64) {
 	return s * dx, s * dy, s * dz
 }
 
-func (w *water) forces(ctx *threads.Ctx, start, count, window int, contrib map[int][3]float64) error {
-	// Read the half-window of positions beginning at our block. The
-	// window wraps, so read as up to two spans.
-	for _, i := range rangeOwned(start, count) {
+func (w *water) forces(ctx *threads.Ctx, start, count, window int, f [][3]float64, hit []bool) error {
+	// Each molecule of our block reads its own positions as one span,
+	// then each partner's in the half-window that follows it
+	// (wrapping) as one span each.
+	for i := start; i < start+count; i++ {
 		base := i * wRec
 		me, err := ctx.F64(w.mol, base+wPos, 3, vm.Read)
 		if err != nil {
@@ -170,69 +174,51 @@ func (w *water) forces(ctx *threads.Ctx, start, count, window int, contrib map[i
 				return err
 			}
 			fx, fy, fz := pairForce(xi, yi, zi, other.Get(0), other.Get(1), other.Get(2))
-			ci := contrib[i]
-			contrib[i] = [3]float64{ci[0] + fx, ci[1] + fy, ci[2] + fz}
-			cj := contrib[j]
-			contrib[j] = [3]float64{cj[0] - fx, cj[1] - fy, cj[2] - fz}
+			f[i] = [3]float64{f[i][0] + fx, f[i][1] + fy, f[i][2] + fz}
+			f[j] = [3]float64{f[j][0] - fx, f[j][1] - fy, f[j][2] - fz}
+			hit[i], hit[j] = true, true
 		}
 		ctx.Compute(window * 12)
 	}
 	return nil
 }
 
-func rangeOwned(start, count int) []int {
-	out := make([]int, count)
-	for i := range out {
-		out[i] = start + i
-	}
-	return out
-}
-
 // merge adds this thread's private force contributions into the shared
-// force fields under the owning block's lock.
-func (w *water) merge(ctx *threads.Ctx, contrib map[int][3]float64) error {
-	// Group contributions by owning thread block for lock batching.
-	byBlock := make(map[int][]int)
-	for mol := range contrib {
-		b := w.blockOf(mol)
-		byBlock[b] = append(byBlock[b], mol)
-	}
-	// Deterministic lock order avoids spurious ordering differences.
+// force fields under the owning block's lock: block by block in lock
+// order, each block's touched molecules in ascending order. It clears
+// the scratch as it goes.
+func (w *water) merge(ctx *threads.Ctx, f [][3]float64, hit []bool) error {
 	for b := 0; b < w.threads; b++ {
-		mols, ok := byBlock[b]
-		if !ok {
-			continue
-		}
-		if err := ctx.Lock(waterLockBase + int32(b)); err != nil {
-			return err
-		}
-		for _, mol := range mols {
-			f := contrib[mol]
+		start, count := BlockRange(w.nmol, w.threads, b)
+		lock, n := waterLockBase+int32(b), 0
+		for mol := start; mol < start+count; mol++ {
+			if !hit[mol] {
+				continue
+			}
+			if n == 0 {
+				if err := ctx.Lock(lock); err != nil {
+					return err
+				}
+			}
+			n++
 			fv, err := ctx.F64(w.mol, mol*wRec+wForce, 3, vm.Write)
 			if err != nil {
 				return err
 			}
-			fv.Set(0, fv.Get(0)+f[0])
-			fv.Set(1, fv.Get(1)+f[1])
-			fv.Set(2, fv.Get(2)+f[2])
+			fv.Set(0, fv.Get(0)+f[mol][0])
+			fv.Set(1, fv.Get(1)+f[mol][1])
+			fv.Set(2, fv.Get(2)+f[mol][2])
+			f[mol], hit[mol] = [3]float64{}, false
 		}
-		if err := ctx.Unlock(waterLockBase + int32(b)); err != nil {
+		if n == 0 {
+			continue
+		}
+		if err := ctx.Unlock(lock); err != nil {
 			return err
 		}
-		ctx.Compute(len(mols) * 6)
+		ctx.Compute(n * 6)
 	}
 	return nil
-}
-
-// blockOf returns the thread owning a molecule under BlockRange.
-func (w *water) blockOf(mol int) int {
-	for t := 0; t < w.threads; t++ {
-		s, c := BlockRange(w.nmol, w.threads, t)
-		if mol >= s && mol < s+c {
-			return t
-		}
-	}
-	return w.threads - 1
 }
 
 func (w *water) integrate(ctx *threads.Ctx, start, count int) error {

@@ -145,8 +145,11 @@ type Engine struct {
 	lockOwner map[int32]int // lock → holding thread
 	lastRun   []int         // node → tid of last thread run there
 
-	// order[node] is the node's local execution order for this interval.
-	order [][]int
+	// order[node] is the node's local execution order for this interval;
+	// byNode[node] collects its threads' charges at a fold. Both keep
+	// their rows from epoch to epoch.
+	order  [][]int
+	byNode [][]sim.ThreadInterval
 	// nodeSeq is the fixed node iteration order (cached allocation).
 	nodeSeq []int
 }
@@ -475,8 +478,12 @@ func (e *Engine) nodeOrder() []int {
 // refreshOrder recomputes each node's local thread execution order,
 // shuffling when configured.
 func (e *Engine) refreshOrder() {
-	nnodes := len(e.clocks)
-	e.order = make([][]int, nnodes)
+	if e.order == nil {
+		e.order = make([][]int, len(e.clocks))
+	}
+	for n := range e.order {
+		e.order[n] = e.order[n][:0]
+	}
 	for tid := range e.threads {
 		n := e.nodeOf[tid]
 		e.order[n] = append(e.order[n], tid)
@@ -632,8 +639,13 @@ func (e *Engine) completeBarrier() error {
 // Heterogeneous node speeds scale CPU time (compute + overhead); network
 // stalls are unaffected.
 func (e *Engine) foldIntervals() {
-	nnodes := len(e.clocks)
-	byNode := make([][]sim.ThreadInterval, nnodes)
+	if e.byNode == nil {
+		e.byNode = make([][]sim.ThreadInterval, len(e.clocks))
+	}
+	byNode := e.byNode
+	for n := range byNode {
+		byNode[n] = byNode[n][:0]
+	}
 	for tid, t := range e.threads {
 		if t.cur != (sim.ThreadInterval{}) {
 			n := e.nodeOf[tid]

@@ -7,6 +7,8 @@ import (
 
 	"actdsm/internal/dsm"
 	"actdsm/internal/memlayout"
+	"actdsm/internal/pool"
+	"actdsm/internal/sim"
 	"actdsm/internal/vm"
 )
 
@@ -379,5 +381,32 @@ func TestOnThreadRunSeesNode(t *testing.T) {
 		if seen[tid] != n {
 			t.Fatalf("seen = %v", seen)
 		}
+	}
+}
+
+// TestEpochScratchZeroAllocs holds the engine's per-epoch tables to their
+// first allocation: once warm, folding the threads' charges into the node
+// clocks and drawing each node's shuffled execution order allocate
+// nothing.
+func TestEpochScratchZeroAllocs(t *testing.T) {
+	if pool.Race {
+		t.Skip("race instrumentation allocates")
+	}
+	const nodes, nthreads = 8, 64
+	e := newTestEngine(t, nodes, 1, nthreads, Config{ShuffleSeed: 7})
+	e.threads = make([]*thread, nthreads)
+	for i := range e.threads {
+		e.threads[i] = &thread{id: i, state: stateRunnable}
+	}
+	epoch := func() {
+		for i, th := range e.threads {
+			th.cur = sim.ThreadInterval{Compute: sim.Time(i + 1), Stall: 3}
+		}
+		e.foldIntervals()
+		e.refreshOrder()
+	}
+	epoch()
+	if allocs := testing.AllocsPerRun(1000, epoch); allocs != 0 {
+		t.Errorf("warm fold + order refresh: %v allocs/op, want 0", allocs)
 	}
 }
