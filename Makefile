@@ -64,7 +64,11 @@ race:
 ## remote miss allocates its diff's exact bytes once, packed into a store
 ## chunk (no decode copy, no growth by doubling), MakeDiff is one
 ## allocation, queueing or dropping a write notice allocates nothing, nor
-## does a warm notice set or barrier fold taking a batch of notices, a
+## does a warm notice set or barrier fold taking a batch of notices, 64
+## pages of one shard queueing 16 notices each from empty make at most 3
+## allocations (their queues grow into blocks of the shard's slab), a warm
+## close of 100 dirty pages allocates nothing (its lists are the node's,
+## each page's diff run keeps its array), a
 ## lock grant's notice list is its pooled message's — a hand-off costs the
 ## same bytes whether its grants carry 16 notices or 512 — and on warm
 ## pools a twin, a stored diff's create/serve/GC-drop cycle, every pooled
@@ -81,7 +85,7 @@ race:
 ## nothing (internal/threads). A re-introduced escape or copy fails here,
 ## not at the next benchmark run.
 alloc-gate:
-	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestFanOutWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestNoticeIngestAllocs|TestLockHandoffAllocCeiling|TestLockGrantNoticeBytes|TestDiffLifecycleAllocs' -count=1 -v
+	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestFanOutWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestNoticeIngestAllocs|TestPendingGrowsFromShard|TestCloseIntervalWarmZeroAllocs|TestLockHandoffAllocCeiling|TestLockGrantNoticeBytes|TestDiffLifecycleAllocs' -count=1 -v
 	$(GO) test ./internal/msg ./internal/transport ./internal/pool ./internal/threads -run '^(TestEncodeToZeroAlloc|TestDecodeReleaseZeroAlloc|TestMuxCallAllocs|TestSlices|TestEpochScratchZeroAllocs)$$' -count=1 -v
 
 ## bench: one benchmark per paper table/figure, plus the ablation,

@@ -278,6 +278,83 @@ func TestNoticeIngestAllocs(t *testing.T) {
 	}
 }
 
+// TestPendingGrowsFromShard: 64 pages of one shard each queue 16 notices
+// from empty, a round at a time, as a barrier release delivers them. Their
+// queues grow by doubling into blocks carved from the shard's slab, so the
+// whole ingest makes at most three allocations, not one per page at each
+// doubling.
+func TestPendingGrowsFromShard(t *testing.T) {
+	skipUnderRace(t)
+	const perShard, notices = 64, 16
+	c, err := New(Config{Nodes: 2, Pages: perShard * defaultServiceShards, GCThresholdBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	n := c.nodes[0]
+	ingest := func() {
+		n.shards[0].tail = nil
+		for k := range perShard {
+			n.pages[k*defaultServiceShards].pending = nil
+		}
+		for iv := int32(1); iv <= notices; iv++ {
+			for k := range perShard {
+				n.addPending(msg.Notice{Page: int32(k * defaultServiceShards), Writer: 1, Interval: iv, Lam: iv})
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, ingest); allocs > 3 {
+		t.Errorf("%d pages queueing %d notices each: %v allocations, want at most 3", perShard, notices, allocs)
+	}
+	for k := range perShard {
+		if got := len(n.pages[k*defaultServiceShards].pending); got != notices {
+			t.Fatalf("page %d: %d notices pending, want %d", k*defaultServiceShards, got, notices)
+		}
+	}
+}
+
+// TestCloseIntervalWarmZeroAllocs: once warm, closing an interval that
+// wrote 100 pages allocates nothing — the dirty-page and notice lists are
+// the node's, each page's diff run keeps its array across the drop, and
+// the diffs go to recycled chunks. Between closes the since-barrier
+// history is reset the way a barrier would, and the diffs are dropped the
+// way a GC collect would, without invalidating the copies.
+func TestCloseIntervalWarmZeroAllocs(t *testing.T) {
+	skipUnderRace(t)
+	const pages = 100
+	c, err := New(Config{Nodes: 2, Pages: pages, GCThresholdBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	n := c.nodes[0]
+	mustSpan(t, c, 0, 0, 0, pages*memlayout.PageSize, vm.Read) // a copy of every page
+	i := 0
+	cycle := func() {
+		i++
+		b := mustSpan(t, c, 0, 0, 0, pages*memlayout.PageSize, vm.Write)
+		for p := range pages {
+			b[p*memlayout.PageSize] = byte(i)
+		}
+		if closed, _ := n.closeInterval(); len(closed) != pages {
+			t.Fatalf("closeInterval: %d notices, want %d", len(closed), pages)
+		}
+		n.lockSync()
+		n.known = n.known[:0]
+		n.knownHave.clear()
+		n.mu.Unlock()
+		for p := range vm.PageID(pages) {
+			sh := n.lockShard(p)
+			n.diffBytes.Add(-n.pages[p].dropDiffs())
+			n.unlockShard(sh)
+		}
+	}
+	cycle() // warm the lists, the runs and the pools
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Errorf("warm close of %d dirty pages: %v allocs/op, want 0", pages, allocs)
+	}
+}
+
 // TestLockHandoffAllocCeiling is the dsm.lock_handoff rung: two nodes
 // alternate acquire, write, release on one lock, with a barrier every 256
 // hand-offs bounding the notice history a release ships. The plain row is
@@ -495,7 +572,7 @@ func TestDiffLifecycleAllocs(t *testing.T) {
 			}
 		}
 		if k == msg.KindDiffRequest || k == msg.KindDiffBatchRequest {
-			if want := n.shard(0).diffs[0][iv].bytes(); len(want) == 0 || !bytes.Equal(got, want) {
+			if want := n.pages[0].ownDiff(iv).bytes(); len(want) == 0 || !bytes.Equal(got, want) {
 				t.Fatalf("%v: served %d bytes, want the stored %d", k, len(got), len(want))
 			}
 		}

@@ -1317,6 +1317,39 @@ func (c *Cluster) commitQueuedHomes(moved, skipped int64) {
 	c.histMu.Unlock()
 }
 
+// storedPages is a GC round's page set: every page a member of view
+// stores a diff of, in its own runs or in its replica store, marked under
+// the locks that guard the stores (a shard's pages under its read lock).
+// A page whose run a collect has truncated stores nothing.
+func (c *Cluster) storedPages(view []int) *vm.Bitmap {
+	stored := vm.NewBitmap(c.cfg.Pages)
+	for _, i := range view {
+		n := c.nodes[i]
+		for s := range n.shards {
+			sh := &n.shards[s]
+			sh.mu.RLock()
+			for p := s; p < len(n.pages); p += len(n.shards) {
+				if len(n.pages[p].diffs) > 0 {
+					stored.Set(vm.PageID(p))
+				}
+			}
+			sh.mu.RUnlock()
+		}
+		// The replica store is empty without fault tolerance.
+		n.replMu.Lock()
+		for _, pm := range n.replDiffs {
+			for p := range pm {
+				// A replica delta's page ids are stored as received.
+				if p >= 0 && int(p) < c.cfg.Pages {
+					stored.Set(p)
+				}
+			}
+		}
+		n.replMu.Unlock()
+	}
+	return stored
+}
+
 // collectGarbage runs one garbage-collection round over the membership
 // view, in two phases over the pages that have stored diffs, grouped by
 // effective home. Phase 1: every home brings its own pages current, the
@@ -1334,34 +1367,7 @@ func (c *Cluster) commitQueuedHomes(moved, skipped int64) {
 // number of pages in the round's page set.
 func (c *Cluster) collectGarbage(costs []sim.Time) (int, error) {
 	view := c.aliveList()
-	// The page set, marked under the locks that guard the stores and
-	// walked in ascending order. A page whose interval map a collect has
-	// emptied stores nothing.
-	stored := vm.NewBitmap(c.cfg.Pages)
-	for _, i := range view {
-		n := c.nodes[i]
-		for s := range n.shards {
-			sh := &n.shards[s]
-			sh.mu.RLock()
-			for p, store := range sh.diffs {
-				if len(store) > 0 {
-					stored.Set(p)
-				}
-			}
-			sh.mu.RUnlock()
-		}
-		// The replica store is empty without fault tolerance.
-		n.replMu.Lock()
-		for _, pm := range n.replDiffs {
-			for p := range pm {
-				// A replica delta's page ids are stored as received.
-				if p >= 0 && int(p) < c.cfg.Pages {
-					stored.Set(p)
-				}
-			}
-		}
-		n.replMu.Unlock()
-	}
+	stored := c.storedPages(view)
 	lists := make([]msg.GCCollect, c.cfg.Nodes) // by effective home
 	stored.ForEach(func(p vm.PageID) {
 		hm := c.nodes[view[0]].effHome(p)

@@ -63,8 +63,7 @@ func newSeededCluster(t *testing.T, shards int) *Cluster {
 	n := c.nodes[0]
 	n.replDiffs[replicaOrigin] = make(map[vm.PageID]map[int32][]byte)
 	for p := 0; p < raceShape.Pages; p++ {
-		sh := n.shard(vm.PageID(p))
-		sh.diffs[vm.PageID(p)] = map[int32]storedDiff{1: n.arena.place(df)}
+		n.pages[p].diffs = []storedDiff{n.arena.place(1, df)}
 		n.replDiffs[replicaOrigin][vm.PageID(p)] = map[int32][]byte{1: append([]byte(nil), df...)}
 	}
 	return c
@@ -125,7 +124,7 @@ func TestSeededClusterServes(t *testing.T) {
 
 // TestRaceServiceHammer hammers node 0 from concurrent peers with the
 // full read-side service mix — DiffRequest, PageRequest, and
-// DiffBatchRequest, the diff kinds naming node 0 itself (its shard store)
+// DiffBatchRequest, the diff kinds naming node 0 itself (its own-diff runs)
 // and replicaOrigin (the replica store behind the same serve body) —
 // while a GC goroutine concurrently collects a disjoint stripe of pages
 // (dropping their stored and replicated diffs), a replication goroutine
@@ -405,7 +404,7 @@ func TestPinnedDiffOutlivesDrop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := n.shard(0).diffs[0][iv].c
+			ref := n.pages[0].ownDiff(iv).c
 			tc.drop(t, n)
 			if got := ref.refs.Load(); got != 1 {
 				t.Fatalf("dropped diff's chunk holds %d references, want the serve's 1", got)

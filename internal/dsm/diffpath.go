@@ -53,8 +53,8 @@ func (ls leases) release() {
 // page": out[i] receives the diff of ivs[i], nil where none is held (a
 // garbage-collected diff, one the replica never received, a page outside
 // the segment) — the requester then falls back to a full-page fetch. The
-// store follows from w. This node's own diffs sit in the page's shard and
-// are read under its read lock, so any number of peers fetch concurrently;
+// store follows from w. This node's own diffs sit in the page's run, read
+// under its shard's read lock, so any number of peers fetch concurrently;
 // the reply aliases the stored bytes, each under a pin on its chunk taken
 // while the store still holds its reference and appended to pinned, so a
 // GC drop racing the encode cannot recycle the bytes mid-read. Any other
@@ -75,9 +75,9 @@ func (n *node) readDiffs(w, page int32, ivs []int32, out [][]byte, pinned retain
 		return pinned
 	}
 	sh := n.rlockShard(p)
-	store := sh.diffs[p]
+	st := &n.pages[p]
 	for i, iv := range ivs {
-		if d, ok := store[iv]; ok {
+		if d := st.ownDiff(iv); d.c != nil {
 			d.c.retain()
 			pinned = append(pinned, d.c)
 			out[i] = d.bytes()

@@ -85,8 +85,12 @@
 // (server-side fetchAndApplyDiffs runs concurrently on transport workers,
 // so there is no per-node scratch to share), and lock traffic sends
 // sub-slices of the append-only known history and the
-// copy-on-write seen vector rather than copies. alloc_test.go holds the
-// resulting counts (make alloc-gate).
+// copy-on-write seen vector rather than copies. closeInterval's dirty-page
+// and notice lists do live on the node: a node's closes run one at a
+// time — serially in barrier phase 1, or on the one running engine thread
+// at a lock release (the access-path contract below) — so each list has
+// one owner and keeps its capacity from one close to the next.
+// alloc_test.go holds the resulting counts (make alloc-gate).
 //
 // The serve path is also allocation-lean: protocol encode/decode uses
 // pooled buffers (msg.GetBuf/msg.EncodeTo), page-sized twin and reply
@@ -126,7 +130,7 @@
 // "Give me writer w's diffs for these intervals of these pages, and apply
 // them in causal order" is the protocol's one data-movement primitive, and
 // diffpath.go holds its one body per step: readDiffs serves it, from the
-// node's own shard store when it is w and from the replica store it keeps
+// page's own-diff run when it is w and from the replica store it keeps
 // as w's ring standby otherwise; the route (route.call, shared with the
 // lock path) takes a DiffRequest or a DiffBatchRequest to w, to w's
 // standby while w is dead, or serves it in place when that is the

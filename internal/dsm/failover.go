@@ -305,7 +305,7 @@ func (c *Cluster) replicate(n *node, notices []msg.Notice) (sim.Time, error) {
 		for _, nt := range notices {
 			p := vm.PageID(nt.Page)
 			sh := n.rlockShard(p)
-			df := slices.Clone(sh.diffs[p][nt.Interval].bytes()) // nil when none is held
+			df := slices.Clone(n.pages[p].ownDiff(nt.Interval).bytes()) // nil when none is held
 			sh.mu.RUnlock()
 			d.Diffs = append(d.Diffs, df)
 		}
@@ -411,14 +411,9 @@ func (n *node) resetForRejoin() {
 	for s := range n.shards {
 		sh := &n.shards[s]
 		sh.mu.Lock()
-		for _, store := range sh.diffs {
-			for _, d := range store {
-				d.c.release()
-			}
-			clear(store)
-		}
 		for p := s; p < len(n.pages); p += len(n.shards) {
 			st := &n.pages[p]
+			st.dropDiffs()
 			if st.twin != nil {
 				putPageBuf(st.twin)
 				st.twin = nil

@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -26,8 +27,14 @@ type pageState struct {
 	// causalOrder — the order their diffs apply in. queue is the only
 	// insert; every other write keeps a subsequence or empties it, so the
 	// order holds and a snapshot of pending needs no sort. The page is
-	// invalid while it is non-empty.
+	// invalid while it is non-empty. Its blocks come from the page's shard
+	// (pageShard.block); every reset truncates it in place.
 	pending []msg.Notice
+	// diffs holds the node's own stored diffs of the page, in interval order:
+	// closeInterval appends (a node closes its intervals in ascending
+	// order), ownDiff binary-searches, and a GC drop or rejoin wipe
+	// releases and truncates it (dropDiffs), keeping the array.
+	diffs []storedDiff
 	// prefetched is true when the page was brought current by a prefetch
 	// round and has not been touched (hit) or re-invalidated (wasted)
 	// since. Pure accounting: it never affects protocol decisions.
@@ -50,14 +57,38 @@ func (st *pageState) staleOrDup(nt msg.Notice) (at int, skip bool) {
 }
 
 // queue inserts a write notice into pending at its causal position and
-// reports whether it did; a stale or duplicate notice is skipped.
-func (st *pageState) queue(nt msg.Notice) bool {
+// reports whether it did; a stale or duplicate notice is skipped. A full
+// pending set first moves to a block twice its size from the page's shard.
+func (st *pageState) queue(nt msg.Notice, sh *pageShard) bool {
 	at, skip := st.staleOrDup(nt)
 	if skip {
 		return false
 	}
+	if len(st.pending) == cap(st.pending) {
+		st.pending = append(sh.block(2*cap(st.pending)), st.pending...)
+	}
 	st.pending = slices.Insert(st.pending, at, nt)
 	return true
+}
+
+// ownDiff returns the page's stored diff of interval iv, or the zero
+// storedDiff when none is held.
+func (st *pageState) ownDiff(iv int32) storedDiff {
+	if i, ok := slices.BinarySearchFunc(st.diffs, iv, func(d storedDiff, iv int32) int { return cmp.Compare(d.iv, iv) }); ok {
+		return st.diffs[i]
+	}
+	return storedDiff{}
+}
+
+// dropDiffs releases every diff of the page's run and truncates it,
+// returning the bytes it held. Requires the shard write lock.
+func (st *pageState) dropDiffs() (dropped int64) {
+	for _, d := range st.diffs {
+		dropped += int64(d.n)
+		d.c.release()
+	}
+	st.diffs = st.diffs[:0]
+	return dropped
 }
 
 func (st *pageState) noteApplied(nodes int, writer, interval int32) {
@@ -227,6 +258,10 @@ type node struct {
 	// access in progress: Cluster.Span zeroes it, the fault path adds to
 	// it, Span returns it. Owned by the goroutine inside Span.
 	spanCharge sim.ThreadInterval
+	// closeDirty and closeNotices are closeInterval's lists, kept between
+	// closes, which run one at a time (doc.go, "Lean misses").
+	closeDirty   []vm.PageID
+	closeNotices []msg.Notice
 
 	// mu guards the synchronization-side state below (never held across
 	// a shard lock or a transport call).
@@ -338,9 +373,6 @@ func newNode(id int, c *Cluster, npages int) *node {
 		homes:     make([]atomic.Int32, npages),
 	}
 	n.locks[id] = newMgrLog()
-	for i := range n.shards {
-		n.shards[i].diffs = make(map[vm.PageID]map[int32]storedDiff)
-	}
 	n.as = vm.NewAddressSpace(npages, n.resolveFault)
 	n.interval = 1
 	if c.cfg.PrefetchBudget != 0 {
@@ -437,7 +469,7 @@ func (n *node) queueNotice(nt msg.Notice) bool {
 		return false // own writes are already in the local copy
 	}
 	st := &n.pages[nt.Page]
-	if !st.queue(nt) {
+	if !st.queue(nt, n.shard(vm.PageID(nt.Page))) {
 		return false
 	}
 	if st.hasCopy {
@@ -455,8 +487,7 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 	// Collect the dirty set with a strided per-shard scan, then sort:
 	// notices must be produced in ascending page order (the order the
 	// old full-scan produced), which downstream determinism relies on.
-	var dirtyBuf [64]vm.PageID
-	dirtyPages := dirtyBuf[:0]
+	dirtyPages := n.closeDirty[:0]
 	nshards := len(n.shards)
 	for s := 0; s < nshards; s++ {
 		sh := &n.shards[s]
@@ -471,6 +502,7 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 		}
 		sh.mu.RUnlock()
 	}
+	n.closeDirty = dirtyPages
 	if len(dirtyPages) == 0 {
 		return nil, 0
 	}
@@ -482,8 +514,7 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 	n.interval++
 	n.mu.Unlock()
 
-	var noticeBuf [64]msg.Notice
-	notices := noticeBuf[:0]
+	notices := n.closeNotices[:0]
 	var scratch [maxDiffLen]byte
 	var cost sim.Time
 	for _, p := range dirtyPages {
@@ -499,12 +530,7 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 			n.unlockShard(sh)
 			continue // silent store: wrote the same values
 		}
-		m, ok := sh.diffs[p]
-		if !ok {
-			m = make(map[int32]storedDiff)
-			sh.diffs[p] = m
-		}
-		m[iv] = n.arena.place(scratch[:size])
+		st.diffs = append(st.diffs, n.arena.place(iv, scratch[:size]))
 		n.diffBytes.Add(int64(size))
 		n.c.stats.DiffsCreated.Add(1)
 		st.noteApplied(n.c.cfg.Nodes, int32(n.id), iv)
@@ -513,6 +539,7 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 			Page: int32(p), Writer: int32(n.id), Interval: iv, Lam: lam,
 		})
 	}
+	n.closeNotices = notices
 	// The new interval is taken whole and returned as it sits in known,
 	// which is append-only until a barrier drops it, so the sub-slice
 	// stays valid without mu.
@@ -1125,22 +1152,13 @@ func (n *node) serveGCCollect(req *msg.GCCollect) (msg.Message, error) {
 func (n *node) collectPage(p vm.PageID) error {
 	sh := n.lockShard(p)
 	defer n.unlockShard(sh)
-	// The page's interval map is cleared, not deleted: the next interval
-	// that writes the page refills it.
-	store := sh.diffs[p]
-	var dropped int64
-	for _, d := range store {
-		dropped += int64(d.n)
-		d.c.release()
-	}
-	n.diffBytes.Add(-dropped)
-	clear(store)
+	st := &n.pages[p]
+	n.diffBytes.Add(-st.dropDiffs())
 	if n.effHome(p) != n.id &&
 		!(n.c.cfg.FaultTolerance && n.id == n.c.aliveSucc(n.effHome(p))) {
 		// Under fault tolerance the home's ring standby keeps its
 		// (just-refreshed) copy: a home crash must always find a
 		// current base image at the failover target.
-		st := &n.pages[p]
 		if st.dirty {
 			return fmt.Errorf("dsm: GC of page %d with open twin on node %d", p, n.id)
 		}

@@ -83,11 +83,11 @@ func TestRetainedPayloadsSurviveFrameReuse(t *testing.T) {
 		writer, standby := c.nodes[1], c.nodes[2]
 		checked := 0
 		for _, p := range []vm.PageID{0, 2} {
-			for iv, ref := range writer.shard(p).diffs[p] {
-				got := standby.replDiffs[1][p][iv]
-				if !bytes.Equal(got, ref.bytes()) {
+			for _, d := range writer.pages[p].diffs {
+				got := standby.replDiffs[1][p][d.iv]
+				if !bytes.Equal(got, d.bytes()) {
 					t.Errorf("page %d interval %d: replica store holds %d bytes that differ from the writer's %d-byte diff",
-						p, iv, len(got), len(ref.bytes()))
+						p, d.iv, len(got), len(d.bytes()))
 				}
 				checked++
 			}
@@ -159,7 +159,7 @@ func TestRetainedPayloadsSurviveFrameReuse(t *testing.T) {
 
 		want := func(nt msg.Notice) []byte {
 			p := vm.PageID(nt.Page)
-			return c.nodes[nt.Writer].shard(p).diffs[p][nt.Interval].bytes()
+			return c.nodes[nt.Writer].pages[p].ownDiff(nt.Interval).bytes()
 		}
 		seen := 0
 		for dest, list := range push {
@@ -380,10 +380,7 @@ func TestFetchReleasesFramesOnEveryPath(t *testing.T) {
 					// falls back to a full page.
 					mustSpan(t, c, 0, 0, 0, memlayout.PageSize, vm.Read)
 					sh := c.nodes[1].lockShard(0)
-					for _, d := range sh.diffs[0] {
-						d.c.release()
-					}
-					delete(sh.diffs, 0)
+					c.nodes[1].pages[0].dropDiffs()
 					c.nodes[1].unlockShard(sh)
 				}
 				got := append([]byte(nil), mustSpan(t, c, 2, 2, 0, memlayout.PageSize, vm.Read)...)

@@ -84,20 +84,26 @@ func (m *pendingModel) causal(pg int32) []msg.Notice {
 // resets. After every step each page's pending set must hold the model's
 // multiset in causal order, and its applied vector the model's. It is what
 // lets the pending snapshots go to fetchAndApplyDiffs, applyPush and the
-// prefetch pull unsorted.
+// prefetch pull unsorted. The one-shard run puts both pages in one shard,
+// so their queues grow into blocks of one slab side by side.
 func TestPendingDedupMatchesScan(t *testing.T) {
 	const nodes, pages, intervals, steps = 4, 2, 12, 400
 	// Node 0 is under test. It is page 0's home, which servePageRequest
 	// needs; page 1's home is node 1, which fetchFullPage fetches from and
 	// collectPage invalidates a replica for.
-	t.Run("none", func(t *testing.T) {
-		for seed := uint64(1); seed <= 40; seed++ {
-			runPendingStream(t, seed, nodes, pages, intervals, steps)
-		}
-	})
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"none", defaultServiceShards}, {"one-shard", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 40; seed++ {
+				runPendingStream(t, seed, tc.shards, nodes, pages, intervals, steps)
+			}
+		})
+	}
 }
 
-func runPendingStream(t *testing.T, seed uint64, nodes, pages, intervals, steps int) {
+func runPendingStream(t *testing.T, seed uint64, shards, nodes, pages, intervals, steps int) {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	// lam[w][iv] is writer w's Lamport stamp for interval iv: fixed per
@@ -119,7 +125,7 @@ func runPendingStream(t *testing.T, seed uint64, nodes, pages, intervals, steps 
 	// per interval; asked records the diff requests in the order sent.
 	var homeVT []int32
 	var asked, sent []msg.Notice
-	c, err := New(Config{Nodes: nodes, Pages: pages, GCThresholdBytes: -1})
+	c, err := newCluster(Config{Nodes: nodes, Pages: pages, GCThresholdBytes: -1}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,30 +36,45 @@ const defaultServiceShards = 16
 
 // pageShard guards a stripe of a node's per-page protocol state: for
 // every page p with p mod nshards == this shard's index, the shard's
-// lock covers pages[p] (copy/twin/pending/appliedVT/prefetched), the
-// page's protection entry in the address space, the page's window of the
-// data segment, and the page's stored diffs. Write-sections open with
-// lockShard and close with unlockShard, never with a bare mu.Unlock.
+// lock covers pages[p] (copy/twin/pending/diffs/appliedVT/prefetched),
+// the page's protection entry in the address space and the page's window
+// of the data segment. Write-sections open with lockShard and close with
+// unlockShard, never with a bare mu.Unlock.
 //
 // Reads that do not mutate (diff serves, pending snapshots, coherence
 // checks) take the read side, so concurrent diff fetches from many peers
 // proceed in parallel even within one shard, at any shard count.
 type pageShard struct {
 	mu sync.RWMutex
-	// diffs stores the node's own diffs for this shard's pages:
-	// page → interval → diff. A reply aliases a diff's bytes under a pin
-	// on its chunk, so a concurrent GC drop cannot recycle bytes an
-	// encode is still reading. A page's interval map outlives the GC
-	// drop — collectPage clears it and the next diff refills it — so a
-	// page with nothing stored may still have an empty map.
-	diffs map[vm.PageID]map[int32]storedDiff
+	// tail is what is left of the slab pending blocks are carved from.
+	tail []msg.Notice
 }
 
-// storedDiff is one diff in a node's store: its chunk, which counts the
-// reference, and its window there. It is kept to two words because the
-// interval maps hold one per stored diff and pay its size at every growth.
+// block returns an empty notice list of capacity n, at least 4. Blocks of
+// up to 64 notices are carved from a 1,024-notice slab the shard owns,
+// each capped where the next begins, so a queue never grows into a
+// neighbour's; a block a queue outgrows stays in its slab until the whole
+// slab is unreachable. Requires the shard write lock.
+func (sh *pageShard) block(n int) []msg.Notice {
+	n = max(n, 4)
+	if n > 64 {
+		return make([]msg.Notice, 0, n)
+	}
+	if len(sh.tail) < n {
+		sh.tail = make([]msg.Notice, 1024)
+	}
+	b := sh.tail[:0:n]
+	sh.tail = sh.tail[n:]
+	return b
+}
+
+// storedDiff is one diff in a node's store: its interval, its chunk, which
+// counts the reference, and its window there. It is kept to three words
+// because a page's own-diff run holds one per stored diff and pays its
+// size at every growth.
 type storedDiff struct {
 	c      *chunk
+	iv     int32
 	off, n uint32
 }
 
@@ -96,9 +111,10 @@ type diffArena struct {
 	free []*chunk
 }
 
-// place copies diff into the open chunk, or when it does not fit into the
-// next, from the free list if it can, and returns it holding a reference.
-func (a *diffArena) place(diff []byte) storedDiff {
+// place copies interval iv's diff into the open chunk, or when it does not
+// fit into the next, from the free list if it can, and returns it holding a
+// reference.
+func (a *diffArena) place(iv int32, diff []byte) storedDiff {
 	a.mu.Lock()
 	c, full := a.open, (*chunk)(nil)
 	if c == nil || diffChunkSize-c.used < len(diff) {
@@ -111,7 +127,7 @@ func (a *diffArena) place(diff []byte) storedDiff {
 		c.refs.Store(1) // the arena's hold
 		a.open = c
 	}
-	d := storedDiff{c, uint32(c.used), uint32(len(diff))}
+	d := storedDiff{c, iv, uint32(c.used), uint32(len(diff))}
 	c.used += copy(c.mem[c.used:], diff)
 	c.refs.Add(1)
 	a.mu.Unlock()
