@@ -58,7 +58,9 @@ race:
 ## alloc-gate: the engine-side access path's allocation counts and bytes,
 ## without the race detector (whose instrumentation allocates, so 'make
 ## race' skips these): a warm Span allocates nothing, nor does a warm
-## fan-out of width 8, parallel or serial (its legs go to parked workers);
+## fan-out of width 8 (its legs go to parked workers), also through the
+## cluster with a crash scheduled (its chaos layer counts the fan-outs in
+## flight);
 ## a remote miss — single or batched from two writers — and a
 ## lock hand-off, plain or forwarded, stay under their ceilings, a dense
 ## remote miss allocates its diff's exact bytes once, packed into a store

@@ -178,7 +178,9 @@ func TestLanesTableMatchesRegistry(t *testing.T) {
 // dsm.CounterSet counter must be named, as a whole word, somewhere in it —
 // where the text by layer says what the knob or the message does, and the
 // counters table (§9.4) what the counter counts. A knob, message or
-// counter added without a word of design fails here.
+// counter added without a word of design fails here, and so does a
+// "Config.X" that names a field dsm.Config no longer has: a deleted knob
+// must leave the text with its field.
 func TestDesignNamesConfigAndKinds(t *testing.T) {
 	data, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -191,6 +193,11 @@ func TestDesignNamesConfigAndKinds(t *testing.T) {
 	for i := 0; i < cfg.NumField(); i++ {
 		if f := cfg.Field(i); f.IsExported() && !named(f.Name) {
 			t.Errorf("DESIGN.md never names dsm.Config.%s", f.Name)
+		}
+	}
+	for _, m := range regexp.MustCompile(`(?:^|[^A-Za-z.]|dsm\.)Config\.([A-Z]\w*)`).FindAllSubmatch(data, -1) {
+		if _, ok := cfg.FieldByName(string(m[1])); !ok {
+			t.Errorf("DESIGN.md names dsm.Config.%s, which is not a field", m[1])
 		}
 	}
 	for k := msg.Kind(0); int(k) < msg.KindCount; k++ {

@@ -5,17 +5,21 @@ package check
 // attached, record any failing (seed, plan) pair, and greedily shrink
 // the plan to a minimal reproduction.
 //
-// Determinism contract: every trial runs the Local transport with
-// dsm.Config.SerialFanOut, so the global transport-call sequence is a
-// pure function of (scenario, seed, plan). Chaos plans key faults by
-// global call number; replaying the same trial replays the same faults
-// at the same protocol points, which is what makes shrinking (and the
-// printed regression stanza) exact.
+// Determinism contract: every trial runs the Local transport with the
+// protocol's parallel fan-outs, so the global order of transport calls
+// varies from run to run, but the sequence of calls on each directed edge
+// is a pure function of (scenario, seed, plan): no two legs of one
+// fan-out call on one edge (internal/dsm/doc.go). Chaos plans and crash
+// schedules key each event by its call's place on its edge (sim.CallKey);
+// replaying the same trial replays the same faults at the same protocol
+// points, which is what makes shrinking (and the printed regression
+// stanza) exact. TestEdgeTraceDeterministic holds every scenario to it.
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -60,9 +64,9 @@ type Scenario struct {
 	LockForwarding bool
 	// Crashes enables dsm.Config.FaultTolerance and asks the plan
 	// generator for that many deterministic node crashes per trial,
-	// sited at calibrated barrier-protocol call numbers (so the crash
-	// lands mid-protocol rather than mid-application, where a dead
-	// node's own threads would wedge before the engine migrates them).
+	// sited at calibrated barrier-protocol calls (so the crash lands
+	// mid-protocol rather than mid-application, where a dead node's own
+	// threads would wedge before the engine migrates them).
 	// The oracle's crash/rejoin model is exercised by every such trial.
 	Crashes int
 	// Restart schedules each generated crash with a rejoin epoch, so
@@ -182,11 +186,12 @@ func MustScenario(name string) Scenario {
 	return sc
 }
 
-// Plan is a deterministic chaos plan: injected faults keyed by the
-// 1-based global transport call number, plus fail-stop crash windows
-// keyed on the same counter.
+// Plan is a deterministic chaos plan: injected faults keyed by the call
+// they hit — its directed edge, kind and place on that edge
+// (sim.CallKey) — plus fail-stop crash windows armed at keys of the same
+// form.
 type Plan struct {
-	Faults  map[int64]transport.Fault
+	Faults  map[sim.CallKey]transport.Fault
 	Crashes []sim.CrashSchedule
 }
 
@@ -195,7 +200,7 @@ func (p Plan) Empty() bool { return len(p.Faults) == 0 && len(p.Crashes) == 0 }
 
 // Clone deep-copies the plan.
 func (p Plan) Clone() Plan {
-	out := Plan{Faults: make(map[int64]transport.Fault, len(p.Faults))}
+	out := Plan{Faults: make(map[sim.CallKey]transport.Fault, len(p.Faults))}
 	for k, v := range p.Faults {
 		out.Faults[k] = v
 	}
@@ -203,31 +208,44 @@ func (p Plan) Clone() Plan {
 	return out
 }
 
-// calls returns the fault call numbers in ascending order.
-func (p Plan) calls() []int64 {
-	out := make([]int64, 0, len(p.Faults))
-	for c := range p.Faults {
-		out = append(out, c)
+// keys returns the fault keys in key order.
+func (p Plan) keys() []sim.CallKey {
+	out := make([]sim.CallKey, 0, len(p.Faults))
+	for k := range p.Faults {
+		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.SortFunc(out, compareKeys)
 	return out
 }
 
-// String renders the plan as "call:fault,call:fault" in call order,
-// with crash windows as "call:crash:<node>" (plus ":r<epoch>" when the
-// node restarts); "-" for an empty plan. ParsePlan inverts it.
+// compareKeys orders call keys by edge, kind and place on the edge.
+func compareKeys(a, b sim.CallKey) int {
+	return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To),
+		cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.N, b.N))
+}
+
+// formatKey renders a key as "<from>><to>:<Kind>#<n>".
+func formatKey(k sim.CallKey) string {
+	return fmt.Sprintf("%d>%d:%s#%d", k.From, k.To, msg.Kind(k.Kind), k.N)
+}
+
+// String renders the plan as "<key>:<fault>" elements in key order, then
+// crash windows as "<key>:crash:<node>" (plus ":r<epoch>" when the node
+// restarts), comma-separated; a key is "<from>><to>:<Kind>#<n>", the n-th
+// call (from 0) of that kind on that edge, and "-" is the empty plan.
+// ParsePlan inverts it.
 func (p Plan) String() string {
 	if p.Empty() {
 		return "-"
 	}
 	parts := make([]string, 0, len(p.Faults)+len(p.Crashes))
-	for _, c := range p.calls() {
-		parts = append(parts, fmt.Sprintf("%d:%s", c, p.Faults[c]))
+	for _, k := range p.keys() {
+		parts = append(parts, fmt.Sprintf("%s:%s", formatKey(k), p.Faults[k]))
 	}
-	crashes := append([]sim.CrashSchedule(nil), p.Crashes...)
-	sort.Slice(crashes, func(i, j int) bool { return crashes[i].Call < crashes[j].Call })
+	crashes := slices.Clone(p.Crashes)
+	slices.SortFunc(crashes, func(a, b sim.CrashSchedule) int { return compareKeys(a.At, b.At) })
 	for _, s := range crashes {
-		el := fmt.Sprintf("%d:crash:%d", s.Call, s.Node)
+		el := fmt.Sprintf("%s:crash:%d", formatKey(s.At), s.Node)
 		if s.RestartEpoch != 0 {
 			el += fmt.Sprintf(":r%d", s.RestartEpoch)
 		}
@@ -238,7 +256,7 @@ func (p Plan) String() string {
 
 // ParsePlan parses the String encoding of a plan.
 func ParsePlan(s string) (Plan, error) {
-	p := Plan{Faults: make(map[int64]transport.Fault)}
+	p := Plan{Faults: make(map[sim.CallKey]transport.Fault)}
 	s = strings.TrimSpace(s)
 	if s == "" || s == "-" {
 		return p, nil
@@ -249,22 +267,37 @@ func ParsePlan(s string) (Plan, error) {
 		transport.FaultDuplicate.String():   transport.FaultDuplicate,
 		transport.FaultDelay.String():       transport.FaultDelay,
 	}
+	kinds := map[string]byte{}
+	for k := 0; k < 256; k++ {
+		if msg.Kind(k).Valid() {
+			kinds[msg.Kind(k).String()] = byte(k)
+		}
+	}
 	for _, part := range strings.Split(s, ",") {
-		cs, fs, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
+		part = strings.TrimSpace(part)
+		f := strings.SplitN(part, ":", 3)
+		if len(f) != 3 {
 			return Plan{}, fmt.Errorf("check: bad plan element %q", part)
 		}
-		call, err := strconv.ParseInt(cs, 10, 64)
-		if err != nil {
-			return Plan{}, fmt.Errorf("check: bad plan call number %q: %w", cs, err)
+		var key sim.CallKey
+		kindName, ns, ok := strings.Cut(f[1], "#")
+		kind, known := kinds[kindName]
+		if _, err := fmt.Sscanf(f[0], "%d>%d", &key.From, &key.To); err != nil || !ok || !known {
+			return Plan{}, fmt.Errorf("check: bad call key %q in %q", f[0]+":"+f[1], part)
 		}
-		if ns, ok := strings.CutPrefix(fs, "crash:"); ok {
+		key.Kind = kind
+		n, err := strconv.ParseInt(ns, 10, 64)
+		if err != nil {
+			return Plan{}, fmt.Errorf("check: bad call key %q: %w", f[1], err)
+		}
+		key.N = n
+		if ns, ok := strings.CutPrefix(f[2], "crash:"); ok {
 			ns, rs, hasRestart := strings.Cut(ns, ":r")
 			node, err := strconv.Atoi(ns)
 			if err != nil {
 				return Plan{}, fmt.Errorf("check: bad crash node %q: %w", ns, err)
 			}
-			sched := sim.CrashSchedule{Node: node, Call: call}
+			sched := sim.CrashSchedule{Node: node, At: key}
 			if hasRestart {
 				ep, err := strconv.ParseInt(rs, 10, 64)
 				if err != nil {
@@ -275,11 +308,11 @@ func ParsePlan(s string) (Plan, error) {
 			p.Crashes = append(p.Crashes, sched)
 			continue
 		}
-		f, ok := byName[fs]
+		fault, ok := byName[f[2]]
 		if !ok {
-			return Plan{}, fmt.Errorf("check: unknown fault %q", fs)
+			return Plan{}, fmt.Errorf("check: unknown fault %q", f[2])
 		}
-		p.Faults[call] = f
+		p.Faults[key] = fault
 	}
 	return p, nil
 }
@@ -302,15 +335,12 @@ type TrialResult struct {
 	// violations detected before the abort are still reported;
 	// end-of-run conservation and coherence checks are skipped.
 	RunErr error
-	// Calls is the number of transport calls the trial made (the
-	// calibration input for plan generation).
-	Calls int64
-	// BarrierCalls holds the call numbers of barrier-protocol and GC
-	// messages observed (enter, release, collect): the call sites where
-	// a generated crash is survivable, because every thread is parked
-	// at the rendezvous and the engine migrates the victim's threads
-	// before they run again. Plan generation sites crashes here.
-	BarrierCalls []int64
+	// Calls holds the transport calls the trial made, edge by edge and
+	// each edge's calls in the order it carried them
+	// (transport.CallLog.Edges): the trial's per-edge trace, which every
+	// run of the trial repeats, and the calibration input for plan
+	// generation.
+	Calls []sim.CallKey
 	// Elapsed is the trial's wall-clock duration.
 	Elapsed time.Duration
 }
@@ -371,28 +401,14 @@ func RunTrial(tr Trial) TrialResult {
 		return fail(err)
 	}
 
-	var calls atomic.Int64
-	var barrierMu sync.Mutex
-	var barrierCalls []int64
 	faults := tr.Plan.Faults
-	planFn := func(from, to int, payload []byte, call int64) transport.Fault {
-		if call > calls.Load() {
-			calls.Store(call)
-		}
-		if len(payload) > 0 {
-			switch msg.Kind(payload[0]) {
-			case msg.KindBarrierEnter, msg.KindBarrierRelease, msg.KindGCCollect:
-				barrierMu.Lock()
-				barrierCalls = append(barrierCalls, call)
-				barrierMu.Unlock()
-			}
-		}
-		return faults[call] // zero value is FaultNone
-	}
+	calls := &transport.CallLog{}
+	planFn := transport.RecordingPlan(func(key sim.CallKey, _ []byte) transport.Fault {
+		return faults[key] // zero value is FaultNone
+	}, calls)
 	cl, err := dsm.New(dsm.Config{
 		Nodes:            tr.Scenario.Nodes,
 		Pages:            layout.TotalPages(),
-		SerialFanOut:     true,
 		BatchDiffs:       tr.Scenario.BatchDiffs,
 		PrefetchBudget:   tr.Scenario.PrefetchBudget,
 		LockShards:       tr.Scenario.LockShards,
@@ -402,7 +418,7 @@ func RunTrial(tr Trial) TrialResult {
 		GCThresholdBytes: tr.Scenario.GCThresholdBytes,
 		// Tight retry budget: enough attempts that a call recovers even
 		// when every fault of a default plan (MaxFaults 3) lands on it —
-		// a retried call gets a fresh call number — with microsecond
+		// a retried call gets the next key of its edge — with microsecond
 		// backoff so thousand-trial sweeps stay fast. The transport's
 		// retry is the only one; nothing above it re-sends a fan-out.
 		Transport: transport.Options{
@@ -454,10 +470,9 @@ func RunTrial(tr Trial) TrialResult {
 	if runErr == nil && ctrl != nil {
 		runErr = ctrl.Err()
 	}
-	res.Calls = calls.Load()
-	barrierMu.Lock()
-	res.BarrierCalls = barrierCalls
-	barrierMu.Unlock()
+	for _, r := range calls.Edges() {
+		res.Calls = append(res.Calls, r.CallKey)
+	}
 	if runErr != nil {
 		res.RunErr = runErr
 		res.Violations = oracle.Violations()
@@ -477,12 +492,12 @@ func RunTrial(tr Trial) TrialResult {
 }
 
 // planForSeed derives a chaos plan from a trial seed: up to maxFaults
-// drop/duplicate events at call numbers within the scenario's calibrated
-// call count. Seed 0 (and roughly one in maxFaults+1 seeds) yields an
-// empty plan, keeping pure schedule exploration in the mix.
-func planForSeed(seed uint64, totalCalls int64, maxFaults int) Plan {
-	p := Plan{Faults: make(map[int64]transport.Fault)}
-	if totalCalls <= 0 || maxFaults <= 0 {
+// drop/duplicate events at calls of the scenario's calibration trace.
+// Seed 0 (and roughly one in maxFaults+1 seeds) yields an empty plan,
+// keeping pure schedule exploration in the mix.
+func planForSeed(seed uint64, calls []sim.CallKey, maxFaults int) Plan {
+	p := Plan{Faults: make(map[sim.CallKey]transport.Fault)}
+	if len(calls) == 0 || maxFaults <= 0 {
 		return p
 	}
 	rng := sim.NewRNG(0x9E3779B97F4A7C15 ^ (seed + 1))
@@ -491,23 +506,26 @@ func planForSeed(seed uint64, totalCalls int64, maxFaults int) Plan {
 	}
 	n := rng.Intn(maxFaults + 1)
 	for i := 0; i < n; i++ {
-		call := int64(rng.Intn(int(totalCalls))) + 1
-		p.Faults[call] = kinds[rng.Intn(len(kinds))]
+		key := calls[rng.Intn(len(calls))]
+		p.Faults[key] = kinds[rng.Intn(len(kinds))]
 	}
 	return p
 }
 
 // crashPlanForSeed derives a crash plan for a fault-tolerance scenario:
-// sc.Crashes distinct victims, each crashing at a barrier-protocol call
-// number from the calibration run (every trial carries at least one
-// crash — that is the scenario's point). Drop/duplicate faults are left
-// out: retries would shift the global call numbering and push the crash
-// out of its barrier window, wedging the victim's threads mid-
-// application. With sc.Restart each victim is scheduled to rejoin at a
-// random later barrier episode.
-func crashPlanForSeed(seed uint64, sc Scenario, barrierCalls []int64) Plan {
-	p := Plan{Faults: make(map[int64]transport.Fault)}
-	if sc.Crashes <= 0 || len(barrierCalls) == 0 {
+// sc.Crashes distinct victims, each crashing at one of its own barrier-
+// protocol calls (an enter, release or GC collect to or from it) in the
+// calibration trace, where a crash is survivable: every thread is parked
+// at the rendezvous and the engine migrates the victim's threads before
+// they run again. Every trial carries at least one crash — that is the
+// scenario's point. Drop/duplicate faults are left out, so that a crash
+// trial's verdict is about the crash alone (a retried drop on the crash
+// key's own edge and kind would also move the crash one call earlier).
+// With sc.Restart each victim is scheduled to rejoin at a random later
+// barrier episode.
+func crashPlanForSeed(seed uint64, sc Scenario, calls []sim.CallKey) Plan {
+	p := Plan{Faults: make(map[sim.CallKey]transport.Fault)}
+	if sc.Crashes <= 0 || len(calls) == 0 {
 		return p
 	}
 	rng := sim.NewRNG(0xD1B54A32D192ED03 ^ (seed + 1))
@@ -518,10 +536,19 @@ func crashPlanForSeed(seed uint64, sc Scenario, barrierCalls []int64) Plan {
 			victim = rng.Intn(sc.Nodes)
 		}
 		used[victim] = true
-		s := sim.CrashSchedule{
-			Node: victim,
-			Call: barrierCalls[rng.Intn(len(barrierCalls))],
+		var sites []sim.CallKey
+		for _, k := range calls {
+			switch msg.Kind(k.Kind) {
+			case msg.KindBarrierEnter, msg.KindBarrierRelease, msg.KindGCCollect:
+				if k.Touches(victim) {
+					sites = append(sites, k)
+				}
+			}
 		}
+		if len(sites) == 0 {
+			continue
+		}
+		s := sim.CrashSchedule{Node: victim, At: sites[rng.Intn(len(sites))]}
 		if sc.Restart {
 			// Any epoch is valid: RestartEpoch is a lower bound, so an
 			// epoch the crash has already passed rejoins at the next
@@ -647,7 +674,6 @@ func sweep(cfg SweepConfig, run func(Trial) TrialResult) (*SweepResult, error) {
 			// The scenario fails without chaos; no need to sweep it.
 			continue
 		}
-		totalCalls := cal.Calls
 
 		seedCh := make(chan uint64)
 		var wg sync.WaitGroup
@@ -667,10 +693,10 @@ func sweep(cfg SweepConfig, run func(Trial) TrialResult) (*SweepResult, error) {
 					var plan Plan
 					if sc.Crashes > 0 {
 						// Per-seed calibration: the thread schedule — and so
-						// the global call numbering — is a function of the
-						// seed, so barrier-window call numbers must come
-						// from a clean run of the SAME seed for the crash
-						// to land mid-protocol rather than mid-application.
+						// which calls each edge carries — is a function of
+						// the seed, so barrier-protocol keys must come from
+						// a clean run of the SAME seed for the crash to land
+						// mid-protocol rather than mid-application.
 						pc := run(Trial{Scenario: sc, Seed: seed})
 						mu.Lock()
 						executed++
@@ -692,9 +718,9 @@ func sweep(cfg SweepConfig, run func(Trial) TrialResult) (*SweepResult, error) {
 							report()
 							continue
 						}
-						plan = crashPlanForSeed(seed, sc, pc.BarrierCalls)
+						plan = crashPlanForSeed(seed, sc, pc.Calls)
 					} else {
-						plan = planForSeed(seed, totalCalls, cfg.MaxFaults)
+						plan = planForSeed(seed, cal.Calls, cfg.MaxFaults)
 					}
 					r := run(Trial{Scenario: sc, Seed: seed, Plan: plan})
 					mu.Lock()
@@ -744,9 +770,9 @@ func shrink(f *Failure, run func(Trial) TrialResult) *Failure {
 	cur := *f
 	for {
 		improved := false
-		for _, c := range cur.Plan.calls() {
+		for _, k := range cur.Plan.keys() {
 			cand := cur.Plan.Clone()
-			delete(cand.Faults, c)
+			delete(cand.Faults, k)
 			t := cur.trial()
 			t.Plan = cand
 			r := run(t)

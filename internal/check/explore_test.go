@@ -7,10 +7,13 @@ package check
 // (see TestMutationPatches).
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"actdsm/internal/msg"
 	"actdsm/internal/sim"
 	"actdsm/internal/transport"
 )
@@ -26,7 +29,7 @@ func TestCleanTrialsAllScenarios(t *testing.T) {
 			if r.Failed() {
 				t.Fatalf("clean run reported violations: %v", r.Violations)
 			}
-			if r.Calls == 0 {
+			if len(r.Calls) == 0 {
 				t.Fatal("calibration counted zero transport calls")
 			}
 		})
@@ -40,8 +43,8 @@ func TestTrialDeterminism(t *testing.T) {
 	if a.RunErr != nil || b.RunErr != nil {
 		t.Fatalf("run errors: %v, %v", a.RunErr, b.RunErr)
 	}
-	if a.Calls != b.Calls {
-		t.Fatalf("call counts differ across identical trials: %d vs %d", a.Calls, b.Calls)
+	if !slices.Equal(a.Calls, b.Calls) {
+		t.Fatalf("per-edge traces differ across identical trials: %d vs %d calls", len(a.Calls), len(b.Calls))
 	}
 	if !reflect.DeepEqual(a.Violations, b.Violations) {
 		t.Fatalf("violations differ: %v vs %v", a.Violations, b.Violations)
@@ -51,10 +54,10 @@ func TestTrialDeterminism(t *testing.T) {
 func TestTrialSurvivesChaosPlan(t *testing.T) {
 	// Injected drops and duplicates are absorbed by the transport retry
 	// layer; the protocol must stay coherent through them.
-	plan := Plan{Faults: map[int64]transport.Fault{
-		5:  transport.FaultDropRequest,
-		20: transport.FaultDropReply,
-		35: transport.FaultDuplicate,
+	plan := Plan{Faults: map[sim.CallKey]transport.Fault{
+		{From: 1, To: 0, Kind: byte(msg.KindBarrierEnter), N: 0}:   transport.FaultDropRequest,
+		{From: 0, To: 2, Kind: byte(msg.KindBarrierRelease), N: 1}: transport.FaultDropReply,
+		{From: 3, To: 0, Kind: byte(msg.KindBarrierEnter), N: 2}:   transport.FaultDuplicate,
 	}}
 	for _, name := range []string{"SOR4", "LockChain4"} {
 		r := RunTrial(Trial{Scenario: MustScenario(name), Seed: 2, Plan: plan})
@@ -64,7 +67,77 @@ func TestTrialSurvivesChaosPlan(t *testing.T) {
 		if r.Failed() {
 			t.Fatalf("%s: violations under survivable chaos: %v", name, r.Violations)
 		}
+		for k := range plan.Faults {
+			if !slices.Contains(r.Calls, k) {
+				t.Fatalf("%s: the run never made the planned call %s", name, formatKey(k))
+			}
+		}
 	}
+}
+
+// TestEdgeTraceDeterministic is the gate on the per-edge keying contract
+// (explore.go): every default scenario at two seeds, under the seed's
+// generated fault plan and, on the crash scenarios, its generated crash
+// plan, runs five times with the protocol's fan-outs in parallel, and
+// every run must make the same calls on every directed edge, in the same
+// order, and reach the same verdict.
+func TestEdgeTraceDeterministic(t *testing.T) {
+	const repeats = 5
+	verdict := func(r TrialResult) string { return fmt.Sprint(r.RunErr, r.Violations) }
+	for _, sc := range Scenarios() {
+		t.Run(sc.Name, func(t *testing.T) {
+			t.Parallel()
+			for seed := uint64(1); seed <= 2; seed++ {
+				cal := RunTrial(Trial{Scenario: sc, Seed: seed})
+				if cal.RunErr != nil || cal.Failed() {
+					t.Fatalf("seed %d calibration: %v %v", seed, cal.RunErr, cal.Violations)
+				}
+				plans := []Plan{planForSeed(seed, cal.Calls, 3)}
+				if sc.Crashes > 0 {
+					plans = append(plans, crashPlanForSeed(seed, sc, cal.Calls))
+				}
+				for _, plan := range plans {
+					tr := Trial{Scenario: sc, Seed: seed, Plan: plan}
+					first := RunTrial(tr)
+					for rep := 1; rep < repeats; rep++ {
+						r := RunTrial(tr)
+						if i := firstDiff(first.Calls, r.Calls); i >= 0 {
+							t.Fatalf("seed %d plan %s: run %d's per-edge trace differs from run 0's at call %d: %s",
+								seed, plan, rep, i, diffAt(first.Calls, r.Calls, i))
+						}
+						if a, b := verdict(first), verdict(r); a != b {
+							t.Fatalf("seed %d plan %s: run 0 ends %s, run %d ends %s", seed, plan, a, rep, b)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// firstDiff returns the first index at which two traces differ, -1 if
+// they are equal.
+func firstDiff(a, b []sim.CallKey) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// diffAt renders both traces' calls at index i.
+func diffAt(a, b []sim.CallKey, i int) string {
+	at := func(tr []sim.CallKey) string {
+		if i < len(tr) {
+			return formatKey(tr[i])
+		}
+		return "end of trace"
+	}
+	return at(a) + " vs " + at(b)
 }
 
 func TestSweepCleanSmall(t *testing.T) {
@@ -84,12 +157,21 @@ func TestSweepCleanSmall(t *testing.T) {
 	}
 }
 
+// fakeCalls is a calibration trace of n calls of one kind on edge 0->1.
+func fakeCalls(n int) []sim.CallKey {
+	calls := make([]sim.CallKey, n)
+	for i := range calls {
+		calls[i] = sim.CallKey{From: 0, To: 1, Kind: byte(msg.KindDiffRequest), N: int64(i)}
+	}
+	return calls
+}
+
 // failOn is a fake trial runner for the sweep and shrink machinery: it
 // reports a violation for one (scenario, seed) whatever the plan, and
 // passes every other trial.
 func failOn(scenario string, seed uint64) func(Trial) TrialResult {
 	return func(tr Trial) TrialResult {
-		r := TrialResult{Calls: 100}
+		r := TrialResult{Calls: fakeCalls(100)}
 		if tr.Scenario.Name == scenario && tr.Seed == seed {
 			r.Violations = []Violation{{Invariant: "lost-update", Node: 2, Detail: "planted"}}
 		}
@@ -101,7 +183,7 @@ func TestSweepFindsAndShrinksMutation(t *testing.T) {
 	// The failing seed is one whose generated plan is not empty, so the
 	// shrink has events to strip.
 	seed := uint64(1)
-	for planForSeed(seed, 100, 3).Empty() {
+	for planForSeed(seed, fakeCalls(100), 3).Empty() {
 		seed++
 	}
 	res, err := sweep(SweepConfig{
@@ -142,11 +224,11 @@ func TestShrinkDropsIrrelevantFaults(t *testing.T) {
 		Scenario: MustScenario("LockChain4"),
 		Seed:     3,
 		Plan: Plan{
-			Faults: map[int64]transport.Fault{
-				9:  transport.FaultDuplicate,
-				21: transport.FaultDropReply,
+			Faults: map[sim.CallKey]transport.Fault{
+				{From: 0, To: 1, Kind: byte(msg.KindDiffRequest), N: 9}:  transport.FaultDuplicate,
+				{From: 2, To: 1, Kind: byte(msg.KindLockAcquire), N: 21}: transport.FaultDropReply,
 			},
-			Crashes: []sim.CrashSchedule{{Node: 1, Call: 40}},
+			Crashes: []sim.CrashSchedule{{Node: 1, At: sim.CallKey{From: 1, To: 2, Kind: byte(msg.KindLockRelease), N: 40}}},
 		},
 	}, failOn("LockChain4", 3))
 	if !f.Plan.Empty() {
@@ -155,56 +237,103 @@ func TestShrinkDropsIrrelevantFaults(t *testing.T) {
 }
 
 func TestPlanStringRoundTrip(t *testing.T) {
+	enter := func(from, to int, n int64) sim.CallKey {
+		return sim.CallKey{From: from, To: to, Kind: byte(msg.KindBarrierEnter), N: n}
+	}
 	plans := []Plan{
 		{},
-		{Faults: map[int64]transport.Fault{1: transport.FaultDropRequest}},
-		{Faults: map[int64]transport.Fault{
-			3:   transport.FaultDropReply,
-			44:  transport.FaultDuplicate,
-			100: transport.FaultDropRequest,
+		{Faults: map[sim.CallKey]transport.Fault{enter(1, 0, 0): transport.FaultDropRequest}},
+		{Faults: map[sim.CallKey]transport.Fault{
+			enter(3, 0, 2):  transport.FaultDropReply,
+			enter(1, 0, 44): transport.FaultDuplicate,
+			{From: 2, To: 3, Kind: byte(msg.KindDiffBatchRequest), N: 5}: transport.FaultDropRequest,
 		}},
+		{
+			Faults: map[sim.CallKey]transport.Fault{enter(1, 0, 7): transport.FaultDuplicate},
+			Crashes: []sim.CrashSchedule{
+				{Node: 0, At: sim.CallKey{From: 0, To: 3, Kind: byte(msg.KindGCCollect), N: 3}, RestartEpoch: 2},
+				{Node: 1, At: enter(1, 0, 1)},
+			},
+		},
 	}
 	for _, p := range plans {
 		got, err := ParsePlan(p.String())
 		if err != nil {
 			t.Fatalf("ParsePlan(%q): %v", p.String(), err)
 		}
-		if got.String() != p.String() {
+		if got.String() != p.String() || !reflect.DeepEqual(got.Faults, p.Clone().Faults) {
 			t.Fatalf("round trip: %q -> %q", p.String(), got.String())
 		}
 	}
-	if _, err := ParsePlan("nonsense"); err == nil {
-		t.Fatal("ParsePlan accepted garbage")
+	if got := plans[3].String(); got != "1>0:BarrierEnter#7:duplicate,0>3:GCCollect#3:crash:0:r2,1>0:BarrierEnter#1:crash:1" {
+		t.Fatalf("plan renders as %q", got)
 	}
-	if _, err := ParsePlan("5:warp-drive"); err == nil {
-		t.Fatal("ParsePlan accepted an unknown fault")
+	for _, bad := range []string{
+		"nonsense",
+		"1>0:BarrierEnter#5:warp-drive",
+		"1>0:NoSuchKind#5:drop-request",
+		"1-0:BarrierEnter#5:drop-request",
+		"1>0:BarrierEnter:drop-request",
+		"5:drop-request",
+	} {
+		if _, err := ParsePlan(bad); err == nil {
+			t.Fatalf("ParsePlan accepted %q", bad)
+		}
 	}
 }
 
 func TestPlanForSeedDeterministic(t *testing.T) {
-	a := planForSeed(42, 500, 3)
-	b := planForSeed(42, 500, 3)
+	calls := fakeCalls(500)
+	a := planForSeed(42, calls, 3)
+	b := planForSeed(42, calls, 3)
 	if a.String() != b.String() {
 		t.Fatalf("plan generation not deterministic: %s vs %s", a, b)
 	}
-	// Across seeds, plans vary and stay within bounds.
+	// Across seeds, plans vary and name only calibrated calls.
 	nonEmpty := 0
 	for s := uint64(0); s < 50; s++ {
-		p := planForSeed(s, 500, 3)
+		p := planForSeed(s, calls, 3)
 		if len(p.Faults) > 3 {
 			t.Fatalf("seed %d: plan has %d faults, max 3", s, len(p.Faults))
 		}
 		if !p.Empty() {
 			nonEmpty++
 		}
-		for c := range p.Faults {
-			if c < 1 || c > 500 {
-				t.Fatalf("seed %d: fault call %d out of calibrated range", s, c)
+		for k := range p.Faults {
+			if !slices.Contains(calls, k) {
+				t.Fatalf("seed %d: fault key %+v is not a calibrated call", s, k)
 			}
 		}
 	}
 	if nonEmpty == 0 {
 		t.Fatal("no seed generated a chaos plan")
+	}
+}
+
+// TestCrashPlanSitesOwnBarrierCall: a generated crash is armed at one of
+// its victim's own barrier-protocol calls, which dsm.New requires of
+// every crash key.
+func TestCrashPlanSitesOwnBarrierCall(t *testing.T) {
+	sc := MustScenario("SOR4ft")
+	cal := RunTrial(Trial{Scenario: sc, Seed: 1})
+	if cal.RunErr != nil || cal.Failed() {
+		t.Fatalf("calibration: %v %v", cal.RunErr, cal.Violations)
+	}
+	for seed := uint64(0); seed < 20; seed++ {
+		p := crashPlanForSeed(seed, sc, cal.Calls)
+		if len(p.Crashes) != sc.Crashes {
+			t.Fatalf("seed %d: %d crashes, want %d", seed, len(p.Crashes), sc.Crashes)
+		}
+		for _, s := range p.Crashes {
+			switch msg.Kind(s.At.Kind) {
+			case msg.KindBarrierEnter, msg.KindBarrierRelease, msg.KindGCCollect:
+			default:
+				t.Fatalf("seed %d: crash at a %v call", seed, msg.Kind(s.At.Kind))
+			}
+			if !s.At.Touches(s.Node) || !slices.Contains(cal.Calls, s.At) {
+				t.Fatalf("seed %d: crash of node %d at %+v", seed, s.Node, s.At)
+			}
+		}
 	}
 }
 

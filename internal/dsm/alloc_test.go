@@ -8,6 +8,8 @@ import (
 	"actdsm/internal/memlayout"
 	"actdsm/internal/msg"
 	"actdsm/internal/pool"
+	"actdsm/internal/sim"
+	"actdsm/internal/transport"
 	"actdsm/internal/vm"
 )
 
@@ -122,18 +124,30 @@ func TestRemoteMissAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestFanOutWarmZeroAllocs: a warm fan-out of width 8 allocates nothing,
-// parallel or serial — its join state is pooled, and its legs go by value
-// to workers already parked (TestFanOutWorkersBounded holds their number).
+// TestFanOutWarmZeroAllocs: a warm fan-out of width 8 allocates nothing —
+// its join state is pooled, and its legs go by value to workers already
+// parked (TestFanOutWorkersBounded holds their number) — nor does the
+// cluster's fan-out under a crash schedule, which also counts the fan-outs
+// in flight for the chaos layer.
 func TestFanOutWarmZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
+	c, err := New(Config{Nodes: 2, Pages: 1, FaultTolerance: true, Chaos: &transport.ChaosOptions{
+		Crashes: []sim.CrashSchedule{{Node: 1, At: sim.CallKey{From: 0, To: 1, N: 1 << 40}}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
 	f := func(int) error { return nil }
-	for _, serial := range []bool{false, true} {
+	for name, run := range map[string]func(){
+		"runner":  func() { _ = fanOut(8, f) },
+		"cluster": func() { _ = c.fanOut(8, f) },
+	} {
 		for i := 0; i < 100; i++ {
-			_ = fanOut(8, serial, f)
+			run()
 		}
-		if allocs := testing.AllocsPerRun(1000, func() { _ = fanOut(8, serial, f) }); allocs != 0 {
-			t.Errorf("warm fan-out of width 8 (serial=%v): %v allocs/op, want 0", serial, allocs)
+		if allocs := testing.AllocsPerRun(1000, run); allocs != 0 {
+			t.Errorf("warm fan-out of width 8 (%s): %v allocs/op, want 0", name, allocs)
 		}
 	}
 }

@@ -1,10 +1,13 @@
 package dsm
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,16 +28,16 @@ import (
 // nothing.
 func TestWriteHistoryCommittedOnce(t *testing.T) {
 	const nodes, npages = 3, 3
-	var dropped bool
+	var dropped atomic.Bool
 	c, err := New(Config{
 		Nodes:            nodes,
 		Pages:            npages,
 		GCThresholdBytes: -1,
-		SerialFanOut:     true,
 		Chaos: &transport.ChaosOptions{
-			Plan: func(from, to int, payload []byte, call int64) transport.Fault {
-				if !dropped && len(payload) > 0 && msg.Kind(payload[0]) == msg.KindBarrierRelease {
-					dropped = true
+			Plan: func(key sim.CallKey, payload []byte) transport.Fault {
+				// The first release to node 1: the release phase fails.
+				if msg.Kind(key.Kind) == msg.KindBarrierRelease && key.To == 1 && key.N == 0 {
+					dropped.Store(true)
 					return transport.FaultDropRequest
 				}
 				return transport.FaultNone
@@ -52,7 +55,7 @@ func TestWriteHistoryCommittedOnce(t *testing.T) {
 	if _, err := c.Barrier(); err == nil {
 		t.Fatal("release phase did not fail; test proves nothing")
 	}
-	if !dropped {
+	if !dropped.Load() {
 		t.Fatal("planned fault never fired")
 	}
 	for p, row := range c.WriteHistory() {
@@ -93,7 +96,7 @@ type variantRun struct {
 	digest   uint64
 	homes    []int
 	counters Counters
-	calls    []wireCall
+	calls    []wireCall // by edge, each edge's calls in its own order
 	costs    [][]sim.Time
 }
 
@@ -122,7 +125,6 @@ func runBarrierVariant(t *testing.T, nodes, arity int, cell variantCell) variant
 		Pages:            npages,
 		BarrierArity:     arity,
 		LockForwarding:   true,
-		SerialFanOut:     true,
 		GCThresholdBytes: 1500,
 		BatchDiffs:       cell.batch,
 		PrefetchBudget:   cell.prefetch,
@@ -189,8 +191,12 @@ func runBarrierVariant(t *testing.T, nodes, arity int, cell variantCell) variant
 	}
 
 	// Barrier-side evidence is complete; detach before the digest reads
-	// add their own demand traffic.
+	// add their own demand traffic. Fan-out legs interleave, so calls are
+	// compared edge by edge.
 	c.SetProbe(nil)
+	slices.SortStableFunc(out.calls, func(a, b wireCall) int {
+		return cmp.Or(cmp.Compare(a.from, b.from), cmp.Compare(a.to, b.to))
+	})
 	out.counters = c.Stats().Snapshot().Counters()
 	out.homes = c.Homes()
 	for node := 0; node < nodes; node++ {
@@ -218,8 +224,8 @@ func runBarrierVariant(t *testing.T, nodes, arity int, cell variantCell) variant
 // home table in all of them (the knobs move data earlier, in fewer
 // messages, or to a second place; none may change what memory holds), the
 // same barrier and GC counters across the arities of a cell, and, because
-// the flat barrier IS the tree of arity n-1, a bit-identical wire image
-// and virtual clock for BarrierArity 0 and n-1.
+// the flat barrier IS the tree of arity n-1, a bit-identical wire image on
+// every edge and virtual clock for BarrierArity 0 and n-1.
 func TestBarrierVariantsEquivalent(t *testing.T) {
 	const nodes = 6
 	var ref *variantRun
@@ -262,7 +268,7 @@ func TestBarrierVariantsEquivalent(t *testing.T) {
 				}
 				for i := range flat.calls {
 					if flat.calls[i] != wide.calls[i] {
-						t.Fatalf("%v: call %d differs: arity 0 %+v, arity n-1 %+v", cell, i, flat.calls[i], wide.calls[i])
+						t.Fatalf("%v: edge call %d differs: arity 0 %+v, arity n-1 %+v", cell, i, flat.calls[i], wide.calls[i])
 					}
 				}
 				if fmt.Sprint(flat.costs) != fmt.Sprint(wide.costs) {

@@ -7,6 +7,7 @@ import (
 
 	"actdsm/internal/memlayout"
 	"actdsm/internal/msg"
+	"actdsm/internal/sim"
 	"actdsm/internal/transport"
 )
 
@@ -91,30 +92,29 @@ func TestChaosBarrierGCDedup(t *testing.T) {
 				t.Fatal("workload never triggered GC; test proves nothing")
 			}
 
-			// Inject each fault exactly once, keyed on the message kind
-			// (the payload's first byte).
+			// Inject each fault exactly once, keyed per edge: the first
+			// enters of nodes 1 and 2, and the first multi-page collects
+			// member 1 and member 2 receive (a member's collects all come
+			// from its own phase-2 leg, so "first" names one call).
 			var enterReq, enterReply, gcReq, gcReply atomic.Bool
 			chaotic := run(&transport.ChaosOptions{
-				Plan: func(from, to int, payload []byte, call int64) transport.Fault {
-					if len(payload) == 0 {
-						return transport.FaultNone
-					}
-					switch msg.Kind(payload[0]) {
+				Plan: func(key sim.CallKey, payload []byte) transport.Fault {
+					switch msg.Kind(key.Kind) {
 					case msg.KindBarrierEnter:
-						if enterReq.CompareAndSwap(false, true) {
+						if key.N == 0 && key.From == 1 && enterReq.CompareAndSwap(false, true) {
 							return transport.FaultDropRequest
 						}
-						if enterReply.CompareAndSwap(false, true) {
+						if key.N == 0 && key.From == 2 && enterReply.CompareAndSwap(false, true) {
 							return transport.FaultDropReply
 						}
 					case msg.KindGCCollect:
 						if m, err := msg.Decode(payload); err != nil || len(m.(*msg.GCCollect).Pages) < 2 {
 							break // only a multi-page list will do
 						}
-						if gcReq.CompareAndSwap(false, true) {
+						if key.To == 1 && gcReq.CompareAndSwap(false, true) {
 							return transport.FaultDropRequest
 						}
-						if gcReply.CompareAndSwap(false, true) {
+						if key.To == 2 && gcReply.CompareAndSwap(false, true) {
 							return transport.FaultDropReply
 						}
 					}
@@ -172,11 +172,10 @@ func TestChaosLockGrantRetry(t *testing.T) {
 			BackoffBase: time.Microsecond,
 		},
 		Chaos: &transport.ChaosOptions{
-			Plan: func(from, to int, payload []byte, call int64) transport.Fault {
+			Plan: func(key sim.CallKey, payload []byte) transport.Fault {
 				// Drop the grant reply of node 1's first acquire: the
 				// manager executes it, the requester retries.
-				if from == 1 && len(payload) > 0 &&
-					msg.Kind(payload[0]) == msg.KindLockAcquire &&
+				if key.From == 1 && msg.Kind(key.Kind) == msg.KindLockAcquire &&
 					dropped.CompareAndSwap(false, true) {
 					return transport.FaultDropReply
 				}

@@ -62,13 +62,6 @@ type Config struct {
 	// it composes with transport retry exactly like DiffRequest.
 	// Multi-writer protocol only. Default off.
 	BatchDiffs bool
-	// SerialFanOut runs broadcast and batch fan-outs sequentially in
-	// index order instead of in parallel. With the Local transport this
-	// makes the global transport-call sequence deterministic: the mode
-	// internal/check keys chaos plans by call number on and the failover
-	// and managers lanes (internal/experiments) run in; parallel is the
-	// production runner.
-	SerialFanOut bool
 	// PrefetchBudget enables correlation-driven prefetch at barrier
 	// release (Cluster.PrefetchRound): each node predicts the pages its
 	// resident threads will touch — from an installed predictor
@@ -206,6 +199,7 @@ var (
 	errSingleWriter = errors.New("dsm: not available under the single-writer protocol")
 	errFTNeedsChaos = errors.New("dsm: FaultTolerance requires a Chaos transport (its crash windows are the failure ground truth)")
 	errCrashNeedsFT = errors.New("dsm: a Chaos crash schedule requires FaultTolerance (nothing fails over without it)")
+	errCrashKey     = errors.New("dsm: a crash schedule's key must name a call to or from its node")
 )
 
 // New builds and starts a cluster.
@@ -230,6 +224,8 @@ func newCluster(cfg Config, shards int) (*Cluster, error) {
 		return nil, errFTNeedsChaos
 	case !cfg.FaultTolerance && cfg.Chaos != nil && len(cfg.Chaos.Crashes) > 0:
 		return nil, errCrashNeedsFT
+	case cfg.Chaos != nil && slices.ContainsFunc(cfg.Chaos.Crashes, func(s sim.CrashSchedule) bool { return !s.At.Touches(s.Node) }):
+		return nil, errCrashKey
 	}
 	if cfg.Protocol == SingleWriter {
 		knob := ""
@@ -513,14 +509,22 @@ func (c *Cluster) fetchCost(from, to, reqBytes, replyBytes int) sim.Time {
 // cluster runs the uniform model.
 func (c *Cluster) Topology() *sim.Topology { return c.topo }
 
+// fanOut is the runner below, telling the chaos layer when the outermost
+// fan-out joins: a crash armed by a leg takes its node down there.
+func (c *Cluster) fanOut(n int, f func(i int) error) error {
+	if c.chaos != nil {
+		c.chaos.BeginFanOut()
+		defer c.chaos.EndFanOut()
+	}
+	return fanOut(n, f)
+}
+
 // fanOut runs f(0..n-1) concurrently and returns the lowest-index error
 // (errgroup-style aggregation; deterministic error selection keeps
 // failure messages stable across runs): f(0) on the calling goroutine,
-// every other leg on a parked worker (runLegs). When serial is true the
-// calls run sequentially in index order instead — same semantics (every
-// f(i) runs even after a failure, lowest-index error wins), but the
-// transport-call sequence is deterministic (Config.SerialFanOut).
-func fanOut(n int, serial bool, f func(i int) error) error {
+// every other leg on a parked worker (runLegs). Every f(i) runs even
+// after another fails.
+func fanOut(n int, f func(i int) error) error {
 	if n <= 1 {
 		if n == 1 {
 			return f(0)
@@ -529,23 +533,17 @@ func fanOut(n int, serial bool, f func(i int) error) error {
 	}
 	fa := fans.Get().(*fan)
 	errs := zeroed(fa.errs, n)
-	if serial {
-		for i := 0; i < n; i++ {
-			errs[i] = f(i)
+	fa.wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		l := leg{f: f, i: i, err: &errs[i], wg: &fa.wg}
+		select {
+		case legs <- l:
+		default:
+			go runLegs(l)
 		}
-	} else {
-		fa.wg.Add(n - 1)
-		for i := 1; i < n; i++ {
-			l := leg{f: f, i: i, err: &errs[i], wg: &fa.wg}
-			select {
-			case legs <- l:
-			default:
-				go runLegs(l)
-			}
-		}
-		errs[0] = f(0)
-		fa.wg.Wait()
 	}
+	errs[0] = f(0)
+	fa.wg.Wait()
 	var err error
 	for _, e := range errs {
 		if e != nil {
@@ -1040,9 +1038,9 @@ func treeLevels(n, k int) [][]int {
 // parent: a folding position its aggregate, a leaf its own enter as
 // built. Every edge runs even after a failure — a retry then starts from
 // maximal folded progress — and the deepest failing level's lowest-index
-// error wins, keeping failure messages deterministic. The edge order
-// (level, then index) is fixed across attempts, so under SerialFanOut the
-// transport-call sequence of attempt k is identical for every run.
+// error wins, keeping failure messages deterministic. Each edge of a level
+// is one leg's, and carries that leg's one enter per attempt, so every
+// edge's call sequence is the same on every run.
 func (c *Cluster) enterPhase(episode int32, view []int, k int, levels [][]int, enters []*msg.BarrierEnter, costs []sim.Time) error {
 	for pos := 0; pos < len(view) && folds(pos, k, len(view)); pos++ {
 		if _, err := c.nodes[view[pos]].serveBarrierEnter(enters[view[pos]]); err != nil {
@@ -1052,7 +1050,7 @@ func (c *Cluster) enterPhase(episode int32, view []int, k int, levels [][]int, e
 	var firstErr error
 	for li := len(levels) - 1; li >= 0; li-- {
 		lvl := levels[li]
-		err := fanOut(len(lvl), c.cfg.SerialFanOut, func(j int) error {
+		err := c.fanOut(len(lvl), func(j int) error {
 			child := view[lvl[j]]
 			enter := enters[child]
 			if folds(lvl[j], k, len(view)) {
@@ -1111,7 +1109,7 @@ func (c *Cluster) releasePhase(view []int, k int, levels [][]int, rel *msg.Barri
 	}
 	var firstErr error
 	for _, lvl := range levels {
-		err := fanOut(len(lvl), c.cfg.SerialFanOut, func(j int) error {
+		err := c.fanOut(len(lvl), func(j int) error {
 			parent, child := view[treeParent(lvl[j], k)], view[lvl[j]]
 			childRel, err := c.buildChildRelease(view, k, parent, lvl[j], rel.Episode)
 			if err != nil {
@@ -1353,18 +1351,18 @@ func (c *Cluster) storedPages(view []int) *vm.Bitmap {
 // collectGarbage runs one garbage-collection round over the membership
 // view, in two phases over the pages that have stored diffs, grouped by
 // effective home. Phase 1: every home brings its own pages current, the
-// homes concurrently (each on its own fan-out goroutine, serially under
-// SerialFanOut); under fault tolerance the home's standby refreshes its
-// full copy of each page in the same phase, so the two-copy invariant
-// survives the collection. No diff is dropped until every home and standby
-// is current. Phase 2: each home sends every other member one GCCollect
-// naming all of its pages — all members drop the pages' diffs and non-home
-// replicas are invalidated (causing the extra remote faults the paper
-// attributes to GC); the collect spares the standby's page copy while
-// still dropping every stored and replicated diff. A round therefore costs
-// homes x (members-1) round trips however many pages it collects, and
-// that is what the virtual clock charges each member for. It returns the
-// number of pages in the round's page set.
+// homes concurrently, each on its own fan-out leg; under fault tolerance
+// each home's standby then refreshes its full copy of those pages, in a
+// fan-out of its own, so the two-copy invariant survives the collection.
+// No diff is dropped until every home and standby is current. Phase 2:
+// each home sends every other member one GCCollect naming all of its
+// pages — all members drop the pages' diffs and non-home replicas are
+// invalidated (causing the extra remote faults the paper attributes to
+// GC); the collect spares the standby's page copy while still dropping
+// every stored and replicated diff. A round therefore costs homes x
+// (members-1) round trips however many pages it collects, and that is
+// what the virtual clock charges each member for. It returns the number
+// of pages in the round's page set.
 func (c *Cluster) collectGarbage(costs []sim.Time) (int, error) {
 	view := c.aliveList()
 	stored := c.storedPages(view)
@@ -1380,22 +1378,36 @@ func (c *Cluster) collectGarbage(costs []sim.Time) (int, error) {
 		}
 	}
 
-	// Phase 1. A home's goroutine adds to costs[hm] only; what its standby
-	// pays is kept beside it and charged after the fan-out, because the
-	// standby may be a home consolidating on another goroutine.
+	// Phase 1. A home's leg adds to costs[hm] only. A standby may itself be
+	// a home, so the standbys refresh after the homes join, or two legs
+	// could call on one edge (doc.go); their costs are charged after.
 	pages := stored.Count()
-	standby := make([]sim.Time, len(homes))
-	err := fanOut(len(homes), c.cfg.SerialFanOut, func(j int) (err error) {
-		var own sim.Time
-		own, standby[j], err = c.consolidate(homes[j], lists[homes[j]].Pages)
+	err := c.fanOut(len(homes), func(j int) error {
+		own, err := c.consolidate(homes[j], lists[homes[j]].Pages)
 		costs[homes[j]] += own
 		return err
 	})
 	if err != nil {
 		return pages, err
 	}
-	for j, hm := range homes {
-		if standby[j] != 0 {
+	if c.cfg.FaultTolerance {
+		standby := make([]sim.Time, len(homes))
+		err = c.fanOut(len(homes), func(j int) error {
+			for _, pg := range lists[homes[j]].Pages {
+				if s := c.aliveSucc(homes[j]); s != homes[j] {
+					w, err := c.fetchStandbyCopy(s, vm.PageID(pg))
+					if err != nil {
+						return fmt.Errorf("dsm: gc standby refresh page %d: %w", pg, err)
+					}
+					standby[j] += w
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return pages, err
+		}
+		for j, hm := range homes {
 			costs[c.aliveSucc(hm)] += standby[j]
 		}
 	}
@@ -1405,7 +1417,7 @@ func (c *Cluster) collectGarbage(costs []sim.Time) (int, error) {
 	// idempotent (dropping absent diffs and re-invalidating are no-ops), so
 	// a transport retry that re-delivers a list, or a re-run of the round,
 	// is harmless.
-	err = fanOut(len(view), c.cfg.SerialFanOut, func(j int) error {
+	err = c.fanOut(len(view), func(j int) error {
 		i := view[j]
 		for _, hm := range homes {
 			if i == hm {
@@ -1426,11 +1438,9 @@ func (c *Cluster) collectGarbage(costs []sim.Time) (int, error) {
 }
 
 // consolidate is a garbage-collection round's first phase at one home: it
-// applies the diffs each of the home's collected pages still has pending
-// and, under fault tolerance, has the home's standby refresh its full copy
-// of the page, so a later failover still finds a current image. It returns
-// the virtual time the home and the standby spent.
-func (c *Cluster) consolidate(hm int, pages []int32) (own, standby sim.Time, err error) {
+// applies the diffs each of the home's collected pages still has pending.
+// It returns the virtual time the home spent.
+func (c *Cluster) consolidate(hm int, pages []int32) (own sim.Time, err error) {
 	mgr := c.nodes[hm]
 	for _, pg := range pages {
 		p := vm.PageID(pg)
@@ -1442,24 +1452,15 @@ func (c *Cluster) consolidate(hm int, pages []int32) (own, standby sim.Time, err
 			var ti sim.ThreadInterval
 			ok, err := mgr.fetchAndApplyDiffs(&ti, -1, p, pending, ApplyServer)
 			if err != nil {
-				return own, standby, fmt.Errorf("dsm: gc consolidate page %d: %w", p, err)
+				return own, fmt.Errorf("dsm: gc consolidate page %d: %w", p, err)
 			}
 			if !ok {
-				return own, standby, fmt.Errorf("dsm: gc consolidate page %d: diffs already gone", p)
+				return own, fmt.Errorf("dsm: gc consolidate page %d: diffs already gone", p)
 			}
 			own += ti.Stall + ti.Overhead
 		}
-		if c.cfg.FaultTolerance {
-			if s := c.aliveSucc(hm); s != hm {
-				w, err := c.fetchStandbyCopy(s, p)
-				if err != nil {
-					return own, standby, fmt.Errorf("dsm: gc standby refresh page %d: %w", p, err)
-				}
-				standby += w
-			}
-		}
 	}
-	return own, standby, nil
+	return own, nil
 }
 
 // AcquireLock performs the consistency protocol for thread tid on a node

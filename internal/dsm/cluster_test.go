@@ -66,7 +66,9 @@ func TestNewValidation(t *testing.T) {
 		{"topology of another size", Config{Nodes: 2, Pages: 2, Topology: sim.NewTopology(3, sim.Costs{})}, errTopologySize, ""},
 		{"fault tolerance without chaos", Config{Nodes: 2, Pages: 1, FaultTolerance: true}, errFTNeedsChaos, ""},
 		{"crash schedule without fault tolerance",
-			Config{Nodes: 2, Pages: 1, Chaos: &transport.ChaosOptions{Crashes: []sim.CrashSchedule{{Node: 1, Call: 3}}}}, errCrashNeedsFT, ""},
+			Config{Nodes: 2, Pages: 1, Chaos: &transport.ChaosOptions{Crashes: []sim.CrashSchedule{{Node: 1, At: sim.CallKey{From: 0, To: 1}}}}}, errCrashNeedsFT, ""},
+		{"crash key off its node's edges",
+			Config{Nodes: 3, Pages: 1, FaultTolerance: true, Chaos: &transport.ChaosOptions{Crashes: []sim.CrashSchedule{{Node: 2, At: sim.CallKey{From: 0, To: 1, N: 4}}}}}, errCrashKey, ""},
 		{"single-writer with prefetch", Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, PrefetchBudget: 4}, errSingleWriter, "PrefetchBudget"},
 		{"single-writer with batching", Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, BatchDiffs: true}, errSingleWriter, "BatchDiffs"},
 		{"single-writer with lock forwarding", Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, LockForwarding: true}, errSingleWriter, "LockForwarding"},

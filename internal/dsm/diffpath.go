@@ -316,9 +316,10 @@ func (n *node) fetchWriterDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, w 
 }
 
 // diffBatch is one batched fetch's scratch, pooled whole with the lists'
-// capacity: index i of reqs, replies, wires and held is the fetch's i-th
-// writer, and order is the notices' request order. fetch is the fan-out's
-// body, bound once per scratch so a fetch does not allocate it.
+// capacity: index i of reqs, replies, wires, held and to (the node the
+// request goes to) is the fetch's i-th writer, and order is the notices'
+// request order. fetch is the fan-out's body, bound once per scratch so a
+// fetch does not allocate it.
 type diffBatch struct {
 	n       *node
 	order   []int32
@@ -326,24 +327,32 @@ type diffBatch struct {
 	replies []*msg.DiffBatchReply
 	wires   []sim.Time
 	held    leases
+	to      []int
 	fetch   func(i int) error
 }
 
 var diffBatches = sync.Pool{New: func() any { return new(diffBatch) }}
 
-// call sends the i-th writer's request and checks its reply.
+// call sends, in order, the requests that go where the i-th writer's goes,
+// and checks their replies; it sends none when an earlier leg goes there.
 func (b *diffBatch) call(i int) (err error) {
-	req := b.reqs[i]
-	r := b.n.routeTo(int(req.Writer))
-	var reply msg.Message
-	reply, b.held[i], b.wires[i], err = r.call(req)
-	if err == nil {
-		b.replies[i], err = checkBatchReply(reply, req)
+	if slices.Index(b.to, b.to[i]) < i {
+		return nil
 	}
-	if err != nil {
-		return fmt.Errorf("dsm: node %d batch fetch diffs from %d: %w", b.n.id, req.Writer, err)
+	for j := i; j < len(b.reqs) && err == nil; j++ {
+		if req := b.reqs[j]; b.to[j] == b.to[i] {
+			r := b.n.routeTo(int(req.Writer))
+			var reply msg.Message
+			reply, b.held[j], b.wires[j], err = r.call(req)
+			if err == nil {
+				b.replies[j], err = checkBatchReply(reply, req)
+			}
+			if err != nil {
+				err = fmt.Errorf("dsm: node %d batch fetch diffs from %d: %w", b.n.id, req.Writer, err)
+			}
+		}
 	}
-	return nil
+	return err
 }
 
 // release releases the replies with their leases, once the diffs they
@@ -361,7 +370,8 @@ func (b *diffBatch) release() {
 }
 
 // fetchDiffBatches fetches the diffs nts names — any number of pages and
-// writers — with one DiffBatchRequest per writer, fanned out in parallel,
+// writers — with one DiffBatchRequest per writer, fanned out in parallel by
+// the node each goes to (a dead writer's standby may be another writer),
 // and stores the diff of nts[i] in out[i] (nil where it is no longer
 // held). It returns the slowest round trip's wire cost (the requester's
 // stall, since the fan-out overlaps), whether every requested diff was
@@ -396,7 +406,7 @@ func (n *node) fetchDiffBatches(nts []msg.Notice, out [][]byte) (sim.Time, bool,
 		return cmp.Compare(x.Interval, y.Interval)
 	})
 
-	b.reqs = b.reqs[:0]
+	b.reqs, b.to = b.reqs[:0], b.to[:0]
 	for lo := 0; lo < len(order); {
 		w := nts[order[lo]].Writer
 		req := msg.New[*msg.DiffBatchRequest]()
@@ -409,13 +419,14 @@ func (n *node) fetchDiffBatches(nts []msg.Notice, out [][]byte) (sim.Time, bool,
 			}
 			pi.Intervals = append(pi.Intervals, nt.Interval)
 		}
+		b.to = append(b.to, c.AliveSuccessor(int(w)))
 		b.reqs = append(b.reqs, req)
 	}
 
 	b.replies = zeroed(b.replies, len(b.reqs))
 	b.wires = zeroed(b.wires, len(b.reqs))
 	b.held = zeroed(b.held, len(b.reqs))
-	if err := fanOut(len(b.reqs), c.cfg.SerialFanOut, b.fetch); err != nil {
+	if err := c.fanOut(len(b.reqs), b.fetch); err != nil {
 		b.release()
 		return 0, false, nil, err
 	}

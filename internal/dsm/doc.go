@@ -112,8 +112,10 @@
 // one mutex from each Span call through the write into its window.
 //
 // What may overlap: serves with each other, lock and barrier calls, the
-// legs of a fan-out (unless Config.SerialFanOut), which run on parked
-// workers (runLegs), and Kill.
+// legs of a fan-out, which run on parked workers (runLegs), and Kill. No
+// two legs of one fan-out call on one directed edge, their serves' calls
+// included, so each edge's calls keep one leg's program order: chaos keys
+// rely on it (internal/transport/replay.go).
 //
 // The ordering edges it relies on:
 //

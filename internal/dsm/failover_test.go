@@ -34,8 +34,8 @@ func forEachFTMode(t *testing.T, body func(t *testing.T, mode ftMode)) {
 }
 
 // ftConfig is the shared base configuration for the failover acceptance
-// tests: fault tolerance with deterministic call numbering (SerialFanOut)
-// so crash-at-call schedules replay exactly.
+// tests: fault tolerance under a chaos transport, whose per-edge call keys
+// let crash-at-call schedules replay exactly with fan-outs in parallel.
 func ftConfig(mode ftMode, nodes, npages int, chaos *transport.ChaosOptions) Config {
 	if chaos == nil {
 		chaos = &transport.ChaosOptions{}
@@ -46,7 +46,6 @@ func ftConfig(mode ftMode, nodes, npages int, chaos *transport.ChaosOptions) Con
 		FaultTolerance:   true,
 		BatchDiffs:       mode.batch,
 		PrefetchBudget:   mode.prefetch,
-		SerialFanOut:     true,
 		GCThresholdBytes: -1,
 		Transport: transport.Options{
 			MaxAttempts: 4,
@@ -134,7 +133,8 @@ func survivorsOf(nodes, victim int) []int {
 
 // crashAtCall is the crash-schedule acceptance run the manager-role tests
 // share. A recorded clean run of the two-phase workload finds the call to
-// die at — the nth one pick accepts — then the workload runs once clean
+// die at — the nth one pick accepts, whose edge must touch the victim —
+// then the workload runs once clean
 // and once with the victim crashing at exactly that call, mid-protocol.
 // Every write of an interval the victim closed and replicated must
 // survive, so the survivors of the crashed run read byte for byte what the
@@ -155,24 +155,24 @@ func crashAtCall(t *testing.T, mode ftMode, nodes, npages, arity, victim, nth in
 
 	log := &transport.CallLog{}
 	run(&transport.ChaosOptions{Plan: transport.RecordingPlan(nil, log)})
-	var crashCall int64
-	for _, r := range log.Records() {
+	var crashAt *sim.CallKey
+	for _, r := range log.Edges() {
 		if pick(r) {
 			if nth--; nth == 0 {
-				crashCall = r.Call
+				crashAt = &r.CallKey
 				break
 			}
 		}
 	}
-	if crashCall == 0 {
+	if crashAt == nil {
 		t.Fatal("calibration never saw the call to crash at")
 	}
 
 	cleanC, cleanShadow := run(nil)
-	c, shadow := run(&transport.ChaosOptions{Crashes: []sim.CrashSchedule{{Node: victim, Call: crashCall}}})
+	c, shadow := run(&transport.ChaosOptions{Crashes: []sim.CrashSchedule{{Node: victim, At: *crashAt}}})
 	snap := c.Stats().Snapshot()
 	if snap.Crashes != 1 {
-		t.Fatalf("Crashes = %d, want 1 (crash call %d)", snap.Crashes, crashCall)
+		t.Fatalf("Crashes = %d, want 1 (crash at %+v)", snap.Crashes, *crashAt)
 	}
 	// Both shadows were built from the same write sequence (the victim's
 	// post-crash rounds are survivor-only in both runs).
@@ -352,17 +352,17 @@ func TestFailoverCountedOncePerCall(t *testing.T) {
 	}
 	log := &transport.CallLog{}
 	run(&transport.ChaosOptions{Plan: transport.RecordingPlan(nil, log)})
-	var crashCall int64
+	var crashAt *sim.CallKey
 	for _, r := range log.Records() {
 		if r.Kind == byte(msg.KindDiffRequest) && r.To == writer {
-			crashCall = r.Call
+			crashAt = &r.CallKey
 			break
 		}
 	}
-	if crashCall == 0 {
+	if crashAt == nil {
 		t.Fatal("calibration saw no DiffRequest to the writer")
 	}
-	snap := run(&transport.ChaosOptions{Crashes: []sim.CrashSchedule{{Node: writer, Call: crashCall}}})
+	snap := run(&transport.ChaosOptions{Crashes: []sim.CrashSchedule{{Node: writer, At: *crashAt}}})
 	if snap.Crashes != 1 || snap.Failovers != 1 {
 		t.Fatalf("Crashes/Failovers = %d/%d, want 1/1", snap.Crashes, snap.Failovers)
 	}
@@ -395,10 +395,11 @@ func TestFailoverBarrierRoot(t *testing.T) {
 	const nodes, npages = 4, 3
 	const root = 0
 	forEachFTMode(t, func(t *testing.T, mode ftMode) {
-		// The flat root sends nodes-1 releases per episode; die on the
-		// second one of the second episode.
-		snap := crashAtCall(t, mode, nodes, npages, 0, root, nodes+1, func(r transport.CallRecord) bool {
-			return r.Kind == byte(msg.KindBarrierRelease) && r.From == root
+		// The flat root sends one release per member per episode; die on
+		// the second episode's release to node 2, while the releases to
+		// the other members run on legs of their own.
+		snap := crashAtCall(t, mode, nodes, npages, 0, root, 2, func(r transport.CallRecord) bool {
+			return r.Kind == byte(msg.KindBarrierRelease) && r.From == root && r.To == 2
 		})
 		if snap.RecoveryRounds == 0 {
 			t.Fatal("no barrier recovery round recorded; the crash missed the release phase")
@@ -654,21 +655,17 @@ func TestFailoverQueuedHomeMove(t *testing.T) {
 		}
 		log := &transport.CallLog{}
 		run(&transport.ChaosOptions{Plan: transport.RecordingPlan(nil, log)})
-		var crashCall int64
-		nth := 2 // the second episode's release to the victim
+		// The second episode's release to the victim.
+		at := sim.CallKey{From: 0, To: victim, Kind: byte(msg.KindBarrierRelease), N: 1}
+		seen := false
 		for _, r := range log.Records() {
-			if r.Kind == byte(msg.KindBarrierRelease) && r.From == 0 && r.To == victim {
-				if nth--; nth == 0 {
-					crashCall = r.Call
-					break
-				}
-			}
+			seen = seen || r.CallKey == at
 		}
-		if crashCall == 0 {
+		if !seen {
 			t.Fatal("calibration never saw the release to crash at")
 		}
 
-		c := run(&transport.ChaosOptions{Crashes: []sim.CrashSchedule{{Node: victim, Call: crashCall}}})
+		c := run(&transport.ChaosOptions{Crashes: []sim.CrashSchedule{{Node: victim, At: at}}})
 		snap := c.Stats().Snapshot()
 		if snap.Crashes != 1 || snap.RecoveryRounds == 0 {
 			t.Fatalf("Crashes = %d, RecoveryRounds = %d; the crash missed the release phase", snap.Crashes, snap.RecoveryRounds)
@@ -708,7 +705,7 @@ func TestFailoverCrashRestart(t *testing.T) {
 	const victim = 2
 	words := npages * memlayout.PageSize / 4
 	forEachFTMode(t, func(t *testing.T, mode ftMode) {
-		// Calibration: find the call number of the victim's first barrier
+		// Calibration: find the key of the victim's first barrier
 		// enter (episode 0), so the crash lands between its phase-one
 		// replication and the fan-in. The victim therefore writes only in
 		// round 0; later rounds are survivor-only in BOTH runs so the final
@@ -724,19 +721,19 @@ func TestFailoverCrashRestart(t *testing.T) {
 			ftWorkload(t, c, nodes, npages, 1, 2, survivorsOf(nodes, victim), nil)
 			_ = c.Close()
 		}
-		var crashCall int64
+		var crashAt *sim.CallKey
 		for _, r := range log.Records() {
-			if r.Kind == byte(msg.KindBarrierEnter) && r.From == victim {
-				crashCall = r.Call // first barrier enter from the victim
+			if r.Kind == byte(msg.KindBarrierEnter) && r.From == victim && r.N == 0 {
+				crashAt = &r.CallKey // first barrier enter from the victim
 				break
 			}
 		}
-		if crashCall == 0 {
+		if crashAt == nil {
 			t.Fatal("calibration never saw the victim enter a barrier")
 		}
 
 		c, err := New(ftConfig(mode, nodes, npages, &transport.ChaosOptions{
-			Crashes: []sim.CrashSchedule{{Node: victim, Call: crashCall, RestartEpoch: 2}},
+			Crashes: []sim.CrashSchedule{{Node: victim, At: *crashAt, RestartEpoch: 2}},
 		}))
 		if err != nil {
 			t.Fatal(err)
@@ -746,7 +743,7 @@ func TestFailoverCrashRestart(t *testing.T) {
 		shadow := ftWorkload(t, c, nodes, npages, 1, 2, survivorsOf(nodes, victim), nil)
 		snap := c.Stats().Snapshot()
 		if snap.Crashes != 1 {
-			t.Fatalf("Crashes = %d, want 1 (crash call %d)", snap.Crashes, crashCall)
+			t.Fatalf("Crashes = %d, want 1 (crash at %+v)", snap.Crashes, *crashAt)
 		}
 		if snap.Rejoins != 1 {
 			t.Fatalf("Rejoins = %d, want 1 — the scheduled restart never ran", snap.Rejoins)
@@ -844,7 +841,6 @@ func TestFailoverHammerRace(t *testing.T) {
 			const nodes, npages = 4, 4
 			const victim = 1
 			cfg := ftConfig(tc.mode, nodes, npages, nil)
-			cfg.SerialFanOut = false // let fan-outs race
 			cfg.GCThresholdBytes = 1 // GC every barrier with stored diffs
 			c, err := newCluster(cfg, tc.shards)
 			if err != nil {

@@ -23,24 +23,22 @@ import (
 // start workers while outer legs hold theirs.
 func TestFanOutNested(t *testing.T) {
 	const width, depth = 4, 3
-	for _, serial := range []bool{false, true} {
-		var leaves atomic.Int64
-		var level func(d int) func(int) error
-		level = func(d int) func(int) error {
-			return func(int) error {
-				if d == depth {
-					leaves.Add(1)
-					return nil
-				}
-				return fanOut(width, serial, level(d+1))
+	var leaves atomic.Int64
+	var level func(d int) func(int) error
+	level = func(d int) func(int) error {
+		return func(int) error {
+			if d == depth {
+				leaves.Add(1)
+				return nil
 			}
+			return fanOut(width, level(d+1))
 		}
-		if err := fanOut(width, serial, level(1)); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := leaves.Load(), int64(width*width*width); got != want {
-			t.Fatalf("serial=%v: %d leaves ran, want %d", serial, got, want)
-		}
+	}
+	if err := fanOut(width, level(1)); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := leaves.Load(), int64(width*width*width); got != want {
+		t.Fatalf("%d leaves ran, want %d", got, want)
 	}
 }
 
@@ -51,19 +49,17 @@ func TestFanOutLowestIndexError(t *testing.T) {
 	for _, i := range []int{3, 5, 7} {
 		errs[i] = fmt.Errorf("leg %d", i)
 	}
-	for _, serial := range []bool{false, true} {
-		for r := 0; r < 200; r++ {
-			var ran atomic.Int64
-			err := fanOut(len(errs), serial, func(i int) error {
-				ran.Add(1)
-				return errs[i]
-			})
-			if !errors.Is(err, errs[3]) {
-				t.Fatalf("serial=%v run %d: error %v, want %v", serial, r, err, errs[3])
-			}
-			if got := ran.Load(); got != int64(len(errs)) {
-				t.Fatalf("serial=%v run %d: %d legs ran, want %d", serial, r, got, len(errs))
-			}
+	for r := 0; r < 200; r++ {
+		var ran atomic.Int64
+		err := fanOut(len(errs), func(i int) error {
+			ran.Add(1)
+			return errs[i]
+		})
+		if !errors.Is(err, errs[3]) {
+			t.Fatalf("run %d: error %v, want %v", r, err, errs[3])
+		}
+		if got := ran.Load(); got != int64(len(errs)) {
+			t.Fatalf("run %d: %d legs ran, want %d", r, got, len(errs))
 		}
 	}
 }
@@ -81,7 +77,7 @@ func TestFanOutConcurrentCallers(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				var ran [width]int32
-				err := fanOut(width, false, func(i int) error {
+				err := fanOut(width, func(i int) error {
 					ran[i]++ // no atomic: fanOut's join orders it before the check
 					total.Add(1)
 					if i == width-1 {
@@ -114,11 +110,11 @@ func TestFanOutWorkersBounded(t *testing.T) {
 	const width = 8
 	f := func(int) error { return nil }
 	for i := 0; i < 1000; i++ {
-		_ = fanOut(width, false, f)
+		_ = fanOut(width, f)
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10000; i++ {
-		_ = fanOut(width, false, f)
+		_ = fanOut(width, f)
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("10,000 warm fan-outs of width %d: %d goroutines, %d before", width, after, before)
@@ -129,7 +125,7 @@ func TestFanOutWorkersBounded(t *testing.T) {
 // of its last leg: a closure that captured a barrier's state must not
 // outlive the barrier because a worker ran it.
 func TestFanOutParkedWorkerDropsLeg(t *testing.T) {
-	_ = fanOut(2, false, func(int) error { return nil }) // park a worker
+	_ = fanOut(2, func(int) error { return nil }) // park a worker
 	collected := make(chan struct{})
 	fanOutWithCanary(collected)
 	for i := 0; i < 50; i++ {
@@ -151,7 +147,7 @@ type canary struct{ b [64]byte }
 func fanOutWithCanary(collected chan struct{}) {
 	c := new(canary)
 	runtime.SetFinalizer(c, func(*canary) { close(collected) })
-	_ = fanOut(2, false, func(i int) error {
+	_ = fanOut(2, func(i int) error {
 		c.b[i]++
 		return nil
 	})

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"actdsm/internal/memlayout"
@@ -14,9 +15,9 @@ import (
 )
 
 // Tests that pin the shape of a garbage-collection round: one GCCollect
-// per (home, member) whatever the page count, the same result whichever
-// way the two phases are fanned out, and a crash landing inside the round
-// ending where the clean run ends.
+// per (home, member) whatever the page count, the same result from every
+// run of its parallel phases, and a crash landing inside the round ending
+// where the clean run ends.
 
 // callCount returns how many logical calls of the kind the snapshot holds.
 func callCount(s Snapshot, kind msg.Kind) int64 {
@@ -115,21 +116,20 @@ func memoryDigest(t *testing.T, c *Cluster, node, npages int) uint64 {
 	return h.Sum64()
 }
 
-// TestGCFanOutModesEquivalent: with a round after every barrier, running
-// the homes' consolidations and the members' collects concurrently ends
-// with the memory, home table and protocol counters of the serial order.
-func TestGCFanOutModesEquivalent(t *testing.T) {
+// TestGCParallelRoundsRepeat: with a round after every barrier, the homes'
+// consolidations and the members' collects running in parallel fan-outs,
+// two runs end with the same memory, home table and protocol counters —
+// with pages kept at their static homes and with every page moved off its
+// home first.
+func TestGCParallelRoundsRepeat(t *testing.T) {
 	const nodes, npages, rounds = 4, 8, 5
 	type result struct {
 		digest   uint64
 		homes    string
 		counters Counters
 	}
-	run := func(serial, migrate bool) result {
-		c, err := New(Config{
-			Nodes: nodes, Pages: npages, GCThresholdBytes: 1,
-			SerialFanOut: serial,
-		})
+	run := func(migrate bool) result {
+		c, err := New(Config{Nodes: nodes, Pages: npages, GCThresholdBytes: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,12 +155,12 @@ func TestGCFanOutModesEquivalent(t *testing.T) {
 		r.digest = memoryDigest(t, c, 0, npages)
 		for node := 1; node < nodes; node++ {
 			if d := memoryDigest(t, c, node, npages); d != r.digest {
-				t.Fatalf("serial=%v: node %d digest %x, node 0 %x", serial, node, d, r.digest)
+				t.Fatalf("migrate=%v: node %d digest %x, node 0 %x", migrate, node, d, r.digest)
 			}
 		}
 		for w, want := range shadow {
 			if got := rf32(t, c, 0, 0, w); got != want {
-				t.Fatalf("serial=%v: word %d = %v, want %v", serial, w, got, want)
+				t.Fatalf("migrate=%v: word %d = %v, want %v", migrate, w, got, want)
 			}
 		}
 		if err := c.CheckCoherence(); err != nil {
@@ -169,18 +169,20 @@ func TestGCFanOutModesEquivalent(t *testing.T) {
 		return r
 	}
 	for _, migrate := range []bool{false, true} {
-		serial, parallel := run(true, migrate), run(false, migrate)
-		if serial != parallel {
-			t.Fatalf("migrate=%v: fan-out modes diverge:\nserial:   %+v\nparallel: %+v", migrate, serial, parallel)
+		if a, b := run(migrate), run(migrate); a != b {
+			t.Fatalf("migrate=%v: two runs diverge:\nfirst:  %+v\nsecond: %+v", migrate, a, b)
 		}
 	}
 }
 
-// TestGCCrashInsideRound crashes a home at two points of a round, sited by
-// a recorded calibration run: at its first collect — every home and
-// standby has consolidated, nothing of the victim's has been dropped — and
-// at its second, when one member has already dropped and invalidated the
-// victim's pages. Either way the round re-runs over the shrunk view (the
+// TestGCCrashInsideRound crashes a home at two of its collects in a round,
+// sited by a recorded calibration run: the one to the lowest member, after
+// every home and standby has consolidated, and the one to the next. The
+// crash takes that collect's edge down; the other members' legs still
+// collect the victim's pages, and the victim goes down when phase 2
+// joins. Either way one member still holds the victim's diffs and replica
+// while the others have dropped and invalidated them, and the round
+// re-runs over the shrunk view (the
 // victim's pages now served by its refreshed standby), completes without
 // finding a needed diff gone, and the survivors end with the bytes of a
 // run in which nothing crashed — and with its GC round and page counts.
@@ -231,15 +233,17 @@ func TestGCCrashInsideRound(t *testing.T) {
 	if len(sends) != nodes-1 {
 		t.Fatalf("calibration saw %d collects from the victim in round %d, want %d", len(sends), pre, nodes-1)
 	}
+	// Phase 2's legs run in parallel, one per member: name them by member.
+	slices.SortFunc(sends, func(a, b transport.CallRecord) int { return a.To - b.To })
 
 	for i, name := range []string{"between the phases", "inside phase 2"} {
 		t.Run(name, func(t *testing.T) {
 			got, snap := run(&transport.ChaosOptions{
-				Crashes: []sim.CrashSchedule{{Node: victim, Call: sends[i].Call}},
+				Crashes: []sim.CrashSchedule{{Node: victim, At: sends[i].CallKey}},
 			})
 			if snap.Crashes != 1 || snap.RecoveryRounds == 0 {
-				t.Fatalf("crashes/recovery rounds = %d/%d, want 1 and a re-run (crash call %d)",
-					snap.Crashes, snap.RecoveryRounds, sends[i].Call)
+				t.Fatalf("crashes/recovery rounds = %d/%d, want 1 and a re-run (crash at %+v)",
+					snap.Crashes, snap.RecoveryRounds, sends[i].CallKey)
 			}
 			if got != clean {
 				t.Fatalf("survivor digest %x after the crash, clean run %x", got, clean)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync"
 	"testing"
 
 	"actdsm/internal/memlayout"
@@ -66,29 +67,30 @@ type lockRun struct {
 	snap     Snapshot
 }
 
-// runLockChain drives the chain under cell; crashCall, when non-zero,
-// kills the victim at that transport call. It returns the New error of a
+// runLockChain drives the chain under cell; crashAt, when non-nil, kills
+// the victim at that transport call. It returns the New error of a
 // configuration New refuses.
-func runLockChain(t *testing.T, cell lockCell, crashCall int64) (lockRun, error) {
+func runLockChain(t *testing.T, cell lockCell, crashAt *sim.CallKey) (lockRun, error) {
 	t.Helper()
 	const npages = 1 + chainLocks
 	const wordsPerPage = memlayout.PageSize / 4
 	var out lockRun
 	log := &transport.CallLog{}
-	var released []int32 // per call: the lock a LockRelease names, -1 otherwise
-	tag := func(_, _ int, payload []byte, _ int64) transport.Fault {
-		lock := int32(-1)
+	var mu sync.Mutex                       // barrier fan-outs classify calls in parallel
+	released := make(map[sim.CallKey]int32) // the lock each LockRelease names
+	tag := func(key sim.CallKey, payload []byte) transport.Fault {
 		if m, err := msg.Decode(payload); err == nil {
 			if rel, ok := m.(*msg.LockRelease); ok {
-				lock = rel.Lock
+				mu.Lock()
+				released[key] = rel.Lock
+				mu.Unlock()
 			}
 		}
-		released = append(released, lock)
 		return transport.FaultNone
 	}
 	chaos := &transport.ChaosOptions{Plan: transport.RecordingPlan(tag, log)}
-	if crashCall != 0 {
-		chaos.Crashes = []sim.CrashSchedule{{Node: chainVictim, Call: crashCall}}
+	if crashAt != nil {
+		chaos.Crashes = []sim.CrashSchedule{{Node: chainVictim, At: *crashAt}}
 	}
 	c, err := New(Config{
 		Nodes:            chainNodes,
@@ -96,7 +98,6 @@ func runLockChain(t *testing.T, cell lockCell, crashCall int64) (lockRun, error)
 		LockShards:       cell.shards,
 		LockForwarding:   cell.forward,
 		FaultTolerance:   cell.ft,
-		SerialFanOut:     true,
 		GCThresholdBytes: -1,
 		Chaos:            chaos,
 	})
@@ -154,11 +155,11 @@ func runLockChain(t *testing.T, cell lockCell, crashCall int64) (lockRun, error)
 	}
 
 	out.records = log.Records()
-	for i, r := range out.records {
+	for _, r := range out.records {
 		switch msg.Kind(r.Kind) {
 		case msg.KindLockAcquire, msg.KindLockPull:
 		case msg.KindLockRelease:
-			if r.To != c.lockManager(released[i]) {
+			if r.To != c.lockManager(released[r.CallKey]) {
 				continue
 			}
 		default:
@@ -193,7 +194,7 @@ func runLockChain(t *testing.T, cell lockCell, crashCall int64) (lockRun, error)
 // reaches it as the lock's primary manager (an acquire), or as the holder
 // of the lock it released last (the pull, or the fetch of its diffs or
 // pages).
-func crashCallFor(crash string, cal lockRun) int64 {
+func crashCallFor(crash string, cal lockRun) *sim.CallKey {
 	for _, r := range cal.records[cal.boundary:] {
 		if r.To != chainVictim {
 			continue
@@ -201,15 +202,15 @@ func crashCallFor(crash string, cal lockRun) int64 {
 		switch msg.Kind(r.Kind) {
 		case msg.KindLockAcquire:
 			if crash == "primary" {
-				return r.Call
+				return &r.CallKey
 			}
 		case msg.KindLockPull, msg.KindDiffRequest, msg.KindPageRequest:
 			if crash == "holder" {
-				return r.Call
+				return &r.CallKey
 			}
 		}
 	}
-	return 0
+	return nil
 }
 
 // TestLockVariantsEquivalent is the proof that the lock path is one
@@ -230,16 +231,16 @@ func TestLockVariantsEquivalent(t *testing.T) {
 				for _, crash := range []string{"", "primary", "holder"} {
 					cell := lockCell{shards, forward, ft, crash}
 					t.Run(cell.String(), func(t *testing.T) {
-						var crashCall int64
+						var crashAt *sim.CallKey
 						switch {
 						case crash != "" && !ft:
-							crashCall = 1 // any schedule: New refuses it
+							crashAt = &sim.CallKey{To: chainVictim} // any schedule: New refuses it
 						case crash != "":
-							if crashCall = crashCallFor(crash, cal); crashCall == 0 {
+							if crashAt = crashCallFor(crash, cal); crashAt == nil {
 								t.Fatal("calibration saw no call to place the crash at")
 							}
 						}
-						r, err := runLockChain(t, cell, crashCall)
+						r, err := runLockChain(t, cell, crashAt)
 						if errors.Is(err, errCrashNeedsFT) {
 							t.Skip(err)
 						}

@@ -7,6 +7,7 @@ import (
 
 	"actdsm/internal/memlayout"
 	"actdsm/internal/msg"
+	"actdsm/internal/sim"
 	"actdsm/internal/transport"
 	"actdsm/internal/vm"
 )
@@ -403,9 +404,8 @@ func TestForwardedGrantPullRetry(t *testing.T) {
 			BackoffBase: time.Microsecond,
 		},
 		Chaos: &transport.ChaosOptions{
-			Plan: func(from, to int, payload []byte, call int64) transport.Fault {
-				if len(payload) > 0 && msg.Kind(payload[0]) == msg.KindLockPull &&
-					dropped.CompareAndSwap(false, true) {
+			Plan: func(key sim.CallKey, payload []byte) transport.Fault {
+				if msg.Kind(key.Kind) == msg.KindLockPull && dropped.CompareAndSwap(false, true) {
 					return transport.FaultDropReply
 				}
 				return transport.FaultNone
@@ -504,11 +504,8 @@ func TestShardedLockChaosDedup(t *testing.T) {
 
 	var dropAcq, dupRel atomic.Bool
 	chaotic := run(&transport.ChaosOptions{
-		Plan: func(from, to int, payload []byte, call int64) transport.Fault {
-			if len(payload) == 0 {
-				return transport.FaultNone
-			}
-			switch msg.Kind(payload[0]) {
+		Plan: func(key sim.CallKey, payload []byte) transport.Fault {
+			switch msg.Kind(key.Kind) {
 			case msg.KindLockAcquire:
 				if dropAcq.CompareAndSwap(false, true) {
 					return transport.FaultDropReply
@@ -558,20 +555,19 @@ func TestTreeNodeFailureMidFanIn(t *testing.T) {
 	// Node 1 and node 2 are internal (children 3,4 and 5,6).
 	var enterDrop, relayDrop atomic.Bool
 	chaotic := run(&transport.ChaosOptions{
-		Plan: func(from, to int, payload []byte, call int64) transport.Fault {
-			if len(payload) == 0 {
-				return transport.FaultNone
-			}
-			switch msg.Kind(payload[0]) {
+		Plan: func(key sim.CallKey, payload []byte) transport.Fault {
+			switch msg.Kind(key.Kind) {
 			case msg.KindBarrierEnter:
 				// Node 1's aggregate (already carrying its children's
 				// folds) reaches the root but the reply is lost.
-				if from == 1 && to == 0 && enterDrop.CompareAndSwap(false, true) {
+				if key.From == 1 && key.To == 0 && key.N == 0 {
+					enterDrop.Store(true)
 					return transport.FaultDropReply
 				}
 			case msg.KindBarrierRelease:
 				// The relay from node 2 down to node 5 never arrives.
-				if from == 2 && to == 5 && relayDrop.CompareAndSwap(false, true) {
+				if key.From == 2 && key.To == 5 && key.N == 0 {
+					relayDrop.Store(true)
 					return transport.FaultDropRequest
 				}
 			}
@@ -594,12 +590,12 @@ func TestTreeNodeFailureMidFanIn(t *testing.T) {
 	}
 }
 
-// TestChaosPlanReplayDeterminism is the pinned-numbering regression:
-// two runs of the same workload under the same deterministic
-// drop-then-retry plan must observe the identical transport-call trace
-// (from, to, kind, sequence number, fault) and identical protocol
-// counters. This is what makes chaos plans keyed on the global call
-// number replayable — see transport.RecordingPlan.
+// TestChaosPlanReplayDeterminism is the per-edge keying regression: two
+// runs of the same workload under the same deterministic drop-then-retry
+// plan, fan-outs in parallel, must observe the identical per-edge
+// transport-call trace (from, to, kind, place on the edge, fault) and
+// identical protocol counters. This is what makes chaos plans keyed per
+// edge replayable — see transport.RecordingPlan.
 func TestChaosPlanReplayDeterminism(t *testing.T) {
 	run := func() ([]transport.CallRecord, Counters) {
 		log := &transport.CallLog{}
@@ -607,21 +603,20 @@ func TestChaosPlanReplayDeterminism(t *testing.T) {
 			Nodes: 5, Pages: 4,
 			BarrierArity:     2,
 			LockForwarding:   true,
-			SerialFanOut:     true,
 			GCThresholdBytes: -1,
 			Transport: transport.Options{
 				MaxAttempts: 6,
 				BackoffBase: time.Microsecond,
 			},
 			Chaos: &transport.ChaosOptions{
-				Plan: transport.RecordingPlan(func(from, to int, payload []byte, call int64) transport.Fault {
+				Plan: transport.RecordingPlan(func(key sim.CallKey, payload []byte) transport.Fault {
 					// A sparse deterministic schedule keyed purely on
-					// the sequence number: requests and replies are
-					// lost at fixed points of the run.
-					if call%67 == 13 {
+					// places on edges: requests and replies are lost at
+					// fixed points of each edge's sequence.
+					if key.N%7 == 3 {
 						return transport.FaultDropRequest
 					}
-					if call%101 == 40 {
+					if key.N%11 == 5 {
 						return transport.FaultDropReply
 					}
 					return transport.FaultNone
@@ -644,7 +639,7 @@ func TestChaosPlanReplayDeterminism(t *testing.T) {
 			}
 		}
 		barrier(t, c)
-		return log.Records(), c.Stats().Snapshot().Counters()
+		return log.Edges(), c.Stats().Snapshot().Counters()
 	}
 
 	traceA, countersA := run()
@@ -658,7 +653,7 @@ func TestChaosPlanReplayDeterminism(t *testing.T) {
 	faults := 0
 	for i := range traceA {
 		if traceA[i] != traceB[i] {
-			t.Fatalf("trace diverges at call %d:\nA: %+v\nB: %+v", i, traceA[i], traceB[i])
+			t.Fatalf("per-edge trace diverges at record %d:\nA: %+v\nB: %+v", i, traceA[i], traceB[i])
 		}
 		if traceA[i].Fault != transport.FaultNone {
 			faults++

@@ -111,8 +111,8 @@ func (k FetchKind) String() string {
 
 // Probe is a set of optional protocol event callbacks. All fields may be
 // nil. Callbacks may run concurrently (transport server goroutines,
-// parallel fan-outs) unless Config.SerialFanOut is set and the transport
-// is Local; implementations must be safe for concurrent use. Several
+// fan-out legs); implementations must be safe for concurrent use, and the
+// order of events on different nodes inside a fan-out varies. Several
 // callbacks fire with the node's internal mutex held: they must return
 // quickly and must not call into the Cluster.
 type Probe struct {

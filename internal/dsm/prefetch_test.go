@@ -7,6 +7,7 @@ import (
 
 	"actdsm/internal/memlayout"
 	"actdsm/internal/msg"
+	"actdsm/internal/sim"
 	"actdsm/internal/transport"
 	"actdsm/internal/vm"
 )
@@ -259,17 +260,22 @@ func TestChaosDiffBatchRetryDedup(t *testing.T) {
 
 			var dropReq, dropReply, dup atomic.Bool
 			chaotic := run(&transport.ChaosOptions{
-				Plan: func(from, to int, payload []byte, call int64) transport.Fault {
-					if len(payload) == 0 || msg.Kind(payload[0]) != msg.KindDiffBatchRequest {
+				// The first three batches node 0 sends writer 1: a batch
+				// whose request is lost, its retry's reply, then a
+				// duplicated third attempt. One edge, so one order.
+				Plan: func(key sim.CallKey, payload []byte) transport.Fault {
+					if msg.Kind(key.Kind) != msg.KindDiffBatchRequest || key.From != 0 || key.To != 1 {
 						return transport.FaultNone
 					}
-					if dropReq.CompareAndSwap(false, true) {
+					switch key.N {
+					case 0:
+						dropReq.Store(true)
 						return transport.FaultDropRequest
-					}
-					if dropReply.CompareAndSwap(false, true) {
+					case 1:
+						dropReply.Store(true)
 						return transport.FaultDropReply
-					}
-					if dup.CompareAndSwap(false, true) {
+					case 2:
+						dup.Store(true)
 						return transport.FaultDuplicate
 					}
 					return transport.FaultNone

@@ -15,7 +15,7 @@ import (
 // topology charges.
 func TestUniformTopologyMatchesNil(t *testing.T) {
 	run := func(topo *sim.Topology) sim.Time {
-		c, err := New(Config{Nodes: 2, Pages: 4, Topology: topo, SerialFanOut: true})
+		c, err := New(Config{Nodes: 2, Pages: 4, Topology: topo})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestUniformTopologyMatchesNil(t *testing.T) {
 // up must charge strictly more virtual time than the uniform run.
 func TestSlowLinksRaiseCost(t *testing.T) {
 	run := func(topo *sim.Topology) sim.Time {
-		c, err := New(Config{Nodes: 2, Pages: 4, Topology: topo, SerialFanOut: true})
+		c, err := New(Config{Nodes: 2, Pages: 4, Topology: topo})
 		if err != nil {
 			t.Fatal(err)
 		}

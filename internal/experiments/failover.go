@@ -2,8 +2,8 @@ package experiments
 
 // Crash-recovery comparison: the BENCH_failover.json generator and
 // regression gate. Three legs of the same phased lane-write workload on
-// a fault-tolerant 4-node cluster, all deterministic (serialized
-// fan-outs, imperative kill/restart, no timing):
+// a fault-tolerant 4-node cluster, all deterministic (counts that no
+// fan-out's leg order moves, imperative kill/restart, no timing):
 //
 //   - clean: fault tolerance on, nobody dies (the replication-overhead
 //     baseline);
@@ -129,7 +129,6 @@ func failoverLeg(crash, restart bool) (FailoverLeg, error) {
 		Nodes:            failoverNodes,
 		Pages:            failoverPages,
 		FaultTolerance:   true,
-		SerialFanOut:     true,
 		GCThresholdBytes: -1,
 		Transport: transport.Options{
 			MaxAttempts: 4,

@@ -33,7 +33,7 @@ import (
 )
 
 // ManagersReport is the BENCH_managers.json schema. Every number in it
-// is deterministic (serialized fan-outs, no faults, no timing), so the
+// is deterministic (per-edge call counts, no faults, no timing), so the
 // regression gate checks the committed values exactly in addition to
 // the scaling properties.
 type ManagersReport struct {
@@ -125,15 +125,15 @@ type BarrierShape struct {
 
 // measureBarrierShape runs one barrier episode on an idle cluster
 // (arity 0 is the flat single-manager barrier, k >= 2 the k-ary tree)
-// and reports the topology the messages actually formed. SerialFanOut
-// keeps the run deterministic; the payload (no writes, no notices) does
-// not affect the shape.
+// and reports the topology the messages actually formed. The legs of a
+// tree level run in parallel, so the calls arrive in any order; the shape
+// counts edges per node and never reads that order, and the payload (no
+// writes, no notices) does not affect it.
 func measureBarrierShape(nodes, arity int) (BarrierShape, error) {
 	c, err := dsm.New(dsm.Config{
 		Nodes:            nodes,
 		Pages:            nodes,
 		BarrierArity:     arity,
-		SerialFanOut:     true,
 		GCThresholdBytes: -1,
 	})
 	if err != nil {
@@ -241,7 +241,6 @@ func measureLockSpread(lockShards int) (LockSpread, error) {
 		Nodes:            lockSpreadNodes,
 		Pages:            lockSpreadNodes,
 		LockShards:       lockShards,
-		SerialFanOut:     true,
 		GCThresholdBytes: -1,
 	})
 	if err != nil {

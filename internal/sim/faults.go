@@ -2,23 +2,40 @@ package sim
 
 // Deterministic crash/restart schedules.
 //
-// A CrashSchedule pins a node failure to the transport's global call
-// numbering (the same 1-based counter chaos plans key on, see
-// transport.RecordingPlan): the node is fail-stop from call N onward —
-// every call to or from it fails permanently — until an explicit revive
-// at a named barrier episode. Because the call counter is deterministic
-// under SerialFanOut, the same schedule replays the same crash on every
-// run, composing with drop/delay/partition plans that share the counter.
+// A CrashSchedule pins a node failure to one transport call, named by its
+// CallKey: its place on its own directed edge (the same key chaos plans
+// see, see transport.RecordingPlan). Each edge's call sequence is a pure
+// function of the workload and the plan even when fan-out legs run in
+// parallel, so the same schedule replays the same crash on every run,
+// composing with drop/duplicate plans keyed the same way. The node is
+// fail-stop from there — every call to or from it fails permanently —
+// until an explicit revive at a named barrier episode; transport.Chaos
+// says when each of its edges goes down.
+
+// CallKey names one transport call by its place on its directed edge:
+// the call of message kind Kind (the payload's first byte) from node From
+// to node To that had N earlier calls of that kind on that edge, retries
+// included. N starts at 0.
+type CallKey struct {
+	From, To int
+	Kind     byte
+	N        int64
+}
+
+// Touches reports whether node is one end of the key's edge.
+func (k CallKey) Touches(node int) bool { return k.From == node || k.To == node }
 
 // CrashSchedule describes one deterministic node crash and, optionally,
 // its restart point.
 type CrashSchedule struct {
 	// Node is the node that crashes.
 	Node int
-	// Call is the 1-based global transport call number at which the
-	// crash arms: the call numbered Call and every later call involving
-	// Node fails. Call <= 1 means the node is down from the start.
-	Call int64
+	// At is the call at which the crash arms. Its edge must have Node at
+	// one end: that call fails, and so does every later call on its
+	// directed edge; every other call involving Node fails from the join
+	// of the outermost fan-out in flight (at once when none is), which is
+	// also when the node reads as down (transport.Chaos).
+	At CallKey
 	// RestartEpoch, when non-zero, is the earliest barrier episode at
 	// whose start the node rejoins the cluster (the DSM layer runs its
 	// recovery protocol and revives the transport). The first episode

@@ -56,7 +56,8 @@ func (f Fault) String() string {
 // deterministic generator, so a fixed seed and a serial caller produce a
 // reproducible fault schedule. When Plan is non-nil it alone decides
 // every call's fault and the probabilistic knobs are ignored — the fully
-// deterministic mode tests use.
+// deterministic mode tests use, which replays under parallel callers too
+// (replay.go).
 type ChaosOptions struct {
 	// Seed seeds the fault generator (sim.RNG). Defaults to 1.
 	Seed uint64
@@ -76,11 +77,12 @@ type ChaosOptions struct {
 	// islands) are expressed by closing over mutable state.
 	Partitioned func(from, to int) bool
 	// Plan, if non-nil, decides the fault for each call and overrides
-	// the probabilistic knobs. call is the 1-based global call sequence
-	// number (including retries). payload is the encoded message; its
-	// first byte is the msg.Kind, letting plans target specific
-	// protocol messages.
-	Plan func(from, to int, payload []byte, call int64) Fault
+	// the probabilistic knobs. key names the call by its place on its
+	// directed edge: its kind (the payload's first byte, the msg.Kind)
+	// and the number of earlier calls of that kind on that edge, retries
+	// included (see replay.go). payload is the encoded message, letting
+	// plans also target specific message contents.
+	Plan func(key sim.CallKey, payload []byte) Fault
 	// FaultBudget, when positive, caps the total number of faults the
 	// probabilistic knobs may inject; once spent, every later decision
 	// is FaultNone. Soak tests use it to guarantee the workload's tail
@@ -95,14 +97,17 @@ type ChaosOptions struct {
 	// attempt faulted, which makes randomized soaks deadline-robust
 	// without changing their expected fault rate materially.
 	MaxConsecutive int
-	// Crashes are deterministic fail-stop windows keyed on the same
-	// global call counter Plan sees: from schedule s's Call onward,
-	// every call to or from s.Node fails with ErrNodeDown until Revive
-	// is called for the node (the DSM layer does so when it runs the
-	// node's recovery protocol at s.RestartEpoch). Crash windows
-	// compose with Plan, Partitioned, and the probabilistic knobs —
-	// they are evaluated first and, like every fault here, consume the
-	// call's sequence number.
+	// Crashes are deterministic fail-stop windows, each armed at the
+	// call its schedule's key names (the key Plan sees). The call at
+	// s.At fails with ErrNodeDown, and so does every later call on its
+	// directed edge; every other call to or from s.Node fails from the
+	// join of the outermost fan-out in flight (BeginFanOut, EndFanOut),
+	// or at once when none is, and Down reports the node from that same
+	// point. The windows last until Revive is called for the node (the
+	// DSM layer does so when it runs the node's recovery protocol at
+	// s.RestartEpoch). Crash windows compose with Plan, Partitioned, and
+	// the probabilistic knobs — they are evaluated first and, like every
+	// fault here, consume the call's key.
 	Crashes []sim.CrashSchedule
 }
 
@@ -117,18 +122,22 @@ type Chaos struct {
 	calls    atomic.Int64
 	injected atomic.Int64
 
-	mu     sync.Mutex // guards rng, budget, streak
+	mu     sync.Mutex // guards rng, budget, streak and edgeCalls
 	rng    *sim.RNG
 	budget int64 // remaining probabilistic faults (if budgeted)
 	streak int   // consecutive probabilistic injections
+	// edgeCalls counts the calls made per (from, to, kind), the N of the
+	// next call's key; its keys have N 0.
+	edgeCalls map[sim.CallKey]int64
 
 	// crashMu guards the crash-window state below. Separate from mu so
 	// downAt checks never serialize on the fault generator.
 	crashMu sync.Mutex
-	// sched holds the configured schedules; consumed[i] is set once
-	// schedule i's node has been revived, retiring that window.
-	sched    []sim.CrashSchedule
-	consumed []bool
+	// sched holds the configured schedules and state[i] how far
+	// schedule i has armed; depth counts the fan-outs in flight.
+	sched []sim.CrashSchedule
+	state []crashState
+	depth int
 	// killed holds nodes put down imperatively via Kill, outside any
 	// schedule, until revived.
 	killed map[int]bool
@@ -148,9 +157,10 @@ func NewChaos(inner Transport, o ChaosOptions) *Chaos {
 	if o.Delay <= 0 {
 		o.Delay = time.Millisecond
 	}
-	c := &Chaos{inner: inner, o: o, rng: sim.NewRNG(o.Seed), budget: o.FaultBudget, killed: make(map[int]bool)}
+	c := &Chaos{inner: inner, o: o, rng: sim.NewRNG(o.Seed), budget: o.FaultBudget,
+		edgeCalls: make(map[sim.CallKey]int64), killed: make(map[int]bool)}
 	c.sched = append(c.sched, o.Crashes...)
-	c.consumed = make([]bool, len(c.sched))
+	c.state = make([]crashState, len(c.sched))
 	if len(c.sched) > 0 {
 		c.hasCrash.Store(true)
 	}
@@ -160,13 +170,23 @@ func NewChaos(inner Transport, o ChaosOptions) *Chaos {
 // Kill puts node down immediately, outside any schedule: every later
 // call to or from it fails with ErrNodeDown until Revive. Tests use it
 // to crash a node at a precise point in a driven workload without
-// computing call numbers.
+// computing call keys.
 func (c *Chaos) Kill(node int) {
 	c.crashMu.Lock()
 	c.killed[node] = true
 	c.crashMu.Unlock()
 	c.hasCrash.Store(true)
 }
+
+// crashState is how far one crash schedule has armed.
+type crashState uint8
+
+const (
+	crashPending crashState = iota // its key's call has not come
+	crashEdge                      // its key's directed edge is down
+	crashDown                      // the node is down
+	crashRevived                   // the node was revived: retired
+)
 
 // Revive brings node back up: it retires the node's armed (or pending)
 // crash windows and clears any imperative Kill, so calls involving the
@@ -177,32 +197,97 @@ func (c *Chaos) Revive(node int) {
 	delete(c.killed, node)
 	for i, s := range c.sched {
 		if s.Node == node {
-			c.consumed[i] = true
+			c.state[i] = crashRevived
 		}
 	}
 	c.crashMu.Unlock()
 }
 
-// Down reports whether node is currently down, given the calls observed
-// so far.
+// Down reports whether node is currently down. A scheduled crash reads as
+// down only once it has taken the whole node down, never while just its
+// key's edge is, so a caller's view of the membership cannot change
+// inside a fan-out.
 func (c *Chaos) Down(node int) bool {
-	call := c.calls.Load()
 	c.crashMu.Lock()
 	defer c.crashMu.Unlock()
-	return c.downLocked(node, call+1)
-}
-
-// downLocked reports whether node is down for call number `call`.
-func (c *Chaos) downLocked(node int, call int64) bool {
 	if c.killed[node] {
 		return true
 	}
 	for i, s := range c.sched {
-		if s.Node == node && !c.consumed[i] && call >= s.Call {
+		if s.Node == node && c.state[i] == crashDown {
 			return true
 		}
 	}
 	return false
+}
+
+// BeginFanOut and EndFanOut bracket a fan-out whose legs run in
+// parallel. A crash armed inside one takes down its key's directed edge
+// at once — the one edge whose order is fixed — and the rest of the node
+// only when the outermost fan-out joins, so every leg sees the same crash
+// whichever ran first. Without crash schedules they do nothing.
+func (c *Chaos) BeginFanOut() {
+	if len(c.sched) == 0 {
+		return
+	}
+	c.crashMu.Lock()
+	c.depth++
+	c.crashMu.Unlock()
+}
+
+// EndFanOut ends the fan-out BeginFanOut began (see there).
+func (c *Chaos) EndFanOut() {
+	if len(c.sched) == 0 {
+		return
+	}
+	c.crashMu.Lock()
+	if c.depth--; c.depth == 0 {
+		for i := range c.state {
+			if c.state[i] == crashEdge {
+				c.state[i] = crashDown
+			}
+		}
+	}
+	c.crashMu.Unlock()
+}
+
+// crashed reports whether the call at key k fails for a crash, arming
+// every schedule whose key it is.
+func (c *Chaos) crashed(k sim.CallKey) bool {
+	c.crashMu.Lock()
+	defer c.crashMu.Unlock()
+	down := c.killed[k.From] || c.killed[k.To]
+	for i, s := range c.sched {
+		switch c.state[i] {
+		case crashPending:
+			if k == s.At {
+				c.state[i] = crashEdge
+				if c.depth == 0 {
+					c.state[i] = crashDown
+				}
+				down = true
+			}
+		case crashEdge:
+			down = down || (k.From == s.At.From && k.To == s.At.To)
+		case crashDown:
+			down = down || k.Touches(s.Node)
+		}
+	}
+	return down
+}
+
+// key numbers a call on its directed edge (sim.CallKey).
+func (c *Chaos) key(from, to int, payload []byte) sim.CallKey {
+	k := sim.CallKey{From: from, To: to}
+	if len(payload) > 0 {
+		k.Kind = payload[0]
+	}
+	c.mu.Lock()
+	n := c.edgeCalls[k]
+	c.edgeCalls[k] = n + 1
+	c.mu.Unlock()
+	k.N = n
+	return k
 }
 
 // Calls returns the number of calls observed (including retries).
@@ -213,21 +298,17 @@ func (c *Chaos) Injected() int64 { return c.injected.Load() }
 
 // Call implements Transport.
 func (c *Chaos) Call(from, to int, payload []byte) ([]byte, error) {
-	call := c.calls.Add(1)
-	if c.hasCrash.Load() {
-		c.crashMu.Lock()
-		down := c.downLocked(from, call) || c.downLocked(to, call)
-		c.crashMu.Unlock()
-		if down {
-			c.injected.Add(1)
-			return nil, fmt.Errorf("transport: crash %d->%d at call %d: %w", from, to, call, ErrNodeDown)
-		}
+	c.calls.Add(1)
+	key := c.key(from, to, payload)
+	if c.hasCrash.Load() && c.crashed(key) {
+		c.injected.Add(1)
+		return nil, fmt.Errorf("transport: crash %d->%d at kind %d call %d: %w", from, to, key.Kind, key.N, ErrNodeDown)
 	}
 	if c.o.Partitioned != nil && c.o.Partitioned(from, to) {
 		c.injected.Add(1)
 		return nil, fmt.Errorf("transport: partition %d->%d: %w", from, to, ErrInjected)
 	}
-	f := c.fault(from, to, payload, call)
+	f := c.fault(key, payload)
 	if f != FaultNone {
 		c.injected.Add(1)
 	}
@@ -250,9 +331,9 @@ func (c *Chaos) Call(from, to int, payload []byte) ([]byte, error) {
 }
 
 // fault decides the fault for one call.
-func (c *Chaos) fault(from, to int, payload []byte, call int64) Fault {
+func (c *Chaos) fault(key sim.CallKey, payload []byte) Fault {
 	if c.o.Plan != nil {
-		return c.o.Plan(from, to, payload, call)
+		return c.o.Plan(key, payload)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

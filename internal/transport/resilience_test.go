@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"actdsm/internal/sim"
 )
 
 // --- source validation ------------------------------------------------
@@ -421,39 +423,44 @@ func TestChaosPlanFaults(t *testing.T) {
 	counts := make([]atomic.Int64, 2)
 	schedule := []Fault{FaultDropRequest, FaultDropReply, FaultDuplicate, FaultNone}
 	tr := NewChaos(NewLocal(countingHandlers(2, counts)), ChaosOptions{
-		Plan: func(from, to int, payload []byte, call int64) Fault {
-			return schedule[call-1]
+		// Every call is kind 'x' on edge 0->1, so the key's N is the
+		// call's place in the test.
+		Plan: func(key sim.CallKey, payload []byte) Fault {
+			if key.From != 0 || key.To != 1 || key.Kind != 'x' {
+				t.Errorf("key %+v for a kind-x call on 0->1", key)
+			}
+			return schedule[key.N]
 		},
 	})
 	defer func() { _ = tr.Close() }()
 
 	// Call 1: dropped request — receiver must NOT execute.
-	if _, err := tr.Call(0, 1, []byte("a")); !errors.Is(err, ErrInjected) {
+	if _, err := tr.Call(0, 1, []byte("xa")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("drop-request err = %v", err)
 	}
 	if got := counts[1].Load(); got != 0 {
 		t.Fatalf("dropped request executed %d times", got)
 	}
 	// Call 2: dropped reply — receiver HAS executed exactly once.
-	if _, err := tr.Call(0, 1, []byte("b")); !errors.Is(err, ErrInjected) {
+	if _, err := tr.Call(0, 1, []byte("xb")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("drop-reply err = %v", err)
 	}
 	if got := counts[1].Load(); got != 1 {
 		t.Fatalf("drop-reply executions = %d, want 1", got)
 	}
 	// Call 3: duplicate — receiver executes twice, call succeeds.
-	got, err := tr.Call(0, 1, []byte("c"))
+	got, err := tr.Call(0, 1, []byte("xc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "\x01c" {
+	if string(got) != "\x01xc" {
 		t.Fatalf("got %q", got)
 	}
 	if n := counts[1].Load(); n != 3 {
 		t.Fatalf("after duplicate, executions = %d, want 3", n)
 	}
 	// Call 4: clean.
-	if _, err := tr.Call(0, 1, []byte("d")); err != nil {
+	if _, err := tr.Call(0, 1, []byte("xd")); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Calls() != 4 || tr.Injected() != 3 {
@@ -464,7 +471,7 @@ func TestChaosPlanFaults(t *testing.T) {
 func TestChaosDelay(t *testing.T) {
 	tr := NewChaos(NewLocal(echoHandlers(2)), ChaosOptions{
 		Delay: 30 * time.Millisecond,
-		Plan: func(from, to int, payload []byte, call int64) Fault {
+		Plan: func(sim.CallKey, []byte) Fault {
 			return FaultDelay
 		},
 	})
@@ -476,6 +483,59 @@ func TestChaosDelay(t *testing.T) {
 	if d := time.Since(start); d < 30*time.Millisecond {
 		t.Fatalf("delay fault took only %v", d)
 	}
+}
+
+// TestChaosCrashKeyedPerEdge arms a crash of node 1 at the second kind-x
+// call on 0->1, inside a fan-out: that edge goes down at once, the rest of
+// node 1 only when the outermost fan-out ends, and Down reports it from
+// then. Keys count per (edge, kind), so other kinds and edges do not move
+// the key, and a crash armed outside any fan-out takes the node at once.
+func TestChaosCrashKeyedPerEdge(t *testing.T) {
+	at := sim.CallKey{From: 0, To: 1, Kind: 'x', N: 1}
+	tr := NewChaos(NewLocal(echoHandlers(3)), ChaosOptions{
+		Crashes: []sim.CrashSchedule{{Node: 1, At: at}},
+	})
+	defer func() { _ = tr.Close() }()
+	call := func(from, to int, payload string, wantDown bool) {
+		t.Helper()
+		_, err := tr.Call(from, to, []byte(payload))
+		if got := errors.Is(err, ErrNodeDown); got != wantDown {
+			t.Fatalf("call %d->%d %q: err %v, want down %v", from, to, payload, err, wantDown)
+		}
+	}
+	call(0, 1, "y", false) // another kind: N of kind x stays 0
+	call(2, 1, "x", false) // another edge
+	call(0, 1, "x", false) // key N 0
+	tr.BeginFanOut()
+	tr.BeginFanOut()
+	call(0, 1, "x", true)  // the key: armed
+	call(0, 1, "y", true)  // its directed edge is down, every kind
+	call(1, 0, "x", false) // the reverse edge is not, yet
+	call(2, 1, "x", false)
+	tr.EndFanOut()
+	if tr.Down(1) {
+		t.Fatal("node 1 down before the outermost fan-out joined")
+	}
+	call(1, 2, "x", false)
+	tr.EndFanOut()
+	if !tr.Down(1) || tr.Down(0) {
+		t.Fatalf("after the join: down(1) %v, down(0) %v, want true, false", tr.Down(1), tr.Down(0))
+	}
+	call(1, 0, "x", true)
+	call(2, 1, "x", true)
+	call(0, 2, "x", false)
+	tr.Revive(1)
+	call(0, 1, "x", false)
+
+	// Outside any fan-out the key takes the whole node at once.
+	tr = NewChaos(NewLocal(echoHandlers(3)), ChaosOptions{
+		Crashes: []sim.CrashSchedule{{Node: 1, At: sim.CallKey{From: 2, To: 1, Kind: 'x'}}},
+	})
+	call(2, 1, "x", true)
+	if !tr.Down(1) {
+		t.Fatal("node 1 not down after its key outside a fan-out")
+	}
+	call(0, 1, "x", true)
 }
 
 func TestChaosPartitionHeals(t *testing.T) {
