@@ -62,7 +62,10 @@ race:
 ## cluster with a crash scheduled (its chaos layer counts the fan-outs in
 ## flight);
 ## a remote miss — single or batched from two writers — and a
-## lock hand-off, plain or forwarded, stay under their ceilings, a dense
+## lock hand-off, plain or forwarded, stay under their ceilings, a miss
+## whose page carries 64 or more pending notices from three writers
+## allocates nothing once warm (its snapshot and diff table are the
+## node's, so a miss costs the same whatever its backlog), a dense
 ## remote miss allocates its diff's exact bytes once, packed into a store
 ## chunk (no decode copy, no growth by doubling), MakeDiff is one
 ## allocation, queueing or dropping a write notice allocates nothing, nor

@@ -23,12 +23,15 @@ import (
 // Ceilings are what the access path achieves plus one for runtime noise (a
 // sync.Pool refill after a GC cycle): 25 for a remote miss and 35 for a
 // batched one from two writers, most of it the barrier between write and
-// read; a lock hand-off, plain or with its grant forwarded to the holder,
-// rounds to 0 — its messages are pooled, and only the barrier every 256
-// hand-offs allocates.
+// read; 0 for a miss alone, counted without its barrier, that snapshots
+// a backlog of 64 or more notices and fetches their diffs; a lock
+// hand-off, plain or with its grant forwarded to the holder, rounds to 0
+// — its messages are pooled, and only the barrier every 256 hand-offs
+// allocates.
 const (
 	remoteMissAllocCeiling  = 26
 	batchMissAllocCeiling   = 36
+	backlogMissAllocCeiling = 1
 	lockHandoffAllocCeiling = 1
 	lockForwardAllocCeiling = 1
 )
@@ -86,7 +89,14 @@ func TestSpanWarmZeroAllocs(t *testing.T) {
 // a barrier invalidates node 0, node 0 re-reads (one diff fetch). The
 // BatchDiffs row has nodes 1 and 2 write the page, so node 0's re-read is
 // a batched fetch whose fan-out hands one writer's request to a parked
-// worker and sends the other's itself.
+// worker and sends the other's itself. The backlog row gives node 0's miss
+// a long pending set: nodes 1–3 take turns writing the page under a lock
+// (backlogRounds intervals each), node 0 acquires the lock and reads, so
+// its one miss snapshots 3 × backlogRounds notices and fetches as many
+// diffs, one DiffRequest per writer. Only that miss is counted: the fault
+// path keeps its snapshot and diff table on the node, so once they have
+// grown a miss costs the same whatever its backlog — a snapshot or table
+// made per miss adds one allocation each.
 func TestRemoteMissAllocCeiling(t *testing.T) {
 	skipUnderRace(t)
 	for _, tc := range []struct {
@@ -94,9 +104,11 @@ func TestRemoteMissAllocCeiling(t *testing.T) {
 		writers int
 		batch   bool
 		ceiling float64
+		allocs  func(t *testing.T, c *Cluster, writers int) float64
 	}{
-		{"single", 1, false, remoteMissAllocCeiling},
-		{"BatchDiffs", 2, true, batchMissAllocCeiling},
+		{"single", 1, false, remoteMissAllocCeiling, cycleMissAllocs},
+		{"BatchDiffs", 2, true, batchMissAllocCeiling, cycleMissAllocs},
+		{"backlog", 3, false, backlogMissAllocCeiling, backlogMissAllocs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := New(Config{Nodes: 1 + tc.writers, Pages: 1, GCThresholdBytes: -1, BatchDiffs: tc.batch})
@@ -104,16 +116,8 @@ func TestRemoteMissAllocCeiling(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { _ = c.Close() })
-			i := 0
-			allocs := testing.AllocsPerRun(2000, func() {
-				i++
-				for w := 1; w <= tc.writers; w++ {
-					mustSpan(t, c, w, 8*w, 4*w, 4, vm.Write)[0] = byte(i)
-				}
-				barrier(t, c)
-				mustSpan(t, c, 0, 0, 0, 4, vm.Read)
-			})
-			t.Logf("remote miss (%d writers, barrier, read): %v allocs/op", tc.writers, allocs)
+			allocs := tc.allocs(t, c, tc.writers)
+			t.Logf("remote miss (%d writers, %s): %v allocs/op", tc.writers, tc.name, allocs)
 			if allocs > tc.ceiling {
 				t.Errorf("remote miss: %v allocs/op, ceiling %v", allocs, tc.ceiling)
 			}
@@ -122,6 +126,67 @@ func TestRemoteMissAllocCeiling(t *testing.T) {
 			}
 		})
 	}
+}
+
+// cycleMissAllocs returns the mean allocations of a whole cycle: the
+// writers write the page, a barrier invalidates node 0, node 0 re-reads.
+func cycleMissAllocs(t *testing.T, c *Cluster, writers int) float64 {
+	i := 0
+	return testing.AllocsPerRun(2000, func() {
+		i++
+		for w := 1; w <= writers; w++ {
+			mustSpan(t, c, w, 8*w, 4*w, 4, vm.Write)[0] = byte(i)
+		}
+		barrier(t, c)
+		mustSpan(t, c, 0, 0, 0, 4, vm.Read)
+	})
+}
+
+// backlogRounds is how many lock-granted intervals each writer of the
+// backlog row closes before node 0's miss: 3 × 24 = 72 notices, of which
+// node 0 must still have at least 64 pending (four times the 16 a
+// frame-sized snapshot holds): as the page's home it applies a few while
+// serving the writers' first page fetches.
+const backlogRounds = 24
+
+// backlogMissAllocs runs the backlog row's cycle and returns the mean
+// allocations of node 0's miss alone, after a warm-up that grows the
+// node's fault scratch.
+func backlogMissAllocs(t *testing.T, c *Cluster, writers int) float64 {
+	t.Helper()
+	const lock, warm, ops = 1, 8, 200
+	var total uint64
+	var before, after runtime.MemStats
+	for i := 0; i < warm+ops; i++ {
+		for r := 0; r < backlogRounds; r++ {
+			for w := 1; w <= writers; w++ {
+				if _, err := c.AcquireLock(w, 8*w, lock); err != nil {
+					t.Fatal(err)
+				}
+				mustSpan(t, c, w, 8*w, 4*w, 4, vm.Write)[0] = byte(i + r)
+				if _, err := c.ReleaseLock(w, 8*w, lock); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := c.AcquireLock(0, 0, lock); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(c.nodes[0].pages[0].pending); got < 64 {
+			t.Fatalf("node 0 misses with %d pending notices, want at least 64", got)
+		}
+		runtime.ReadMemStats(&before)
+		mustSpan(t, c, 0, 0, 0, 4, vm.Read)
+		runtime.ReadMemStats(&after)
+		if i >= warm {
+			total += after.Mallocs - before.Mallocs
+		}
+		if _, err := c.ReleaseLock(0, 0, lock); err != nil {
+			t.Fatal(err)
+		}
+		barrier(t, c)
+	}
+	return float64(total) / ops
 }
 
 // TestFanOutWarmZeroAllocs: a warm fan-out of width 8 allocates nothing —
@@ -244,7 +309,7 @@ func TestNoticeIngestAllocs(t *testing.T) {
 	t.Cleanup(func() { _ = c.Close() })
 	n := c.nodes[0]
 	st := &n.pages[0]
-	st.noteApplied(2, 1, 4) // writer 1's intervals up to 4 are reflected
+	st.noteApplied(1, 4) // writer 1's intervals up to 4 are reflected
 	st.pending = make([]msg.Notice, 0, 16)
 	notice := func(iv int32) msg.Notice { return msg.Notice{Page: 0, Writer: 1, Interval: iv, Lam: iv} }
 	var batch []msg.Notice

@@ -1450,7 +1450,9 @@ func (c *Cluster) consolidate(hm int, pages []int32) (own sim.Time, err error) {
 		sh.mu.RUnlock()
 		if len(pending) > 0 {
 			var ti sim.ThreadInterval
-			ok, err := mgr.fetchAndApplyDiffs(&ti, -1, p, pending, ApplyServer)
+			var diffBuf [16][]byte
+			diffs := append(diffBuf[:0], make([][]byte, len(pending))...)
+			ok, err := mgr.fetchAndApplyDiffs(&ti, -1, p, pending, diffs, ApplyServer)
 			if err != nil {
 				return own, fmt.Errorf("dsm: gc consolidate page %d: %w", p, err)
 			}

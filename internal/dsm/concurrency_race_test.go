@@ -129,7 +129,13 @@ func TestSeededClusterServes(t *testing.T) {
 // while a GC goroutine concurrently collects a disjoint stripe of pages
 // (dropping their stored and replicated diffs), a replication goroutine
 // delivers replicaOrigin's deltas for that stripe into the replica store,
-// and a stats goroutine snapshots the counters. Runs under the
+// and a stats goroutine snapshots the counters. Meanwhile one page of node
+// 0's (backlogPage) is given backlogs longer than the 16 notices a frame
+// holds, and is brought current in turns by a demand fault on node 0 —
+// the fault path's scratch on the node — and by a page serve — the
+// serve's frame scratch and its fallback. Those two hold an access mutex,
+// which stands in for the engine's one-access rule (doc.go): each would
+// also mutate the page a span of the other reads. Runs under the
 // sharded default and with every page on a single stripe, where a serve
 // that took two shard locks would deadlock against itself.
 func TestRaceServiceHammer(t *testing.T) {
@@ -156,6 +162,9 @@ func TestRaceServiceHammer(t *testing.T) {
 			// entries), but keeping the ranges apart means every diff
 			// request is also checked for a non-nil hit.
 			const diffPages = 48
+			// backlogPage is the last manager-0 page below the GC
+			// stripe; the peers' page requests stop short of it.
+			const backlogPage = diffPages - 4
 			for w := 0; w < o.Peers; w++ {
 				wg.Add(1)
 				go func(w int) {
@@ -179,7 +188,7 @@ func TestRaceServiceHammer(t *testing.T) {
 							report(err)
 						case 1:
 							// Manager-0 pages only: multiples of Nodes.
-							pp := int32(o.Nodes * (i % (diffPages / o.Nodes)))
+							pp := int32(o.Nodes * (i % (backlogPage / o.Nodes)))
 							report(discardReply(c, from, &msg.PageRequest{
 								From: int32(from), Page: pp}))
 						default:
@@ -227,6 +236,57 @@ func TestRaceServiceHammer(t *testing.T) {
 				}
 			}()
 
+			// Backlog goroutine: each round queues six intervals from each
+			// of writers 1–3 into node 0's pending set of backlogPage (18
+			// notices), then brings the page current by a demand fault on
+			// node 0 or, every other round, by serving node 1 a page
+			// request for it. Writer w's diff of interval iv writes iv
+			// into word 8w, so the page shows whether all 18 applied.
+			const backlogWriters, perRound, rounds = 3, 6, 30
+			for w := 1; w <= backlogWriters; w++ {
+				wn := c.nodes[w]
+				for iv := int32(1); iv <= perRound*rounds; iv++ {
+					img := make([]byte, memlayout.PageSize)
+					le.PutUint32(img[32*w:], uint32(iv))
+					st := &wn.pages[backlogPage]
+					st.diffs = append(st.diffs, wn.arena.place(iv, MakeDiff(make([]byte, memlayout.PageSize), img)))
+				}
+			}
+			var access sync.Mutex
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				n := c.nodes[0]
+				for k := 0; k < rounds && !stop.Load(); k++ {
+					access.Lock()
+					sh := n.lockShard(backlogPage)
+					for iv := int32(k*perRound + 1); iv <= int32((k+1)*perRound); iv++ {
+						for w := int32(1); w <= backlogWriters; w++ {
+							n.queueNotice(msg.Notice{Page: backlogPage, Writer: w, Interval: iv, Lam: 4*iv + w})
+						}
+					}
+					n.unlockShard(sh)
+					var err error
+					if k%2 == 0 {
+						_, _, err = c.Span(0, 0, backlogPage*memlayout.PageSize, 4, vm.Read)
+					} else {
+						err = discardReply(c, 1, &msg.PageRequest{From: 1, Page: backlogPage})
+					}
+					sh = n.rlockShard(backlogPage)
+					for w := 1; w <= backlogWriters && err == nil; w++ {
+						if got, want := le.Uint32(n.pageData(backlogPage)[32*w:]), uint32((k+1)*perRound); got != want {
+							err = fmt.Errorf("backlog round %d: writer %d's word reads %d, want %d", k, w, got, want)
+						}
+					}
+					if left := len(n.pages[backlogPage].pending); err == nil && left != 0 {
+						err = fmt.Errorf("backlog round %d: %d notices still pending", k, left)
+					}
+					sh.mu.RUnlock()
+					access.Unlock()
+					report(err)
+				}
+			}()
+
 			// Stats goroutine: concurrent snapshots exercise every atomic
 			// counter the serve paths bump.
 			wg.Add(1)
@@ -245,6 +305,9 @@ func TestRaceServiceHammer(t *testing.T) {
 			wg.Wait()
 			if ep := fail.Load(); ep != nil {
 				t.Fatal(*ep)
+			}
+			if got := cap(c.nodes[0].faultPending); got < backlogWriters*perRound {
+				t.Fatalf("node 0's fault snapshot holds %d notices: no demand fault took a backlog", got)
 			}
 		})
 	}

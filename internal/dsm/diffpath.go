@@ -181,22 +181,19 @@ func nextWriter(nts []msg.Notice, prev int32) (w int32, ok bool) {
 // writers and applies them in causal order, charging the round trips and
 // the apply to ti. It returns false if any writer has garbage-collected a
 // needed diff. pending must be in causalOrder, as a snapshot of a page's
-// pending set is; it is only read. tid is the faulting thread (< 0 for
-// server-side fetches) and src classifies the protocol path for the probe
-// (demand fault vs. manager serving). Server-side calls run concurrently
-// on transport workers, so all scratch lives on this frame or in the
-// fetch's batch — the diff table and, beside it, the leases its entries
-// borrow from, released when the diffs have been applied (or the fetch
+// pending set is; it is only read. diffs is the caller's all-nil table
+// with one entry per notice: diffs[i] receives the diff pending[i] names,
+// a view of a reply frame, and the table is cleared on every return. The
+// fault path passes the node's table; server-side callers, which run
+// concurrently on transport workers, pass one from their frame. tid is
+// the faulting thread (< 0 for server-side fetches) and src classifies
+// the protocol path for the probe (demand fault vs. manager serving). The
+// leases the entries borrow from live on this frame or in the fetch's
+// batch, released when the diffs have been applied (or the fetch
 // abandoned).
-func (n *node) fetchAndApplyDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, pending []msg.Notice, src ApplySource) (bool, error) {
+func (n *node) fetchAndApplyDiffs(ti *sim.ThreadInterval, tid int, p vm.PageID, pending []msg.Notice, diffs [][]byte, src ApplySource) (bool, error) {
 	c := n.c
-	// diffs[i] is the diff pending[i] names.
-	var diffBuf [16][]byte
-	diffs := diffBuf[:]
-	if len(pending) > len(diffs) {
-		diffs = make([][]byte, len(pending))
-	}
-	diffs = diffs[:len(pending)]
+	defer clear(diffs)
 	var leaseBuf [16]lease
 	held := leases(leaseBuf[:0])
 	defer func() { held.release() }()
@@ -251,7 +248,7 @@ func (n *node) applyDiffs(p vm.PageID, nts []msg.Notice, diffs [][]byte, src App
 			return 0, fmt.Errorf("dsm: node %d apply %v diff page %d: %w", n.id, src, p, err)
 		}
 		cost += sim.Time(len(diffs[i])) * c.costs.DiffPerByte
-		st.noteApplied(c.cfg.Nodes, nt.Writer, nt.Interval)
+		st.noteApplied(nt.Writer, nt.Interval)
 		n.bumpLamport(nt.Lam)
 		c.probeDiffApplied(n.id, src, nt)
 	}

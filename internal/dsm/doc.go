@@ -81,16 +81,21 @@
 // fetches, nil for serves, whose cost no thread waits for. A transport
 // worker therefore never reads or writes any node's charge state.
 //
-// Lean misses: the fault path's scratch lives on the calling frame
-// (server-side fetchAndApplyDiffs runs concurrently on transport workers,
-// so there is no per-node scratch to share), and lock traffic sends
-// sub-slices of the append-only known history and the
-// copy-on-write seen vector rather than copies. closeInterval's dirty-page
-// and notice lists do live on the node: a node's closes run one at a
-// time — serially in barrier phase 1, or on the one running engine thread
-// at a lock release (the access-path contract below) — so each list has
-// one owner and keeps its capacity from one close to the next.
-// alloc_test.go holds the resulting counts (make alloc-gate).
+// Lean misses: the fault path's pending snapshot and diff table live on
+// the node (faultPending, faultDiffs), owned like spanCharge by the
+// goroutine inside Span, so they grow to the longest backlog once and a
+// miss costs the same whatever its backlog; fetchAndApplyDiffs clears
+// the table on every return, so no view of a reply frame outlives the
+// fetch. Server-side fetches — a page serve, a GC round's consolidate —
+// run concurrently on transport workers, so they keep theirs on the
+// frame, 16 entries with a heap fallback. Lock traffic sends sub-slices
+// of the append-only known history and the copy-on-write seen vector
+// rather than copies. closeInterval's dirty-page and notice lists live on
+// the node too: a node's closes run one at a time — serially in barrier
+// phase 1, or on the one running engine thread at a lock release (the
+// access-path contract below) — so each list has one owner and keeps its
+// capacity from one close to the next. alloc_test.go holds the resulting
+// counts (make alloc-gate).
 //
 // The serve path is also allocation-lean: protocol encode/decode uses
 // pooled buffers (msg.GetBuf/msg.EncodeTo), page-sized twin and reply

@@ -40,8 +40,8 @@ type pageState struct {
 	// since. Pure accounting: it never affects protocol decisions.
 	prefetched bool
 	// appliedVT[w] is the highest interval of writer w whose diff has
-	// been applied to (or is reflected in) the local copy. nil means
-	// all zeros.
+	// been applied to (or is reflected in) the local copy: the page's
+	// window of one node-wide pages × nodes table (newNode).
 	appliedVT []int32
 }
 
@@ -50,7 +50,7 @@ type pageState struct {
 // copies of one notice compare equal under causalOrder: the Lamport stamp
 // is set once, when the writer closes the interval.
 func (st *pageState) staleOrDup(nt msg.Notice) (at int, skip bool) {
-	if st.appliedVT != nil && nt.Interval <= st.appliedVT[nt.Writer] {
+	if nt.Interval <= st.appliedVT[nt.Writer] {
 		return 0, true
 	}
 	return slices.BinarySearchFunc(st.pending, nt, causalOrder)
@@ -91,10 +91,7 @@ func (st *pageState) dropDiffs() (dropped int64) {
 	return dropped
 }
 
-func (st *pageState) noteApplied(nodes int, writer, interval int32) {
-	if st.appliedVT == nil {
-		st.appliedVT = make([]int32, nodes)
-	}
+func (st *pageState) noteApplied(writer, interval int32) {
 	if interval > st.appliedVT[writer] {
 		st.appliedVT[writer] = interval
 	}
@@ -196,8 +193,9 @@ func (ml *mgrLog) reset() {
 //   - swMu guards the single-writer ownership table (sw).
 //   - lamport, diffBytes, gen and prefetchedLive are atomics: folded and
 //     read lock-free.
-//   - spanCharge has no lock: only the goroutine inside Cluster.Span
-//     touches it (see doc.go, "The engine-side access path").
+//   - spanCharge and the fault scratch (faultPending, faultDiffs) have
+//     no lock: only the goroutine inside Cluster.Span touches them (see
+//     doc.go, "The engine-side access path" and "Lean misses").
 //
 // Cluster.Span takes none of these on a warm access. It reads the pages'
 // protections (and, while prefetchedLive is non-zero, their prefetched
@@ -262,6 +260,12 @@ type node struct {
 	// closes, which run one at a time (doc.go, "Lean misses").
 	closeDirty   []vm.PageID
 	closeNotices []msg.Notice
+	// faultPending and faultDiffs are the fault path's pending snapshot
+	// and diff table, kept between misses. Owned like spanCharge by the
+	// goroutine inside Span; fetchAndApplyDiffs clears the table on every
+	// return, so it keeps no view into a released reply frame.
+	faultPending []msg.Notice
+	faultDiffs   [][]byte
 
 	// mu guards the synchronization-side state below (never held across
 	// a shard lock or a transport call).
@@ -389,7 +393,10 @@ func newNode(id int, c *Cluster, npages int) *node {
 		n.replDiffs = make(map[int]map[vm.PageID]map[int32][]byte)
 		n.replState = make(map[int]replMeta)
 	}
+	nodes := c.cfg.Nodes
+	vt := make([]int32, npages*nodes)
 	for p := range n.pages {
+		n.pages[p].appliedVT = vt[p*nodes : (p+1)*nodes : (p+1)*nodes]
 		n.homes[p].Store(int32(c.staticHome(vm.PageID(p))))
 		home := c.staticHome(vm.PageID(p))
 		if home == id {
@@ -533,7 +540,7 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 		st.diffs = append(st.diffs, n.arena.place(iv, scratch[:size]))
 		n.diffBytes.Add(int64(size))
 		n.c.stats.DiffsCreated.Add(1)
-		st.noteApplied(n.c.cfg.Nodes, int32(n.id), iv)
+		st.noteApplied(int32(n.id), iv)
 		n.unlockShard(sh)
 		notices = append(notices, msg.Notice{
 			Page: int32(p), Writer: int32(n.id), Interval: iv, Lam: lam,
@@ -592,16 +599,14 @@ func (n *node) resolveFault(tid int, p vm.PageID, a vm.Access) error {
 	c.stats.CoherenceFaults.Add(1)
 	ti.Overhead += c.costs.SoftFault
 
-	// The snapshot lives on this frame unless the page has an unusually
-	// long backlog.
-	var pendBuf [16]msg.Notice
-	pending := pendBuf[:0]
 	sh := n.rlockShard(p)
 	st := &n.pages[p]
 	needFull := !st.hasCopy
+	pending := n.faultPending[:0]
 	if !needFull {
 		pending = append(pending, st.pending...)
 	}
+	n.faultPending = pending
 	sh.mu.RUnlock()
 
 	remote := false
@@ -612,7 +617,8 @@ func (n *node) resolveFault(tid int, p vm.PageID, a vm.Access) error {
 		}
 		remote = true
 	case len(pending) > 0:
-		ok, err := n.fetchAndApplyDiffs(ti, tid, p, pending, ApplyDemand)
+		n.faultDiffs = zeroed(n.faultDiffs, len(pending))
+		ok, err := n.fetchAndApplyDiffs(ti, tid, p, pending, n.faultDiffs, ApplyDemand)
 		if err != nil {
 			return err
 		}
@@ -705,9 +711,6 @@ func (n *node) fetchFullPage(ti *sim.ThreadInterval, tid int, p vm.PageID, src A
 	copy(n.pageData(p), pr.Data)
 	st.hasCopy = true
 	st.pending = st.pending[:0]
-	if st.appliedVT == nil {
-		st.appliedVT = make([]int32, c.cfg.Nodes)
-	}
 	for w, v := range pr.AppliedVT {
 		if w < len(st.appliedVT) && v > st.appliedVT[w] {
 			st.appliedVT[w] = v
@@ -827,11 +830,14 @@ func (n *node) servePageRequest(req *msg.PageRequest) (msg.Message, error) {
 	for _, nt := range req.Pending {
 		n.queueNotice(nt)
 	}
-	pending := append([]msg.Notice(nil), st.pending...)
+	var pendBuf [16]msg.Notice
+	pending := append(pendBuf[:0], st.pending...)
 	n.unlockShard(sh)
 
 	if len(pending) > 0 {
-		ok, err := n.fetchAndApplyDiffs(nil, -1, p, pending, ApplyServer)
+		var diffBuf [16][]byte
+		diffs := append(diffBuf[:0], make([][]byte, len(pending))...)
+		ok, err := n.fetchAndApplyDiffs(nil, -1, p, pending, diffs, ApplyServer)
 		if err != nil {
 			return nil, err
 		}

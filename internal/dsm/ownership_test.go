@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -323,7 +324,7 @@ func TestMalformedBulkRepliesRejected(t *testing.T) {
 				st.hasCopy = true
 				st.pending = append([]msg.Notice(nil), pending...)
 				var ok bool
-				ok, err = n.fetchAndApplyDiffs(nil, -1, 0, append([]msg.Notice(nil), pending...), ApplyDemand)
+				ok, err = n.fetchAndApplyDiffs(nil, -1, 0, append([]msg.Notice(nil), pending...), make([][]byte, len(pending)), ApplyDemand)
 				if ok {
 					t.Error("fetchAndApplyDiffs reported success")
 				}
@@ -392,6 +393,84 @@ func TestFetchReleasesFramesOnEveryPath(t *testing.T) {
 					t.Fatalf("round %d: node 2's page changed when the frames it was fetched in were overwritten", round)
 				}
 			}
+		})
+	}
+}
+
+// TestFaultDiffsHoldNoViews: the fault path's diff table lives on the
+// node, and its entries are views of reply frames that the fetch gives
+// back, so the fetch clears it on every return. Node 2 misses on a page
+// nodes 0 and 1 wrote, per writer and batched; its table holds no entry
+// after a miss that applied both diffs, after one where writer 1 answered
+// that its diff was garbage-collected (the read falls back to a full
+// page), and after one whose second reply was refused.
+func TestFaultDiffsHoldNoViews(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("batch=%v", batch), func(t *testing.T) {
+			c, err := New(Config{Nodes: 3, Pages: 1, BatchDiffs: batch, GCThresholdBytes: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = c.Close() })
+			n := c.nodes[2]
+			checkTable := func(after string) {
+				t.Helper()
+				if cap(n.faultDiffs) == 0 {
+					t.Fatalf("after %s: the miss did not use the node's diff table", after)
+				}
+				for i, d := range n.faultDiffs[:cap(n.faultDiffs)] {
+					if d != nil {
+						t.Fatalf("after %s: diff table entry %d still holds %d bytes", after, i, len(d))
+					}
+				}
+			}
+			write := func(round int) {
+				mustSpan(t, c, 0, 0, 0, 4, vm.Write)[0] = byte(round)
+				mustSpan(t, c, 1, 1, 8, 4, vm.Write)[0] = byte(round)
+				barrier(t, c)
+			}
+			mustSpan(t, c, 2, 2, 0, 4, vm.Read)
+			barrier(t, c)
+
+			write(1)
+			mustSpan(t, c, 2, 2, 0, 4, vm.Read)
+			checkTable("a miss that applied both diffs")
+
+			write(2)
+			mustSpan(t, c, 0, 0, 0, 4, vm.Read) // the home applies writer 1's diff first
+			sh := c.nodes[1].lockShard(0)
+			c.nodes[1].pages[0].dropDiffs()
+			c.nodes[1].unlockShard(sh)
+			before := c.stats.PageFetches.Load()
+			mustSpan(t, c, 2, 2, 0, 4, vm.Read)
+			if c.stats.PageFetches.Load() == before {
+				t.Fatal("the garbage-collected diff did not send the read to a full page")
+			}
+			checkTable("a fetch that came back garbage-collected")
+
+			write(3)
+			diff := MakeDiff(page(), bytesOf(3))
+			diffs := func(k int) [][]byte { return slices.Repeat([][]byte{diff}, k) }
+			live := c.tr
+			c.tr = cannedTransport{reply: func(req msg.Message) msg.Message {
+				switch r := req.(type) {
+				case *msg.DiffRequest:
+					if r.Writer == 0 {
+						return &msg.DiffReply{Page: r.Page, Diffs: diffs(len(r.Intervals))}
+					}
+				case *msg.DiffBatchRequest:
+					if r.Writer == 0 {
+						return &msg.DiffBatchReply{Pages: []msg.PageDiffs{{Page: 0, Diffs: diffs(len(r.Pages[0].Intervals))}}}
+					}
+				}
+				return &msg.Ack{}
+			}}
+			_, _, err = c.Span(2, 2, 0, 4, vm.Read)
+			c.tr = live
+			if !errors.Is(err, errReplyShape) {
+				t.Fatalf("miss with a refused reply: err = %v, want %v", err, errReplyShape)
+			}
+			checkTable("a fetch that failed")
 		})
 	}
 }

@@ -272,12 +272,8 @@ func checkPending(n *node, m *pendingModel) error {
 		if want := m.causal(int32(pg)); !slices.Equal(st.pending, want) {
 			return fmt.Errorf("page %d: pending %v, model %v", pg, st.pending, want)
 		}
-		vt := st.appliedVT
-		if vt == nil {
-			vt = make([]int32, len(m.applied[pg]))
-		}
-		if !slices.Equal(vt, m.applied[pg]) {
-			return fmt.Errorf("page %d: applied vector %v, model %v", pg, vt, m.applied[pg])
+		if !slices.Equal(st.appliedVT, m.applied[pg]) {
+			return fmt.Errorf("page %d: applied vector %v, model %v", pg, st.appliedVT, m.applied[pg])
 		}
 	}
 	return nil
