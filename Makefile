@@ -71,11 +71,16 @@ race:
 ## allocation, queueing or dropping a write notice allocates nothing, nor
 ## does a warm notice set or barrier fold taking a batch of notices, 64
 ## pages of one shard queueing 16 notices each from empty make at most 3
-## allocations (their queues grow into blocks of the shard's slab), a warm
-## close of 100 dirty pages allocates nothing (its lists are the node's,
-## each page's diff run keeps its array), a
-## lock grant's notice list is its pooled message's — a hand-off costs the
-## same bytes whether its grants carry 16 notices or 512 — and on warm
+## allocations (their queues grow into blocks of the shard's slab), so do
+## 64 pages of one shard closing 16 intervals each from empty runs (the
+## runs grow into blocks of the shard's diff pool and give outgrown ones
+## back), and a second such round after a GC collect dropped the runs
+## allocates nothing, a warm close of 100 dirty pages allocates nothing
+## (its lists are the node's, each page's diff run keeps its array), a
+## node's causal history grows through a second epoch of lock hand-offs
+## in the array it kept across the barrier, a lock grant's notice list
+## is its pooled message's — a hand-off costs the same bytes whether its
+## grants carry 16 notices or 512 — and on warm
 ## pools a twin, a stored diff's create/serve/GC-drop cycle, every pooled
 ## request kind served through the transport handler's body and every
 ## pooled reply kind decoded and released allocate nothing. Stored diffs
@@ -90,7 +95,7 @@ race:
 ## nothing (internal/threads). A re-introduced escape or copy fails here,
 ## not at the next benchmark run.
 alloc-gate:
-	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestFanOutWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestNoticeIngestAllocs|TestPendingGrowsFromShard|TestCloseIntervalWarmZeroAllocs|TestLockHandoffAllocCeiling|TestLockGrantNoticeBytes|TestDiffLifecycleAllocs' -count=1 -v
+	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestFanOutWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestNoticeIngestAllocs|TestPendingGrowsFromShard|TestDiffRunsGrowFromShard|TestKnownKeepsArrayAcrossBarrier|TestCloseIntervalWarmZeroAllocs|TestLockHandoffAllocCeiling|TestLockGrantNoticeBytes|TestDiffLifecycleAllocs' -count=1 -v
 	$(GO) test ./internal/msg ./internal/transport ./internal/pool ./internal/threads -run '^(TestEncodeToZeroAlloc|TestDecodeReleaseZeroAlloc|TestMuxCallAllocs|TestSlices|TestEpochScratchZeroAllocs)$$' -count=1 -v
 
 ## bench: one benchmark per paper table/figure, plus the ablation,

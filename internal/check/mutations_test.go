@@ -20,8 +20,8 @@ func TestMutationPatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(patches) < 12 {
-		t.Fatalf("%d mutation patches, want at least 12", len(patches))
+	if len(patches) < 13 {
+		t.Fatalf("%d mutation patches, want at least 13", len(patches))
 	}
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {

@@ -372,7 +372,7 @@ func TestPendingGrowsFromShard(t *testing.T) {
 	t.Cleanup(func() { _ = c.Close() })
 	n := c.nodes[0]
 	ingest := func() {
-		n.shards[0].tail = nil
+		n.shards[0].notices = blockPool[msg.Notice]{slab: n.shards[0].notices.slab}
 		for k := range perShard {
 			n.pages[k*defaultServiceShards].pending = nil
 		}
@@ -431,6 +431,125 @@ func TestCloseIntervalWarmZeroAllocs(t *testing.T) {
 	cycle() // warm the lists, the runs and the pools
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
 		t.Errorf("warm close of %d dirty pages: %v allocs/op, want 0", pages, allocs)
+	}
+}
+
+// TestDiffRunsGrowFromShard: 64 pages of one shard each close 16 intervals
+// from empty runs, a close of all 64 at a time. Their runs grow by
+// doubling into blocks of the shard's diff pool, taking back the blocks
+// their neighbours outgrew, so the whole round makes at most three
+// allocations, not one per page at each doubling. Dropped as a GC collect
+// drops them (collectPage), the runs keep their blocks, and a second
+// round allocates nothing. The lists, twins, known and the store's chunk
+// are warmed by a round beforehand; each round resets known as a barrier
+// does.
+func TestDiffRunsGrowFromShard(t *testing.T) {
+	skipUnderRace(t)
+	const perShard, intervals = 64, 16
+	c, err := New(Config{Nodes: 2, Pages: perShard * defaultServiceShards, GCThresholdBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	n := c.nodes[0]
+	page := func(k int) vm.PageID { return vm.PageID(k * defaultServiceShards) }
+	round := func() {
+		for range intervals {
+			for k := range perShard {
+				sh := n.lockShard(page(k))
+				st := &n.pages[page(k)]
+				st.twin = append(getPageBuf()[:0], n.pageData(page(k))...)
+				st.dirty = true
+				n.pageData(page(k))[0]++
+				n.unlockShard(sh)
+			}
+			if closed, _ := n.closeInterval(); len(closed) != perShard {
+				t.Fatalf("closeInterval: %d notices, want %d", len(closed), perShard)
+			}
+		}
+		n.lockSync()
+		n.known = n.known[:0]
+		n.knownHave.clear()
+		n.mu.Unlock()
+	}
+	collect := func() {
+		for k := range perShard {
+			if err := n.collectPage(page(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fromEmpty := func() {
+		collect()
+		for k := range perShard {
+			n.pages[page(k)].diffs = nil
+		}
+		n.shards[0].diffs = blockPool[storedDiff]{slab: n.shards[0].diffs.slab}
+		round()
+	}
+	round() // warm the lists, the twins, known and the store
+	allocs := testing.AllocsPerRun(1, fromEmpty)
+	t.Logf("%d runs growing to %d diffs from empty: %v allocations", perShard, intervals, allocs)
+	if allocs > 3 {
+		t.Errorf("%d pages closing %d intervals each from empty runs: %v allocations, want at most 3", perShard, intervals, allocs)
+	}
+	for k := range perShard {
+		if got := len(n.pages[page(k)].diffs); got != intervals {
+			t.Fatalf("page %d: run holds %d diffs, want %d", page(k), got, intervals)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, func() { collect(); round() }); allocs != 0 {
+		t.Errorf("the same round after a GC collect dropped the runs: %v allocations, want 0", allocs)
+	}
+}
+
+// TestKnownKeepsArrayAcrossBarrier: a node's causal history keeps its
+// array across the barrier. Two nodes hand a lock back and forth through
+// warm epochs, each closed by a barrier; through one more epoch of the
+// same hand-offs each node's known grows to the warm epoch's length in
+// the array it had, so its growth allocates nothing. Not skipped under
+// the race detector: it compares arrays, not counts.
+func TestKnownKeepsArrayAcrossBarrier(t *testing.T) {
+	const handoffs = 256
+	c, err := New(Config{Nodes: 2, Pages: 8, GCThresholdBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	epoch := func() (lens [2]int) {
+		for i := range handoffs {
+			nd := i & 1
+			if _, err := c.AcquireLock(nd, nd, 1); err != nil {
+				t.Fatal(err)
+			}
+			mustSpan(t, c, nd, nd, (i%8)*memlayout.PageSize, 4, vm.Write)[0] = byte(i)
+			if _, err := c.ReleaseLock(nd, nd, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, n := range c.nodes {
+			lens[i] = len(n.known)
+		}
+		return lens
+	}
+	epoch() // the first epoch's first acquire carries no history
+	barrier(t, c)
+	warm := epoch()
+	barrier(t, c)
+	var arrays [2]*msg.Notice
+	for i, n := range c.nodes {
+		if len(n.known) != 0 || cap(n.known) < warm[i] {
+			t.Fatalf("node %d after the barrier: known %d/%d, want 0/%d or more", i, len(n.known), cap(n.known), warm[i])
+		}
+		arrays[i] = &n.known[:1][0]
+	}
+	if got := epoch(); got != warm || got[0] == 0 {
+		t.Fatalf("second epoch: known lengths %v, warm epoch %v", got, warm)
+	}
+	for i, n := range c.nodes {
+		if &n.known[0] != arrays[i] {
+			t.Errorf("node %d: known grew %d notices into a new array, want the one it kept across the barrier", i, len(n.known))
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"actdsm/internal/memlayout"
 	"actdsm/internal/msg"
+	"actdsm/internal/pool"
 	"actdsm/internal/sim"
 	"actdsm/internal/transport"
 	"actdsm/internal/vm"
@@ -766,12 +767,17 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 		n := c.nodes[i]
 		costs[i] += c.costs.BarrierBase
 		n.lockSync()
-		// Dropped, not truncated: shipped sub-slices (closed intervals,
-		// releases, pull histories) alias the old arrays. They regrow
-		// from nil: re-made at the old capacity (or the old length) they
-		// allocate more bytes, because successive epochs of one
-		// application differ in size (ocean_tcp +4 % alloc_kb_per_iter).
-		n.known = nil
+		// Truncated, keeping the array: no view of known outlives the
+		// call that took it. A closed interval goes to replicate and to
+		// Probe.IntervalClosed, both done before its close returns to
+		// the episode or the release; a release's Notices is detached
+		// once its calls return (ReleaseLock); a pull filters its
+		// history under mu (serveLockPull); a replica delta's Known is
+		// copied by the standby's append (serveReplicaDelta). Race
+		// builds poison the old contents first, so a view that did
+		// outlive it reads page -9253. A rejoin still drops the array.
+		pool.Poison(n.known, msg.PoisonNotice)
+		n.known = n.known[:0]
 		n.knownHave.clear()
 		n.replSent = 0
 		n.mu.Unlock()
@@ -1618,8 +1624,9 @@ func (c *Cluster) ReleaseLock(node, tid int, lock int32) (sim.Time, error) {
 // notices plus everything received since the last barrier — not yet
 // shipped for that primary's log, so the next acquirer inherits
 // transitive causal history without re-transmitting delivered prefixes.
-// The release is pooled and its Notices may be a view of known: the
-// caller puts own, the message's own list, back before releasing it.
+// The release is pooled and its Notices may be a view of known, which
+// only grows until the barrier truncates it: the caller puts own, the
+// message's own list, back before releasing it, and keeps no other view.
 func (n *node) lockRelease(lock int32, primary int) (rel *msg.LockRelease, own []msg.Notice) {
 	rel = msg.New[*msg.LockRelease]()
 	own = rel.Notices
@@ -1628,7 +1635,7 @@ func (n *node) lockRelease(lock int32, primary int) (rel *msg.LockRelease, own [
 	if n.c.cfg.LockForwarding {
 		n.lockMark[lock] = len(n.known)
 	} else {
-		rel.Notices = n.known[n.sentKnown[primary]:] // stable without mu: known is append-only
+		rel.Notices = n.known[n.sentKnown[primary]:] // stable without mu until the barrier truncates known
 		n.sentKnown[primary] = len(n.known)
 	}
 	n.mu.Unlock()

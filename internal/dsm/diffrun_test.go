@@ -20,18 +20,28 @@ import (
 // page's run must hold the model's intervals in ascending order with their
 // bytes, every lookup must answer what the model holds (nil where it holds
 // nothing), and a GC round's page set (storedPages) must be the model's
-// non-empty pages.
+// non-empty pages. The one-shard run puts all eight pages in one shard,
+// so their runs grow into blocks of one pool side by side and take back
+// the blocks their neighbours outgrew: a block handed to two runs fails
+// here by name.
 func TestDiffRunMatchesMap(t *testing.T) {
-	for seed := uint64(1); seed <= 40; seed++ {
-		runDiffRun(t, seed)
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{{"none", defaultServiceShards}, {"one-shard", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 40; seed++ {
+				runDiffRun(t, seed, tc.shards)
+			}
+		})
 	}
 }
 
-func runDiffRun(t *testing.T, seed uint64) {
+func runDiffRun(t *testing.T, seed uint64, shards int) {
 	t.Helper()
 	const pages, steps = 8, 300
 	rng := sim.NewRNG(seed)
-	c, err := New(Config{Nodes: 2, Pages: pages, GCThresholdBytes: -1})
+	c, err := newCluster(Config{Nodes: 2, Pages: pages, GCThresholdBytes: -1}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,12 +89,16 @@
 // fetch. Server-side fetches — a page serve, a GC round's consolidate —
 // run concurrently on transport workers, so they keep theirs on the
 // frame, 16 entries with a heap fallback. Lock traffic sends sub-slices
-// of the append-only known history and the copy-on-write seen vector
-// rather than copies. closeInterval's dirty-page and notice lists live on
-// the node too: a node's closes run one at a time — serially in barrier
-// phase 1, or on the one running engine thread at a lock release (the
-// access-path contract below) — so each list has one owner and keeps its
-// capacity from one close to the next. alloc_test.go holds the resulting
+// of the known history and the copy-on-write seen vector rather than
+// copies; known only grows within an epoch, and no view of it outlives
+// its call (a pull filters its history under mu), so the barrier
+// truncates it in place and it keeps its array from epoch to epoch.
+// Pending queues and own-diff runs grow into blocks their shard's pools
+// carve and take back (blockPool). closeInterval's dirty-page and notice
+// lists live on the node too: a node's closes run one at a time —
+// serially in barrier phase 1, or on the one running engine thread at a
+// lock release (the access-path contract below) — so each list has one
+// owner and keeps its capacity from one close to the next. alloc_test.go holds the resulting
 // counts (make alloc-gate).
 //
 // The serve path is also allocation-lean: protocol encode/decode uses

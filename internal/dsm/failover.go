@@ -298,7 +298,7 @@ func (c *Cluster) replicate(n *node, notices []msg.Notice) (sim.Time, error) {
 			Interval: n.interval,
 			Lam:      n.lamport.Load(),
 			Notices:  notices,
-			Known:    n.known[start:], // stable without mu: append-only
+			Known:    n.known[start:], // stable without mu until the barrier truncates known; the standby copies it
 		}
 		n.replSent = len(n.known)
 		n.mu.Unlock()

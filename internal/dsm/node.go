@@ -28,12 +28,13 @@ type pageState struct {
 	// insert; every other write keeps a subsequence or empties it, so the
 	// order holds and a snapshot of pending needs no sort. The page is
 	// invalid while it is non-empty. Its blocks come from the page's shard
-	// (pageShard.block); every reset truncates it in place.
+	// (pageShard.notices); every reset truncates it in place.
 	pending []msg.Notice
 	// diffs holds the node's own stored diffs of the page, in interval order:
-	// closeInterval appends (a node closes its intervals in ascending
-	// order), ownDiff binary-searches, and a GC drop or rejoin wipe
-	// releases and truncates it (dropDiffs), keeping the array.
+	// closeInterval appends (addDiff; a node closes its intervals in
+	// ascending order), ownDiff binary-searches, and a GC drop or rejoin
+	// wipe releases and truncates it (dropDiffs), keeping the array. Its
+	// blocks come from the page's shard (pageShard.diffs) up to 64 diffs.
 	diffs []storedDiff
 	// prefetched is true when the page was brought current by a prefetch
 	// round and has not been touched (hit) or re-invalidated (wasted)
@@ -65,10 +66,19 @@ func (st *pageState) queue(nt msg.Notice, sh *pageShard) bool {
 		return false
 	}
 	if len(st.pending) == cap(st.pending) {
-		st.pending = append(sh.block(2*cap(st.pending)), st.pending...)
+		st.pending = sh.notices.grow(st.pending, msg.PoisonNotice)
 	}
 	st.pending = slices.Insert(st.pending, at, nt)
 	return true
+}
+
+// addDiff appends a stored diff of the page's newest interval to its run.
+// A full run first moves to a block twice its size from the page's shard.
+func (st *pageState) addDiff(d storedDiff, sh *pageShard) {
+	if len(st.diffs) == cap(st.diffs) {
+		st.diffs = sh.diffs.grow(st.diffs, poisonStored)
+	}
+	st.diffs = append(st.diffs, d)
 }
 
 // ownDiff returns the page's stored diff of interval iv, or the zero
@@ -286,9 +296,11 @@ type node struct {
 	// any grant that delivers our notices also delivers that interval's.
 	// Without this, a third node can receive causally-ordered diffs out
 	// of order and apply an older value over a newer one (lost update).
-	// Append-only until a barrier drops the whole list (never truncated
-	// in place), so a sub-slice taken under mu stays valid without it:
-	// releases and pulls ship such sub-slices uncopied.
+	// It only grows between barriers, so a sub-slice taken under mu
+	// stays valid without it until the next barrier, which truncates the
+	// list in place and keeps its array: releases, replica deltas and
+	// closed intervals hand such sub-slices on uncopied, and none of
+	// them outlives its call (Cluster.Barrier lists them).
 	known     []msg.Notice
 	knownHave noticeSet
 	// sentKnown[p] is the prefix of known already shipped by this node's
@@ -392,6 +404,10 @@ func newNode(id int, c *Cluster, npages int) *node {
 		n.replLockMark = make(map[int]map[int32]int)
 		n.replDiffs = make(map[int]map[vm.PageID]map[int32][]byte)
 		n.replState = make(map[int]replMeta)
+	}
+	slab := slabEntries(npages, c.shardCount)
+	for s := range n.shards {
+		n.shards[s].notices.slab, n.shards[s].diffs.slab = slab, slab
 	}
 	nodes := c.cfg.Nodes
 	vt := make([]int32, npages*nodes)
@@ -537,7 +553,7 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 			n.unlockShard(sh)
 			continue // silent store: wrote the same values
 		}
-		st.diffs = append(st.diffs, n.arena.place(iv, scratch[:size]))
+		st.addDiff(n.arena.place(iv, scratch[:size]), sh)
 		n.diffBytes.Add(int64(size))
 		n.c.stats.DiffsCreated.Add(1)
 		st.noteApplied(int32(n.id), iv)
@@ -548,8 +564,9 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 	}
 	n.closeNotices = notices
 	// The new interval is taken whole and returned as it sits in known,
-	// which is append-only until a barrier drops it, so the sub-slice
-	// stays valid without mu.
+	// which only grows until the barrier truncates it, so the sub-slice
+	// stays valid without mu for the caller's episode or release; the
+	// probe gets it for the call only.
 	n.lockSync()
 	start := len(n.known)
 	n.known = n.knownHave.add(n.known, notices)
@@ -1077,32 +1094,34 @@ func (n *node) serveLockRelease(req *msg.LockRelease) (msg.Message, error) {
 // release (lockMark), stamped with its Lamport clock; for another holder —
 // under fault tolerance, whose standby this node is — the prefix of the
 // holder's replicated history marked when the release reached here
-// (serveLockRelease), stamped with the holder's replicated clock. Both
-// histories are append-only until a barrier drops them, so the prefix is
-// read without the lock. A pure read — a transport retry is re-served the
-// identical grant — and a pull arriving after a barrier cleared the mark
-// returns an empty grant: the barrier already delivered everything.
+// (serveLockRelease), stamped with the holder's replicated clock. The own
+// prefix is filtered under mu, because a barrier truncates known in
+// place; a replicated history is append-only until a barrier drops its
+// map, so that prefix is filtered without replMu. A pure read — a
+// transport retry is re-served the identical grant — and a pull arriving
+// after a barrier cleared the mark returns an empty grant: the barrier
+// already delivered everything.
 func (n *node) serveLockPull(req *msg.LockPull) (msg.Message, error) {
-	var history []msg.Notice
-	var lam int32
-	if holder := int(req.Holder); holder == n.id {
-		n.lockSync()
-		history = n.known[:min(n.lockMark[req.Lock], len(n.known))]
-		n.mu.Unlock()
-		lam = n.lamport.Load()
-	} else {
-		if !n.c.cfg.FaultTolerance {
-			return nil, fmt.Errorf("dsm: node %d: %w (holder %d)", n.id, errLockRole, holder)
-		}
-		n.replMu.Lock()
-		kn := n.replKnown[holder]
-		history = kn[:min(n.replLockMark[holder][req.Lock], len(kn))]
-		lam = n.replState[holder].lam
-		n.replMu.Unlock()
+	holder := int(req.Holder)
+	if holder != n.id && !n.c.cfg.FaultTolerance {
+		return nil, fmt.Errorf("dsm: node %d: %w (holder %d)", n.id, errLockRole, holder)
 	}
 	grant := msg.New[*msg.LockGrant]()
-	grant.Lock, grant.Lam, grant.Holder = req.Lock, lam, req.Holder
-	grant.Notices = appendUnseen(grant.Notices, history, req.Node, req.Seen)
+	grant.Lock, grant.Holder = req.Lock, req.Holder
+	if holder == n.id {
+		n.lockSync()
+		history := n.known[:min(n.lockMark[req.Lock], len(n.known))]
+		grant.Notices = appendUnseen(grant.Notices, history, req.Node, req.Seen)
+		n.mu.Unlock()
+		grant.Lam = n.lamport.Load()
+	} else {
+		n.replMu.Lock()
+		kn := n.replKnown[holder]
+		history := kn[:min(n.replLockMark[holder][req.Lock], len(kn))]
+		grant.Lam = n.replState[holder].lam
+		n.replMu.Unlock()
+		grant.Notices = appendUnseen(grant.Notices, history, req.Node, req.Seen)
+	}
 	return grant, nil
 }
 

@@ -118,7 +118,10 @@ func (k FetchKind) String() string {
 type Probe struct {
 	// IntervalClosed fires when a node closes interval notices[i].Interval
 	// with the given write notices (one per dirty page with a non-empty
-	// diff). All notices share the same Writer, Interval, and Lam.
+	// diff). All notices share the same Writer, Interval, and Lam. The
+	// slice is valid only during the call (it is a view of the node's
+	// causal history, which the next barrier truncates): copy what you
+	// keep.
 	IntervalClosed func(node int, notices []msg.Notice)
 	// NoticesDelivered fires when write notices reach a node through a
 	// consistency path. Re-deliveries (transport retries, re-run

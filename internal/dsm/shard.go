@@ -16,6 +16,7 @@ package dsm
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -46,26 +47,92 @@ const defaultServiceShards = 16
 // proceed in parallel even within one shard, at any shard count.
 type pageShard struct {
 	mu sync.RWMutex
-	// tail is what is left of the slab pending blocks are carved from.
-	tail []msg.Notice
+	// notices and diffs are the blocks the shard's pending queues and
+	// own-diff runs grow into.
+	notices blockPool[msg.Notice]
+	diffs   blockPool[storedDiff]
 }
 
-// block returns an empty notice list of capacity n, at least 4. Blocks of
-// up to 64 notices are carved from a 1,024-notice slab the shard owns,
-// each capped where the next begins, so a queue never grows into a
-// neighbour's; a block a queue outgrows stays in its slab until the whole
-// slab is unreachable. Requires the shard write lock.
-func (sh *pageShard) block(n int) []msg.Notice {
-	n = max(n, 4)
-	if n > 64 {
-		return make([]msg.Notice, 0, n)
+const (
+	// blockClasses are the carved block sizes: 4, 8, 16, 32 and 64.
+	blockClasses = 5
+	// carvedPerList is what one list carves growing through every class.
+	carvedPerList = 4 + 8 + 16 + 32 + 64
+	// maxSlab caps a slab's entries.
+	maxSlab = 1024
+	// freeDepth is how many outgrown blocks each class keeps for reuse.
+	freeDepth = 8
+)
+
+// blockPool is where a shard's growing lists of one element type live. A
+// list that fills its block moves to one twice its size (grow). Blocks of
+// 4 to 64 entries are carved from a slab, each capped where the next
+// begins, so a list never grows into a neighbour's; larger ones are made
+// alone. The block a list outgrew is cleared, so a run's block pins no
+// diff chunk, and kept on its size class's free list (up to freeDepth
+// blocks) for the next list that grows into that size; a block the list
+// has no room for stays in its slab until the whole slab is unreachable.
+// The free lists are arrays, so giving a block back never allocates.
+// Requires the shard write lock.
+type blockPool[T any] struct {
+	// slab is the entries of one slab: carvedPerList for each page of
+	// the shard, at most maxSlab, so a shard of few pages carves no
+	// slab it cannot fill (slabEntries).
+	slab  int
+	tail  []T // what is left of the current slab
+	free  [blockClasses][freeDepth][]T
+	nfree [blockClasses]uint8
+}
+
+// slabEntries is a pool's slab length for a node of npages pages over
+// nshards shards.
+func slabEntries(npages, nshards int) int {
+	return min(maxSlab, carvedPerList*((npages+nshards-1)/nshards))
+}
+
+// grow returns s's entries in a block of twice s's capacity, at least 4,
+// and gives s's block back, cleared. Race builds fill it with poison, so
+// a stale view reads an impossible entry.
+func (p *blockPool[T]) grow(s []T, poison T) []T {
+	b := append(p.block(max(2*cap(s), 4)), s...)
+	if c, ok := blockClass(cap(s)); ok {
+		s = s[:cap(s)]
+		clear(s)
+		pool.Poison(s, poison)
+		if k := p.nfree[c]; k < freeDepth {
+			p.free[c][k] = s[:0]
+			p.nfree[c] = k + 1
+		}
 	}
-	if len(sh.tail) < n {
-		sh.tail = make([]msg.Notice, 1024)
-	}
-	b := sh.tail[:0:n]
-	sh.tail = sh.tail[n:]
 	return b
+}
+
+// block returns an empty block of n entries: from n's free list if it
+// holds one, else carved from the slab, or made alone past 64 entries.
+func (p *blockPool[T]) block(n int) []T {
+	c, ok := blockClass(n)
+	if !ok {
+		return make([]T, 0, n)
+	}
+	if k := p.nfree[c]; k > 0 {
+		p.nfree[c] = k - 1
+		return p.free[c][k-1]
+	}
+	if len(p.tail) < n {
+		p.tail = make([]T, p.slab)
+	}
+	b := p.tail[:0:n]
+	p.tail = p.tail[n:]
+	return b
+}
+
+// blockClass maps a carved block size to its free list: 4 is class 0, 64
+// class 4. Any other size is not the pool's.
+func blockClass(n int) (int, bool) {
+	if n < 4 || n > 64 || n&(n-1) != 0 {
+		return 0, false
+	}
+	return bits.TrailingZeros(uint(n)) - 2, true
 }
 
 // storedDiff is one diff in a node's store: its interval, its chunk, which
@@ -145,6 +212,20 @@ const refsRecycled = math.MinInt32 / 2
 // errDiffRecycled reports a retain or release of a stored diff whose
 // chunk was already recycled.
 var errDiffRecycled = errors.New("dsm: reference to a recycled stored diff")
+
+// poisonStored is what a race build fills a run block it gives back with:
+// a diff of interval -9253 in a recycled chunk of 0xDB bytes, so a stale
+// run's drop or serve panics with errDiffRecycled and its bytes read as
+// a malformed diff. Other builds clear the block instead.
+var poisonStored = func() storedDiff {
+	if !pool.Race {
+		return storedDiff{}
+	}
+	c := &chunk{mem: new([diffChunkSize]byte)}
+	pool.Poison(c.mem[:], pool.PoisonByte)
+	c.refs.Store(refsRecycled)
+	return storedDiff{c: c, iv: msg.PoisonNotice.Interval, n: 4}
+}()
 
 // retain takes a reference. Callers must already hold one (transitively:
 // the shard lock orders retains against the store's release).

@@ -71,12 +71,15 @@ func Release(m Message) {
 // poisoned is what a race build fills a released message's integers with.
 const poisoned = -0x2425
 
-var (
-	poisonNotice = Notice{Page: poisoned, Writer: poisoned, Interval: poisoned, Lam: poisoned}
-	// poisonDiff replaces a released diff list's entries in race builds:
-	// applied, it is a run at offset 0xDBDB, past any page.
-	poisonDiff = []byte{pool.PoisonByte, pool.PoisonByte, pool.PoisonByte, pool.PoisonByte}
-)
+// PoisonNotice is the impossible notice a race build fills recycled
+// notice storage with: a released message's lists here, and in dsm a
+// node's causal history at the barrier and a pending block a queue
+// outgrew. A stale read names page -9253.
+var PoisonNotice = Notice{Page: poisoned, Writer: poisoned, Interval: poisoned, Lam: poisoned}
+
+// poisonDiff replaces a released diff list's entries in race builds:
+// applied, it is a run at offset 0xDBDB, past any page.
+var poisonDiff = []byte{pool.PoisonByte, pool.PoisonByte, pool.PoisonByte, pool.PoisonByte}
 
 // truncate empties a list the message owns (race builds poison its
 // capacity first).
@@ -107,7 +110,7 @@ func (m *PageRequest) release() {
 	if pool.Race {
 		m.From, m.Page = poisoned, poisoned
 	}
-	m.Pending = truncate(m.Pending, poisonNotice)
+	m.Pending = truncate(m.Pending, PoisonNotice)
 }
 
 func (m *PageRequest) reset() { *m = PageRequest{Pending: m.Pending[:0]} }
@@ -193,7 +196,7 @@ func (m *LockGrant) release() {
 	if pool.Race {
 		m.Lock, m.Lam, m.Pos, m.Holder = poisoned, poisoned, poisoned, poisoned
 	}
-	m.Notices = truncate(m.Notices, poisonNotice)
+	m.Notices = truncate(m.Notices, PoisonNotice)
 }
 
 func (m *LockGrant) reset() { *m = LockGrant{Notices: m.Notices[:0]} }
@@ -202,7 +205,7 @@ func (m *LockRelease) release() {
 	if pool.Race {
 		m.Node, m.Lock, m.Lam = poisoned, poisoned, poisoned
 	}
-	m.Notices = truncate(m.Notices, poisonNotice)
+	m.Notices = truncate(m.Notices, PoisonNotice)
 }
 
 func (m *LockRelease) reset() { *m = LockRelease{Notices: m.Notices[:0]} }

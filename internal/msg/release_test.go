@@ -66,8 +66,8 @@ func TestReleasePoisons(t *testing.T) {
 		}
 	}
 	for i, nt := range notices {
-		if nt != poisonNotice {
-			t.Errorf("released grant notice %d = %+v, want %+v", i, nt, poisonNotice)
+		if nt != PoisonNotice {
+			t.Errorf("released grant notice %d = %+v, want %+v", i, nt, PoisonNotice)
 		}
 	}
 }

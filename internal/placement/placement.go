@@ -193,10 +193,14 @@ func minCostCaps(m *core.Matrix, caps []int) []int {
 		}
 	}
 
-	// Agglomerative phase. clusters[i] = member thread ids.
+	// Agglomerative phase. clusters[i] = member thread ids, each a window
+	// of one members array; a merge lays the clusters out anew in the
+	// spare array, so merging allocates nothing.
+	members, spare := make([]int, threads), make([]int, threads)
 	clusters := make([][]int, threads)
 	for i := range clusters {
-		clusters[i] = []int{i}
+		members[i] = i
+		clusters[i] = members[i : i+1 : i+1]
 	}
 	affinity := func(a, b []int) int64 {
 		var s int64
@@ -241,14 +245,21 @@ func minCostCaps(m *core.Matrix, caps []int) []int {
 				}
 			}
 		}
-		merged := append(append([]int(nil), clusters[bi]...), clusters[bj]...)
-		next := make([][]int, 0, len(clusters)-1)
-		for k, cl := range clusters {
-			if k != bi && k != bj {
-				next = append(next, cl)
+		// The other clusters keep their order and the merged one, bi's
+		// members then bj's, goes last.
+		a, b := clusters[bi], clusters[bj]
+		laid, k := spare[:0], 0
+		for i, cl := range clusters {
+			if i != bi && i != bj {
+				laid = append(laid, cl...)
+				clusters[k] = laid[len(laid)-len(cl) : len(laid) : len(laid)]
+				k++
 			}
 		}
-		clusters = append(next, merged)
+		laid = append(append(laid, a...), b...)
+		clusters[k] = laid[len(laid)-len(a)-len(b):]
+		clusters = clusters[:k+1]
+		members, spare = spare, members
 	}
 
 	// Map the largest clusters onto the highest-capacity nodes, then
@@ -333,15 +344,15 @@ func rebalance(m *core.Matrix, assign []int, caps []int) []int {
 func Refine(m *core.Matrix, assign []int) []int {
 	out := append([]int(nil), assign...)
 	n := m.N()
-	// external[i][node] = Σ correlation of i with threads on node.
+	// ext[i] = row i of one table: ext[i][node] = Σ correlation of i with
+	// threads on node. A swap keeps every node's population, so the rows
+	// keep their width and the swapped pair's are refilled in place.
+	width := maxNode(out) + 1
+	table := make([]int64, n*width)
 	ext := make([][]int64, n)
 	for i := range ext {
-		ext[i] = make([]int64, maxNode(out)+1)
-		for j := 0; j < n; j++ {
-			if j != i {
-				ext[i][out[j]] += m.At(i, j)
-			}
-		}
+		ext[i] = table[i*width : (i+1)*width : (i+1)*width]
+		fillExt(m, out, i, ext[i])
 	}
 	for {
 		bestGain := int64(0)
@@ -371,18 +382,20 @@ func Refine(m *core.Matrix, assign []int) []int {
 			ext[k][ni] += m.At(k, bj) - m.At(k, bi)
 			ext[k][nj] += m.At(k, bi) - m.At(k, bj)
 		}
-		ext[bi], ext[bj] = recomputeExt(m, out, bi), recomputeExt(m, out, bj)
+		fillExt(m, out, bi, ext[bi])
+		fillExt(m, out, bj, ext[bj])
 	}
 }
 
-func recomputeExt(m *core.Matrix, assign []int, i int) []int64 {
-	ext := make([]int64, maxNode(assign)+1)
+// fillExt sets row[node] to the correlation of thread i with the other
+// threads assign puts on node.
+func fillExt(m *core.Matrix, assign []int, i int, row []int64) {
+	clear(row)
 	for j := 0; j < m.N(); j++ {
 		if j != i {
-			ext[assign[j]] += m.At(i, j)
+			row[assign[j]] += m.At(i, j)
 		}
 	}
-	return ext
 }
 
 func maxNode(assign []int) int {
