@@ -78,7 +78,8 @@ race:
 ## allocates nothing, a warm close of 100 dirty pages allocates nothing
 ## (its lists are the node's, each page's diff run keeps its array), a
 ## node's causal history grows through a second epoch of lock hand-offs
-## in the array it kept across the barrier, a lock grant's notice list
+## in the array it kept across the barrier, so does a warm barrier's fold
+## of its notices into the array the episode before left, a lock grant's notice list
 ## is its pooled message's — a hand-off costs the same bytes whether its
 ## grants carry 16 notices or 512 — and on warm
 ## pools a twin, a stored diff's create/serve/GC-drop cycle, every pooled
@@ -95,7 +96,7 @@ race:
 ## nothing (internal/threads). A re-introduced escape or copy fails here,
 ## not at the next benchmark run.
 alloc-gate:
-	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestFanOutWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestNoticeIngestAllocs|TestPendingGrowsFromShard|TestDiffRunsGrowFromShard|TestKnownKeepsArrayAcrossBarrier|TestCloseIntervalWarmZeroAllocs|TestLockHandoffAllocCeiling|TestLockGrantNoticeBytes|TestDiffLifecycleAllocs' -count=1 -v
+	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestFanOutWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestNoticeIngestAllocs|TestPendingGrowsFromShard|TestDiffRunsGrowFromShard|TestKnownKeepsArrayAcrossBarrier|TestBarrierFoldKeepsArray|TestCloseIntervalWarmZeroAllocs|TestLockHandoffAllocCeiling|TestLockGrantNoticeBytes|TestDiffLifecycleAllocs' -count=1 -v
 	$(GO) test ./internal/msg ./internal/transport ./internal/pool ./internal/threads -run '^(TestEncodeToZeroAlloc|TestDecodeReleaseZeroAlloc|TestMuxCallAllocs|TestSlices|TestEpochScratchZeroAllocs)$$' -count=1 -v
 
 ## bench: one benchmark per paper table/figure, plus the ablation,

@@ -13,10 +13,10 @@
 //	app, _ := actdsm.NewApp("SOR", actdsm.AppConfig{Threads: 64})
 //	sys, _ := actdsm.NewSystem(app, 8)
 //	defer sys.Close()
-//	tracker := sys.TrackIteration(1)   // active correlation tracking
+//	tracker, _ := sys.TrackIteration(1) // active correlation tracking
 //	_ = sys.Run()
-//	m := tracker.Matrix()              // thread correlations
-//	best := actdsm.MinCost(m, 8)       // placement from cut costs
+//	m := tracker.Matrix()               // thread correlations
+//	best := actdsm.MinCost(m, 8)        // placement from cut costs
 //
 // or, for whole experiments, the one-shot Run/TrackMatrix helpers and the
 // Table1..Table6/Figure2/Figure3 reproduction harness.

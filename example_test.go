@@ -66,3 +66,26 @@ func ExamplePlan() {
 	// 0
 	// 2
 }
+
+// The README quickstart: track one iteration of SOR on a 4-node cluster,
+// then compare the min-cost placement's cut cost with stretch's. (The
+// quickstart also prints m.RenderASCII(), left out here: the map's rows
+// end in spaces, which an Output block cannot hold.) The run is in
+// virtual time, so the tracked pages, and the cut costs, are the same on
+// every run.
+func ExampleNewSystem() {
+	app, _ := actdsm.NewApp("SOR", actdsm.AppConfig{Threads: 32, Verify: true})
+	sys, _ := actdsm.NewSystem(app, 4) // 4-node DSM cluster
+	defer sys.Close()
+
+	tracker, _ := sys.TrackIteration(1) // active correlation tracking
+	if err := sys.Run(); err != nil {
+		fmt.Println(err)
+		return
+	}
+
+	m := tracker.Matrix()        // thread correlations
+	best := actdsm.MinCost(m, 4) // placement from cut costs
+	fmt.Println(m.CutCost(best), m.CutCost(actdsm.Stretch(32, 4)))
+	// Output: 6 6
+}

@@ -76,9 +76,8 @@ func sweepPrefetchBudget() error {
 	for _, budget := range []int{0, 1, 2, 4, 8, -1} {
 		res, err := actdsm.Run(actdsm.RunConfig{
 			App: app, Threads: threads, Nodes: nodes,
-			TrackIter:      1,
-			PrefetchBudget: budget,
-			BatchDiffs:     budget != 0,
+			TrackIter: 1,
+			Cluster:   actdsm.ClusterConfig{PrefetchBudget: budget, BatchDiffs: budget != 0},
 		})
 		if err != nil {
 			return err

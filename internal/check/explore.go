@@ -27,13 +27,12 @@ import (
 	"time"
 
 	"actdsm/internal/apps"
-	"actdsm/internal/core"
 	"actdsm/internal/dsm"
-	"actdsm/internal/memlayout"
 	"actdsm/internal/msg"
 	"actdsm/internal/placement"
 	"actdsm/internal/serve"
 	"actdsm/internal/sim"
+	"actdsm/internal/system"
 	"actdsm/internal/threads"
 	"actdsm/internal/transport"
 )
@@ -396,42 +395,49 @@ func RunTrial(tr Trial) TrialResult {
 	if err != nil {
 		return fail(err)
 	}
-	layout := memlayout.NewLayout()
-	if err := app.Setup(layout); err != nil {
-		return fail(err)
-	}
-
 	faults := tr.Plan.Faults
 	calls := &transport.CallLog{}
 	planFn := transport.RecordingPlan(func(key sim.CallKey, _ []byte) transport.Fault {
 		return faults[key] // zero value is FaultNone
 	}, calls)
-	cl, err := dsm.New(dsm.Config{
-		Nodes:            tr.Scenario.Nodes,
-		Pages:            layout.TotalPages(),
-		BatchDiffs:       tr.Scenario.BatchDiffs,
-		PrefetchBudget:   tr.Scenario.PrefetchBudget,
-		LockShards:       tr.Scenario.LockShards,
-		BarrierArity:     tr.Scenario.BarrierArity,
-		LockForwarding:   tr.Scenario.LockForwarding,
-		FaultTolerance:   tr.Scenario.Crashes > 0 || len(tr.Plan.Crashes) > 0,
-		GCThresholdBytes: tr.Scenario.GCThresholdBytes,
-		// Tight retry budget: enough attempts that a call recovers even
-		// when every fault of a default plan (MaxFaults 3) lands on it —
-		// a retried call gets the next key of its edge — with microsecond
-		// backoff so thousand-trial sweeps stay fast. The transport's
-		// retry is the only one; nothing above it re-sends a fan-out.
-		Transport: transport.Options{
-			MaxAttempts: 6,
-			BackoffBase: time.Microsecond,
-			BackoffMax:  8 * time.Microsecond,
+	cfg := system.SystemConfig{
+		Cluster: dsm.Config{
+			BatchDiffs:       tr.Scenario.BatchDiffs,
+			PrefetchBudget:   tr.Scenario.PrefetchBudget,
+			LockShards:       tr.Scenario.LockShards,
+			BarrierArity:     tr.Scenario.BarrierArity,
+			LockForwarding:   tr.Scenario.LockForwarding,
+			FaultTolerance:   tr.Scenario.Crashes > 0 || len(tr.Plan.Crashes) > 0,
+			GCThresholdBytes: tr.Scenario.GCThresholdBytes,
+			// Tight retry budget: enough attempts that a call recovers even
+			// when every fault of a default plan (MaxFaults 3) lands on it —
+			// a retried call gets the next key of its edge — with microsecond
+			// backoff so thousand-trial sweeps stay fast. The transport's
+			// retry is the only one; nothing above it re-sends a fan-out.
+			Transport: transport.Options{
+				MaxAttempts: 6,
+				BackoffBase: time.Microsecond,
+				BackoffMax:  8 * time.Microsecond,
+			},
+			Chaos: &transport.ChaosOptions{Plan: planFn, Crashes: tr.Plan.Crashes},
 		},
-		Chaos: &transport.ChaosOptions{Plan: planFn, Crashes: tr.Plan.Crashes},
-	})
+		ShuffleSeed: tr.Seed,
+	}
+	if tr.Scenario.Controller {
+		// Eager controller: evaluate every iteration with zero hysteresis
+		// and unbounded budgets, so trials take the migration paths as
+		// often as the cost model allows. Its tracker is armed at
+		// iteration 1 (iteration 0 is initialization-skewed).
+		cfg.Controller = &placement.ControllerConfig{
+			Period: 1, ThreadBudget: -1, HomeBudget: -1, Smoothing: 0.5, Retrack: true,
+		}
+	}
+	sys, err := system.NewSystem(app, tr.Scenario.Nodes, system.WithConfig(cfg))
 	if err != nil {
 		return fail(err)
 	}
-	defer func() { _ = cl.Close() }()
+	defer func() { _ = sys.Close() }()
+	cl := sys.Cluster()
 
 	oracle := NewOracleWithConfig(OracleConfig{
 		Nodes:          tr.Scenario.Nodes,
@@ -440,36 +446,7 @@ func RunTrial(tr Trial) TrialResult {
 	})
 	oracle.Attach(cl)
 
-	eng, err := threads.NewEngine(cl, threads.Config{
-		Threads:          tr.Scenario.Threads,
-		SchedulerEnabled: true,
-		ShuffleSeed:      tr.Seed,
-	})
-	if err != nil {
-		return fail(err)
-	}
-
-	var ctrl *placement.Controller
-	if tr.Scenario.Controller {
-		// Eager controller: evaluate every iteration with zero hysteresis
-		// and unbounded budgets, so trials take the migration paths as
-		// often as the cost model allows. Tracking starts at iteration 1
-		// (iteration 0 is initialization-skewed).
-		tracker := core.NewActiveTracker(eng, 1)
-		ctrl, err = placement.NewController(cl, eng, tracker, placement.ControllerConfig{
-			Period: 1, ThreadBudget: -1, HomeBudget: -1, Smoothing: 0.5, Retrack: true,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		eng.SetHooks(tracker.Hooks(ctrl.Hooks(threads.Hooks{})))
-		tracker.Start()
-	}
-
-	runErr := eng.Run(app.Body)
-	if runErr == nil && ctrl != nil {
-		runErr = ctrl.Err()
-	}
+	runErr := sys.Run()
 	for _, r := range calls.Edges() {
 		res.Calls = append(res.Calls, r.CallKey)
 	}

@@ -553,6 +553,43 @@ func TestKnownKeepsArrayAcrossBarrier(t *testing.T) {
 	}
 }
 
+// TestBarrierFoldKeepsArray: a barrier position's fold keeps its notice
+// array from episode to episode. Four nodes each write every page every
+// epoch, so the root folds the same notices at every barrier; once warm,
+// each barrier folds them into the array the one before left, so the
+// fold grows nothing. Not skipped under the race detector: it compares
+// arrays, not counts.
+func TestBarrierFoldKeepsArray(t *testing.T) {
+	const nodes = 4
+	c, err := New(Config{Nodes: nodes, Pages: nodes, GCThresholdBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	stamp := byte(0)
+	epoch := func() (int, *msg.Notice) {
+		stamp++ // a write that changes nothing makes no diff and no notice
+		for nd := range nodes {
+			for p := range nodes {
+				mustSpan(t, c, nd, nd, p*memlayout.PageSize+nd*8, 4, vm.Write)[0] = stamp
+			}
+		}
+		barrier(t, c)
+		b := &c.barriers[0]
+		if len(b.notices) == 0 {
+			t.Fatal("the root folded no notices")
+		}
+		return len(b.notices), &b.notices[0]
+	}
+	epoch() // the first epoch's faults fetch whole pages
+	n, warm := epoch()
+	for ep := range 3 {
+		if got, array := epoch(); got != n || array != warm {
+			t.Fatalf("warm barrier %d: the root folded %d notices (warm %d) into a new array, want the one it kept", ep, got, n)
+		}
+	}
+}
+
 // TestLockHandoffAllocCeiling is the dsm.lock_handoff rung: two nodes
 // alternate acquire, write, release on one lock, with a barrier every 256
 // hand-offs bounding the notice history a release ships. The plain row is

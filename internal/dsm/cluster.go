@@ -175,8 +175,8 @@ type barrierState struct {
 	episode int32
 	entered map[int32]bool
 	lam     int32
-	notices []msg.Notice
-	have    noticeSet // what notices has taken; cleared in place per attempt
+	notices []msg.Notice // the union; truncated in place per attempt
+	have    noticeSet    // what notices has taken; cleared in place per attempt
 	// hot holds each node's predicted pages for the coming epoch (the
 	// BarrierEnter.Hot field), consumed by collectPushDiffs to piggyback
 	// the predicted diffs on the release fan-out.
@@ -851,10 +851,17 @@ func (c *Cluster) barrierAttempt(episode int32, queued []queuedMove, costs []sim
 
 	// Fold state is allocated by the first enter a position folds, so
 	// positions without children never pay for it; notice sets are reused.
+	// Each fold's notice list is truncated, keeping its array: both of
+	// its readers copy it under barrierMu (the root's union below and
+	// buildEnterAggregate), so no view of it outlives the attempt. Race
+	// builds poison the old contents first, so a view that did outlive
+	// it reads page -9253.
 	c.barrierMu.Lock()
 	for i := range c.barriers {
-		c.barriers[i].have.clear()
-		c.barriers[i] = barrierState{episode: episode, have: c.barriers[i].have}
+		b := &c.barriers[i]
+		pool.Poison(b.notices, msg.PoisonNotice)
+		b.have.clear()
+		*b = barrierState{episode: episode, notices: b.notices[:0], have: b.have}
 	}
 	c.barrierMu.Unlock()
 

@@ -109,7 +109,7 @@ func AblationScaling(o Options) ([]AblationScalingRow, error) {
 			base, err := Run(RunConfig{
 				App: name, Threads: o.Threads, Nodes: nodes,
 				Scale: o.Scale, Iterations: 4, TrackIter: -1,
-				GCThresholdBytes: -1,
+				Cluster: dsm.Config{GCThresholdBytes: -1},
 			})
 			if err != nil {
 				return nil, fmt.Errorf("scaling %s/%d baseline: %w", name, nodes, err)
@@ -117,7 +117,7 @@ func AblationScaling(o Options) ([]AblationScalingRow, error) {
 			res, err := Run(RunConfig{
 				App: name, Threads: o.Threads, Nodes: nodes,
 				Scale: o.Scale, Iterations: 4, TrackIter: 2,
-				GCThresholdBytes: -1,
+				Cluster: dsm.Config{GCThresholdBytes: -1},
 			})
 			if err != nil {
 				return nil, fmt.Errorf("scaling %s/%d: %w", name, nodes, err)
@@ -188,7 +188,7 @@ func AblationProtocol(o Options) ([]AblationProtocolRow, error) {
 			res, err := Run(RunConfig{
 				App: name, Threads: o.Threads, Nodes: o.Nodes,
 				Scale: o.Scale, Iterations: 3, TrackIter: -1,
-				Protocol: variant.proto,
+				Cluster: dsm.Config{Protocol: variant.proto},
 			})
 			if err != nil {
 				return nil, fmt.Errorf("protocol %s: %w", name, err)

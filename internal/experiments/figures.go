@@ -6,9 +6,8 @@ import (
 
 	"actdsm/internal/apps"
 	"actdsm/internal/core"
-	"actdsm/internal/dsm"
-	"actdsm/internal/memlayout"
 	"actdsm/internal/placement"
+	"actdsm/internal/system"
 	"actdsm/internal/threads"
 	"actdsm/internal/vm"
 )
@@ -76,27 +75,16 @@ func passiveRounds(name string, o Options, ref []*vm.Bitmap, maxRounds int) (Fig
 	if err != nil {
 		return series, err
 	}
-	layout := memlayout.NewLayout()
-	if err := app.Setup(layout); err != nil {
-		return series, err
-	}
-	cl, err := dsm.New(dsm.Config{Nodes: o.Nodes, Pages: layout.TotalPages()})
+	sys, err := system.NewSystem(app, o.Nodes, system.WithConfig(system.SystemConfig{ShuffleSeed: o.Seed + 2}))
 	if err != nil {
 		return series, err
 	}
-	defer func() { _ = cl.Close() }()
-	eng, err := threads.NewEngine(cl, threads.Config{
-		Threads:          o.Threads,
-		SchedulerEnabled: true,
-		ShuffleSeed:      o.Seed + 2,
-	})
-	if err != nil {
-		return series, err
-	}
+	defer func() { _ = sys.Close() }()
+	eng := sys.Engine()
 	pt := core.NewPassiveTracker(eng)
 	stable := 0
 	prev := 0.0
-	eng.SetHooks(threads.Hooks{OnIteration: func(iter int) {
+	_ = sys.SetHooks(threads.Hooks{OnIteration: func(iter int) { // cannot fail before Run
 		comp := pt.Completeness(ref)
 		series.Completeness = append(series.Completeness, comp)
 		if comp <= prev {
@@ -117,10 +105,8 @@ func passiveRounds(name string, o Options, ref []*vm.Bitmap, maxRounds int) (Fig
 			series.Completeness = series.Completeness[:len(series.Completeness)-1]
 		}
 	}})
-	if err := eng.Run(app.Body); err != nil {
-		return series, err
-	}
-	return series, nil
+	err = sys.Run()
+	return series, err
 }
 
 // FormatFigure2 renders the completeness curves as a text table.

@@ -26,12 +26,11 @@ import (
 	"strings"
 
 	"actdsm/internal/apps"
-	"actdsm/internal/core"
 	"actdsm/internal/dsm"
-	"actdsm/internal/memlayout"
 	"actdsm/internal/placement"
 	"actdsm/internal/serve"
 	"actdsm/internal/sim"
+	"actdsm/internal/system"
 	"actdsm/internal/threads"
 )
 
@@ -118,141 +117,77 @@ func fillControllerStats(row *PlacementRow, snap dsm.Snapshot) {
 	row.HomeMoves = snap.PlacementHomeMoves
 }
 
-// runPlacementApp measures one controller variant on the epoch
-// application leg: Ocean, 16 threads on 4 nodes, started from a
-// deterministic scattered placement so the thread side has headroom.
-func runPlacementApp(v placementVariant) (PlacementRow, error) {
-	row := PlacementRow{Config: v.name}
-	const nthreads, iters = 16, 10
-	app, err := apps.New("Ocean", apps.Config{Threads: nthreads, Iterations: iters})
-	if err != nil {
-		return row, fmt.Errorf("placement %s: %w", v.name, err)
-	}
-	layout := memlayout.NewLayout()
-	if err := app.Setup(layout); err != nil {
-		return row, fmt.Errorf("placement %s: %w", v.name, err)
-	}
-	cl, err := dsm.New(dsm.Config{
-		Nodes:      placementBenchNodes,
-		Pages:      layout.TotalPages(),
-		BatchDiffs: true,
-		Topology:   placementBenchTopology(),
-		// Aggressive GC keeps diff consolidation — and the post-GC
-		// refaults of invalidated copies — in the measured steady state,
-		// the traffic the data side's home moves eliminate (a page homed
-		// at its writer consolidates and refaults locally).
-		GCThresholdBytes: 4096,
-	})
-	if err != nil {
-		return row, fmt.Errorf("placement %s: %w", v.name, err)
-	}
-	defer func() { _ = cl.Close() }()
-	scattered := placement.RandomBalanced(nthreads, placementBenchNodes, sim.NewRNG(11))
-	eng, err := threads.NewEngine(cl, threads.Config{
-		Threads:          nthreads,
-		Placement:        scattered,
-		SchedulerEnabled: true,
-	})
-	if err != nil {
-		return row, fmt.Errorf("placement %s: %w", v.name, err)
-	}
-	hooks := threads.Hooks{}
-	var tracker *core.ActiveTracker
-	if v.controller {
-		tracker = core.NewActiveTracker(eng, 1)
-		ctrl, err := placement.NewController(cl, eng, tracker, placementCtlConfig(v))
-		if err != nil {
-			return row, fmt.Errorf("placement %s: %w", v.name, err)
-		}
-		defer func() {
-			if err := ctrl.Err(); err != nil {
-				panic(fmt.Sprintf("placement %s: %v", v.name, err))
-			}
-		}()
-		hooks = tracker.Hooks(ctrl.Hooks(hooks))
-	}
-	eng.SetHooks(hooks)
-	if tracker != nil {
-		tracker.Start()
-	}
-	if err := eng.Run(app.Body); err != nil {
-		return row, fmt.Errorf("placement %s: %w", v.name, err)
-	}
-	snap := cl.Stats().Snapshot()
-	row.Elapsed = eng.Elapsed()
-	row.DemandCalls = snap.DemandCalls()
-	row.RemoteMisses = snap.RemoteMisses
-	fillControllerStats(&row, snap)
-	return row, nil
+// placementLegs are the ablation's two workloads, each built fresh for
+// every variant with the SystemConfig it runs under; track is the window
+// the controller tracks first.
+//
+//   - ocean: the epoch application, 16 threads on 4 nodes, started from
+//     a deterministic scattered placement so the thread side has
+//     headroom.
+//   - serving: the BENCH_serving workload (16 clients, 4 tenant groups)
+//     under block placement; home moves, when present, come from the
+//     controller.
+var placementLegs = []struct {
+	name  string
+	track int
+	build func() (threads.Workload, system.SystemConfig, error)
+}{
+	{"ocean", 1, func() (threads.Workload, system.SystemConfig, error) {
+		const nthreads = 16
+		app, err := apps.New("Ocean", apps.Config{Threads: nthreads, Iterations: 10})
+		return app, system.SystemConfig{
+			Cluster: dsm.Config{
+				BatchDiffs: true,
+				Topology:   placementBenchTopology(),
+				// Aggressive GC keeps diff consolidation — and the
+				// post-GC refaults of invalidated copies — in the
+				// measured steady state, the traffic the data side's
+				// home moves eliminate (a page homed at its writer
+				// consolidates and refaults locally).
+				GCThresholdBytes: 4096,
+			},
+			Placement: placement.RandomBalanced(nthreads, placementBenchNodes, sim.NewRNG(11)),
+		}, err
+	}},
+	{"serving", 0, func() (threads.Workload, system.SystemConfig, error) {
+		kv, err := serve.NewKV(servingBenchConfig())
+		return kv, system.SystemConfig{
+			Cluster: dsm.Config{BatchDiffs: true, Topology: placementBenchTopology()},
+		}, err
+	}},
 }
 
-// runPlacementServing measures one controller variant on the serving
-// leg: the BENCH_serving workload (16 clients, 4 tenant groups) over
-// the heterogeneous topology and block placement; home moves, when
-// present, come from the controller.
-func runPlacementServing(v placementVariant) (PlacementRow, error) {
+// runPlacement measures one controller variant on one workload over the
+// heterogeneous topology. A serving workload's row reports its
+// measurement span: elapsed time, QPS and p99.
+func runPlacement(app threads.Workload, cfg system.SystemConfig, track int, v placementVariant) (PlacementRow, error) {
 	row := PlacementRow{Config: v.name}
-	kv, err := serve.NewKV(servingBenchConfig())
-	if err != nil {
-		return row, fmt.Errorf("placement %s: %w", v.name, err)
-	}
-	layout := memlayout.NewLayout()
-	if err := kv.Setup(layout); err != nil {
-		return row, fmt.Errorf("placement %s: %w", v.name, err)
-	}
-	cl, err := dsm.New(dsm.Config{
-		Nodes:      placementBenchNodes,
-		Pages:      layout.TotalPages(),
-		BatchDiffs: true,
-		Topology:   placementBenchTopology(),
-	})
-	if err != nil {
-		return row, fmt.Errorf("placement %s: %w", v.name, err)
-	}
-	defer func() { _ = cl.Close() }()
-	eng, err := threads.NewEngine(cl, threads.Config{
-		Threads:          kv.Threads(),
-		SchedulerEnabled: true,
-	})
-	if err != nil {
-		return row, fmt.Errorf("placement %s: %w", v.name, err)
-	}
-	inner := threads.Hooks{}
-	var tracker *core.ActiveTracker
 	if v.controller {
-		tracker = core.NewActiveTracker(eng, 0)
-		ctrl, err := placement.NewController(cl, eng, tracker, placementCtlConfig(v))
+		ctl := placementCtlConfig(v)
+		cfg.Controller = &ctl
+	}
+	sys, err := system.NewSystem(app, placementBenchNodes, system.WithConfig(cfg))
+	if err != nil {
+		return row, fmt.Errorf("placement %s: %w", v.name, err)
+	}
+	defer func() { _ = sys.Close() }()
+	if v.controller {
+		_, _ = sys.TrackIteration(track) // cannot fail before Run
+	}
+	if err := sys.Run(); err != nil {
+		return row, fmt.Errorf("placement %s: %w", v.name, err)
+	}
+	row.Elapsed = sys.Elapsed()
+	if kv, ok := app.(*serve.KV); ok {
+		rep, err := kv.Report()
 		if err != nil {
 			return row, fmt.Errorf("placement %s: %w", v.name, err)
 		}
-		defer func() {
-			if err := ctrl.Err(); err != nil {
-				panic(fmt.Sprintf("placement %s: %v", v.name, err))
-			}
-		}()
-		inner = ctrl.Hooks(inner)
+		row.Elapsed, row.QPS, row.P99 = rep.Elapsed, rep.QPS, rep.P99
 	}
-	hooks := kv.ServingHooks(inner, eng.Elapsed, cl.Stats().Snapshot)
-	if tracker != nil {
-		hooks = tracker.Hooks(hooks)
-	}
-	eng.SetHooks(hooks)
-	if tracker != nil {
-		tracker.Start()
-	}
-	if err := eng.Run(kv.Body); err != nil {
-		return row, fmt.Errorf("placement %s: %w", v.name, err)
-	}
-	rep, err := kv.Report()
-	if err != nil {
-		return row, fmt.Errorf("placement %s: %w", v.name, err)
-	}
-	snap := cl.Stats().Snapshot()
-	row.Elapsed = rep.Elapsed
+	snap := sys.Cluster().Stats().Snapshot()
 	row.DemandCalls = snap.DemandCalls()
 	row.RemoteMisses = snap.RemoteMisses
-	row.QPS = rep.QPS
-	row.P99 = rep.P99
 	fillControllerStats(&row, snap)
 	return row, nil
 }
@@ -261,17 +196,14 @@ func runPlacementServing(v placementVariant) (PlacementRow, error) {
 // ablation on both workloads and assembles the report.
 func PlacementComparison() (PlacementReport, error) {
 	rep := PlacementReport{Nodes: placementBenchNodes}
-	legs := []struct {
-		name string
-		run  func(placementVariant) (PlacementRow, error)
-	}{
-		{"ocean", runPlacementApp},
-		{"serving", runPlacementServing},
-	}
-	for _, leg := range legs {
+	for _, leg := range placementLegs {
 		w := PlacementWorkload{Workload: leg.name}
 		for _, v := range placementVariants() {
-			row, err := leg.run(v)
+			app, cfg, err := leg.build()
+			if err != nil {
+				return rep, fmt.Errorf("placement %s: %w", v.name, err)
+			}
+			row, err := runPlacement(app, cfg, leg.track, v)
 			if err != nil {
 				return rep, err
 			}

@@ -78,8 +78,7 @@ func PrefetchComparison(o Options) ([]PrefetchRow, error) {
 				Verify:    true,
 			}
 			if prefetch {
-				cfg.PrefetchBudget = -1
-				cfg.BatchDiffs = true
+				cfg.Cluster = dsm.Config{PrefetchBudget: -1, BatchDiffs: true}
 			}
 			return Run(cfg)
 		}

@@ -13,10 +13,9 @@ import (
 	"actdsm/internal/apps"
 	"actdsm/internal/core"
 	"actdsm/internal/dsm"
-	"actdsm/internal/memlayout"
 	"actdsm/internal/sim"
+	"actdsm/internal/system"
 	"actdsm/internal/threads"
-	"actdsm/internal/vm"
 )
 
 // RunConfig describes one application run on a simulated cluster.
@@ -38,21 +37,13 @@ type RunConfig struct {
 	// ShuffleSeed randomizes per-node thread execution order.
 	ShuffleSeed uint64
 	Verify      bool
-	// GCThresholdBytes forwards to dsm.Config (0 = default).
-	GCThresholdBytes int
-	// Protocol selects the coherence protocol (0 = multi-writer).
-	Protocol dsm.Protocol
-	// PrefetchBudget forwards to dsm.Config: pages prefetched per node
-	// per barrier episode (-1 = unbounded, 0 = off). When tracking is
-	// also enabled, the tracker's bitmaps drive the prediction once the
-	// tracked iteration completes.
-	PrefetchBudget int
-	// BatchDiffs forwards to dsm.Config: coalesce demand diff fetches
-	// into one DiffBatchRequest per writer.
-	BatchDiffs bool
-	// Topology forwards to dsm.Config: heterogeneous per-link network
-	// costs and per-node compute scaling (nil = uniform).
-	Topology *sim.Topology
+	// Cluster configures the DSM substrate, passed through the way
+	// NewSystem passes SystemConfig.Cluster: Nodes and Pages are set
+	// from Nodes and the application's layout, every other field goes
+	// to dsm.New as-is. With Cluster.PrefetchBudget non-zero and
+	// tracking enabled, the tracker's bitmaps drive the prediction once
+	// the tracked iteration completes.
+	Cluster dsm.Config
 }
 
 // RunResult captures everything the experiment tables need from one run.
@@ -87,42 +78,24 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	layout := memlayout.NewLayout()
-	if err := app.Setup(layout); err != nil {
-		return nil, err
-	}
-	cl, err := dsm.New(dsm.Config{
-		Nodes:            cfg.Nodes,
-		Pages:            layout.TotalPages(),
-		GCThresholdBytes: cfg.GCThresholdBytes,
-		Protocol:         cfg.Protocol,
-		PrefetchBudget:   cfg.PrefetchBudget,
-		BatchDiffs:       cfg.BatchDiffs,
-		Topology:         cfg.Topology,
-	})
+	sys, err := system.NewSystem(app, cfg.Nodes, system.WithConfig(system.SystemConfig{
+		Cluster:     cfg.Cluster,
+		Placement:   cfg.Placement,
+		ShuffleSeed: cfg.ShuffleSeed,
+	}))
 	if err != nil {
 		return nil, err
 	}
-	defer func() { _ = cl.Close() }()
+	defer func() { _ = sys.Close() }()
+	eng, cl := sys.Engine(), sys.Cluster()
 
-	eng, err := threads.NewEngine(cl, threads.Config{
-		Threads:          cfg.Threads,
-		Placement:        cfg.Placement,
-		SchedulerEnabled: true,
-		ShuffleSeed:      cfg.ShuffleSeed,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &RunResult{SharedPages: layout.TotalPages()}
+	res := &RunResult{SharedPages: cl.NumPages()}
 	if cfg.Passive {
 		res.PassiveTracker = core.NewPassiveTracker(eng)
 	}
-
 	lastTime := sim.Time(0)
 	lastStats := cl.Stats().Snapshot()
-	inner := threads.Hooks{
+	hooks := threads.Hooks{
 		OnIteration: func(iter int) {
 			now := eng.Elapsed()
 			cur := cl.Stats().Snapshot()
@@ -131,34 +104,16 @@ func Run(cfg RunConfig) (*RunResult, error) {
 			lastTime, lastStats = now, cur
 		},
 	}
-	hooks := inner
-	if cfg.TrackDensity && cfg.TrackIter >= 0 {
-		res.Density = core.NewDensityTracker(eng, cfg.TrackIter)
-		hooks = res.Density.Hooks(hooks)
-		res.Density.Start()
-	}
 	if cfg.TrackIter >= 0 {
-		res.Tracker = core.NewActiveTracker(eng, cfg.TrackIter)
-		hooks = res.Tracker.Hooks(hooks)
-		res.Tracker.Start()
+		if cfg.TrackDensity {
+			res.Density = core.NewDensityTracker(eng, cfg.TrackIter)
+			hooks = res.Density.Hooks(hooks)
+			res.Density.Start()
+		}
+		res.Tracker, _ = sys.TrackIteration(cfg.TrackIter) // cannot fail before Run
 	}
-	eng.SetHooks(hooks)
-
-	if cfg.PrefetchBudget != 0 {
-		// Same wiring as the facade: once the tracker has a complete
-		// iteration's bitmaps, a node's prediction is the union of its
-		// resident threads' access bitmaps; before that (or with
-		// tracking off) the nil return falls back to the fault window.
-		tracker, npages := res.Tracker, layout.TotalPages()
-		cl.SetPrefetchPredictor(func(node int) *vm.Bitmap {
-			if tracker == nil || !tracker.Done() {
-				return nil
-			}
-			return core.PredictNodePages(tracker.Bitmaps(), eng.Placement(), node, npages)
-		})
-	}
-
-	if err := eng.Run(app.Body); err != nil {
+	_ = sys.SetHooks(hooks) // nor this
+	if err := sys.Run(); err != nil {
 		return nil, fmt.Errorf("experiments: run %s: %w", cfg.App, err)
 	}
 	res.Elapsed = eng.Elapsed()

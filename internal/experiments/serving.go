@@ -24,12 +24,11 @@ import (
 	"fmt"
 	"strings"
 
-	"actdsm/internal/core"
 	"actdsm/internal/dsm"
-	"actdsm/internal/memlayout"
 	"actdsm/internal/placement"
 	"actdsm/internal/serve"
 	"actdsm/internal/sim"
+	"actdsm/internal/system"
 	"actdsm/internal/threads"
 )
 
@@ -91,44 +90,27 @@ type servingVariant struct {
 }
 
 // runServing executes one serving run under the given variant and
-// returns its row. The wiring mirrors System.RunContext (this package
-// cannot import the facade): serving hooks wrap the migration hook,
-// and the tracker wraps all, so the tracker's window-0 matrix is
-// complete when the migration hook fires at the first window boundary.
+// returns its row. The migration hook is a user hook, so the tracker
+// wraps it (System.RunContext's order) and its window-0 matrix is
+// complete when the hook fires at the first window boundary.
 func runServing(v servingVariant) (ServingRow, error) {
 	row := ServingRow{Config: v.name}
 	kv, err := serve.NewKV(servingBenchConfig())
 	if err != nil {
 		return row, fmt.Errorf("serving %s: %w", v.name, err)
 	}
-	layout := memlayout.NewLayout()
-	if err := kv.Setup(layout); err != nil {
-		return row, fmt.Errorf("serving %s: %w", v.name, err)
-	}
-	cl, err := dsm.New(dsm.Config{
-		Nodes:          servingBenchNodes,
-		Pages:          layout.TotalPages(),
+	sys, err := system.NewSystem(kv, servingBenchNodes, system.WithClusterConfig(dsm.Config{
 		BatchDiffs:     true,
 		LockForwarding: v.forward,
-	})
+	}))
 	if err != nil {
 		return row, fmt.Errorf("serving %s: %w", v.name, err)
 	}
-	defer func() { _ = cl.Close() }()
-	eng, err := threads.NewEngine(cl, threads.Config{
-		Threads:          kv.Threads(),
-		SchedulerEnabled: true,
-	})
-	if err != nil {
-		return row, fmt.Errorf("serving %s: %w", v.name, err)
-	}
-
-	var tracker *core.ActiveTracker
-	var inner threads.Hooks
+	defer func() { _ = sys.Close() }()
 	if v.replace {
-		tracker = core.NewActiveTracker(eng, 0)
-		tr := tracker
-		inner.OnIteration = func(iter int) {
+		tr, _ := sys.TrackIteration(0) // cannot fail before Run
+		eng := sys.Engine()
+		_ = sys.SetHooks(threads.Hooks{OnIteration: func(iter int) { // nor this
 			if iter != 0 {
 				return
 			}
@@ -137,17 +119,9 @@ func runServing(v servingVariant) (ServingRow, error) {
 			if _, err := eng.ApplyPlacement(aligned); err != nil {
 				panic(fmt.Sprintf("serving %s: apply placement: %v", v.name, err))
 			}
-		}
+		}})
 	}
-	hooks := kv.ServingHooks(inner, eng.Elapsed, cl.Stats().Snapshot)
-	if tracker != nil {
-		hooks = tracker.Hooks(hooks)
-	}
-	eng.SetHooks(hooks)
-	if tracker != nil {
-		tracker.Start()
-	}
-	if err := eng.Run(kv.Body); err != nil {
+	if err := sys.Run(); err != nil {
 		return row, fmt.Errorf("serving %s: %w", v.name, err)
 	}
 	rep, err := kv.Report()

@@ -6,6 +6,7 @@ import (
 
 	"actdsm/internal/apps"
 	"actdsm/internal/core"
+	"actdsm/internal/dsm"
 	"actdsm/internal/placement"
 	"actdsm/internal/sim"
 	"actdsm/internal/stats"
@@ -275,7 +276,7 @@ func Table5(o Options) ([]Table5Row, error) {
 		base, err := Run(RunConfig{
 			App: name, Threads: o.Threads, Nodes: o.Nodes,
 			Scale: o.Scale, Iterations: 4, TrackIter: -1,
-			GCThresholdBytes: -1,
+			Cluster: dsm.Config{GCThresholdBytes: -1},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("table5 %s baseline: %w", name, err)
@@ -283,7 +284,7 @@ func Table5(o Options) ([]Table5Row, error) {
 		res, err := Run(RunConfig{
 			App: name, Threads: o.Threads, Nodes: o.Nodes,
 			Scale: o.Scale, Iterations: 4, TrackIter: 2,
-			GCThresholdBytes: -1,
+			Cluster: dsm.Config{GCThresholdBytes: -1},
 		})
 		if err != nil {
 			return nil, fmt.Errorf("table5 %s: %w", name, err)

@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 
+	"actdsm/internal/dsm"
 	"actdsm/internal/sim"
 )
 
@@ -64,7 +65,7 @@ func TransportComparison() (TransportReport, error) {
 			Nodes:     transportHeteroNodes,
 			TrackIter: -1,
 			Verify:    true,
-			Topology:  topo,
+			Cluster:   dsm.Config{Topology: topo},
 		})
 	}
 	uniform, err := hetero(nil)
