@@ -81,7 +81,10 @@ race:
 ## in the array it kept across the barrier, so does a warm barrier's fold
 ## of its notices into the array the episode before left, a lock grant's notice list
 ## is its pooled message's — a hand-off costs the same bytes whether its
-## grants carry 16 notices or 512 — and on warm
+## grants carry 16 notices or 512 — a warm barrier episode of 8 nodes,
+## flat or a binary tree, with or without a GC round under it, stays
+## within 8 allocations (its messages are pooled and its scratch is the
+## cluster's), and on warm
 ## pools a twin, a stored diff's create/serve/GC-drop cycle, every pooled
 ## request kind served through the transport handler's body and every
 ## pooled reply kind decoded and released allocate nothing. Stored diffs
@@ -89,15 +92,16 @@ race:
 ## no Go collection empties, so a GC epoch's diffs allocate nothing even
 ## after two Go collections (internal/dsm/alloc_test.go).
 ## The pools' other callers are held too: an encode into a pooled buffer
-## and a decode/Release of every pooled message kind (internal/msg), a mux
-## round trip (internal/transport) and a warm get/put of the pool itself
-## (internal/pool). So is the engine's barrier bookkeeping: a warm fold of
+## and a decode/Release of every pooled message kind, the barrier and GC
+## kinds' nested lists included (internal/msg), a mux round trip
+## (internal/transport), a warm get/put of the pool itself (internal/pool)
+## and a serving workload's measured window end (internal/serve). So is the engine's barrier bookkeeping: a warm fold of
 ## 64 threads' charges and re-draw of 8 nodes' execution orders allocate
 ## nothing (internal/threads). A re-introduced escape or copy fails here,
 ## not at the next benchmark run.
 alloc-gate:
-	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestFanOutWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestNoticeIngestAllocs|TestPendingGrowsFromShard|TestDiffRunsGrowFromShard|TestKnownKeepsArrayAcrossBarrier|TestBarrierFoldKeepsArray|TestCloseIntervalWarmZeroAllocs|TestLockHandoffAllocCeiling|TestLockGrantNoticeBytes|TestDiffLifecycleAllocs' -count=1 -v
-	$(GO) test ./internal/msg ./internal/transport ./internal/pool ./internal/threads -run '^(TestEncodeToZeroAlloc|TestDecodeReleaseZeroAlloc|TestMuxCallAllocs|TestSlices|TestEpochScratchZeroAllocs)$$' -count=1 -v
+	$(GO) test ./internal/dsm -run 'TestSpanWarmZeroAllocs|TestFanOutWarmZeroAllocs|TestRemoteMissAllocCeiling|TestRemoteMissBytesCeiling|TestMakeDiffOneAlloc|TestNoticeIngestAllocs|TestPendingGrowsFromShard|TestDiffRunsGrowFromShard|TestKnownKeepsArrayAcrossBarrier|TestBarrierFoldKeepsArray|TestCloseIntervalWarmZeroAllocs|TestLockHandoffAllocCeiling|TestBarrierEpisodeAllocCeiling|TestLockGrantNoticeBytes|TestDiffLifecycleAllocs' -count=1 -v
+	$(GO) test ./internal/msg ./internal/transport ./internal/pool ./internal/threads ./internal/serve -run '^(TestEncodeToZeroAlloc|TestDecodeReleaseZeroAlloc|TestMuxCallAllocs|TestSlices|TestEpochScratchZeroAllocs|TestWindowEndZeroAllocs)$$' -count=1 -v
 
 ## bench: one benchmark per paper table/figure, plus the ablation,
 ## cut-cost, prefetch and trace-replay comparisons. The substrate

@@ -21,16 +21,16 @@ import (
 // instrumentation allocates.
 
 // Ceilings are what the access path achieves plus one for runtime noise (a
-// sync.Pool refill after a GC cycle): 25 for a remote miss and 35 for a
-// batched one from two writers, most of it the barrier between write and
-// read; 0 for a miss alone, counted without its barrier, that snapshots
-// a backlog of 64 or more notices and fetches their diffs; a lock
-// hand-off, plain or with its grant forwarded to the holder, rounds to 0
-// — its messages are pooled, and only the barrier every 256 hand-offs
-// allocates.
+// sync.Pool refill after a GC cycle): 1 for a remote miss, single or
+// batched from two writers, all of it the costs slice the barrier between
+// write and read returns; 0 for a miss alone, counted without its
+// barrier, that snapshots a backlog of 64 or more notices and fetches
+// their diffs; a lock hand-off, plain or with its grant forwarded to the
+// holder, rounds to 0 — its messages are pooled, and only the barrier
+// every 256 hand-offs allocates.
 const (
-	remoteMissAllocCeiling  = 26
-	batchMissAllocCeiling   = 36
+	remoteMissAllocCeiling  = 2
+	batchMissAllocCeiling   = 2
 	backlogMissAllocCeiling = 1
 	lockHandoffAllocCeiling = 1
 	lockForwardAllocCeiling = 1
@@ -38,9 +38,9 @@ const (
 
 // remoteMissBytesCeiling bounds what a dense remote miss may allocate
 // beyond the writer's one stored diff (see TestRemoteMissBytesCeiling).
-// The cycle achieves about 1.7 KB there: small objects (barrier state,
-// notices) and its share of the chunk tails the packing leaves,
-// under 130 B a dense diff; a second copy of the diff would add 4.1 KB or
+// The cycle achieves about 230 B there: the barrier's costs slice and its
+// share of the chunk tails the packing leaves, under 130 B a dense diff;
+// a second copy of the diff would add 4.1 KB or
 // more, so three quarters of a page separates the two.
 const remoteMissBytesCeiling = memlayout.PageSize * 3 / 4
 
@@ -587,6 +587,55 @@ func TestBarrierFoldKeepsArray(t *testing.T) {
 		if got, array := epoch(); got != n || array != warm {
 			t.Fatalf("warm barrier %d: the root folded %d notices (warm %d) into a new array, want the one it kept", ep, got, n)
 		}
+	}
+}
+
+// barrierEpisodeAllocCeiling bounds a warm barrier episode: its enters,
+// releases, fold state and tree levels, and the GC round's lists and page
+// set, are storage the cluster and its message pools keep, so the episode
+// allocates the costs slice Barrier returns and nothing else. The ceiling
+// leaves room for runtime noise (a sync.Pool refill after a Go
+// collection), not for a per-message allocation: 8 nodes exchange 14
+// barrier messages an episode, and a GC round 56 more.
+const barrierEpisodeAllocCeiling = 8
+
+// TestBarrierEpisodeAllocCeiling is the dsm.barrier rung: 8 nodes each
+// write one page, then a barrier; flat and as a binary tree, and with
+// every barrier forced to run a GC round over the 8 pages.
+func TestBarrierEpisodeAllocCeiling(t *testing.T) {
+	skipUnderRace(t)
+	for _, tc := range []struct {
+		name  string
+		arity int
+		gc    int
+	}{{"flat", 0, -1}, {"arity2", 2, -1}, {"flat-gc", 0, 1}, {"arity2-gc", 2, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const nodes = 8
+			c, err := New(Config{Nodes: nodes, Pages: nodes, BarrierArity: tc.arity, GCThresholdBytes: tc.gc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = c.Close() })
+			i := 0
+			episode := func() {
+				i++
+				for n := range nodes {
+					mustSpan(t, c, n, n, n*memlayout.PageSize, 4, vm.Write)[0] = byte(i)
+				}
+				barrier(t, c)
+			}
+			for range 8 { // grow every list to the episode's size
+				episode()
+			}
+			allocs := testing.AllocsPerRun(500, episode)
+			t.Logf("barrier episode (%s): %v allocs/op", tc.name, allocs)
+			if allocs > barrierEpisodeAllocCeiling {
+				t.Errorf("barrier episode (%s): %v allocs/op, ceiling %d", tc.name, allocs, barrierEpisodeAllocCeiling)
+			}
+			if s := c.Stats().Snapshot(); tc.gc > 0 && s.GCRounds == 0 {
+				t.Fatal("no GC round ran")
+			}
+		})
 	}
 }
 

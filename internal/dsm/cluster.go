@@ -120,13 +120,12 @@ type Cluster struct {
 	stats      Stats
 
 	episode int32
-	// barriers accumulates BarrierEnter state, one slot per node (the
-	// root and every tree position with children fold into theirs; with
-	// BarrierArity 0 that is the root alone). All slots are guarded by
-	// barrierMu because enters may arrive on transport server
-	// goroutines.
+	// barriers holds each node's barrier state (the root and every tree
+	// position with children fold enters into theirs), guarded by
+	// barrierMu because enters arrive on transport server goroutines.
 	barrierMu sync.Mutex
 	barriers  []barrierState
+	ep        episode
 
 	onRemoteFault func(node, tid int, p vm.PageID)
 	onAccess      []func(node, tid int, p vm.PageID, a vm.Access)
@@ -170,21 +169,45 @@ type Cluster struct {
 // barrierState accumulates one barrier episode at a folding tree
 // position. entered and have deduplicate re-sent BarrierEnter messages
 // (transport retries and episode re-runs both re-deliver), so
-// counters and the notice union are exactly-once per episode.
+// counters and the notice union are exactly-once per episode. Each
+// attempt truncates every list in place.
 type barrierState struct {
 	episode int32
 	entered map[int32]bool
 	lam     int32
-	notices []msg.Notice // the union; truncated in place per attempt
-	have    noticeSet    // what notices has taken; cleared in place per attempt
-	// hot holds each node's predicted pages for the coming epoch (the
-	// BarrierEnter.Hot field), consumed by collectPushDiffs to piggyback
-	// the predicted diffs on the release fan-out.
+	notices []msg.Notice // the union
+	have    noticeSet    // what notices has taken
+	// hot holds each node's predicted pages for the coming epoch, copied
+	// out of its enter for collectPushDiffs; an empty list is no entry.
 	hot map[int32][]int32
-	// rel is the release this node received for the episode; the
-	// release fan-out builds the releases relayed to the node's children
-	// from it. Nil until the node has been released.
+	// rel is the release this node received for the episode, which its
+	// children's releases are built from. Nil until the node has been
+	// released; the next attempt's reset releases it.
 	rel *msg.BarrierRelease
+	// enter is the node's own enter (its notices are its own, not a view
+	// of known: contributeDead appends to them), agg the aggregate it
+	// forwards and down the release its parent relays to it.
+	enter, agg msg.BarrierEnter
+	down       msg.BarrierRelease
+}
+
+// episode is the barrier goroutine's scratch for an episode and the GC round under it.
+type episode struct {
+	id       int32
+	k        int
+	view     []int // the attempt's members, then the round's
+	levels   [][]int
+	levelsOf [2]int              // the view size and arity of levels
+	lvl      []int               // the running fan-out's tree level
+	enters   []*msg.BarrierEnter // by node; nil outside the view
+	costs    []sim.Time
+	stored   *vm.Bitmap      // the GC round's page set
+	lists    []msg.GCCollect // by effective home
+	homes    []int
+	standby  []sim.Time
+	// The fan-out legs, which read the fields above: method values bound
+	// once, since a closure made per fan-out escapes through its leg.
+	enterLeg, releaseLeg, consolidateLeg, standbyLeg, collectLeg func(int) error
 }
 
 // New's rejections, by name; TestNewValidation holds a row for each.
@@ -258,6 +281,9 @@ func newCluster(cfg Config, shards int) (*Cluster, error) {
 	c.writeHist = make([]int64, cfg.Pages*cfg.Nodes)
 	c.dead = make([]bool, cfg.Nodes)
 	c.barriers = make([]barrierState, cfg.Nodes)
+	c.ep = episode{enters: make([]*msg.BarrierEnter, cfg.Nodes), lists: make([]msg.GCCollect, cfg.Nodes),
+		stored: vm.NewBitmap(cfg.Pages), enterLeg: c.enterEdge, releaseLeg: c.releaseEdge,
+		consolidateLeg: c.consolidateHome, standbyLeg: c.refreshStandby, collectLeg: c.collectAt}
 	c.nodes = make([]*node, cfg.Nodes)
 	for i := range c.nodes {
 		c.nodes[i] = newNode(i, c, cfg.Pages)
@@ -360,7 +386,7 @@ func (c *Cluster) AddAccessHook(f func(node, tid int, p vm.PageID, a vm.Access))
 // shared by diff/home placement and lock sharding: the modulo runs in
 // 64-bit space before narrowing, so identifiers wider than int32 — e.g.
 // vm.PageID values at the word seam — cannot truncate into a negative
-// or out-of-range index the way the old int(p) % n did.
+// or out-of-range index.
 func nodeForID(id int64, n int) int {
 	m := int(id % int64(n))
 	if m < 0 {
@@ -384,10 +410,8 @@ func (c *Cluster) lockShards() int {
 }
 
 // lockManager returns the node managing a lock: locks hash onto
-// lockShards() shards and shard s lives on node s mod Nodes. With the
-// default one-shard-per-node configuration this is the historical
-// lock mod Nodes placement; LockShards 1 funnels every lock through
-// node 0.
+// lockShards() shards and shard s lives on node s mod Nodes: by default
+// lock mod Nodes, and LockShards 1 funnels every lock through node 0.
 func (c *Cluster) lockManager(lock int32) int {
 	shard := nodeForID(int64(lock), c.lockShards())
 	return nodeForID(int64(shard), c.cfg.Nodes)
@@ -610,12 +634,8 @@ func (c *Cluster) Span(node, tid, off, size int, a vm.Access) ([]byte, sim.Threa
 	first := vm.PageID(off / memlayout.PageSize)
 	last := vm.PageID((off + size - 1) / memlayout.PageSize)
 	n.spanCharge = sim.ThreadInterval{}
-	// Server goroutines mutate what the checks below read unlocked —
-	// protections, prefetched flags, page data — only inside shard
-	// write-sections, and every write-section bumps the node's generation
-	// before it unlocks. This one load therefore orders every section that
-	// has completed before those checks; the engine guarantees that none
-	// overlaps the span itself.
+	// This one load orders every shard write-section completed before the
+	// unlocked checks below (doc.go, "The engine-side access path").
 	n.gen.Load()
 	if n.prefetchedLive.Load() != 0 {
 		n.settlePrefetchHits(first, last)
@@ -697,29 +717,21 @@ func (c *Cluster) Tracking(node int) bool { return c.nodes[node].as.Tracking() }
 // garbage-collection round follows. The returned slice holds each node's
 // virtual-time cost for the episode.
 //
-// There is one barrier, parameterised by the view and an arity k. The
-// members form a complete k-ary tree over their indices into the view
-// (children of position i are k*i+1 .. k*i+k). Config.BarrierArity 0
-// selects k = len(view)-1: every other member is a leaf under the root,
-// which is the flat single-manager exchange. A position without children
-// forwards its own enter unchanged; a position with children folds its
-// own enter and its children's and forwards the aggregate, so no member
-// exchanges more than k+1 barrier messages per phase.
+// The members form a complete k-ary tree over their indices into the view
+// (children of position i are k*i+1 .. k*i+k; Config.BarrierArity 0 is
+// k = len(view)-1, the flat exchange). A position without children
+// forwards its own enter; one with children folds its subtree's and
+// forwards the aggregate, so no member exchanges more than k+1 barrier
+// messages per phase. Each phase runs a tree level's calls in parallel.
 //
-// Both phases run their transport calls in parallel within a tree level.
 // A lost message is retried by the transport (Config.Transport's
-// MaxAttempts), which may re-deliver a request whose reply was lost, so
-// receivers deduplicate (the fold by node id and (page, writer,
-// interval); release receivers through the pending-notice dedup) and
-// counters stay exactly-once per episode.
-//
-// When a member dies mid-episode the phases re-run over the shrunk view
-// (rerunOnViewChange); without fault tolerance nothing can die and they
-// run once. Re-runs are safe for the same reason transport retries are:
-// every receiver folds idempotently, and a member's known history clears
-// only after the whole episode succeeds. For the same reason the
-// application may call Barrier again after an error: the next episode
-// re-sends every notice of the failed one.
+// MaxAttempts), and when a member dies mid-episode the phases re-run over
+// the shrunk view (rerunOnViewChange). Both are safe because every
+// receiver folds idempotently (the fold by node id and (page, writer,
+// interval), a release through the pending-notice dedup) and a member's
+// known history clears only after the whole episode succeeds; so the
+// application may also call Barrier again after an error, and the next
+// episode re-sends every notice of the failed one.
 func (c *Cluster) Barrier() ([]sim.Time, error) {
 	costs := make([]sim.Time, c.cfg.Nodes)
 	episode := c.episode
@@ -762,20 +774,15 @@ func (c *Cluster) Barrier() ([]sim.Time, error) {
 	// everywhere, so pending flush state and causal histories restart —
 	// and, under fault tolerance, the per-epoch replication marks with
 	// them. (Each member's release already restarted its lock state.)
-	view := c.aliveList()
+	c.ep.view = c.aliveList(c.ep.view)
+	view := c.ep.view
 	for _, i := range view {
 		n := c.nodes[i]
 		costs[i] += c.costs.BarrierBase
 		n.lockSync()
-		// Truncated, keeping the array: no view of known outlives the
-		// call that took it. A closed interval goes to replicate and to
-		// Probe.IntervalClosed, both done before its close returns to
-		// the episode or the release; a release's Notices is detached
-		// once its calls return (ReleaseLock); a pull filters its
-		// history under mu (serveLockPull); a replica delta's Known is
-		// copied by the standby's append (serveReplicaDelta). Race
-		// builds poison the old contents first, so a view that did
-		// outlive it reads page -9253. A rejoin still drops the array.
+		// Truncated in place (no view of known outlives its call, see
+		// node.known). Race builds poison the old contents first, so a
+		// view that did outlive it reads page -9253.
 		pool.Poison(n.known, msg.PoisonNotice)
 		n.known = n.known[:0]
 		n.knownHave.clear()
@@ -838,7 +845,9 @@ type barrierOutcome struct {
 // barrierAttempt runs the barrier's phases once over the current view.
 func (c *Cluster) barrierAttempt(episode int32, queued []queuedMove, costs []sim.Time) (barrierOutcome, error) {
 	var out barrierOutcome
-	view := c.aliveList()
+	ep := &c.ep
+	ep.view = c.aliveList(ep.view)
+	view := ep.view
 	if len(view) == 0 {
 		return out, errors.New("dsm: barrier with no alive nodes")
 	}
@@ -847,28 +856,37 @@ func (c *Cluster) barrierAttempt(episode int32, queued []queuedMove, costs []sim
 	if k == 0 {
 		k = len(view) - 1
 	}
-	levels := treeLevels(len(view), k)
+	if ep.levelsOf != [2]int{len(view), k} {
+		ep.levels, ep.levelsOf = treeLevels(len(view), k), [2]int{len(view), k}
+	}
+	ep.id, ep.k, ep.costs = episode, k, costs
 
-	// Fold state is allocated by the first enter a position folds, so
-	// positions without children never pay for it; notice sets are reused.
-	// Each fold's notice list is truncated, keeping its array: both of
-	// its readers copy it under barrierMu (the root's union below and
-	// buildEnterAggregate), so no view of it outlives the attempt. Race
-	// builds poison the old contents first, so a view that did outlive
-	// it reads page -9253.
+	// The fold state keeps its storage from attempt to attempt: lists are
+	// truncated and sets cleared in place, and each stored release goes
+	// back to its pool. Both readers of a fold's notice list copy it under
+	// barrierMu (the root's union below and buildEnterAggregate), so no
+	// view of it outlives the attempt. Race builds poison the old contents
+	// first, so a view that did outlive it reads page -9253.
 	c.barrierMu.Lock()
 	for i := range c.barriers {
 		b := &c.barriers[i]
 		pool.Poison(b.notices, msg.PoisonNotice)
 		b.have.clear()
-		*b = barrierState{episode: episode, notices: b.notices[:0], have: b.have}
+		clear(b.entered)
+		for id := range b.hot {
+			b.hot[id] = b.hot[id][:0]
+		}
+		if b.rel != nil {
+			msg.Release(b.rel)
+		}
+		b.episode, b.lam, b.notices, b.rel = episode, 0, b.notices[:0], nil
 	}
 	c.barrierMu.Unlock()
 
 	// Phase 1 (local, serial): close every member's interval and build
 	// its enter message. known is cleared only after the whole
 	// episode succeeds, so a re-run re-sends every notice.
-	enters := make([]*msg.BarrierEnter, c.cfg.Nodes)
+	clear(ep.enters)
 	pushEnabled := c.cfg.PrefetchBudget != 0 && c.cfg.Protocol == MultiWriter
 	for _, i := range view {
 		n := c.nodes[i]
@@ -887,29 +905,36 @@ func (c *Cluster) barrierAttempt(episode int32, queued []queuedMove, costs []sim
 			}
 			costs[i] += w
 		}
+		e := &c.barriers[i].enter
 		n.lockSync()
-		enters[i] = &msg.BarrierEnter{
-			Node:    int32(i),
-			Episode: episode,
-			Lam:     n.lamport.Load(),
-			Notices: n.ownNoticesLocked(),
-		}
+		e.Node, e.Episode, e.Lam = int32(i), episode, n.lamport.Load()
+		e.Notices = n.ownNoticesLocked(e.Notices[:0])
 		n.mu.Unlock()
+		e.Hot = nil
 		if pushEnabled {
 			// After closeInterval the node's own dirty pages are
 			// clean again, so its prediction covers them too.
-			enters[i].Hot = n.hotPages(pred)
+			e.Hot = n.hotPages(pred)
 		}
+		ep.enters[i] = e
 	}
 	if c.cfg.FaultTolerance {
-		c.contributeDead(enters)
+		c.contributeDead(ep.enters)
 	}
 
-	// Phase 2: enter fan-in up the tree.
-	if err := c.enterPhase(episode, view, k, levels, enters, costs); err != nil {
+	// Phase 2: enter fan-in up the tree. Every folding position folds its
+	// own enter locally, then each level forwards one edge to its parent
+	// (enterEdge); a retry starts from maximal folded progress.
+	for pos := 0; pos < len(view) && folds(pos, k, len(view)); pos++ {
+		if _, err := c.nodes[view[pos]].serveBarrierEnter(ep.enters[view[pos]]); err != nil {
+			return out, err
+		}
+	}
+	if err := c.fanLevels(true, ep.enterLeg); err != nil {
 		return out, err
 	}
 
+	// The union is copied under barrierMu into the root's pooled release.
 	c.barrierMu.Lock()
 	rb := &c.barriers[root]
 	for _, i := range view {
@@ -919,14 +944,15 @@ func (c *Cluster) barrierAttempt(episode int32, queued []queuedMove, costs []sim
 			return out, fmt.Errorf("dsm: barrier episode %d: %d entered, alive node %d missing", episode, got, i)
 		}
 	}
-	notices := append([]msg.Notice(nil), rb.notices...)
-	lam := rb.lam
+	rel := msg.New[*msg.BarrierRelease]()
+	rel.Episode, rel.Lam = episode, rb.lam
+	rel.Notices = append(rel.Notices, rb.notices...)
 	hot := rb.hot
 	c.barrierMu.Unlock()
 	// The parallel fan-in makes arrival order nondeterministic; sort the
 	// union so the release broadcast (and everything downstream of its
 	// notice order) stays identical across runs.
-	slices.SortFunc(notices, func(a, b msg.Notice) int {
+	slices.SortFunc(rel.Notices, func(a, b msg.Notice) int {
 		if c := cmp.Compare(a.Writer, b.Writer); c != 0 {
 			return c
 		}
@@ -938,20 +964,18 @@ func (c *Cluster) barrierAttempt(episode int32, queued []queuedMove, costs []sim
 	// The placement controller's queued home moves ride the release
 	// fan-out, so every member applies them while its threads are still
 	// parked.
-	var homes []msg.PageHome
-	homes, out.homeMoved, out.homeSkipped = c.queuedHomeDecisions(queued)
-	out.notices = notices
+	rel.Homes, out.homeMoved, out.homeSkipped = c.queuedHomeDecisions(queued, rel.Homes)
+	out.notices = rel.Notices
 
 	// The root's release carries every other member's pushed diffs in its
 	// relay table; each edge down lifts the child's own list out of it.
-	rel := &msg.BarrierRelease{Episode: episode, Lam: lam, Notices: notices, Homes: homes}
 	if pushEnabled {
 		// Piggybacked push: the root batch-fetches the diffs each
 		// member's prediction (BarrierEnter.Hot) will need — coalesced to
 		// at most one DiffBatchRequest per writer for the whole cluster —
 		// and rides them on the release messages, so served pages cost
 		// zero extra round trips at the readers.
-		push, pcost, err := c.collectPushDiffs(root, hot, notices)
+		push, pcost, err := c.collectPushDiffs(root, hot, rel.Notices)
 		if err != nil {
 			return out, fmt.Errorf("dsm: barrier push collect: %w", err)
 		}
@@ -964,12 +988,17 @@ func (c *Cluster) barrierAttempt(episode int32, queued []queuedMove, costs []sim
 		}
 	}
 
-	// Phase 3: release fan-out down the tree. serveBarrierRelease is
-	// idempotent (pending-notice dedup, max-merge clocks, home stores,
-	// push skipped once a page's pending set is drained), so transport
-	// retries and episode re-runs that re-deliver to some members are
-	// harmless.
-	if err := c.releasePhase(view, k, levels, rel, costs); err != nil {
+	// Phase 3: release fan-out down the tree. The root serves its own
+	// release, whose state keeps it (so out.notices stays valid until the
+	// next attempt), then each level relays one edge down (releaseEdge).
+	// serveBarrierRelease is idempotent (pending-notice dedup, max-merge
+	// clocks, home stores, push skipped once a page's pending set is
+	// drained), so transport retries and episode re-runs that re-deliver
+	// to some members are harmless.
+	if _, err := c.nodes[root].serveBarrierRelease(rel); err != nil {
+		return out, err
+	}
+	if err := c.fanLevels(false, ep.releaseLeg); err != nil {
 		return out, err
 	}
 	if pushEnabled {
@@ -988,7 +1017,7 @@ func (c *Cluster) barrierAttempt(episode int32, queued []queuedMove, costs []sim
 		// Standby upkeep for moved homes: the new home's ring successor
 		// must hold a copy (the invariant failover full-fetches rely on); a
 		// successor without one fetches it now, while threads are parked.
-		for _, ph := range homes {
+		for _, ph := range rel.Homes {
 			h := int(ph.Home)
 			s := c.aliveSucc(h)
 			p := vm.PageID(ph.Page)
@@ -1044,43 +1073,42 @@ func treeLevels(n, k int) [][]int {
 	return levels
 }
 
-// enterPhase runs one attempt of the barrier's enter fan-in. Tree
-// positions are indices into view. Every folding position first folds its
-// own enter locally, then each tree level (deepest first, so subtree
-// aggregates are complete before they move up) forwards one edge to its
-// parent: a folding position its aggregate, a leaf its own enter as
-// built. Every edge runs even after a failure — a retry then starts from
-// maximal folded progress — and the deepest failing level's lowest-index
-// error wins, keeping failure messages deterministic. Each edge of a level
-// is one leg's, and carries that leg's one enter per attempt, so every
-// edge's call sequence is the same on every run.
-func (c *Cluster) enterPhase(episode int32, view []int, k int, levels [][]int, enters []*msg.BarrierEnter, costs []sim.Time) error {
-	for pos := 0; pos < len(view) && folds(pos, k, len(view)); pos++ {
-		if _, err := c.nodes[view[pos]].serveBarrierEnter(enters[view[pos]]); err != nil {
-			return err
-		}
-	}
+// fanLevels runs leg over the episode's tree one level a fan-out: deepest
+// first when up (aggregates complete before they move up), else shallowest
+// first (parents store their releases before their children ask). Every
+// level runs even after a failure and the first failing level's
+// lowest-index error wins, keeping failures deterministic; each edge is one
+// leg's with one message an attempt, so its call sequence never varies.
+func (c *Cluster) fanLevels(up bool, leg func(int) error) error {
 	var firstErr error
-	for li := len(levels) - 1; li >= 0; li-- {
-		lvl := levels[li]
-		err := c.fanOut(len(lvl), func(j int) error {
-			child := view[lvl[j]]
-			enter := enters[child]
-			if folds(lvl[j], k, len(view)) {
-				enter = c.buildEnterAggregate(child, episode)
-			}
-			_, wire, err := c.call(child, view[treeParent(lvl[j], k)], enter)
-			if err != nil {
-				return fmt.Errorf("dsm: barrier enter node %d: %w", child, err)
-			}
-			costs[child] += wire
-			return nil
-		})
-		if err != nil && firstErr == nil {
+	for i := range c.ep.levels {
+		if up {
+			i = len(c.ep.levels) - 1 - i
+		}
+		c.ep.lvl = c.ep.levels[i]
+		if err := c.fanOut(len(c.ep.lvl), leg); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// enterEdge is leg j of an enter level: a folding position forwards its
+// aggregate to its parent, a leaf its own enter as built.
+func (c *Cluster) enterEdge(j int) error {
+	ep := &c.ep
+	pos := ep.lvl[j]
+	child := ep.view[pos]
+	enter := ep.enters[child]
+	if folds(pos, ep.k, len(ep.view)) {
+		enter = c.buildEnterAggregate(child, ep.id)
+	}
+	_, wire, err := c.call(child, ep.view[treeParent(pos, ep.k)], enter)
+	if err != nil {
+		return fmt.Errorf("dsm: barrier enter node %d: %w", child, err)
+	}
+	ep.costs[child] += wire
+	return nil
 }
 
 // buildEnterAggregate snapshots a node's folded barrier state as the
@@ -1092,61 +1120,47 @@ func (c *Cluster) buildEnterAggregate(node int, episode int32) *msg.BarrierEnter
 	c.barrierMu.Lock()
 	defer c.barrierMu.Unlock()
 	b := &c.barriers[node]
-	agg := &msg.BarrierEnter{
-		Node:    int32(node),
-		Episode: episode,
-		Lam:     b.lam,
-		Notices: append([]msg.Notice(nil), b.notices...),
-	}
+	agg := &b.agg
+	agg.Node, agg.Episode, agg.Lam = int32(node), episode, b.lam
+	agg.Notices = append(agg.Notices[:0], b.notices...)
+	agg.Entered, agg.HotSets = agg.Entered[:0], agg.HotSets[:0]
 	for id := range b.entered {
 		agg.Entered = append(agg.Entered, id)
 	}
-	sort.Slice(agg.Entered, func(i, j int) bool { return agg.Entered[i] < agg.Entered[j] })
+	slices.Sort(agg.Entered)
 	for id, pages := range b.hot {
-		agg.HotSets = append(agg.HotSets, msg.NodeHot{Node: id, Pages: pages})
+		if len(pages) > 0 {
+			agg.HotSets = append(agg.HotSets, msg.NodeHot{Node: id, Pages: pages})
+		}
 	}
-	sort.Slice(agg.HotSets, func(i, j int) bool { return agg.HotSets[i].Node < agg.HotSets[j].Node })
+	slices.SortFunc(agg.HotSets, func(a, b msg.NodeHot) int { return cmp.Compare(a.Node, b.Node) })
 	return agg
 }
 
-// releasePhase runs one attempt of the barrier's release fan-out: the
-// root serves its own release — which carries the relay payloads for
-// every other member with a push — then each level (shallowest first, so
-// every parent has stored its release before its children ask for theirs)
-// relays one edge down. A parent whose stored release is missing or stale
-// means its own inbound edge failed this attempt; the error propagates
-// and fails the attempt.
-func (c *Cluster) releasePhase(view []int, k int, levels [][]int, rel *msg.BarrierRelease, costs []sim.Time) error {
-	if _, err := c.nodes[view[0]].serveBarrierRelease(rel); err != nil {
+// releaseEdge is leg j of a release level: the position's parent relays
+// the release built for it. A parent whose stored release is missing or
+// stale failed its own inbound edge this attempt, which fails the attempt.
+func (c *Cluster) releaseEdge(j int) error {
+	ep := &c.ep
+	pos := ep.lvl[j]
+	parent, child := ep.view[treeParent(pos, ep.k)], ep.view[pos]
+	childRel, err := c.buildChildRelease(ep.view, ep.k, parent, pos, ep.id)
+	if err != nil {
 		return err
 	}
-	var firstErr error
-	for _, lvl := range levels {
-		err := c.fanOut(len(lvl), func(j int) error {
-			parent, child := view[treeParent(lvl[j], k)], view[lvl[j]]
-			childRel, err := c.buildChildRelease(view, k, parent, lvl[j], rel.Episode)
-			if err != nil {
-				return err
-			}
-			_, wire, err := c.call(parent, child, childRel)
-			if err != nil {
-				return fmt.Errorf("dsm: barrier release node %d: %w", child, err)
-			}
-			costs[child] += wire
-			return nil
-		})
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
+	_, wire, err := c.call(parent, child, childRel)
+	if err != nil {
+		return fmt.Errorf("dsm: barrier release node %d: %w", child, err)
 	}
-	return firstErr
+	ep.costs[child] += wire
+	return nil
 }
 
-// buildChildRelease assembles the release node parent relays to the
-// member at tree position pos: the episode payload (notices, Lamport
-// clock, home moves) from the parent's stored release, the child's own
-// push list lifted out of the relay table, and the relay entries for the
-// child's own subtree.
+// buildChildRelease assembles, in the child's down slot, the release node
+// parent relays to the member at tree position pos: the episode payload
+// (notices, Lamport clock, home moves) from the parent's stored release,
+// the child's own push list lifted out of the relay table, and the relay
+// entries for the child's own subtree.
 func (c *Cluster) buildChildRelease(view []int, k, parent, pos int, episode int32) (*msg.BarrierRelease, error) {
 	c.barrierMu.Lock()
 	defer c.barrierMu.Unlock()
@@ -1154,9 +1168,9 @@ func (c *Cluster) buildChildRelease(view []int, k, parent, pos int, episode int3
 	if src == nil || src.Episode != episode {
 		return nil, fmt.Errorf("dsm: barrier release relay: node %d holds no release for episode %d", parent, episode)
 	}
-	rel := &msg.BarrierRelease{
-		Episode: episode, Lam: src.Lam, Notices: src.Notices, Homes: src.Homes,
-	}
+	rel := &c.barriers[view[pos]].down
+	rel.Episode, rel.Lam, rel.Notices, rel.Homes = episode, src.Lam, src.Notices, src.Homes
+	rel.Push, rel.Relay = nil, rel.Relay[:0]
 	for _, np := range src.Relay {
 		// The view is sorted, so a member's position is its search index.
 		switch at := sort.SearchInts(view, int(np.Node)); {
@@ -1265,7 +1279,7 @@ func (c *Cluster) queuedMoves() []queuedMove {
 	if len(queued) == 0 {
 		return nil
 	}
-	view := c.aliveList()
+	view := c.aliveList(nil)
 	if len(view) == 0 {
 		return nil // the attempt fails on the empty view
 	}
@@ -1278,10 +1292,10 @@ func (c *Cluster) queuedMoves() []queuedMove {
 }
 
 // queuedHomeDecisions turns an episode's queued moves into the PageHome
-// decisions its release carries. Returns the decisions plus how many
-// moves change a home and how many were dropped (dead target, or target
-// without a page copy). Barrier attempts re-run this over the same
-// snapshot, so a move is counted against the home the episode began with.
+// decisions its release carries, in dst's array, plus how many moves
+// change a home and how many were dropped (dead target, or target without
+// a page copy). Barrier attempts re-run this over the same snapshot, so a
+// move is counted against the home the episode began with.
 //
 // Without fault tolerance only moves that change a home are announced.
 // Under it every kept move is: a crash mid-release leaves an attempt's
@@ -1289,8 +1303,8 @@ func (c *Cluster) queuedMoves() []queuedMove {
 // and a re-run that dropped the moves the root's table already records
 // would drop exactly the entries the un-released members lack, leaving
 // home tables divergent (TestFailoverQueuedHomeMove).
-func (c *Cluster) queuedHomeDecisions(queued []queuedMove) ([]msg.PageHome, int64, int64) {
-	var homes []msg.PageHome
+func (c *Cluster) queuedHomeDecisions(queued []queuedMove, dst []msg.PageHome) ([]msg.PageHome, int64, int64) {
+	homes := dst[:0]
 	var moved, skipped int64
 	for _, q := range queued {
 		if c.isDead(int(q.to)) || !c.nodeHasCopy(int(q.to), vm.PageID(q.page)) {
@@ -1331,9 +1345,11 @@ func (c *Cluster) commitQueuedHomes(moved, skipped int64) {
 // storedPages is a GC round's page set: every page a member of view
 // stores a diff of, in its own runs or in its replica store, marked under
 // the locks that guard the stores (a shard's pages under its read lock).
-// A page whose run a collect has truncated stores nothing.
+// A page whose run a collect has truncated stores nothing. The set is the
+// episode's bitmap, reset.
 func (c *Cluster) storedPages(view []int) *vm.Bitmap {
-	stored := vm.NewBitmap(c.cfg.Pages)
+	stored := c.ep.stored
+	stored.Reset()
 	for _, i := range view {
 		n := c.nodes[i]
 		for s := range n.shards {
@@ -1363,91 +1379,100 @@ func (c *Cluster) storedPages(view []int) *vm.Bitmap {
 
 // collectGarbage runs one garbage-collection round over the membership
 // view, in two phases over the pages that have stored diffs, grouped by
-// effective home. Phase 1: every home brings its own pages current, the
-// homes concurrently, each on its own fan-out leg; under fault tolerance
-// each home's standby then refreshes its full copy of those pages, in a
-// fan-out of its own, so the two-copy invariant survives the collection.
-// No diff is dropped until every home and standby is current. Phase 2:
-// each home sends every other member one GCCollect naming all of its
-// pages — all members drop the pages' diffs and non-home replicas are
-// invalidated (causing the extra remote faults the paper attributes to
-// GC); the collect spares the standby's page copy while still dropping
-// every stored and replicated diff. A round therefore costs homes x
-// (members-1) round trips however many pages it collects, and that is
-// what the virtual clock charges each member for. It returns the number
-// of pages in the round's page set.
+// effective home (ARCHITECTURE.md §4, "A garbage-collection round").
+// Phase 1: every home brings its own pages current, one fan-out leg each;
+// under fault tolerance each home's standby then refreshes its copy, so
+// the two-copy invariant survives and no diff is dropped until every home
+// and standby is current. Phase 2: each home sends every other member one
+// GCCollect naming all of its pages, which drops their stored and
+// replicated diffs and invalidates every replica but the home's and the
+// standby's (the extra remote faults the paper attributes to GC). A round
+// costs homes x (members-1) round trips however many pages it collects,
+// which is what the virtual clock charges. It returns the size of the
+// round's page set.
 func (c *Cluster) collectGarbage(costs []sim.Time) (int, error) {
-	view := c.aliveList()
-	stored := c.storedPages(view)
-	lists := make([]msg.GCCollect, c.cfg.Nodes) // by effective home
-	stored.ForEach(func(p vm.PageID) {
-		hm := c.nodes[view[0]].effHome(p)
-		lists[hm].Pages = append(lists[hm].Pages, int32(p))
-	})
-	var homes []int
-	for hm := range lists {
-		if len(lists[hm].Pages) > 0 {
-			homes = append(homes, hm)
-		}
+	ep := &c.ep
+	ep.view = c.aliveList(ep.view)
+	ep.costs = costs
+	stored := c.storedPages(ep.view)
+	for hm := range ep.lists { // by effective home
+		ep.lists[hm].Pages = ep.lists[hm].Pages[:0]
 	}
+	first := c.nodes[ep.view[0]]
+	ep.homes = ep.homes[:0]
+	stored.ForEach(func(p vm.PageID) {
+		hm := first.effHome(p)
+		if len(ep.lists[hm].Pages) == 0 {
+			ep.homes = append(ep.homes, hm)
+		}
+		ep.lists[hm].Pages = append(ep.lists[hm].Pages, int32(p))
+	})
+	slices.Sort(ep.homes)
 
 	// Phase 1. A home's leg adds to costs[hm] only. A standby may itself be
 	// a home, so the standbys refresh after the homes join, or two legs
 	// could call on one edge (doc.go); their costs are charged after.
 	pages := stored.Count()
-	err := c.fanOut(len(homes), func(j int) error {
-		own, err := c.consolidate(homes[j], lists[homes[j]].Pages)
-		costs[homes[j]] += own
-		return err
-	})
-	if err != nil {
+	if err := c.fanOut(len(ep.homes), ep.consolidateLeg); err != nil {
 		return pages, err
 	}
 	if c.cfg.FaultTolerance {
-		standby := make([]sim.Time, len(homes))
-		err = c.fanOut(len(homes), func(j int) error {
-			for _, pg := range lists[homes[j]].Pages {
-				if s := c.aliveSucc(homes[j]); s != homes[j] {
-					w, err := c.fetchStandbyCopy(s, vm.PageID(pg))
-					if err != nil {
-						return fmt.Errorf("dsm: gc standby refresh page %d: %w", pg, err)
-					}
-					standby[j] += w
-				}
-			}
-			return nil
-		})
-		if err != nil {
+		ep.standby = zeroed(ep.standby, len(ep.homes))
+		if err := c.fanOut(len(ep.homes), ep.standbyLeg); err != nil {
 			return pages, err
 		}
-		for j, hm := range homes {
-			costs[c.aliveSucc(hm)] += standby[j]
+		for j, hm := range ep.homes {
+			costs[c.aliveSucc(hm)] += ep.standby[j]
 		}
 	}
 
 	// Phase 2, fanned out over the receiving members so that costs[i] has
-	// one writer; each takes the homes' lists in order. serveGCCollect is
-	// idempotent (dropping absent diffs and re-invalidating are no-ops), so
-	// a transport retry that re-delivers a list, or a re-run of the round,
-	// is harmless.
-	err = c.fanOut(len(view), func(j int) error {
-		i := view[j]
-		for _, hm := range homes {
-			if i == hm {
-				if _, err := c.nodes[i].serveGCCollect(&lists[hm]); err != nil {
-					return err
-				}
-				continue
-			}
-			_, wire, err := c.call(hm, i, &lists[hm])
+	// one writer (collectAt). serveGCCollect is idempotent (dropping absent
+	// diffs and re-invalidating are no-ops), so a transport retry that
+	// re-delivers a list, or a re-run of the round, is harmless.
+	return pages, c.fanOut(len(ep.view), ep.collectLeg)
+}
+
+// consolidateHome is GC phase 1's leg j: the j-th home brings its pages current.
+func (c *Cluster) consolidateHome(j int) error {
+	hm := c.ep.homes[j]
+	own, err := c.consolidate(hm, c.ep.lists[hm].Pages)
+	c.ep.costs[hm] += own
+	return err
+}
+
+// refreshStandby is leg j of the standby refresh: the j-th home's standby copies its pages.
+func (c *Cluster) refreshStandby(j int) error {
+	hm := c.ep.homes[j]
+	for _, pg := range c.ep.lists[hm].Pages {
+		if s := c.aliveSucc(hm); s != hm {
+			w, err := c.fetchStandbyCopy(s, vm.PageID(pg))
 			if err != nil {
-				return fmt.Errorf("dsm: gc collect home %d node %d: %w", hm, i, err)
+				return fmt.Errorf("dsm: gc standby refresh page %d: %w", pg, err)
 			}
-			costs[i] += wire
+			c.ep.standby[j] += w
 		}
-		return nil
-	})
-	return pages, err
+	}
+	return nil
+}
+
+// collectAt is GC phase 2's leg j: the j-th member takes every home's list in order.
+func (c *Cluster) collectAt(j int) error {
+	i := c.ep.view[j]
+	for _, hm := range c.ep.homes {
+		if i == hm {
+			if _, err := c.nodes[i].serveGCCollect(&c.ep.lists[hm]); err != nil {
+				return err
+			}
+			continue
+		}
+		_, wire, err := c.call(hm, i, &c.ep.lists[hm])
+		if err != nil {
+			return fmt.Errorf("dsm: gc collect home %d node %d: %w", hm, i, err)
+		}
+		c.ep.costs[i] += wire
+	}
+	return nil
 }
 
 // consolidate is a garbage-collection round's first phase at one home: it

@@ -157,7 +157,7 @@ func checkDiffRuns(c *Cluster, n *node, model map[vm.PageID]map[int32][]byte) er
 	if got := n.diffBytes.Load(); got != held {
 		return fmt.Errorf("diffBytes %d, runs hold %d", got, held)
 	}
-	stored := c.storedPages(c.aliveList())
+	stored := c.storedPages(c.aliveList(nil))
 	for p := range n.pages {
 		if got, want := stored.Get(vm.PageID(p)), len(model[vm.PageID(p)]) > 0; got != want {
 			return fmt.Errorf("GC page set has page %d: %v, model %v", p, got, want)

@@ -81,33 +81,26 @@
 // fetches, nil for serves, whose cost no thread waits for. A transport
 // worker therefore never reads or writes any node's charge state.
 //
-// Lean misses: the fault path's pending snapshot and diff table live on
-// the node (faultPending, faultDiffs), owned like spanCharge by the
-// goroutine inside Span, so they grow to the longest backlog once and a
-// miss costs the same whatever its backlog; fetchAndApplyDiffs clears
-// the table on every return, so no view of a reply frame outlives the
-// fetch. Server-side fetches — a page serve, a GC round's consolidate —
-// run concurrently on transport workers, so they keep theirs on the
-// frame, 16 entries with a heap fallback. Lock traffic sends sub-slices
-// of the known history and the copy-on-write seen vector rather than
-// copies; known only grows within an epoch, and no view of it outlives
-// its call (a pull filters its history under mu), so the barrier
-// truncates it in place and it keeps its array from epoch to epoch.
-// Pending queues and own-diff runs grow into blocks their shard's pools
-// carve and take back (blockPool). closeInterval's dirty-page and notice
-// lists live on the node too: a node's closes run one at a time —
-// serially in barrier phase 1, or on the one running engine thread at a
-// lock release (the access-path contract below) — so each list has one
-// owner and keeps its capacity from one close to the next. alloc_test.go holds the resulting
-// counts (make alloc-gate).
-//
-// The serve path is also allocation-lean: protocol encode/decode uses
-// pooled buffers (msg.GetBuf/msg.EncodeTo), page-sized twin and reply
-// images come from a page-buffer pool (shard.go), stored diffs are pooled
-// whole, and diff replies — pooled themselves — alias the immutable
-// stored diffs. Steady-state barrier epochs run at ~zero
-// allocations per message on the service path; msg's size_test.go pins
-// the encode, and the benchmark/ ladder tracks dsm.remote_miss_allocs,
+// Lean misses and episodes. The fault path's pending snapshot and diff
+// table live on the node (faultPending, faultDiffs), owned like spanCharge
+// by the goroutine inside Span, so a miss costs the same whatever its
+// backlog; fetchAndApplyDiffs clears the table on every return, so no
+// view of a reply frame outlives the fetch. Server-side fetches — a page
+// serve, a GC round's consolidate — run concurrently on transport
+// workers, so they keep theirs on the frame, 16 entries with a heap
+// fallback. closeInterval's dirty-page and notice lists live on the node
+// too: a node's closes run one at a time (serially in barrier phase 1, or
+// on the one running engine thread at a lock release). A barrier episode's
+// scratch — the view and tree levels, each member's enter, aggregate and
+// relayed release, the GC round's page set and lists — lives on the
+// Cluster (episode, barrierState), since Barrier runs one episode at a
+// time, and its fan-out legs are method values bound once. Lock traffic
+// sends sub-slices of known and the published seen vector rather than
+// copies; known only grows within an epoch, so the barrier truncates it in
+// place. Pending queues and own-diff runs grow into blocks their shard's
+// pools carve and take back (blockPool); frames, page images and the
+// messages themselves are pooled. alloc_test.go holds the counts (make
+// alloc-gate), and the benchmark/ ladder tracks dsm.remote_miss_allocs,
 // dsm.barrier_allocs and dsm.lock_handoff_allocs.
 //
 // # The access-path contract
@@ -130,6 +123,10 @@
 //
 //   - n.gen, from a serve to a later span (unlockShard's bump, above);
 //   - the fan-out join: every leg's Done (after its error) before Wait;
+//   - no acquire across a release: every thread is parked for a barrier,
+//     so no LockAcquire or LockPull holding a snapshot of a node's seen
+//     vector is in flight while a release advances it — which is what
+//     lets the release write into the vector before last (seenAlt);
 //   - TCP.hb, the DSM's edge across kernel sockets: the in-process
 //     transport runs the handler on the caller's goroutine, ordering
 //     caller before handler before return; a socket gives no such edge
@@ -151,41 +148,24 @@
 // is why Config.FaultTolerance composes with BatchDiffs and PrefetchBudget
 // (DESIGN.md §7.1).
 //
-// Buffer ownership: msg.Decode borrows — a decoded []byte field is a view
-// of the buffer it was decoded from — so whoever decodes owns the buffer
-// until the payload has been consumed. Cluster.call recycles the reply
-// frame at once and is for payload-free replies only; callFrame/callPage
-// hand the frame back with the reply, and the route wraps it in a lease
-// (the frame of a remote serve, the pins of a read of the node's own
-// store, nothing for the replica store) that the fetch releases after
-// copy/ApplyDiff on every exit path. The sites that keep decoded bytes
-// longer copy them, and say so.
-//
-// Stored diffs are packed into per-node chunks (diffArena). A chunk
-// counts its diffs, from closeInterval to the GC drop (collectPage, or a
-// rejoin wipe); a serve's pins until its reply is encoded, an in-place
-// read's until its lease is released; and the arena's hold while it is
-// open. The last release returns it whole to the node's free list, so
-// after the first GC epoch a diff allocates nothing.
-//
-// Messages follow one lifetime rule with one release, msg.Release: a
-// decoded request lives until the transport handler (respond) returns, a
-// decoded reply until the caller's apply returns (it rides the lease, with
-// the frame it borrows from), a sent request until its call returns, and
-// a served reply until its encode. After the encode respond releases the
-// serve's pins and the reply (recycle hands a served page image back to
-// pageBufs first), and it releases the request on every path. Release
-// keeps no byte view — never the stored bytes, which belong to the pins.
-// A requester that pointed a field at its own state (a lock release's
-// known suffix, an acquire's seen vector) detaches it before the release.
-// A message served in place never passes respond; its requester releases
-// the reply with the lease.
-//
-// ARCHITECTURE.md §4 states the rule in full. Race builds (pool.Race)
-// poison every recycled frame, released message, twin, page image and
-// diff chunk, and set a recycled chunk's count to a sentinel that panics on
-// any later retain or release, so the whole test suite and
-// 'make sweep-poison' check them.
+// Buffer and message lifetimes (ARCHITECTURE.md §4 states them in full):
+// msg.Decode borrows — a decoded []byte field is a view of its frame — so
+// whoever decodes owns the frame until the payload is consumed.
+// Cluster.call recycles a payload-free reply's frame at once; callFrame
+// and callPage hand the frame back with the reply, and the route wraps it
+// in a lease that the fetch releases after its apply. Stored diffs are
+// packed into per-node chunks (diffArena), counted by their diffs, by
+// serves' pins until the encode and by the open arena, and returned whole
+// to the node's free list. Messages have one release, msg.Release: a
+// decoded request when respond returns, a decoded reply with its lease, a
+// sent request after its call (a field pointed at the sender's own state
+// detached first), a served reply after its encode. The exception is a
+// BarrierRelease: serveBarrierRelease keeps the attempt's first as the
+// barrier state's rel for the relay to the node's children, and the next
+// attempt's reset releases it; an enter's fold copies what it keeps.
+// Release keeps no byte view, and race builds (pool.Race) poison every
+// recycled frame, released message, twin, page image and diff chunk, so
+// the test suite and 'make sweep-poison' check them.
 //
 // # The lock path
 //

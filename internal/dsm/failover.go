@@ -102,11 +102,12 @@ func (c *Cluster) aliveSuccLocked(i int) int {
 	return i
 }
 
-// aliveList returns the sorted ids of the nodes currently alive.
-func (c *Cluster) aliveList() []int {
+// aliveList returns the sorted ids of the nodes currently alive, in
+// dst's array.
+func (c *Cluster) aliveList(dst []int) []int {
 	c.viewMu.RLock()
 	defer c.viewMu.RUnlock()
-	out := make([]int, 0, c.cfg.Nodes)
+	out := dst[:0]
 	for i := range c.dead {
 		if !c.dead[i] {
 			out = append(out, i)

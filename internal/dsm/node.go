@@ -207,17 +207,10 @@ func (ml *mgrLog) reset() {
 //     no lock: only the goroutine inside Cluster.Span touches them (see
 //     doc.go, "The engine-side access path" and "Lean misses").
 //
-// Cluster.Span takes none of these on a warm access. It reads the pages'
-// protections (and, while prefetchedLive is non-zero, their prefetched
-// flags) unlocked, after one Load of gen. The rule that makes that sound:
-// whatever Span reads unlocked — a page's protection, its prefetched flag,
-// its segment window — is mutated only inside a shard write-section, and
-// every write-section ends with unlockShard, which bumps gen before it
-// releases the lock. A section that completed before the span began is
-// therefore ordered before the span's Load, and the engine guarantees that
-// none overlaps the span. The page serve's read-section, which copies the
-// page data spans write through their windows, bumps gen the same way, so
-// the copy is ordered before a later span's writes.
+// Cluster.Span takes none of these on a warm access: it reads what a
+// shard write-section mutates after one Load of gen, which every such
+// section (and the page serve's copy) bumps in unlockShard (doc.go, "The
+// engine-side access path").
 //
 // Lock order: mu and the leaf mutexes are never held across a shard
 // lock acquisition or a transport call, and no operation holds two shard
@@ -283,11 +276,11 @@ type node struct {
 	interval int32 // index the next closed interval will get (starts at 1)
 	// seen[w] is the contiguous prefix of w's intervals whose notices
 	// this node is guaranteed to have received (advanced at barriers).
-	// Copy-on-write: a published vector is never modified, a barrier
-	// release that advances it installs a fresh one. A snapshot taken
-	// under mu therefore stays valid without it (lock acquires send one
-	// on every request).
-	seen []int32
+	// A published vector is never modified: a release that advances it
+	// copies it into seenAlt, the vector before last, and installs that,
+	// so a snapshot taken under mu (every lock acquire sends one) stays
+	// valid without it, as no acquire runs across a release (doc.go).
+	seen, seenAlt []int32
 	// known accumulates every notice this node has created (in close
 	// order, which the barrier enter ships) or received since the last
 	// barrier, deduplicated by knownHave. Lock releases send the whole
@@ -296,11 +289,11 @@ type node struct {
 	// any grant that delivers our notices also delivers that interval's.
 	// Without this, a third node can receive causally-ordered diffs out
 	// of order and apply an older value over a newer one (lost update).
-	// It only grows between barriers, so a sub-slice taken under mu
-	// stays valid without it until the next barrier, which truncates the
-	// list in place and keeps its array: releases, replica deltas and
-	// closed intervals hand such sub-slices on uncopied, and none of
-	// them outlives its call (Cluster.Barrier lists them).
+	// It only grows between barriers, which truncate it in place (a
+	// rejoin drops it), so no view of it outlives its call: a closed
+	// interval is replicated and probed before its close returns, a
+	// release detaches its Notices (ReleaseLock), a pull filters under mu
+	// (serveLockPull), a standby copies a delta's Known (serveReplicaDelta).
 	known     []msg.Notice
 	knownHave noticeSet
 	// sentKnown[p] is the prefix of known already shipped by this node's
@@ -576,22 +569,16 @@ func (n *node) closeInterval() ([]msg.Notice, sim.Time) {
 	return closed, cost
 }
 
-// ownNoticesLocked copies the node's own notices out of known, in close
-// order and at their exact size, for the barrier enter. Requires mu.
-func (n *node) ownNoticesLocked() []msg.Notice {
-	k := 0
+// ownNoticesLocked appends the node's own notices in known, in close
+// order, to dst: the barrier enter's list, never a view of known.
+// Requires mu.
+func (n *node) ownNoticesLocked(dst []msg.Notice) []msg.Notice {
 	for _, nt := range n.known {
 		if int(nt.Writer) == n.id {
-			k++
+			dst = append(dst, nt)
 		}
 	}
-	own := slices.Grow([]msg.Notice(nil), k)
-	for _, nt := range n.known {
-		if int(nt.Writer) == n.id {
-			own = append(own, nt)
-		}
-	}
-	return own
+	return dst
 }
 
 // charge adds c to the sink ti; a nil sink discards it (server-side
@@ -799,16 +786,17 @@ func (n *node) serve(from int, m msg.Message) (msg.Message, retained, error) {
 
 // respond is the transport handler's body after the decode. m borrows
 // from the request frame, which the transport takes back when the handler
-// returns: the serves consume a request's byte fields before returning or
-// copy what they keep. The reply is encoded into a pooled buffer (the
-// requester recycles it once it has consumed the decoded reply — see
-// Cluster.callFrame); then whatever the serve pooled or pinned goes back:
-// the stored diffs the reply aliased (the encode copied their bytes to the
-// wire), and through recycle the reply and its image. The request goes to
-// msg.Release on every path, a failed serve's included: Release keeps no
-// byte view, so even a reply kind a peer sent by mistake is safe there.
+// returns: the serves consume a request's byte fields or copy what they
+// keep. The reply is encoded into a pooled buffer (the requester recycles
+// it, Cluster.callFrame); then the pins of the stored diffs it aliased go
+// back, and through recycle the reply and its image. The request goes to
+// msg.Release on every path, a failed serve's included (Release keeps no
+// byte view, so even a reply kind a peer sent by mistake is safe there),
+// except a BarrierRelease, which serveBarrierRelease keeps for the relay.
 func (n *node) respond(from int, m msg.Message) ([]byte, error) {
-	defer msg.Release(m)
+	if _, kept := m.(*msg.BarrierRelease); !kept {
+		defer msg.Release(m)
+	}
 	reply, pinned, err := n.serve(from, m)
 	if err != nil {
 		return nil, err
@@ -884,11 +872,12 @@ func (n *node) servePageRequest(req *msg.PageRequest) (msg.Message, error) {
 // serveBarrierEnter folds a barrier arrival into this node's episode
 // state. Only the root and tree positions with children receive enters:
 // a leaf child's own enter, or another folding position's subtree
-// aggregate (Entered/HotSets non-empty). The first arrival of an episode
-// allocates the fold state. The fold is idempotent: entered ids dedup through the
-// entered set and notices through the have set, so re-delivered enters
-// (transport retries, episodes re-run over a shrunk view) — or aggregates that
-// grew between attempts — fold exactly-once per item per episode.
+// aggregate (Entered/HotSets non-empty). The fold is idempotent — entered
+// ids dedup through the entered set, notices through the have set, hot
+// sets by node — so re-delivered enters (transport retries, episodes
+// re-run over a shrunk view) or aggregates that grew between attempts
+// fold exactly-once per item per episode. The fold copies what it keeps:
+// respond releases the enter.
 func (n *node) serveBarrierEnter(req *msg.BarrierEnter) (msg.Message, error) {
 	n.c.barrierMu.Lock()
 	defer n.c.barrierMu.Unlock()
@@ -908,18 +897,22 @@ func (n *node) serveBarrierEnter(req *msg.BarrierEnter) (msg.Message, error) {
 		b.entered[id] = true
 	}
 	b.lam = maxI32(b.lam, req.Lam)
-	if len(req.Hot) > 0 {
-		b.hot[req.Node] = req.Hot
+	if len(req.Hot) > 0 && len(b.hot[req.Node]) == 0 {
+		b.hot[req.Node] = append(b.hot[req.Node], req.Hot...)
 	}
 	for _, hs := range req.HotSets {
-		if len(hs.Pages) > 0 {
-			b.hot[hs.Node] = hs.Pages
+		if len(hs.Pages) > 0 && len(b.hot[hs.Node]) == 0 {
+			b.hot[hs.Node] = append(b.hot[hs.Node], hs.Pages...)
 		}
 	}
 	b.notices = b.have.add(b.notices, req.Notices)
 	return &msg.Ack{}, nil
 }
 
+// serveBarrierRelease applies a barrier release at a member. It keeps the
+// attempt's first release for this node as the barrier state's rel, which
+// the next attempt's reset releases; respond leaves every release to it,
+// so a duplicate it does not keep is left to the collector.
 func (n *node) serveBarrierRelease(req *msg.BarrierRelease) (msg.Message, error) {
 	n.c.probeBarrierReleased(n.id, req.Episode)
 	n.c.probeNoticesDelivered(n.id, ViaBarrier, req.Notices)
@@ -932,7 +925,8 @@ func (n *node) serveBarrierRelease(req *msg.BarrierRelease) (msg.Message, error)
 	for _, nt := range req.Notices {
 		if nt.Interval > seen[nt.Writer] {
 			if !fresh {
-				seen, fresh = slices.Clone(seen), true
+				seen, fresh = append(n.seenAlt[:0], seen...), true
+				n.seenAlt = n.seen
 			}
 			seen[nt.Writer] = nt.Interval
 		}
@@ -962,7 +956,7 @@ func (n *node) serveBarrierRelease(req *msg.BarrierRelease) (msg.Message, error)
 	// children from this copy (a release that arrived in a frame has had
 	// its relay table copied out of it, see serve).
 	n.c.barrierMu.Lock()
-	if b := &n.c.barriers[n.id]; b.episode == req.Episode {
+	if b := &n.c.barriers[n.id]; b.episode == req.Episode && b.rel == nil {
 		b.rel = req
 	}
 	n.c.barrierMu.Unlock()

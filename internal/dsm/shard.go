@@ -3,15 +3,6 @@ package dsm
 // Sharded page-state locking, the diff store's chunks and the package's
 // pools — page buffers and pin lists: the node-local concurrency
 // substrate. See doc.go for the full locking model.
-//
-// Page state is striped across defaultServiceShards independent
-// RWMutex-guarded shards (page p belongs to shard p mod nshards), so
-// operations on pages in different shards proceed in parallel and
-// read-only serves (diff fetches) share a shard concurrently; a node can
-// serve a DiffRequest from one peer while applying diffs for another.
-// Sync-side state that is not per-page (interval counters, notice
-// histories, lock-manager logs, charge plumbing) lives under separate
-// small mutexes.
 
 import (
 	"errors"

@@ -354,9 +354,19 @@ type LinkSnapshot struct {
 
 // Snapshot returns the current counter values.
 func (s *Stats) Snapshot() Snapshot {
-	out := Snapshot{
+	var out Snapshot
+	s.SnapshotTo(&out)
+	return out
+}
+
+// SnapshotTo is Snapshot into out, whose Calls and Links keep their
+// arrays: a caller snapshotting at every window end allocates nothing.
+func (s *Stats) SnapshotTo(out *Snapshot) {
+	*out = Snapshot{
 		ShardContention: s.ShardContention.Load(),
 		SyncContention:  s.SyncContention.Load(),
+		Calls:           out.Calls[:0],
+		Links:           out.Links[:0],
 	}
 	// The two instantiations of CounterSet have the same fields in the
 	// same order.
@@ -370,7 +380,6 @@ func (s *Stats) Snapshot() Snapshot {
 	for k := range s.Calls {
 		cs := &s.Calls[k]
 		c := CallSnapshot{
-			Kind:    msg.Kind(k).String(),
 			Count:   cs.Count.Load(),
 			Errors:  cs.Errors.Load(),
 			Retries: cs.Retries.Load(),
@@ -379,6 +388,7 @@ func (s *Stats) Snapshot() Snapshot {
 		if c.Count == 0 && c.Errors == 0 && c.Retries == 0 {
 			continue
 		}
+		c.Kind = msg.Kind(k).String() // after the skip: kind 0's name is formatted
 		for b := range cs.Latency {
 			c.Latency[b] = cs.Latency[b].Load()
 		}
@@ -398,7 +408,6 @@ func (s *Stats) Snapshot() Snapshot {
 		}
 		out.Links = append(out.Links, l)
 	}
-	return out
 }
 
 // Counters returns the snapshot's comparable counter block.

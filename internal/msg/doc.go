@@ -40,16 +40,17 @@
 // correctness; using a payload after it is the bug, and race builds make
 // it loud — there PutBuf fills the buffer with 0xDB before pooling it.
 //
-// Messages follow the same rule, with one release. The miss path's and
-// the lock path's kinds (Pooled) live in one pool per kind: Decode draws
-// from it and decodes each list into the capacity the message kept, New
-// hands one to a sender, and Release returns one. Release truncates the
-// lists the message owns and drops its byte views without pooling them —
-// frames, page images and stored diffs keep their owners — so a handler
-// may release every request it decoded, and the kinds that stay unpooled
-// (barrier, GC, replica, rejoin: their receivers keep parts of them)
-// release as a no-op. A sender that pointed a field at its own state must
-// detach it first. A message nobody releases is garbage, never a bug; one
+// Messages follow the same rule, with one release. The miss path's, the
+// lock path's, the barrier's and the GC round's kinds (Pooled) live in one
+// pool per kind: Decode draws from it and decodes each list, nested ones
+// included, into the capacity the message kept, New hands one to a
+// sender, and Release returns one. Release truncates the lists the message
+// owns and drops its byte views without pooling them — frames, page
+// images and stored diffs keep their owners — so a handler may release
+// every request it decoded; the kinds that stay unpooled (the replica and
+// rejoin kinds, Ack and the SW* kinds) release as a no-op. A sender that
+// pointed a field at its own state must detach it first, and a receiver
+// that keeps a message past its serve owns it until it releases it. A message nobody releases is garbage, never a bug; one
 // read after its release is, and race builds set its integers to -0x2425
 // and fill its lists' capacity with notices naming page -0x2425 or with a
 // 0xDB run in place of each diff.

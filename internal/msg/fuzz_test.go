@@ -133,8 +133,8 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 // buildFuzzMessage constructs a message of the given kind from fuzzed
 // scalars and a byte blob. Variable-length fields derive their sizes and
 // contents from the blob so the fuzzer controls shape as well as values.
-// Empty slices are built as nil (the codec's canonical form for absent
-// fields), keeping reflect.DeepEqual meaningful.
+// Empty lists are built empty but not nil, as Decode returns every list,
+// keeping reflect.DeepEqual meaningful.
 func buildFuzzMessage(k Kind, a, b int32, blob []byte) Message {
 	n := len(blob) % 4 // small element counts: 0..3
 	switch k {
@@ -147,10 +147,7 @@ func buildFuzzMessage(k Kind, a, b int32, blob []byte) Message {
 	case KindDiffReply:
 		return &DiffReply{Page: a, Diffs: fuzzDiffs(blob, n)}
 	case KindBarrierEnter:
-		// Hot, Entered and HotSets are optional fields: the decoder
-		// leaves them nil when empty.
-		var hot, entered []int32
-		var hotSets []NodeHot
+		hot, entered, hotSets := []int32{}, []int32{}, []NodeHot{}
 		if n > 0 {
 			hot = fuzzI32s(blob, n)
 			entered = fuzzI32s(blob, (n+1)%4+1)
@@ -164,8 +161,7 @@ func buildFuzzMessage(k Kind, a, b int32, blob []byte) Message {
 			Notices: fuzzNotices(blob, n), Hot: hot, Entered: entered, HotSets: hotSets}
 	case KindBarrierRelease:
 		push := fuzzPushes(blob, n)
-		var homes []PageHome
-		var relay []NodePush
+		homes, relay := []PageHome{}, []NodePush{}
 		for i := 0; i < n; i++ {
 			homes = append(homes, PageHome{Page: fuzzI32(blob, i), Home: fuzzI32(blob, i+1)})
 			relay = append(relay, NodePush{Node: fuzzI32(blob, i), Push: fuzzPushes(blob, (n+i)%4)})
@@ -222,10 +218,9 @@ func buildFuzzMessage(k Kind, a, b int32, blob []byte) Message {
 	}
 }
 
-// fuzzPushes builds a pushed-diff list, nil when empty (the decoder's
-// canonical form for absent push lists).
+// fuzzPushes builds a pushed-diff list.
 func fuzzPushes(blob []byte, n int) []PushedDiff {
-	var out []PushedDiff
+	out := []PushedDiff{}
 	for i := 0; i < n; i++ {
 		out = append(out, PushedDiff{
 			Page: fuzzI32(blob, i), Writer: fuzzI32(blob, i+1),

@@ -607,10 +607,10 @@ func Decode(b []byte) (Message, error) {
 		v := New[*DiffReply]()
 		m, err = v, v.decodeBody(d)
 	case KindBarrierEnter:
-		v := &BarrierEnter{}
+		v := New[*BarrierEnter]()
 		m, err = v, v.decodeBody(d)
 	case KindBarrierRelease:
-		v := &BarrierRelease{}
+		v := New[*BarrierRelease]()
 		m, err = v, v.decodeBody(d)
 	case KindLockAcquire:
 		v := New[*LockAcquire]()
@@ -622,7 +622,7 @@ func Decode(b []byte) (Message, error) {
 		v := New[*LockRelease]()
 		m, err = v, v.decodeBody(d)
 	case KindGCCollect:
-		v := &GCCollect{}
+		v := New[*GCCollect]()
 		m, err = v, v.decodeBody(d)
 	case KindAck:
 		v := &Ack{}
@@ -895,45 +895,27 @@ func (m *BarrierEnter) decodeBody(d *decoder) (err error) {
 	if m.Lam, err = d.i32(); err != nil {
 		return err
 	}
-	if m.Notices, err = d.notices(nil); err != nil {
+	if m.Notices, err = d.notices(m.Notices); err != nil {
+		return err
+	}
+	if m.Hot, err = d.i32s(m.Hot); err != nil {
+		return err
+	}
+	if m.Entered, err = d.i32s(m.Entered); err != nil {
 		return err
 	}
 	n, err := d.length()
 	if err != nil {
 		return err
 	}
-	if n > 0 {
-		m.Hot = make([]int32, n)
-		for i := range m.Hot {
-			if m.Hot[i], err = d.i32(); err != nil {
-				return err
-			}
+	m.HotSets = resize(m.HotSets, n)
+	for i := range m.HotSets {
+		h := &m.HotSets[i]
+		if h.Node, err = d.i32(); err != nil {
+			return err
 		}
-	}
-	if n, err = d.length(); err != nil {
-		return err
-	}
-	if n > 0 {
-		m.Entered = make([]int32, n)
-		for i := range m.Entered {
-			if m.Entered[i], err = d.i32(); err != nil {
-				return err
-			}
-		}
-	}
-	if n, err = d.length(); err != nil {
-		return err
-	}
-	if n > 0 {
-		m.HotSets = make([]NodeHot, n)
-		for i := range m.HotSets {
-			h := &m.HotSets[i]
-			if h.Node, err = d.i32(); err != nil {
-				return err
-			}
-			if h.Pages, err = d.i32s(nil); err != nil {
-				return err
-			}
+		if h.Pages, err = d.i32s(h.Pages); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -963,39 +945,37 @@ func (m *BarrierRelease) decodeBody(d *decoder) (err error) {
 	if m.Lam, err = d.i32(); err != nil {
 		return err
 	}
-	if m.Notices, err = d.notices(nil); err != nil {
+	if m.Notices, err = d.notices(m.Notices); err != nil {
 		return err
 	}
-	if m.Push, err = d.pushes(); err != nil {
+	if m.Push, err = d.pushes(m.Push); err != nil {
 		return err
 	}
 	n, err := d.length()
 	if err != nil {
 		return err
 	}
-	if n > 0 {
-		m.Homes = make([]PageHome, n)
-		for i := range m.Homes {
-			if m.Homes[i].Page, err = d.i32(); err != nil {
-				return err
-			}
-			if m.Homes[i].Home, err = d.i32(); err != nil {
-				return err
-			}
-		}
+	// Each entry needs eight bytes: bound the count by them before the
+	// list grows to it.
+	if n > (len(d.buf)-d.off)/8 {
+		return fmt.Errorf("msg: bad home count %d", n)
+	}
+	m.Homes = resize(m.Homes, n)
+	for i := range m.Homes {
+		m.Homes[i].Page, _ = d.i32() // cannot fail: 8*n bytes are left
+		m.Homes[i].Home, _ = d.i32()
 	}
 	if n, err = d.length(); err != nil {
 		return err
 	}
-	if n > 0 {
-		m.Relay = make([]NodePush, n)
-		for i := range m.Relay {
-			if m.Relay[i].Node, err = d.i32(); err != nil {
-				return err
-			}
-			if m.Relay[i].Push, err = d.pushes(); err != nil {
-				return err
-			}
+	m.Relay = resize(m.Relay, n)
+	for i := range m.Relay {
+		np := &m.Relay[i]
+		if np.Node, err = d.i32(); err != nil {
+			return err
+		}
+		if np.Push, err = d.pushes(np.Push); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -1071,7 +1051,7 @@ func (m *LockRelease) decodeBody(d *decoder) (err error) {
 func (m *GCCollect) encodeBody(e *encoder) { e.i32s(m.Pages) }
 
 func (m *GCCollect) decodeBody(d *decoder) (err error) {
-	m.Pages, err = d.i32s(nil)
+	m.Pages, err = d.i32s(m.Pages)
 	return err
 }
 
@@ -1414,17 +1394,14 @@ func (d *decoder) i32s(dst []int32) ([]int32, error) {
 	return out, nil
 }
 
-// pushes decodes a counted []PushedDiff, returning nil for a zero count
-// so decode-then-reencode is canonical.
-func (d *decoder) pushes() ([]PushedDiff, error) {
+// pushes decodes a counted []PushedDiff into dst's capacity, each diff a
+// view of the input.
+func (d *decoder) pushes(dst []PushedDiff) ([]PushedDiff, error) {
 	n, err := d.length()
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]PushedDiff, n)
+	out := resize(dst, n)
 	for i := range out {
 		pd := &out[i]
 		if pd.Page, err = d.i32(); err != nil {

@@ -140,6 +140,12 @@ func normalize(m Message) Message {
 		if c.Hot == nil {
 			c.Hot = []int32{}
 		}
+		if c.Entered == nil {
+			c.Entered = []int32{}
+		}
+		if c.HotSets == nil {
+			c.HotSets = []NodeHot{}
+		}
 		return &c
 	case *BarrierRelease:
 		c := *v
@@ -148,6 +154,12 @@ func normalize(m Message) Message {
 		}
 		if c.Push == nil {
 			c.Push = []PushedDiff{}
+		}
+		if c.Homes == nil {
+			c.Homes = []PageHome{}
+		}
+		if c.Relay == nil {
+			c.Relay = []NodePush{}
 		}
 		return &c
 	case *LockAcquire:

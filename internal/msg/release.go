@@ -7,14 +7,17 @@ import (
 )
 
 // Pooled names the message kinds that live in a per-kind pool: the miss
-// path's requests and replies and the lock path's. Decode draws them from
-// their pool, New hands one to a sender, and Release returns one. The
-// barrier, GC, replica and rejoin kinds stay unpooled: their receivers
-// keep parts of them (a BarrierRelease's lists ride the tree fan-out).
+// path's requests and replies, the lock path's, and the barrier and GC
+// kinds. Decode draws them from their pool, New hands one to a sender,
+// and Release returns one. The replica, rejoin, Ack and SW* kinds stay
+// unpooled. A receiver that keeps a pooled message past its serve owns it
+// until it releases it: dsm's barrier state keeps a decoded
+// BarrierRelease for the tree relay until the next attempt's reset.
 type Pooled interface {
 	pooled
 	*PageRequest | *PageReply | *DiffRequest | *DiffReply | *DiffBatchRequest | *DiffBatchReply |
-		*LockAcquire | *LockGrant | *LockRelease | *LockPull
+		*LockAcquire | *LockGrant | *LockRelease | *LockPull |
+		*BarrierEnter | *BarrierRelease | *GCCollect
 }
 
 // pooled is what Release needs of a pooled kind: release drops the byte
@@ -38,6 +41,9 @@ var pools = [KindCount]sync.Pool{
 	KindLockGrant:        {New: func() any { return new(LockGrant) }},
 	KindLockRelease:      {New: func() any { return new(LockRelease) }},
 	KindLockPull:         {New: func() any { return new(LockPull) }},
+	KindBarrierEnter:     {New: func() any { return new(BarrierEnter) }},
+	KindBarrierRelease:   {New: func() any { return new(BarrierRelease) }},
+	KindGCCollect:        {New: func() any { return new(GCCollect) }},
 }
 
 // New returns a message of a pooled kind with zero scalars and empty
@@ -81,6 +87,9 @@ var PoisonNotice = Notice{Page: poisoned, Writer: poisoned, Interval: poisoned, 
 // applied, it is a run at offset 0xDBDB, past any page.
 var poisonDiff = []byte{pool.PoisonByte, pool.PoisonByte, pool.PoisonByte, pool.PoisonByte}
 
+// poisonPush replaces a released push list's entries in race builds.
+var poisonPush = PushedDiff{Page: poisoned, Writer: poisoned, Interval: poisoned, Diff: poisonDiff}
+
 // truncate empties a list the message owns (race builds poison its
 // capacity first).
 func truncate[T any](s []T, poison T) []T {
@@ -92,6 +101,12 @@ func truncate[T any](s []T, poison T) []T {
 func dropViews(ds [][]byte) [][]byte {
 	clear(ds)
 	return truncate(ds, poisonDiff)
+}
+
+// dropPushes empties a push list, clearing the diff views it held.
+func dropPushes(ps []PushedDiff) []PushedDiff {
+	clear(ps)
+	return truncate(ps, poisonPush)
 }
 
 // resize returns s at length n, never nil, reusing its capacity and the
@@ -218,3 +233,51 @@ func (m *LockPull) release() {
 }
 
 func (m *LockPull) reset() { *m = LockPull{Seen: m.Seen[:0]} }
+
+// release keeps every hot set's page list within the list's capacity, as
+// DiffBatchRequest's keeps interval lists.
+func (m *BarrierEnter) release() {
+	if pool.Race {
+		m.Node, m.Episode, m.Lam = poisoned, poisoned, poisoned
+	}
+	m.Notices = truncate(m.Notices, PoisonNotice)
+	m.Hot = truncate(m.Hot, poisoned)
+	m.Entered = truncate(m.Entered, poisoned)
+	for i, all := 0, m.HotSets[:cap(m.HotSets)]; i < len(all); i++ {
+		if pool.Race {
+			all[i].Node = poisoned
+		}
+		all[i].Pages = truncate(all[i].Pages, poisoned)
+	}
+	m.HotSets = m.HotSets[:0]
+}
+
+func (m *BarrierEnter) reset() {
+	*m = BarrierEnter{Notices: m.Notices[:0], Hot: m.Hot[:0], Entered: m.Entered[:0], HotSets: m.HotSets[:0]}
+}
+
+// release keeps every relay entry's push list, as BarrierEnter's keeps
+// page lists, and drops every diff view.
+func (m *BarrierRelease) release() {
+	if pool.Race {
+		m.Episode, m.Lam = poisoned, poisoned
+	}
+	m.Notices = truncate(m.Notices, PoisonNotice)
+	m.Push = dropPushes(m.Push)
+	m.Homes = truncate(m.Homes, PageHome{Page: poisoned, Home: poisoned})
+	for i, all := 0, m.Relay[:cap(m.Relay)]; i < len(all); i++ {
+		if pool.Race {
+			all[i].Node = poisoned
+		}
+		all[i].Push = dropPushes(all[i].Push)
+	}
+	m.Relay = m.Relay[:0]
+}
+
+func (m *BarrierRelease) reset() {
+	*m = BarrierRelease{Notices: m.Notices[:0], Push: m.Push[:0], Homes: m.Homes[:0], Relay: m.Relay[:0]}
+}
+
+func (m *GCCollect) release() { m.Pages = truncate(m.Pages, poisoned) }
+
+func (m *GCCollect) reset() { m.Pages = m.Pages[:0] }

@@ -2,6 +2,8 @@ package msg
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"actdsm/internal/pool"
@@ -72,24 +74,250 @@ func TestReleasePoisons(t *testing.T) {
 	}
 }
 
-// TestNewResetsScalars: a message New hands out after a release has zero
-// scalars and empty lists, whatever its last use left — in race builds,
-// the sentinel.
-func TestNewResetsScalars(t *testing.T) {
-	g := New[*LockGrant]()
-	g.Lock, g.Pos, g.Holder = 3, 4, 5
-	g.Notices = append(g.Notices, Notice{Page: 1})
-	Release(g)
-	for range 4 { // race builds' pools drop some puts: look a few times
-		if h := New[*LockGrant](); h.Lock != 0 || h.Lam != 0 || h.Pos != 0 || h.Holder != 0 || len(h.Notices) != 0 {
-			t.Fatalf("New after Release: %+v, want zero scalars and no notices", *h)
+// everyKind holds one zero message of every kind, in Kind order.
+var everyKind = []Message{
+	&PageRequest{}, &PageReply{}, &DiffRequest{}, &DiffReply{},
+	&BarrierEnter{}, &BarrierRelease{}, &LockAcquire{}, &LockGrant{},
+	&LockRelease{}, &GCCollect{}, &Ack{}, &SWRead{}, &SWWrite{},
+	&SWDowngrade{}, &SWFlush{}, &SWInvalidate{}, &DiffBatchRequest{},
+	&DiffBatchReply{}, &LockPull{}, &ReplicaDelta{}, &RejoinRequest{},
+	&RejoinReply{},
+}
+
+// newPooled calls New for every pooled kind, by Kind.
+var newPooled = map[Kind]func() Message{
+	KindPageRequest:      func() Message { return New[*PageRequest]() },
+	KindPageReply:        func() Message { return New[*PageReply]() },
+	KindDiffRequest:      func() Message { return New[*DiffRequest]() },
+	KindDiffReply:        func() Message { return New[*DiffReply]() },
+	KindDiffBatchRequest: func() Message { return New[*DiffBatchRequest]() },
+	KindDiffBatchReply:   func() Message { return New[*DiffBatchReply]() },
+	KindLockAcquire:      func() Message { return New[*LockAcquire]() },
+	KindLockGrant:        func() Message { return New[*LockGrant]() },
+	KindLockRelease:      func() Message { return New[*LockRelease]() },
+	KindLockPull:         func() Message { return New[*LockPull]() },
+	KindBarrierEnter:     func() Message { return New[*BarrierEnter]() },
+	KindBarrierRelease:   func() Message { return New[*BarrierRelease]() },
+	KindGCCollect:        func() Message { return New[*GCCollect]() },
+}
+
+// fill sets every int32 reachable from v to a distinct non-zero value
+// and gives every list two elements, nested lists and byte views
+// included. A field of any other type fails the test: the checks below
+// would not see it.
+func fill(t *testing.T, path string, v reflect.Value, next *int32) {
+	t.Helper()
+	switch {
+	case v.Kind() == reflect.Int32:
+		*next++
+		v.SetInt(int64(*next))
+	case v.Kind() == reflect.Slice && v.Type().Elem().Kind() == reflect.Uint8:
+		*next++
+		v.SetBytes([]byte{byte(*next), 0, 4, 0, 1, 2, 3, 4})
+	case v.Kind() == reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := range 2 {
+			fill(t, fmt.Sprintf("%s[%d]", path, i), v.Index(i), next)
 		}
+	case v.Kind() == reflect.Struct:
+		for i := range v.NumField() {
+			fill(t, path+"."+v.Type().Field(i).Name, v.Field(i), next)
+		}
+	default:
+		t.Fatalf("%s: field of kind %v, which the kind checks do not cover", path, v.Kind())
+	}
+}
+
+// capacities records the capacity of every list reachable from v, the
+// elements past a list's length included, by path.
+func capacities(path string, v reflect.Value, out map[string]int) {
+	switch {
+	case v.Kind() == reflect.Slice && v.Type().Elem().Kind() == reflect.Uint8:
+		// A byte field is a view its owner recycles: nothing to keep.
+	case v.Kind() == reflect.Slice:
+		out[path] = v.Cap()
+		all := v.Slice3(0, v.Cap(), v.Cap())
+		for i := range all.Len() {
+			capacities(fmt.Sprintf("%s[%d]", path, i), all.Index(i), out)
+		}
+	case v.Kind() == reflect.Struct:
+		for i := range v.NumField() {
+			capacities(path+"."+v.Type().Field(i).Name, v.Field(i), out)
+		}
+	}
+}
+
+// checkReleased reads a released message the way a stale holder would:
+// every list is empty and every byte view dropped — a view inside a
+// list's capacity replaced by the poison run in race builds — and race
+// builds find the sentinel in every int32, out to the lists' capacity.
+func checkReleased(t *testing.T, path string, v reflect.Value, inList bool) {
+	t.Helper()
+	switch {
+	case v.Kind() == reflect.Int32:
+		if pool.Race && v.Int() != poisoned {
+			t.Errorf("released %s = %d, want the sentinel %d", path, v.Int(), poisoned)
+		}
+	case v.Kind() == reflect.Slice && v.Type().Elem().Kind() == reflect.Uint8:
+		b := v.Bytes()
+		if pool.Race && inList {
+			if !bytes.Equal(b, poisonDiff) {
+				t.Errorf("released %s = % x, want the poison run", path, b)
+			}
+		} else if b != nil {
+			t.Errorf("released %s still views % x", path, b)
+		}
+	case v.Kind() == reflect.Slice:
+		if v.Len() != 0 {
+			t.Errorf("released %s keeps %d elements", path, v.Len())
+		}
+		all := v.Slice3(0, v.Cap(), v.Cap())
+		for i := range all.Len() {
+			checkReleased(t, fmt.Sprintf("%s[%d]", path, i), all.Index(i), true)
+		}
+	case v.Kind() == reflect.Struct:
+		for i := range v.NumField() {
+			checkReleased(t, path+"."+v.Type().Field(i).Name, v.Field(i), inList)
+		}
+	}
+}
+
+// checkFresh holds a message New handed out to zero scalars, empty lists
+// and no byte views. When New handed back the very message released
+// (same), every list it had, nested ones in the capacity included, must
+// keep its capacity: that is what pooling the kind is for.
+func checkFresh(t *testing.T, path string, v reflect.Value, caps map[string]int, same bool) {
+	t.Helper()
+	switch {
+	case v.Kind() == reflect.Int32:
+		if v.Int() != 0 {
+			t.Errorf("New %s = %d, want 0", path, v.Int())
+		}
+	case v.Kind() == reflect.Slice && v.Type().Elem().Kind() == reflect.Uint8:
+		if v.Len() != 0 {
+			t.Errorf("New %s views % x, want none", path, v.Bytes())
+		}
+	case v.Kind() == reflect.Slice:
+		if v.Len() != 0 {
+			t.Errorf("New %s has %d elements, want none", path, v.Len())
+		}
+		if !same {
+			return
+		}
+		if v.Cap() < caps[path] {
+			t.Errorf("New %s has capacity %d, want the %d its release kept", path, v.Cap(), caps[path])
+		}
+		all := v.Slice3(0, v.Cap(), v.Cap())
+		for i := range all.Len() {
+			keptCaps(t, fmt.Sprintf("%s[%d]", path, i), all.Index(i), caps)
+		}
+	case v.Kind() == reflect.Struct:
+		for i := range v.NumField() {
+			checkFresh(t, path+"."+v.Type().Field(i).Name, v.Field(i), caps, same)
+		}
+	}
+}
+
+// keptCaps holds the lists inside a kept list's capacity to the
+// capacities they had before the release.
+func keptCaps(t *testing.T, path string, v reflect.Value, caps map[string]int) {
+	t.Helper()
+	switch {
+	case v.Kind() == reflect.Slice && v.Type().Elem().Kind() == reflect.Uint8:
+	case v.Kind() == reflect.Slice:
+		if v.Cap() < caps[path] {
+			t.Errorf("New %s has capacity %d, want the %d its release kept", path, v.Cap(), caps[path])
+		}
+	case v.Kind() == reflect.Struct:
+		for i := range v.NumField() {
+			keptCaps(t, path+"."+v.Type().Field(i).Name, v.Field(i), caps)
+		}
+	}
+}
+
+// TestEveryKindFilled fills every field of every kind through reflect,
+// nested lists included, and round-trips it through Encode and Decode
+// exactly. For every pooled kind it then releases the decoded message
+// and checks it as a stale holder would see it (checkReleased), and
+// checks what New hands out next (checkFresh). A field a release or a
+// reset forgets fails here by its path.
+func TestEveryKindFilled(t *testing.T) {
+	if len(everyKind) != KindCount-1 {
+		t.Fatalf("everyKind lists %d kinds, want %d", len(everyKind), KindCount-1)
+	}
+	pooledKinds := 0
+	for i, zero := range everyKind {
+		k := zero.Kind()
+		if int(k) != i+1 {
+			t.Fatalf("everyKind[%d] is %v, want kind %d", i, k, i+1)
+		}
+		_, isPooled := zero.(pooled)
+		if isPooled != (newPooled[k] != nil) {
+			t.Fatalf("%v: pooled %v, but newPooled names it %v", k, isPooled, newPooled[k] != nil)
+		}
+		if !isPooled {
+			continue
+		}
+		pooledKinds++
+	}
+	if pooledKinds != len(newPooled) || pooledKinds != 13 {
+		t.Fatalf("%d pooled kinds, want the 13 newPooled names", pooledKinds)
+	}
+	for _, zero := range everyKind {
+		k := zero.Kind()
+		t.Run(k.String(), func(t *testing.T) {
+			m := reflect.New(reflect.TypeOf(zero).Elem())
+			var next int32
+			fill(t, k.String(), m.Elem(), &next)
+			want := m.Interface().(Message)
+			enc := Encode(want)
+			got, err := Decode(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round trip:\n got %#v\nwant %#v", got, want)
+			}
+			if re := Encode(got); !bytes.Equal(re, enc) {
+				t.Fatalf("re-encode diverged:\n got % x\nwant % x", re, enc)
+			}
+			mk := newPooled[k]
+			if mk == nil {
+				return
+			}
+			// Race builds' pools drop some puts: look a few times for New
+			// to hand back the message just released.
+			sameSeen := false
+			for try := 0; try < 8 && !sameSeen; try++ {
+				if try > 0 {
+					if got, err = Decode(enc); err != nil {
+						t.Fatal(err)
+					}
+				}
+				caps := map[string]int{}
+				capacities(k.String(), reflect.ValueOf(got).Elem(), caps)
+				Release(got)
+				checkReleased(t, k.String(), reflect.ValueOf(got).Elem(), false)
+				fresh := mk()
+				same := fresh == got
+				sameSeen = sameSeen || same
+				checkFresh(t, k.String(), reflect.ValueOf(fresh).Elem(), caps, same)
+				Release(fresh)
+				if t.Failed() {
+					return
+				}
+			}
+			if !sameSeen && !pool.Race {
+				t.Errorf("New never handed back the %v just released", k)
+			}
+		})
 	}
 }
 
 // TestDecodeReleaseZeroAlloc: on a warm pool, decoding a pooled kind and
 // releasing it allocates nothing — the message and its lists come back
-// whole — and neither does a sender's New and Release.
+// whole, the barrier kinds' nested lists included — and neither does a
+// sender's New and Release.
 func TestDecodeReleaseZeroAlloc(t *testing.T) {
 	if pool.Race {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -107,6 +335,13 @@ func TestDecodeReleaseZeroAlloc(t *testing.T) {
 		&LockGrant{Lock: 3, Lam: 5, Pos: 2, Holder: -1, Notices: ns},
 		&LockRelease{Node: 1, Lock: 3, Lam: 5, Notices: ns},
 		&LockPull{Node: 1, Lock: 3, Holder: 2, Seen: []int32{0, 4, 1}},
+		&BarrierEnter{Node: 1, Episode: 4, Lam: 5, Notices: ns, Hot: []int32{2, 7},
+			Entered: []int32{1, 3, 4}, HotSets: []NodeHot{{Node: 3, Pages: []int32{1}}, {Node: 4, Pages: []int32{2, 9}}}},
+		&BarrierRelease{Episode: 4, Lam: 6, Notices: ns,
+			Push:  []PushedDiff{{Page: 2, Writer: 0, Interval: 3, Diff: diff}},
+			Homes: []PageHome{{Page: 2, Home: 1}},
+			Relay: []NodePush{{Node: 3, Push: []PushedDiff{{Page: 1, Writer: 2, Interval: 3, Diff: diff}}}, {Node: 4}}},
+		&GCCollect{Pages: []int32{1, 2, 900}},
 	} {
 		frame := Encode(m)
 		cycle := func() {

@@ -112,17 +112,6 @@ func (r *recorder) record(lat sim.Time, read bool) {
 	}
 }
 
-func (r *recorder) openSpan(t sim.Time, s dsm.Snapshot) {
-	r.spanOpen = true
-	r.startT, r.startSnap = t, s
-}
-
-func (r *recorder) closeSpan(windows int, t sim.Time, s dsm.Snapshot) {
-	r.spanClosed = true
-	r.windows = windows
-	r.endT, r.endSnap = t, s
-}
-
 // quantile returns the q-quantile of the sorted latency slice.
 func quantile(sorted []sim.Time, q float64) sim.Time {
 	if len(sorted) == 0 {

@@ -389,11 +389,12 @@ func (kv *KV) request(ctx *threads.Ctx, rng *sim.RNG, tid, w int) error {
 
 // ServingHooks composes the workload's window accounting onto inner:
 // at each window boundary it snapshots elapsed virtual time and the
-// cluster's protocol counters, bracketing the measurement span the
+// cluster's protocol counters (snapshot fills a Snapshot in place, as
+// dsm.Stats.SnapshotTo does), bracketing the measurement span the
 // Report is computed over. System.Run wires it automatically (the
 // facade detects the method structurally); manual engine users call it
 // themselves before SetHooks.
-func (kv *KV) ServingHooks(inner threads.Hooks, elapsed func() sim.Time, snapshot func() dsm.Snapshot) threads.Hooks {
+func (kv *KV) ServingHooks(inner threads.Hooks, elapsed func() sim.Time, snapshot func(*dsm.Snapshot)) threads.Hooks {
 	out := inner
 	out.OnIteration = func(w int) {
 		kv.windowEnd(w, elapsed, snapshot)
@@ -405,11 +406,16 @@ func (kv *KV) ServingHooks(inner threads.Hooks, elapsed func() sim.Time, snapsho
 }
 
 // windowEnd folds window w's completion into the measurement brackets.
-func (kv *KV) windowEnd(w int, elapsed func() sim.Time, snapshot func() dsm.Snapshot) {
+// Every measured window closes the span, so a run cancelled mid-measurement
+// reports the windows it completed; the end snapshot is refilled in place.
+func (kv *KV) windowEnd(w int, elapsed func() sim.Time, snapshot func(*dsm.Snapshot)) {
+	r := &kv.rec
 	if w == kv.cfg.WarmupWindows-1 {
-		kv.rec.openSpan(elapsed(), snapshot())
+		r.spanOpen, r.startT = true, elapsed()
+		snapshot(&r.startSnap)
 	}
 	if kv.measured(w) {
-		kv.rec.closeSpan(w-kv.cfg.WarmupWindows+1, elapsed(), snapshot())
+		r.spanClosed, r.windows, r.endT = true, w-kv.cfg.WarmupWindows+1, elapsed()
+		snapshot(&r.endSnap)
 	}
 }

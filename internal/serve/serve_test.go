@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"actdsm/internal/dsm"
+	"actdsm/internal/pool"
 	"actdsm/internal/sim"
+	"actdsm/internal/vm"
 )
 
 func TestConfigDefaults(t *testing.T) {
@@ -191,5 +194,61 @@ func TestReportBeforeRun(t *testing.T) {
 		t.Fatal("Report before any run succeeded, want error")
 	} else if !strings.Contains(err.Error(), "no measured window") {
 		t.Errorf("unexpected error: %v", err)
+	}
+}
+
+// TestWindowEndZeroAllocs: a measured window's end snapshots the
+// cluster's counters into the span's kept end snapshot, so once warm it
+// allocates nothing, and Report still reads the span from the window the
+// span opened at to the last window closed.
+func TestWindowEndZeroAllocs(t *testing.T) {
+	if pool.Race {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	kv, err := NewKV(Config{WarmupWindows: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := dsm.New(dsm.Config{Nodes: 2, Pages: 1, GCThresholdBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	miss := func(i int) { // node 1 writes, node 0 misses on the page
+		b, _, err := c.Span(1, 1, 0, 4, vm.Write)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[0] = byte(i)
+		if _, err := c.Barrier(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Span(0, 0, 0, 4, vm.Read); err != nil {
+			t.Fatal(err)
+		}
+	}
+	miss(1)
+	var now sim.Time
+	elapsed := func() sim.Time { return now }
+	snapshot := c.Stats().SnapshotTo
+	w := 0
+	end := func() {
+		now += sim.Millisecond
+		kv.windowEnd(w, elapsed, snapshot)
+		w++
+	}
+	end() // window 0, the warmup, opens the span
+	miss(2)
+	end() // window 1 closes it, growing the end snapshot's lists
+	if allocs := testing.AllocsPerRun(100, end); allocs != 0 {
+		t.Errorf("measured window end: %v allocs/op, want 0", allocs)
+	}
+	rep, err := kv.Report()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Windows != w-1 || rep.RemoteMisses != 1 || rep.Elapsed != sim.Time(w-1)*sim.Millisecond {
+		t.Errorf("report: %d windows, %d remote misses over %v; want %d, 1, %v",
+			rep.Windows, rep.RemoteMisses, rep.Elapsed, w-1, sim.Time(w-1)*sim.Millisecond)
 	}
 }

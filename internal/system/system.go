@@ -285,7 +285,7 @@ func (s *System) Run() error { return s.RunContext(context.Background()) }
 // serve.KV satisfies it; the facade stays decoupled from the concrete
 // type so future serving workloads plug in the same way.
 type servingHooked interface {
-	ServingHooks(inner threads.Hooks, elapsed func() sim.Time, snapshot func() dsm.Snapshot) threads.Hooks
+	ServingHooks(inner threads.Hooks, elapsed func() sim.Time, snapshot func(*dsm.Snapshot)) threads.Hooks
 }
 
 // stoppable lets RunContext wind a workload down on ctx cancellation.
@@ -326,7 +326,7 @@ func (s *System) RunContext(ctx context.Context) error {
 		hooks = ctrl.Hooks(hooks)
 	}
 	if sh, ok := s.app.(servingHooked); ok {
-		hooks = sh.ServingHooks(hooks, s.engine.Elapsed, s.cluster.Stats().Snapshot)
+		hooks = sh.ServingHooks(hooks, s.engine.Elapsed, s.cluster.Stats().SnapshotTo)
 	}
 	if s.tracker != nil {
 		s.engine.SetHooks(s.tracker.Hooks(hooks))
