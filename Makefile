@@ -62,7 +62,7 @@ race:
 ## cluster with a crash scheduled (its chaos layer counts the fan-outs in
 ## flight);
 ## a remote miss — single or batched from two writers — and a
-## lock hand-off, plain or forwarded, stay under their ceilings, a miss
+## lock hand-off, with or without a history pull, stay under their ceilings, a miss
 ## whose page carries 64 or more pending notices from three writers
 ## allocates nothing once warm (its snapshot and diff table are the
 ## node's, so a miss costs the same whatever its backlog), a dense
@@ -79,9 +79,9 @@ race:
 ## (its lists are the node's, each page's diff run keeps its array), a
 ## node's causal history grows through a second epoch of lock hand-offs
 ## in the array it kept across the barrier, so does a warm barrier's fold
-## of its notices into the array the episode before left, a lock grant's notice list
-## is its pooled message's — a hand-off costs the same bytes whether its
-## grants carry 16 notices or 512 — a warm barrier episode of 8 nodes,
+## of its notices into the array the episode before left, a lock pull's
+## notice list is its pooled reply's — a hand-off costs the same bytes
+## whether its pulls carry 16 notices or 512 — a warm barrier episode of 8 nodes,
 ## flat or a binary tree, with or without a GC round under it, stays
 ## within 8 allocations (its messages are pooled and its scratch is the
 ## cluster's), and on warm
@@ -131,7 +131,7 @@ bench-e2e:
 ## copy; a clean tree afterwards means nothing drifted.
 ##   prefetch   demand calls with prefetch + batching: <= 5% growth per app
 ##   managers   tree barrier depth <= 2*ceil(log2 n); sharded node-0 lock share <= 50%
-##   serving    <= 5% QPS/p99 regression per row; grant forwarding beats static on p99 and QPS
+##   serving    <= 5% QPS/p99 regression per row; min-cost beats static on p99 and QPS
 ##   placement  <= 5% elapsed/call regression per row; combined beats thread-only and data-only somewhere
 ##   failover   clean, crash and crash+rejoin legs digest identically; call counts exact
 ##   transport  fast/slow topology stretches the run; elapsed and per-link traffic exact

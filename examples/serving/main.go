@@ -4,9 +4,9 @@
 // splits every tenant group across all nodes); active correlation
 // tracking runs over the warm-up window; min-cost partitioning derives
 // the group structure from the tracked matrix; and one migration round
-// applies it before measurement starts — with lock-grant forwarding in
-// the last variant. Placement quality shows up as p99, not epoch time:
-// GETs are lock-free, so the tail is remote-miss-dominated.
+// applies it before measurement starts. Placement quality shows up as
+// p99, not epoch time: GETs are lock-free, so the tail is
+// remote-miss-dominated.
 package main
 
 import (
@@ -45,43 +45,40 @@ func run() error {
 	}
 
 	for _, variant := range []struct {
-		name    string
-		track   bool
-		cluster actdsm.ClusterConfig
+		name  string
+		track bool
 	}{
-		{"static", false, actdsm.ClusterConfig{BatchDiffs: true}},
-		{"min-cost", true, actdsm.ClusterConfig{BatchDiffs: true}},
-		{"min-cost+forward", true, actdsm.ClusterConfig{BatchDiffs: true, LockForwarding: true}},
+		{"static", false},
+		{"min-cost", true},
 	} {
-		rep, err := serveVariant(cfg, nodes, variant.track, variant.cluster)
+		rep, err := serveVariant(cfg, nodes, variant.track)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-17s %8.0f qps   p50 %6.1fµs  p99 %6.1fµs  p999 %6.1fµs   %4d remote misses, %d lock fwd\n",
+		fmt.Printf("%-9s %8.0f qps   p50 %6.1fµs  p99 %6.1fµs  p999 %6.1fµs   %4d remote misses, %d lock pulls\n",
 			variant.name, rep.QPS,
 			rep.P50.Seconds()*1e6, rep.P99.Seconds()*1e6, rep.P999.Seconds()*1e6,
 			rep.RemoteMisses, rep.LockForwards)
 	}
 
 	fmt.Println("\nMin-cost placement rediscovers the tenant groups from the tracked")
-	fmt.Println("matrix and co-locates them, removing most remote misses; lock-grant")
-	fmt.Println("forwarding then lets a PUT pull its stripe's history from the last")
-	fmt.Println("holder instead of through the manager, which is where the p99 win")
-	fmt.Println("lands. The same ablation is the 'actbench -only serving' regression")
-	fmt.Println("gate behind BENCH_serving.json.")
+	fmt.Println("matrix and co-locates them, removing most remote misses; a PUT then")
+	fmt.Println("more often pulls its stripe's history from a neighbour, or from no one,")
+	fmt.Println("which is where the p99 win lands. The same ablation is the")
+	fmt.Println("'actbench -only serving' regression gate behind BENCH_serving.json.")
 	return nil
 }
 
 // serveVariant runs one closed-loop serving episode. With track set, the
 // warm-up window is tracked and a min-cost migration round fires at its
 // end, so every measured window runs under the derived placement.
-func serveVariant(cfg actdsm.ServingConfig, nodes int, track bool, cc actdsm.ClusterConfig) (*actdsm.ServeReport, error) {
+func serveVariant(cfg actdsm.ServingConfig, nodes int, track bool) (*actdsm.ServeReport, error) {
 	app, err := actdsm.NewServingApp(cfg)
 	if err != nil {
 		return nil, err
 	}
 	sys, err := actdsm.NewSystem(app, nodes,
-		actdsm.WithClusterConfig(cc))
+		actdsm.WithClusterConfig(actdsm.ClusterConfig{BatchDiffs: true}))
 	if err != nil {
 		return nil, err
 	}

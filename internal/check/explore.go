@@ -54,13 +54,11 @@ type Scenario struct {
 	// pull-prefetch, push, and batched-diff paths.
 	PrefetchBudget int
 	BatchDiffs     bool
-	// LockShards, BarrierArity, and LockForwarding forward to
-	// dsm.Config, covering the decentralized managers: sharded lock
-	// management, the tree barrier, and lock-grant forwarding. The
-	// oracle's lock model follows the same configuration.
-	LockShards     int
-	BarrierArity   int
-	LockForwarding bool
+	// LockShards and BarrierArity forward to dsm.Config, covering the
+	// decentralized managers: sharded lock management and the tree
+	// barrier.
+	LockShards   int
+	BarrierArity int
 	// Crashes enables dsm.Config.FaultTolerance and asks the plan
 	// generator for that many deterministic node crashes per trial,
 	// sited at calibrated barrier-protocol calls (so the crash lands
@@ -99,16 +97,15 @@ func Scenarios() []Scenario {
 		{Name: "Ocean4", App: "Ocean", Threads: 4, Nodes: 4, Iterations: 3, PrefetchBudget: -1},
 		{Name: "LU4", App: "LU1k", Threads: 4, Nodes: 4, Iterations: 4, BatchDiffs: true},
 		{Name: "LockChain4", App: "LockChain", Threads: 4, Nodes: 4, Iterations: 5, BatchDiffs: true},
-		// Decentralized managers: tree barriers and sharded/forwarded
-		// locks, at the paper's scale and beyond (the 32-node tree
-		// exercises a 5-level fan-in). SOR takes no locks, so its rows
-		// leave forwarding off.
+		// Decentralized managers: tree barriers and sharded locks, at
+		// the paper's scale and beyond (the 32-node tree exercises a
+		// 5-level fan-in).
 		{Name: "SOR8tree", App: "SOR", Threads: 8, Nodes: 8, Iterations: 3,
 			BatchDiffs: true, BarrierArity: 2},
 		{Name: "Ocean4mig", App: "Ocean", Threads: 4, Nodes: 4, Iterations: 3,
-			PrefetchBudget: -1, BarrierArity: 3, LockForwarding: true},
-		{Name: "LockChain4fwd", App: "LockChain", Threads: 4, Nodes: 4, Iterations: 5,
-			BatchDiffs: true, LockForwarding: true, LockShards: 2},
+			PrefetchBudget: -1, BarrierArity: 3},
+		{Name: "LockChain4sh2", App: "LockChain", Threads: 4, Nodes: 4, Iterations: 5,
+			BatchDiffs: true, LockShards: 2},
 		{Name: "SOR32tree", App: "SOR", Threads: 32, Nodes: 32, Iterations: 2,
 			BarrierArity: 2},
 		// Online co-orchestration: the placement controller migrating
@@ -116,18 +113,17 @@ func Scenarios() []Scenario {
 		// chaos faults land — the full track → decide → migrate loop under
 		// the oracle.
 		{Name: "Ocean4ctl", App: "Ocean", Threads: 4, Nodes: 4, Iterations: 4,
-			BatchDiffs: true, LockForwarding: true, Controller: true},
+			BatchDiffs: true, Controller: true},
 		// Online serving: zipfian lock-striped KV requests instead of
 		// barrier-phased array sweeps — irregular page/lock interleavings
-		// per window, with and without grant forwarding.
+		// per window.
 		{Name: "Serve4", App: "ServeKV", Threads: 4, Nodes: 4, Iterations: 4, BatchDiffs: true},
 		{Name: "Serve4mig", App: "ServeKV", Threads: 4, Nodes: 4, Iterations: 4,
-			PrefetchBudget: -1, LockForwarding: true, LockShards: 2, BarrierArity: 2},
+			PrefetchBudget: -1, LockShards: 2, BarrierArity: 2},
 		// Crash-fault tolerance: one deterministic crash per trial (with
 		// and without a scheduled restart) over sharded locks and a tree
-		// barrier. The lock chain forwards grants under FT; the serving
-		// row ships notices through the managers, so both lock-release
-		// protocols run under crashes. Batching and prefetch are on — a
+		// barrier; the lock chain and the serving row run the lock path
+		// under crashes. Batching and prefetch are on — a
 		// dead writer's diffs reach batched fetches, pull prefetch and
 		// push collection from its standby's replica store — except in the
 		// lock chain, which keeps the unbatched route under a crash.
@@ -135,7 +131,7 @@ func Scenarios() []Scenario {
 			BatchDiffs: true, PrefetchBudget: -1,
 			LockShards: 2, BarrierArity: 2, Crashes: 1},
 		{Name: "LockChain4ft", App: "LockChain", Threads: 4, Nodes: 4, Iterations: 5,
-			LockShards: 2, BarrierArity: 2, LockForwarding: true, Crashes: 1, Restart: true},
+			LockShards: 2, BarrierArity: 2, Crashes: 1, Restart: true},
 		{Name: "Serve4ft", App: "ServeKV", Threads: 4, Nodes: 4, Iterations: 4,
 			BatchDiffs: true, PrefetchBudget: -1,
 			LockShards: 2, BarrierArity: 2, Crashes: 1, Restart: true},
@@ -159,8 +155,7 @@ func BigTreeScenarios() []Scenario {
 	return []Scenario{
 		{Name: "SOR64tree", App: "SOR", Threads: 64, Nodes: 64, Iterations: 2,
 			BarrierArity: 2},
-		{Name: "LockChain32fwd", App: "LockChain", Threads: 32, Nodes: 32, Iterations: 3,
-			LockForwarding: true},
+		{Name: "LockChain32", App: "LockChain", Threads: 32, Nodes: 32, Iterations: 3},
 	}
 }
 
@@ -406,7 +401,6 @@ func RunTrial(tr Trial) TrialResult {
 			PrefetchBudget:   tr.Scenario.PrefetchBudget,
 			LockShards:       tr.Scenario.LockShards,
 			BarrierArity:     tr.Scenario.BarrierArity,
-			LockForwarding:   tr.Scenario.LockForwarding,
 			FaultTolerance:   tr.Scenario.Crashes > 0 || len(tr.Plan.Crashes) > 0,
 			GCThresholdBytes: tr.Scenario.GCThresholdBytes,
 			// Tight retry budget: enough attempts that a call recovers even
@@ -439,11 +433,7 @@ func RunTrial(tr Trial) TrialResult {
 	defer func() { _ = sys.Close() }()
 	cl := sys.Cluster()
 
-	oracle := NewOracleWithConfig(OracleConfig{
-		Nodes:          tr.Scenario.Nodes,
-		LockShards:     tr.Scenario.LockShards,
-		LockForwarding: tr.Scenario.LockForwarding,
-	})
+	oracle := NewOracle(tr.Scenario.Nodes)
 	oracle.Attach(cl)
 
 	runErr := sys.Run()

@@ -107,26 +107,7 @@ type pageView struct {
 	prefIdx map[int32]int
 }
 
-// OracleConfig mirrors the cluster-side knobs the reference model must
-// agree with: the lock-to-manager mapping and the grant-forwarding
-// release semantics. Zero values reproduce NewOracle's behaviour.
-type OracleConfig struct {
-	// Nodes is the cluster size. Required.
-	Nodes int
-	// LockShards mirrors dsm.Config.LockShards: the lock id space is
-	// folded onto this many shards before mapping shards onto nodes.
-	// 0 means one shard per node.
-	LockShards int
-	// LockForwarding mirrors dsm.Config.LockForwarding: releases ship
-	// no notices to the shard manager; the next acquirer
-	// pulls the lock's history from the previous holder. The oracle
-	// then models a per-lock front (the chain of holder release
-	// fronts) instead of a per-manager shared log.
-	LockForwarding bool
-}
-
-// Oracle is the online LRC reference model. Create with NewOracle (or
-// NewOracleWithConfig when the cluster runs decentralized managers),
+// Oracle is the online LRC reference model. Create with NewOracle,
 // attach with Attach, drive traffic, then call Finish with the run's
 // stats snapshot. Violations accumulates everything detected.
 //
@@ -139,7 +120,6 @@ type OracleConfig struct {
 type Oracle struct {
 	mu    sync.Mutex
 	nodes int
-	cfg   OracleConfig
 
 	// reg maps (page, writer) to the ordered list of registered closes.
 	reg map[[2]int32][]regEntry
@@ -150,19 +130,13 @@ type Oracle struct {
 	// nodeVC[n][w] is node n's happens-before front: the highest
 	// interval of writer w ordered before n's current program point.
 	nodeVC [][]int32
-	// mgrVC[m] models lock-manager node m's shared notice log as a
-	// front: the join of every release shipped to m since the last
-	// barrier. Grants serve the *shared* log (a superset of any one
-	// lock's chain), so the front a requester inherits is keyed by the
-	// manager, exactly like the protocol's mgrLog.
-	mgrVC [][]int32
-	// lockVC[lock] is the forwarding-mode model: the join of every
-	// holder's front at its release of this lock. A pull serves the
-	// holder's whole known prefix at release time, so the front an
-	// acquirer inherits is the chain of release fronts — per lock, not
-	// per manager. Entries are dropped at barriers (the protocol
-	// clears its release marks; a post-barrier pull is empty because
-	// the barrier already delivered everything).
+	// lockVC[lock] is the join of every holder's front at its release of
+	// this lock. A pull serves the holder's whole known prefix at release
+	// time, so the front an acquirer inherits is the chain of release
+	// fronts — per lock; which node manages the lock plays no part.
+	// Entries are dropped at barriers (the protocol clears its release
+	// marks; a post-barrier pull is empty because the barrier already
+	// delivered everything).
 	lockVC map[int32][]int32
 
 	pages map[[2]int32]*pageView // (node, page)
@@ -180,30 +154,19 @@ type Oracle struct {
 	violations []Violation
 }
 
-// NewOracle builds an oracle for an n-node cluster with centralized
-// defaults (one lock shard per node, no grant forwarding).
+// NewOracle builds an oracle for an n-node cluster.
 func NewOracle(n int) *Oracle {
-	return NewOracleWithConfig(OracleConfig{Nodes: n})
-}
-
-// NewOracleWithConfig builds an oracle whose lock model mirrors the
-// given decentralized-manager configuration.
-func NewOracleWithConfig(cfg OracleConfig) *Oracle {
-	n := cfg.Nodes
 	o := &Oracle{
 		nodes:   n,
-		cfg:     cfg,
 		reg:     make(map[[2]int32][]regEntry),
 		lastIv:  make([]int32, n),
 		lastLam: make([]int32, n),
 		nodeVC:  make([][]int32, n),
-		mgrVC:   make([][]int32, n),
 		lockVC:  make(map[int32][]int32),
 		pages:   make(map[[2]int32]*pageView),
 	}
 	for i := range o.nodeVC {
 		o.nodeVC[i] = make([]int32, n)
-		o.mgrVC[i] = make([]int32, n)
 	}
 	return o
 }
@@ -499,42 +462,20 @@ func (o *Oracle) pageInvalidated(node int, p vm.PageID) {
 func (o *Oracle) lockAcquired(node int, lock int32) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.cfg.LockForwarding {
-		if vc, ok := o.lockVC[lock]; ok {
-			join(o.nodeVC[node], vc)
-		}
-		return
+	if vc, ok := o.lockVC[lock]; ok {
+		join(o.nodeVC[node], vc)
 	}
-	join(o.nodeVC[node], o.mgrVC[o.lockManager(lock)])
 }
 
 func (o *Oracle) lockReleased(node int, lock int32) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.cfg.LockForwarding {
-		vc, ok := o.lockVC[lock]
-		if !ok {
-			vc = make([]int32, o.nodes)
-			o.lockVC[lock] = vc
-		}
-		join(vc, o.nodeVC[node])
-		return
+	vc, ok := o.lockVC[lock]
+	if !ok {
+		vc = make([]int32, o.nodes)
+		o.lockVC[lock] = vc
 	}
-	join(o.mgrVC[o.lockManager(lock)], o.nodeVC[node])
-}
-
-// lockManager mirrors the cluster's lock-to-manager mapping: the lock
-// id folds onto a shard, the shard onto a node (see dsm nodeForID).
-func (o *Oracle) lockManager(lock int32) int {
-	shards := o.cfg.LockShards
-	if shards <= 0 {
-		shards = o.nodes
-	}
-	s := int(int64(lock) % int64(shards))
-	if s < 0 {
-		s += shards
-	}
-	return s % o.nodes
+	join(vc, o.nodeVC[node])
 }
 
 func (o *Oracle) barrierReleased(node int, episode int32) {
@@ -545,17 +486,9 @@ func (o *Oracle) barrierReleased(node int, episode int32) {
 	// for the episode fire during barrier phase 1, before any release is
 	// delivered, so lastIv is the episode's exact front.
 	join(o.nodeVC[node], o.lastIv)
-	// The barrier also resets every manager's shared log: the next
-	// release rebuilds it from post-barrier state. lastIv is the exact
-	// cluster-wide front at this point, so "reset" is assignment.
-	for m := range o.mgrVC {
-		copy(o.mgrVC[m], o.lastIv)
-	}
-	// Forwarding mode: the protocol clears every holder's release mark,
-	// so post-barrier pulls serve nothing; the per-lock fronts restart.
-	for lk := range o.lockVC {
-		delete(o.lockVC, lk)
-	}
+	// The protocol clears every holder's release mark, so post-barrier
+	// pulls serve nothing; the per-lock fronts restart.
+	clear(o.lockVC)
 }
 
 // pageRead asserts the no-lost-update invariant: every registered write

@@ -25,7 +25,7 @@ import (
 // batched from two writers, all of it the costs slice the barrier between
 // write and read returns; 0 for a miss alone, counted without its
 // barrier, that snapshots a backlog of 64 or more notices and fetches
-// their diffs; a lock hand-off, plain or with its grant forwarded to the
+// their diffs; a lock hand-off, with or without a pull from the last
 // holder, rounds to 0 — its messages are pooled, and only the barrier
 // every 256 hand-offs allocates.
 const (
@@ -641,28 +641,29 @@ func TestBarrierEpisodeAllocCeiling(t *testing.T) {
 
 // TestLockHandoffAllocCeiling is the dsm.lock_handoff rung: two nodes
 // alternate acquire, write, release on one lock, with a barrier every 256
-// hand-offs bounding the notice history a release ships. The plain row is
-// the rung itself; under LockForwarding every grant names the other node as
-// the holder and the acquire adds a LockPull to it.
+// hand-offs bounding the notice history a pull ships. In the forwarded
+// row, the rung itself, every grant names the other node as the holder
+// and the acquire adds a LockPull to it; in the plain row node 0 takes
+// every turn, so every grant names node 0 itself and nothing is pulled.
 func TestLockHandoffAllocCeiling(t *testing.T) {
 	skipUnderRace(t)
 	for _, tc := range []struct {
 		name    string
-		forward bool
+		nodes   int // the acquirers, taking turns from node 0
 		ceiling float64
 	}{
-		{"plain", false, lockHandoffAllocCeiling},
-		{"forwarded", true, lockForwardAllocCeiling},
+		{"plain", 1, lockHandoffAllocCeiling},
+		{"forwarded", 2, lockForwardAllocCeiling},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := New(Config{Nodes: 2, Pages: 1, GCThresholdBytes: -1, LockForwarding: tc.forward})
+			c, err := New(Config{Nodes: 2, Pages: 1, GCThresholdBytes: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { _ = c.Close() })
 			i := 0
 			allocs := testing.AllocsPerRun(4096, func() {
-				n := i & 1
+				n := i % tc.nodes
 				if _, err := c.AcquireLock(n, n, 1); err != nil {
 					t.Fatal(err)
 				}
@@ -679,51 +680,51 @@ func TestLockHandoffAllocCeiling(t *testing.T) {
 			if allocs > tc.ceiling {
 				t.Errorf("lock hand-off: %v allocs/op, ceiling %v", allocs, tc.ceiling)
 			}
-			if tc.forward && c.Stats().Snapshot().LockForwards == 0 {
-				t.Fatal("no grant named a holder to pull from")
+			if pulls := c.Stats().Snapshot().LockForwards; (pulls > 0) != (tc.nodes > 1) {
+				t.Fatalf("%d pulls with %d acquirers", pulls, tc.nodes)
 			}
 		})
 	}
 }
 
 // grantBytesSpread bounds how far apart the B/op of a hand-off whose
-// grants carry 16 notices and one whose grants carry 512 may be (see
-// TestLockGrantNoticeBytes). Lists allocated per grant would put 7.8 KiB
-// of notices (496 × 16 B), and twice that for a list grown by doubling,
-// between the two.
+// pulls carry 16 notices and one whose pulls carry 512 may be (see
+// TestLockGrantNoticeBytes). Lists allocated per pull reply would put
+// 7.8 KiB of notices (496 × 16 B), and twice that for a list grown by
+// doubling, between the two.
 const grantBytesSpread = 1024
 
-// TestLockGrantNoticeBytes pins the grant's notice list to its pooled
-// message, in bytes: a warm acquire → apply → release hand-off allocates
-// the same whether the manager's log — and so every grant — holds 16
-// notices or 512. Nodes 0 and 1 alternate on a lock node 1 manages, so one
-// grant is served to the wire (and released by the handler after its
-// encode) and decoded, and the other is served in place; the acquirer
-// releases both.
-// The log holds writer 2's notices on a page nobody touches, and the
-// acquirer's confirmed log position is cleared before each acquire, so
-// every grant re-carries the whole log and the releases add nothing.
+// TestLockGrantNoticeBytes pins the pull reply's notice list to its pooled
+// grant, in bytes: a warm acquire → pull → apply → release hand-off
+// allocates the same whether every pull reply holds 16 notices or 512.
+// Nodes 0 and 1 alternate on a lock node 1 manages, so each acquire pulls
+// from the other node over the wire: the holder's handler releases the
+// reply after its encode and the acquirer releases the decoded one. Both
+// nodes' known histories hold writer 2's notices on a page nobody
+// touches, and the acquirer's confirmed pull positions are cleared before
+// each acquire, so every pull re-carries the whole history and the
+// releases add nothing.
 func TestLockGrantNoticeBytes(t *testing.T) {
 	skipUnderRace(t)
 	const lock, ops = 1, 2000
-	perOp := func(logLen int) float64 {
+	perOp := func(history int) float64 {
 		c, err := New(Config{Nodes: 3, Pages: 1, GCThresholdBytes: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { _ = c.Close() })
-		mgr := c.lockManager(lock)
-		if mgr != 1 {
+		if mgr := c.lockManager(lock); mgr != 1 {
 			t.Fatalf("lock %d is managed by node %d, want 1", lock, mgr)
 		}
-		ml := c.nodes[mgr].locks[mgr]
-		for iv := int32(1); iv <= int32(logLen); iv++ {
-			ml.log = ml.have.add(ml.log, []msg.Notice{{Page: 0, Writer: 2, Interval: iv, Lam: iv}})
+		for _, n := range c.nodes[:2] {
+			for iv := int32(1); iv <= int32(history); iv++ {
+				n.known = n.knownHave.add(n.known, []msg.Notice{{Page: 0, Writer: 2, Interval: iv, Lam: iv}})
+			}
 		}
 		handoff := func(i int) {
 			n := c.nodes[i&1]
 			n.lockSync()
-			clear(n.lockPos)
+			clear(n.pullPos)
 			n.mu.Unlock()
 			if _, err := c.AcquireLock(n.id, n.id, lock); err != nil {
 				t.Fatal(err)
@@ -733,10 +734,10 @@ func TestLockGrantNoticeBytes(t *testing.T) {
 			}
 		}
 		for i := range 64 {
-			handoff(i) // warm the pools, the pending sets and known
+			handoff(i) // warm the pools and the pending sets
 		}
-		if got := len(c.nodes[0].pages[0].pending); got != logLen {
-			t.Fatalf("%d notices pending at node 0, want the log's %d", got, logLen)
+		if got := len(c.nodes[0].pages[0].pending); got != history {
+			t.Fatalf("%d notices pending at node 0, want the history's %d", got, history)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -744,15 +745,20 @@ func TestLockGrantNoticeBytes(t *testing.T) {
 			handoff(i)
 		}
 		runtime.ReadMemStats(&after)
-		if got := len(c.nodes[mgr].locks[mgr].log); got != logLen {
-			t.Fatalf("manager log grew to %d notices, want %d", got, logLen)
+		for _, n := range c.nodes[:2] {
+			if got := len(n.known); got != history {
+				t.Fatalf("node %d known grew to %d notices, want %d", n.id, got, history)
+			}
+		}
+		if c.Stats().Snapshot().LockForwards < ops {
+			t.Fatal("hand-offs did not pull")
 		}
 		return float64(after.TotalAlloc-before.TotalAlloc) / ops
 	}
 	small, large := perOp(16), perOp(512)
-	t.Logf("lock hand-off: %.0f B/op with 16-notice grants, %.0f B/op with 512", small, large)
+	t.Logf("lock hand-off: %.0f B/op with 16-notice pulls, %.0f B/op with 512", small, large)
 	if large-small > grantBytesSpread {
-		t.Errorf("512-notice grants cost %.0f B/op more than 16-notice ones, want under %d: the grant's size allocates", large-small, grantBytesSpread)
+		t.Errorf("512-notice pulls cost %.0f B/op more than 16-notice ones, want under %d: the reply's size allocates", large-small, grantBytesSpread)
 	}
 }
 
@@ -825,23 +831,26 @@ func TestDiffLifecycleAllocs(t *testing.T) {
 	if mgr := c.lockManager(0); mgr != n.id {
 		t.Fatalf("lock 0 is managed by node %d, want %d", mgr, n.id)
 	}
-	nt := msg.Notice{Page: 0, Writer: 1, Interval: 1, Lam: 1}
-	ml := n.locks[n.id]
-	ml.log = ml.have.add(ml.log, []msg.Notice{nt})
+	// Node 0 released lock 0 holding one notice of its own, which a pull
+	// from node 1 carries.
+	n.lockSync()
+	n.known = n.knownHave.add(n.known, []msg.Notice{{Page: 0, Writer: 0, Interval: iv, Lam: 1}})
+	n.lockMark[0] = len(n.known)
+	n.mu.Unlock()
 	frames := map[msg.Kind][]byte{msg.KindDiffRequest: single, msg.KindDiffBatchRequest: batch}
 	for _, req := range []msg.Message{
 		&msg.PageRequest{From: 1, Page: 0, Pending: []msg.Notice{{Page: 0, Writer: 0, Interval: 1, Lam: 1}}},
-		&msg.LockAcquire{Node: 0, Lock: 0, Seen: []int32{0, 0}},
-		&msg.LockRelease{Node: 1, Lock: 0, Lam: 1, Notices: []msg.Notice{nt}},
+		&msg.LockAcquire{Node: 1, Lock: 0},
+		&msg.LockRelease{Node: 1, Lock: 0, Lam: 1},
 		&msg.LockPull{Node: 1, Lock: 0, Holder: 0, Seen: []int32{0, 0}},
 	} {
 		frames[req.Kind()] = msg.Encode(req)
 	}
 	// replies keeps the first reply of each kind: the grant is the
-	// acquire's, which carries the log's notice.
+	// pull's, which carries node 0's notice.
 	replies := map[msg.Kind][]byte{}
 	for _, k := range []msg.Kind{msg.KindDiffRequest, msg.KindDiffBatchRequest, msg.KindPageRequest,
-		msg.KindLockAcquire, msg.KindLockRelease, msg.KindLockPull} {
+		msg.KindLockPull, msg.KindLockAcquire, msg.KindLockRelease} {
 		out := serve(frames[k])
 		reply := decode(out)
 		var got []byte
@@ -851,8 +860,8 @@ func TestDiffLifecycleAllocs(t *testing.T) {
 		case *msg.DiffBatchReply:
 			got = r.Pages[0].Diffs[0]
 		case *msg.LockGrant:
-			if k == msg.KindLockAcquire && len(r.Notices) != 1 {
-				t.Fatalf("served grant carries %d notices, want the log's 1", len(r.Notices))
+			if k == msg.KindLockPull && len(r.Notices) != 1 {
+				t.Fatalf("served pull carries %d notices, want the holder's 1", len(r.Notices))
 			}
 		}
 		if k == msg.KindDiffRequest || k == msg.KindDiffBatchRequest {

@@ -124,7 +124,6 @@ func runBarrierVariant(t *testing.T, nodes, arity int, cell variantCell) variant
 		Nodes:            nodes,
 		Pages:            npages,
 		BarrierArity:     arity,
-		LockForwarding:   true,
 		GCThresholdBytes: 1500,
 		BatchDiffs:       cell.batch,
 		PrefetchBudget:   cell.prefetch,

@@ -148,21 +148,23 @@ func TestChaosBarrierGCDedup(t *testing.T) {
 	}
 }
 
-// TestChaosLockGrantRetry pins the lock-acquire retry fix: the grant's
-// notice-log high-water mark is confirmed by the requester (echoed in the
-// next acquire as LockAcquire.Pos) rather than advanced by the manager
-// when serving. With a manager-side mark, dropping a grant reply and
-// retrying the acquire skips the notices the requester never received.
+// TestChaosLockGrantRetry pins the pull's retry rule: the position a pull
+// starts from is confirmed by the requester (echoed in its next pull from
+// the same holder as LockPull.Pos) rather than advanced by the holder
+// when serving. With a holder-side mark, dropping a pull reply and
+// retrying the pull skips the notices the requester never received.
 //
 // The scenario makes the loss observable: node 1 holds a *valid* cached
 // copy of the page when node 0 updates it under the lock, so the only way
-// node 1 learns of the update is the write notice carried by its own
-// grant. If the retried acquire is served an empty log suffix, node 1's
-// copy is never invalidated and it reads the stale value.
+// node 1 learns of the update is the write notice its own pull carries.
+// The dropped reply is node 1's second pull from node 0, which starts
+// past the first one's notices; if its retry were served an empty suffix,
+// node 1's copy would never be invalidated and it would read the stale
+// value.
 func TestChaosLockGrantRetry(t *testing.T) {
-	const nodes, npages = 3, 1
+	const nodes, npages = 3, 2
 	const lock = 2 // managed by node 2: every acquire below crosses the wire
-	var dropped atomic.Bool
+	var pulls atomic.Int32
 	c, err := New(Config{
 		Nodes:            nodes,
 		Pages:            npages,
@@ -173,10 +175,10 @@ func TestChaosLockGrantRetry(t *testing.T) {
 		},
 		Chaos: &transport.ChaosOptions{
 			Plan: func(key sim.CallKey, payload []byte) transport.Fault {
-				// Drop the grant reply of node 1's first acquire: the
-				// manager executes it, the requester retries.
-				if key.From == 1 && msg.Kind(key.Kind) == msg.KindLockAcquire &&
-					dropped.CompareAndSwap(false, true) {
+				// Drop the reply of node 1's second pull from node 0: the
+				// holder serves it, the requester retries.
+				if key.From == 1 && key.To == 0 && msg.Kind(key.Kind) == msg.KindLockPull &&
+					pulls.Add(1) == 2 {
 					return transport.FaultDropReply
 				}
 				return transport.FaultNone
@@ -187,53 +189,53 @@ func TestChaosLockGrantRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-
-	// Node 1 caches page 0 while it is still all zeros; the copy stays
-	// valid until a write notice arrives.
-	if got := rf32(t, c, 1, 1, 0); got != 0 {
-		t.Fatalf("initial read = %v, want 0", got)
+	wordsPerPage := memlayout.PageSize / 4
+	handoff := func(round int) {
+		// Node 0 updates page 1 under the lock; nothing is broadcast —
+		// lazily, only node 1's pull from node 0 carries the notice.
+		if _, err := c.AcquireLock(0, 0, lock); err != nil {
+			t.Fatal(err)
+		}
+		wf32(t, c, 0, 0, wordsPerPage, float32(round))
+		if _, err := c.ReleaseLock(0, 0, lock); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AcquireLock(1, 1, lock); err != nil {
+			t.Fatal(err)
+		}
+		if got := rf32(t, c, 1, 1, wordsPerPage); got != float32(round) {
+			t.Fatalf("round %d: node 1 read %v after the lock hand-off, want %d — "+
+				"a retried pull lost its notices", round, got, round)
+		}
+		if _, err := c.ReleaseLock(1, 1, lock); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	// Node 0 updates word 0 under the lock; its release ships the write
-	// notice to the manager's shared log. Nothing is broadcast — lazily,
-	// only the next grant carries it.
-	if _, err := c.AcquireLock(0, 0, lock); err != nil {
-		t.Fatal(err)
+	handoff(1)
+	n1 := c.nodes[1]
+	n1.lockSync()
+	first := n1.pullPos[0]
+	n1.mu.Unlock()
+	if first == 0 {
+		t.Fatal("node 1 confirmed no position after its first pull from node 0")
 	}
-	wf32(t, c, 0, 0, 0, 42)
-	if _, err := c.ReleaseLock(0, 0, lock); err != nil {
-		t.Fatal(err)
-	}
-
-	// Node 1 takes the lock. The grant reply is dropped and the transport
-	// retries the acquire; the re-served grant must carry node 0's notice
-	// again, since the first one never arrived.
-	if _, err := c.AcquireLock(1, 1, lock); err != nil {
-		t.Fatal(err)
-	}
-	if got := rf32(t, c, 1, 1, 0); got != 42 {
-		t.Fatalf("node 1 read %v after lock hand-off, want 42 — "+
-			"a retried acquire lost its grant notices", got)
-	}
-	if _, err := c.ReleaseLock(1, 1, lock); err != nil {
-		t.Fatal(err)
-	}
+	handoff(2)
 
 	barrier(t, c)
 	if err := c.CheckCoherence(); err != nil {
 		t.Fatal(err)
 	}
-	if !dropped.Load() {
+	if pulls.Load() < 2 {
 		t.Fatal("planned fault never fired")
 	}
-	var lockRetries int64
+	var pullRetries int64
 	for _, cs := range c.Stats().Snapshot().Calls {
-		if cs.Kind == "LockAcquire" {
-			lockRetries = cs.Retries
+		if cs.Kind == "LockPull" {
+			pullRetries = cs.Retries
 		}
 	}
-	if lockRetries == 0 {
-		t.Fatal("no LockAcquire retries recorded; the fault plan never fired")
+	if pullRetries == 0 {
+		t.Fatal("no LockPull retries recorded; the fault plan never fired")
 	}
 }
 

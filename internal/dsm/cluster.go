@@ -86,11 +86,6 @@ type Config struct {
 	// exchange with every node a child of the root. 1 and negative
 	// values are invalid.
 	BarrierArity int
-	// LockForwarding turns on lock-grant forwarding: the manager names
-	// the lock's last releaser and the acquirer pulls causal history
-	// from it directly, so releases stop shipping notices through the
-	// manager. Multi-writer protocol only.
-	LockForwarding bool
 	// FaultTolerance enables crash-fault tolerance for the decentralized
 	// managers (DESIGN.md §12): every node replicates its interval state
 	// and lock-manager state to its ring successor, manager roles fail
@@ -258,8 +253,6 @@ func newCluster(cfg Config, shards int) (*Cluster, error) {
 			knob = "PrefetchBudget"
 		case cfg.BatchDiffs:
 			knob = "BatchDiffs"
-		case cfg.LockForwarding:
-			knob = "LockForwarding"
 		case cfg.FaultTolerance:
 			knob = "FaultTolerance"
 		}
@@ -1505,56 +1498,30 @@ func (c *Cluster) consolidate(hm int, pages []int32) (own sim.Time, err error) {
 
 // AcquireLock performs the consistency protocol for thread tid on a node
 // acquiring a lock. Mutual exclusion itself is enforced by the thread
-// engine (which serializes holders); this applies the write notices the
-// grant carries and returns the acquire's virtual-time cost.
+// engine (which serializes holders); this asks the lock's manager for the
+// grant, pulls the lock's history from the last releaser the grant names,
+// and returns the acquire's virtual-time cost.
 func (c *Cluster) AcquireLock(node, tid int, lock int32) (sim.Time, error) {
 	n := c.nodes[node]
-	primary := c.lockManager(lock)
 	req := msg.New[*msg.LockAcquire]()
-	own := req.Seen
-	n.lockSync()
-	req.Node, req.Lock, req.Pos = int32(node), lock, n.lockPos[primary]
-	req.Seen = n.seen // copy-on-write: a published vector never changes
-	n.mu.Unlock()
-	r := n.routeTo(primary)
+	req.Node, req.Lock = int32(node), lock
+	r := n.routeTo(c.lockManager(lock))
 	reply, held, wire, err := r.call(req)
-	req.Seen = own // detached: the release must not poison the published vector
 	msg.Release(req)
-	defer held.release()
 	if err != nil {
 		return 0, fmt.Errorf("dsm: node %d acquire lock %d: %w", node, lock, err)
 	}
 	grant, ok := reply.(*msg.LockGrant)
 	if !ok {
+		held.release()
 		return 0, fmt.Errorf("dsm: node %d acquire lock %d: unexpected reply %T", node, lock, reply)
 	}
-	c.probeNoticesDelivered(node, ViaLockGrant, grant.Notices)
 	n.bumpLamport(grant.Lam)
-	for _, nt := range grant.Notices {
-		n.addPending(nt)
-	}
-	n.lockSync()
-	// Received notices join the causal history our own future releases
-	// must propagate (transitivity).
-	n.known = n.knownHave.add(n.known, grant.Notices)
-	// Confirm delivery: the next acquire asks for the log suffix past
-	// this grant. Advancing only here (not at the manager when serving)
-	// keeps a retried acquire safe — a lost grant reply is re-served. A
-	// standby's grant indexes no position of the primary's log.
-	if !r.standby() {
-		n.lockPos[primary] = grant.Pos
-	}
-	n.mu.Unlock()
-	// The pending sets and known hold copies: the grant is dead, whether it
-	// was decoded or served in place, and goes back with its lease.
-	if c.cfg.LockForwarding && grant.Holder >= 0 && int(grant.Holder) != node {
-		// Forwarding mode: the shard manager granted the lock but holds
-		// no notices — the previous holder kept them. Pull the lock's
-		// causal history directly from that holder.
-		n.lockSync()
-		seen := n.seen
-		n.mu.Unlock()
-		pwire, err := c.pullLockHistory(node, lock, int(grant.Holder), seen)
+	holder := int(grant.Holder)
+	held.release()
+	if holder >= 0 && holder != node {
+		// The last releaser kept the lock's history: pull it from there.
+		pwire, err := c.pullLockHistory(node, lock, holder)
 		if err != nil {
 			return 0, err
 		}
@@ -1566,20 +1533,29 @@ func (c *Cluster) AcquireLock(node, tid int, lock int32) (sim.Time, error) {
 }
 
 // pullLockHistory fetches the write notices protected by a lock from
-// its previous holder, after the lock's shard manager redirected the
-// acquire there (grant forwarding) — or, while the holder is dead, from
-// its standby's replicated history. The reply is the prefix of the
-// holder's history that existed when it released the lock, filtered by
-// the requester's Seen snapshot; the requester applies it exactly as it
-// would a manager-served grant.
-func (c *Cluster) pullLockHistory(node int, lock int32, holder int, seen []int32) (sim.Time, error) {
+// its last releaser — or, while the holder is dead, from its standby's
+// replicated history. The pull carries the position the holder last
+// brought this node to, so the holder serves only the suffix of its
+// release-time history past it, filtered by this node's seen vector.
+// The position is confirmed only after the notices are applied, only
+// when the holder itself served them (a standby's reply indexes the
+// replica), and only under the membership view it was read in.
+func (c *Cluster) pullLockHistory(node int, lock int32, holder int) (sim.Time, error) {
 	n := c.nodes[node]
+	view := c.viewVersion()
 	pull := msg.New[*msg.LockPull]()
 	own := pull.Seen
-	pull.Node, pull.Lock, pull.Holder, pull.Seen = int32(node), lock, int32(holder), seen
+	n.lockSync()
+	if n.pullView != view {
+		clear(n.pullPos) // a holder may have rejoined with a new known
+		n.pullView = view
+	}
+	pull.Node, pull.Lock, pull.Holder, pull.Pos = int32(node), lock, int32(holder), n.pullPos[holder]
+	pull.Seen = n.seen // copy-on-write: a published vector never changes
+	n.mu.Unlock()
 	r := n.routeTo(holder)
 	reply, held, wire, err := r.call(pull)
-	pull.Seen = own // detached, as in AcquireLock
+	pull.Seen = own // detached: the release must not poison the published vector
 	msg.Release(pull)
 	defer held.release()
 	if err != nil {
@@ -1595,15 +1571,22 @@ func (c *Cluster) pullLockHistory(node int, lock int32, holder int, seen []int32
 		n.addPending(nt)
 	}
 	n.lockSync()
+	// Received notices join the causal history our own future releases
+	// hand on (transitivity).
 	n.known = n.knownHave.add(n.known, g.Notices)
+	if !r.standby() && n.pullView == view && g.Pos > n.pullPos[holder] {
+		n.pullPos[holder] = g.Pos
+	}
 	n.mu.Unlock()
+	// The pending sets and known hold copies: the reply is dead, whether
+	// it was decoded or served in place, and goes back with its lease.
 	c.stats.LockForwards.Add(1)
 	return wire, nil
 }
 
-// ReleaseLock closes the releasing node's interval and ships the notices
-// accumulated since the last barrier to the lock's manager, so the next
-// acquirer inherits them.
+// ReleaseLock closes the releasing node's interval, marks how much of its
+// known history the release covers, and tells the lock's manager it now
+// holds the lock's history, so the next acquirer pulls from it.
 func (c *Cluster) ReleaseLock(node, tid int, lock int32) (sim.Time, error) {
 	n := c.nodes[node]
 	notices, diffCost := n.closeInterval()
@@ -1620,16 +1603,16 @@ func (c *Cluster) ReleaseLock(node, tid int, lock int32) (sim.Time, error) {
 		}
 		cost += w
 	}
+	rel := msg.New[*msg.LockRelease]()
+	defer msg.Release(rel)
+	n.lockSync()
+	rel.Node, rel.Lock, rel.Lam = int32(node), lock, n.lamport.Load()
+	n.lockMark[lock] = len(n.known)
+	n.mu.Unlock()
 	// A manager that dies under the release is re-resolved and sent the
 	// same release: its standby's mirror was copied every earlier release
-	// the manager got, so the suffix is all it lacks.
-	primary := c.lockManager(lock)
-	rel, own := n.lockRelease(lock, primary)
-	defer func() {
-		rel.Notices = own // detached: the release must not poison known
-		msg.Release(rel)
-	}()
-	r := n.routeTo(primary)
+	// the manager got, so the last one is all it lacks.
+	r := n.routeTo(c.lockManager(lock))
 	_, held, wire, err := r.call(rel)
 	held.release()
 	if err != nil {
@@ -1645,33 +1628,6 @@ func (c *Cluster) ReleaseLock(node, tid int, lock int32) (sim.Time, error) {
 	}
 	c.probeLockReleased(node, lock)
 	return cost, nil
-}
-
-// lockRelease builds this node's release of a lock whose primary manager
-// is primary: one message for the manager and for every standby copying
-// it. Under grant forwarding it ships no notices — the manager only learns
-// who holds the history — and marks how much of the known set existed at
-// release time; a later LockPull from the next acquirer is served from
-// that prefix. Otherwise it ships the suffix of the known set — own
-// notices plus everything received since the last barrier — not yet
-// shipped for that primary's log, so the next acquirer inherits
-// transitive causal history without re-transmitting delivered prefixes.
-// The release is pooled and its Notices may be a view of known, which
-// only grows until the barrier truncates it: the caller puts own, the
-// message's own list, back before releasing it, and keeps no other view.
-func (n *node) lockRelease(lock int32, primary int) (rel *msg.LockRelease, own []msg.Notice) {
-	rel = msg.New[*msg.LockRelease]()
-	own = rel.Notices
-	n.lockSync()
-	rel.Node, rel.Lock, rel.Lam = int32(n.id), lock, n.lamport.Load()
-	if n.c.cfg.LockForwarding {
-		n.lockMark[lock] = len(n.known)
-	} else {
-		rel.Notices = n.known[n.sentKnown[primary]:] // stable without mu until the barrier truncates known
-		n.sentKnown[primary] = len(n.known)
-	}
-	n.mu.Unlock()
-	return rel, own
 }
 
 // StoredDiffBytes returns the cluster-wide volume of stored diffs.

@@ -71,7 +71,6 @@ func TestNewValidation(t *testing.T) {
 			Config{Nodes: 3, Pages: 1, FaultTolerance: true, Chaos: &transport.ChaosOptions{Crashes: []sim.CrashSchedule{{Node: 2, At: sim.CallKey{From: 0, To: 1, N: 4}}}}}, errCrashKey, ""},
 		{"single-writer with prefetch", Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, PrefetchBudget: 4}, errSingleWriter, "PrefetchBudget"},
 		{"single-writer with batching", Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, BatchDiffs: true}, errSingleWriter, "BatchDiffs"},
-		{"single-writer with lock forwarding", Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, LockForwarding: true}, errSingleWriter, "LockForwarding"},
 		{"single-writer with fault tolerance", Config{Nodes: 2, Pages: 1, Protocol: SingleWriter, FaultTolerance: true, Chaos: chaos}, errSingleWriter, "FaultTolerance"},
 		{"fault tolerance with batching and prefetch",
 			Config{Nodes: 3, Pages: 2, FaultTolerance: true, BatchDiffs: true, PrefetchBudget: -1, Chaos: chaos}, nil, ""},

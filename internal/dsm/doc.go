@@ -11,9 +11,9 @@
 //
 // Known simplifications relative to CVM, documented in DESIGN.md:
 // diffs are created eagerly at interval end rather than lazily on request,
-// and lock grants carry per-lock notice histories (plus the releaser's
-// full program-order history since the last barrier) rather than full
-// transitive causal histories. Both preserve the behaviour of the
+// and a lock hand-off carries the last releaser's history since the last
+// barrier (its own notices and everything it received) rather than
+// vector-timestamped causal histories. Both preserve the behaviour of the
 // barrier- and lock-structured applications the paper studies.
 //
 // # Locking model
@@ -32,7 +32,7 @@
 //     lock, at every shard count.
 //   - Synchronization-side state (interval counter, seen vector, notice
 //     histories, prefetch windows) lives under a small per-node mutex.
-//   - The lock-manager log, single-writer table and diff chunks each have
+//   - The lock-manager record, single-writer table and diff chunks each have
 //     a leaf mutex; the Lamport clock, diff-volume gauge, mutation
 //     generation and live-prefetched count are atomics.
 //
@@ -94,10 +94,10 @@
 // scratch — the view and tree levels, each member's enter, aggregate and
 // relayed release, the GC round's page set and lists — lives on the
 // Cluster (episode, barrierState), since Barrier runs one episode at a
-// time, and its fan-out legs are method values bound once. Lock traffic
-// sends sub-slices of known and the published seen vector rather than
-// copies; known only grows within an epoch, so the barrier truncates it in
-// place. Pending queues and own-diff runs grow into blocks their shard's
+// time, and its fan-out legs are method values bound once. A pull sends
+// the published seen vector rather than a copy, and a holder filters its
+// known under mu; known only grows within an epoch, so the barrier
+// truncates it in place. Pending queues and own-diff runs grow into blocks their shard's
 // pools carve and take back (blockPool); frames, page images and the
 // messages themselves are pooled. alloc_test.go holds the counts (make
 // alloc-gate), and the benchmark/ ladder tracks dsm.remote_miss_allocs,
@@ -124,7 +124,7 @@
 //   - n.gen, from a serve to a later span (unlockShard's bump, above);
 //   - the fan-out join: every leg's Done (after its error) before Wait;
 //   - no acquire across a release: every thread is parked for a barrier,
-//     so no LockAcquire or LockPull holding a snapshot of a node's seen
+//     so no LockPull holding a snapshot of a node's seen
 //     vector is in flight while a release advances it — which is what
 //     lets the release write into the vector before last (seenAlt);
 //   - TCP.hb, the DSM's edge across kernel sockets: the in-process
@@ -169,20 +169,22 @@
 //
 // # The lock path
 //
-// A lock grant carries the write notices the acquirer has not seen, and
-// each of the three lock requests has one serve whichever node answers
-// it. An acquire or release folds into the log chosen from the lock's
-// primary manager (lockLog): the node's own when it is the primary, or
-// the mirror it keeps as that primary's standby — one table by primary
-// (node.locks), reset in one place (resetLockState). A history pull is
-// chosen from its holder: the node's own known prefix, or the holder's
-// replicated history on its standby, up to the mark a release recorded
-// there. One filter (appendUnseen) builds both kinds of grant, into the
-// notice list of a pooled grant (msg.New) that the handler releases after
-// the encode and the acquirer after the apply. The lock
-// messages travel the diff path's route: to the primary or the holder, to
-// its standby while it is dead, or served in place. Under fault tolerance
-// every release that lands on another node also records the releaser's
-// mark, and shadowRelease copies it to the standbys that must mirror the
-// log or hold the mark (DESIGN.md §10.4).
+// A lock's history moves one way: the manager's grant names the lock's
+// last releaser (its holder), and the acquirer pulls the write notices it
+// has not seen from that node. Each of the three lock requests has one
+// serve whichever node answers it. An acquire or release folds into the
+// record chosen from the lock's primary manager (lockLog): the node's own
+// when it is the primary, or the mirror it keeps as that primary's
+// standby — one table by primary (node.locks), reset in one place
+// (resetLockState). A pull is chosen from its holder: the node's own
+// known prefix from the position the acquirer last confirmed (pullPos),
+// or the holder's replicated history on its standby from its start, up
+// to the mark a release recorded there. One filter (appendUnseen) builds
+// the reply into the notice list of a pooled grant (msg.New) that the
+// handler releases after the encode and the acquirer after the apply.
+// The lock messages travel the diff path's route: to the primary or the
+// holder, to its standby while it is dead, or served in place. Under
+// fault tolerance every release that lands on another node also records
+// the releaser's mark, and shadowRelease copies it to the standbys that
+// must mirror the record or hold the mark (DESIGN.md §10.4).
 package dsm

@@ -16,10 +16,11 @@ package dsm
 //     dedups transport-retried deltas.
 //   - Lock-manager state rides copies of each LockRelease: every release
 //     also goes to the serving manager's successor (which mirrors the
-//     manager log) and to the releaser's own successor (which records how
-//     much of the releaser's replicated history the release covered, so
-//     grant forwarding survives a dead holder). One serve per lock message
-//     chooses between a node's own state and the mirrors (node.go).
+//     manager's holder and clock record) and to the releaser's own
+//     successor (which records how much of the releaser's replicated
+//     history the release covered, so a pull survives a dead holder). One
+//     serve per lock message chooses between a node's own state and the
+//     mirrors (node.go).
 //
 // When a call fails with transport.ErrNodeDown, the caller refreshes the
 // membership view against the chaos layer's crash state and re-resolves
@@ -377,11 +378,11 @@ func (n *node) serveReplicaDelta(req *msg.ReplicaDelta) (msg.Message, error) {
 }
 
 // shadowRelease copies a lock release to the standbys that must see it:
-// the serving manager's ring successor, which mirrors the primary's log,
-// and the releaser's, which records the release's mark (serveLockRelease).
-// A target that is the serving manager has the release already. Every
-// copy is the manager's message itself, so a mirror receives exactly what
-// the log receives. A standby that dies is skipped: the next membership
+// the serving manager's ring successor, which mirrors the primary's
+// record, and the releaser's, which records the release's mark
+// (serveLockRelease). A target that is the serving manager has the
+// release already. Every copy is the manager's message itself, so a
+// mirror receives exactly what the record receives. A standby that dies is skipped: the next membership
 // change re-establishes mirrors from the post-barrier reset state.
 func (c *Cluster) shadowRelease(n *node, rel *msg.LockRelease, em int) (sim.Time, error) {
 	targets := [2]int{c.aliveSucc(em), c.aliveSucc(n.id)}
@@ -405,7 +406,7 @@ func (c *Cluster) shadowRelease(n *node, rel *msg.LockRelease, em int) (sim.Time
 
 // resetForRejoin wipes the node's protocol state ahead of re-entering
 // the cluster: page copies, twins, pending sets, stored diffs, sync
-// histories, manager logs, and replica stores all restart empty. The
+// histories, manager records, and replica stores all restart empty. The
 // caller re-learns the interval counter and seen vector from the
 // successor before the node serves traffic again.
 func (n *node) resetForRejoin() {
@@ -580,8 +581,12 @@ func (c *Cluster) contributeDead(enters []*msg.BarrierEnter) {
 
 // viewVersion returns the membership view's change counter; retry loops
 // compare it across an attempt to detect deaths an inner recovery path
-// already folded into the view.
+// already folded into the view. Always 0 without Config.FaultTolerance,
+// without touching the view lock.
 func (c *Cluster) viewVersion() int64 {
+	if !c.cfg.FaultTolerance {
+		return 0
+	}
 	c.viewMu.RLock()
 	defer c.viewMu.RUnlock()
 	return c.viewVer

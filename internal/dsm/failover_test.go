@@ -266,14 +266,14 @@ func TestFailoverLockShardManager(t *testing.T) {
 	})
 }
 
-// TestFailoverForwardedHolder kills the holder a forwarded grant names:
-// under LockForwarding the manager keeps no notices, so once node 0 has
-// released and died, the next acquirer's LockPull is answered by node 0's
-// standby from the replicated history marked at the release. The mark
+// TestFailoverForwardedHolder kills the holder a grant names: the manager
+// keeps no notices, so once node 0 has released and died, the next
+// acquirer's LockPull is answered by node 0's standby from the replicated
+// history marked at the release. The mark
 // must be recorded wherever the release lands, including when the
 // manager itself is node 0's standby. The crash sweep cannot reach this:
 // its crashes sit at barrier-protocol calls, and the marks reset at every
-// barrier.
+// barrier. A pull the standby served confirms no position.
 func TestFailoverForwardedHolder(t *testing.T) {
 	const nodes, npages = 4, 2
 	const holder = 0
@@ -282,9 +282,7 @@ func TestFailoverForwardedHolder(t *testing.T) {
 		t.Run(fmt.Sprintf("manager=%d", mgr), func(t *testing.T) {
 			forEachFTMode(t, func(t *testing.T, mode ftMode) {
 				for _, crash := range []bool{false, true} {
-					cfg := ftConfig(mode, nodes, npages, nil)
-					cfg.LockForwarding = true
-					c, err := New(cfg)
+					c, err := New(ftConfig(mode, nodes, npages, nil))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -308,8 +306,17 @@ func TestFailoverForwardedHolder(t *testing.T) {
 					if _, err := c.AcquireLock(3, 3, lock); err != nil {
 						t.Fatal(err)
 					}
+					// A pull the standby served indexes the replica, not
+					// node 0's known: node 3 confirms no position from it.
+					n3 := c.nodes[3]
+					n3.lockSync()
+					pos := n3.pullPos[holder]
+					n3.mu.Unlock()
+					if crash != (pos == 0) {
+						t.Fatalf("crash=%v: node 3 confirmed position %d at node %d", crash, pos, holder)
+					}
 					if got := rf32(t, c, 3, 3, 0); got != 42 {
-						t.Fatalf("crash=%v: node 3 reads %v after the forwarded grant, want 42", crash, got)
+						t.Fatalf("crash=%v: node 3 reads %v after the pull, want 42", crash, got)
 					}
 					if _, err := c.ReleaseLock(3, 3, lock); err != nil {
 						t.Fatal(err)

@@ -1,23 +1,22 @@
 package dsm
 
 import (
+	"slices"
 	"testing"
-
-	"actdsm/internal/vm"
 )
 
-// TestLockGrantsIncremental pins the high-water-mark behaviour of lock
-// grants: a node that acquires the same manager's locks repeatedly within
-// one barrier epoch receives each notice once, so protocol bytes stay
-// proportional to new work rather than to the accumulated epoch history.
+// TestLockGrantsIncremental pins the per-holder position of lock pulls: a
+// node that pulls from the same holder repeatedly within one barrier epoch
+// receives each of the holder's notices once, so protocol bytes stay
+// proportional to new work rather than to the holder's accumulated epoch
+// history.
 func TestLockGrantsIncremental(t *testing.T) {
 	c := newTestCluster(t, 3, 8)
 	// Node 1 writes a different page under the same lock in each round;
-	// node 2 acquires after every release. Without incremental grants,
-	// round k's grant would carry k notices; with them it carries ~1.
+	// node 2 acquires after every release and pulls from node 1. Without
+	// the position, round k's pull would carry k notices; with it, 1.
 	const lock = int32(3) // manager = node 0
 	var grantBytes []int64
-	last := c.Stats().Snapshot()
 	for round := 0; round < 6; round++ {
 		if _, err := c.AcquireLock(1, 8, lock); err != nil {
 			t.Fatal(err)
@@ -35,7 +34,6 @@ func TestLockGrantsIncremental(t *testing.T) {
 		if _, err := c.ReleaseLock(2, 16, lock); err != nil {
 			t.Fatal(err)
 		}
-		_ = last
 	}
 	// Grant cost must not grow with the round number.
 	if grantBytes[5] > grantBytes[1]+16 {
@@ -55,9 +53,10 @@ func TestLockGrantsIncremental(t *testing.T) {
 	}
 }
 
-// TestLockGrantsResetAtBarrier checks the high-water marks restart with
-// the epoch: post-barrier acquires must still deliver post-barrier
-// notices exactly once.
+// TestLockGrantsResetAtBarrier checks the pull positions restart with the
+// epoch, on both ends: the holder's known restarts at the barrier, so a
+// position kept across it would start node 1's next pull past node 0's
+// post-barrier notice.
 func TestLockGrantsResetAtBarrier(t *testing.T) {
 	c := newTestCluster(t, 2, 2)
 	const lock = int32(4)
@@ -79,36 +78,23 @@ func TestLockGrantsResetAtBarrier(t *testing.T) {
 		if _, err := c.ReleaseLock(1, 8, lock); err != nil {
 			t.Fatal(err)
 		}
+		n1 := c.nodes[1]
+		n1.lockSync()
+		pos := n1.pullPos[0]
+		n1.mu.Unlock()
+		if epoch > 0 && pos == 0 { // epoch 0 stores 0 over 0: no notice
+			t.Fatalf("epoch %d: node 1 confirmed no position from node 0", epoch)
+		}
 		barrier(t, c)
 		if err := c.CheckCoherence(); err != nil {
 			t.Fatalf("epoch %d: %v", epoch, err)
 		}
+		for _, n := range c.nodes {
+			n.lockSync()
+			if slices.ContainsFunc(n.pullPos, func(p int32) bool { return p != 0 }) || len(n.lockMark) != 0 {
+				t.Fatalf("epoch %d: node %d keeps positions %v and marks %v across the barrier", epoch, n.id, n.pullPos, n.lockMark)
+			}
+			n.mu.Unlock()
+		}
 	}
-}
-
-// TestManagerLogSharedAcrossLocks checks that notices shipped to a
-// manager via one lock's release flow into grants of its other locks —
-// the shared-log superset that preserves transitive causality.
-func TestManagerLogSharedAcrossLocks(t *testing.T) {
-	c := newTestCluster(t, 3, 1)
-	// Locks 3 and 6 are both managed by node 0.
-	if _, err := c.AcquireLock(1, 8, 3); err != nil {
-		t.Fatal(err)
-	}
-	wf32(t, c, 1, 8, 0, 77)
-	if _, err := c.ReleaseLock(1, 8, 3); err != nil {
-		t.Fatal(err)
-	}
-	// Node 2 acquires the *other* lock: the grant still carries node
-	// 1's notice (shared manager log), so its read is current.
-	if _, err := c.AcquireLock(2, 16, 6); err != nil {
-		t.Fatal(err)
-	}
-	if got := rf32(t, c, 2, 16, 0); got != 77 {
-		t.Fatalf("cross-lock read = %v, want 77", got)
-	}
-	if _, err := c.ReleaseLock(2, 16, 6); err != nil {
-		t.Fatal(err)
-	}
-	_ = vm.PageID(0)
 }

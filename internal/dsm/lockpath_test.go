@@ -43,14 +43,13 @@ func chainTurn(step int) (node, lock int) {
 
 // lockCell is one configuration of the lock path.
 type lockCell struct {
-	shards  int  // Config.LockShards
-	forward bool // Config.LockForwarding: grants name the holder to pull from
-	ft      bool
-	crash   string // "", or whom the crash leg kills: "primary" or "holder"
+	shards int // Config.LockShards
+	ft     bool
+	crash  string // "", or whom the crash leg kills: "primary" or "holder"
 }
 
 func (lc lockCell) String() string {
-	return fmt.Sprintf("shards=%d/forward=%v/ft=%v/crash=%q", lc.shards, lc.forward, lc.ft, lc.crash)
+	return fmt.Sprintf("shards=%d/ft=%v/crash=%q", lc.shards, lc.ft, lc.crash)
 }
 
 // lockRun is what one cell produced.
@@ -96,7 +95,6 @@ func runLockChain(t *testing.T, cell lockCell, crashAt *sim.CallKey) (lockRun, e
 		Nodes:            chainNodes,
 		Pages:            npages,
 		LockShards:       cell.shards,
-		LockForwarding:   cell.forward,
 		FaultTolerance:   cell.ft,
 		GCThresholdBytes: -1,
 		Chaos:            chaos,
@@ -215,9 +213,8 @@ func crashCallFor(crash string, cal lockRun) *sim.CallKey {
 
 // TestLockVariantsEquivalent is the proof that the lock path is one
 // mechanism whichever node serves it. One lock chain runs in every cell of
-// {LockShards 1, 2, one per node} x {grant forwarding off, on} x {fault
-// tolerance off, on} x {no crash, kill the lock's primary, kill the last
-// holder}: every acquire must read the value the previous holder wrote, and
+// {LockShards 1, 2, one per node} x {fault tolerance off, on} x {no crash,
+// kill the lock's primary, kill the last holder}: every acquire must read the value the previous holder wrote, and
 // every cell must end with the same memory. With nothing crashing, fault
 // tolerance may only add the standby copies: the lock traffic to primaries
 // is the same call sequence with it off and on. New refuses the crash legs
@@ -225,50 +222,48 @@ func crashCallFor(crash string, cal lockRun) *sim.CallKey {
 func TestLockVariantsEquivalent(t *testing.T) {
 	var ref uint64
 	for _, shards := range []int{1, 2, chainNodes} {
-		for _, forward := range []bool{false, true} {
-			var plain, cal lockRun
-			for _, ft := range []bool{false, true} {
-				for _, crash := range []string{"", "primary", "holder"} {
-					cell := lockCell{shards, forward, ft, crash}
-					t.Run(cell.String(), func(t *testing.T) {
-						var crashAt *sim.CallKey
-						switch {
-						case crash != "" && !ft:
-							crashAt = &sim.CallKey{To: chainVictim} // any schedule: New refuses it
-						case crash != "":
-							if crashAt = crashCallFor(crash, cal); crashAt == nil {
-								t.Fatal("calibration saw no call to place the crash at")
-							}
+		var plain, cal lockRun
+		for _, ft := range []bool{false, true} {
+			for _, crash := range []string{"", "primary", "holder"} {
+				cell := lockCell{shards, ft, crash}
+				t.Run(cell.String(), func(t *testing.T) {
+					var crashAt *sim.CallKey
+					switch {
+					case crash != "" && !ft:
+						crashAt = &sim.CallKey{To: chainVictim} // any schedule: New refuses it
+					case crash != "":
+						if crashAt = crashCallFor(crash, cal); crashAt == nil {
+							t.Fatal("calibration saw no call to place the crash at")
 						}
-						r, err := runLockChain(t, cell, crashAt)
-						if errors.Is(err, errCrashNeedsFT) {
-							t.Skip(err)
+					}
+					r, err := runLockChain(t, cell, crashAt)
+					if errors.Is(err, errCrashNeedsFT) {
+						t.Skip(err)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ref == 0 {
+						ref = r.digest
+					}
+					if r.digest != ref {
+						t.Fatalf("memory digest %x, want %x", r.digest, ref)
+					}
+					switch {
+					case crash != "":
+						if r.snap.Crashes != 1 || r.snap.Failovers == 0 {
+							t.Fatalf("Crashes/Failovers = %d/%d, want 1 and some", r.snap.Crashes, r.snap.Failovers)
 						}
-						if err != nil {
-							t.Fatal(err)
+					case !ft:
+						plain = r
+					default:
+						cal = r
+						if fmt.Sprint(r.toPrimaries) != fmt.Sprint(plain.toPrimaries) {
+							t.Fatalf("lock traffic to primaries differs with fault tolerance on:\noff: %v\non:  %v",
+								plain.toPrimaries, r.toPrimaries)
 						}
-						if ref == 0 {
-							ref = r.digest
-						}
-						if r.digest != ref {
-							t.Fatalf("memory digest %x, want %x", r.digest, ref)
-						}
-						switch {
-						case crash != "":
-							if r.snap.Crashes != 1 || r.snap.Failovers == 0 {
-								t.Fatalf("Crashes/Failovers = %d/%d, want 1 and some", r.snap.Crashes, r.snap.Failovers)
-							}
-						case !ft:
-							plain = r
-						default:
-							cal = r
-							if fmt.Sprint(r.toPrimaries) != fmt.Sprint(plain.toPrimaries) {
-								t.Fatalf("lock traffic to primaries differs with fault tolerance on:\noff: %v\non:  %v",
-									plain.toPrimaries, r.toPrimaries)
-							}
-						}
-					})
-				}
+					}
+				})
 			}
 		}
 	}

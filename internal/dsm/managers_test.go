@@ -13,7 +13,8 @@ import (
 )
 
 // Tests for the decentralized managers: the tree barrier, migrating
-// page homes, and sharded lock managers with grant forwarding.
+// page homes, and sharded lock managers whose grants name the holder to
+// pull from.
 
 func TestNodeForIDSeam(t *testing.T) {
 	// The old placement was int(p) % Nodes with p an int32-backed
@@ -340,12 +341,11 @@ func TestLockShardsSpread(t *testing.T) {
 	}
 }
 
-// TestLockGrantForwarding checks the forwarded lock path: the
-// shard manager redirects an acquirer to the previous holder, the
-// holder serves the history directly, and causality is preserved
-// across a three-node hand-off chain.
+// TestLockGrantForwarding checks the lock path across three nodes: the
+// shard manager names the previous holder, the holder serves the history
+// directly, and causality is preserved across the hand-off chain.
 func TestLockGrantForwarding(t *testing.T) {
-	c, err := New(Config{Nodes: 3, Pages: 2, LockForwarding: true})
+	c, err := New(Config{Nodes: 3, Pages: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestLockGrantForwarding(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := rf32(t, c, 2, 16, 0); got != 5.0 {
-		t.Fatalf("node 2 read %v through forwarded grant, want 5", got)
+		t.Fatalf("node 2 read %v after pulling from the holder, want 5", got)
 	}
 	wf32(t, c, 2, 16, 0, 6.0)
 	if _, err := c.ReleaseLock(2, 16, lock); err != nil {
@@ -398,7 +398,6 @@ func TestForwardedGrantPullRetry(t *testing.T) {
 	var dropped atomic.Bool
 	c, err := New(Config{
 		Nodes: 3, Pages: 1,
-		LockForwarding: true,
 		Transport: transport.Options{
 			MaxAttempts: 4,
 			BackoffBase: time.Microsecond,
@@ -454,9 +453,9 @@ func TestForwardedGrantPullRetry(t *testing.T) {
 }
 
 // TestShardedLockChaosDedup drops and duplicates sharded lock traffic
-// (one dropped LockAcquire reply, one duplicated LockRelease) under
-// grant forwarding: retries and re-executions must leave every protocol
-// counter identical to a fault-free run.
+// (one dropped LockAcquire reply, one duplicated LockRelease): retries and
+// re-executions must leave every protocol counter identical to a
+// fault-free run.
 func TestShardedLockChaosDedup(t *testing.T) {
 	workload := func(c *Cluster) {
 		for round := 0; round < 3; round++ {
@@ -481,7 +480,6 @@ func TestShardedLockChaosDedup(t *testing.T) {
 	run := func(chaos *transport.ChaosOptions) Snapshot {
 		c, err := New(Config{
 			Nodes: 3, Pages: 2,
-			LockForwarding:   true,
 			GCThresholdBytes: -1,
 			Transport: transport.Options{
 				MaxAttempts: 6,
@@ -602,7 +600,6 @@ func TestChaosPlanReplayDeterminism(t *testing.T) {
 		c, err := New(Config{
 			Nodes: 5, Pages: 4,
 			BarrierArity:     2,
-			LockForwarding:   true,
 			GCThresholdBytes: -1,
 			Transport: transport.Options{
 				MaxAttempts: 6,
@@ -678,7 +675,6 @@ func TestDistributedManagersEndToEnd(t *testing.T) {
 			c, err := New(Config{
 				Nodes: 4, Pages: 4,
 				BarrierArity:     2,
-				LockForwarding:   true,
 				GCThresholdBytes: 1,
 				BatchDiffs:       true,
 				PrefetchBudget:   8,

@@ -107,34 +107,15 @@ func (st *pageState) noteApplied(writer, interval int32) {
 	}
 }
 
-// mgrLog is a lock manager's shared, deduplicated, append-only log of
-// every notice that has flowed through any lock it manages since the last
-// barrier. Grants send each requesting node only the suffix it has not
-// yet received, so repeated acquires don't re-ship the same history — the
-// incremental delivery real CVM achieves with vector timestamps. Sending
-// the shared log (a superset of any one lock's history) preserves the
-// transitive-causality guarantee.
-//
-// The high-water mark for the suffix is *requester-confirmed*: the
-// acquire message echoes the log position of the last grant the requester
-// applied (LockAcquire.Pos), and the manager serves from there. Keeping
-// the mark on the manager and advancing it when serving would lose
-// notices if the grant reply is dropped and the transport retries the
-// acquire — the retried request would be served from past the notices
-// the requester never received.
-//
-// No sub-slice of log ever leaves the manager: grants copy the notices
-// they carry out of it under lockMgrMu (appendUnseen into a pooled list),
-// so reset can truncate the log and keep its backing array.
+// mgrLog is a lock manager's record of the locks it manages since the
+// last barrier: who released each lock last and at which Lamport clock.
+// The manager ships no notices. A grant names the lock's last releaser
+// (its holder), and the acquirer pulls the lock's causal history from
+// that node (serveLockPull).
 type mgrLog struct {
-	log  []msg.Notice
-	have noticeSet // what log has taken since the last barrier
 	// lockLam[lock] is the Lamport clock of the lock's last release.
 	lockLam map[int32]int32
-	// holder[lock] is the node that last released the lock (grant
-	// forwarding: the manager names the holder instead of shipping
-	// history, and the acquirer pulls from it directly). Only
-	// maintained when Config.LockForwarding is on.
+	// holder[lock] is the node that last released the lock.
 	holder map[int32]int32
 }
 
@@ -145,9 +126,9 @@ func newMgrLog() *mgrLog {
 	}
 }
 
-// noticeSet holds the (writer, interval) pairs a notice list — a manager
-// log, a node's known history, a barrier fold — has taken since the last
-// barrier. The zero value is empty; clear keeps its storage for reuse.
+// noticeSet holds the (writer, interval) pairs a notice list — a node's
+// known history, a barrier fold — has taken since the last barrier. The
+// zero value is empty; clear keeps its storage for reuse.
 type noticeSet struct{ m map[uint64]struct{} }
 
 // add appends to dst the notices of ns whose interval s has not taken. An
@@ -174,13 +155,8 @@ func (s *noticeSet) add(dst, ns []msg.Notice) []msg.Notice {
 
 func (s *noticeSet) clear() { clear(s.m) }
 
-// reset empties the log at a barrier. It truncates rather than drops the
-// log (nothing aliases it, see mgrLog), so the next epoch refills the same
-// array instead of regrowing one by doubling. A node that manages no lock
-// traffic — every node of a barrier-only application — pays nothing.
+// reset empties the record at a barrier, keeping the maps' storage.
 func (ml *mgrLog) reset() {
-	ml.log = ml.log[:0]
-	ml.have.clear()
 	clear(ml.lockLam)
 	clear(ml.holder)
 }
@@ -196,10 +172,10 @@ func (ml *mgrLog) reset() {
 //     pages in different shards service in parallel; read-only serves
 //     share a shard's read lock.
 //   - mu guards the synchronization-side state: interval counter, seen
-//     vector, the known notice history with its high-water
-//     marks, and the prefetch windows (faultWin, late, pushedEpoch,
+//     vector, the known notice history with its release marks and pull
+//     positions, and the prefetch windows (faultWin, late, pushedEpoch,
 //     pushCost). Helper methods with a Locked suffix require it held.
-//   - lockMgrMu guards the lock-manager logs and standby mirrors (locks).
+//   - lockMgrMu guards the lock-manager records and standby mirrors (locks).
 //   - swMu guards the single-writer ownership table (sw).
 //   - lamport, diffBytes, gen and prefetchedLive are atomics: folded and
 //     read lock-free.
@@ -278,40 +254,39 @@ type node struct {
 	// this node is guaranteed to have received (advanced at barriers).
 	// A published vector is never modified: a release that advances it
 	// copies it into seenAlt, the vector before last, and installs that,
-	// so a snapshot taken under mu (every lock acquire sends one) stays
+	// so a snapshot taken under mu (every lock pull sends one) stays
 	// valid without it, as no acquire runs across a release (doc.go).
 	seen, seenAlt []int32
 	// known accumulates every notice this node has created (in close
 	// order, which the barrier enter ships) or received since the last
-	// barrier, deduplicated by knownHave. Lock releases send the whole
-	// list so that grants carry *transitive* causal history: if this
-	// node's writes happened after it observed another node's interval,
-	// any grant that delivers our notices also delivers that interval's.
-	// Without this, a third node can receive causally-ordered diffs out
-	// of order and apply an older value over a newer one (lost update).
-	// It only grows between barriers, which truncate it in place (a
-	// rejoin drops it), so no view of it outlives its call: a closed
-	// interval is replicated and probed before its close returns, a
-	// release detaches its Notices (ReleaseLock), a pull filters under mu
+	// barrier, deduplicated by knownHave. A pull is served a prefix of
+	// the whole list, not only the lock's own notices, so that it carries
+	// *transitive* causal history: if this node's writes happened after
+	// it observed another node's interval, any pull that delivers our
+	// notices also delivers that interval's. Without this, a third node
+	// can receive causally-ordered diffs out of order and apply an older
+	// value over a newer one (lost update). It only grows between
+	// barriers, which truncate it in place (a rejoin drops it), so no
+	// view of it outlives its call: a closed interval is replicated and
+	// probed before its close returns, a pull filters under mu
 	// (serveLockPull), a standby copies a delta's Known (serveReplicaDelta).
 	known     []msg.Notice
 	knownHave noticeSet
-	// sentKnown[p] is the prefix of known already shipped by this node's
-	// releases of the locks primary manager p manages — to p, or to the
-	// standbys mirroring p's log, which get the same messages (reset at
-	// barriers).
-	sentKnown []int
-	// lockPos[p] is the prefix of primary manager p's shared notice log
-	// this node has received and applied via lock grants p served. It
-	// advances only after a grant is applied and is echoed in the next
-	// acquire, keeping grant delivery incremental yet retry-safe (reset
-	// at barriers).
-	lockPos []int32
-	// lockMark[lock] is the length of known snapshotted when this node
-	// last released the lock (grant forwarding): a later LockPull for
-	// the lock is served exactly that prefix, so notices created after
-	// the release never leak into an older grant. Reset at barriers.
+	// lockMark[lock] is the length of known when this node last released
+	// the lock: a later LockPull for the lock is served at most that
+	// prefix, so notices created after the release never leak into an
+	// older hand-off. Reset at barriers.
 	lockMark map[int32]int
+	// pullPos[h] is the prefix of holder h's known that this node has
+	// received and applied through pulls h served itself. It advances
+	// only after a pull's notices are applied and is echoed in the next
+	// pull from h, keeping hand-offs incremental yet retry-safe. It is
+	// valid for the membership view pullView it was confirmed under: a
+	// holder that crashed and rejoined restarted its known, so a view
+	// change clears every position. Reset, like known, at barriers and
+	// at a rejoin.
+	pullPos  []int32
+	pullView int64
 	// faultWin records the pages that missed remotely — or hit a
 	// prefetched copy — since the last prefetch round. It is the
 	// fallback predictor when no tracker-driven predictor is installed:
@@ -329,8 +304,8 @@ type node struct {
 	// diffs; Cluster.Barrier drains it into the node's episode cost.
 	pushCost sim.Time
 
-	// lockMgrMu guards locks, the lock-manager logs by primary manager:
-	// locks[id] is the log of the locks this node manages, and under
+	// lockMgrMu guards locks, the lock-manager records by primary manager:
+	// locks[id] is the record of the locks this node manages, and under
 	// fault tolerance locks[p] for another p is the mirror this node keeps
 	// as p's standby (created by the first release copied to it).
 	lockMgrMu sync.Mutex
@@ -376,9 +351,8 @@ func newNode(id int, c *Cluster, npages int) *node {
 		shardMask: uint32(c.shardCount - 1),
 		seen:      make([]int32, c.cfg.Nodes),
 		locks:     make([]*mgrLog, c.cfg.Nodes),
-		sentKnown: make([]int, c.cfg.Nodes),
-		lockPos:   make([]int32, c.cfg.Nodes),
 		lockMark:  make(map[int32]int),
+		pullPos:   make([]int32, c.cfg.Nodes),
 		homes:     make([]atomic.Int32, npages),
 	}
 	n.locks[id] = newMgrLog()
@@ -966,11 +940,10 @@ func (n *node) serveBarrierRelease(req *msg.BarrierRelease) (msg.Message, error)
 }
 
 // resetLockState restarts the node's lock-side state together, at a
-// barrier release and at a rejoin: the manager logs and standby mirrors,
-// the per-target release high-water marks, the confirmed grant-log
-// positions, and the grant-forwarding release marks. A node that manages
-// no lock traffic — every node of a barrier-only application — resets
-// empty logs.
+// barrier release and at a rejoin: the manager records and standby
+// mirrors, the release marks, and the confirmed pull positions. A node
+// that manages no lock traffic — every node of a barrier-only application
+// — resets empty records.
 func (n *node) resetLockState() {
 	n.lockMgrMu.Lock()
 	for _, ml := range n.locks {
@@ -980,19 +953,18 @@ func (n *node) resetLockState() {
 	}
 	n.lockMgrMu.Unlock()
 	n.lockSync()
-	clear(n.sentKnown)
-	clear(n.lockPos)
 	clear(n.lockMark)
+	clear(n.pullPos)
 	n.mu.Unlock()
 }
 
-// lockLog returns the log a lock message folds into at this node, chosen
-// from the lock's primary manager the way readDiffs chooses a store from
-// the writer: this node's own log when it is the primary, otherwise the
-// mirror it keeps as that primary's standby — created by the first
-// message, which under fault tolerance may be a copied release or a
-// failover acquire (served from an empty mirror). Without fault tolerance
-// only the primary holds lock state. Requires lockMgrMu.
+// lockLog returns the record a lock message folds into at this node,
+// chosen from the lock's primary manager the way readDiffs chooses a
+// store from the writer: this node's own record when it is the primary,
+// otherwise the mirror it keeps as that primary's standby — created by
+// the first message, which under fault tolerance may be a copied release
+// or a failover acquire (served from an empty mirror). Without fault
+// tolerance only the primary holds lock state. Requires lockMgrMu.
 func (n *node) lockLog(primary int) (*mgrLog, error) {
 	ml := n.locks[primary]
 	if ml == nil {
@@ -1005,56 +977,37 @@ func (n *node) lockLog(primary int) (*mgrLog, error) {
 	return ml, nil
 }
 
-// serveLockAcquire grants a lock from the log lockLog chooses. Under
-// grant forwarding the grant names the lock's last releaser (-1 for none
-// since the barrier) and the acquirer pulls the history from it
-// (serveLockPull); otherwise it carries the log notices the requester has
-// not seen. The primary serves the suffix past the position the requester
-// last confirmed (LockAcquire.Pos), so a retried acquire is re-served the
-// identical suffix and the requester's notice dedup absorbs it. Positions
-// index the primary's log, not a mirror, so a mirror serves from position
-// 0 and grants Pos 0; the requester confirms positions only from the
-// primary. A pure read either way.
+// serveLockAcquire grants a lock from the record lockLog chooses: the
+// grant names the lock's last releaser (-1 for none since the barrier),
+// from which the acquirer pulls the history (serveLockPull), and carries
+// the Lamport clock of that release. A pure read.
 func (n *node) serveLockAcquire(req *msg.LockAcquire) (msg.Message, error) {
-	primary := n.c.lockManager(req.Lock)
 	n.lockMgrMu.Lock()
 	defer n.lockMgrMu.Unlock()
-	ml, err := n.lockLog(primary)
+	ml, err := n.lockLog(n.c.lockManager(req.Lock))
 	if err != nil {
 		return nil, err
 	}
 	grant := msg.New[*msg.LockGrant]()
 	grant.Lock, grant.Lam, grant.Holder = req.Lock, ml.lockLam[req.Lock], -1
-	if n.c.cfg.LockForwarding {
-		if h, ok := ml.holder[req.Lock]; ok {
-			grant.Holder = h
-		}
-		return grant, nil
+	if h, ok := ml.holder[req.Lock]; ok {
+		grant.Holder = h
 	}
-	start := 0
-	if primary == n.id {
-		grant.Pos = int32(len(ml.log))
-		// Positions from before the log's barrier reset cannot occur (both
-		// ends reset together), but never slice past the log.
-		if req.Pos > 0 && int(req.Pos) <= len(ml.log) {
-			start = int(req.Pos)
-		}
-	}
-	grant.Notices = appendUnseen(grant.Notices, ml.log[start:], req.Node, req.Seen)
 	return grant, nil
 }
 
-// serveLockRelease folds a release into the log lockLog chooses: the
+// serveLockRelease folds a release into the record lockLog chooses: the
 // primary's own, or — for a release copied to a standby, or re-routed to
-// it while the primary is dead — the standby's mirror. Under grant
-// forwarding it registers the releaser as the lock's holder. Under fault
-// tolerance a release from another node also records the releaser's mark:
-// how much of the releaser's replicated history existed at the release
-// (the delta covering the release's interval always arrives first), so
-// that a pull for the lock served here for a dead holder gets exactly the
-// prefix the holder's own lockMark would have. Idempotent: notices dedup,
-// clocks merge by max, a retried release re-registers the same holder and
-// mark.
+// it while the primary is dead — the standby's mirror. It registers the
+// releaser as the lock's holder; under the single-writer protocol, which
+// keeps no write notices, there is nothing to pull and it registers none.
+// Under fault tolerance a release from another node also records the
+// releaser's mark: how much of the releaser's replicated history existed
+// at the release (the delta covering the release's interval always
+// arrives first), so that a pull for the lock served here for a dead
+// holder gets exactly the prefix the holder's own lockMark would have.
+// Idempotent: clocks merge by max, a retried release re-registers the
+// same holder and mark.
 func (n *node) serveLockRelease(req *msg.LockRelease) (msg.Message, error) {
 	n.lockMgrMu.Lock()
 	ml, err := n.lockLog(n.c.lockManager(req.Lock))
@@ -1062,9 +1015,8 @@ func (n *node) serveLockRelease(req *msg.LockRelease) (msg.Message, error) {
 		n.lockMgrMu.Unlock()
 		return nil, err
 	}
-	ml.log = ml.have.add(ml.log, req.Notices)
 	ml.lockLam[req.Lock] = maxI32(ml.lockLam[req.Lock], req.Lam)
-	if n.c.cfg.LockForwarding {
+	if n.c.cfg.Protocol != SingleWriter {
 		ml.holder[req.Lock] = req.Node
 	}
 	n.lockMgrMu.Unlock()
@@ -1081,20 +1033,23 @@ func (n *node) serveLockRelease(req *msg.LockRelease) (msg.Message, error) {
 	return &msg.Ack{}, nil
 }
 
-// serveLockPull answers a grant-forwarding history pull: the manager named
-// req.Holder as the lock's last releaser, and the acquirer asks for the
-// causal history that release covered. The history is chosen from the
-// holder: for this node's own id, the prefix of known marked at its
-// release (lockMark), stamped with its Lamport clock; for another holder —
-// under fault tolerance, whose standby this node is — the prefix of the
-// holder's replicated history marked when the release reached here
-// (serveLockRelease), stamped with the holder's replicated clock. The own
+// serveLockPull answers a history pull: the manager named req.Holder as
+// the lock's last releaser, and the acquirer asks for the causal history
+// that release covered. For this node's own id that is the prefix of
+// known marked at its release (lockMark), served from the position the
+// requester last confirmed (req.Pos), so a retried pull is re-served the
+// identical suffix; the grant's Pos is the mark, the position the
+// requester confirms once it has applied the notices. A position past
+// the mark means the requester has the whole prefix already. For
+// another holder — under fault tolerance, whose standby this node is —
+// it is the prefix of the holder's replicated history marked when the
+// release reached here (serveLockRelease), served from its start: a
+// position indexes the holder's own known, not the replica. The own
 // prefix is filtered under mu, because a barrier truncates known in
 // place; a replicated history is append-only until a barrier drops its
-// map, so that prefix is filtered without replMu. A pure read — a
-// transport retry is re-served the identical grant — and a pull arriving
-// after a barrier cleared the mark returns an empty grant: the barrier
-// already delivered everything.
+// map, so that prefix is filtered without replMu. A pure read either
+// way, and a pull arriving after a barrier cleared the mark returns an
+// empty grant: the barrier already delivered everything.
 func (n *node) serveLockPull(req *msg.LockPull) (msg.Message, error) {
 	holder := int(req.Holder)
 	if holder != n.id && !n.c.cfg.FaultTolerance {
@@ -1104,8 +1059,10 @@ func (n *node) serveLockPull(req *msg.LockPull) (msg.Message, error) {
 	grant.Lock, grant.Holder = req.Lock, req.Holder
 	if holder == n.id {
 		n.lockSync()
-		history := n.known[:min(n.lockMark[req.Lock], len(n.known))]
-		grant.Notices = appendUnseen(grant.Notices, history, req.Node, req.Seen)
+		mark := min(n.lockMark[req.Lock], len(n.known))
+		start := min(max(int(req.Pos), 0), mark)
+		grant.Notices = appendUnseen(grant.Notices, n.known[start:mark], req.Node, req.Seen)
+		grant.Pos = int32(mark)
 		n.mu.Unlock()
 		grant.Lam = n.lamport.Load()
 	} else {
@@ -1119,9 +1076,9 @@ func (n *node) serveLockPull(req *msg.LockPull) (msg.Message, error) {
 	return grant, nil
 }
 
-// appendUnseen is the grant filter: it appends to dst the notices of
+// appendUnseen is the pull filter: it appends to dst the notices of
 // history that requester has not seen — neither its own nor covered by its
-// seen vector. The serves pass a pooled grant's own list as dst; the
+// seen vector. The serve passes a pooled grant's own list as dst; the
 // handler releases the grant once it is encoded, and a grant served in
 // place is released by its acquirer. Either way the grant owns a copy,
 // never a view of the history.

@@ -9,8 +9,8 @@ import (
 )
 
 // noticeRef is the reference the notice set is checked against: the
-// (page, writer, interval) hash set the manager log, the known history and
-// the barrier fold each kept before, which admits notice by notice.
+// (page, writer, interval) hash set the known history and the barrier fold
+// each kept before, which admits notice by notice.
 type noticeRef map[[3]int32]bool
 
 func (r noticeRef) add(dst, ns []msg.Notice) []msg.Notice {

@@ -127,9 +127,9 @@ type CounterSet[T any] struct {
 	Barriers T
 	// LockAcquires counts lock acquisitions.
 	LockAcquires T
-	// LockForwards counts acquisitions whose grant was forwarded: the
-	// lock's shard manager redirected the acquirer to the previous
-	// holder, which served the notices directly (Config.LockForwarding).
+	// LockForwards counts history pulls: acquisitions whose grant named
+	// another node as the lock's last releaser, which served the notices
+	// directly.
 	LockForwards T
 	// GCCollections counts pages consolidated by garbage collection.
 	GCCollections T

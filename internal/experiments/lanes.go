@@ -46,7 +46,7 @@ func Lanes() []Lane {
 		},
 		{
 			Name:     "serving",
-			Title:    "Serving: KV workload under static/min-cost/min-cost+forwarding placement",
+			Title:    "Serving: KV workload under static/min-cost placement",
 			Artifact: "BENCH_serving.json",
 			Run:      laneRun(ServingComparison, FormatServingReport),
 			Compare:  CompareServingReports,

@@ -207,8 +207,8 @@ func fanDepth(children map[int][]int, root int) int {
 }
 
 // LockSpread reports where one LockChain-style workload's
-// manager-bound lock messages (acquires, releases, and forwarded-grant
-// pulls) landed. The counts are deterministic: the workload is serial
+// manager-bound lock messages (acquires, releases, and history pulls)
+// landed. The counts are deterministic: the workload is serial
 // and local self-serves never touch the wire.
 type LockSpread struct {
 	// Shards is the effective shard count.

@@ -10,14 +10,13 @@ package experiments
 //   - static: the default placement, untouched for the whole run.
 //   - mincost: active correlation tracking over window 0, then one
 //     min-cost re-placement at the first window boundary — groups
-//     co-locate before the measurement span opens.
-//   - forward: mincost plus lock-grant forwarding, so a PUT's acquirer
-//     pulls the stripe's history from its last holder.
+//     co-locate before the measurement span opens, so a PUT's acquirer
+//     more often is, or sits beside, the stripe's last holder.
 //
 // Every number is virtual-time deterministic, so the gate both bounds
 // drift against the committed baseline and asserts the headline claim
-// of the serving experiment: grant forwarding beats static placement on
-// p99 latency and throughput.
+// of the serving experiment: min-cost placement beats static placement
+// on p99 latency and throughput.
 
 import (
 	"encoding/json"
@@ -34,7 +33,7 @@ import (
 
 // ServingRow is one placement configuration's measurements.
 type ServingRow struct {
-	// Config names the placement variant: static, mincost, or forward.
+	// Config names the placement variant: static or mincost.
 	Config string `json:"config"`
 
 	QPS  float64  `json:"qps"`
@@ -86,7 +85,6 @@ func servingBenchConfig() serve.Config {
 type servingVariant struct {
 	name    string
 	replace bool // min-cost re-placement after the tracked window
-	forward bool // dsm.Config.LockForwarding
 }
 
 // runServing executes one serving run under the given variant and
@@ -99,10 +97,7 @@ func runServing(v servingVariant) (ServingRow, error) {
 	if err != nil {
 		return row, fmt.Errorf("serving %s: %w", v.name, err)
 	}
-	sys, err := system.NewSystem(kv, servingBenchNodes, system.WithClusterConfig(dsm.Config{
-		BatchDiffs:     true,
-		LockForwarding: v.forward,
-	}))
+	sys, err := system.NewSystem(kv, servingBenchNodes, system.WithClusterConfig(dsm.Config{BatchDiffs: true}))
 	if err != nil {
 		return row, fmt.Errorf("serving %s: %w", v.name, err)
 	}
@@ -152,7 +147,6 @@ func ServingComparison() (ServingReport, error) {
 	variants := []servingVariant{
 		{name: "static"},
 		{name: "mincost", replace: true},
-		{name: "forward", replace: true, forward: true},
 	}
 	for _, v := range variants {
 		row, err := runServing(v)
@@ -186,9 +180,9 @@ func FormatServingReport(r ServingReport) string {
 			row.Config, row.QPS, row.P50, row.P99, row.P999,
 			row.RemoteMisses, row.LockForwards)
 	}
-	if s, f := servingRow(r, "static"), servingRow(r, "forward"); s != nil && f != nil && s.P99 > 0 {
-		fmt.Fprintf(&b, "forward p99 is %.2fx static (gate: < 1.0)\n",
-			float64(f.P99)/float64(s.P99))
+	if s, m := servingRow(r, "static"), servingRow(r, "mincost"); s != nil && m != nil && s.P99 > 0 {
+		fmt.Fprintf(&b, "mincost p99 is %.2fx static (gate: < 1.0)\n",
+			float64(m.P99)/float64(s.P99))
 	}
 	return b.String()
 }
@@ -202,7 +196,7 @@ const ServingRegressionTolerance = 0.05
 
 // CompareServingReports validates a fresh report against the committed
 // baseline: per-variant QPS and p99 within tolerance, and the serving
-// experiment's headline property — grant forwarding beats static
+// experiment's headline property — min-cost placement beats static
 // placement on p99 and QPS — must hold in the fresh measurements.
 func CompareServingReports(baseline, current []byte) (string, error) {
 	var base, cur ServingReport
@@ -233,16 +227,16 @@ func CompareServingReports(baseline, current []byte) (string, error) {
 				br.Config, cr.P99, br.P99, ServingRegressionTolerance*100))
 		}
 	}
-	s, f := servingRow(cur, "static"), servingRow(cur, "forward")
+	s, m := servingRow(cur, "static"), servingRow(cur, "mincost")
 	switch {
-	case s == nil || f == nil:
-		failures = append(failures, "current report lacks the static/forward pair")
-	case f.P99 >= s.P99:
+	case s == nil || m == nil:
+		failures = append(failures, "current report lacks the static/mincost pair")
+	case m.P99 >= s.P99:
 		failures = append(failures, fmt.Sprintf(
-			"grant forwarding no longer beats static placement on p99: %v vs %v", f.P99, s.P99))
-	case f.QPS <= s.QPS:
+			"min-cost placement no longer beats static placement on p99: %v vs %v", m.P99, s.P99))
+	case m.QPS <= s.QPS:
 		failures = append(failures, fmt.Sprintf(
-			"grant forwarding no longer beats static placement on throughput: %.0f vs %.0f QPS", f.QPS, s.QPS))
+			"min-cost placement no longer beats static placement on throughput: %.0f vs %.0f QPS", m.QPS, s.QPS))
 	}
 	if len(failures) > 0 {
 		return b.String(), fmt.Errorf("serving benchmark regression:\n  %s",

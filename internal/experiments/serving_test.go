@@ -14,8 +14,8 @@ func TestServingComparison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3: %+v", len(rep.Rows), rep.Rows)
+	if len(rep.Rows) != 2 {
+		t.Fatalf("got %d rows, want 2: %+v", len(rep.Rows), rep.Rows)
 	}
 	cfg := servingBenchConfig()
 	wantReqs := int64(cfg.Clients * cfg.RequestsPerWindow * cfg.MeasureWindows)
@@ -27,25 +27,25 @@ func TestServingComparison(t *testing.T) {
 			t.Errorf("%s has malformed latency figures: %+v", row.Config, row)
 		}
 	}
-	s, m, f := servingRow(rep, "static"), servingRow(rep, "mincost"), servingRow(rep, "forward")
-	if s == nil || m == nil || f == nil {
+	s, m := servingRow(rep, "static"), servingRow(rep, "mincost")
+	if s == nil || m == nil {
 		t.Fatalf("missing variant row: %+v", rep.Rows)
 	}
 	// The ablation's point: correlation-driven co-location cuts remote
-	// misses, and grant forwarding converts that into better throughput
-	// AND a better tail than static placement.
+	// misses and converts that into better throughput AND a better tail
+	// than static placement.
 	if m.RemoteMisses >= s.RemoteMisses {
 		t.Errorf("min-cost placement did not reduce misses: %d vs static %d",
 			m.RemoteMisses, s.RemoteMisses)
 	}
-	if f.P99 >= s.P99 {
-		t.Errorf("forward p99 %v not below static %v", f.P99, s.P99)
+	if m.P99 >= s.P99 {
+		t.Errorf("mincost p99 %v not below static %v", m.P99, s.P99)
 	}
-	if f.QPS <= s.QPS {
-		t.Errorf("forward QPS %.0f not above static %.0f", f.QPS, s.QPS)
+	if m.QPS <= s.QPS {
+		t.Errorf("mincost QPS %.0f not above static %.0f", m.QPS, s.QPS)
 	}
-	if f.LockForwards == 0 {
-		t.Errorf("forward leg forwarded no grant: %+v", *f)
+	if m.LockForwards == 0 {
+		t.Errorf("mincost leg pulled no lock history: %+v", *m)
 	}
 
 	// The gate accepts its own fresh report.
@@ -57,7 +57,7 @@ func TestServingComparison(t *testing.T) {
 	if err != nil {
 		t.Fatalf("self-comparison failed: %v\n%s", err, summary)
 	}
-	for _, name := range []string{"static", "mincost", "forward"} {
+	for _, name := range []string{"static", "mincost"} {
 		if !strings.Contains(summary, name) {
 			t.Errorf("comparison summary omits %s:\n%s", name, summary)
 		}

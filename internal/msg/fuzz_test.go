@@ -32,14 +32,13 @@ func FuzzDecode(f *testing.F) {
 			Homes: []PageHome{{Page: 2, Home: 1}},
 			Relay: []NodePush{{Node: 3, Push: []PushedDiff{{Page: 2, Writer: 0, Interval: 1, Diff: []byte{0, 0, 4, 0, 9, 9, 9, 9}}}}}},
 		&LockPull{Node: 2, Lock: 7, Seen: []int32{1, 0, 4}},
-		&LockAcquire{Node: 0, Lock: 7, Seen: []int32{1, 2}},
-		&LockAcquire{Node: 3, Lock: 1, Pos: 5, Seen: []int32{0, 0, 2, 1}},
+		&LockPull{Node: 3, Lock: 1, Holder: 0, Pos: 5, Seen: []int32{0, 0, 2, 1}},
+		&LockAcquire{Node: 0, Lock: 7},
 		&LockGrant{Lock: 7, Lam: 2},
 		&LockGrant{Lock: 1, Lam: 6, Pos: 8,
 			Notices: []Notice{{Page: 2, Writer: 0, Interval: 3, Lam: 6}}},
 		&LockRelease{Node: 0, Lock: 7, Lam: 2},
-		&LockRelease{Node: 1, Lock: 0, Lam: 9,
-			Notices: []Notice{{Page: 5, Writer: 1, Interval: 2, Lam: 9}}},
+		&LockRelease{Node: 1, Lock: 0, Lam: 9},
 		&GCCollect{Pages: []int32{3}},
 		&GCCollect{Pages: []int32{0, 7, 8, 4095}},
 		&GCCollect{},
@@ -169,11 +168,11 @@ func buildFuzzMessage(k Kind, a, b int32, blob []byte) Message {
 		return &BarrierRelease{Episode: a, Lam: b, Notices: fuzzNotices(blob, n),
 			Push: push, Homes: homes, Relay: relay}
 	case KindLockAcquire:
-		return &LockAcquire{Node: a, Lock: b, Pos: a + b, Seen: fuzzI32s(blob, n)}
+		return &LockAcquire{Node: a, Lock: b}
 	case KindLockGrant:
 		return &LockGrant{Lock: a, Lam: b, Pos: a - b, Holder: b - a, Notices: fuzzNotices(blob, n)}
 	case KindLockRelease:
-		return &LockRelease{Node: a, Lock: b, Lam: a, Notices: fuzzNotices(blob, n)}
+		return &LockRelease{Node: a, Lock: b, Lam: a}
 	case KindGCCollect:
 		return &GCCollect{Pages: fuzzI32s(blob, n)}
 	case KindAck:
@@ -203,7 +202,7 @@ func buildFuzzMessage(k Kind, a, b int32, blob []byte) Message {
 		}
 		return &DiffBatchReply{Pages: pages}
 	case KindLockPull:
-		return &LockPull{Node: a, Lock: b, Holder: a ^ b, Seen: fuzzI32s(blob, n)}
+		return &LockPull{Node: a, Lock: b, Holder: a ^ b, Pos: a + b, Seen: fuzzI32s(blob, n)}
 	case KindReplicaDelta:
 		return &ReplicaDelta{Origin: a, Seq: b, Interval: a + b, Lam: a - b,
 			Notices: fuzzNotices(blob, n), Diffs: fuzzDiffs(blob, n),

@@ -36,9 +36,9 @@ const (
 	// writer node in a single round trip.
 	KindDiffBatchRequest
 	KindDiffBatchReply
-	// Distributed lock managers: a requester redirected by a shard
-	// manager (LockGrant.Holder) pulls the holder's release-time notice
-	// history directly.
+	// The lock's history: a requester whose grant names a holder
+	// (LockGrant.Holder) pulls the holder's release-time notice history
+	// directly.
 	KindLockPull
 	// Fault tolerance: a replica delta ships a node's just-closed
 	// interval (diffs included) and received-notice history to its ring
@@ -283,36 +283,28 @@ type NodePush struct {
 // Kind implements Message.
 func (*BarrierRelease) Kind() Kind { return KindBarrierRelease }
 
-// LockAcquire asks a lock's manager for the lock. Seen is the requester's
-// vector time (highest interval seen per node), letting the manager filter
-// the notices the grant must carry. Pos is the prefix of the manager's
-// shared notice log the requester has already received and applied — the
-// requester echoes the Pos of the last grant it processed, so the mark
-// only advances once delivery is confirmed and a retried acquire (lost
-// grant reply) is re-served the identical suffix.
+// LockAcquire asks a lock's manager for the lock. The grant names the
+// lock's last releaser, from which the requester pulls the lock's history
+// (LockPull).
 type LockAcquire struct {
 	Node int32
 	Lock int32
-	Pos  int32
-	Seen []int32
 }
 
 // Kind implements Message.
 func (*LockAcquire) Kind() Kind { return KindLockAcquire }
 
-// LockGrant hands over the lock with the consistency information
-// (write notices) the acquirer has not yet seen, and the Lamport clock of
-// the last release. Pos is the manager-log length the grant brings the
-// requester up to; the requester stores it after applying Notices and
-// echoes it in its next LockAcquire.
+// LockGrant answers both lock requests. From the manager it carries the
+// Lamport clock of the lock's last release and names Holder, the node
+// that released it last this episode (-1 for none); its Pos and Notices
+// are empty. From a holder, as the reply to a LockPull, it carries the
+// write notices of the holder's history the requester has not seen, and
+// Pos, the prefix of that history the requester now has: the requester
+// echoes it in its next pull from the same holder.
 type LockGrant struct {
-	Lock int32
-	Lam  int32
-	Pos  int32
-	// Holder is the node that last released the lock this episode, or -1
-	// when none (or when grant forwarding is off). Under grant forwarding
-	// the shard manager keeps no notice log; a requester redirected to a
-	// different holder pulls that node's history with a LockPull.
+	Lock    int32
+	Lam     int32
+	Pos     int32
 	Holder  int32
 	Notices []Notice
 }
@@ -320,13 +312,13 @@ type LockGrant struct {
 // Kind implements Message.
 func (*LockGrant) Kind() Kind { return KindLockGrant }
 
-// LockRelease returns the lock to its manager with the notices generated
-// by the releaser's just-closed interval and the releaser's Lamport clock.
+// LockRelease returns the lock to its manager with the releaser's
+// Lamport clock; the manager records the releaser as the lock's holder.
+// The notices stay with the releaser until the next acquirer pulls them.
 type LockRelease struct {
-	Node    int32
-	Lock    int32
-	Lam     int32
-	Notices []Notice
+	Node int32
+	Lock int32
+	Lam  int32
 }
 
 // Kind implements Message.
@@ -438,19 +430,23 @@ type DiffBatchReply struct {
 // Kind implements Message.
 func (*DiffBatchReply) Kind() Kind { return KindDiffBatchReply }
 
-// LockPull asks the current holder of Lock for the notice history it
-// published at its last release of the lock (grant forwarding). Seen is
-// the requester's vector time, filtering notices it already has. The
-// reply is a LockGrant. Serving a pull is a pure read of the holder's
-// release-time snapshot, so it is idempotent and safe to retry.
+// LockPull asks the last releaser of Lock for the notice history it
+// held at that release. Seen is the requester's vector time, filtering
+// notices it already has. Pos is the prefix of the holder's history the
+// requester has already received and applied: the requester echoes the
+// Pos of the last pull that holder served it, so the position advances
+// only once delivery is confirmed and a retried pull (lost reply) is
+// re-served the identical suffix. The reply is a LockGrant. Serving a
+// pull is a pure read, so it is idempotent and safe to retry.
 type LockPull struct {
 	Node int32
 	Lock int32
 	// Holder names the node whose release-time history is wanted; it
 	// equals the destination in normal operation, but under fault
 	// tolerance a pull for a crashed holder is routed to that holder's
-	// ring successor, which serves the replicated history.
+	// ring successor, which serves the replicated history from its start.
 	Holder int32
+	Pos    int32
 	Seen   []int32
 }
 
@@ -732,11 +728,11 @@ func (m *BarrierRelease) sizeBody() int {
 	return n
 }
 
-func (m *LockAcquire) sizeBody() int { return 12 + i32sSize(len(m.Seen)) }
+func (m *LockAcquire) sizeBody() int { return 8 }
 
 func (m *LockGrant) sizeBody() int { return 16 + noticesSize(m.Notices) }
 
-func (m *LockRelease) sizeBody() int { return 12 + noticesSize(m.Notices) }
+func (m *LockRelease) sizeBody() int { return 12 }
 
 func (m *GCCollect) sizeBody() int { return i32sSize(len(m.Pages)) }
 
@@ -771,7 +767,7 @@ func (m *DiffBatchReply) sizeBody() int {
 	return n
 }
 
-func (m *LockPull) sizeBody() int { return 12 + i32sSize(len(m.Seen)) }
+func (m *LockPull) sizeBody() int { return 16 + i32sSize(len(m.Seen)) }
 
 func (m *ReplicaDelta) sizeBody() int {
 	n := 16 + noticesSize(m.Notices) + 4 + noticesSize(m.Known)
@@ -984,21 +980,13 @@ func (m *BarrierRelease) decodeBody(d *decoder) (err error) {
 func (m *LockAcquire) encodeBody(e *encoder) {
 	e.i32(m.Node)
 	e.i32(m.Lock)
-	e.i32(m.Pos)
-	e.i32s(m.Seen)
 }
 
 func (m *LockAcquire) decodeBody(d *decoder) (err error) {
 	if m.Node, err = d.i32(); err != nil {
 		return err
 	}
-	if m.Lock, err = d.i32(); err != nil {
-		return err
-	}
-	if m.Pos, err = d.i32(); err != nil {
-		return err
-	}
-	m.Seen, err = d.i32s(m.Seen)
+	m.Lock, err = d.i32()
 	return err
 }
 
@@ -1031,7 +1019,6 @@ func (m *LockRelease) encodeBody(e *encoder) {
 	e.i32(m.Node)
 	e.i32(m.Lock)
 	e.i32(m.Lam)
-	e.notices(m.Notices)
 }
 
 func (m *LockRelease) decodeBody(d *decoder) (err error) {
@@ -1041,10 +1028,7 @@ func (m *LockRelease) decodeBody(d *decoder) (err error) {
 	if m.Lock, err = d.i32(); err != nil {
 		return err
 	}
-	if m.Lam, err = d.i32(); err != nil {
-		return err
-	}
-	m.Notices, err = d.notices(m.Notices)
+	m.Lam, err = d.i32()
 	return err
 }
 
@@ -1182,6 +1166,7 @@ func (m *LockPull) encodeBody(e *encoder) {
 	e.i32(m.Node)
 	e.i32(m.Lock)
 	e.i32(m.Holder)
+	e.i32(m.Pos)
 	e.i32s(m.Seen)
 }
 
@@ -1193,6 +1178,9 @@ func (m *LockPull) decodeBody(d *decoder) (err error) {
 		return err
 	}
 	if m.Holder, err = d.i32(); err != nil {
+		return err
+	}
+	if m.Pos, err = d.i32(); err != nil {
 		return err
 	}
 	m.Seen, err = d.i32s(m.Seen)

@@ -36,9 +36,10 @@ func TestRoundTripAllKinds(t *testing.T) {
 			{Page: 5, Writer: 1, Interval: 2, Diff: []byte{9, 8, 7}},
 			{Page: 17, Writer: 0, Interval: 4, Diff: []byte{1}},
 		}},
-		&LockAcquire{Node: 2, Lock: 5, Seen: []int32{0, 3, 9}},
+		&LockAcquire{Node: 2, Lock: 5},
 		&LockGrant{Lock: 5, Lam: 2, Notices: ns},
-		&LockRelease{Node: 2, Lock: 5, Lam: 4, Notices: nil},
+		&LockRelease{Node: 2, Lock: 5, Lam: 4},
+		&LockPull{Node: 2, Lock: 5, Holder: 1, Pos: 3, Seen: []int32{0, 3, 9}},
 		&GCCollect{Pages: []int32{4}},
 		&GCCollect{Pages: []int32{1, 2, 900}},
 		&GCCollect{},
@@ -162,19 +163,7 @@ func normalize(m Message) Message {
 			c.Relay = []NodePush{}
 		}
 		return &c
-	case *LockAcquire:
-		c := *v
-		if c.Seen == nil {
-			c.Seen = []int32{}
-		}
-		return &c
 	case *LockGrant:
-		c := *v
-		if c.Notices == nil {
-			c.Notices = []Notice{}
-		}
-		return &c
-	case *LockRelease:
 		c := *v
 		if c.Notices == nil {
 			c.Notices = []Notice{}

@@ -200,12 +200,11 @@ func (m *DiffBatchReply) reset() { m.Pages = m.Pages[:0] }
 
 func (m *LockAcquire) release() {
 	if pool.Race {
-		m.Node, m.Lock, m.Pos = poisoned, poisoned, poisoned
+		m.Node, m.Lock = poisoned, poisoned
 	}
-	m.Seen = truncate(m.Seen, poisoned)
 }
 
-func (m *LockAcquire) reset() { *m = LockAcquire{Seen: m.Seen[:0]} }
+func (m *LockAcquire) reset() { *m = LockAcquire{} }
 
 func (m *LockGrant) release() {
 	if pool.Race {
@@ -220,14 +219,13 @@ func (m *LockRelease) release() {
 	if pool.Race {
 		m.Node, m.Lock, m.Lam = poisoned, poisoned, poisoned
 	}
-	m.Notices = truncate(m.Notices, PoisonNotice)
 }
 
-func (m *LockRelease) reset() { *m = LockRelease{Notices: m.Notices[:0]} }
+func (m *LockRelease) reset() { *m = LockRelease{} }
 
 func (m *LockPull) release() {
 	if pool.Race {
-		m.Node, m.Lock, m.Holder = poisoned, poisoned, poisoned
+		m.Node, m.Lock, m.Holder, m.Pos = poisoned, poisoned, poisoned, poisoned
 	}
 	m.Seen = truncate(m.Seen, poisoned)
 }

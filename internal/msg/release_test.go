@@ -331,10 +331,10 @@ func TestDecodeReleaseZeroAlloc(t *testing.T) {
 		&DiffReply{Page: 2, Diffs: [][]byte{diff, nil}},
 		&DiffBatchRequest{From: 1, Pages: []PageIntervals{{Page: 2, Intervals: []int32{3}}, {Page: 5, Intervals: []int32{1, 2}}}},
 		&DiffBatchReply{Pages: []PageDiffs{{Page: 2, Diffs: [][]byte{diff}}, {Page: 5, Diffs: [][]byte{nil, diff}}}},
-		&LockAcquire{Node: 1, Lock: 3, Pos: 2, Seen: []int32{0, 4, 1}},
+		&LockAcquire{Node: 1, Lock: 3},
 		&LockGrant{Lock: 3, Lam: 5, Pos: 2, Holder: -1, Notices: ns},
-		&LockRelease{Node: 1, Lock: 3, Lam: 5, Notices: ns},
-		&LockPull{Node: 1, Lock: 3, Holder: 2, Seen: []int32{0, 4, 1}},
+		&LockRelease{Node: 1, Lock: 3, Lam: 5},
+		&LockPull{Node: 1, Lock: 3, Holder: 2, Pos: 2, Seen: []int32{0, 4, 1}},
 		&BarrierEnter{Node: 1, Episode: 4, Lam: 5, Notices: ns, Hot: []int32{2, 7},
 			Entered: []int32{1, 3, 4}, HotSets: []NodeHot{{Node: 3, Pages: []int32{1}}, {Node: 4, Pages: []int32{2, 9}}}},
 		&BarrierRelease{Episode: 4, Lam: 6, Notices: ns,

@@ -36,11 +36,11 @@ func sizeCorpus() []Message {
 				{Node: 4, Push: []PushedDiff{{Page: 2, Writer: 1, Interval: 3, Diff: []byte{5, 5}}}},
 				{Node: 9},
 			}},
-		&LockAcquire{Node: 2, Lock: 5, Pos: 3, Seen: []int32{0, 3, 9}},
+		&LockAcquire{Node: 2, Lock: 5},
 		&LockGrant{Lock: 5, Lam: 2, Pos: 7, Notices: ns},
 		&LockGrant{Lock: 6, Lam: 3, Holder: -1},
 		&LockRelease{Node: 2, Lock: 5, Lam: 4},
-		&LockPull{Node: 1, Lock: 5, Seen: []int32{2, 0, 7}},
+		&LockPull{Node: 1, Lock: 5, Pos: 3, Seen: []int32{2, 0, 7}},
 		&LockPull{},
 		&GCCollect{Pages: []int32{4}},
 		&GCCollect{Pages: []int32{1, 2, 900}},

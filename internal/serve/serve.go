@@ -4,8 +4,7 @@
 // map onto DSM locks. It is the request-driven counterpart to the batch
 // SPLASH-style kernels in internal/apps — the regime the ROADMAP's
 // north star (serving heavy skewed traffic) cares about and the one
-// where correlation-driven placement and lock-grant forwarding should pay
-// off.
+// where correlation-driven placement should pay off.
 //
 // Execution shape. KV implements threads.Workload, not EpochWorkload:
 // the load generator is structured as *windows*, each window being one

@@ -118,14 +118,14 @@ func (c *Ctx) Yield() {
 	c.t.yield(event{kind: evYield})
 }
 
-// Lock acquires a global lock, applying the consistency information its
-// grant carries.
+// Lock acquires a global lock, applying the write notices it pulls from
+// the lock's last releaser.
 func (c *Ctx) Lock(lock int32) error {
 	return c.engine.acquireLock(c.t, lock)
 }
 
-// Unlock releases a lock, shipping this interval's write notices to the
-// lock manager.
+// Unlock releases a lock, closing this interval; the next acquirer pulls
+// its write notices from this node.
 func (c *Ctx) Unlock(lock int32) error {
 	return c.engine.releaseLock(c.t, lock)
 }
