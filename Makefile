@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check build vet test race alloc-gate lint fmt-check tools bench bench-compare bench-e2e bench-module doc-links fuzz-smoke sweep sweep-poison gc-gate check-mutations
+.PHONY: check build vet test race alloc-gate lint fmt-check tools bench bench-compare bench-e2e bench-module doc-links examples fuzz-smoke sweep sweep-poison gc-gate check-mutations
 
 ## check: the full gate — formatting, build, vet, static analysis, the
 ## test suite under the race detector, the access path's allocation gate
-## (which the race run skips), and the benchmark module's own
-## self-checks. This is what CI runs (CI's lint job additionally runs
-## govulncheck).
-check: fmt-check build vet lint race alloc-gate bench-module
+## (which the race run skips), the benchmark module's own self-checks
+## and one run of every example. This is what CI runs (CI's lint job
+## additionally runs govulncheck).
+check: fmt-check build vet lint race alloc-gate bench-module examples
 
 build:
 	$(GO) build ./...
@@ -34,10 +34,21 @@ lint: doc-links
 ## doc-links: verify every relative link and anchor in the top-level
 ## markdown set (README/DESIGN/ARCHITECTURE/EXPERIMENTS) resolves, that
 ## every internal/ and cmd/ path DESIGN.md and ARCHITECTURE.md cite
-## exists, and that DESIGN.md names every dsm.Config field, msg.Kind and
-## dsm.CounterSet counter.
+## exists, that DESIGN.md names every dsm.Config field, msg.Kind and
+## dsm.CounterSet counter, and that README's knob tables name exactly the
+## fields of SystemConfig, ControllerConfig and ServingConfig.
 doc-links:
-	$(GO) test -run 'TestDocLinks|TestDocsCiteExistingPaths|TestDesignNamesConfigAndKinds' .
+	$(GO) test -run 'TestDocLinks|TestDocsCiteExistingPaths|TestDesignNamesConfigAndKinds|TestReadmeKnobTablesMatchConfigs' .
+
+## examples: run every program under examples/ once; a non-zero exit
+## fails the target by name. The examples are the only non-test callers
+## of several facade entry points, which 'go build' compiles but nothing
+## else runs.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d >/dev/null || { echo "examples: $$d failed"; exit 1; }; \
+	done
 
 ## tools: one-time install of the analysis tools check/CI use. Requires
 ## network access; CI's lint job runs the same installs. Versions are

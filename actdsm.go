@@ -114,11 +114,11 @@ type (
 	// Move is one thread migration of a reconfiguration plan.
 	Move = placement.Move
 	// ControllerConfig tunes the online placement controller (trigger
-	// period, hysteresis, per-epoch move budgets, matrix smoothing).
+	// period, hysteresis, per-epoch move budgets).
 	ControllerConfig = placement.ControllerConfig
 	// Controller is the online placement controller: joint thread +
 	// page-home re-placement at iteration boundaries (DESIGN.md §14).
-	// Wire one with WithPlacementController.
+	// Wire one with SystemConfig.Controller.
 	Controller = placement.Controller
 	// CostInput carries the cluster state the joint placement cost
 	// model prices (correlation matrix, access bitmaps, write history,
@@ -130,7 +130,7 @@ type (
 	// ObsRecorder is the observability layer's event recorder: epoch
 	// timelines, Perfetto trace export (WriteTrace), metrics dump
 	// (WriteMetrics), and per-epoch breakdown (Breakdown). Obtain one
-	// via WithObservability + System.Recorder. (Not to be confused with
+	// via SystemConfig.Obs + System.Recorder. (Not to be confused with
 	// Recorder, the page-access trace capturer.)
 	ObsRecorder = obs.Recorder
 	// ObsConfig configures the observability recorder (enablement and
@@ -258,7 +258,7 @@ var (
 	// cost model.
 	BestHomes = placement.BestHomes
 	// DefaultControllerConfig returns the stock online-controller
-	// policy (period 2, 5% hysteresis, unbounded budgets, re-tracking).
+	// policy (period 2, 5% hysteresis, unbounded budgets).
 	DefaultControllerConfig = placement.DefaultControllerConfig
 )
 

@@ -114,7 +114,7 @@ func TestFacadeSystemOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys, err := actdsm.NewSystem(app, 2,
-		actdsm.WithClusterConfig(actdsm.ClusterConfig{UseTCP: true, GCThresholdBytes: -1}))
+		actdsm.WithConfig(actdsm.SystemConfig{Cluster: actdsm.ClusterConfig{UseTCP: true, GCThresholdBytes: -1}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 		t.Fatalf("events: %d != %d", len(decoded.Events), len(tr.Events))
 	}
 	stats, elapsed, err := actdsm.ReplayTrace(decoded, 4,
-		actdsm.WithClusterConfig(actdsm.ClusterConfig{Protocol: actdsm.MultiWriter}))
+		actdsm.WithConfig(actdsm.SystemConfig{Cluster: actdsm.ClusterConfig{Protocol: actdsm.MultiWriter}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestFacadeTraceRoundTrip(t *testing.T) {
 	}
 	// The single-writer replay of the same trace must also succeed.
 	swStats, _, err := actdsm.ReplayTrace(decoded, 4,
-		actdsm.WithClusterConfig(actdsm.ClusterConfig{Protocol: actdsm.SingleWriter}))
+		actdsm.WithConfig(actdsm.SystemConfig{Cluster: actdsm.ClusterConfig{Protocol: actdsm.SingleWriter}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,16 +265,8 @@ func TestFacadeNewSystemErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := actdsm.NewSystem(good, 2, actdsm.WithPlacement([]int{0})); err == nil {
+	if _, err := actdsm.NewSystem(good, 2, actdsm.WithConfig(actdsm.SystemConfig{Placement: []int{0}})); err == nil {
 		t.Fatal("expected placement error")
-	}
-	// Invalid node speeds surface from the engine.
-	good2, err := actdsm.NewApp("SOR", actdsm.AppConfig{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := actdsm.NewSystem(good2, 2, actdsm.WithNodeSpeeds([]float64{1})); err == nil {
-		t.Fatal("expected speeds error")
 	}
 }
 
@@ -287,7 +279,7 @@ func (e errOf) Error() string { return string(e) }
 func TestReplayTraceErrors(t *testing.T) {
 	tr := &actdsm.Trace{Threads: 2, Pages: 1, Iterations: 1}
 	if _, _, err := actdsm.ReplayTrace(tr, 0,
-		actdsm.WithClusterConfig(actdsm.ClusterConfig{Protocol: actdsm.MultiWriter})); err == nil {
+		actdsm.WithConfig(actdsm.SystemConfig{Cluster: actdsm.ClusterConfig{Protocol: actdsm.MultiWriter}})); err == nil {
 		t.Fatal("expected error for zero nodes")
 	}
 }

@@ -250,7 +250,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := actdsm.ReplayTrace(tr, 8,
-			actdsm.WithClusterConfig(actdsm.ClusterConfig{Protocol: actdsm.MultiWriter})); err != nil {
+			actdsm.WithConfig(actdsm.SystemConfig{Cluster: actdsm.ClusterConfig{Protocol: actdsm.MultiWriter}})); err != nil {
 			b.Fatal(err)
 		}
 	}

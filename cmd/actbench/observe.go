@@ -15,12 +15,12 @@ import (
 
 // runSOR runs one deterministic SOR workload to completion; the caller
 // closes the returned system.
-func runSOR(threads, nodes int, scale actdsm.Scale, opts ...actdsm.SystemOption) (*actdsm.System, error) {
+func runSOR(threads, nodes int, scale actdsm.Scale, cfg actdsm.SystemConfig) (*actdsm.System, error) {
 	app, err := actdsm.NewApp("SOR", actdsm.AppConfig{Threads: threads, Scale: scale})
 	if err != nil {
 		return nil, err
 	}
-	sys, err := actdsm.NewSystem(app, nodes, opts...)
+	sys, err := actdsm.NewSystem(app, nodes, actdsm.WithConfig(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -38,10 +38,10 @@ func runSOR(threads, nodes int, scale actdsm.Scale, opts ...actdsm.SystemOption)
 // an error (Recorder.WriteTrace), so a partial trace never passes for a
 // whole one.
 func observedSOR(threads, nodes int, scale actdsm.Scale, traceOut, metricsOut string) (string, error) {
-	sys, err := runSOR(threads, nodes, scale,
-		actdsm.WithObservability(),
-		actdsm.WithClusterConfig(actdsm.ClusterConfig{BatchDiffs: true, PrefetchBudget: -1}),
-	)
+	sys, err := runSOR(threads, nodes, scale, actdsm.SystemConfig{
+		Cluster: actdsm.ClusterConfig{BatchDiffs: true, PrefetchBudget: -1},
+		Obs:     actdsm.ObsConfig{Enabled: true},
+	})
 	if err != nil {
 		return "", err
 	}
@@ -100,15 +100,14 @@ func checkSweep(scale actdsm.Scale) (string, error) {
 // where protocol time goes.
 func transportStats(threads, nodes int, scale actdsm.Scale) (string, error) {
 	var b strings.Builder
-	retry := actdsm.WithTransportOptions(actdsm.TransportOptions{MaxAttempts: 3})
 	for _, tr := range []struct {
 		name string
-		opts []actdsm.SystemOption
-	}{
-		{"local", []actdsm.SystemOption{retry}},
-		{"tcp", []actdsm.SystemOption{retry, actdsm.WithTCP()}},
-	} {
-		sys, err := runSOR(threads, nodes, scale, tr.opts...)
+		tcp  bool
+	}{{"local", false}, {"tcp", true}} {
+		sys, err := runSOR(threads, nodes, scale, actdsm.SystemConfig{Cluster: actdsm.ClusterConfig{
+			Transport: actdsm.TransportOptions{MaxAttempts: 3},
+			UseTCP:    tr.tcp,
+		}})
 		if err != nil {
 			return "", fmt.Errorf("%s transport: %w", tr.name, err)
 		}

@@ -84,14 +84,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	opts := []actdsm.SystemOption{actdsm.WithPlacement(assign)}
-	if *useTCP {
-		opts = append(opts, actdsm.WithTCP())
-	}
-	if observe {
-		opts = append(opts, actdsm.WithObservability())
-	}
-	sys, err := actdsm.NewSystem(appInst, *nodes, opts...)
+	sys, err := actdsm.NewSystem(appInst, *nodes, actdsm.WithConfig(actdsm.SystemConfig{
+		Cluster:   actdsm.ClusterConfig{UseTCP: *useTCP},
+		Placement: assign,
+		Obs:       actdsm.ObsConfig{Enabled: observe},
+	}))
 	if err != nil {
 		return err
 	}

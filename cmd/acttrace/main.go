@@ -131,13 +131,13 @@ func replay(args []string) error {
 	if *proto == "sw" {
 		p = actdsm.SingleWriter
 	}
-	opts := []actdsm.SystemOption{actdsm.WithClusterConfig(actdsm.ClusterConfig{
+	cfg := actdsm.SystemConfig{Cluster: actdsm.ClusterConfig{
 		Protocol:       p,
 		PrefetchBudget: *prefetch,
 		BatchDiffs:     *batch,
 		UseTCP:         *tcp,
-	})}
-	stats, elapsed, err := actdsm.ReplayTrace(tr, *nodes, opts...)
+	}}
+	stats, elapsed, err := actdsm.ReplayTrace(tr, *nodes, actdsm.WithConfig(cfg))
 	if err != nil {
 		return err
 	}

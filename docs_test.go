@@ -212,3 +212,65 @@ func TestDesignNamesConfigAndKinds(t *testing.T) {
 		}
 	}
 }
+
+// knobTableRE matches a README knob table's header row, naming the
+// struct whose fields the table's rows are: | knob (`SystemConfig`) |.
+var knobTableRE = regexp.MustCompile("^\\| knob \\(`(\\w+)`\\) \\|")
+
+// knobNameRE matches one backticked name in a row's first cell.
+var knobNameRE = regexp.MustCompile("`(\\w+)`")
+
+// TestReadmeKnobTablesMatchConfigs ties README's knob tables to the
+// public configuration structs in both directions: every field of
+// SystemConfig, ControllerConfig and ServingConfig is named in the first
+// cell of a row of its table, and every name there is a field. A knob
+// deleted from the struct cannot linger in the docs, and a knob added to
+// it cannot go undocumented.
+func TestReadmeKnobTablesMatchConfigs(t *testing.T) {
+	data, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	structs := map[string]reflect.Type{
+		"SystemConfig":     reflect.TypeOf(actdsm.SystemConfig{}),
+		"ControllerConfig": reflect.TypeOf(actdsm.ControllerConfig{}),
+		"ServingConfig":    reflect.TypeOf(actdsm.ServingConfig{}),
+	}
+	named := map[string]map[string]bool{}
+	table := ""
+	for _, line := range stripFences(strings.Split(string(data), "\n")) {
+		if m := knobTableRE.FindStringSubmatch(line); m != nil {
+			table = m[1]
+			if _, ok := structs[table]; !ok {
+				t.Errorf("README has a knob table for %s, which is not a checked config struct", table)
+			}
+			named[table] = map[string]bool{}
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			table = ""
+			continue
+		}
+		if table == "" || strings.HasPrefix(line, "|---") {
+			continue
+		}
+		first := strings.SplitN(line, "|", 3)[1]
+		for _, m := range knobNameRE.FindAllStringSubmatch(first, -1) {
+			named[table][m[1]] = true
+			if _, ok := structs[table].FieldByName(m[1]); !ok {
+				t.Errorf("README's %s table names %s, which is not a field", table, m[1])
+			}
+		}
+	}
+	for name, typ := range structs {
+		if named[name] == nil {
+			t.Errorf("README has no knob table for %s", name)
+			continue
+		}
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() && !named[name][f.Name] {
+				t.Errorf("README's %s table never names the field %s", name, f.Name)
+			}
+		}
+	}
+}

@@ -1,7 +1,7 @@
 // Chaos: run an application over a deliberately unreliable transport and
 // watch the resilience machinery absorb the faults. A Chaos wrapper drops
 // requests and replies, duplicates deliveries, and delays calls; bounded
-// retry with exponential backoff (WithTransportOptions) recovers, and the
+// retry with exponential backoff (ClusterConfig.Transport) recovers, and the
 // per-message-type call statistics show exactly where the retries went.
 //
 // The punchline is the comparison at the end: despite every injected
@@ -40,27 +40,25 @@ func run() error {
 		if err != nil {
 			return actdsm.Snapshot{}, err
 		}
-		opts := []actdsm.SystemOption{
-			actdsm.WithTransportOptions(actdsm.TransportOptions{
+		cfg := actdsm.ClusterConfig{
+			Transport: actdsm.TransportOptions{
 				CallTimeout: 2 * time.Second,
 				MaxAttempts: 8,
 				BackoffBase: 100 * time.Microsecond,
-			}),
-		}
-		if *useTCP {
-			opts = append(opts, actdsm.WithTCP())
+			},
+			UseTCP: *useTCP,
 		}
 		if chaotic {
-			opts = append(opts, actdsm.WithChaos(actdsm.ChaosOptions{
+			cfg.Chaos = &actdsm.ChaosOptions{
 				Seed:            *seed,
 				DropRequestProb: 0.05,
 				DropReplyProb:   0.02,
 				DuplicateProb:   0.02,
 				DelayProb:       0.01,
 				Delay:           200 * time.Microsecond,
-			}))
+			}
 		}
-		sys, err := actdsm.NewSystem(app, nodes, opts...)
+		sys, err := actdsm.NewSystem(app, nodes, actdsm.WithConfig(actdsm.SystemConfig{Cluster: cfg}))
 		if err != nil {
 			return actdsm.Snapshot{}, err
 		}

@@ -25,6 +25,16 @@ const (
 
 var speeds = []float64{3, 1, 1, 1}
 
+// topology describes the hardware: a node's compute scale is a cost
+// multiplier, the inverse of its speed. The links stay uniform.
+func topology() *actdsm.Topology {
+	t := actdsm.NewTopology(nodes, actdsm.DefaultCosts())
+	for n, s := range speeds {
+		t.SetComputeScale(n, 1/s)
+	}
+	return t
+}
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "heterogeneous:", err)
@@ -39,8 +49,10 @@ func runWith(placement []int) (actdsm.Time, int64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	sys, err := actdsm.NewSystem(app, nodes,
-		actdsm.WithPlacement(placement), actdsm.WithNodeSpeeds(speeds))
+	sys, err := actdsm.NewSystem(app, nodes, actdsm.WithConfig(actdsm.SystemConfig{
+		Cluster:   actdsm.ClusterConfig{Topology: topology()},
+		Placement: placement,
+	}))
 	if err != nil {
 		return 0, 0, err
 	}

@@ -35,7 +35,7 @@ func run() error {
 	// Start from a random placement — the situation after threads have
 	// been created with no sharing knowledge.
 	bad := actdsm.RandomBalanced(threads, nodes, actdsm.NewRNG(7))
-	sys, err := actdsm.NewSystem(app, nodes, actdsm.WithPlacement(bad))
+	sys, err := actdsm.NewSystem(app, nodes, actdsm.WithConfig(actdsm.SystemConfig{Placement: bad}))
 	if err != nil {
 		return err
 	}

@@ -77,8 +77,9 @@ func serveVariant(cfg actdsm.ServingConfig, nodes int, track bool) (*actdsm.Serv
 	if err != nil {
 		return nil, err
 	}
-	sys, err := actdsm.NewSystem(app, nodes,
-		actdsm.WithClusterConfig(actdsm.ClusterConfig{BatchDiffs: true}))
+	sys, err := actdsm.NewSystem(app, nodes, actdsm.WithConfig(actdsm.SystemConfig{
+		Cluster: actdsm.ClusterConfig{BatchDiffs: true},
+	}))
 	if err != nil {
 		return nil, err
 	}

@@ -96,7 +96,7 @@ func TestFullStackSoakTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys, err := actdsm.NewSystem(app, 3,
-		actdsm.WithClusterConfig(actdsm.ClusterConfig{UseTCP: true, GCThresholdBytes: 8192}))
+		actdsm.WithConfig(actdsm.SystemConfig{Cluster: actdsm.ClusterConfig{UseTCP: true, GCThresholdBytes: 8192}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestFullStackSoakTCP(t *testing.T) {
 }
 
 // TestSystemPlacementController wires the online controller through the
-// facade: WithPlacementController alone (no explicit TrackIteration)
+// facade: SystemConfig.Controller alone (no explicit TrackIteration)
 // must arm a tracker, trigger evaluations, and surface the decision
 // counters in the stats snapshot. The workload pairs thread t with
 // t XOR 4, so the default stretch placement splits every pair across
@@ -153,7 +153,7 @@ func TestSystemPlacementController(t *testing.T) {
 	}
 	ctrlCfg := actdsm.DefaultControllerConfig()
 	ctrlCfg.Period = 1
-	sys, err := actdsm.NewSystem(app, 4, actdsm.WithPlacementController(ctrlCfg))
+	sys, err := actdsm.NewSystem(app, 4, actdsm.WithConfig(actdsm.SystemConfig{Controller: &ctrlCfg}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func runApp(t *testing.T, name string, nthreads, nodes int) {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl.Close() }()
-	e, err := threads.NewEngine(cl, threads.Config{Threads: nthreads, SchedulerEnabled: true})
+	e, err := threads.NewEngine(cl, threads.Config{Threads: nthreads})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func runDSM(t *testing.T, a App, nthreads, nodes, reader int, r *memlayout.Regio
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = cl.Close() })
-	e, err := threads.NewEngine(cl, threads.Config{Threads: nthreads, SchedulerEnabled: true})
+	e, err := threads.NewEngine(cl, threads.Config{Threads: nthreads})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -421,10 +421,8 @@ func RunTrial(tr Trial) TrialResult {
 		// Eager controller: evaluate every iteration with zero hysteresis
 		// and unbounded budgets, so trials take the migration paths as
 		// often as the cost model allows. Its tracker is armed at
-		// iteration 1 (iteration 0 is initialization-skewed).
-		cfg.Controller = &placement.ControllerConfig{
-			Period: 1, ThreadBudget: -1, HomeBudget: -1, Smoothing: 0.5, Retrack: true,
-		}
+		// placement.FirstWindow.
+		cfg.Controller = &placement.ControllerConfig{Period: 1, ThreadBudget: -1, HomeBudget: -1}
 	}
 	sys, err := system.NewSystem(app, tr.Scenario.Nodes, system.WithConfig(cfg))
 	if err != nil {

@@ -212,7 +212,7 @@ func runTracked(t *testing.T, nodes, nthreads, iters, trackIter int) (*ActiveTra
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = cl.Close() })
-	e, err := threads.NewEngine(cl, threads.Config{Threads: nthreads, SchedulerEnabled: true})
+	e, err := threads.NewEngine(cl, threads.Config{Threads: nthreads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestActiveTrackerCompleteDespiteSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl.Close() }()
-	e, err := threads.NewEngine(cl, threads.Config{Threads: 4, SchedulerEnabled: true})
+	e, err := threads.NewEngine(cl, threads.Config{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestPassiveTrackerPartialInformation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl.Close() }()
-	e, err := threads.NewEngine(cl, threads.Config{Threads: 4, SchedulerEnabled: true})
+	e, err := threads.NewEngine(cl, threads.Config{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestActiveTrackerRetrack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl.Close() }()
-	e, err := threads.NewEngine(cl, threads.Config{Threads: 4, SchedulerEnabled: true})
+	e, err := threads.NewEngine(cl, threads.Config{Threads: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

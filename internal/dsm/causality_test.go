@@ -49,7 +49,7 @@ func runWindowWorkload(t *testing.T, nthreads, nodes, mols, rounds int) error {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl.Close() }()
-	e, err := threads.NewEngine(cl, threads.Config{Threads: nthreads, SchedulerEnabled: true})
+	e, err := threads.NewEngine(cl, threads.Config{Threads: nthreads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestTransitiveCausalityWithGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl.Close() }()
-	e, err := threads.NewEngine(cl, threads.Config{Threads: 6, SchedulerEnabled: true})
+	e, err := threads.NewEngine(cl, threads.Config{Threads: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

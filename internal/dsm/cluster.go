@@ -23,16 +23,15 @@ type Config struct {
 	Nodes int
 	// Pages is the size of the shared segment in pages.
 	Pages int
-	// Costs is the virtual-time cost model; zero value selects
-	// sim.DefaultCosts.
-	Costs sim.Costs
-	// Topology, when non-nil, replaces the uniform network cost model
-	// with per-directed-link latencies and bandwidths (and carries
-	// per-node compute scaling for the thread engine): protocol round
-	// trips are charged at the actual (from, to) and (to, from) link
-	// costs instead of Costs.MsgLatency/MsgPerByte. Its node count must
-	// match Nodes. Nil keeps the uniform model; a uniform Topology
-	// (sim.NewTopology) behaves identically to nil by construction.
+	// Topology, when non-nil, is the cluster's hardware: its Base cost
+	// model, per-directed-link latencies and bandwidths, and per-node
+	// compute scaling (the thread engine's node speeds and the
+	// placement controller's capacities): protocol round trips are
+	// charged at the actual (from, to) and (to, from) link costs
+	// instead of the base MsgLatency/MsgPerByte. Its node count must
+	// match Nodes. Nil selects sim.DefaultCosts and the uniform model; a
+	// uniform Topology (sim.NewTopology) behaves identically to nil by
+	// construction.
 	Topology *sim.Topology
 	// GCThresholdBytes triggers diff garbage collection when the
 	// cluster-wide stored diff volume exceeds it at a barrier.
@@ -260,16 +259,17 @@ func newCluster(cfg Config, shards int) (*Cluster, error) {
 			return nil, fmt.Errorf("%w: %s", errSingleWriter, knob)
 		}
 	}
-	if cfg.Costs == (sim.Costs{}) {
-		cfg.Costs = sim.DefaultCosts()
-	}
 	if cfg.GCThresholdBytes == 0 {
 		cfg.GCThresholdBytes = defaultGCThreshold
 	}
 	if cfg.Protocol == 0 {
 		cfg.Protocol = MultiWriter
 	}
-	c := &Cluster{cfg: cfg, costs: cfg.Costs, topo: cfg.Topology, shardCount: shards}
+	costs := sim.DefaultCosts()
+	if cfg.Topology != nil {
+		costs = cfg.Topology.Base()
+	}
+	c := &Cluster{cfg: cfg, costs: costs, topo: cfg.Topology, shardCount: shards}
 	c.stats.InitLinks(cfg.Nodes)
 	c.writeHist = make([]int64, cfg.Pages*cfg.Nodes)
 	c.dead = make([]bool, cfg.Nodes)

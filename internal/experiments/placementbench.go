@@ -95,15 +95,13 @@ func placementVariants() []placementVariant {
 // placementCtlConfig is the controller policy every non-static variant
 // runs: evaluate every other iteration with zero hysteresis (the
 // ablation wants the sides' full effect, not the damped production
-// policy) and continuous re-tracking.
+// policy).
 func placementCtlConfig(v placementVariant) placement.ControllerConfig {
 	return placement.ControllerConfig{
 		Period:       2,
 		Hysteresis:   0,
 		ThreadBudget: v.threadBudget,
 		HomeBudget:   v.homeBudget,
-		Smoothing:    0.5,
-		Retrack:      true,
 	}
 }
 

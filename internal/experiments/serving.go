@@ -97,7 +97,7 @@ func runServing(v servingVariant) (ServingRow, error) {
 	if err != nil {
 		return row, fmt.Errorf("serving %s: %w", v.name, err)
 	}
-	sys, err := system.NewSystem(kv, servingBenchNodes, system.WithClusterConfig(dsm.Config{BatchDiffs: true}))
+	sys, err := system.NewSystem(kv, servingBenchNodes, system.WithConfig(system.SystemConfig{Cluster: dsm.Config{BatchDiffs: true}}))
 	if err != nil {
 		return row, fmt.Errorf("serving %s: %w", v.name, err)
 	}

@@ -27,7 +27,7 @@
 //     completed logical call.
 //
 // Overhead. Recording is off unless explicitly enabled
-// (actdsm.WithObservability). Every hook checks a nil probe / nil observer
+// (actdsm.SystemConfig.Obs). Every hook checks a nil probe / nil observer
 // first, so disabled runs take a single predictable branch and allocate
 // nothing on the probe path (see BenchmarkObsOverhead). Enabled runs write
 // fixed-size Event structs into a preallocated ring buffer; when the ring

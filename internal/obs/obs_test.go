@@ -29,14 +29,16 @@ import (
 
 // observedRun executes one deterministic SOR workload with the recorder
 // enabled and returns the finished system.
-func observedRun(t *testing.T, opts ...actdsm.SystemOption) *actdsm.System {
+func observedRun(t *testing.T, cluster actdsm.ClusterConfig) *actdsm.System {
 	t.Helper()
 	app, err := actdsm.NewApp("SOR", actdsm.AppConfig{Threads: 16, Scale: actdsm.ScaleTest})
 	if err != nil {
 		t.Fatalf("NewApp: %v", err)
 	}
-	opts = append([]actdsm.SystemOption{actdsm.WithObservability()}, opts...)
-	sys, err := actdsm.NewSystem(app, 4, opts...)
+	sys, err := actdsm.NewSystem(app, 4, actdsm.WithConfig(actdsm.SystemConfig{
+		Cluster: cluster,
+		Obs:     actdsm.ObsConfig{Enabled: true},
+	}))
 	if err != nil {
 		t.Fatalf("NewSystem: %v", err)
 	}
@@ -63,7 +65,7 @@ type traceFile struct {
 }
 
 func TestTraceJSONStructure(t *testing.T) {
-	sys := observedRun(t, actdsm.WithClusterConfig(actdsm.ClusterConfig{BatchDiffs: true, PrefetchBudget: -1}))
+	sys := observedRun(t, actdsm.ClusterConfig{BatchDiffs: true, PrefetchBudget: -1})
 	var buf bytes.Buffer
 	if err := sys.Recorder().WriteTrace(&buf); err != nil {
 		t.Fatalf("WriteTrace: %v", err)
@@ -154,7 +156,7 @@ func TestTraceDeterministicMapping(t *testing.T) {
 	// pid/tid set and identical slice/protocol span geometry (transport
 	// events are wall-clock and excluded).
 	render := func() string {
-		sys := observedRun(t)
+		sys := observedRun(t, actdsm.ClusterConfig{})
 		var buf bytes.Buffer
 		if err := sys.Recorder().WriteTrace(&buf); err != nil {
 			t.Fatalf("WriteTrace: %v", err)
@@ -179,7 +181,7 @@ func TestTraceDeterministicMapping(t *testing.T) {
 }
 
 func TestBreakdownSumsToWall(t *testing.T) {
-	sys := observedRun(t, actdsm.WithClusterConfig(actdsm.ClusterConfig{BatchDiffs: true, PrefetchBudget: -1}))
+	sys := observedRun(t, actdsm.ClusterConfig{BatchDiffs: true, PrefetchBudget: -1})
 	b := sys.Recorder().Breakdown()
 	if len(b.Epochs) == 0 {
 		t.Fatal("no epochs in breakdown")
@@ -215,7 +217,7 @@ func TestBreakdownSumsToWall(t *testing.T) {
 }
 
 func TestMetricsCoverSnapshot(t *testing.T) {
-	sys := observedRun(t, actdsm.WithClusterConfig(actdsm.ClusterConfig{BatchDiffs: true, PrefetchBudget: -1}))
+	sys := observedRun(t, actdsm.ClusterConfig{BatchDiffs: true, PrefetchBudget: -1})
 	snap := sys.Cluster().Stats().Snapshot()
 	var buf bytes.Buffer
 	if err := sys.Recorder().WriteMetrics(snap, &buf); err != nil {
@@ -419,7 +421,7 @@ func TestProbeTypesRoundTrip(t *testing.T) {
 // TestTransportCallWallClock sanity-checks that transport spans carry
 // real wall-clock durations.
 func TestTransportCallWallClock(t *testing.T) {
-	sys := observedRun(t)
+	sys := observedRun(t, actdsm.ClusterConfig{})
 	var calls int
 	for _, e := range sys.Recorder().Events() {
 		if e.Kind == obs.EvTransportCall {

@@ -20,12 +20,12 @@ import (
 // servedReport runs one small closed-loop serving benchmark.
 func servedReport(t *testing.T) *actdsm.ServeReport {
 	t.Helper()
-	rep, err := actdsm.ServeKV(context.Background(), 2, actdsm.WithServing(actdsm.ServingConfig{
+	rep, err := actdsm.ServeKV(context.Background(), 2, actdsm.ServingConfig{
 		Clients:           4,
 		Keys:              32,
 		RequestsPerWindow: 8,
 		MeasureWindows:    2,
-	}))
+	})
 	if err != nil {
 		t.Fatalf("ServeKV: %v", err)
 	}

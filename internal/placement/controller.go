@@ -13,21 +13,19 @@ import (
 // DESIGN.md §14). The trigger/hysteresis/budget structure follows the
 // NUMA migration-strategy taxonomy: a periodic trigger bounds decision
 // overhead, hysteresis suppresses low-gain churn, and per-epoch move
-// budgets bound migration rate.
+// budgets bound migration rate. Only Period has a zero-value default:
+// the zero config evaluates every 2 iterations, acts on any predicted
+// gain, and moves nothing, because zero budgets disable both sides.
+// Start from DefaultControllerConfig for the stock policy.
 type ControllerConfig struct {
-	// TrackIteration is the 0-based iteration the facade arms the
-	// tracker for when the user has not armed one (default 1, skipping
-	// the initialization-skewed iteration 0). The controller itself
-	// ignores it; it evaluates whenever its tracker has a complete
-	// window.
-	TrackIteration int
 	// Period is the minimum number of iterations between controller
-	// evaluations (default 2). With Retrack the controller re-arms the
-	// tracker so a fresh window is ready for the next evaluation.
+	// evaluations (0 selects 2). The controller re-arms the tracker
+	// after each evaluation so a fresh window is ready for the next.
 	Period int
 	// Hysteresis is the minimum fractional joint-cost improvement
 	// (predicted new cost vs current) required to act on an evaluation
-	// (default 0.05). Evaluations below it count as PlacementSkipped.
+	// (0 acts on any gain; DefaultControllerConfig uses 0.05).
+	// Evaluations below it count as PlacementSkipped.
 	Hysteresis float64
 	// ThreadBudget caps thread migrations per applied evaluation:
 	// 0 disables the thread side entirely, negative is unbounded.
@@ -35,30 +33,34 @@ type ControllerConfig struct {
 	// HomeBudget caps explicit page-home moves per applied evaluation:
 	// 0 disables the data side entirely, negative is unbounded.
 	HomeBudget int
-	// Smoothing is the EWMA weight of the newest correlation matrix
-	// (default 0.5, in (0, 1]). Smoothing < 1 blends successive tracked
-	// windows so an alternating two-phase workload converges to its
-	// average instead of dragging placement back and forth.
-	Smoothing float64
-	// Retrack re-arms the tracker after each evaluation so the
-	// controller keeps adapting (default true via NewController's
-	// DefaultControllerConfig; zero-value false leaves the single
-	// armed window).
-	Retrack bool
 }
 
+// The controller's fixed policy.
+const (
+	// FirstWindow is the 0-based iteration System arms the tracker for
+	// when the caller has not armed one: iteration 1, skipping the
+	// initialization-skewed iteration 0. The controller itself
+	// evaluates whenever its tracker has a complete window.
+	FirstWindow = 1
+	// ewmaWeight is the EWMA weight of the newest correlation matrix:
+	// blending successive tracked windows makes an alternating
+	// two-phase workload converge to its average instead of dragging
+	// placement back and forth.
+	ewmaWeight = 0.5
+	// rearm re-arms the tracker after each evaluation so the controller
+	// keeps adapting.
+	rearm = true
+)
+
 // DefaultControllerConfig returns the controller defaults: evaluate
-// every 2 iterations over an EWMA-smoothed matrix, act above 5%
-// predicted improvement, unbounded budgets, continuous re-tracking.
+// every 2 iterations, act above 5% predicted improvement, unbounded
+// budgets.
 func DefaultControllerConfig() ControllerConfig {
 	return ControllerConfig{
-		TrackIteration: 1,
-		Period:         2,
-		Hysteresis:     0.05,
-		ThreadBudget:   -1,
-		HomeBudget:     -1,
-		Smoothing:      0.5,
-		Retrack:        true,
+		Period:       2,
+		Hysteresis:   0.05,
+		ThreadBudget: -1,
+		HomeBudget:   -1,
 	}
 }
 
@@ -85,18 +87,16 @@ type Controller struct {
 // NewController builds a controller over a cluster, engine, and an
 // armed active tracker (the tracker supplies the correlation matrix and
 // access bitmaps; the caller composes hooks so the tracker wraps the
-// controller — see Hooks). Zero config fields take their defaults; a
-// home budget other than 0 requires the multi-writer protocol (explicit
-// home moves ride barrier releases).
+// controller — see Hooks). A zero Period selects 2; every other field
+// means what it says at zero (see ControllerConfig). A home budget
+// other than 0 requires the multi-writer protocol (explicit home moves
+// ride barrier releases).
 func NewController(cl *dsm.Cluster, eng *threads.Engine, tracker *core.ActiveTracker, cfg ControllerConfig) (*Controller, error) {
 	if cl == nil || eng == nil || tracker == nil {
 		return nil, errors.New("placement: controller needs a cluster, an engine, and a tracker")
 	}
 	if cfg.Period <= 0 {
 		cfg.Period = 2
-	}
-	if cfg.Smoothing <= 0 || cfg.Smoothing > 1 {
-		cfg.Smoothing = 0.5
 	}
 	if cfg.Hysteresis < 0 {
 		return nil, fmt.Errorf("placement: negative hysteresis %v", cfg.Hysteresis)
@@ -139,7 +139,7 @@ func (c *Controller) blend(m *core.Matrix) *core.Matrix {
 			}
 		}
 	} else {
-		a := c.cfg.Smoothing
+		a := ewmaWeight
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				c.smoothed[i*n+j] = a*float64(m.At(i, j)) + (1-a)*c.smoothed[i*n+j]
@@ -243,7 +243,7 @@ func (c *Controller) onIteration(iter int) {
 		st.PlacementApplied.Add(1)
 	}
 
-	if c.cfg.Retrack {
+	if rearm {
 		// Re-arm for the window before the next eligible evaluation.
 		// Inside OnIteration(iter) the engine is already at iter+1, and
 		// Retrack requires a strictly future iteration.

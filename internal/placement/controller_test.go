@@ -226,8 +226,10 @@ func TestControllerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.cfg.Period != 2 || c.cfg.Smoothing != 0.5 {
-		t.Fatalf("zero-value defaults not applied: %+v", c.cfg)
+	// Only Period has a zero-value default; zero budgets stay zero and
+	// disable both sides, as ControllerConfig documents.
+	if c.cfg != (ControllerConfig{Period: 2}) {
+		t.Fatalf("zero config became %+v, want only Period 2", c.cfg)
 	}
 }
 

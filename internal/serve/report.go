@@ -49,7 +49,6 @@ type Report struct {
 	Keys         int     `json:"keys"`
 	ReadFraction float64 `json:"read_fraction"`
 	ZipfS        float64 `json:"zipf_s"`
-	TargetQPS    float64 `json:"target_qps"`
 	// Windows is the number of measured windows.
 	Windows int `json:"windows"`
 
@@ -140,7 +139,6 @@ func (kv *KV) Report() (*Report, error) {
 		Keys:         kv.cfg.Keys,
 		ReadFraction: kv.cfg.ReadFraction,
 		ZipfS:        kv.cfg.ZipfS,
-		TargetQPS:    kv.cfg.TargetQPS,
 		Windows:      r.windows,
 		Requests:     int64(len(r.lats)),
 		Reads:        r.reads,

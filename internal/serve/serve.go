@@ -18,10 +18,9 @@
 // Time and determinism. Everything runs on internal/sim virtual time:
 // per-request latency is the delta of the thread's Ctx.Charged()
 // accumulator around the request (lock acquire stall + fault handling +
-// value compute), think-time pacing toward a target QPS is charged via
-// Ctx.Wait, and all randomness comes from seeded sim.RNG streams. A KV
-// run is therefore a pure function of its Config — the BENCH_serving
-// gate depends on that.
+// value compute), each client issues its requests back to back, and all
+// randomness comes from seeded sim.RNG streams. A KV run is therefore a
+// pure function of its Config — the BENCH_serving gate depends on that.
 package serve
 
 import (
@@ -40,8 +39,8 @@ import (
 type Config struct {
 	// Clients is the number of closed-loop client threads (default 8).
 	// Each client issues RequestsPerWindow requests per window, one at a
-	// time — the next request starts only when the previous one (and its
-	// think time) completes.
+	// time — the next request starts only when the previous one
+	// completes.
 	Clients int
 	// Keys is the key-space size (default 256).
 	Keys int
@@ -77,16 +76,6 @@ type Config struct {
 	// a cancelled RunContext) and measurement covers every completed
 	// post-warmup window.
 	MeasureWindows int
-	// Ramp, when non-nil, sets the active client count per window
-	// (entry w for window w; the last entry repeats). Inactive clients
-	// still join the window barrier, so a ramp schedules a concurrency
-	// sweep within one run.
-	Ramp []int
-	// TargetQPS paces the closed loop: after each request the client
-	// charges think time so the active clients jointly approach this
-	// rate in requests per virtual second. 0 disables pacing
-	// (saturation: each client issues back-to-back).
-	TargetQPS float64
 	// LockStripes is the number of per-key locks; key k maps to DSM lock
 	// k mod LockStripes (default min(Keys, 1024)).
 	LockStripes int
@@ -147,13 +136,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("serve: ReadFraction %v outside [0, 1]", c.ReadFraction)
 	case c.SharedFraction < 0 || c.SharedFraction > 1:
 		return fmt.Errorf("serve: SharedFraction %v outside [0, 1]", c.SharedFraction)
-	case c.TargetQPS < 0:
-		return fmt.Errorf("serve: TargetQPS %v negative", c.TargetQPS)
-	}
-	for i, a := range c.Ramp {
-		if a < 1 {
-			return fmt.Errorf("serve: Ramp[%d] = %d; every window needs at least one active client", i, a)
-		}
 	}
 	return nil
 }
@@ -242,37 +224,12 @@ func (kv *KV) openEnded() bool { return kv.cfg.MeasureWindows == 0 }
 // totalWindows is the fixed window count of a bounded run.
 func (kv *KV) totalWindows() int { return kv.cfg.WarmupWindows + kv.cfg.MeasureWindows }
 
-// activeClients returns how many clients issue requests in window w.
-func (kv *KV) activeClients(w int) int {
-	n := kv.cfg.Clients
-	if len(kv.cfg.Ramp) > 0 {
-		i := w
-		if i >= len(kv.cfg.Ramp) {
-			i = len(kv.cfg.Ramp) - 1
-		}
-		if a := kv.cfg.Ramp[i]; a < n {
-			n = a
-		}
-	}
-	return n
-}
-
 // measured reports whether window w falls in the measurement span.
 func (kv *KV) measured(w int) bool {
 	if w < kv.cfg.WarmupWindows {
 		return false
 	}
 	return kv.openEnded() || w < kv.totalWindows()
-}
-
-// thinkTime is the per-request pacing charge in window w: with A active
-// clients each in its own closed loop, a joint rate of TargetQPS needs
-// one request per client every A/TargetQPS virtual seconds.
-func (kv *KV) thinkTime(w int) sim.Time {
-	if kv.cfg.TargetQPS <= 0 {
-		return 0
-	}
-	return sim.Time(float64(kv.activeClients(w)) / kv.cfg.TargetQPS * float64(sim.Second))
 }
 
 // sampleKey draws one request's key for client tid.
@@ -300,13 +257,9 @@ func (kv *KV) Body(tid int) threads.Body {
 			if kv.stop.isSet() {
 				break
 			}
-			if tid < kv.activeClients(w) {
-				think := kv.thinkTime(w)
-				for r := 0; r < kv.cfg.RequestsPerWindow; r++ {
-					if err := kv.request(ctx, rng, tid, w); err != nil {
-						return err
-					}
-					ctx.Wait(think)
+			for r := 0; r < kv.cfg.RequestsPerWindow; r++ {
+				if err := kv.request(ctx, rng, tid, w); err != nil {
+					return err
 				}
 			}
 			ctx.EndIteration()
@@ -340,7 +293,7 @@ func (kv *KV) initStore(ctx *threads.Ctx) error {
 // (PUTs always, GETs only under LockReads), touch the value, release.
 // The request's virtual latency is the delta of the thread's charge
 // accumulator around that span — lock-grant stall, coherence faults,
-// and value compute included, think time not.
+// and value compute.
 func (kv *KV) request(ctx *threads.Ctx, rng *sim.RNG, tid, w int) error {
 	key := kv.sampleKey(rng, tid)
 	read := rng.Float64() < kv.cfg.ReadFraction

@@ -43,8 +43,6 @@ func TestConfigValidate(t *testing.T) {
 		{Clients: -1},
 		{ReadFraction: 1.5},
 		{Groups: 2, SharedFraction: -0.1},
-		{TargetQPS: -10},
-		{Ramp: []int{2, 0}},
 		{Groups: 300, Keys: 256}, // empty groups
 	}
 	for i, c := range bad {
@@ -112,19 +110,6 @@ func TestLatencyBuckets(t *testing.T) {
 	}
 }
 
-func TestActiveClientsAndRamp(t *testing.T) {
-	kv, err := NewKV(Config{Clients: 4, Ramp: []int{1, 2, 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{1, 2, 4, 4} // entry 8 clamps to Clients; last entry repeats
-	for w, a := range want {
-		if got := kv.activeClients(w); got != a {
-			t.Errorf("activeClients(%d) = %d, want %d", w, got, a)
-		}
-	}
-}
-
 func TestMeasuredWindows(t *testing.T) {
 	kv, err := NewKV(Config{WarmupWindows: 2, MeasureWindows: 3})
 	if err != nil {
@@ -141,23 +126,6 @@ func TestMeasuredWindows(t *testing.T) {
 	}
 	if open.measured(1) || !open.measured(2) || !open.measured(100) {
 		t.Error("open-ended measurement window wrong")
-	}
-}
-
-func TestThinkTime(t *testing.T) {
-	kv, err := NewKV(Config{Clients: 8, TargetQPS: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := kv.thinkTime(0); got != 8*sim.Millisecond {
-		t.Errorf("thinkTime = %v, want 8ms", got)
-	}
-	sat, err := NewKV(Config{Clients: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sat.thinkTime(0) != 0 {
-		t.Errorf("saturation thinkTime = %v, want 0", sat.thinkTime(0))
 	}
 }
 

@@ -19,10 +19,8 @@ import (
 	"actdsm/internal/memlayout"
 	"actdsm/internal/obs"
 	"actdsm/internal/placement"
-	"actdsm/internal/serve"
 	"actdsm/internal/sim"
 	"actdsm/internal/threads"
-	"actdsm/internal/transport"
 	"actdsm/internal/vm"
 )
 
@@ -66,9 +64,11 @@ var ErrAlreadyRan = errors.New("actdsm: system already ran")
 
 // SystemConfig is a System's complete configuration: the DSM cluster's
 // dsm.Config plus the engine-level knobs (initial placement, execution
-// shuffling, heterogeneous node speeds). Every SystemOption writes into
-// this one struct, so a new cluster knob is surfaced here by adding it to
-// dsm.Config alone — there is no parallel field chain to maintain.
+// shuffling, observability, the placement controller). Each field is set
+// one way, as a field of this struct, so a new cluster knob is surfaced
+// here by adding it to dsm.Config alone — there is no parallel field
+// chain to maintain. The hardware — node speeds included — is
+// Cluster.Topology.
 type SystemConfig struct {
 	// Cluster configures the DSM substrate. NewSystem overwrites
 	// Cluster.Nodes (from its node-count argument) and Cluster.Pages
@@ -80,111 +80,33 @@ type SystemConfig struct {
 	Placement []int
 	// ShuffleSeed randomizes per-node thread execution order.
 	ShuffleSeed uint64
-	// NodeSpeeds scales each node's CPU speed (1.0 = baseline) for
-	// heterogeneous clusters.
-	NodeSpeeds []float64
 	// Obs configures the observability layer (off by default). When
 	// enabled, NewSystem attaches an event recorder to the engine and
 	// the cluster's protocol probe; retrieve it with System.Recorder
 	// after the run to export a Perfetto trace (WriteTrace), a metrics
 	// dump (WriteMetrics), or a per-epoch breakdown (Breakdown).
 	Obs obs.Config
-	// Serving configures the online KV workload and its closed-loop
-	// load generator. It is consumed by workload construction (ServeKV,
-	// NewServingApp), not by the cluster or engine: a System built over
-	// a ServingApp measures whatever configuration the app was built
-	// with. Set it with WithServing.
-	Serving serve.Config
 	// Controller, when non-nil, runs the online placement controller
 	// (placement v2, DESIGN.md §14): at iteration boundaries it scores
 	// the joint (thread → node, page → home) assignment under the
 	// unified cost model and issues thread migrations and explicit
 	// page-home moves together, subject to the configured trigger
-	// period, hysteresis threshold, and per-epoch move budgets. Set it
-	// with WithPlacementController. If TrackIteration was not called,
-	// Run arms a tracker at Controller.TrackIteration automatically.
+	// period, hysteresis threshold, and per-epoch move budgets. Only a
+	// zero Period takes a default; zero budgets disable their side, so
+	// start from placement.DefaultControllerConfig for the stock
+	// policy. A non-zero home budget requires the multi-writer
+	// protocol. If TrackIteration was not called, Run arms a tracker at
+	// placement.FirstWindow automatically.
 	Controller *placement.ControllerConfig
 }
 
 // SystemOption customizes NewSystem by mutating a SystemConfig.
 type SystemOption func(*SystemConfig)
 
-// WithClusterConfig replaces the entire cluster configuration at once —
-// the escape hatch for knobs without a dedicated option. Applied in
-// option order: it overwrites cluster fields set by earlier options, and
-// later options overwrite its fields. Nodes and Pages are still set by
-// NewSystem.
-func WithClusterConfig(c dsm.Config) SystemOption {
-	return func(sc *SystemConfig) { sc.Cluster = c }
-}
-
-// WithConfig replaces the entire SystemConfig at once — the preferred
-// way to set several knobs together, and the only way to set a field
-// that has no option of its own. Applied in option order, like WithClusterConfig: it
-// overwrites everything earlier options set, and later options
-// overwrite its fields.
+// WithConfig sets the whole SystemConfig — the one option; every knob
+// is a field of the struct it takes.
 func WithConfig(c SystemConfig) SystemOption {
 	return func(sc *SystemConfig) { *sc = c }
-}
-
-// WithServing sets the serving-workload configuration consumed by
-// ServeKV and NewServingApp (see SystemConfig.Serving).
-func WithServing(c serve.Config) SystemOption {
-	return func(sc *SystemConfig) { sc.Serving = c }
-}
-
-// WithPlacementController enables the online placement controller with
-// the given configuration (zero fields take the DefaultControllerConfig
-// values; pass DefaultControllerConfig() for the stock policy). The
-// controller co-orchestrates thread placement and page homes online —
-// see SystemConfig.Controller and DESIGN.md §14. A non-zero home budget
-// requires the multi-writer protocol.
-func WithPlacementController(c placement.ControllerConfig) SystemOption {
-	return func(sc *SystemConfig) { cp := c; sc.Controller = &cp }
-}
-
-// WithPlacement sets the initial thread → node assignment (default:
-// stretch).
-func WithPlacement(assign []int) SystemOption {
-	return func(c *SystemConfig) { c.Placement = append([]int(nil), assign...) }
-}
-
-// WithTCP routes DSM protocol messages over real loopback TCP sockets.
-func WithTCP() SystemOption {
-	return func(c *SystemConfig) { c.Cluster.UseTCP = true }
-}
-
-// WithTransportOptions tunes transport resilience: per-call timeouts
-// (TCP) and bounded retry with exponential backoff and jitter. See
-// transport.Options for the knobs and DESIGN.md §6 for why the DSM
-// protocol is safe to retry.
-func WithTransportOptions(o transport.Options) SystemOption {
-	return func(c *SystemConfig) { c.Cluster.Transport = o }
-}
-
-// WithChaos wraps the cluster's transport with fault injection (dropped
-// requests and replies, delays, duplicates, partitions) for resilience
-// testing. Combine with WithTransportOptions(MaxAttempts > 1) so the
-// injected faults are retried.
-func WithChaos(o transport.ChaosOptions) SystemOption {
-	return func(c *SystemConfig) { cp := o; c.Cluster.Chaos = &cp }
-}
-
-// WithNodeSpeeds makes the cluster heterogeneous: speeds[n] scales node
-// n's CPU (1.0 = baseline). Combine with CapacitiesForSpeeds-derived
-// placements to exploit the fast nodes.
-func WithNodeSpeeds(speeds []float64) SystemOption {
-	return func(c *SystemConfig) { c.NodeSpeeds = append([]float64(nil), speeds...) }
-}
-
-// WithObservability enables the event recorder with the default ring
-// capacity: per-slice and per-epoch timeline events, remote-fetch and
-// lock instants, and transport call latencies, exportable as a Perfetto
-// trace, a Prometheus-style metrics dump, or a per-epoch breakdown (see
-// System.Recorder). Overhead when enabled is one ring write per event;
-// when absent the probe path stays nil checks only.
-func WithObservability() SystemOption {
-	return func(c *SystemConfig) { c.Obs.Enabled = true }
 }
 
 // NewSystem builds a cluster sized for the workload's shared segment
@@ -209,11 +131,9 @@ func NewSystem(app threads.Workload, nodes int, opts ...SystemOption) (*System, 
 		return nil, err
 	}
 	engine, err := threads.NewEngine(cluster, threads.Config{
-		Threads:          app.Threads(),
-		Placement:        cfg.Placement,
-		SchedulerEnabled: true,
-		ShuffleSeed:      cfg.ShuffleSeed,
-		NodeSpeeds:       cfg.NodeSpeeds,
+		Threads:     app.Threads(),
+		Placement:   cfg.Placement,
+		ShuffleSeed: cfg.ShuffleSeed,
 	})
 	if err != nil {
 		_ = cluster.Close()
@@ -310,13 +230,8 @@ func (s *System) RunContext(ctx context.Context) error {
 	hooks := s.hooks
 	if s.ctrlCfg != nil {
 		if s.tracker == nil {
-			// Arm a tracker for the controller's first window; default
-			// iteration 1 skips initialization-skewed iteration 0.
-			iter := s.ctrlCfg.TrackIteration
-			if iter <= 0 {
-				iter = 1
-			}
-			s.tracker = core.NewActiveTracker(s.engine, iter)
+			// Arm a tracker for the controller's first window.
+			s.tracker = core.NewActiveTracker(s.engine, placement.FirstWindow)
 		}
 		ctrl, err := placement.NewController(s.cluster, s.engine, s.tracker, *s.ctrlCfg)
 		if err != nil {
@@ -360,7 +275,7 @@ func (s *System) RunContext(ctx context.Context) error {
 }
 
 // PlacementController returns the online placement controller wired by
-// WithPlacementController, or nil when none was configured or Run has
+// SystemConfig.Controller, or nil when none was configured or Run has
 // not yet been called (RunContext constructs it).
 func (s *System) PlacementController() *placement.Controller { return s.ctrl }
 

@@ -86,16 +86,6 @@ func (c *Ctx) I32(r memlayout.Region, elem, n int, a vm.Access) (memlayout.I32, 
 // per-request latency this way.
 func (c *Ctx) Charged() sim.ThreadInterval { return c.t.cur }
 
-// Wait charges d of idle virtual time to the thread without touching
-// shared memory. Closed-loop load generators use it as client think
-// time to pace toward a target request rate; like any stall it can be
-// partially overlapped by other local threads when the scheduler is on.
-func (c *Ctx) Wait(d sim.Time) {
-	if d > 0 {
-		c.t.cur.Stall += d
-	}
-}
-
 // Barrier parks the thread until every live thread reaches a barrier.
 func (c *Ctx) Barrier() {
 	c.t.yield(event{kind: evBarrier})

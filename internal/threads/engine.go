@@ -107,22 +107,10 @@ type Config struct {
 	// Placement maps thread → node; nil selects the stretch-like
 	// default of contiguous equal blocks.
 	Placement []int
-	// SchedulerEnabled selects the latency-toleration time model; the
-	// active tracker disables it during tracked iterations.
-	SchedulerEnabled bool
 	// ShuffleSeed, when non-zero, randomizes each node's local thread
 	// execution order every interval, emulating the scheduling
 	// nondeterminism the paper's passive-tracking discussion relies on.
 	ShuffleSeed uint64
-	// NodeSpeeds scales each node's CPU speed (1.0 = baseline; 2.0 =
-	// twice as fast). nil derives the speeds from the cluster's
-	// heterogeneous topology when one is configured (the inverse of
-	// sim.Topology.ComputeScale), and means homogeneous otherwise. The
-	// paper's §2 motivates unequal thread counts with exactly this
-	// heterogeneity ("some machines are faster than others");
-	// capacity-aware placement (placement.StretchCapacities /
-	// MinCostCapacities) exploits it.
-	NodeSpeeds []float64
 }
 
 // Engine runs application threads over a DSM cluster.
@@ -130,6 +118,10 @@ type Engine struct {
 	cluster *dsm.Cluster
 	cfg     Config
 	costs   sim.Costs
+	// speeds scales each node's CPU (1.0 = baseline; 2.0 = twice as
+	// fast), the inverse of the cluster topology's compute scale; nil
+	// when the cluster has no topology (homogeneous).
+	speeds []float64
 
 	threads []*thread
 	nodeOf  []int
@@ -160,7 +152,8 @@ var ErrDeadlock = errors.New("threads: deadlock: no runnable thread and barrier 
 // defaultStackBytes is the stack payload a migration ships.
 const defaultStackBytes = 16 << 10
 
-// NewEngine builds an engine for the cluster.
+// NewEngine builds an engine for the cluster. It starts with the
+// latency-toleration time model on; SetSchedulerEnabled switches it.
 func NewEngine(cluster *dsm.Cluster, cfg Config) (*Engine, error) {
 	if cfg.Threads <= 0 {
 		return nil, errors.New("threads: Threads must be positive")
@@ -177,37 +170,29 @@ func NewEngine(cluster *dsm.Cluster, cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("threads: thread %d placed on invalid node %d", tid, n)
 		}
 	}
-	if cfg.NodeSpeeds == nil {
-		// A heterogeneous cluster topology is the single source of
-		// hardware truth: derive node speeds from its per-node compute
-		// scaling (a cost multiplier — 2 = half speed) so the same
-		// Topology drives both network charging (dsm.Cluster.call) and
-		// compute folding here. Explicit NodeSpeeds still override.
-		if topo := cluster.Topology(); topo != nil {
-			speeds := make([]float64, nnodes)
-			for n := range speeds {
-				speeds[n] = 1 / topo.ComputeScale(n)
-			}
-			cfg.NodeSpeeds = speeds
-		}
-	}
-	if cfg.NodeSpeeds != nil {
-		if len(cfg.NodeSpeeds) != nnodes {
-			return nil, fmt.Errorf("threads: %d node speeds for %d nodes", len(cfg.NodeSpeeds), nnodes)
-		}
-		for n, s := range cfg.NodeSpeeds {
-			if s <= 0 {
-				return nil, fmt.Errorf("threads: node %d speed %v not positive", n, s)
-			}
+	// The cluster's Topology is the one description of the hardware:
+	// its per-node compute scale (a cost multiplier — 2 = half speed)
+	// drives compute folding here as its links drive network charging
+	// (dsm.Cluster.call), and the placement controller reads the same
+	// scale. The paper's §2 motivates unequal thread counts with exactly
+	// this heterogeneity ("some machines are faster than others");
+	// capacity-aware placement (placement.StretchCapacities /
+	// MinCostCapacities) exploits it.
+	var speeds []float64
+	if topo := cluster.Topology(); topo != nil {
+		speeds = make([]float64, nnodes)
+		for n := range speeds {
+			speeds[n] = 1 / topo.ComputeScale(n)
 		}
 	}
 	e := &Engine{
 		cluster:   cluster,
 		cfg:       cfg,
 		costs:     cluster.Costs(),
+		speeds:    speeds,
 		nodeOf:    append([]int(nil), cfg.Placement...),
 		clocks:    make([]*sim.Clock, nnodes),
-		schedOn:   cfg.SchedulerEnabled,
+		schedOn:   true,
 		lockOwner: make(map[int32]int),
 		lastRun:   make([]int, nnodes),
 	}
@@ -650,8 +635,8 @@ func (e *Engine) foldIntervals() {
 		if t.cur != (sim.ThreadInterval{}) {
 			n := e.nodeOf[tid]
 			ti := t.cur
-			if e.cfg.NodeSpeeds != nil {
-				s := e.cfg.NodeSpeeds[n]
+			if e.speeds != nil {
+				s := e.speeds[n]
 				ti.Compute = sim.Time(float64(ti.Compute) / s)
 				ti.Overhead = sim.Time(float64(ti.Overhead) / s)
 			}

@@ -169,95 +169,68 @@ func TestComputeChargesTime(t *testing.T) {
 	}
 }
 
-func TestNodeSpeedsScaleCompute(t *testing.T) {
-	run := func(speeds []float64) int64 {
-		c, err := dsm.New(dsm.Config{Nodes: 2, Pages: 1})
-		if err != nil {
-			t.Fatal(err)
+// runUnderComputeScales runs two threads, one per node, through one
+// compute-bound iteration on a cluster whose Topology gives node n the
+// compute scale scales[n], and returns the elapsed virtual time. With
+// no scales the cluster has no Topology at all.
+func runUnderComputeScales(t *testing.T, scales ...float64) int64 {
+	t.Helper()
+	var topo *sim.Topology
+	if scales != nil {
+		topo = sim.NewTopology(2, sim.Costs{})
+		for n, s := range scales {
+			topo.SetComputeScale(n, s)
 		}
-		defer func() { _ = c.Close() }()
-		e, err := NewEngine(c, Config{Threads: 2, Placement: []int{0, 1}, NodeSpeeds: speeds})
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = e.Run(func(tid int) Body {
-			return func(ctx *Ctx) error {
-				ctx.Compute(100000)
-				ctx.EndIteration()
-				return nil
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return int64(e.Elapsed())
 	}
-	base := run(nil)
-	fast := run([]float64{2, 2})
-	if fast >= base {
+	c, err := dsm.New(dsm.Config{Nodes: 2, Pages: 1, Topology: topo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	e, err := NewEngine(c, Config{Threads: 2, Placement: []int{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = e.Run(func(tid int) Body {
+		return func(ctx *Ctx) error {
+			ctx.Compute(100000)
+			ctx.EndIteration()
+			return nil
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(e.Elapsed())
+}
+
+// TestNodeSpeedsScaleCompute pins how node speed, set through the
+// cluster Topology's compute scale, scales compute: nodes at scale 1/2
+// compute twice as fast, and because the barrier makes the slowest
+// node the critical path, speeding up one node alone does not shorten
+// the run.
+func TestNodeSpeedsScaleCompute(t *testing.T) {
+	base := runUnderComputeScales(t)
+	if fast := runUnderComputeScales(t, 0.5, 0.5); fast >= base {
 		t.Fatalf("2x nodes not faster: %d vs %d", fast, base)
 	}
-	// Barrier sync makes the slowest node the critical path: speeding
-	// up only node 0 must not help when node 1 stays at 1.0.
-	half := run([]float64{2, 1})
-	if half < base*95/100 {
+	if half := runUnderComputeScales(t, 0.5, 1); half < base*95/100 {
 		t.Fatalf("speeding one node broke the critical path: %d vs %d", half, base)
 	}
 }
 
 // TestTopologyDerivesNodeSpeeds pins the heterogeneous-topology
-// integration: with NodeSpeeds unset, the engine derives them from the
-// cluster Topology's compute scaling (a slow node stretches the run),
-// and an explicit NodeSpeeds still overrides the topology.
+// integration: the engine derives node speeds from the cluster
+// Topology's compute scaling, so a uniform topology charges what no
+// topology does and a slow node stretches the run.
 func TestTopologyDerivesNodeSpeeds(t *testing.T) {
-	run := func(topo *sim.Topology, speeds []float64) int64 {
-		c, err := dsm.New(dsm.Config{Nodes: 2, Pages: 1, Topology: topo})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() { _ = c.Close() }()
-		e, err := NewEngine(c, Config{Threads: 2, Placement: []int{0, 1}, NodeSpeeds: speeds})
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = e.Run(func(tid int) Body {
-			return func(ctx *Ctx) error {
-				ctx.Compute(100000)
-				ctx.EndIteration()
-				return nil
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return int64(e.Elapsed())
+	base := runUnderComputeScales(t)
+	if uniform := runUnderComputeScales(t, 1, 1); uniform != base {
+		t.Fatalf("uniform topology charged %d, no topology %d", uniform, base)
 	}
-	base := run(nil, nil)
 	// Node 1 computes at quadruple cost: the barrier's critical path
 	// must stretch.
-	slow := sim.NewTopology(2, sim.Costs{})
-	slow.SetComputeScale(1, 4)
-	stretched := run(slow, nil)
-	if stretched <= base {
+	if stretched := runUnderComputeScales(t, 1, 4); stretched <= base {
 		t.Fatalf("slow-node topology did not stretch the run: %d vs %d", stretched, base)
-	}
-	// Explicit NodeSpeeds override the topology entirely.
-	overridden := run(slow, []float64{1, 1})
-	if overridden != base {
-		t.Fatalf("explicit NodeSpeeds did not override topology: %d vs %d", overridden, base)
-	}
-}
-
-func TestNodeSpeedsValidation(t *testing.T) {
-	c, err := dsm.New(dsm.Config{Nodes: 2, Pages: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
-	if _, err := NewEngine(c, Config{Threads: 2, NodeSpeeds: []float64{1}}); err == nil {
-		t.Fatal("expected length error")
-	}
-	if _, err := NewEngine(c, Config{Threads: 2, NodeSpeeds: []float64{1, -2}}); err == nil {
-		t.Fatal("expected positivity error")
 	}
 }

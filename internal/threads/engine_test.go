@@ -68,7 +68,7 @@ func TestEngineValidation(t *testing.T) {
 }
 
 func TestRunBarriersAndIterations(t *testing.T) {
-	e := newTestEngine(t, 2, 2, 4, Config{SchedulerEnabled: true})
+	e := newTestEngine(t, 2, 2, 4, Config{})
 	var iterations []int
 	barriers := 0
 	e.SetHooks(Hooks{
@@ -102,7 +102,7 @@ func TestSharedCounterThroughBarrier(t *testing.T) {
 	// Each thread increments its own slot, then after a barrier thread 0
 	// sums all slots: classic SPMD reduction. Verifies engine + DSM
 	// integration end to end.
-	e := newTestEngine(t, 4, 1, 8, Config{SchedulerEnabled: true})
+	e := newTestEngine(t, 4, 1, 8, Config{})
 	var got float32
 	err := e.Run(func(tid int) Body {
 		return func(ctx *Ctx) error {
@@ -135,7 +135,7 @@ func TestSharedCounterThroughBarrier(t *testing.T) {
 }
 
 func TestElapsedAdvances(t *testing.T) {
-	e := newTestEngine(t, 2, 1, 2, Config{SchedulerEnabled: true})
+	e := newTestEngine(t, 2, 1, 2, Config{})
 	err := e.Run(func(tid int) Body {
 		return func(ctx *Ctx) error {
 			ctx.Compute(1000)
@@ -158,7 +158,8 @@ func TestSchedulerModeAffectsTime(t *testing.T) {
 	// A workload with remote stalls takes longer with the scheduler
 	// disabled (stalls serialize) — the basis of Table 5's overhead.
 	run := func(schedOn bool) int64 {
-		e := newTestEngine(t, 2, 8, 8, Config{SchedulerEnabled: schedOn})
+		e := newTestEngine(t, 2, 8, 8, Config{})
+		e.SetSchedulerEnabled(schedOn)
 		err := e.Run(func(tid int) Body {
 			return func(ctx *Ctx) error {
 				// Every thread touches every page: plenty of
@@ -185,7 +186,7 @@ func TestSchedulerModeAffectsTime(t *testing.T) {
 }
 
 func TestLocksExcludeAndPropagate(t *testing.T) {
-	e := newTestEngine(t, 2, 1, 4, Config{SchedulerEnabled: true})
+	e := newTestEngine(t, 2, 1, 4, Config{})
 	const lock = int32(3)
 	err := e.Run(func(tid int) Body {
 		return func(ctx *Ctx) error {
@@ -260,7 +261,7 @@ func TestRunTwiceFails(t *testing.T) {
 }
 
 func TestMigrationMovesAccesses(t *testing.T) {
-	e := newTestEngine(t, 2, 2, 2, Config{Placement: []int{0, 1}, SchedulerEnabled: true})
+	e := newTestEngine(t, 2, 2, 2, Config{Placement: []int{0, 1}})
 	moved := false
 	e.SetHooks(Hooks{OnIteration: func(iter int) {
 		if iter == 0 {

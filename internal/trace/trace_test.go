@@ -112,7 +112,7 @@ func TestCaptureReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl.Close() }()
-	e, err := threads.NewEngine(cl, threads.Config{Threads: 8, SchedulerEnabled: true})
+	e, err := threads.NewEngine(cl, threads.Config{Threads: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestCaptureReplayEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl2.Close() }()
-	e2, err := threads.NewEngine(cl2, threads.Config{Threads: tr.Threads, SchedulerEnabled: true})
+	e2, err := threads.NewEngine(cl2, threads.Config{Threads: tr.Threads})
 	if err != nil {
 		t.Fatal(err)
 	}

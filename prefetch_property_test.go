@@ -55,7 +55,7 @@ func runVerified(t *testing.T, name string, prefetch bool) actdsm.Snapshot {
 	opts := []actdsm.SystemOption{}
 	if prefetch {
 		opts = append(opts,
-			actdsm.WithClusterConfig(actdsm.ClusterConfig{PrefetchBudget: -1, BatchDiffs: true}))
+			actdsm.WithConfig(actdsm.SystemConfig{Cluster: actdsm.ClusterConfig{PrefetchBudget: -1, BatchDiffs: true}}))
 	}
 	sys, err := actdsm.NewSystem(app, nodes, opts...)
 	if err != nil {

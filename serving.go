@@ -69,20 +69,16 @@ var ServeMetricsText = obs.ServeMetricsText
 
 // NewServingApp builds the online KV serving workload from cfg (zero
 // fields take documented defaults). Run it like any workload —
-// NewSystem(app, nodes, WithServing(cfg)) then Run or RunContext — and
-// read app.Report() afterwards; or use the one-call ServeKV.
+// NewSystem(app, nodes) then Run or RunContext — and read app.Report()
+// afterwards; or use the one-call ServeKV.
 func NewServingApp(cfg ServingConfig) (ServingApp, error) { return serve.NewKV(cfg) }
 
 // ServeKV runs one closed-loop KV serving benchmark: it builds the
-// workload from the options' ServingConfig (WithServing), runs it under
-// ctx — cancellation stops the load generator, which is how open-ended
-// runs (MeasureWindows == 0) terminate — and returns the report.
-func ServeKV(ctx context.Context, nodes int, opts ...SystemOption) (*ServeReport, error) {
-	var cfg SystemConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	app, err := NewServingApp(cfg.Serving)
+// workload from cfg, runs it on a System built with opts under ctx —
+// cancellation stops the load generator, which is how open-ended runs
+// (MeasureWindows == 0) terminate — and returns the report.
+func ServeKV(ctx context.Context, nodes int, cfg ServingConfig, opts ...SystemOption) (*ServeReport, error) {
+	app, err := NewServingApp(cfg)
 	if err != nil {
 		return nil, err
 	}

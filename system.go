@@ -20,7 +20,8 @@ type (
 	// SystemConfig is a System's complete configuration: the cluster's
 	// ClusterConfig plus the engine-level knobs.
 	SystemConfig = system.SystemConfig
-	// SystemOption customizes NewSystem by mutating a SystemConfig.
+	// SystemOption customizes NewSystem by mutating a SystemConfig;
+	// WithConfig is the one option.
 	SystemOption = system.SystemOption
 )
 
@@ -28,22 +29,14 @@ type (
 // or a second Run on a System whose Run has already been invoked.
 var ErrAlreadyRan = system.ErrAlreadyRan
 
-// NewSystem and its options.
+// NewSystem and its option.
 var (
 	// NewSystem builds a cluster sized for the workload's shared
 	// segment and an engine hosting its threads.
 	NewSystem = system.NewSystem
-
-	WithClusterConfig       = system.WithClusterConfig
-	WithConfig              = system.WithConfig
-	WithServing             = system.WithServing
-	WithPlacementController = system.WithPlacementController
-	WithPlacement           = system.WithPlacement
-	WithTCP                 = system.WithTCP
-	WithTransportOptions    = system.WithTransportOptions
-	WithChaos               = system.WithChaos
-	WithNodeSpeeds          = system.WithNodeSpeeds
-	WithObservability       = system.WithObservability
+	// WithConfig sets the whole SystemConfig; every knob is one of its
+	// fields.
+	WithConfig = system.WithConfig
 )
 
 // customApp adapts user-provided setup and body functions to the App

@@ -27,12 +27,10 @@ func DecodeTrace(b []byte) (*Trace, error) { return trace.Decode(b) }
 // ReplayTrace replays a captured trace on a fresh cluster with the given
 // node count, returning the run's protocol counters and elapsed virtual
 // time. The replay is an ordinary Workload run through NewSystem, so it
-// accepts every SystemOption — a whole WithClusterConfig (protocol,
-// prefetch, batching), transport and chaos (WithTCP,
-// WithTransportOptions, WithChaos), or placement — and a recorded
-// access stream can be driven against any cluster shape or protocol
-// variant. Nodes and Pages come from the arguments and the trace
-// itself.
+// accepts a WithConfig — its cluster (protocol, prefetch, batching,
+// transport and chaos) or its placement — and a recorded access stream
+// can be driven against any cluster shape or protocol variant. Nodes
+// and Pages come from the arguments and the trace itself.
 func ReplayTrace(t *Trace, nodes int, opts ...SystemOption) (Snapshot, Time, error) {
 	sys, err := NewSystem(&replayWorkload{t: t, body: t.ReplayBody()}, nodes, opts...)
 	if err != nil {
