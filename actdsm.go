@@ -77,11 +77,16 @@ type (
 	// TransportOptions tunes transport resilience: per-call timeouts
 	// and bounded retry with exponential backoff and jitter.
 	TransportOptions = transport.Options
-	// ChaosOptions configures transport fault injection (drops, delays,
-	// duplicates, partitions) for resilience testing.
+	// ChaosOptions configures transport fault injection for resilience
+	// testing: a keyed Plan decides each call's fault (drop, delay,
+	// duplicate), and crash schedules fail whole nodes.
 	ChaosOptions = transport.ChaosOptions
 	// Fault is one injected transport failure mode.
 	Fault = transport.Fault
+	// CallKey names one transport call by its place on its directed edge
+	// (endpoints, message kind, and the number of earlier calls of that
+	// kind on that edge): the argument a ChaosOptions.Plan decides from.
+	CallKey = sim.CallKey
 	// Time is virtual time in nanoseconds.
 	Time = sim.Time
 	// Costs is the virtual-time cost model.

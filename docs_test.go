@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -214,55 +215,88 @@ func TestDesignNamesConfigAndKinds(t *testing.T) {
 }
 
 // knobTableRE matches a README knob table's header row, naming the
-// struct whose fields the table's rows are: | knob (`SystemConfig`) |.
-var knobTableRE = regexp.MustCompile("^\\| knob \\(`(\\w+)`\\) \\|")
+// structs whose fields the table's rows are: | knob (`SystemConfig`) |,
+// or | knob (`TransportOptions`, `ChaosOptions`) | for a table of
+// several.
+var knobTableRE = regexp.MustCompile("^\\| knob \\(((?:`\\w+`(?:, )?)+)\\) \\|")
 
-// knobNameRE matches one backticked name in a row's first cell.
-var knobNameRE = regexp.MustCompile("`(\\w+)`")
+// knobNameRE matches one backticked name in a row's first cell, bare
+// (`Field`, a field of the table's one struct) or qualified
+// (`Struct.Field`).
+var knobNameRE = regexp.MustCompile("`(?:(\\w+)\\.)?(\\w+)`")
 
 // TestReadmeKnobTablesMatchConfigs ties README's knob tables to the
 // public configuration structs in both directions: every field of
-// SystemConfig, ControllerConfig and ServingConfig is named in the first
-// cell of a row of its table, and every name there is a field. A knob
-// deleted from the struct cannot linger in the docs, and a knob added to
-// it cannot go undocumented.
+// SystemConfig, ControllerConfig, ServingConfig, TransportOptions and
+// ChaosOptions is named in the first cell of a row of its table, and
+// every name there is a field — a qualified `Struct.Field` of the facade
+// type of that name, which may also be ClusterConfig (the transport
+// table's rows say where each struct hangs). A knob deleted from a
+// struct cannot linger in the docs, and a knob added to it cannot go
+// undocumented.
 func TestReadmeKnobTablesMatchConfigs(t *testing.T) {
 	data, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	structs := map[string]reflect.Type{
+	checked := map[string]reflect.Type{
 		"SystemConfig":     reflect.TypeOf(actdsm.SystemConfig{}),
 		"ControllerConfig": reflect.TypeOf(actdsm.ControllerConfig{}),
 		"ServingConfig":    reflect.TypeOf(actdsm.ServingConfig{}),
+		"TransportOptions": reflect.TypeOf(actdsm.TransportOptions{}),
+		"ChaosOptions":     reflect.TypeOf(actdsm.ChaosOptions{}),
+	}
+	// ClusterConfig spans several tables, so a row may name its fields
+	// but no one table has to name them all.
+	facade := map[string]reflect.Type{"ClusterConfig": reflect.TypeOf(actdsm.ClusterConfig{})}
+	for name, typ := range checked {
+		facade[name] = typ
 	}
 	named := map[string]map[string]bool{}
-	table := ""
+	var table []string // the structs the current table's header names
 	for _, line := range stripFences(strings.Split(string(data), "\n")) {
 		if m := knobTableRE.FindStringSubmatch(line); m != nil {
-			table = m[1]
-			if _, ok := structs[table]; !ok {
-				t.Errorf("README has a knob table for %s, which is not a checked config struct", table)
+			table = nil
+			for _, n := range knobNameRE.FindAllStringSubmatch(m[1], -1) {
+				table = append(table, n[2])
+				if _, ok := checked[n[2]]; !ok {
+					t.Errorf("README has a knob table for %s, which is not a checked config struct", n[2])
+				}
+				named[n[2]] = map[string]bool{}
 			}
-			named[table] = map[string]bool{}
 			continue
 		}
 		if !strings.HasPrefix(line, "|") {
-			table = ""
+			table = nil
 			continue
 		}
-		if table == "" || strings.HasPrefix(line, "|---") {
+		if table == nil || strings.HasPrefix(line, "|---") {
 			continue
 		}
 		first := strings.SplitN(line, "|", 3)[1]
 		for _, m := range knobNameRE.FindAllStringSubmatch(first, -1) {
-			named[table][m[1]] = true
-			if _, ok := structs[table].FieldByName(m[1]); !ok {
-				t.Errorf("README's %s table names %s, which is not a field", table, m[1])
+			owner, field := m[1], m[2]
+			if owner == "" {
+				if len(table) != 1 {
+					t.Errorf("README's %v table names %s without its struct", table, field)
+					continue
+				}
+				owner = table[0]
+			}
+			typ, ok := facade[owner]
+			if !ok {
+				t.Errorf("README's %v table names %s.%s, and %s is not a facade config struct", table, owner, field, owner)
+				continue
+			}
+			if _, ok := typ.FieldByName(field); !ok {
+				t.Errorf("README's %v table names %s.%s, which is not a field", table, owner, field)
+			}
+			if slices.Contains(table, owner) {
+				named[owner][field] = true
 			}
 		}
 	}
-	for name, typ := range structs {
+	for name, typ := range checked {
 		if named[name] == nil {
 			t.Errorf("README has no knob table for %s", name)
 			continue

@@ -4,6 +4,11 @@
 // retry with exponential backoff (ClusterConfig.Transport) recovers, and the
 // per-message-type call statistics show exactly where the retries went.
 //
+// The faults come from a keyed plan: each call's fault is drawn from a
+// generator seeded by the call's key (its edge, message kind and place on
+// that edge), so the same calls fail on every run and over either
+// transport, and the retry count is reproducible.
+//
 // The punchline is the comparison at the end: despite every injected
 // fault, the chaotic run's protocol counters — remote misses, diffs,
 // barriers, GC — are identical to a fault-free run. Lost messages cost
@@ -49,14 +54,7 @@ func run() error {
 			UseTCP: *useTCP,
 		}
 		if chaotic {
-			cfg.Chaos = &actdsm.ChaosOptions{
-				Seed:            *seed,
-				DropRequestProb: 0.05,
-				DropReplyProb:   0.02,
-				DuplicateProb:   0.02,
-				DelayProb:       0.01,
-				Delay:           200 * time.Microsecond,
-			}
+			cfg.Chaos = &actdsm.ChaosOptions{Plan: plan(*seed), Delay: 200 * time.Microsecond}
 		}
 		sys, err := actdsm.NewSystem(app, nodes, actdsm.WithConfig(actdsm.SystemConfig{Cluster: cfg}))
 		if err != nil {
@@ -106,4 +104,24 @@ func run() error {
 		return fmt.Errorf("protocol counters diverged:\nchaotic: %+v\nclean:   %+v", a, b)
 	}
 	return nil
+}
+
+// plan injects 5% dropped requests, 2% dropped replies, 2% duplicates
+// and 1% delays, drawing one number per call from a generator seeded by
+// seed and the call's key.
+func plan(seed uint64) func(actdsm.CallKey, []byte) actdsm.Fault {
+	return func(k actdsm.CallKey, _ []byte) actdsm.Fault {
+		key := uint64(k.From)<<56 | uint64(k.To)<<48 | uint64(k.Kind)<<40 | uint64(k.N)
+		switch x := actdsm.NewRNG(seed ^ key).Float64(); {
+		case x < 0.05:
+			return actdsm.FaultDropRequest
+		case x < 0.07:
+			return actdsm.FaultDropReply
+		case x < 0.09:
+			return actdsm.FaultDuplicate
+		case x < 0.10:
+			return actdsm.FaultDelay
+		}
+		return actdsm.FaultNone
+	}
 }

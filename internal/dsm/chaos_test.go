@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"maps"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -239,50 +240,88 @@ func TestChaosLockGrantRetry(t *testing.T) {
 	}
 }
 
-// TestChaosRandomizedRecovery soaks the full stack with probabilistic
-// faults under a generous retry budget: the workload must still complete
+// keyedPlan injects dropped requests, dropped replies and duplicates at
+// the given rates, drawing one number per call from a generator seeded by
+// seed and the call's key: the faults are a pure function of the key, so
+// they land on the same calls on every run and over either transport.
+func keyedPlan(seed uint64, dropReq, dropReply, dup float64) func(sim.CallKey, []byte) transport.Fault {
+	return func(k sim.CallKey, _ []byte) transport.Fault {
+		key := uint64(k.From)<<56 | uint64(k.To)<<48 | uint64(k.Kind)<<40 | uint64(k.N)
+		switch x := sim.NewRNG(seed ^ key).Float64(); {
+		case x < dropReq:
+			return transport.FaultDropRequest
+		case x < dropReq+dropReply:
+			return transport.FaultDropReply
+		case x < dropReq+dropReply+dup:
+			return transport.FaultDuplicate
+		}
+		return transport.FaultNone
+	}
+}
+
+// TestChaosRandomizedRecovery soaks the full stack with a seeded keyed
+// plan under a generous retry budget: the workload must still complete
 // with correct contents and pass the coherence check, over both
-// transports. MaxConsecutive keeps the soak deadline-robust: no single
-// call can have all MaxAttempts attempts faulted, so an unlucky stretch
-// of the random stream can slow the run but never wedge it, for every
-// seed rather than just the committed one.
+// transports. Because the plan is keyed, the run is reproducible: the
+// retries per message kind and the protocol counters are identical
+// across two runs and between the Local and TCP transports.
 func TestChaosRandomizedRecovery(t *testing.T) {
 	const nodes, npages = 3, 3
-	for _, useTCP := range []bool{false, true} {
+	type outcome struct {
+		retries  map[string]int64
+		counters Counters
+	}
+	var byTransport [2]outcome
+	for i, useTCP := range []bool{false, true} {
 		name := "local"
 		if useTCP {
 			name = "tcp"
 		}
 		t.Run(name, func(t *testing.T) {
-			c, err := New(Config{
-				Nodes:            nodes,
-				Pages:            npages,
-				GCThresholdBytes: 1,
-				UseTCP:           useTCP,
-				Transport: transport.Options{
-					MaxAttempts: 12,
-					BackoffBase: time.Microsecond,
-				},
-				Chaos: &transport.ChaosOptions{
-					Seed:            99,
-					DropRequestProb: 0.10,
-					DropReplyProb:   0.05,
-					DuplicateProb:   0.05,
-					MaxConsecutive:  8,
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
+			run := func() outcome {
+				c, err := New(Config{
+					Nodes:            nodes,
+					Pages:            npages,
+					GCThresholdBytes: 1,
+					UseTCP:           useTCP,
+					Transport: transport.Options{
+						MaxAttempts: 12,
+						BackoffBase: time.Microsecond,
+					},
+					Chaos: &transport.ChaosOptions{Plan: keyedPlan(99, 0.10, 0.05, 0.05)},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { _ = c.Close() }()
+				chaosWorkload(t, c, nodes, npages)
+				snap := c.Stats().Snapshot()
+				o := outcome{retries: map[string]int64{}, counters: snap.Counters()}
+				for _, cs := range snap.Calls {
+					if cs.Retries > 0 {
+						o.retries[cs.Kind] = cs.Retries
+					}
+				}
+				return o
 			}
-			defer func() { _ = c.Close() }()
-			chaosWorkload(t, c, nodes, npages)
-			var retries int64
-			for _, cs := range c.Stats().Snapshot().Calls {
-				retries += cs.Retries
-			}
-			if retries == 0 {
+			a, b := run(), run()
+			if len(a.retries) == 0 {
 				t.Fatal("chaos injected nothing; test proves nothing")
 			}
+			if !maps.Equal(a.retries, b.retries) || a.counters != b.counters {
+				t.Fatalf("keyed plan did not replay:\nretries %v vs %v\ncounters %+v\nvs       %+v",
+					a.retries, b.retries, a.counters, b.counters)
+			}
+			t.Logf("retries per kind %v", a.retries)
+			byTransport[i] = a
 		})
+	}
+	if t.Failed() {
+		return
+	}
+	local, tcp := byTransport[0], byTransport[1]
+	if !maps.Equal(local.retries, tcp.retries) || local.counters != tcp.counters {
+		t.Fatalf("keyed plan differs across transports:\nretries local %v, tcp %v\ncounters local %+v\n         tcp   %+v",
+			local.retries, tcp.retries, local.counters, tcp.counters)
 	}
 }

@@ -309,29 +309,10 @@ func newCluster(cfg Config, shards int) (*Cluster, error) {
 		c.chaos = ch
 		tr = ch
 	}
-	retryOpts := cfg.Transport
-	userOnRetry := retryOpts.OnRetry
-	retryOpts.OnRetry = func(from, to, attempt int, payload []byte, err error) {
+	// The retry hook counts each retry against its message kind.
+	c.tr = transport.WithRetry(tr, cfg.Transport, func(_, _, _ int, payload []byte, _ error) {
 		c.stats.recordRetry(payload)
-		if userOnRetry != nil {
-			userOnRetry(from, to, attempt, payload, err)
-		}
-	}
-	// The call observer sits outermost so it times the whole logical
-	// call — retries, backoff sleeps and all — and fires exactly once
-	// per Cluster-level request. It forwards to the probe only when one
-	// is installed, so the disabled path is a nil check per call.
-	c.tr = transport.WithCallObserver(transport.WithRetry(tr, retryOpts),
-		func(from, to int, payload, reply []byte, d time.Duration, err error) {
-			if c.probe == nil || c.probe.TransportCall == nil {
-				return
-			}
-			var kind msg.Kind
-			if len(payload) > 0 {
-				kind = msg.Kind(payload[0])
-			}
-			c.probeTransportCall(from, to, kind, len(payload)+len(reply), d, err != nil)
-		})
+	})
 	return c, nil
 }
 
@@ -454,10 +435,11 @@ func (c *Cluster) call(from, to int, m msg.Message) (msg.Message, sim.Time, erro
 // or diffs answer: it returns the reply together with the frame it was
 // decoded from, which the reply's byte fields alias. The caller owns the
 // frame and msg.PutBufs it — on every exit path — once those fields have
-// been applied or copied. All protocol traffic is accounted here,
-// including the per-kind call counters and latency histograms. The
-// request is encoded into a msg.GetBuf buffer recycled once the
-// transport returns.
+// been applied or copied. All protocol traffic is accounted and timed
+// here, once per logical call (after the transport's retries): the
+// per-kind call counters, the latency histograms and the probe's
+// TransportCall event. The request is encoded into a msg.GetBuf buffer
+// recycled once the transport returns.
 func (c *Cluster) callFrame(from, to int, m msg.Message) (msg.Message, []byte, sim.Time, error) {
 	b := msg.EncodeTo(msg.GetBuf(), m)
 	kind := m.Kind()
@@ -465,15 +447,15 @@ func (c *Cluster) callFrame(from, to int, m msg.Message) (msg.Message, []byte, s
 	start := time.Now()
 	rb, err := c.tr.Call(from, to, b)
 	msg.PutBuf(b)
+	d := time.Since(start)
+	repLen := len(rb)
+	c.probeTransportCall(from, to, kind, reqLen+repLen, d, err != nil)
 	if err != nil {
-		d := time.Since(start)
 		c.stats.recordCall(kind, reqLen, d, true)
 		c.stats.recordLink(from, to, reqLen, d)
 		return nil, nil, 0, err
 	}
 	reply, err := msg.Decode(rb)
-	repLen := len(rb)
-	d := time.Since(start)
 	c.stats.recordLink(from, to, reqLen+repLen, d)
 	if err != nil {
 		msg.PutBuf(rb)

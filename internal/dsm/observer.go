@@ -171,8 +171,8 @@ type Probe struct {
 	// TransportCall fires for every completed logical transport call
 	// (after any retries) with the request kind, total wire bytes, and
 	// the wall-clock latency. Unlike every other probe event it measures
-	// real time, not virtual time; it is fed by the transport layer's
-	// call observer (transport.WithCallObserver).
+	// real time, not virtual time; it is fired by callFrame, the one
+	// place that times a call.
 	TransportCall func(from, to int, kind msg.Kind, bytes int, wall time.Duration, failed bool)
 }
 

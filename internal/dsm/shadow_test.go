@@ -1,6 +1,7 @@
 package dsm
 
 import (
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -143,18 +144,22 @@ func TestShadowModelWithLocks(t *testing.T) {
 // TestTransportFailurePropagates injects transport failures and checks
 // they surface as errors rather than corruption or hangs.
 func TestTransportFailurePropagates(t *testing.T) {
-	c := newTestCluster(t, 2, 2)
-	// Reach inside (through the call-observer wrapper): the Local
-	// transport supports fault injection.
-	lt, ok := transport.Base(c.tr).(*transport.Local)
-	if !ok {
-		t.Fatal("expected Local transport")
+	var fail atomic.Bool
+	c, err := New(Config{Nodes: 2, Pages: 2, Chaos: &transport.ChaosOptions{
+		Plan: func(sim.CallKey, []byte) transport.Fault {
+			if fail.Load() {
+				return transport.FaultDropRequest
+			}
+			return transport.FaultNone
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	fail := false
-	lt.FailCall = func(from, to int, payload []byte) bool { return fail }
+	defer func() { _ = c.Close() }()
 
 	wf32(t, c, 0, 0, 1024, 5) // warm up normally
-	fail = true
+	fail.Store(true)
 	if _, _, err := c.Span(1, 8, 0, 4, vm.Read); err == nil {
 		t.Fatal("expected error with failing transport")
 	}
@@ -162,7 +167,7 @@ func TestTransportFailurePropagates(t *testing.T) {
 		t.Fatal("expected barrier error with failing transport")
 	}
 	// Recovery: once the transport heals, the cluster still works.
-	fail = false
+	fail.Store(false)
 	if _, err := c.Barrier(); err != nil {
 		t.Fatal(err)
 	}

@@ -106,33 +106,16 @@ func AblationScaling(o Options) ([]AblationScalingRow, error) {
 	var rows []AblationScalingRow
 	for _, name := range []string{"SOR", "Water"} {
 		for _, nodes := range []int{2, 4, 8} {
-			base, err := Run(RunConfig{
-				App: name, Threads: o.Threads, Nodes: nodes,
-				Scale: o.Scale, Iterations: 4, TrackIter: -1,
-				Cluster: dsm.Config{GCThresholdBytes: -1},
-			})
+			r, err := trackingOverhead(name, o.Threads, nodes, o.Scale)
 			if err != nil {
-				return nil, fmt.Errorf("scaling %s/%d baseline: %w", name, nodes, err)
-			}
-			res, err := Run(RunConfig{
-				App: name, Threads: o.Threads, Nodes: nodes,
-				Scale: o.Scale, Iterations: 4, TrackIter: 2,
-				Cluster: dsm.Config{GCThresholdBytes: -1},
-			})
-			if err != nil {
-				return nil, fmt.Errorf("scaling %s/%d: %w", name, nodes, err)
-			}
-			off, on := base.IterTime[2], res.IterTime[2]
-			slow := 0.0
-			if off > 0 {
-				slow = 100 * (float64(on)/float64(off) - 1)
+				return nil, fmt.Errorf("scaling %w", err)
 			}
 			rows = append(rows, AblationScalingRow{
 				App:            name,
 				Nodes:          nodes,
-				SlowdownPct:    slow,
-				TrackingFaults: res.IterStats[2].TrackingFaults,
-				SharingDegree:  res.Tracker.SharingDegree(),
+				SlowdownPct:    r.SlowdownPct,
+				TrackingFaults: r.TrackingFaults,
+				SharingDegree:  r.SharingDegree,
 			})
 		}
 	}

@@ -270,46 +270,53 @@ func Table5(o Options) ([]Table5Row, error) {
 	o = o.Defaults()
 	rows := make([]Table5Row, 0, len(o.Apps))
 	for _, name := range o.Apps {
-		// GC is disabled for both runs so collection rounds (which
-		// fire at protocol-dependent barriers) don't confound the
-		// tracked-vs-untracked comparison.
-		base, err := Run(RunConfig{
-			App: name, Threads: o.Threads, Nodes: o.Nodes,
-			Scale: o.Scale, Iterations: 4, TrackIter: -1,
-			Cluster: dsm.Config{GCThresholdBytes: -1},
-		})
+		row, err := trackingOverhead(name, o.Threads, o.Nodes, o.Scale)
 		if err != nil {
-			return nil, fmt.Errorf("table5 %s baseline: %w", name, err)
+			return nil, fmt.Errorf("table5 %w", err)
 		}
-		res, err := Run(RunConfig{
-			App: name, Threads: o.Threads, Nodes: o.Nodes,
-			Scale: o.Scale, Iterations: 4, TrackIter: 2,
-			Cluster: dsm.Config{GCThresholdBytes: -1},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("table5 %s: %w", name, err)
-		}
-		if len(res.IterTime) < 4 || len(base.IterTime) < 4 {
-			return nil, fmt.Errorf("table5 %s: only %d iterations", name, len(res.IterTime))
-		}
-		// Iteration 2 tracked vs iteration 2 untracked.
-		off := base.IterTime[2]
-		on := res.IterTime[2]
-		slow := 0.0
-		if off > 0 {
-			slow = 100 * (float64(on)/float64(off) - 1)
-		}
-		rows = append(rows, Table5Row{
-			App:            name,
-			IterOff:        off,
-			IterOn:         on,
-			SlowdownPct:    slow,
-			TrackingFaults: res.IterStats[2].TrackingFaults,
-			CohFaults:      res.IterStats[2].CoherenceFaults,
-			SharingDegree:  res.Tracker.SharingDegree(),
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// trackingOverhead is the one tracking-overhead measurement behind Table 5
+// and E10: iteration 2 of a 4-iteration run tracked against the same
+// iteration of an untracked run. GC is disabled for both runs so
+// collection rounds (which fire at protocol-dependent barriers) don't
+// confound the comparison.
+func trackingOverhead(name string, threads, nodes int, scale apps.Scale) (Table5Row, error) {
+	run := func(track int) (*RunResult, error) {
+		return Run(RunConfig{
+			App: name, Threads: threads, Nodes: nodes,
+			Scale: scale, Iterations: 4, TrackIter: track,
+			Cluster: dsm.Config{GCThresholdBytes: -1},
+		})
+	}
+	base, err := run(-1)
+	if err != nil {
+		return Table5Row{}, fmt.Errorf("%s/%d baseline: %w", name, nodes, err)
+	}
+	res, err := run(2)
+	if err != nil {
+		return Table5Row{}, fmt.Errorf("%s/%d: %w", name, nodes, err)
+	}
+	if len(res.IterTime) < 4 || len(base.IterTime) < 4 {
+		return Table5Row{}, fmt.Errorf("%s/%d: only %d iterations", name, nodes, len(res.IterTime))
+	}
+	off, on := base.IterTime[2], res.IterTime[2]
+	slow := 0.0
+	if off > 0 {
+		slow = 100 * (float64(on)/float64(off) - 1)
+	}
+	return Table5Row{
+		App:            name,
+		IterOff:        off,
+		IterOn:         on,
+		SlowdownPct:    slow,
+		TrackingFaults: res.IterStats[2].TrackingFaults,
+		CohFaults:      res.IterStats[2].CoherenceFaults,
+		SharingDegree:  res.Tracker.SharingDegree(),
+	}, nil
 }
 
 // FormatTable5 renders Table 5 rows in the paper's layout.

@@ -22,9 +22,10 @@
 //     events for remote fetches (classified full-page / diff / batched
 //     diff), prefetch rounds, and lock transfers, which the recorder also
 //     folds into the enclosing slice's stall attribution;
-//   - the transport (via the probe's TransportCall hook, fed by
-//     transport.WithCallObserver) emits one wall-clock latency span per
-//     completed logical call.
+//   - the cluster's call site (the probe's TransportCall hook, fired by
+//     dsm's callFrame, which also times the call for its own latency
+//     histograms) emits one wall-clock latency span per completed
+//     logical call, retries included.
 //
 // Overhead. Recording is off unless explicitly enabled
 // (actdsm.SystemConfig.Obs). Every hook checks a nil probe / nil observer

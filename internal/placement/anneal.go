@@ -76,53 +76,3 @@ func swapDelta(m *core.Matrix, assign []int, i, j int) int64 {
 	}
 	return delta
 }
-
-// OptimalCapacities is Optimal with explicit per-node capacities
-// (exact branch-and-bound, practical to ~16 threads).
-func OptimalCapacities(m *core.Matrix, caps []int) ([]int, error) {
-	threads := m.N()
-	if threads > 16 {
-		return nil, ErrTooLarge
-	}
-	total := 0
-	for _, c := range caps {
-		total += c
-	}
-	if total != threads {
-		return nil, ErrTooLarge
-	}
-	nodes := len(caps)
-	best := minCostCaps(m, caps)
-	bestCost := m.CutCost(best)
-
-	assign := make([]int, threads)
-	counts := make([]int, nodes)
-	var dfs func(tid int, cost int64)
-	dfs = func(tid int, cost int64) {
-		if cost >= bestCost {
-			return
-		}
-		if tid == threads {
-			bestCost = cost
-			copy(best, assign)
-			return
-		}
-		for n := 0; n < nodes; n++ {
-			if counts[n] >= caps[n] {
-				continue
-			}
-			var added int64
-			for i := 0; i < tid; i++ {
-				if assign[i] != n {
-					added += m.At(i, tid)
-				}
-			}
-			assign[tid] = n
-			counts[n]++
-			dfs(tid+1, cost+added)
-			counts[n]--
-		}
-	}
-	dfs(0, 0)
-	return best, nil
-}

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -109,8 +110,16 @@ func TestOptimalCapacities(t *testing.T) {
 	if _, err := OptimalCapacities(core.NewMatrix(20), []int{10, 10}); err == nil {
 		t.Fatal("expected size error")
 	}
-	if _, err := OptimalCapacities(m, []int{4, 4}); err == nil {
-		t.Fatal("expected capacity-sum error")
+	if _, err := OptimalCapacities(m, []int{4, 4}); err == nil || errors.Is(err, ErrTooLarge) {
+		t.Fatalf("err = %v, want the capacity-sum error", err)
+	}
+	// A negative capacity summing to the thread count is refused, by the
+	// exact solver and the heuristic alike, instead of indexing with it.
+	if _, err := OptimalCapacities(m, []int{-1, 7}); err == nil {
+		t.Fatal("expected negative-capacity error")
+	}
+	if _, err := MinCostCapacities(m, []int{-1, 7}); err == nil {
+		t.Fatal("expected negative-capacity error from MinCostCapacities")
 	}
 }
 

@@ -140,15 +140,8 @@ func CapacitiesForSpeeds(threads int, speeds []float64) ([]int, error) {
 // StretchCapacities is Stretch with explicit per-node capacities:
 // contiguous thread blocks sized by caps.
 func StretchCapacities(threads int, caps []int) ([]int, error) {
-	total := 0
-	for _, c := range caps {
-		if c < 0 {
-			return nil, errors.New("placement: negative capacity")
-		}
-		total += c
-	}
-	if total != threads {
-		return nil, fmt.Errorf("placement: capacities sum to %d for %d threads", total, threads)
+	if err := checkCapacities(threads, caps); err != nil {
+		return nil, err
 	}
 	out := make([]int, 0, threads)
 	for n, c := range caps {
@@ -161,15 +154,26 @@ func StretchCapacities(threads int, caps []int) ([]int, error) {
 
 // MinCostCapacities is MinCost with explicit per-node capacities.
 func MinCostCapacities(m *core.Matrix, caps []int) ([]int, error) {
-	threads := m.N()
+	if err := checkCapacities(m.N(), caps); err != nil {
+		return nil, err
+	}
+	return minCostCaps(m, caps), nil
+}
+
+// checkCapacities refuses per-node capacities that are negative or do
+// not sum to threads.
+func checkCapacities(threads int, caps []int) error {
 	total := 0
 	for _, c := range caps {
+		if c < 0 {
+			return errors.New("placement: negative capacity")
+		}
 		total += c
 	}
 	if total != threads {
-		return nil, fmt.Errorf("placement: capacities sum to %d for %d threads", total, threads)
+		return fmt.Errorf("placement: capacities sum to %d for %d threads", total, threads)
 	}
-	return minCostCaps(m, caps), nil
+	return nil
 }
 
 // MinCost computes a balanced placement with low cut cost: agglomerative
@@ -416,11 +420,30 @@ func Optimal(m *core.Matrix, nodes int) ([]int, error) {
 	if threads > 16 {
 		return nil, ErrTooLarge
 	}
-	caps := capacities(threads, nodes)
-	best := append([]int(nil), Stretch(threads, nodes)...)
-	best = Refine(m, best)
-	bestCost := m.CutCost(best)
+	return branchAndBound(m, capacities(threads, nodes), Refine(m, Stretch(threads, nodes))), nil
+}
 
+// OptimalCapacities is Optimal with explicit per-node capacities.
+func OptimalCapacities(m *core.Matrix, caps []int) ([]int, error) {
+	if m.N() > 16 {
+		return nil, ErrTooLarge
+	}
+	if err := checkCapacities(m.N(), caps); err != nil {
+		return nil, err
+	}
+	return branchAndBound(m, caps, minCostCaps(m, caps)), nil
+}
+
+// branchAndBound returns the placement with the minimum cut cost that
+// fills node n with at most caps[n] threads, starting from the bound of
+// seed, a valid placement (returned when nothing beats it). Nodes of equal
+// capacity are interchangeable, so a thread opens at most the first empty
+// node of each capacity: the search visits one labelling of every
+// placement, and among equal-cost optima finds the first in thread order.
+func branchAndBound(m *core.Matrix, caps, seed []int) []int {
+	threads, nodes := m.N(), len(caps)
+	best := append([]int(nil), seed...)
+	bestCost := m.CutCost(best)
 	assign := make([]int, threads)
 	counts := make([]int, nodes)
 	var dfs func(tid int, cost int64)
@@ -433,19 +456,8 @@ func Optimal(m *core.Matrix, nodes int) ([]int, error) {
 			copy(best, assign)
 			return
 		}
-		// Symmetry breaking: a thread may open at most one new node.
-		maxNodeSoFar := -1
-		for i := 0; i < tid; i++ {
-			if assign[i] > maxNodeSoFar {
-				maxNodeSoFar = assign[i]
-			}
-		}
-		limit := maxNodeSoFar + 1
-		if limit >= nodes {
-			limit = nodes - 1
-		}
-		for n := 0; n <= limit; n++ {
-			if counts[n] >= caps[n] {
+		for n := 0; n < nodes; n++ {
+			if counts[n] >= caps[n] || (counts[n] == 0 && emptyTwin(caps, counts, n)) {
 				continue
 			}
 			var added int64
@@ -461,7 +473,18 @@ func Optimal(m *core.Matrix, nodes int) ([]int, error) {
 		}
 	}
 	dfs(0, 0)
-	return best, nil
+	return best
+}
+
+// emptyTwin reports whether a node before n has n's capacity and is still
+// empty: opening n would only relabel a placement that opens that node.
+func emptyTwin(caps, counts []int, n int) bool {
+	for k := 0; k < n; k++ {
+		if counts[k] == 0 && caps[k] == caps[n] {
+			return true
+		}
+	}
+	return false
 }
 
 // Move is one thread migration in a reconfiguration plan.

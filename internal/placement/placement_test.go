@@ -2,6 +2,7 @@ package placement
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -132,6 +133,31 @@ func TestMinCostNearOptimalRandom(t *testing.T) {
 		if float64(mcc) > float64(occ)*1.05+1 {
 			t.Fatalf("trial %d: min-cost %d vs optimal %d (>5%% off)", trial, mcc, occ)
 		}
+	}
+}
+
+// TestOptimalUnequalCapacities holds Optimal to the true optimum when
+// threads % nodes != 0: 10 threads on 4 nodes make capacities 3, 3, 2, 2,
+// so the nodes are not interchangeable and the two 3-thread groups fit
+// only the first two nodes.
+func TestOptimalUnequalCapacities(t *testing.T) {
+	m := core.NewMatrix(10)
+	for _, g := range [][]int{{0, 1}, {2, 3}, {4, 5, 6}, {7, 8, 9}} {
+		for a, i := range g {
+			for _, j := range g[a+1:] {
+				m.Set(i, j, 10)
+			}
+		}
+	}
+	opt, err := Optimal(m, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut := m.CutCost(opt); cut != 0 {
+		t.Fatalf("Optimal cut = %d, want 0 (%v)", cut, opt)
+	}
+	if got := counts(opt, 4); !slices.Equal(got, []int{3, 3, 2, 2}) {
+		t.Fatalf("populations %v, want [3 3 2 2]", got)
 	}
 }
 

@@ -39,14 +39,13 @@ import (
 // wallClockAllowed lists the files (slash-separated, repo-relative)
 // permitted to read the wall clock. Measurement only — never decisions.
 var wallClockAllowed = map[string]bool{
-	"cmd/actbench/main.go":           true, // section elapsed-time banner
-	"internal/check/explore.go":      true, // TrialResult.Elapsed / SweepResult.Elapsed
-	"internal/dsm/cluster.go":        true, // per-message latency quantiles
-	"internal/obs/obs.go":            true, // recorder start anchor + transport-span end stamps; export-only, never protocol input
-	"internal/transport/chaos.go":    true, // injected FaultDelay sleeps
-	"internal/transport/mux.go":      true, // pooled CallTimeout timers; a timeout only poisons the conn for redial, never steers the protocol
-	"internal/transport/observer.go": true, // per-call wall latency fed to the observability probe
-	"internal/transport/options.go":  true, // backoff sleep between retries
+	"cmd/actbench/main.go":          true, // section elapsed-time banner
+	"internal/check/explore.go":     true, // TrialResult.Elapsed / SweepResult.Elapsed
+	"internal/dsm/cluster.go":       true, // per-message latency quantiles and the probe's per-call wall latency
+	"internal/obs/obs.go":           true, // recorder start anchor + transport-span end stamps; export-only, never protocol input
+	"internal/transport/chaos.go":   true, // injected FaultDelay sleeps
+	"internal/transport/mux.go":     true, // pooled CallTimeout timers; a timeout only poisons the conn for redial, never steers the protocol
+	"internal/transport/options.go": true, // backoff sleep between retries
 }
 
 // wallClockFuncs are the time-package functions that observe or depend on

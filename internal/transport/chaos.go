@@ -51,52 +51,22 @@ func (f Fault) String() string {
 	}
 }
 
-// ChaosOptions configures a Chaos wrapper. Probabilities are evaluated in
-// the order drop-request, drop-reply, duplicate, delay, by one seeded
-// deterministic generator, so a fixed seed and a serial caller produce a
-// reproducible fault schedule. When Plan is non-nil it alone decides
-// every call's fault and the probabilistic knobs are ignored — the fully
-// deterministic mode tests use, which replays under parallel callers too
-// (replay.go).
+// ChaosOptions configures a Chaos wrapper. Every injected fault is
+// decided by Plan from the call's key, so a run's faults are a pure
+// function of its workload and plan: they replay under parallel callers
+// (replay.go) and land on the same calls over Local and TCP.
 type ChaosOptions struct {
-	// Seed seeds the fault generator (sim.RNG). Defaults to 1.
-	Seed uint64
-	// DropRequestProb is the probability of FaultDropRequest.
-	DropRequestProb float64
-	// DropReplyProb is the probability of FaultDropReply.
-	DropReplyProb float64
-	// DuplicateProb is the probability of FaultDuplicate.
-	DuplicateProb float64
-	// DelayProb is the probability of FaultDelay.
-	DelayProb float64
 	// Delay is the FaultDelay sleep. Defaults to 1ms.
 	Delay time.Duration
-	// Partitioned, if non-nil, reports whether the (from, to) pair is
-	// currently unreachable; such calls fail with ErrInjected without
-	// being delivered. Schedules (heal after N calls, one-way splits,
-	// islands) are expressed by closing over mutable state.
-	Partitioned func(from, to int) bool
-	// Plan, if non-nil, decides the fault for each call and overrides
-	// the probabilistic knobs. key names the call by its place on its
-	// directed edge: its kind (the payload's first byte, the msg.Kind)
-	// and the number of earlier calls of that kind on that edge, retries
-	// included (see replay.go). payload is the encoded message, letting
-	// plans also target specific message contents.
+	// Plan, if non-nil, decides the fault for each call. key names the
+	// call by its place on its directed edge: its kind (the payload's
+	// first byte, the msg.Kind) and the number of earlier calls of that
+	// kind on that edge, retries included (see replay.go). payload is the
+	// encoded message, letting plans also target specific message
+	// contents. A partition is a plan that returns FaultDropRequest on
+	// the cut edges; a randomized schedule draws from an RNG seeded by
+	// the key.
 	Plan func(key sim.CallKey, payload []byte) Fault
-	// FaultBudget, when positive, caps the total number of faults the
-	// probabilistic knobs may inject; once spent, every later decision
-	// is FaultNone. Soak tests use it to guarantee the workload's tail
-	// runs fault-free, so a run always terminates regardless of how
-	// unlucky the stream was. Plan, Partitioned, and Crashes are exempt
-	// (they are deterministic by construction).
-	FaultBudget int64
-	// MaxConsecutive, when positive, bounds runs of consecutive
-	// probabilistic injections: after that many faults in a row the next
-	// decision is forced to FaultNone. With MaxConsecutive below the
-	// retry budget (Options.MaxAttempts), no single call can have every
-	// attempt faulted, which makes randomized soaks deadline-robust
-	// without changing their expected fault rate materially.
-	MaxConsecutive int
 	// Crashes are deterministic fail-stop windows, each armed at the
 	// call its schedule's key names (the key Plan sees). The call at
 	// s.At fails with ErrNodeDown, and so does every later call on its
@@ -105,33 +75,26 @@ type ChaosOptions struct {
 	// or at once when none is, and Down reports the node from that same
 	// point. The windows last until Revive is called for the node (the
 	// DSM layer does so when it runs the node's recovery protocol at
-	// s.RestartEpoch). Crash windows compose with Plan, Partitioned, and
-	// the probabilistic knobs — they are evaluated first and, like every
-	// fault here, consume the call's key.
+	// s.RestartEpoch). Crash windows compose with Plan — they are
+	// evaluated first and, like every fault here, consume the call's key.
 	Crashes []sim.CrashSchedule
 }
 
-// Chaos wraps a Transport with fault injection. It generalizes
-// Local.FailCall: it composes over both Local and TCP (and under
-// WithRetry, so injected faults exercise the retry path). All injected
-// failures carry ErrInjected, which Retryable recognizes.
+// Chaos wraps a Transport with fault injection. It composes over both
+// Local and TCP, and under WithRetry, so injected faults exercise the
+// retry path. All injected failures carry ErrInjected, which Retryable
+// recognizes.
 type Chaos struct {
 	inner Transport
 	o     ChaosOptions
 
-	calls    atomic.Int64
-	injected atomic.Int64
-
-	mu     sync.Mutex // guards rng, budget, streak and edgeCalls
-	rng    *sim.RNG
-	budget int64 // remaining probabilistic faults (if budgeted)
-	streak int   // consecutive probabilistic injections
+	mu sync.Mutex // guards edgeCalls
 	// edgeCalls counts the calls made per (from, to, kind), the N of the
 	// next call's key; its keys have N 0.
 	edgeCalls map[sim.CallKey]int64
 
 	// crashMu guards the crash-window state below. Separate from mu so
-	// downAt checks never serialize on the fault generator.
+	// downAt checks never serialize on call keying.
 	crashMu sync.Mutex
 	// sched holds the configured schedules and state[i] how far
 	// schedule i has armed; depth counts the fan-outs in flight.
@@ -151,14 +114,10 @@ var _ Transport = (*Chaos)(nil)
 
 // NewChaos wraps inner with fault injection per o.
 func NewChaos(inner Transport, o ChaosOptions) *Chaos {
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
 	if o.Delay <= 0 {
 		o.Delay = time.Millisecond
 	}
-	c := &Chaos{inner: inner, o: o, rng: sim.NewRNG(o.Seed), budget: o.FaultBudget,
-		edgeCalls: make(map[sim.CallKey]int64), killed: make(map[int]bool)}
+	c := &Chaos{inner: inner, o: o, edgeCalls: make(map[sim.CallKey]int64), killed: make(map[int]bool)}
 	c.sched = append(c.sched, o.Crashes...)
 	c.state = make([]crashState, len(c.sched))
 	if len(c.sched) > 0 {
@@ -290,27 +249,15 @@ func (c *Chaos) key(from, to int, payload []byte) sim.CallKey {
 	return k
 }
 
-// Calls returns the number of calls observed (including retries).
-func (c *Chaos) Calls() int64 { return c.calls.Load() }
-
-// Injected returns the number of calls a fault was injected into.
-func (c *Chaos) Injected() int64 { return c.injected.Load() }
-
 // Call implements Transport.
 func (c *Chaos) Call(from, to int, payload []byte) ([]byte, error) {
-	c.calls.Add(1)
 	key := c.key(from, to, payload)
 	if c.hasCrash.Load() && c.crashed(key) {
-		c.injected.Add(1)
 		return nil, fmt.Errorf("transport: crash %d->%d at kind %d call %d: %w", from, to, key.Kind, key.N, ErrNodeDown)
 	}
-	if c.o.Partitioned != nil && c.o.Partitioned(from, to) {
-		c.injected.Add(1)
-		return nil, fmt.Errorf("transport: partition %d->%d: %w", from, to, ErrInjected)
-	}
-	f := c.fault(key, payload)
-	if f != FaultNone {
-		c.injected.Add(1)
+	f := FaultNone
+	if c.o.Plan != nil {
+		f = c.o.Plan(key, payload)
 	}
 	switch f {
 	case FaultDropRequest:
@@ -330,45 +277,5 @@ func (c *Chaos) Call(from, to int, payload []byte) ([]byte, error) {
 	return c.inner.Call(from, to, payload)
 }
 
-// fault decides the fault for one call.
-func (c *Chaos) fault(key sim.CallKey, payload []byte) Fault {
-	if c.o.Plan != nil {
-		return c.o.Plan(key, payload)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	x := c.rng.Float64() // always consume the stream: decisions stay
-	// seed-deterministic whether or not the guards below veto them
-	if c.o.FaultBudget > 0 && c.budget <= 0 {
-		return FaultNone
-	}
-	if c.o.MaxConsecutive > 0 && c.streak >= c.o.MaxConsecutive {
-		c.streak = 0
-		return FaultNone
-	}
-	var f Fault
-	switch {
-	case x < c.o.DropRequestProb:
-		f = FaultDropRequest
-	case x < c.o.DropRequestProb+c.o.DropReplyProb:
-		f = FaultDropReply
-	case x < c.o.DropRequestProb+c.o.DropReplyProb+c.o.DuplicateProb:
-		f = FaultDuplicate
-	case x < c.o.DropRequestProb+c.o.DropReplyProb+c.o.DuplicateProb+c.o.DelayProb:
-		f = FaultDelay
-	default:
-		c.streak = 0
-		return FaultNone
-	}
-	if c.o.FaultBudget > 0 {
-		c.budget--
-	}
-	c.streak++
-	return f
-}
-
 // Close implements Transport.
 func (c *Chaos) Close() error { return c.inner.Close() }
-
-// Unwrap returns the wrapped transport (see Base).
-func (c *Chaos) Unwrap() Transport { return c.inner }

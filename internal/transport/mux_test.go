@@ -19,6 +19,7 @@ import (
 
 	"actdsm/internal/msg"
 	"actdsm/internal/pool"
+	"actdsm/internal/sim"
 )
 
 // TestMuxPipelinedManyGoroutines floods shared (from,to) pairs with
@@ -124,7 +125,7 @@ func TestMuxReconnectMidPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := WithRetry(base, Options{MaxAttempts: 6})
+	tr := WithRetry(base, Options{MaxAttempts: 6}, nil)
 	defer func() { _ = tr.Close() }()
 	if _, err := tr.Call(0, 1, []byte("warm")); err != nil {
 		t.Fatal(err)
@@ -169,7 +170,30 @@ func TestMuxReconnectMidPipeline(t *testing.T) {
 	}
 }
 
-// TestMuxChaosDropDelay runs seeded drops and delays over the mux
+// cappedPlan cuts plan off on the plan side: after budget faults
+// (0: no cap) every call goes through, and after maxRun faults in a row
+// the next call does. With maxRun below the retry budget no run of faults
+// can spend a whole call's attempts on one edge, so a soak stays
+// deadline-robust; a budget makes its tail drain fault-free.
+func cappedPlan(plan func(sim.CallKey, []byte) Fault, budget int64, maxRun int) func(sim.CallKey, []byte) Fault {
+	var mu sync.Mutex
+	var spent int64
+	run := 0
+	return func(k sim.CallKey, p []byte) Fault {
+		f := plan(k, p)
+		mu.Lock()
+		defer mu.Unlock()
+		if f == FaultNone || (budget > 0 && spent >= budget) || run >= maxRun {
+			run = 0
+			return FaultNone
+		}
+		spent++
+		run++
+		return f
+	}
+}
+
+// TestMuxChaosDropDelay runs keyed drops and delays over the mux
 // discipline: every call must still succeed (drops surface as retryable
 // injected faults), and every reply must match its request.
 func TestMuxChaosDropDelay(t *testing.T) {
@@ -178,13 +202,9 @@ func TestMuxChaosDropDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := WithRetry(NewChaos(base, ChaosOptions{
-		Seed:            7,
-		DropRequestProb: 0.05,
-		DropReplyProb:   0.05,
-		DelayProb:       0.1,
-		Delay:           time.Millisecond,
-		MaxConsecutive:  3,
-	}), Options{MaxAttempts: 8})
+		Plan:  cappedPlan(keyedPlan(7, [4]float64{0.05, 0.05, 0, 0.1}), 0, 3),
+		Delay: time.Millisecond,
+	}), Options{MaxAttempts: 8}, nil)
 	defer func() { _ = tr.Close() }()
 	const callers, perCaller = 8, 30
 	var wg sync.WaitGroup
@@ -216,9 +236,10 @@ func TestMuxChaosDropDelay(t *testing.T) {
 }
 
 // TestMuxChaosSoak is the nightly chaos-soak leg: sustained pipelined
-// load over real TCP sockets with seeded drops and delays, sockets
-// repeatedly torn down out from under the pipeline, and a FaultBudget
-// cap so the tail of the workload is guaranteed to drain fault-free.
+// load over real TCP sockets with keyed drops and delays, sockets
+// repeatedly torn down out from under the pipeline, and a plan-side
+// fault budget so the tail of the workload is guaranteed to drain
+// fault-free.
 // Every call must succeed and every reply must match its request for
 // the whole soak. Gated on ACTDSM_SOAK (a duration; "1" means 30s)
 // because minutes of wall clock are nightly material, not per-push CI.
@@ -237,14 +258,9 @@ func TestMuxChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := WithRetry(NewChaos(base, ChaosOptions{
-		Seed:            20260808,
-		DropRequestProb: 0.02,
-		DropReplyProb:   0.02,
-		DelayProb:       0.05,
-		Delay:           time.Millisecond,
-		MaxConsecutive:  3,
-		FaultBudget:     5000,
-	}), Options{MaxAttempts: 10})
+		Plan:  cappedPlan(keyedPlan(20260808, [4]float64{0.02, 0.02, 0, 0.05}), 5000, 3),
+		Delay: time.Millisecond,
+	}), Options{MaxAttempts: 10}, nil)
 	defer func() { _ = tr.Close() }()
 
 	deadline := time.Now().Add(dur)

@@ -25,10 +25,6 @@ type Options struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the exponential backoff. Defaults to 50ms.
 	BackoffMax time.Duration
-	// OnRetry, if non-nil, is invoked before each retry sleep with the
-	// 1-based number of the attempt that just failed. It must not
-	// block; the DSM layer uses it to count retries per message type.
-	OnRetry func(from, to, attempt int, payload []byte, err error)
 }
 
 // withDefaults fills zero fields with the documented defaults.
@@ -48,26 +44,30 @@ func (o Options) withDefaults() Options {
 // WithRetry wraps inner with bounded retry: transient failures
 // (Retryable) are retried up to o.MaxAttempts total attempts with
 // exponential backoff and jitter. Non-retryable failures and exhausted
-// budgets return the last error. If o.MaxAttempts <= 1 the inner
-// transport is returned unchanged.
+// budgets return the last error. onRetry, if non-nil, is invoked before
+// each retry sleep with the 1-based number of the attempt that just
+// failed; it must not block (the DSM layer counts retries per message
+// type with it). If o.MaxAttempts <= 1 the inner transport is returned
+// unchanged.
 //
 // Retries re-send the request, so the receiver may execute it more than
 // once (e.g. when only the reply was lost); layer this wrapper only over
 // idempotent protocols. The DSM's barrier, lock, GC and fetch messages
 // all are — see DESIGN.md §6.
-func WithRetry(inner Transport, o Options) Transport {
+func WithRetry(inner Transport, o Options, onRetry func(from, to, attempt int, payload []byte, err error)) Transport {
 	if o.MaxAttempts <= 1 {
 		return inner
 	}
 	o = o.withDefaults()
 	// A fixed seed keeps the jitter sequence reproducible run to run.
-	return &retrier{inner: inner, o: o, rng: sim.NewRNG(1)}
+	return &retrier{inner: inner, o: o, onRetry: onRetry, rng: sim.NewRNG(1)}
 }
 
 // retrier is the WithRetry implementation.
 type retrier struct {
-	inner Transport
-	o     Options
+	inner   Transport
+	o       Options
+	onRetry func(from, to, attempt int, payload []byte, err error)
 
 	mu  sync.Mutex // guards rng
 	rng *sim.RNG
@@ -81,8 +81,8 @@ func (r *retrier) Call(from, to int, payload []byte) ([]byte, error) {
 		if err == nil || attempt >= r.o.MaxAttempts || !Retryable(err) {
 			return reply, err
 		}
-		if r.o.OnRetry != nil {
-			r.o.OnRetry(from, to, attempt, payload, err)
+		if r.onRetry != nil {
+			r.onRetry(from, to, attempt, payload, err)
 		}
 		time.Sleep(r.jitter(backoff))
 		if backoff *= 2; backoff > r.o.BackoffMax {
@@ -105,6 +105,3 @@ func (r *retrier) jitter(d time.Duration) time.Duration {
 
 // Close implements Transport.
 func (r *retrier) Close() error { return r.inner.Close() }
-
-// Unwrap returns the wrapped transport (see Base).
-func (r *retrier) Unwrap() Transport { return r.inner }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -207,7 +208,7 @@ func TestTCPReconnectAfterDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := WithRetry(base, Options{MaxAttempts: 3})
+	tr := WithRetry(base, Options{MaxAttempts: 3}, nil)
 	defer func() { _ = tr.Close() }()
 	if _, err := tr.Call(0, 1, []byte("warm")); err != nil {
 		t.Fatal(err)
@@ -276,7 +277,7 @@ func TestTCPConcurrentPairsWithDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := WithRetry(base, Options{MaxAttempts: drops + 1})
+	tr := WithRetry(base, Options{MaxAttempts: drops + 1}, nil)
 	defer func() { _ = tr.Close() }()
 
 	var wg sync.WaitGroup
@@ -333,26 +334,22 @@ func TestTCPConcurrentPairsWithDrops(t *testing.T) {
 // --- retry wrapper ----------------------------------------------------
 
 func TestRetryRecovers(t *testing.T) {
-	inner := NewLocal(echoHandlers(2))
-	fails := 2
-	inner.FailCall = func(from, to int, payload []byte) bool {
-		if fails > 0 {
-			fails--
-			return true
-		}
-		return false
-	}
-	var retries []int
-	tr := WithRetry(inner, Options{
-		MaxAttempts: 4,
-		BackoffBase: time.Microsecond,
-		OnRetry: func(from, to, attempt int, payload []byte, err error) {
-			if !errors.Is(err, ErrInjected) {
-				t.Errorf("OnRetry err = %v", err)
+	inner := NewChaos(NewLocal(echoHandlers(2)), ChaosOptions{
+		Plan: func(k sim.CallKey, _ []byte) Fault {
+			if k.N < 2 { // the first two attempts
+				return FaultDropRequest
 			}
-			retries = append(retries, attempt)
+			return FaultNone
 		},
 	})
+	var retries []int
+	tr := WithRetry(inner, Options{MaxAttempts: 4, BackoffBase: time.Microsecond},
+		func(from, to, attempt int, payload []byte, err error) {
+			if !errors.Is(err, ErrInjected) {
+				t.Errorf("onRetry err = %v", err)
+			}
+			retries = append(retries, attempt)
+		})
 	got, err := tr.Call(0, 1, []byte("x"))
 	if err != nil {
 		t.Fatal(err)
@@ -366,10 +363,11 @@ func TestRetryRecovers(t *testing.T) {
 }
 
 func TestRetryExhausted(t *testing.T) {
-	inner := NewLocal(echoHandlers(2))
 	calls := 0
-	inner.FailCall = func(from, to int, payload []byte) bool { calls++; return true }
-	tr := WithRetry(inner, Options{MaxAttempts: 3, BackoffBase: time.Microsecond})
+	inner := NewChaos(NewLocal(echoHandlers(2)), ChaosOptions{
+		Plan: func(sim.CallKey, []byte) Fault { calls++; return FaultDropRequest },
+	})
+	tr := WithRetry(inner, Options{MaxAttempts: 3, BackoffBase: time.Microsecond}, nil)
 	if _, err := tr.Call(0, 1, nil); !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
@@ -384,7 +382,7 @@ func TestRetryNonRetryableNotRetried(t *testing.T) {
 		calls++
 		return nil, errors.New("deterministic")
 	}}
-	tr := WithRetry(NewLocal(hs), Options{MaxAttempts: 5, BackoffBase: time.Microsecond})
+	tr := WithRetry(NewLocal(hs), Options{MaxAttempts: 5, BackoffBase: time.Microsecond}, nil)
 	if _, err := tr.Call(0, 0, nil); err == nil {
 		t.Fatal("expected error")
 	}
@@ -395,10 +393,10 @@ func TestRetryNonRetryableNotRetried(t *testing.T) {
 
 func TestWithRetryPassthrough(t *testing.T) {
 	inner := NewLocal(echoHandlers(1))
-	if tr := WithRetry(inner, Options{MaxAttempts: 1}); tr != Transport(inner) {
+	if tr := WithRetry(inner, Options{MaxAttempts: 1}, nil); tr != Transport(inner) {
 		t.Fatal("MaxAttempts <= 1 must return the inner transport unchanged")
 	}
-	if tr := WithRetry(inner, Options{}); tr != Transport(inner) {
+	if tr := WithRetry(inner, Options{}, nil); tr != Transport(inner) {
 		t.Fatal("zero Options must return the inner transport unchanged")
 	}
 }
@@ -422,13 +420,15 @@ func countingHandlers(n int, counts []atomic.Int64) []Handler {
 func TestChaosPlanFaults(t *testing.T) {
 	counts := make([]atomic.Int64, 2)
 	schedule := []Fault{FaultDropRequest, FaultDropReply, FaultDuplicate, FaultNone}
+	planned := 0
 	tr := NewChaos(NewLocal(countingHandlers(2, counts)), ChaosOptions{
 		// Every call is kind 'x' on edge 0->1, so the key's N is the
 		// call's place in the test.
 		Plan: func(key sim.CallKey, payload []byte) Fault {
-			if key.From != 0 || key.To != 1 || key.Kind != 'x' {
-				t.Errorf("key %+v for a kind-x call on 0->1", key)
+			if key.From != 0 || key.To != 1 || key.Kind != 'x' || key.N != int64(planned) {
+				t.Errorf("key %+v for kind-x call %d on 0->1", key, planned)
 			}
+			planned++
 			return schedule[key.N]
 		},
 	})
@@ -463,8 +463,8 @@ func TestChaosPlanFaults(t *testing.T) {
 	if _, err := tr.Call(0, 1, []byte("xd")); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Calls() != 4 || tr.Injected() != 3 {
-		t.Fatalf("calls=%d injected=%d, want 4/3", tr.Calls(), tr.Injected())
+	if planned != 4 {
+		t.Fatalf("plan consulted %d times, want once per call (4)", planned)
 	}
 }
 
@@ -538,11 +538,16 @@ func TestChaosCrashKeyedPerEdge(t *testing.T) {
 	call(0, 1, "x", true)
 }
 
+// TestChaosPartitionHeals expresses a partition as a plan: calls across
+// the cut are dropped before delivery until the partition heals.
 func TestChaosPartitionHeals(t *testing.T) {
 	var healed atomic.Bool
 	tr := NewChaos(NewLocal(echoHandlers(3)), ChaosOptions{
-		Partitioned: func(from, to int) bool {
-			return !healed.Load() && (from == 0) != (to == 0) // node 0 isolated
+		Plan: func(k sim.CallKey, _ []byte) Fault {
+			if !healed.Load() && (k.From == 0) != (k.To == 0) { // node 0 isolated
+				return FaultDropRequest
+			}
+			return FaultNone
 		},
 	})
 	defer func() { _ = tr.Close() }()
@@ -561,27 +566,45 @@ func TestChaosPartitionHeals(t *testing.T) {
 	}
 }
 
+// keyedPlan injects the faults FaultDropRequest through FaultDelay at the
+// given rates, drawing one number per call from a generator seeded by
+// seed and the call's key: the faults are a pure function of the key.
+func keyedPlan(seed uint64, rates [4]float64) func(sim.CallKey, []byte) Fault {
+	return func(k sim.CallKey, _ []byte) Fault {
+		key := uint64(k.From)<<56 | uint64(k.To)<<48 | uint64(k.Kind)<<40 | uint64(k.N)
+		x, acc := sim.NewRNG(seed^key).Float64(), 0.0
+		for i, r := range rates {
+			if acc += r; x < acc {
+				return FaultDropRequest + Fault(i)
+			}
+		}
+		return FaultNone
+	}
+}
+
+// TestChaosDeterministicSchedule runs one call sequence twice under a
+// keyed plan, once over Local and once over TCP: the same calls fail.
 func TestChaosDeterministicSchedule(t *testing.T) {
-	run := func() []bool {
-		tr := NewChaos(NewLocal(echoHandlers(2)), ChaosOptions{
-			Seed:            42,
-			DropRequestProb: 0.2,
-			DropReplyProb:   0.1,
-			DuplicateProb:   0.1,
-		})
+	run := func(base Transport) []bool {
+		tr := NewChaos(base, ChaosOptions{Plan: keyedPlan(42, [4]float64{0.2, 0.1, 0.1, 0})})
 		defer func() { _ = tr.Close() }()
 		var failed []bool
 		for i := 0; i < 60; i++ {
-			_, err := tr.Call(0, 1, []byte{byte(i)})
+			_, err := tr.Call(i%2, 1-i%2, []byte{byte(i % 3)})
 			failed = append(failed, err != nil)
 		}
 		return failed
 	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("call %d: schedules diverge with identical seeds", i)
-		}
+	tcp, err := NewTCP(echoHandlers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := run(NewLocal(echoHandlers(2))), run(tcp)
+	if !slices.Contains(a, true) {
+		t.Fatal("the plan injected nothing; test proves nothing")
+	}
+	if !slices.Equal(a, b) {
+		t.Fatalf("schedules diverge across transports:\nlocal %v\ntcp   %v", a, b)
 	}
 }
 
@@ -600,13 +623,18 @@ func TestChaosWithRetryRecovers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			plan := keyedPlan(7, [4]float64{0.2, 0.1, 0.05, 0})
+			var injected atomic.Int64
 			chaos := NewChaos(base, ChaosOptions{
-				Seed:            7,
-				DropRequestProb: 0.2,
-				DropReplyProb:   0.1,
-				DuplicateProb:   0.05,
+				Plan: func(k sim.CallKey, p []byte) Fault {
+					f := plan(k, p)
+					if f != FaultNone {
+						injected.Add(1)
+					}
+					return f
+				},
 			})
-			tr := WithRetry(chaos, Options{MaxAttempts: 10, BackoffBase: time.Microsecond})
+			tr := WithRetry(chaos, Options{MaxAttempts: 10, BackoffBase: time.Microsecond}, nil)
 			defer func() { _ = tr.Close() }()
 			for i := 0; i < 80; i++ {
 				from, to := i%3, (i+1)%3
@@ -619,53 +647,9 @@ func TestChaosWithRetryRecovers(t *testing.T) {
 					t.Fatalf("call %d: got %q, want %q", i, got, want)
 				}
 			}
-			if chaos.Injected() == 0 {
+			if injected.Load() == 0 {
 				t.Fatal("chaos injected nothing; test proves nothing")
 			}
 		})
-	}
-}
-
-// TestChaosFaultBudget proves the probabilistic knobs stop injecting
-// once the budget is spent, so a budgeted soak's tail runs fault-free.
-func TestChaosFaultBudget(t *testing.T) {
-	tr := NewChaos(NewLocal(echoHandlers(2)), ChaosOptions{
-		DropRequestProb: 1.0, // every unbudgeted decision would fault
-		FaultBudget:     3,
-	})
-	defer func() { _ = tr.Close() }()
-	faults := 0
-	for i := 0; i < 20; i++ {
-		if _, err := tr.Call(0, 1, []byte("x")); err != nil {
-			faults++
-		}
-	}
-	if faults != 3 {
-		t.Fatalf("faults = %d, want exactly the budget of 3", faults)
-	}
-	if tr.Injected() != 3 {
-		t.Fatalf("Injected = %d, want 3", tr.Injected())
-	}
-}
-
-// TestChaosMaxConsecutive proves streaks of probabilistic injections are
-// capped: with certain-fault knobs and MaxConsecutive=2, every third
-// call must succeed, so a retry budget of 3 can never be exhausted.
-func TestChaosMaxConsecutive(t *testing.T) {
-	tr := NewChaos(NewLocal(echoHandlers(2)), ChaosOptions{
-		DropRequestProb: 1.0,
-		MaxConsecutive:  2,
-	})
-	defer func() { _ = tr.Close() }()
-	pattern := make([]bool, 0, 9)
-	for i := 0; i < 9; i++ {
-		_, err := tr.Call(0, 1, []byte("x"))
-		pattern = append(pattern, err == nil)
-	}
-	for i, ok := range pattern {
-		want := (i+1)%3 == 0 // every third decision is forced clean
-		if ok != want {
-			t.Fatalf("call %d success = %v, want %v (pattern %v)", i+1, ok, want, pattern)
-		}
 	}
 }

@@ -8,11 +8,11 @@
 // identical across transports.
 //
 // Two composable wrappers harden either base transport: Chaos injects
-// faults (drops, delays, duplicates, partitions) for resilience testing,
+// keyed faults (drops, delays, duplicates, crashes) for resilience testing,
 // and WithRetry adds bounded retry with exponential backoff and jitter
 // (see Options). The intended production stack is
 //
-//	WithRetry(NewTCPWithOptions(handlers, o), o)
+//	WithRetry(NewTCPWithOptions(handlers, o), o, nil)
 //
 // and the intended test stack inserts NewChaos between the two.
 package transport
@@ -59,9 +59,8 @@ var (
 	_ Transport = (*TCP)(nil)
 )
 
-// ErrInjected is returned for calls failed by a fault injector (a Local
-// transport's FailCall hook or a Chaos wrapper). It marks transient,
-// retry-worthy failures: Retryable reports true for it.
+// ErrInjected is returned for calls failed by a Chaos wrapper's plan. It
+// marks transient, retry-worthy failures: Retryable reports true for it.
 var ErrInjected = errors.New("transport: injected failure")
 
 // ErrFrameTooLarge is returned when a handler produces a reply that does
@@ -139,14 +138,10 @@ func Retryable(err error) bool {
 }
 
 // Local is an in-process transport: Call dispatches directly to the
-// destination handler. An optional fault injector can fail selected calls
-// to test error paths (the Chaos wrapper generalizes it and works over
-// both transports).
+// destination handler. It has no settings; faults are injected by a Chaos
+// wrapper, which works over both transports.
 type Local struct {
 	handlers []Handler
-	// FailCall, if non-nil, is consulted before each call; returning
-	// true fails the call with ErrInjected.
-	FailCall func(from, to int, payload []byte) bool
 }
 
 // NewLocal returns a Local transport over the given per-node handlers.
@@ -163,9 +158,6 @@ func (l *Local) Call(from, to int, payload []byte) ([]byte, error) {
 	}
 	if to < 0 || to >= len(l.handlers) || l.handlers[to] == nil {
 		return nil, fmt.Errorf("transport: no handler for node %d", to)
-	}
-	if l.FailCall != nil && l.FailCall(from, to, payload) {
-		return nil, ErrInjected
 	}
 	return l.handlers[to](from, payload)
 }

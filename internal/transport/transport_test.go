@@ -45,21 +45,6 @@ func TestLocalBadDestination(t *testing.T) {
 	}
 }
 
-func TestLocalFailureInjection(t *testing.T) {
-	tr := NewLocal(echoHandlers(2))
-	calls := 0
-	tr.FailCall = func(from, to int, payload []byte) bool {
-		calls++
-		return calls == 1
-	}
-	if _, err := tr.Call(0, 1, nil); !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
-	}
-	if _, err := tr.Call(0, 1, nil); err != nil {
-		t.Fatalf("second call failed: %v", err)
-	}
-}
-
 func TestTCPRoundTrip(t *testing.T) {
 	tr, err := NewTCP(echoHandlers(3))
 	if err != nil {
